@@ -1,10 +1,8 @@
-"""Minimal reverse-mode autodiff over dense float64 tensors.
+"""Central-difference gradient oracle.
 
-Supports exactly the ops needed for MLP classifiers and cross-entropy
-losses: matmul, add (leading-batch broadcast of a 1-D bias), relu, tanh,
-elementwise_mul, square, reduce_mean, log_softmax and nll_loss.  All math
-is float64 with fixed reduction order, so repeated runs are bitwise
-reproducible.
+The model computes its gradients with a hand-written batched kernel
+(`MultiHeadClassifier.loss_gradient`); this module keeps the independent
+finite-difference check those gradients are tested against.
 """
 
 from __future__ import annotations
@@ -12,211 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .params import ParameterSet
-
-
-class Tensor:
-    """Node in the computation graph.
-
-    `data` is always a float64 ndarray.  `parents` and `_backward` record
-    how to push the output adjoint back to the inputs.
-    """
-
-    __slots__ = ("data", "grad", "requires_grad", "parents", "_backward", "op")
-
-    def __init__(self, data, requires_grad=False, parents=(), backward=None, op="leaf"):
-        self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
-        self.requires_grad = requires_grad
-        self.parents = parents
-        self._backward = backward
-        self.op = op
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ValueError(f"item() on non-scalar tensor of shape {self.shape}")
-        return float(self.data.reshape(()))
-
-    def _accum(self, g):
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
-        else:
-            self.grad = self.grad + g
-
-    def backward(self):
-        """Reverse pass from this (scalar) tensor; visits each op once."""
-        if self.data.size != 1:
-            raise ValueError("backward() requires a scalar loss tensor")
-        order = []
-        seen = set()
-        stack = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node.parents:
-                if p.requires_grad and id(p) not in seen:
-                    stack.append((p, False))
-        self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None:
-                node._backward(node.grad)
-
-
-def leaf(data, requires_grad=False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def _binary(a, b, out, op, backward):
-    rq = a.requires_grad or b.requires_grad
-    parents = tuple(p for p in (a, b) if p.requires_grad)
-    return Tensor(out, requires_grad=rq, parents=parents, backward=backward, op=op)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(g @ b.data.T)
-        if b.requires_grad:
-            b._accum(a.data.T @ g)
-
-    return _binary(a, b, out, "matmul", backward)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise add; also supports (batch, n) + (n,) bias broadcast."""
-    if a.shape == b.shape:
-        bias_broadcast = False
-    elif a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        bias_broadcast = True
-    else:
-        raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
-    out = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(g)
-        if b.requires_grad:
-            b._accum(g.sum(axis=0) if bias_broadcast else g)
-
-    return _binary(a, b, out, "add", backward)
-
-
-def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"elementwise_mul shape mismatch: {a.shape} * {b.shape}")
-    out = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(g * b.data)
-        if b.requires_grad:
-            b._accum(g * a.data)
-
-    return _binary(a, b, out, "elementwise_mul", backward)
-
-
-def _unary(a, out, op, backward):
-    parents = (a,) if a.requires_grad else ()
-    return Tensor(out, requires_grad=a.requires_grad, parents=parents,
-                  backward=backward if a.requires_grad else None, op=op)
-
-
-def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        a._accum(g * (a.data > 0.0))
-
-    return _unary(a, out, "relu", backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-
-    def backward(g):
-        a._accum(g * (1.0 - out * out))
-
-    return _unary(a, out, "tanh", backward)
-
-
-def square(a: Tensor) -> Tensor:
-    out = a.data * a.data
-
-    def backward(g):
-        a._accum(g * 2.0 * a.data)
-
-    return _unary(a, out, "square", backward)
-
-
-def reduce_mean(a: Tensor) -> Tensor:
-    out = a.data.mean()
-
-    def backward(g):
-        a._accum(np.full_like(a.data, float(g) / a.data.size))
-
-    return _unary(a, out, "reduce_mean", backward)
-
-
-def log_softmax(a: Tensor) -> Tensor:
-    """Log-softmax over the last axis, shift-stabilized."""
-    if a.data.ndim not in (1, 2):
-        raise ValueError(f"log_softmax expects 1-D or 2-D input, got {a.shape}")
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    log_z = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    out = z - log_z
-
-    def backward(g):
-        softmax = np.exp(out)
-        a._accum(g - softmax * g.sum(axis=-1, keepdims=True))
-
-    return _unary(a, out, "log_softmax", backward)
-
-
-def nll_loss(log_probs: Tensor, labels) -> Tensor:
-    """Mean negative log-likelihood of integer labels given log-probs."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if log_probs.data.ndim != 2 or labels.ndim != 1 or labels.shape[0] != log_probs.shape[0]:
-        raise ValueError(
-            f"nll_loss shape mismatch: log_probs {log_probs.shape}, labels {labels.shape}"
-        )
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= log_probs.shape[1]:
-        raise ValueError("nll_loss labels out of range")
-    n = labels.shape[0]
-    picked = log_probs.data[np.arange(n), labels]
-    out = -picked.mean()
-
-    def backward(g):
-        gm = np.zeros_like(log_probs.data)
-        gm[np.arange(n), labels] = -float(g) / n
-        log_probs._accum(gm)
-
-    return _unary(log_probs, out, "nll_loss", backward)
-
-
-def gradient(loss: Tensor, leaves: dict[str, Tensor]) -> ParameterSet:
-    """Gradients of a scalar loss w.r.t. named leaf tensors.
-
-    Leaves unreachable from the loss get zero gradients.
-    """
-    loss.backward()
-    out = ParameterSet()
-    for name, t in leaves.items():
-        out[name] = t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
-        t.grad = None
-    return out
 
 
 def finite_diff_gradient(loss_fn, params: ParameterSet, h: float = 1e-5) -> ParameterSet:

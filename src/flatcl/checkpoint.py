@@ -158,13 +158,10 @@ def load_checkpoint(path) -> Checkpoint:
         for i, (label, task_id) in enumerate(zip(r["labels"], r["task_ids"])):
             buffer.exemplars.append((feats[i].copy(), int(label), int(task_id)))
 
-    rng_state = manifest["rng_state"]
-    if rng_state is not None:
-        rng_state = _restore_rng_state(rng_state)
     return Checkpoint(
         model=model,
         config_hash=manifest["config_hash"],
-        rng_state=rng_state,
+        rng_state=manifest["rng_state"],  # PCG64 state: plain ints, JSON-exact
         next_task=manifest["next_task"],
         importance=importance,
         anchor=anchor,
@@ -172,7 +169,3 @@ def load_checkpoint(path) -> Checkpoint:
         replay_buffer=buffer,
     )
 
-
-def _restore_rng_state(state):
-    # PCG64 state dicts hold plain ints that survive JSON unchanged.
-    return state

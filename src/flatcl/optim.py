@@ -158,7 +158,8 @@ def create_gradient(model: MultiHeadClassifier, batch: Batch, rho: float,
 
 def find_fisher(model: MultiHeadClassifier, features, labels, task_id: int,
                 n_samples: int, seed: int) -> ImportanceMap:
-    """Diagonal empirical Fisher: mean squared per-sample log-prob gradient."""
+    """Diagonal empirical Fisher: mean squared per-sample log-prob gradient,
+    from one batched pass over the sampled rows."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     n = len(labels)
@@ -169,12 +170,9 @@ def find_fisher(model: MultiHeadClassifier, features, labels, task_id: int,
     else:
         rng = np.random.Generator(np.random.PCG64(seed))
         idx = rng.choice(n, size=n_samples, replace=False)
-    acc = model.parameters().zeros_like()
-    for i in idx:
-        g = model.log_prob_gradient(features[i], labels[i], task_id)
-        for name in acc:
-            acc[name] += g[name] ** 2
-    return ImportanceMap(acc.scale(1.0 / len(idx)), gamma=1.0)
+    sums, _ = model.gradient_second_moments(np.asarray(features)[idx],
+                                            np.asarray(labels)[idx], task_id)
+    return ImportanceMap(sums.scale(1.0 / len(idx)), gamma=1.0)
 
 
 def random_importance(model: MultiHeadClassifier, seed: int) -> ImportanceMap:

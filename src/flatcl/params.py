@@ -69,6 +69,18 @@ class ParameterSet:
             return np.zeros(0)
         return np.concatenate([a.ravel() for a in self._data.values()])
 
+    def unflatten(self, flat: np.ndarray) -> "ParameterSet":
+        """Views into `flat` with this set's names and shapes."""
+        flat = np.asarray(flat, dtype=np.float64)
+        if flat.shape != (self.total_size(),):
+            raise ValueError(f"flat vector of shape {flat.shape} does not match "
+                             f"total size {self.total_size()}")
+        out, offset = ParameterSet(), 0
+        for name, a in self._data.items():
+            out[name] = flat[offset:offset + a.size].reshape(a.shape)
+            offset += a.size
+        return out
+
     def norm(self) -> float:
         return float(np.sqrt(sum(float(np.sum(a * a)) for a in self._data.values())))
 

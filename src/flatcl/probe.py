@@ -3,7 +3,7 @@
 Ball sharpness (max loss increase over a rho-ball), its first-order
 approximation rho * ||grad||, the additive decomposition of the perturbed
 loss, the Fisher trace identity, and a largest-Hessian-eigenvalue estimate
-via Lanczos on finite-difference Hessian-vector products.
+via Lanczos on exact Hessian-vector products.
 
 Every probe perturbs weights through a save/restore window and leaves them
 bitwise unchanged.
@@ -23,14 +23,15 @@ from .params import ParameterSet
 class Objective:
     """Scalar objective over a live ParameterSet.
 
-    Probes mutate `params` in place (and restore them), so `value` and
-    `gradient` must read the current array contents on every call.
+    Probes mutate `params` in place (and restore them), so `value`,
+    `gradient` and `hvp` must read the current array contents on every call.
     """
 
-    def __init__(self, params: ParameterSet, value_fn, gradient_fn=None):
+    def __init__(self, params: ParameterSet, value_fn, gradient_fn=None, hvp_fn=None):
         self.params = params
         self._value_fn = value_fn
         self._gradient_fn = gradient_fn
+        self._hvp_fn = hvp_fn
 
     def value(self) -> float:
         return float(self._value_fn(self.params))
@@ -40,12 +41,18 @@ class Objective:
             raise NotImplementedError("objective has no gradient")
         return self._gradient_fn(self.params)
 
+    def hvp(self, v: ParameterSet) -> ParameterSet:
+        if self._hvp_fn is None:
+            raise NotImplementedError("objective has no Hessian-vector product")
+        return self._hvp_fn(v)
+
 
 def model_objective(model: MultiHeadClassifier, batch: Batch) -> Objective:
     return Objective(
         model.parameters(),
         lambda _: model.task_loss(batch),
         lambda _: model.loss_gradient(batch)[1],
+        lambda v: model.loss_hvp(batch, v),
     )
 
 
@@ -57,6 +64,7 @@ def quadratic_objective(matrix, w0) -> Objective:
         params,
         lambda p: 0.5 * float(p["w"] @ matrix @ p["w"]),
         lambda p: ParameterSet({"w": matrix @ p["w"]}),
+        lambda v: ParameterSet({"w": matrix @ v["w"]}),
     )
 
 
@@ -118,50 +126,27 @@ def create_decomposition_check(obj: Objective, rho: float):
 def fisher_trace_check(model: MultiHeadClassifier, features, labels, task_id: int):
     """Trace of the diagonal empirical Fisher vs mean squared gradient norm
     over the same samples: (trace, mean_sq_grad_norm, rel_gap)."""
-    features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if len(labels) < 1:
         raise ValueError("need at least one sample")
     # Two reduction orders: the trace sums per-coordinate Fisher values that
     # were each averaged over samples; the other side averages per-sample
     # squared gradient norms.  Algebraically equal.
-    fisher = model.parameters().zeros_like()
-    mean_sq = 0.0
-    for i in range(len(labels)):
-        g = model.log_prob_gradient(features[i], labels[i], task_id)
-        for n in fisher:
-            fisher[n] += g[n] * g[n]
-        mean_sq += sum(float(np.sum(a * a)) for a in g.values())
-    trace = sum(float(np.sum(a)) for a in fisher.values()) / len(labels)
-    mean_sq /= len(labels)
+    sums, sq_norms = model.gradient_second_moments(features, labels, task_id)
+    trace = sum(float(np.sum(a)) for a in sums.values()) / len(labels)
+    mean_sq = float(np.mean(sq_norms))
     denom = max(abs(mean_sq), 1e-300)
     return trace, mean_sq, abs(trace - mean_sq) / denom
 
 
-def hvp(obj: Objective, v: ParameterSet, r: float | None = None) -> ParameterSet:
-    """Central-difference Hessian-vector product (g(w+rv) - g(w-rv)) / 2r."""
-    vnorm = v.norm()
-    if vnorm == 0:
+def hvp(obj: Objective, v: ParameterSet) -> ParameterSet:
+    """Exact Hessian-vector product H v of the objective at its current weights."""
+    if v.norm() == 0:
         raise ValueError("direction must be nonzero")
-    if r is None:
-        wnorm = obj.params.norm()
-        r = 1e-4 * (1.0 + wnorm) / vnorm
-    if r <= 0:
-        raise ValueError("r must be > 0")
-    saved = obj.params.copy()
-    try:
-        for n in obj.params:
-            obj.params[n] += r * v[n]
-        g_plus = obj.gradient()
-        for n in obj.params:
-            np.copyto(obj.params[n], saved[n] - r * v[n])
-        g_minus = obj.gradient()
-    finally:
-        for n in obj.params:
-            np.copyto(obj.params[n], saved[n])
-    if not (g_plus.all_finite() and g_minus.all_finite()):
-        raise FloatingPointError("non-finite gradient during hvp")
-    return g_plus.sub(g_minus).scale(1.0 / (2.0 * r))
+    out = obj.hvp(v)
+    if not out.all_finite():
+        raise FloatingPointError("non-finite Hessian-vector product")
+    return out
 
 
 @dataclass
@@ -174,32 +159,33 @@ class LanczosResult:
 
 def lanczos_lambda_max(obj: Objective, iters: int = 30, seed: int = 0) -> LanczosResult:
     """Largest Hessian eigenvalue via Lanczos with full reorthogonalization,
-    using finite-difference HVPs as the operator."""
+    using exact Hessian-vector products as the operator.  The basis is one
+    (iters, d) array of flat vectors."""
     if iters < 1:
         raise ValueError("iters must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    q = ParameterSet((n, rng.normal(size=a.shape)) for n, a in obj.params.items())
-    q = q.scale(1.0 / q.norm())
-    basis = [q]
+    q = rng.normal(size=obj.params.total_size())
+    basis = np.zeros((iters, q.size))
+    basis[0] = q / np.sqrt(q @ q)
     alphas, betas = [], []
     breakdown = False
     for j in range(iters):
-        w = hvp(obj, basis[j])
-        alpha = w.dot(basis[j])
+        w = hvp(obj, obj.params.unflatten(basis[j])).flatten()
+        alpha = float(w @ basis[j])
         alphas.append(alpha)
-        w = w.add_scaled(basis[j], -alpha)
+        w -= alpha * basis[j]
         if j > 0:
-            w = w.add_scaled(basis[j - 1], -betas[-1])
-        for b in basis:  # full reorthogonalization
-            w = w.add_scaled(b, -w.dot(b))
-        beta = w.norm()
+            w -= betas[-1] * basis[j - 1]
+        done = basis[:j + 1]
+        w -= done.T @ (done @ w)  # full reorthogonalization
+        beta = float(np.sqrt(w @ w))
         if j + 1 == iters:
             break
         if beta < 1e-12:
             breakdown = True
             break
         betas.append(beta)
-        basis.append(w.scale(1.0 / beta))
+        basis[j + 1] = w / beta
     k = len(alphas)
     tri = np.diag(alphas)
     for i, b in enumerate(betas[:k - 1]):

@@ -113,12 +113,18 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
                     resume_from: str | None = None) -> dict:
     """One (variant, seed) run; writes matrix.csv, metrics.json and per-task
     checkpoints into a fresh directory.  Returns the metrics dict."""
+    chash = config_hash({"config": {k: v for k, v in cfg.items() if k != "seeds"},
+                         "variant": variant, "seed": seed})
+    loaded = None
+    if resume_from is not None:
+        loaded = load_checkpoint(resume_from)
+        if loaded.config_hash != chash:
+            raise ValueError(f"{resume_from}: checkpoint was written under a different "
+                             "config, variant or seed; refusing to resume")
     _fresh_dir(out_dir)
     stream = build_stream(cfg, seed)
     opt_config = build_optimizer_config(cfg, variant)
     epochs = cfg["epochs_per_task"]
-    chash = config_hash({"config": {k: v for k, v in cfg.items() if k != "seeds"},
-                         "variant": variant, "seed": seed})
 
     if variant == "mtl":
         model = _build_model(cfg, stream, seed, all_heads=True)
@@ -151,8 +157,7 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
             replay_buffer=state["replay_buffer"]))
 
     resume_state = None
-    if resume_from is not None:
-        loaded = load_checkpoint(resume_from)
+    if loaded is not None:
         model = loaded.model
         resume_state = {
             "next_task": loaded.next_task,

@@ -1,68 +1,78 @@
+"""The finite-difference oracle, and the model kernel's forward and
+gradients checked against it and against hand values."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatcl import autodiff as ad
 from flatcl.autodiff import finite_diff_gradient
+from flatcl.model import Batch, MultiHeadClassifier
+from flatcl.optim import find_fisher
 from flatcl.params import ParameterSet
+from flatcl.probe import fisher_trace_check, hvp, model_objective
 
 from conftest import random_batch, random_mlp
 
 
+def _set(model, values):
+    for n, a in model.parameters().items():
+        a[...] = values[n]
+
+
 def test_matmul_forward():
-    out = ad.matmul(ad.leaf([[1.0, 2.0]]), ad.leaf([[3.0], [4.0]]))
-    assert out.data.tolist() == [[11.0]]
-
-
-def test_matmul_shape_error_names_op():
-    with pytest.raises(ValueError, match="matmul"):
-        ad.matmul(ad.leaf([[1.0, 2.0]]), ad.leaf([[1.0, 2.0]]))
+    m = MultiHeadClassifier(0, 2, [], [1])
+    _set(m, {"head0.W": [[3.0], [4.0]], "head0.b": [0.5]})
+    assert m.logits(np.array([[1.0, 2.0]]), 0).tolist() == [[11.5]]
 
 
 def test_relu_forward():
-    out = ad.relu(ad.leaf([-1.0, 0.0, 2.0]))
-    assert out.data.tolist() == [0.0, 0.0, 2.0]
+    m = MultiHeadClassifier(0, 1, [3], [1], activation="relu")
+    _set(m, {"enc0.W": [[-1.0, 0.0, 2.0]], "enc0.b": [0.0, 0.0, 0.0],
+             "head0.W": [[1.0], [1.0], [1.0]], "head0.b": [0.0]})
+    # hidden pre-activations (-1, 0, 2) clip to (0, 0, 2)
+    assert m.logits(np.array([[1.0]]), 0).tolist() == [[2.0]]
 
 
 def test_log_softmax_symmetry():
-    out = ad.log_softmax(ad.leaf([0.0, 0.0]))
-    np.testing.assert_allclose(out.data, [-np.log(2), -np.log(2)], rtol=1e-15)
+    m = MultiHeadClassifier(0, 2, [], [2])
+    _set(m, {"head0.W": np.zeros((2, 2)), "head0.b": np.zeros(2)})
+    for label in (0, 1):
+        loss = m.task_loss(Batch(np.ones((1, 2)), np.array([label]), 0))
+        assert abs(loss - np.log(2)) <= 1e-15
 
 
 def test_bias_broadcast_add():
-    x = ad.leaf(np.ones((3, 2)), requires_grad=True)
-    b = ad.leaf(np.array([1.0, 2.0]), requires_grad=True)
-    out = ad.reduce_mean(ad.add(x, b))
-    out.backward()
-    # d mean / d b_j = (rows) / (rows * cols) = 1/2 per bias entry
-    np.testing.assert_allclose(b.grad, [0.5, 0.5])
-
-
-def test_add_shape_error():
-    with pytest.raises(ValueError, match="add"):
-        ad.add(ad.leaf(np.ones((2, 3))), ad.leaf(np.ones(2)))
-
-
-def test_gradient_of_square():
-    w = ad.leaf(np.array([3.0]), requires_grad=True)
-    loss = ad.reduce_mean(ad.square(w))
-    grads = ad.gradient(loss, {"w": w})
-    assert grads["w"].tolist() == [6.0]
-
-
-def test_gradient_constant_in_w_is_zero():
-    w = ad.leaf(np.array([3.0]), requires_grad=True)
-    x = ad.leaf(np.array([2.0]))
-    loss = ad.reduce_mean(ad.square(x))
-    grads = ad.gradient(loss, {"w": w})
-    assert grads["w"].tolist() == [0.0]
+    """The bias is added to every row, so its gradient is the row mean of
+    the per-sample logit adjoints softmax - onehot."""
+    m = random_mlp(1, hidden=())
+    batch = random_batch(2, m, n=4)
+    _, grads = m.loss_gradient(batch)
+    logits = m.logits(batch.features, 0)
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    p[np.arange(4), batch.labels] -= 1.0
+    np.testing.assert_allclose(grads["head0.b"], p.mean(axis=0), rtol=1e-12, atol=1e-15)
 
 
 def test_nll_loss_label_range():
-    lp = ad.log_softmax(ad.leaf(np.zeros((2, 3))))
-    with pytest.raises(ValueError, match="labels"):
-        ad.nll_loss(lp, [0, 3])
+    """Labels outside [0, classes) raise instead of indexing another class,
+    on every path through the kernel."""
+    m = random_mlp(3, classes=(3, 2))
+    feats = np.random.default_rng(0).normal(size=(2, m.input_dim))
+    for task, bad in ((0, -1), (0, 3), (1, -1), (1, 2)):
+        labels = np.array([0, bad])
+        batch = Batch(feats, labels, task)
+        v = m.parameters().zeros_like()
+        v[f"head{task}.b"][0] = 1.0
+        with pytest.raises(ValueError, match="labels"):
+            m.loss_gradient(batch)
+        with pytest.raises(ValueError, match="labels"):
+            find_fisher(m, feats, labels, task, n_samples=2, seed=0)
+        with pytest.raises(ValueError, match="labels"):
+            fisher_trace_check(m, feats, labels, task)
+        with pytest.raises(ValueError, match="labels"):
+            hvp(model_objective(m, batch), v)
 
 
 def test_finite_diff_on_quadratic():
@@ -107,7 +117,6 @@ def test_batch_gradient_linearity():
     batch = random_batch(6, model, n=4)
     _, batch_grads = model.loss_gradient(batch)
     acc = model.parameters().zeros_like()
-    from flatcl.model import Batch
     for i in range(len(batch)):
         _, g = model.loss_gradient(
             Batch(batch.features[i:i + 1], batch.labels[i:i + 1], 0))
@@ -128,16 +137,20 @@ def test_repeated_evaluation_bitwise_identical():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.floats(-5, 5), min_size=2, max_size=6))
-def test_log_softmax_gradcheck(vals):
-    arr = np.array(vals)
-    x = ad.leaf(arr, requires_grad=True)
-    loss = ad.reduce_mean(ad.square(ad.log_softmax(x)))
-    grads = ad.gradient(loss, {"x": x})
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 6))
+def test_log_softmax_gradcheck(seed, dim, rows):
+    """Linear model (affine layer + log-softmax cross-entropy): kernel
+    gradients match central differences."""
+    model = random_mlp(seed, input_dim=dim, hidden=(), classes=(3,))
+    batch = random_batch(seed, model, n=rows)
+    _, grads = model.loss_gradient(batch)
 
-    def f(ps):
-        y = ad.log_softmax(ad.leaf(ps["x"]))
-        return float(np.mean(y.data ** 2))
+    def loss_fn(ps):
+        model.set_parameters(ps)
+        return model.task_loss(batch)
 
-    fd = finite_diff_gradient(f, ParameterSet({"x": arr}), h=1e-6)
-    np.testing.assert_allclose(grads["x"], fd["x"], rtol=1e-5, atol=1e-7)
+    ps0 = model.parameters().copy()
+    fd = finite_diff_gradient(loss_fn, ps0, h=1e-6)
+    model.set_parameters(ps0)
+    for n in grads:
+        np.testing.assert_allclose(grads[n], fd[n], rtol=1e-5, atol=1e-8)

@@ -156,3 +156,27 @@ def test_batched_log_prob_gradient_identity():
     acc = acc.scale(1.0 / len(batch))
     for n in g:
         np.testing.assert_allclose(acc[n], -g[n], rtol=1e-12, atol=1e-15)
+
+
+def test_feature_width_mismatch_rejected():
+    m = random_mlp(1)
+    with pytest.raises(ValueError, match="input_dim"):
+        m.loss_gradient(Batch(np.ones((2, m.input_dim + 1)), np.array([0, 1]), 0))
+
+
+@pytest.mark.parametrize("activation,hidden", [("tanh", (5,)), ("relu", (4, 3)),
+                                               ("tanh", ())])
+def test_gradient_second_moments_match_per_sample_loop(activation, hidden):
+    """Batched squared gradients equal a loop over single-sample gradients."""
+    m = random_mlp(30, hidden=hidden, classes=(3, 4), activation=activation)
+    batch = random_batch(31, m, n=9, task_id=1)
+    sums, sq_norms = m.gradient_second_moments(batch.features, batch.labels, 1)
+    ref = m.parameters().zeros_like()
+    for i in range(len(batch)):
+        g = m.log_prob_gradient(batch.features[i], batch.labels[i], 1)
+        for n in ref:
+            ref[n] += g[n] * g[n]
+        assert abs(sq_norms[i] - g.norm() ** 2) <= 1e-12 * g.norm() ** 2
+    assert sums.names() == ref.names()
+    for n in ref:
+        np.testing.assert_allclose(sums[n], ref[n], rtol=1e-12, atol=0)

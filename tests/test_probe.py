@@ -111,8 +111,8 @@ def test_hvp_linearity():
     obj = quadratic_objective(a + a.T, rng.normal(size=4))
     v1 = ParameterSet({"w": rng.normal(size=4)})
     v2 = ParameterSet({"w": rng.normal(size=4)})
-    lhs = hvp(obj, v1.add(v2), r=1e-5)
-    rhs = hvp(obj, v1, r=1e-5).add(hvp(obj, v2, r=1e-5))
+    lhs = hvp(obj, v1.add(v2))
+    rhs = hvp(obj, v1).add(hvp(obj, v2))
     np.testing.assert_allclose(lhs["w"], rhs["w"], rtol=1e-6, atol=1e-8)
 
 
@@ -130,6 +130,28 @@ def test_hvp_restores_weights_bitwise():
     hvp(obj, v)
     for n in before:
         assert np.array_equal(model.parameters()[n], before[n])
+
+
+@pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
+def test_hvp_matches_central_differences_of_gradient(hidden):
+    """Exact R-operator HVP vs (g(w+rv) - g(w-rv)) / 2r on tanh MLPs."""
+    model = random_mlp(24, hidden=hidden, classes=(3,))
+    batch = random_batch(25, model, n=7)
+    params = model.parameters()
+    rng = np.random.default_rng(3)
+    v = ParameterSet((n, rng.normal(size=a.shape)) for n, a in params.items())
+    exact = hvp(model_objective(model, batch), v).flatten()
+    r = 1e-5
+    saved = params.copy()
+    for n in params:
+        params[n] += r * v[n]
+    g_plus = model.loss_gradient(batch)[1].flatten()
+    for n in params:
+        np.copyto(params[n], saved[n] - r * v[n])
+    g_minus = model.loss_gradient(batch)[1].flatten()
+    model.set_parameters(saved)
+    fd = (g_plus - g_minus) / (2 * r)
+    assert np.linalg.norm(exact - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
 # -- lanczos ----------------------------------------------------------------

@@ -61,6 +61,22 @@ def test_run_single_seed_outputs(tmp_path):
     assert saved["variant"] == "cf" and saved["seed"] == 1
 
 
+def test_resume_under_different_config_rejected(tmp_path):
+    first = str(tmp_path / "first")
+    run_single_seed(small_cfg(), "cf", 1, first)
+    ckpt = os.path.join(first, "ckpt_task0.bin")
+    changed = small_cfg()
+    changed["optimizer"]["lam"] = 3.0
+    for cfg, variant, seed in ((changed, "cf", 1), (small_cfg(), "replay", 1),
+                               (small_cfg(), "cf", 2)):
+        out = str(tmp_path / f"resume_{variant}_{seed}_{cfg['optimizer']['lam']}")
+        with pytest.raises(ValueError, match="different config") as info:
+            run_single_seed(cfg, variant, seed, out, resume_from=ckpt)
+        assert "\n" not in str(info.value)
+        assert not os.path.exists(out)
+
+
+
 def test_existing_out_dir_rejected(tmp_path):
     out = str(tmp_path / "run")
     run_single_seed(small_cfg(), "seq", 1, out)
