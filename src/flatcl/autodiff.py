@@ -18,21 +18,15 @@ def finite_diff_gradient(loss_fn, params: ParameterSet, h: float = 1e-5) -> Para
         raise ValueError("h must be positive")
     work = params.copy()
     out = work.zeros_like()
-    for name in work:
-        arr = work[name]
-        garr = out[name]
-        flat = arr.ravel()
-        gflat = garr.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            f_plus = float(loss_fn(work))
-            flat[i] = orig - h
-            f_minus = float(loss_fn(work))
-            flat[i] = orig
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise FloatingPointError(
-                    f"non-finite loss while differencing {name}[{i}]"
-                )
-            gflat[i] = (f_plus - f_minus) / (2.0 * h)
+    w = work.flat
+    for i in range(w.size):
+        orig = w[i]
+        w[i] = orig + h
+        f_plus = float(loss_fn(work))
+        w[i] = orig - h
+        f_minus = float(loss_fn(work))
+        w[i] = orig
+        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            raise FloatingPointError(f"non-finite loss while differencing coordinate {i}")
+        out.flat[i] = (f_plus - f_minus) / (2.0 * h)
     return out

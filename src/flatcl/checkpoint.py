@@ -1,5 +1,12 @@
 """Binary checkpoints: a JSON manifest plus raw little-endian float64 blocks.
 
+Layout: the magic bytes, the manifest length (8 bytes, little-endian), the
+manifest (sorted-key JSON) and the data blocks.  The manifest's `sha256` is
+the SHA-256 of the manifest serialized without that field, followed by the
+data blocks, so any truncated or corrupted file is refused.  A save writes a
+temporary file next to the target and renames it over the target, so a
+crash never leaves a partial checkpoint under the final name.
+
 Round-trips are bitwise exact.  Besides model weights, a checkpoint can
 carry everything needed to resume a continual run at a task boundary: the
 importance accumulator, the region anchor, the rng state, finished accuracy
@@ -10,6 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +29,7 @@ from .params import ParameterSet
 from .replay import ReplayBuffer
 
 _MAGIC = b"FLATCKPT"
+_FORMAT = "flatcl-checkpoint-v2"
 
 
 def config_hash(config_dict: dict) -> str:
@@ -69,7 +79,7 @@ def save_checkpoint(path, ckpt: Checkpoint):
             "task_ids": [e[2] for e in buf.exemplars],
         }
     manifest = {
-        "format": "flatcl-checkpoint-v1",
+        "format": _FORMAT,
         "model": {
             "init_seed": model.init_seed,
             "input_dim": model.input_dim,
@@ -85,13 +95,30 @@ def save_checkpoint(path, ckpt: Checkpoint):
         "importance_gamma": None if ckpt.importance is None else ckpt.importance.gamma,
         "replay": replay_meta,
     }
+    payload = b"".join(_le64(arr) for _, arr in blocks)
+    manifest["sha256"] = _digest(manifest, payload)
     mbytes = json.dumps(manifest, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(len(mbytes).to_bytes(8, "little"))
-        f.write(mbytes)
-        for _, arr in blocks:
-            f.write(_le64(arr))
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(_MAGIC)
+            f.write(len(mbytes).to_bytes(8, "little"))
+            f.write(mbytes)
+            f.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _digest(manifest: dict, payload: bytes) -> str:
+    """SHA-256 of the manifest without its `sha256` field, then the payload."""
+    core = {k: v for k, v in manifest.items() if k != "sha256"}
+    h = hashlib.sha256(json.dumps(core, sort_keys=True).encode())
+    h.update(payload)
+    return h.hexdigest()
 
 
 def _jsonable(obj):
@@ -109,17 +136,24 @@ def _jsonable(obj):
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; a file that is not an intact checkpoint of this
+    format raises a one-line ValueError."""
     with open(path, "rb") as f:
-        magic = f.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a flatcl checkpoint")
-        mlen = int.from_bytes(f.read(8), "little")
-        manifest = json.loads(f.read(mlen).decode())
-        payload = f.read()
-    expected = sum(b["bytes"] for b in manifest["blocks"])
-    if len(payload) != expected:
-        raise ValueError(
-            f"{path}: payload length {len(payload)} != manifest total {expected}")
+        data = f.read()
+    head = len(_MAGIC) + 8
+    mlen = int.from_bytes(data[len(_MAGIC):head], "little")
+    if data[:len(_MAGIC)] != _MAGIC or len(data) < head + mlen:
+        raise ValueError(f"{path}: not a flatcl checkpoint, or truncated")
+    try:
+        manifest = json.loads(data[head:head + mlen].decode())
+    except ValueError:  # bad UTF-8 or JSON
+        raise ValueError(f"{path}: corrupt manifest") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != _FORMAT:
+        raise ValueError(f"{path}: not a {_FORMAT} manifest")
+    payload = data[head + mlen:]
+    if manifest.get("sha256") != _digest(manifest, payload):
+        raise ValueError(f"{path}: checksum mismatch (payload length {len(payload)}); "
+                         "the checkpoint is truncated or corrupt")
     arrays = {}
     offset = 0
     for b in manifest["blocks"]:

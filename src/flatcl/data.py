@@ -60,11 +60,12 @@ class TaskStream:
         return self.tasks[i]
 
 
-def _split_indices(n, rng):
-    """Deterministic 60/20/20 split."""
+def _split_indices(n, rng, ratios=(0.6, 0.2, 0.2)):
+    """Deterministic train/val/test split; test takes what train and val
+    leave."""
     perm = rng.permutation(n)
-    n_train = int(round(0.6 * n))
-    n_val = int(round(0.2 * n))
+    n_train = int(round(ratios[0] * n))
+    n_val = int(round(ratios[1] * n))
     return {
         "train": np.sort(perm[:n_train]),
         "val": np.sort(perm[n_train:n_train + n_val]),
@@ -196,14 +197,6 @@ def load_delimited(path, task_id=0, name=None, class_count=None,
     labels = np.array([r[1] for r in rows], dtype=np.int64)
     if class_count is None:
         class_count = int(labels.max()) + 1
-    rng = np.random.Generator(np.random.PCG64(split_seed))
-    n = len(labels)
-    perm = rng.permutation(n)
-    n_train = int(round(split_ratios[0] * n))
-    n_val = int(round(split_ratios[1] * n))
-    splits = {
-        "train": np.sort(perm[:n_train]),
-        "val": np.sort(perm[n_train:n_train + n_val]),
-        "test": np.sort(perm[n_train + n_val:]),
-    }
+    splits = _split_indices(len(labels), np.random.Generator(np.random.PCG64(split_seed)),
+                            split_ratios)
     return TaskDataset(name or path, task_id, features, labels, class_count, splits)

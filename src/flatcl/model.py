@@ -35,9 +35,14 @@ def _kaiming_uniform(rng, fan_in, shape):
 class MultiHeadClassifier:
     """Shared encoder with per-task affine heads.
 
-    Parameters live as raw float64 arrays that a hand-written batched
-    forward/backward reads on every call, so perturb/restore is just array
-    mutation.
+    Every weight lives in one contiguous float64 buffer, `theta`, laid out as
+    enc0.W, enc0.b, ..., head0.W, head0.b, head1.W, ... (each W row-major).
+    `encoder`, `heads` and `parameters()` are reshaped views of it, so a
+    hand-written batched forward/backward reads the current weights on every
+    call and perturb/restore is in-place mutation of `theta`.
+    `add_task_head` reallocates the buffer and appends the new head at the
+    end, leaving the offsets of all earlier weights unchanged; the weights
+    constrained while training a task are therefore a prefix of `theta`.
     """
 
     def __init__(self, seed: int, input_dim: int, hidden_dims: list[int],
@@ -52,18 +57,26 @@ class MultiHeadClassifier:
         self.input_dim = input_dim
         self.hidden_dims = list(hidden_dims)
         self.activation = activation
-        self.encoder: list[tuple[np.ndarray, np.ndarray]] = []
         rng = np.random.Generator(np.random.PCG64(seed))
+        layers = []
         prev = input_dim
-        for width in hidden_dims:
-            w = _kaiming_uniform(rng, prev, (prev, width))
-            b = np.zeros(width)
-            self.encoder.append((w, b))
+        for i, width in enumerate(hidden_dims):
+            layers.append((f"enc{i}.W", _kaiming_uniform(rng, prev, (prev, width))))
+            layers.append((f"enc{i}.b", np.zeros(width)))
             prev = width
-        self.heads: list[tuple[np.ndarray, np.ndarray]] = []
         self.head_classes: list[int] = []
+        self._bind(ParameterSet(layers))
         for classes in per_task_classes:
             self.add_task_head(classes)
+
+    def _bind(self, params: ParameterSet):
+        """Adopt `params` (encoder, then heads in task order) as the weights."""
+        self._params = params
+        self.theta = params.flat
+        self.encoder: list[tuple[np.ndarray, np.ndarray]] = [
+            (params[f"enc{i}.W"], params[f"enc{i}.b"]) for i in range(len(self.hidden_dims))]
+        self.heads: list[tuple[np.ndarray, np.ndarray]] = [
+            (params[f"head{t}.W"], params[f"head{t}.b"]) for t in range(len(self.head_classes))]
 
     @property
     def encoder_dim(self) -> int:
@@ -78,34 +91,24 @@ class MultiHeadClassifier:
         # reproduces the same weights regardless of training history.
         rng = np.random.Generator(np.random.PCG64([self.init_seed, 7919, task_id]))
         w = _kaiming_uniform(rng, self.encoder_dim, (self.encoder_dim, class_count))
-        b = np.zeros(class_count)
-        self.heads.append((w, b))
         self.head_classes.append(class_count)
+        self._bind(ParameterSet([*self._params.items(), (f"head{task_id}.W", w),
+                                 (f"head{task_id}.b", np.zeros(class_count))]))
         return task_id
 
     # -- parameter views -------------------------------------------------
 
-    def _named_arrays(self):
-        """(name, live array) pairs in parameter order."""
-        for i, (w, b) in enumerate(self.encoder):
-            yield f"enc{i}.W", w
-            yield f"enc{i}.b", b
-        for t, (w, b) in enumerate(self.heads):
-            yield f"head{t}.W", w
-            yield f"head{t}.b", b
-
     def parameters(self) -> ParameterSet:
-        """Live view: arrays are the model's own storage, not copies."""
-        return ParameterSet(self._named_arrays())
+        """Live view over `theta`: the model's own storage, not a copy.  The
+        same set is returned until the next `add_task_head`."""
+        return self._params
 
     def set_parameters(self, values: ParameterSet):
-        own = self.parameters()
-        own.require_aligned(values, "set_parameters")
-        for name in own:
-            np.copyto(own[name], values[name])
+        self._params.require_aligned(values, "set_parameters")
+        np.copyto(self.theta, values.flat)
 
     def encoder_names(self) -> list[str]:
-        return [n for n in self.parameters() if n.startswith("enc")]
+        return [f"enc{i}.{p}" for i in range(len(self.encoder)) for p in "Wb"]
 
     def head_names(self, task_id: int) -> list[str]:
         return [f"head{task_id}.W", f"head{task_id}.b"]
@@ -166,28 +169,24 @@ class MultiHeadClassifier:
             w = self.encoder[i][0]
             yield f"enc{i}", acts[i], delta
 
-    def _full(self, layer_arrays: dict) -> ParameterSet:
-        """Parameter-ordered set; layers not in `layer_arrays` get zeros."""
-        return ParameterSet((n, layer_arrays[n] if n in layer_arrays else np.zeros_like(a))
-                            for n, a in self._named_arrays())
-
     def task_loss(self, batch: Batch) -> float:
         _, logp = self._log_probs(batch.features, batch.labels, batch.task_id)
         return float(-logp[np.arange(len(batch)), batch.labels].mean())
 
     def loss_gradient(self, batch: Batch):
-        """(loss value, gradient ParameterSet) for mean cross-entropy."""
+        """(loss value, gradient ParameterSet) for mean cross-entropy.  Each
+        layer's block is written into one zeroed buffer laid out like `theta`."""
         acts, logp = self._log_probs(batch.features, batch.labels, batch.task_id)
         rows = np.arange(len(batch))
         loss = -logp[rows, batch.labels].mean()
         g = np.zeros_like(logp)
         g[rows, batch.labels] = -1.0 / len(batch)
         delta = g - np.exp(logp) * g.sum(axis=-1, keepdims=True)
-        grads = {}
+        grads = self._params.zeros_like()
         for name, h, d in self._backprop(acts, delta, batch.task_id):
-            grads[name + ".W"] = h.T @ d
-            grads[name + ".b"] = d.sum(axis=0)
-        return float(loss), self._full(grads)
+            np.matmul(h.T, d, out=grads[name + ".W"])
+            np.sum(d, axis=0, out=grads[name + ".b"])
+        return float(loss), grads
 
     def log_prob_gradient(self, features, label, task_id: int) -> ParameterSet:
         """Per-sample gradient of log p(true label | x; w).
@@ -212,14 +211,14 @@ class MultiHeadClassifier:
         acts, logp = self._log_probs(features, labels, task_id)
         delta = np.exp(logp)
         delta[np.arange(len(delta)), labels] -= 1.0
-        sums = {}
+        sums = self._params.zeros_like()
         sq_norms = np.zeros(len(delta))
         for name, h, d in self._backprop(acts, delta, task_id):
             h2, d2 = h * h, d * d
-            sums[name + ".W"] = h2.T @ d2
-            sums[name + ".b"] = d2.sum(axis=0)
+            np.matmul(h2.T, d2, out=sums[name + ".W"])
+            np.sum(d2, axis=0, out=sums[name + ".b"])
             sq_norms += (h2.sum(axis=1) + 1.0) * d2.sum(axis=1)
-        return self._full(sums), sq_norms
+        return sums, sq_norms
 
     def loss_hvp(self, batch: Batch, v: ParameterSet) -> ParameterSet:
         """Exact Hessian-vector product of the mean cross-entropy.
@@ -242,11 +241,11 @@ class MultiHeadClassifier:
         delta[np.arange(n), batch.labels] -= 1.0
         delta /= n
         r_delta = p * (r_out - (p * r_out).sum(axis=1, keepdims=True)) / n
-        out = {}
+        out = self._params.zeros_like()
         for k in reversed(range(len(layers))):
             name, w = layers[k]
             out[name + ".W"] = acts[k].T @ r_delta + r_acts[k].T @ delta
-            out[name + ".b"] = r_delta.sum(axis=0)
+            np.sum(r_delta, axis=0, out=out[name + ".b"])
             if k == 0:
                 break
             d_h = delta @ w.T
@@ -255,7 +254,7 @@ class MultiHeadClassifier:
             r_delta = self._activation_backward(r_d_h, acts[k])
             if self.activation == "tanh":
                 r_delta -= 2.0 * d_h * acts[k] * r_acts[k]
-        return self._full(out)
+        return out
 
     def logits(self, features, task_id: int) -> np.ndarray:
         return self._forward(features, task_id)[1]
@@ -274,7 +273,6 @@ class MultiHeadClassifier:
         other.input_dim = self.input_dim
         other.hidden_dims = list(self.hidden_dims)
         other.activation = self.activation
-        other.encoder = [(w.copy(), b.copy()) for w, b in self.encoder]
-        other.heads = [(w.copy(), b.copy()) for w, b in self.heads]
         other.head_classes = list(self.head_classes)
+        other._bind(self._params.copy())
         return other

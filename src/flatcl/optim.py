@@ -29,15 +29,22 @@ class FlatRegion:
     """Elementwise box around the previous task's solution.
 
     Bounds are anchor +/- rho * |anchor|; coordinates with a zero anchor
-    collapse to the point {0}.
+    collapse to the point {0}.  `constrained_names` must be a prefix of the
+    anchor's layout; `lo` and `hi` are the bounds of that prefix, computed
+    once here.
     """
     anchor: ParameterSet
     rho: float
     constrained_names: list[str]
+    lo: np.ndarray = field(init=False, repr=False)
+    hi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.rho < 0:
             raise ValueError("rho must be >= 0")
+        anchor = self.anchor.prefix(self.constrained_names)
+        half = self.rho * np.abs(anchor)
+        self.lo, self.hi = anchor - half, anchor + half
 
 
 @dataclass
@@ -48,9 +55,8 @@ class ImportanceMap:
     def __post_init__(self):
         if not (0.0 <= self.gamma <= 1.0):
             raise ValueError("gamma must be in [0, 1]")
-        for name, arr in self.values.items():
-            if np.any(arr < 0):
-                raise ValueError(f"negative importance entries in {name}")
+        if np.any(self.values.flat < 0):
+            raise ValueError("negative importance entries")
 
 
 @dataclass
@@ -112,25 +118,30 @@ class TaskReport:
 # core operations
 
 
+def _epsilon(w: np.ndarray, g: np.ndarray, rho: float) -> np.ndarray:
+    """rho * w^2 g / ||w g||_2 over flat vectors; zero when w g or rho is."""
+    if not (np.isfinite(w).all() and np.isfinite(g).all()):
+        raise FloatingPointError("non-finite inputs to compute_perturbation")
+    wg = w * g
+    denom_sq = float(wg @ wg)
+    if denom_sq == 0.0 or rho == 0.0:
+        return np.zeros_like(w)
+    return rho / np.sqrt(denom_sq) * w ** 2 * g
+
+
 def compute_perturbation(params: ParameterSet, grads: ParameterSet, rho: float) -> Perturbation:
     """Ascent direction rho * w^2 g / ||w g||_2, one global normalizer."""
     params.require_aligned(grads, "compute_perturbation")
-    if not params.all_finite() or not grads.all_finite():
-        raise FloatingPointError("non-finite inputs to compute_perturbation")
-    denom_sq = sum(float(np.sum((params[n] * grads[n]) ** 2)) for n in params)
-    if denom_sq == 0.0 or rho == 0.0:
-        return Perturbation(params.zeros_like())
-    scale = rho / np.sqrt(denom_sq)
-    eps = ParameterSet((n, scale * params[n] ** 2 * grads[n]) for n in params)
-    return Perturbation(eps)
+    return Perturbation(params.unflatten(_epsilon(params.flat, grads.flat, rho)))
 
 
 def create_gradient(model: MultiHeadClassifier, batch: Batch, rho: float,
                     perturb_names=None):
     """Gradient of the batch loss taken at the perturbed point w + eps.
 
+    Only `perturb_names` (default: all), a prefix of the layout, move.
     Returns (grads, loss_at_perturbed_point).  Weights are restored exactly
-    via store/copy, not by subtracting the perturbation.
+    by copying them back, not by subtracting the perturbation.
     """
     if rho < 0:
         raise ValueError("rho must be >= 0")
@@ -138,21 +149,17 @@ def create_gradient(model: MultiHeadClassifier, batch: Batch, rho: float,
     if rho == 0.0:
         return grads0, loss0
     params = model.parameters()
-    if perturb_names is None:
-        perturb_names = params.names()
-    sub = params.subset(perturb_names)
-    eps = compute_perturbation(sub, grads0.subset(perturb_names), rho).epsilon_hat
-    saved = sub.copy()
+    w = params.flat if perturb_names is None else params.prefix(perturb_names)
+    eps = _epsilon(w, grads0.flat[:w.size], rho)
+    saved = w.copy()
     try:
-        for n in perturb_names:
-            params[n] += eps[n]
+        w += eps
         loss_c, grads_c = model.loss_gradient(batch)
         if not np.isfinite(loss_c):
             raise FloatingPointError(
                 f"non-finite loss at perturbed point (task {batch.task_id})")
     finally:
-        for n in perturb_names:
-            np.copyto(params[n], saved[n])
+        np.copyto(w, saved)
     return grads_c, loss_c
 
 
@@ -178,16 +185,16 @@ def find_fisher(model: MultiHeadClassifier, features, labels, task_id: int,
 def random_importance(model: MultiHeadClassifier, seed: int) -> ImportanceMap:
     """Random nonnegative flatness stand-in, drawn once per task."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    values = ParameterSet(
-        (n, rng.uniform(0.0, 1.0, size=a.shape)) for n, a in model.parameters().items())
-    return ImportanceMap(values, gamma=1.0)
+    params = model.parameters()
+    return ImportanceMap(params.unflatten(rng.uniform(0.0, 1.0, size=params.total_size())),
+                         gamma=1.0)
 
 
 def accumulate_fisher(importance: ImportanceMap, fresh: ImportanceMap,
                       gamma: float) -> ImportanceMap:
     """Decay the old accumulator, then add the fresh per-task values."""
     importance.values.require_aligned(fresh.values, "accumulate_fisher")
-    merged = importance.values.scale(gamma).add(fresh.values)
+    merged = fresh.values.unflatten(importance.values.flat * gamma + fresh.values.flat)
     return ImportanceMap(merged, gamma=gamma)
 
 
@@ -198,28 +205,22 @@ def soft_penalty(params: ParameterSet, region: FlatRegion,
     Returns (value, grads over the full params, zeros outside the region's
     names).  The caller scales both by lambda.
     """
-    value = 0.0
+    names = region.constrained_names
+    f = importance.values.prefix(names)
+    if np.any(f < 0):
+        raise ValueError("negative importance in the constrained region")
+    diff = params.prefix(names) - region.anchor.prefix(names)
     grads = params.zeros_like()
-    for name in region.constrained_names:
-        f = importance.values[name]
-        if np.any(f < 0):
-            raise ValueError(f"negative importance for {name}")
-        diff = params[name] - region.anchor[name]
-        value += float(np.sum(f * diff * diff))
-        grads[name] = 2.0 * f * diff
-    return value, grads
+    grads.flat[:diff.size] = 2.0 * f * diff
+    return float(np.sum(f * diff * diff)), grads
 
 
 def clamp_to_region(params: ParameterSet, region: FlatRegion) -> int:
     """Project constrained coordinates into the box; returns clamp count."""
-    count = 0
-    for name in region.constrained_names:
-        anchor = region.anchor[name]
-        half = region.rho * np.abs(anchor)
-        lo, hi = anchor - half, anchor + half
-        clipped = np.clip(params[name], lo, hi)
-        count += int(np.sum(clipped != params[name]))
-        np.copyto(params[name], clipped)
+    w = params.prefix(region.constrained_names)
+    clipped = np.clip(w, region.lo, region.hi)
+    count = int(np.count_nonzero(clipped != w))
+    np.copyto(w, clipped)
     return count
 
 
@@ -232,22 +233,16 @@ def build_sparse_mask(importance: ImportanceMap, ratio: float,
     for group in layer_partition:
         if not group:
             raise ValueError("empty layer in partition")
-        sizes = [importance.values[n].size for n in group]
-        total = sum(sizes)
-        if total == 0:
+        values = np.concatenate([importance.values[n].ravel() for n in group])
+        if values.size == 0:
             raise ValueError("empty layer in partition")
-        if ratio == 1.0:
-            for n in group:
-                mask[n][...] = 1.0
-            continue
-        flat = np.concatenate([importance.values[n].ravel() for n in group])
-        k = max(1, int(np.floor(total * ratio)))
-        keep = np.argsort(flat, kind="stable")[:k]
-        mflat = np.zeros(total)
-        mflat[keep] = 1.0
+        k = values.size if ratio == 1.0 else max(1, int(np.floor(values.size * ratio)))
+        layer = np.zeros(values.size)
+        layer[np.argsort(values, kind="stable")[:k]] = 1.0
         offset = 0
-        for n, size in zip(group, sizes):
-            mask[n] = mflat[offset:offset + size].reshape(importance.values[n].shape)
+        for n in group:
+            size = mask[n].size
+            mask[n] = layer[offset:offset + size].reshape(mask[n].shape)
             offset += size
     return mask
 
@@ -257,15 +252,16 @@ def build_sparse_mask(importance: ImportanceMap, ratio: float,
 
 
 class OptimizerState:
-    """SGD or Adam-with-decoupled-weight-decay state."""
+    """SGD or Adam-with-decoupled-weight-decay state; the Adam moments `m`
+    and `v` are flat vectors over the parameter buffer."""
 
     def __init__(self, config: OptimizerConfig, params: ParameterSet,
                  beta1=0.9, beta2=0.999, eps=1e-8):
         self.config = config
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = params.zeros_like()
-        self.v = params.zeros_like()
+        self.m = np.zeros(params.total_size())
+        self.v = np.zeros(params.total_size())
 
     def _lr(self):
         lr = self.config.learning_rate
@@ -277,41 +273,53 @@ class OptimizerState:
 def base_step(state: OptimizerState, params: ParameterSet,
               total_grads: ParameterSet, config: OptimizerConfig):
     """One in-place update; grads must already include all loss terms."""
-    if not total_grads.all_finite():
+    params.require_aligned(total_grads, "base_step")
+    g = total_grads.flat
+    if not np.isfinite(g).all():
         raise FloatingPointError("non-finite gradients in base_step")
     state.t += 1
     lr = state._lr()
+    w = params.flat
     if config.base_optimizer == "sgd":
-        for name in params:
-            params[name] -= lr * total_grads[name]
-            if config.weight_decay:
-                params[name] -= lr * config.weight_decay * params[name]
-        return
-    b1, b2, eps = state.beta1, state.beta2, state.eps
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
-    for name in params:
-        g = total_grads[name]
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
-        if config.weight_decay:
-            params[name] -= lr * config.weight_decay * params[name]
+        w -= lr * g
+    else:
+        b1, b2 = state.beta1, state.beta2
+        state.m *= b1
+        state.m += (1 - b1) * g
+        state.v *= b2
+        state.v += (1 - b2) * g * g
+        m_hat = state.m / (1.0 - b1 ** state.t)
+        v_hat = state.v / (1.0 - b2 ** state.t)
+        w -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    if config.weight_decay:
+        w -= lr * config.weight_decay * w
 
 
 # ---------------------------------------------------------------------------
 # task-level training
 
 
-def _pooled_accuracy(model, eval_sets):
-    correct = total = 0
-    for feats, labels, task_id in eval_sets:
-        pred = model.predict(feats, task_id)
-        correct += int(np.sum(pred == labels))
-        total += len(labels)
-    return correct / total if total else 0.0
+class _BestSnapshot:
+    """Best pooled validation accuracy seen so far, the step that reached it
+    and a copy of the weight buffer at that step."""
+
+    def __init__(self, model: MultiHeadClassifier, val_sets):
+        self.model, self.val_sets = model, val_sets
+        self.accuracy, self.step, self.theta = -1.0, -1, None
+
+    def validate(self, step: int) -> float:
+        correct = total = 0
+        for feats, labels, task_id in self.val_sets:
+            correct += int(np.sum(self.model.predict(feats, task_id) == labels))
+            total += len(labels)
+        acc = correct / total if total else 0.0
+        if acc > self.accuracy:
+            self.accuracy, self.step, self.theta = acc, step, self.model.theta.copy()
+        return acc
+
+    def restore(self):
+        if self.theta is not None:
+            np.copyto(self.model.theta, self.theta)
 
 
 def train_task(model: MultiHeadClassifier, task, region, importance,
@@ -328,24 +336,20 @@ def train_task(model: MultiHeadClassifier, task, region, importance,
     state = OptimizerState(config, params)
     report = TaskReport(task_id=task_id)
 
-    constrained = region.constrained_names if region is not None else []
     use_penalty = flags.l2 and region is not None and importance is not None
     use_clamp = flags.clamp and region is not None
-    perturb_names = model.constrained_names(task_id) or None
+    names = model.constrained_names(task_id)
+    perturb_names = names or None
 
     if region is not None:
-        report.frozen_zero_anchor_coords = sum(
-            int(np.sum(region.anchor[nm] == 0.0)) for nm in constrained)
+        report.frozen_zero_anchor_coords = int(np.count_nonzero(
+            region.anchor.prefix(region.constrained_names) == 0.0))
 
-    mask = None
-    if config.sparse_update_ratio < 1.0 and importance is not None:
-        partition = [[f"enc{i}.W", f"enc{i}.b"] for i in range(len(model.encoder))]
-        for t in range(task_id):
-            partition.append(model.head_names(t))
-        if partition:
-            sub = ImportanceMap(importance.values.subset(
-                [nm for grp in partition for nm in grp]), gamma=1.0)
-            mask = build_sparse_mask(sub, config.sparse_update_ratio, partition)
+    mask = None  # sparse-update mask over the constrained prefix
+    if config.sparse_update_ratio < 1.0 and importance is not None and names:
+        layers = [names[i:i + 2] for i in range(0, len(names), 2)]  # (W, b) pairs
+        mask = build_sparse_mask(importance, config.sparse_update_ratio,
+                                 layers).prefix(names)
 
     def grads_for(batch: Batch):
         if flags.create:
@@ -353,60 +357,51 @@ def train_task(model: MultiHeadClassifier, task, region, importance,
         loss, grads = model.loss_gradient(batch)
         return grads, loss
 
+    total = params.zeros_like()  # the step's summed gradient, rewritten each step
+    best = _BestSnapshot(model, val_sets)
+    step_index = 0
+
+    def validate(step):
+        report.validation_curve.append((step, best.validate(step)))
+
     def do_step(batches):
+        nonlocal step_index
         total_weight = sum(len(b) for b in batches)
-        total = None
+        summed = total.flat
         loss_val = 0.0
-        for b in batches:
+        for i, b in enumerate(batches):
             g, loss = grads_for(b)
             w = len(b) / total_weight
             loss_val += w * loss
-            total = g.scale(w) if total is None else total.add_scaled(g, w)
+            if i == 0:
+                np.multiply(g.flat, w, out=summed)
+            else:
+                summed += w * g.flat
         if use_penalty:
-            _, pgrads = soft_penalty(params, region, importance)
-            total = total.add_scaled(pgrads, config.lam)
+            summed += config.lam * soft_penalty(params, region, importance)[1].flat
         if mask is not None:
-            for nm in mask:
-                total[nm] *= mask[nm]
+            summed[:mask.size] *= mask
         base_step(state, params, total, config)
         clamped = clamp_to_region(params, region) if use_clamp else 0
         report.step_losses.append(loss_val)
         report.clamp_counts.append(clamped)
         if step_hook is not None:
             step_hook(model, region)
+        step_index += 1
+        if step_index % config.validate_every_steps == 0:
+            validate(step_index)
 
-    best_acc = -1.0
-    best_params = None
-
-    def validate(step):
-        nonlocal best_acc, best_params
-        acc = _pooled_accuracy(model, val_sets)
-        report.validation_curve.append((step, acc))
-        if acc > best_acc:
-            best_acc = acc
-            best_params = params.copy()
-            report.best_step = step
-            report.best_accuracy = acc
-
-    step_index = 0
     for _ in range(epochs):
         perm = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = perm[start:start + config.batch_size]
             do_step([Batch(feats[idx], labels[idx], task_id)])
-            step_index += 1
-            if step_index % config.validate_every_steps == 0:
-                validate(step_index)
             if (flags.replay and replay_buffer is not None and len(replay_buffer)
                     and replay_schedule(step_index, replay_buffer.replay_every)):
-                batches = replay_buffer.sample_batches(config.batch_size, rng)
-                do_step(batches)
-                step_index += 1
-                if step_index % config.validate_every_steps == 0:
-                    validate(step_index)
+                do_step(replay_buffer.sample_batches(config.batch_size, rng))
     validate(step_index)
-    if best_params is not None:
-        model.set_parameters(best_params)
+    best.restore()
+    report.best_step, report.best_accuracy = best.step, best.accuracy
     return report
 
 
@@ -497,15 +492,14 @@ def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
             if accumulated is None:
                 accumulated = ImportanceMap(fresh.values.copy(), gamma=config.gamma)
             else:
-                # A new head appeared since the last accumulation; extend with zeros.
-                full = model.parameters().zeros_like()
-                for nm in accumulated.values:
-                    full[nm] = accumulated.values[nm]
+                # Heads added since the last accumulation start at zero importance.
+                pad = np.zeros(fresh.values.total_size() - accumulated.values.total_size())
+                old = fresh.values.unflatten(np.concatenate([accumulated.values.flat, pad]))
                 accumulated = accumulate_fisher(
-                    ImportanceMap(full, gamma=config.gamma), fresh, config.gamma)
+                    ImportanceMap(old, gamma=config.gamma), fresh, config.gamma)
         importance_history.append(accumulated)
 
-        anchor = ParameterSet((nm, a.copy()) for nm, a in model.parameters().items())
+        anchor = model.parameters().copy()
 
         if buffer is not None:
             buffer.add_task(feats, labels, t, _derived_seed(seed, 4, t))
@@ -541,9 +535,8 @@ def train_multitask(model: MultiHeadClassifier, stream, config: OptimizerConfig,
     rng = np.random.Generator(np.random.PCG64(_derived_seed(seed, 9)))
     params = model.parameters()
     state = OptimizerState(config, params)
-    val_sets = [(*task.val_xy(), t) for t, task in enumerate(stream)]
+    best = _BestSnapshot(model, [(*task.val_xy(), t) for t, task in enumerate(stream)])
     data = [task.train_xy() for task in stream]
-    best_acc, best_params = -1.0, None
     step = 0
     for _ in range(epochs):
         queues = []
@@ -562,13 +555,8 @@ def train_multitask(model: MultiHeadClassifier, stream, config: OptimizerConfig,
                 base_step(state, params, grads, config)
                 step += 1
                 if step % config.validate_every_steps == 0:
-                    acc = _pooled_accuracy(model, val_sets)
-                    if acc > best_acc:
-                        best_acc, best_params = acc, params.copy()
-    acc = _pooled_accuracy(model, val_sets)
-    if acc > best_acc:
-        best_acc, best_params = acc, params.copy()
-    if best_params is not None:
-        model.set_parameters(best_params)
+                    best.validate(step)
+    best.validate(step)
+    best.restore()
     return np.array([model.accuracy(*task.test_xy(), t)
                      for t, task in enumerate(stream)])

@@ -1,8 +1,15 @@
-"""Named, ordered collections of float64 arrays.
+"""Named, shaped views over one contiguous float64 vector.
 
 A ParameterSet is the single currency for weights, gradients, perturbations
-and importance values.  Names are ordered; all elementwise operations require
-exact name/shape alignment.
+and importance values.  It is a layout (ordered names, shapes and offsets)
+over one 1-D buffer, `flat`; `ps[name]` is a reshaped view into it, so
+writing through a view writes the buffer.  Sets built from the same layout
+share it, and whole-set arithmetic is one vector expression on `flat`.
+
+The prefix rule: a model appends each new task head at the end of its
+buffer, so the weights constrained while training task t (the encoder and
+the heads of earlier tasks) are always the first names of the layout, and
+their coordinates the slice `flat[:k]` that `prefix` returns.
 """
 
 from __future__ import annotations
@@ -10,49 +17,76 @@ from __future__ import annotations
 import numpy as np
 
 
+class _Layout:
+    """Ordered names with their shapes and [start, stop) offsets in `flat`."""
+
+    def __init__(self, names, shapes):
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate parameter names in {names}")
+        self.names, self.shapes = list(names), list(shapes)
+        self.offsets = np.cumsum([0] + [int(np.prod(s)) for s in shapes]).tolist()
+        self.index = {n: i for i, n in enumerate(self.names)}
+
+
 class ParameterSet:
-    """Ordered mapping from parameter name to a float64 numpy array."""
+    """Ordered mapping from parameter name to a view into one float64 vector.
 
-    def __init__(self, items=None):
-        self._data: dict[str, np.ndarray] = {}
-        if items is not None:
-            for name, arr in (items.items() if isinstance(items, dict) else items):
-                self[name] = arr
+    `ParameterSet(items)` copies a dict or (name, array) pairs into a new
+    buffer.  `unflatten` lays the same names and shapes over another vector.
+    """
 
-    def __setitem__(self, name, arr):
-        self._data[name] = np.asarray(arr, dtype=np.float64)
+    def __init__(self, items=None, *, layout: _Layout | None = None,
+                 flat: np.ndarray | None = None):
+        if layout is None:
+            pairs = list(items.items() if isinstance(items, dict) else items or ())
+            arrays = [np.asarray(a, dtype=np.float64) for _, a in pairs]
+            layout = _Layout([n for n, _ in pairs], [a.shape for a in arrays])
+            flat = (np.concatenate([a.ravel() for a in arrays]) if arrays
+                    else np.zeros(0))
+        self._layout = layout
+        self.flat = flat
+        self._views: dict[str, np.ndarray] = {}
 
     def __getitem__(self, name):
-        return self._data[name]
+        view = self._views.get(name)
+        if view is None:
+            lay = self._layout
+            i = lay.index[name]
+            view = self.flat[lay.offsets[i]:lay.offsets[i + 1]].reshape(lay.shapes[i])
+            self._views[name] = view
+        return view
+
+    def __setitem__(self, name, arr):
+        """Write `arr` into the named view; names and shapes are fixed."""
+        self[name][...] = arr
 
     def __contains__(self, name):
-        return name in self._data
+        return name in self._layout.index
 
     def __iter__(self):
-        return iter(self._data)
+        return iter(self._layout.names)
 
     def __len__(self):
-        return len(self._data)
+        return len(self._layout.names)
 
     def names(self):
-        return list(self._data)
+        return list(self._layout.names)
 
     def items(self):
-        return self._data.items()
+        return [(n, self[n]) for n in self._layout.names]
 
-    def values(self):
-        return self._data.values()
+    def _like(self, flat) -> "ParameterSet":
+        return ParameterSet(layout=self._layout, flat=flat)
 
     def copy(self) -> "ParameterSet":
-        return ParameterSet((n, a.copy()) for n, a in self._data.items())
+        return self._like(self.flat.copy())
 
     def zeros_like(self) -> "ParameterSet":
-        return ParameterSet((n, np.zeros_like(a)) for n, a in self._data.items())
+        return self._like(np.zeros_like(self.flat))
 
     def aligned_with(self, other: "ParameterSet") -> bool:
-        if self.names() != other.names():
-            return False
-        return all(self[n].shape == other[n].shape for n in self._data)
+        a, b = self._layout, other._layout
+        return a is b or (a.names == b.names and a.shapes == b.shapes)
 
     def require_aligned(self, other: "ParameterSet", context: str = ""):
         if not self.aligned_with(other):
@@ -61,58 +95,42 @@ class ParameterSet:
                 f"{self.names()} vs {other.names()}"
             )
 
+    def prefix(self, names) -> np.ndarray:
+        """View of the coordinates of `names`, which must be this set's
+        first names in order (see the prefix rule above)."""
+        lay = self._layout
+        if lay.names[:len(names)] != list(names):
+            raise ValueError(f"{list(names)} is not a prefix of the parameter "
+                             f"layout {lay.names}")
+        return self.flat[:lay.offsets[len(names)]]
+
     def total_size(self) -> int:
-        return sum(a.size for a in self._data.values())
+        return self.flat.size
 
     def flatten(self) -> np.ndarray:
-        if not self._data:
-            return np.zeros(0)
-        return np.concatenate([a.ravel() for a in self._data.values()])
+        return self.flat.copy()
 
     def unflatten(self, flat: np.ndarray) -> "ParameterSet":
         """Views into `flat` with this set's names and shapes."""
-        flat = np.asarray(flat, dtype=np.float64)
+        flat = np.ascontiguousarray(flat, dtype=np.float64)
         if flat.shape != (self.total_size(),):
             raise ValueError(f"flat vector of shape {flat.shape} does not match "
                              f"total size {self.total_size()}")
-        out, offset = ParameterSet(), 0
-        for name, a in self._data.items():
-            out[name] = flat[offset:offset + a.size].reshape(a.shape)
-            offset += a.size
-        return out
+        return self._like(flat)
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(float(np.sum(a * a)) for a in self._data.values())))
-
-    def dot(self, other: "ParameterSet") -> float:
-        self.require_aligned(other, "dot")
-        return sum(float(np.sum(self[n] * other[n])) for n in self._data)
-
-    def map(self, fn) -> "ParameterSet":
-        return ParameterSet((n, fn(a)) for n, a in self._data.items())
-
-    def combine(self, other: "ParameterSet", fn) -> "ParameterSet":
-        self.require_aligned(other, "combine")
-        return ParameterSet((n, fn(self[n], other[n])) for n in self._data)
+        return float(np.sqrt(self.flat @ self.flat))
 
     def add(self, other: "ParameterSet") -> "ParameterSet":
-        return self.combine(other, lambda a, b: a + b)
-
-    def sub(self, other: "ParameterSet") -> "ParameterSet":
-        return self.combine(other, lambda a, b: a - b)
+        self.require_aligned(other, "add")
+        return self._like(self.flat + other.flat)
 
     def scale(self, c: float) -> "ParameterSet":
-        return self.map(lambda a: a * c)
-
-    def add_scaled(self, other: "ParameterSet", c: float) -> "ParameterSet":
-        return self.combine(other, lambda a, b: a + c * b)
-
-    def subset(self, names) -> "ParameterSet":
-        return ParameterSet((n, self._data[n]) for n in names)
+        return self._like(self.flat * c)
 
     def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self._data.values())
+        return bool(np.isfinite(self.flat).all())
 
     def __repr__(self):
-        shapes = {n: a.shape for n, a in self._data.items()}
+        shapes = dict(zip(self._layout.names, self._layout.shapes))
         return f"ParameterSet({shapes})"

@@ -69,14 +69,13 @@ def quadratic_objective(matrix, w0) -> Objective:
 
 
 def _perturbed_value(obj: Objective, direction: ParameterSet) -> float:
-    saved = obj.params.copy()
+    w = obj.params.flat
+    saved = w.copy()
     try:
-        for n in obj.params:
-            obj.params[n] += direction[n]
+        w += direction.flat
         val = obj.value()
     finally:
-        for n in obj.params:
-            np.copyto(obj.params[n], saved[n])
+        np.copyto(w, saved)
     if not np.isfinite(val):
         raise FloatingPointError("non-finite loss at perturbed point")
     return val
@@ -95,7 +94,7 @@ def ball_sharpness(obj: Objective, rho: float, n_directions: int, seed: int) -> 
     if gnorm > 0:
         directions.append(g.scale(rho / gnorm))
     for _ in range(n_directions):
-        d = ParameterSet((n, rng.normal(size=a.shape)) for n, a in obj.params.items())
+        d = obj.params.unflatten(rng.normal(size=obj.params.total_size()))
         dnorm = d.norm()
         if dnorm > 0:
             directions.append(d.scale(rho / dnorm))
@@ -133,7 +132,7 @@ def fisher_trace_check(model: MultiHeadClassifier, features, labels, task_id: in
     # were each averaged over samples; the other side averages per-sample
     # squared gradient norms.  Algebraically equal.
     sums, sq_norms = model.gradient_second_moments(features, labels, task_id)
-    trace = sum(float(np.sum(a)) for a in sums.values()) / len(labels)
+    trace = float(np.sum(sums.flat)) / len(labels)
     mean_sq = float(np.mean(sq_norms))
     denom = max(abs(mean_sq), 1e-300)
     return trace, mean_sq, abs(trace - mean_sq) / denom

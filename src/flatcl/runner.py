@@ -3,8 +3,10 @@ checkpointing, and CSV/JSON result emission."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import traceback
 
 import numpy as np
 
@@ -29,9 +31,35 @@ VARIANT_FLAGS = {
 }
 
 
+# Keys a config may hold, per section; keys starting with "_" are comments.
+CONFIG_KEYS = {
+    "": "name benchmark orders order seeds epochs_per_task model optimizer probe",
+    "benchmark": "kind n_tasks classes_per_task dim samples_per_class separation "
+                 "rotation_per_task data_seed_offset",
+    "model": "hidden_dims activation init_seed_offset",
+    "optimizer": " ".join(f.name for f in dataclasses.fields(OptimizerConfig)
+                          if f.name != "variant"),
+    "probe": "enabled batch_size lanczos_iters",
+}
+
+
+def check_config_keys(cfg: dict):
+    """Raise a one-line ValueError naming the first unknown key."""
+    for section, allowed in CONFIG_KEYS.items():
+        body = cfg.get(section, {}) if section else cfg
+        if not isinstance(body, dict):
+            raise ValueError(f"config section {section!r} must be an object")
+        for key in body:
+            if key not in allowed.split() and not key.startswith("_"):
+                raise ValueError(f"unknown config key {key!r}"
+                                 f"{f' in {section!r}' if section else ''}; "
+                                 f"expected one of: {allowed}")
+
+
 def load_config(path) -> dict:
     with open(path) as f:
         cfg = json.load(f)
+    check_config_keys(cfg)
     return cfg
 
 
@@ -113,6 +141,7 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
                     resume_from: str | None = None) -> dict:
     """One (variant, seed) run; writes matrix.csv, metrics.json and per-task
     checkpoints into a fresh directory.  Returns the metrics dict."""
+    check_config_keys(cfg)
     chash = config_hash({"config": {k: v for k, v in cfg.items() if k != "seeds"},
                          "variant": variant, "seed": seed})
     loaded = None
@@ -121,13 +150,14 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
         if loaded.config_hash != chash:
             raise ValueError(f"{resume_from}: checkpoint was written under a different "
                              "config, variant or seed; refusing to resume")
-    _fresh_dir(out_dir)
+    # Everything that can refuse the config runs before out_dir exists.
     stream = build_stream(cfg, seed)
     opt_config = build_optimizer_config(cfg, variant)
     epochs = cfg["epochs_per_task"]
 
     if variant == "mtl":
         model = _build_model(cfg, stream, seed, all_heads=True)
+        _fresh_dir(out_dir)
         reference = train_multitask(model, stream, opt_config, seed, epochs)
         result_metrics = {"variant": variant, "seed": seed,
                           "reference_accuracies": reference.tolist(),
@@ -156,9 +186,9 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
             anchor=state["anchor"], matrix_rows=state["matrix_rows"],
             replay_buffer=state["replay_buffer"]))
 
+    model = _build_model(cfg, stream, seed) if loaded is None else loaded.model
     resume_state = None
     if loaded is not None:
-        model = loaded.model
         resume_state = {
             "next_task": loaded.next_task,
             "rng_state": loaded.rng_state,
@@ -167,9 +197,8 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
             "replay_buffer": loaded.replay_buffer,
             "matrix_rows": loaded.matrix_rows,
         }
-    else:
-        model = _build_model(cfg, stream, seed)
 
+    _fresh_dir(out_dir)
     result = train_continual(model, stream, opt_config, seed, epochs,
                              probe_fn=probe_fn, resume_state=resume_state,
                              checkpoint_fn=checkpoint_fn)
@@ -200,6 +229,9 @@ def aggregate(rows: list[dict], path):
 
 
 def run_experiment(cfg: dict, variant: str, out_root: str, seeds=None) -> list[dict]:
+    """Run every seed, recording a failed seed's error and traceback in
+    failures.json and going on with the others."""
+    check_config_keys(cfg)
     seeds = list(seeds if seeds is not None else cfg["seeds"])
     if not seeds:
         raise ValueError("seeds must be nonempty")
@@ -211,8 +243,10 @@ def run_experiment(cfg: dict, variant: str, out_root: str, seeds=None) -> list[d
         try:
             rows.append(run_single_seed(cfg, variant, seed, out_dir))
         except Exception as exc:  # record and continue with other seeds
-            failures.append({"seed": seed, "error": str(exc)})
+            failures.append({"seed": seed, "type": type(exc).__name__,
+                             "error": str(exc), "traceback": traceback.format_exc()})
     agg_dir = os.path.join(out_root, name, variant)
+    os.makedirs(agg_dir, exist_ok=True)
     aggregate(rows, os.path.join(agg_dir, "aggregate.csv"))
     if failures:
         with open(os.path.join(agg_dir, "failures.json"), "w") as f:

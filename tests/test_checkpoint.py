@@ -1,5 +1,12 @@
+import functools
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatcl.checkpoint import (Checkpoint, config_hash, load_checkpoint,
                                save_checkpoint)
@@ -92,3 +99,62 @@ def test_save_is_deterministic(tmp_path):
     save_checkpoint(p1, Checkpoint(model=model, config_hash="h"))
     save_checkpoint(p2, Checkpoint(model=model, config_hash="h"))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_wrong_format_rejected(tmp_path):
+    path = tmp_path / "old.bin"
+    save_checkpoint(path, Checkpoint(model=random_mlp(35)))
+    data = path.read_bytes()
+    mlen = int.from_bytes(data[8:16], "little")
+    manifest = json.loads(data[16:16 + mlen])
+    manifest["format"] = "flatcl-checkpoint-v1"
+    mbytes = json.dumps(manifest, sort_keys=True).encode()
+    path.write_bytes(data[:8] + len(mbytes).to_bytes(8, "little") + mbytes
+                     + data[16 + mlen:])
+    with pytest.raises(ValueError, match="flatcl-checkpoint-v2"):
+        load_checkpoint(path)
+
+
+def test_save_replaces_atomically(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, Checkpoint(model=random_mlp(36), config_hash="a"))
+    save_checkpoint(path, Checkpoint(model=random_mlp(37), config_hash="b"))
+    assert os.listdir(tmp_path) == ["ckpt.bin"]  # no temporary file left
+    assert load_checkpoint(path).config_hash == "b"
+
+
+@functools.cache
+def _intact_checkpoint() -> bytes:
+    model = random_mlp(38, hidden=(3,), classes=(3, 2))
+    imp = ImportanceMap(model.parameters().unflatten(np.abs(model.theta)))
+    buf = ReplayBuffer(store_ratio=0.5)
+    buf.add_task(np.eye(4), np.arange(4) % 3, 0, seed=1)
+    ckpt = Checkpoint(model=model, config_hash="h", next_task=1, importance=imp,
+                      anchor=model.parameters().copy(),
+                      matrix_rows=np.array([[0.5, np.nan]]), replay_buffer=buf,
+                      rng_state=np.random.Generator(np.random.PCG64(1)).bit_generator.state)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "c.bin")
+        save_checkpoint(path, ckpt)
+        with open(path, "rb") as f:
+            return f.read()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_truncated_or_bit_flipped_checkpoint_rejected(data):
+    """Any truncation or single bit flip gives a one-line ValueError, never
+    a model."""
+    blob = bytearray(_intact_checkpoint())
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        pos = data.draw(st.integers(0, len(blob) - 1), label="byte")
+        blob[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "c.bin")
+        with open(path, "wb") as f:
+            f.write(blob)
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+    assert "\n" not in str(info.value)

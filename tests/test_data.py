@@ -145,3 +145,15 @@ def test_delimited_infers_class_count(tmp_path):
     path.write_text("0.0,0\n1.0,2\n2.0,1\n")
     task = load_delimited(str(path))
     assert task.class_count == 3
+
+
+def test_delimited_split_ratios(tmp_path):
+    """The split is the permutation of the split seed cut at the given
+    ratios; test takes the rest."""
+    path = tmp_path / "d.csv"
+    save_delimited(path, np.arange(20.0).reshape(10, 2), np.arange(10) % 2)
+    task = load_delimited(str(path), split_seed=3, split_ratios=(0.5, 0.3, 0.2))
+    perm = np.random.Generator(np.random.PCG64(3)).permutation(10)
+    assert task.splits["train"].tolist() == sorted(perm[:5])
+    assert task.splits["val"].tolist() == sorted(perm[5:8])
+    assert task.splits["test"].tolist() == sorted(perm[8:])

@@ -121,6 +121,26 @@ def test_add_head_increments_and_preserves_logits():
     np.testing.assert_array_equal(m.logits(x, 0), before)
 
 
+def test_parameters_alias_one_buffer_across_head_addition():
+    m = random_mlp(6, hidden=(5, 4), classes=(3,))
+    before = m.theta.copy()
+    m.add_task_head(2)
+    params = m.parameters()
+    assert params is m.parameters()
+    assert params.flat is m.theta and m.theta.size == before.size + 4 * 2 + 2
+    views = [a for layer in m.encoder + m.heads for a in layer]
+    assert len(views) == len(params) == 8
+    for view, (name, arr) in zip(views, params.items()):
+        assert np.shares_memory(view, m.theta) and np.shares_memory(arr, m.theta)
+        assert view.shape == arr.shape and np.array_equal(view, arr)
+    # earlier weights keep their offsets; the new head sits at the end
+    np.testing.assert_array_equal(m.theta[:before.size], before)
+    assert np.shares_memory(m.heads[1][0], m.theta[before.size:])
+    assert m.constrained_names(1) == params.names()[:6]
+    m.heads[0][1][0] = 123.0
+    assert params["head0.b"][0] == 123.0 and 123.0 in m.theta
+
+
 def test_predict_tie_break_lowest_index():
     m = MultiHeadClassifier(0, 2, [], [3])
     for n in m.parameters():

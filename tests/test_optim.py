@@ -10,7 +10,8 @@ from flatcl.optim import (FlatRegion, ImportanceMap, OptimizerConfig,
                           OptimizerState, VariantFlags, accumulate_fisher,
                           base_step, build_sparse_mask, clamp_to_region,
                           compute_perturbation, create_gradient, find_fisher,
-                          random_importance, soft_penalty, train_continual)
+                          random_importance, soft_penalty, train_continual,
+                          train_task)
 from flatcl.params import ParameterSet
 
 from conftest import random_batch, random_mlp
@@ -232,6 +233,17 @@ def test_clamp_zero_anchor_pins_to_zero():
     assert params["w"].tolist() == [0.0]
 
 
+def test_flat_region_requires_prefix_names():
+    model = random_mlp(70)
+    model.add_task_head(3)
+    anchor = model.parameters().copy()
+    region = FlatRegion(anchor, 0.5, model.constrained_names(1))
+    assert region.lo.size == anchor.total_size() - model.heads[1][0].size - 3
+    for names in (["head0.W", "head0.b"], ["enc0.W", "head0.W"], model.head_names(1)):
+        with pytest.raises(ValueError, match="prefix"):
+            FlatRegion(anchor, 0.5, names)
+
+
 # -- base step --------------------------------------------------------------
 
 def test_sgd_step():
@@ -368,6 +380,32 @@ def test_clamp_invariant_throughout_run():
 
     train_continual(model, stream, cfg, seed=3, epochs=2, step_hook=monitor)
     assert violations == []
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2 ** 16), st.floats(0.0, 1.0),
+       st.sampled_from(["adam_decoupled", "sgd"]))
+def test_clamp_box_holds_after_every_train_task_step(seed, rho, base_optimizer):
+    """Every constrained coordinate lies in anchor +/- rho |anchor| after
+    every step, checked from a step hook against the anchor itself."""
+    stream = _tiny_stream(seed % 7, n_tasks=2)
+    model = MultiHeadClassifier(seed, 4, [6], [3, 3])
+    region = FlatRegion(model.parameters().copy(), rho, model.constrained_names(1))
+    cfg = _config(rho=rho, base_optimizer=base_optimizer,
+                  variant=VariantFlags(create=True, clamp=True))
+    inside = []
+
+    def hook(m, reg):
+        anchor = reg.anchor.prefix(reg.constrained_names)
+        half = reg.rho * np.abs(anchor)
+        w = m.parameters().prefix(reg.constrained_names)
+        inside.append(bool(np.all((w >= anchor - half) & (w <= anchor + half))))
+
+    report = train_task(model, stream[1], region, None, None, cfg,
+                        np.random.Generator(np.random.PCG64(seed)), 1,
+                        [(*stream[1].val_xy(), 1)], step_hook=hook)
+    assert inside and all(inside)
+    assert len(inside) == len(report.clamp_counts)
 
 
 def test_lambda_zero_matches_find_disabled_trace():

@@ -32,18 +32,16 @@ def test_flatten_and_sizes():
     assert ParameterSet().flatten().tolist() == []
 
 
-def test_norm_and_dot():
+def test_norm():
     ps = _ps()
     assert abs(ps.norm() - np.sqrt(30)) <= 1e-15
-    assert ps.dot(ps) == pytest.approx(30.0)
 
 
 def test_arithmetic():
     ps = _ps()
     assert ps.add(ps)["a"].tolist() == [2.0, 4.0]
-    assert ps.sub(ps)["b"].tolist() == [[0.0], [0.0]]
     assert ps.scale(2.0)["a"].tolist() == [2.0, 4.0]
-    assert ps.add_scaled(ps, -1.0)["a"].tolist() == [0.0, 0.0]
+    assert ps.scale(2.0)["b"].tolist() == [[6.0], [8.0]]
 
 
 def test_misalignment_rejected_with_context():
@@ -52,7 +50,7 @@ def test_misalignment_rejected_with_context():
     with pytest.raises(ValueError, match="somewhere"):
         ps.require_aligned(other, "somewhere")
     with pytest.raises(ValueError):
-        ps.dot(other)
+        ps.add(other)
 
 
 def test_shape_mismatch_not_aligned():
@@ -61,11 +59,28 @@ def test_shape_mismatch_not_aligned():
     assert not a.aligned_with(b)
 
 
-def test_subset_shares_memory():
+def test_views_write_through_one_buffer():
     ps = _ps()
-    sub = ps.subset(["b"])
-    sub["b"][0, 0] = 7.0
-    assert ps["b"][0, 0] == 7.0
+    ps["b"][0, 0] = 7.0
+    ps["a"] = [5.0, 6.0]
+    assert ps.flat.tolist() == [5.0, 6.0, 7.0, 4.0]
+    ps.flat[1] = -1.0
+    assert ps["a"].tolist() == [5.0, -1.0]
+    assert np.shares_memory(ps.unflatten(ps.flat)["b"], ps.flat)
+    with pytest.raises(KeyError):
+        ps["c"] = [1.0]
+
+
+def test_prefix_rule():
+    ps = _ps()
+    head = ps.prefix(["a"])
+    assert head.tolist() == [1.0, 2.0]
+    head += 1.0
+    assert ps["a"].tolist() == [2.0, 3.0]
+    assert ps.prefix([]).size == 0 and ps.prefix(["a", "b"]).size == 4
+    for names in (["b"], ["b", "a"], ["a", "c"]):
+        with pytest.raises(ValueError, match="prefix"):
+            ps.prefix(names)
 
 
 def test_all_finite():

@@ -4,9 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from flatcl.checkpoint import load_checkpoint
 from flatcl.cli import main
-from flatcl.runner import (read_matrix_csv, run_experiment, run_single_seed,
-                           write_matrix_csv)
+from flatcl.runner import (load_config, read_matrix_csv, run_experiment,
+                           run_single_seed, write_matrix_csv)
 
 
 def small_cfg():
@@ -77,6 +78,45 @@ def test_resume_under_different_config_rejected(tmp_path):
 
 
 
+def test_refused_config_leaves_no_directory(tmp_path):
+    out = str(tmp_path / "run")
+    bad = small_cfg()
+    bad["benchmark"]["kind"] = "nope"
+    with pytest.raises(ValueError, match="nope"):
+        run_single_seed(bad, "seq", 1, out)
+    assert not os.path.exists(out)
+    run_single_seed(small_cfg(), "seq", 1, out)  # the fixed config reruns in place
+    assert os.path.exists(os.path.join(out, "matrix.csv"))
+
+
+@pytest.mark.parametrize("section,key", [(None, "optimzer"), ("benchmark", "dims"),
+                                         ("model", "hiden_dims"), ("probe", "enable"),
+                                         ("optimizer", "learnig_rate")])
+def test_unknown_config_key_rejected(tmp_path, section, key):
+    cfg = small_cfg()
+    cfg.setdefault("probe", {})
+    (cfg if section is None else cfg[section])[key] = 1
+    out = str(tmp_path / "run")
+    with pytest.raises(ValueError, match=repr(key)) as info:
+        run_single_seed(cfg, "seq", 1, out)
+    assert "\n" not in str(info.value)
+    assert not os.path.exists(out)
+    with pytest.raises(ValueError, match=repr(key)):
+        load_config(write_cfg(tmp_path, cfg))
+
+
+def test_comment_keys_and_shipped_configs_accepted(tmp_path):
+    from importlib import resources
+    for name in ("rot5.json", "perm5.json"):
+        with resources.as_file(resources.files("flatcl") / "configs" / name) as path:
+            assert load_config(path)["name"] == name[:-5]
+    cfg = small_cfg()
+    for body in (cfg, cfg["benchmark"], cfg["model"], cfg["optimizer"]):
+        body["_comment"] = "ignored"
+    assert load_config(write_cfg(tmp_path, cfg))["_comment"] == "ignored"
+    run_single_seed(cfg, "seq", 1, str(tmp_path / "run"))
+
+
 def test_existing_out_dir_rejected(tmp_path):
     out = str(tmp_path / "run")
     run_single_seed(small_cfg(), "seq", 1, out)
@@ -102,6 +142,23 @@ def test_resume_from_checkpoint_matches_uninterrupted(tmp_path):
     m_full = read_matrix_csv(os.path.join(full, "matrix.csv"))
     m_res = read_matrix_csv(os.path.join(resumed, "matrix.csv"))
     assert np.array_equal(m_full, m_res, equal_nan=True)  # bitwise
+
+
+def test_resume_across_head_addition_bitwise(tmp_path):
+    """Resuming from a checkpoint written before two heads were added gives
+    the same weights, importance and anchor, bit for bit."""
+    cfg = small_cfg()
+    cfg["benchmark"]["n_tasks"] = 3
+    full, resumed = str(tmp_path / "full"), str(tmp_path / "resumed")
+    run_single_seed(cfg, "cf", 1, full)
+    run_single_seed(cfg, "cf", 1, resumed, resume_from=os.path.join(full, "ckpt_task0.bin"))
+    a = load_checkpoint(os.path.join(full, "ckpt_task2.bin"))
+    b = load_checkpoint(os.path.join(resumed, "ckpt_task2.bin"))
+    assert len(a.model.heads) == len(b.model.heads) == 3
+    for x, y in ((a.model.parameters(), b.model.parameters()),
+                 (a.importance.values, b.importance.values), (a.anchor, b.anchor)):
+        assert x.names() == y.names()
+        assert x.flat.tobytes() == y.flat.tobytes()
 
 
 def test_order_applied(tmp_path):
@@ -149,6 +206,9 @@ def test_run_experiment_records_per_seed_failures(tmp_path):
         failures = json.load(f)
     assert [f["seed"] for f in failures] == [1]
     assert "missing-order" in failures[0]["error"]
+    assert failures[0]["type"] == "ValueError"
+    assert failures[0]["traceback"].startswith("Traceback")
+    assert "build_stream" in failures[0]["traceback"]
 
 
 # -- CLI --------------------------------------------------------------------
@@ -228,6 +288,18 @@ def test_cli_gen_data_round_trip(tmp_path, capsys):
     assert files == ["rot0.csv", "rot1.csv"]
     task = load_delimited(os.path.join(out, "rot0.csv"), class_count=3)
     assert task.features.shape == (90, 4)
+
+
+def test_cli_run_rejects_unknown_config_key(tmp_path, capsys):
+    cfg = small_cfg()
+    cfg["optimzer"] = cfg.pop("optimizer")
+    rc = main(["run", "--config", write_cfg(tmp_path, cfg), "--variant", "seq",
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: unknown config key 'optimzer'")
+    assert err.strip().count("\n") == 0
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_cli_error_is_single_line_and_nonzero(tmp_path, capsys):
