@@ -10,7 +10,9 @@ crash never leaves a partial checkpoint under the final name.
 Round-trips are bitwise exact.  Besides model weights, a checkpoint can
 carry everything needed to resume a continual run at a task boundary: the
 importance accumulator, the region anchor, the rng state, finished accuracy
-rows and the replay buffer.
+rows and the replay buffer.  The weights, the importance and the anchor are
+each one block over the model's flat parameter layout; the replay buffer's
+features are one (n, d) block and its labels and task ids manifest lists.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .params import ParameterSet
 from .replay import ReplayBuffer
 
 _MAGIC = b"FLATCKPT"
-_FORMAT = "flatcl-checkpoint-v2"
+_FORMAT = "flatcl-checkpoint-v3"
 
 
 def config_hash(config_dict: dict) -> str:
@@ -39,6 +41,8 @@ def config_hash(config_dict: dict) -> str:
 
 @dataclass
 class Checkpoint:
+    """A model plus the state `optim.train_continual` resumes from, which it
+    also hands to its `checkpoint_fn` under these field names."""
     model: MultiHeadClassifier
     config_hash: str | None = None
     rng_state: dict | None = None
@@ -49,34 +53,27 @@ class Checkpoint:
     replay_buffer: ReplayBuffer | None = None
 
 
-def _le64(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
 def save_checkpoint(path, ckpt: Checkpoint):
     model = ckpt.model
-    blocks: list[tuple[str, np.ndarray]] = []
-    for name, arr in model.parameters().items():
-        blocks.append((f"param/{name}", arr))
+    params = model.parameters()
+    blocks: list[tuple[str, np.ndarray]] = [("param", model.theta)]
     if ckpt.importance is not None:
-        for name, arr in ckpt.importance.values.items():
-            blocks.append((f"importance/{name}", arr))
+        params.require_aligned(ckpt.importance.values, "save_checkpoint importance")
+        blocks.append(("importance", ckpt.importance.values.flat))
     if ckpt.anchor is not None:
-        for name, arr in ckpt.anchor.items():
-            blocks.append((f"anchor/{name}", arr))
+        params.require_aligned(ckpt.anchor, "save_checkpoint anchor")
+        blocks.append(("anchor", ckpt.anchor.flat))
     if ckpt.matrix_rows is not None:
         blocks.append(("matrix", np.asarray(ckpt.matrix_rows, dtype=np.float64)))
     replay_meta = None
     if ckpt.replay_buffer is not None:
         buf = ckpt.replay_buffer
-        feats = (np.stack([e[0] for e in buf.exemplars])
-                 if buf.exemplars else np.zeros((0, 0)))
-        blocks.append(("replay_features", feats))
+        blocks.append(("replay_features", buf.features))
         replay_meta = {
             "store_ratio": buf.store_ratio,
             "replay_every": buf.replay_every,
-            "labels": [e[1] for e in buf.exemplars],
-            "task_ids": [e[2] for e in buf.exemplars],
+            "labels": buf.labels.tolist(),
+            "task_ids": buf.task_ids.tolist(),
         }
     manifest = {
         "format": _FORMAT,
@@ -90,12 +87,11 @@ def save_checkpoint(path, ckpt: Checkpoint):
         "blocks": [{"name": n, "shape": list(a.shape), "bytes": a.size * 8}
                    for n, a in blocks],
         "config_hash": ckpt.config_hash,
-        "rng_state": _jsonable(ckpt.rng_state),
+        "rng_state": ckpt.rng_state,  # PCG64 state: plain ints, JSON-exact
         "next_task": ckpt.next_task,
-        "importance_gamma": None if ckpt.importance is None else ckpt.importance.gamma,
         "replay": replay_meta,
     }
-    payload = b"".join(_le64(arr) for _, arr in blocks)
+    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in blocks)
     manifest["sha256"] = _digest(manifest, payload)
     mbytes = json.dumps(manifest, sort_keys=True).encode()
     path = os.fspath(path)
@@ -121,20 +117,6 @@ def _digest(manifest: dict, payload: bytes) -> str:
     return h.hexdigest()
 
 
-def _jsonable(obj):
-    if obj is None or isinstance(obj, (str, int, float, bool)):
-        return obj
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj)}")
-
-
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a file that is not an intact checkpoint of this
     format raises a one-line ValueError."""
@@ -158,48 +140,36 @@ def load_checkpoint(path) -> Checkpoint:
     offset = 0
     for b in manifest["blocks"]:
         n = b["bytes"]
-        arr = np.frombuffer(payload[offset:offset + n], dtype="<f8").astype(
+        arrays[b["name"]] = np.frombuffer(payload[offset:offset + n], dtype="<f8").astype(
             np.float64).reshape(b["shape"])
-        arrays[b["name"]] = arr.copy()
         offset += n
 
     minfo = manifest["model"]
     model = MultiHeadClassifier(minfo["init_seed"], minfo["input_dim"],
                                 minfo["hidden_dims"], minfo["head_classes"],
                                 activation=minfo["activation"])
+    np.copyto(model.theta, arrays["param"])
     params = model.parameters()
-    for name in params:
-        np.copyto(params[name], arrays[f"param/{name}"])
-
-    importance = None
-    imp_items = [(k.split("/", 1)[1], v) for k, v in arrays.items()
-                 if k.startswith("importance/")]
-    if imp_items:
-        importance = ImportanceMap(ParameterSet(imp_items),
-                                   gamma=manifest["importance_gamma"])
-    anchor = None
-    anc_items = [(k.split("/", 1)[1], v) for k, v in arrays.items()
-                 if k.startswith("anchor/")]
-    if anc_items:
-        anchor = ParameterSet(anc_items)
+    importance = arrays.get("importance")
+    anchor = arrays.get("anchor")
 
     buffer = None
     if manifest["replay"] is not None:
         r = manifest["replay"]
         buffer = ReplayBuffer(store_ratio=r["store_ratio"],
                               replay_every=r["replay_every"])
-        feats = arrays.get("replay_features", np.zeros((0, 0)))
-        for i, (label, task_id) in enumerate(zip(r["labels"], r["task_ids"])):
-            buffer.exemplars.append((feats[i].copy(), int(label), int(task_id)))
+        buffer.features = arrays["replay_features"]
+        buffer.labels = np.array(r["labels"], dtype=np.int64)
+        buffer.task_ids = np.array(r["task_ids"], dtype=np.int64)
 
     return Checkpoint(
         model=model,
         config_hash=manifest["config_hash"],
-        rng_state=manifest["rng_state"],  # PCG64 state: plain ints, JSON-exact
+        rng_state=manifest["rng_state"],
         next_task=manifest["next_task"],
-        importance=importance,
-        anchor=anchor,
+        importance=(None if importance is None
+                    else ImportanceMap(params.unflatten(importance))),
+        anchor=None if anchor is None else params.unflatten(anchor),
         matrix_rows=arrays.get("matrix"),
         replay_buffer=buffer,
     )
-

@@ -4,6 +4,7 @@ metrics, and emit benchmark data files."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -19,20 +20,17 @@ from .runner import (VARIANT_FLAGS, build_stream, load_config, read_matrix_csv,
 from .model import Batch
 
 
+# (`run` argument, optimizer config key) for the hyperparameter overrides.
+_OVERRIDES = (("rho", "rho"), ("lam", "lam"), ("gamma", "gamma"),
+              ("sparse_ratio", "sparse_update_ratio"), ("replay_every", "replay_every"),
+              ("store_ratio", "store_ratio"))
+
+
 def _apply_overrides(cfg, args):
     opt = cfg.setdefault("optimizer", {})
-    if args.rho is not None:
-        opt["rho"] = args.rho
-    if args.lam is not None:
-        opt["lam"] = args.lam
-    if args.gamma is not None:
-        opt["gamma"] = args.gamma
-    if args.sparse_ratio is not None:
-        opt["sparse_update_ratio"] = args.sparse_ratio
-    if args.replay_every is not None:
-        opt["replay_every"] = args.replay_every
-    if args.store_ratio is not None:
-        opt["store_ratio"] = args.store_ratio
+    for arg, key in _OVERRIDES:
+        if getattr(args, arg) is not None:
+            opt[key] = getattr(args, arg)
 
 
 def _cmd_run(args):
@@ -67,9 +65,9 @@ def _cmd_probe(args):
     feats, labels = stream[args.task].val_xy()
     size = cfg.get("probe", {}).get("batch_size", 64)
     batch = Batch(feats[:size], labels[:size], args.task)
-    report = sharpness_report(ckpt.model, batch, rho=args.rho or 0.05,
+    report = sharpness_report(ckpt.model, batch, rho=args.rho,
                               lanczos_iters=args.lanczos_iters, seed=args.seed)
-    print(json.dumps(report.as_dict(), indent=2))
+    print(json.dumps(dataclasses.asdict(report), indent=2))
     return 0
 
 
@@ -118,7 +116,7 @@ def build_parser():
     probe.add_argument("--config", default=None)
     probe.add_argument("--task", type=int, default=0)
     probe.add_argument("--seed", type=int, default=0)
-    probe.add_argument("--rho", type=float, default=None)
+    probe.add_argument("--rho", type=float, default=0.05)
     probe.add_argument("--lanczos-iters", type=int, default=30)
     probe.add_argument("--quadratic", default=None,
                        help="comma-separated Hessian diagonal for a surrogate probe")

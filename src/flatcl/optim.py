@@ -49,12 +49,10 @@ class FlatRegion:
 
 @dataclass
 class ImportanceMap:
+    """Per-parameter flatness values; never negative."""
     values: ParameterSet
-    gamma: float = 0.95
 
     def __post_init__(self):
-        if not (0.0 <= self.gamma <= 1.0):
-            raise ValueError("gamma must be in [0, 1]")
         if np.any(self.values.flat < 0):
             raise ValueError("negative importance entries")
 
@@ -179,23 +177,33 @@ def find_fisher(model: MultiHeadClassifier, features, labels, task_id: int,
         idx = rng.choice(n, size=n_samples, replace=False)
     sums, _ = model.gradient_second_moments(np.asarray(features)[idx],
                                             np.asarray(labels)[idx], task_id)
-    return ImportanceMap(sums.scale(1.0 / len(idx)), gamma=1.0)
+    return ImportanceMap(sums.scale(1.0 / len(idx)))
 
 
 def random_importance(model: MultiHeadClassifier, seed: int) -> ImportanceMap:
     """Random nonnegative flatness stand-in, drawn once per task."""
     rng = np.random.Generator(np.random.PCG64(seed))
     params = model.parameters()
-    return ImportanceMap(params.unflatten(rng.uniform(0.0, 1.0, size=params.total_size())),
-                         gamma=1.0)
+    return ImportanceMap(params.unflatten(rng.uniform(0.0, 1.0, size=params.total_size())))
 
 
-def accumulate_fisher(importance: ImportanceMap, fresh: ImportanceMap,
+def accumulate_fisher(importance: ImportanceMap | None, fresh: ImportanceMap,
                       gamma: float) -> ImportanceMap:
-    """Decay the old accumulator, then add the fresh per-task values."""
-    importance.values.require_aligned(fresh.values, "accumulate_fisher")
-    merged = fresh.values.unflatten(importance.values.flat * gamma + fresh.values.flat)
-    return ImportanceMap(merged, gamma=gamma)
+    """Decay the old accumulator, then add the fresh per-task values.
+
+    With no accumulator yet the result is a copy of `fresh`.  The old layout
+    must be a prefix of the fresh one; heads added since the last
+    accumulation start at zero importance.
+    """
+    if importance is None:
+        return ImportanceMap(fresh.values.copy())
+    old, new = importance.values, fresh.values
+    if ([(n, a.shape) for n, a in old.items()]
+            != [(n, a.shape) for n, a in new.items()[:len(old)]]):
+        raise ValueError(f"accumulate_fisher: accumulated layout {old!r} is not a "
+                         f"prefix of the fresh layout {new!r}")
+    pad = np.zeros(new.total_size() - old.total_size())
+    return ImportanceMap(new.unflatten(np.concatenate([old.flat, pad]) * gamma + new.flat))
 
 
 def soft_penalty(params: ParameterSet, region: FlatRegion,
@@ -414,8 +422,6 @@ class ContinualResult:
     model: MultiHeadClassifier
     accuracy_matrix: np.ndarray       # (T, T), NaN above the diagonal
     reports: list
-    importance_history: list          # accumulated ImportanceMap after each task
-    region_history: list              # FlatRegion used while training each task (None first)
     probe_values: list                # probe_fn outputs per task, if probing
 
 
@@ -424,20 +430,21 @@ def _derived_seed(seed, *tags):
 
 
 def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
-                    seed: int, epochs: int, probe_fn=None,
-                    resume_state: dict | None = None,
+                    seed: int, epochs: int, probe_fn=None, resume=None,
                     checkpoint_fn=None, step_hook=None) -> ContinualResult:
     """Sequential training over a task stream with flat-region constraints.
 
     After each task: estimate Fisher at the converged weights, decay-then-add
     into the accumulator, snapshot the anchor, and record test accuracy on
-    all seen tasks.  `resume_state` (from a checkpoint) restarts at a task
-    boundary and reproduces the uninterrupted run bitwise.
+    all seen tasks.  `resume`, a loaded `checkpoint.Checkpoint`, restarts at
+    its task boundary and reproduces the uninterrupted run bitwise.  After
+    each task `checkpoint_fn(t, **fields)` receives the resume fields of a
+    `Checkpoint` by name.
     """
     flags = config.variant
     n_tasks = len(stream)
     matrix = np.full((n_tasks, n_tasks), np.nan)
-    reports, importance_history, region_history, probe_values = [], [], [], []
+    reports, probe_values = [], []
 
     rng = np.random.Generator(np.random.PCG64(_derived_seed(seed, 1)))
     buffer = (ReplayBuffer(store_ratio=config.store_ratio,
@@ -447,15 +454,14 @@ def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
     anchor = None
     start_task = 0
 
-    if resume_state is not None:
-        start_task = resume_state["next_task"]
-        rng.bit_generator.state = resume_state["rng_state"]
-        accumulated = resume_state["importance"]
-        anchor = resume_state["anchor"]
+    if resume is not None:
+        start_task = resume.next_task
+        rng.bit_generator.state = resume.rng_state
+        accumulated = resume.importance
+        anchor = resume.anchor
         if flags.replay:
-            buffer = resume_state["replay_buffer"]
-        done = resume_state["matrix_rows"]
-        matrix[:done.shape[0], :] = done
+            buffer = resume.replay_buffer
+        matrix[:resume.matrix_rows.shape[0], :] = resume.matrix_rows
 
     for t in range(start_task, n_tasks):
         task = stream[t]
@@ -472,32 +478,20 @@ def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
                 task_importance = accumulated
             else:
                 task_importance = random_importance(model, _derived_seed(seed, 3, t))
-        # Sparse masks reuse the accumulated importance even when the soft
-        # penalty itself is disabled.
-        mask_importance = task_importance
-        if mask_importance is None and accumulated is not None:
-            mask_importance = accumulated
 
         val_sets = [(*stream[j].val_xy(), j) for j in range(t + 1)]
-        report = train_task(model, task, region, task_importance, buffer,
-                            config, rng, epochs, val_sets, step_hook=step_hook)
-        reports.append(report)
-        region_history.append(region)
+        # Without l2 the accumulated importance still drives the sparse mask;
+        # the penalty needs l2, so it stays off.
+        reports.append(train_task(model, task, region, task_importance or accumulated,
+                                  buffer, config, rng, epochs, val_sets,
+                                  step_hook=step_hook))
 
         feats, labels = task.train_xy()
         if flags.find or config.sparse_update_ratio < 1.0:
             fresh = find_fisher(model, feats, labels, t,
                                 config.fisher_sample_count,
                                 _derived_seed(seed, 2, t))
-            if accumulated is None:
-                accumulated = ImportanceMap(fresh.values.copy(), gamma=config.gamma)
-            else:
-                # Heads added since the last accumulation start at zero importance.
-                pad = np.zeros(fresh.values.total_size() - accumulated.values.total_size())
-                old = fresh.values.unflatten(np.concatenate([accumulated.values.flat, pad]))
-                accumulated = accumulate_fisher(
-                    ImportanceMap(old, gamma=config.gamma), fresh, config.gamma)
-        importance_history.append(accumulated)
+            accumulated = accumulate_fisher(accumulated, fresh, config.gamma)
 
         anchor = model.parameters().copy()
 
@@ -512,17 +506,11 @@ def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
             probe_values.append(probe_fn(model, t))
 
         if checkpoint_fn is not None:
-            checkpoint_fn(t, {
-                "next_task": t + 1,
-                "rng_state": rng.bit_generator.state,
-                "importance": accumulated,
-                "anchor": anchor,
-                "replay_buffer": buffer,
-                "matrix_rows": matrix[:t + 1, :].copy(),
-            })
+            checkpoint_fn(t, next_task=t + 1, rng_state=rng.bit_generator.state,
+                          importance=accumulated, anchor=anchor, replay_buffer=buffer,
+                          matrix_rows=matrix[:t + 1, :].copy())
 
-    return ContinualResult(model, matrix, reports, importance_history,
-                           region_history, probe_values)
+    return ContinualResult(model, matrix, reports, probe_values)
 
 
 def train_multitask(model: MultiHeadClassifier, stream, config: OptimizerConfig,

@@ -203,17 +203,6 @@ class SharpnessReport:
     n_directions: int
     lanczos_iters: int
 
-    def as_dict(self):
-        return {
-            "ball_sharpness": self.ball_sharpness,
-            "first_order_sharpness": self.first_order_sharpness,
-            "lambda_max": self.lambda_max,
-            "log_lambda_max": self.log_lambda_max,
-            "rho_used": self.rho_used,
-            "n_directions": self.n_directions,
-            "lanczos_iters": self.lanczos_iters,
-        }
-
 
 def sharpness_report(model: MultiHeadClassifier, batch: Batch, rho: float,
                      n_directions: int = 16, lanczos_iters: int = 30,

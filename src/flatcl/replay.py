@@ -69,7 +69,8 @@ def select_exemplars(features, labels, k, seed, max_iters=100):
 
 
 class ReplayBuffer:
-    """Fixed exemplar store, filled once per finished task."""
+    """Fixed exemplar store, filled once per finished task: row i of
+    `features` has the int64 label `labels[i]` and task id `task_ids[i]`."""
 
     def __init__(self, store_ratio=0.01, replay_every=20):
         if not (0 < store_ratio <= 1):
@@ -78,38 +79,34 @@ class ReplayBuffer:
             raise ValueError("replay_every must be >= 1")
         self.store_ratio = store_ratio
         self.replay_every = replay_every
-        self.exemplars: list[tuple[np.ndarray, int, int]] = []  # (feature, label, task_id)
+        self.features = np.zeros((0, 0))
+        self.labels = np.zeros(0, dtype=np.int64)
+        self.task_ids = np.zeros(0, dtype=np.int64)
 
     def __len__(self):
-        return len(self.exemplars)
+        return len(self.labels)
 
     def add_task(self, features, labels, task_id, seed):
         k = max(1, int(np.floor(self.store_ratio * len(labels))))
         idx = select_exemplars(features, labels, k, seed)
-        for i in idx:
-            self.exemplars.append((np.array(features[i], dtype=np.float64),
-                                   int(labels[i]), int(task_id)))
-
-    def task_counts(self):
-        counts = {}
-        for _, _, t in self.exemplars:
-            counts[t] = counts.get(t, 0) + 1
-        return counts
+        picked = np.asarray(features, dtype=np.float64)[idx]
+        self.features = (np.concatenate([self.features, picked]) if len(self)
+                         else picked)
+        self.labels = np.concatenate([self.labels, np.asarray(labels, dtype=np.int64)[idx]])
+        self.task_ids = np.concatenate([self.task_ids,
+                                        np.full(len(idx), task_id, dtype=np.int64)])
 
     def sample_batches(self, batch_size, rng) -> list[Batch]:
-        """Uniform draw over all exemplars, grouped by task into per-head batches."""
-        if not self.exemplars:
+        """Uniform draw over all exemplars, grouped by task into per-head
+        batches in task order; rows keep the order they were drawn in."""
+        if not len(self):
             return []
-        idx = rng.integers(len(self.exemplars), size=batch_size)
-        groups: dict[int, list[int]] = {}
-        for i in idx:
-            groups.setdefault(self.exemplars[i][2], []).append(int(i))
+        idx = rng.integers(len(self), size=batch_size)
+        tasks = self.task_ids[idx]
         batches = []
-        for task_id in sorted(groups):
-            rows = groups[task_id]
-            feats = np.stack([self.exemplars[i][0] for i in rows])
-            labels = np.array([self.exemplars[i][1] for i in rows])
-            batches.append(Batch(feats, labels, task_id))
+        for task_id in np.unique(tasks):
+            rows = idx[tasks == task_id]
+            batches.append(Batch(self.features[rows], self.labels[rows], int(task_id)))
         return batches
 
 

@@ -25,10 +25,12 @@ VARIANT_FLAGS = {
     "cf_minus_find": VariantFlags(create=True, l2=True, clamp=True, replay=True),
     "cf_minus_l2": VariantFlags(create=True, clamp=True, replay=True),
     "cf_minus_create": VariantFlags(find=True, l2=True, clamp=True, replay=True),
-    "create_only": VariantFlags(create=True, clamp=True, replay=True),
-    "random_indicator": VariantFlags(create=True, l2=True, clamp=True, replay=True),
     "mtl": VariantFlags(),
 }
+# The paper's names for two ablations: random importance in place of Fisher
+# is cf without find, and create alone is cf without the l2 penalty.
+VARIANT_FLAGS["random_indicator"] = VARIANT_FLAGS["cf_minus_find"]
+VARIANT_FLAGS["create_only"] = VARIANT_FLAGS["cf_minus_l2"]
 
 
 # Keys a config may hold, per section; keys starting with "_" are comments.
@@ -41,19 +43,31 @@ CONFIG_KEYS = {
                           if f.name != "variant"),
     "probe": "enabled batch_size lanczos_iters",
 }
+# Keys read without a default, per section.
+REQUIRED_KEYS = {
+    "": "benchmark epochs_per_task model",
+    "benchmark": "kind n_tasks classes_per_task dim samples_per_class separation",
+    "model": "hidden_dims",
+}
 
 
 def check_config_keys(cfg: dict):
-    """Raise a one-line ValueError naming the first unknown key."""
+    """Raise a one-line ValueError naming the first unknown or missing key."""
     for section, allowed in CONFIG_KEYS.items():
         body = cfg.get(section, {}) if section else cfg
+        where = f" in {section!r}" if section else ""
         if not isinstance(body, dict):
             raise ValueError(f"config section {section!r} must be an object")
         for key in body:
             if key not in allowed.split() and not key.startswith("_"):
-                raise ValueError(f"unknown config key {key!r}"
-                                 f"{f' in {section!r}' if section else ''}; "
+                raise ValueError(f"unknown config key {key!r}{where}; "
                                  f"expected one of: {allowed}")
+        required = REQUIRED_KEYS.get(section, "").split()
+        if section == "benchmark" and body.get("kind") == "rotated_gaussians":
+            required.append("rotation_per_task")
+        for key in required:
+            if key not in body:
+                raise ValueError(f"missing config key {key!r}{where}")
 
 
 def load_config(path) -> dict:
@@ -179,28 +193,14 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
             return {"task": task_idx, "lambda_max": res.lambda_max,
                     "log_lambda_max": res.log_lambda_max}
 
-    def checkpoint_fn(task_idx, state):
-        save_checkpoint(os.path.join(out_dir, f"ckpt_task{task_idx}.bin"), Checkpoint(
-            model=model, config_hash=chash, rng_state=state["rng_state"],
-            next_task=state["next_task"], importance=state["importance"],
-            anchor=state["anchor"], matrix_rows=state["matrix_rows"],
-            replay_buffer=state["replay_buffer"]))
+    def checkpoint_fn(task_idx, **state):
+        save_checkpoint(os.path.join(out_dir, f"ckpt_task{task_idx}.bin"),
+                        Checkpoint(model=model, config_hash=chash, **state))
 
     model = _build_model(cfg, stream, seed) if loaded is None else loaded.model
-    resume_state = None
-    if loaded is not None:
-        resume_state = {
-            "next_task": loaded.next_task,
-            "rng_state": loaded.rng_state,
-            "importance": loaded.importance,
-            "anchor": loaded.anchor,
-            "replay_buffer": loaded.replay_buffer,
-            "matrix_rows": loaded.matrix_rows,
-        }
-
     _fresh_dir(out_dir)
     result = train_continual(model, stream, opt_config, seed, epochs,
-                             probe_fn=probe_fn, resume_state=resume_state,
+                             probe_fn=probe_fn, resume=loaded,
                              checkpoint_fn=checkpoint_fn)
 
     write_matrix_csv(os.path.join(out_dir, "matrix.csv"), result.accuracy_matrix)

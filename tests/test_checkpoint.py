@@ -43,7 +43,7 @@ def test_full_state_round_trip(tmp_path):
     rng = np.random.Generator(np.random.PCG64(5))
     rng.normal(size=100)  # advance away from the fresh state
     imp = ImportanceMap(ParameterSet(
-        (n, np.abs(a) + 1.0) for n, a in model.parameters().items()), gamma=0.9)
+        (n, np.abs(a) + 1.0) for n, a in model.parameters().items()))
     anchor = model.parameters().copy()
     matrix = np.array([[0.5, np.nan], [0.4, 0.6]])
     buf = ReplayBuffer(store_ratio=0.5, replay_every=7)
@@ -58,7 +58,6 @@ def test_full_state_round_trip(tmp_path):
     loaded = load_checkpoint(path)
 
     assert loaded.next_task == 2
-    assert loaded.importance.gamma == 0.9
     for n in imp.values:
         assert np.array_equal(loaded.importance.values[n], imp.values[n])
         assert np.array_equal(loaded.anchor[n], anchor[n])
@@ -66,14 +65,50 @@ def test_full_state_round_trip(tmp_path):
     assert loaded.replay_buffer.store_ratio == 0.5
     assert loaded.replay_buffer.replay_every == 7
     assert len(loaded.replay_buffer) == len(buf)
-    for (fa, la, ta), (fb, lb, tb) in zip(loaded.replay_buffer.exemplars,
-                                          buf.exemplars):
-        assert np.array_equal(fa, fb) and la == lb and ta == tb
 
     # the restored rng state continues the exact same stream
     rng2 = np.random.Generator(np.random.PCG64(0))
     rng2.bit_generator.state = loaded.rng_state
     assert np.array_equal(rng.normal(size=10), rng2.normal(size=10))
+
+
+@pytest.mark.parametrize("n_tasks", [0, 1, 3])
+def test_replay_arrays_round_trip(tmp_path, n_tasks):
+    """The replay store's three arrays come back bitwise, with their dtypes
+    and shapes, including an empty store."""
+    model = random_mlp(39)
+    buf = ReplayBuffer(store_ratio=0.3, replay_every=5)
+    rng = np.random.default_rng(3)
+    for t in range(n_tasks):
+        buf.add_task(rng.normal(size=(10, model.input_dim)), np.arange(10) % 3, t, seed=t)
+    path = tmp_path / "replay.bin"
+    save_checkpoint(path, Checkpoint(model=model, replay_buffer=buf))
+    loaded = load_checkpoint(path).replay_buffer
+    for name in ("features", "labels", "task_ids"):
+        a, b = getattr(loaded, name), getattr(buf, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert loaded.task_ids.tolist() == sorted(loaded.task_ids.tolist())
+    draw = [loaded.sample_batches(8, np.random.default_rng(1)),
+            buf.sample_batches(8, np.random.default_rng(1))]
+    for x, y in zip(*draw):
+        assert x.task_id == y.task_id
+        assert x.features.tobytes() == y.features.tobytes()
+        assert x.labels.tobytes() == y.labels.tobytes()
+
+
+@pytest.mark.parametrize("field", ["importance", "anchor"])
+def test_save_rejects_misaligned_state(tmp_path, field):
+    """Importance and anchor are stored as blocks over the model's layout,
+    so state laid out for another model is refused before anything is written."""
+    model = random_mlp(40, classes=(3, 2))
+    params = random_mlp(40, classes=(3,)).parameters()
+    other = params.unflatten(np.abs(params.flat))
+    state = {"importance": ImportanceMap(other), "anchor": other}[field]
+    path = tmp_path / "bad.bin"
+    with pytest.raises(ValueError, match="misaligned"):
+        save_checkpoint(path, Checkpoint(model=model, **{field: state}))
+    assert not path.exists()
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -107,11 +142,11 @@ def test_wrong_format_rejected(tmp_path):
     data = path.read_bytes()
     mlen = int.from_bytes(data[8:16], "little")
     manifest = json.loads(data[16:16 + mlen])
-    manifest["format"] = "flatcl-checkpoint-v1"
+    manifest["format"] = "flatcl-checkpoint-v2"
     mbytes = json.dumps(manifest, sort_keys=True).encode()
     path.write_bytes(data[:8] + len(mbytes).to_bytes(8, "little") + mbytes
                      + data[16 + mlen:])
-    with pytest.raises(ValueError, match="flatcl-checkpoint-v2"):
+    with pytest.raises(ValueError, match="flatcl-checkpoint-v3"):
         load_checkpoint(path)
 
 

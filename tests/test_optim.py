@@ -140,12 +140,29 @@ def test_find_fisher_small_dataset_warns():
 
 
 def test_accumulate_fisher():
-    base = ImportanceMap(ParameterSet({"w": [1.0]}), gamma=0.95)
-    fresh = ImportanceMap(ParameterSet({"w": [0.5]}), gamma=0.95)
+    base = ImportanceMap(ParameterSet({"w": [1.0]}))
+    fresh = ImportanceMap(ParameterSet({"w": [0.5]}))
     assert accumulate_fisher(base, fresh, 0.95).values["w"].tolist() == [1.45]
     assert accumulate_fisher(base, fresh, 0.0).values["w"].tolist() == [0.5]
-    zero = ImportanceMap(ParameterSet({"w": [0.0]}), gamma=1.0)
+    zero = ImportanceMap(ParameterSet({"w": [0.0]}))
     assert accumulate_fisher(base, zero, 1.0).values["w"].tolist() == [1.0]
+    first = accumulate_fisher(None, fresh, 0.95)
+    assert first.values["w"].tolist() == [0.5] and first.values.flat is not fresh.values.flat
+
+
+def test_accumulate_fisher_pads_new_heads_and_rejects_non_prefix():
+    fresh = ImportanceMap(ParameterSet({"enc": [1.0, 1.0], "head0": [1.0],
+                                        "head1": [3.0, 5.0]}))
+    old = ImportanceMap(ParameterSet({"enc": [1.0, 2.0], "head0": [4.0]}))
+    merged = accumulate_fisher(old, fresh, 0.5)
+    assert merged.values.names() == ["enc", "head0", "head1"]
+    assert merged.values.flat.tolist() == [1.5, 2.0, 3.0, 3.0, 5.0]
+    for bad in ({"head0": [4.0], "enc": [1.0, 2.0]},          # reordered
+                {"enc": [1.0], "head0": [4.0, 1.0]},          # reshaped
+                {"enc": [1.0, 2.0], "head0": [4.0], "head1": [1.0, 1.0],
+                 "head2": [1.0]}):                            # longer
+        with pytest.raises(ValueError, match="prefix"):
+            accumulate_fisher(ImportanceMap(ParameterSet(bad)), fresh, 0.5)
 
 
 def test_importance_rejects_negative():
@@ -157,8 +174,8 @@ def test_importance_rejects_negative():
 @given(st.lists(st.floats(0, 10), min_size=1, max_size=5),
        st.lists(st.floats(0, 1), min_size=1, max_size=4))
 def test_accumulate_stays_nonnegative(values, gammas):
-    acc = ImportanceMap(ParameterSet({"w": values}), gamma=1.0)
-    fresh = ImportanceMap(ParameterSet({"w": values}), gamma=1.0)
+    acc = ImportanceMap(ParameterSet({"w": values}))
+    fresh = ImportanceMap(ParameterSet({"w": values}))
     for g in gammas:
         acc = accumulate_fisher(acc, fresh, g)
         assert np.all(acc.values["w"] >= 0)
@@ -406,6 +423,35 @@ def test_clamp_box_holds_after_every_train_task_step(seed, rho, base_optimizer):
                         [(*stream[1].val_xy(), 1)], step_hook=hook)
     assert inside and all(inside)
     assert len(inside) == len(report.clamp_counts)
+
+
+@pytest.mark.parametrize("flags", [VariantFlags(),
+                                   VariantFlags(create=True, clamp=True, replay=True)])
+def test_sparse_mask_applies_without_l2(flags):
+    """Without the l2 penalty the accumulated Fisher still builds the sparse
+    mask: under Adam with no weight decay, the constrained coordinates
+    outside the mask keep their anchor values bitwise through task 1."""
+    stream = _tiny_stream(57, n_tasks=2)
+    cfg = _config(variant=flags, sparse_update_ratio=0.5, weight_decay=0.0)
+    model = MultiHeadClassifier(12, 4, [6], [3])
+    accumulated, frozen = {}, []
+
+    def keep(t, importance, **state):
+        accumulated[t] = importance
+
+    def hook(m, region):
+        if region is None:
+            return
+        names = region.constrained_names
+        layers = [names[i:i + 2] for i in range(0, len(names), 2)]
+        out = build_sparse_mask(accumulated[0], 0.5, layers).prefix(names) == 0.0
+        assert 0 < np.count_nonzero(out) < out.size
+        w, anchor = m.parameters().prefix(names), region.anchor.prefix(names)
+        frozen.append(w[out].tobytes() == anchor[out].tobytes())
+
+    train_continual(model, stream, cfg, seed=11, epochs=1, checkpoint_fn=keep,
+                    step_hook=hook)
+    assert frozen and all(frozen)
 
 
 def test_lambda_zero_matches_find_disabled_trace():

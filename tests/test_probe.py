@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -215,7 +217,7 @@ def test_sharpness_report_fields_and_restoration():
                            lanczos_iters=5, seed=0)
     for n in before:
         assert np.array_equal(model.parameters()[n], before[n])
-    d = rep.as_dict()
+    d = dataclasses.asdict(rep)
     assert set(d) == {"ball_sharpness", "first_order_sharpness", "lambda_max",
                       "log_lambda_max", "rho_used", "n_directions",
                       "lanczos_iters"}

@@ -128,3 +128,18 @@ def test_sample_deterministic_given_rng_state():
     for x, y in zip(a, b):
         assert np.array_equal(x.features, y.features)
         assert np.array_equal(x.labels, y.labels)
+
+
+def test_sample_batches_follow_one_draw_in_draw_order():
+    """One uniform draw over all rows; each task's batch holds its drawn rows
+    in the order they were drawn, and batches come in task order."""
+    buf = ReplayBuffer(store_ratio=1.0)
+    buf.add_task(np.arange(8.0).reshape(4, 2), np.array([0, 1, 2, 0]), 0, seed=0)
+    buf.add_task(-np.arange(1.0, 7.0).reshape(3, 2), np.array([1, 0, 1]), 1, seed=0)
+    idx = np.random.default_rng(7).integers(len(buf), size=12)
+    batches = buf.sample_batches(12, np.random.default_rng(7))
+    assert [b.task_id for b in batches] == sorted(set(buf.task_ids[idx].tolist()))
+    for b in batches:
+        rows = [i for i in idx if buf.task_ids[i] == b.task_id]
+        assert b.features.tobytes() == buf.features[rows].tobytes()
+        assert b.labels.tolist() == buf.labels[rows].tolist()

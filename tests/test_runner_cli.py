@@ -6,8 +6,8 @@ import pytest
 
 from flatcl.checkpoint import load_checkpoint
 from flatcl.cli import main
-from flatcl.runner import (load_config, read_matrix_csv, run_experiment,
-                           run_single_seed, write_matrix_csv)
+from flatcl.runner import (VARIANT_FLAGS, load_config, read_matrix_csv,
+                           run_experiment, run_single_seed, write_matrix_csv)
 
 
 def small_cfg():
@@ -105,6 +105,33 @@ def test_unknown_config_key_rejected(tmp_path, section, key):
         load_config(write_cfg(tmp_path, cfg))
 
 
+MISSING_KEYS = [(None, "benchmark"), (None, "epochs_per_task"), (None, "model"),
+                ("benchmark", "kind"), ("benchmark", "n_tasks"),
+                ("benchmark", "classes_per_task"), ("benchmark", "dim"),
+                ("benchmark", "samples_per_class"), ("benchmark", "separation"),
+                ("benchmark", "rotation_per_task"), ("model", "hidden_dims")]
+
+
+@pytest.mark.parametrize("section,key", MISSING_KEYS)
+def test_missing_config_key_rejected(tmp_path, section, key):
+    cfg = small_cfg()
+    del (cfg if section is None else cfg[section])[key]
+    out = str(tmp_path / "run")
+    with pytest.raises(ValueError, match=f"missing config key {key!r}") as info:
+        run_single_seed(cfg, "seq", 1, out)
+    assert "\n" not in str(info.value)
+    if section is not None:
+        assert repr(section) in str(info.value)
+    assert not os.path.exists(out)
+
+
+def test_rotation_only_required_for_rotated_benchmark(tmp_path):
+    cfg = small_cfg()
+    cfg["benchmark"]["kind"] = "permuted_features"
+    del cfg["benchmark"]["rotation_per_task"]
+    run_single_seed(cfg, "seq", 1, str(tmp_path / "run"))
+
+
 def test_comment_keys_and_shipped_configs_accepted(tmp_path):
     from importlib import resources
     for name in ("rot5.json", "perm5.json"):
@@ -167,6 +194,11 @@ def test_order_applied(tmp_path):
     row = run_single_seed(cfg, "seq", 1, str(tmp_path / "rev"))
     base = run_single_seed(small_cfg(), "seq", 1, str(tmp_path / "fwd"))
     assert row["avg_accuracy_after_last"] != base["avg_accuracy_after_last"]
+
+
+def test_ablation_aliases_share_flags():
+    assert VARIANT_FLAGS["random_indicator"] is VARIANT_FLAGS["cf_minus_find"]
+    assert VARIANT_FLAGS["create_only"] is VARIANT_FLAGS["cf_minus_l2"]
 
 
 def test_unknown_variant_rejected(tmp_path):
@@ -254,6 +286,13 @@ def test_cli_probe_checkpoint(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["ball_sharpness"] >= 0
     assert np.isfinite(report["lambda_max"])
+    assert report["rho_used"] == 0.1
+    for argv, rho in ((["--rho", "0"], 0.0), ([], 0.05)):
+        assert main(["probe", "--checkpoint", ckpt, "--config", cfg_path,
+                     "--lanczos-iters", "5", *argv]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["rho_used"] == rho
+    assert report["ball_sharpness"] >= 0
 
 
 def test_cli_metrics_recomputes_from_csv(tmp_path, capsys):
@@ -299,6 +338,17 @@ def test_cli_run_rejects_unknown_config_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ValueError: unknown config key 'optimzer'")
     assert err.strip().count("\n") == 0
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_cli_run_rejects_missing_config_key(tmp_path, capsys):
+    cfg = small_cfg()
+    del cfg["epochs_per_task"]
+    rc = main(["run", "--config", write_cfg(tmp_path, cfg), "--variant", "seq",
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: ValueError: missing config key 'epochs_per_task'\n"
     assert not os.path.exists(tmp_path / "o")
 
 
