@@ -62,6 +62,9 @@ def _cmd_probe(args):
     cfg = load_config(args.config)
     ckpt = load_checkpoint(args.checkpoint)
     stream = build_stream(cfg, args.seed)
+    if not 0 <= args.task < len(stream):
+        raise ValueError(f"--task {args.task} is out of range: the config has "
+                         f"{len(stream)} tasks")
     feats, labels = stream[args.task].val_xy()
     size = cfg.get("probe", {}).get("batch_size", 64)
     batch = Batch(feats[:size], labels[:size], args.task)

@@ -128,7 +128,7 @@ class MultiHeadClassifier:
 
     def _forward(self, features, task_id):
         """(layer inputs [x, h1, ..., hL], logits) for one head."""
-        if task_id >= len(self.heads):
+        if not 0 <= task_id < len(self.heads):
             raise ValueError(f"no head for task {task_id} (have {len(self.heads)})")
         h = np.asarray(features, dtype=np.float64)
         if h.ndim != 2 or h.shape[1] != self.input_dim:

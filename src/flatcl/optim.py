@@ -77,7 +77,6 @@ class OptimizerConfig:
     gamma: float = 0.95           # importance decay
     fisher_sample_count: int = 128
     validate_every_steps: int = 50
-    warmup_steps: int = 0
     variant: VariantFlags = field(default_factory=VariantFlags)
     sparse_update_ratio: float = 1.0
     store_ratio: float = 0.01
@@ -263,19 +262,11 @@ class OptimizerState:
     """SGD or Adam-with-decoupled-weight-decay state; the Adam moments `m`
     and `v` are flat vectors over the parameter buffer."""
 
-    def __init__(self, config: OptimizerConfig, params: ParameterSet,
-                 beta1=0.9, beta2=0.999, eps=1e-8):
-        self.config = config
+    def __init__(self, params: ParameterSet, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = np.zeros(params.total_size())
         self.v = np.zeros(params.total_size())
-
-    def _lr(self):
-        lr = self.config.learning_rate
-        if self.config.warmup_steps > 0:
-            lr *= min(1.0, self.t / self.config.warmup_steps)
-        return lr
 
 
 def base_step(state: OptimizerState, params: ParameterSet,
@@ -286,7 +277,7 @@ def base_step(state: OptimizerState, params: ParameterSet,
     if not np.isfinite(g).all():
         raise FloatingPointError("non-finite gradients in base_step")
     state.t += 1
-    lr = state._lr()
+    lr = config.learning_rate
     w = params.flat
     if config.base_optimizer == "sgd":
         w -= lr * g
@@ -307,41 +298,23 @@ def base_step(state: OptimizerState, params: ParameterSet,
 # task-level training
 
 
-class _BestSnapshot:
-    """Best pooled validation accuracy seen so far, the step that reached it
-    and a copy of the weight buffer at that step."""
-
-    def __init__(self, model: MultiHeadClassifier, val_sets):
-        self.model, self.val_sets = model, val_sets
-        self.accuracy, self.step, self.theta = -1.0, -1, None
-
-    def validate(self, step: int) -> float:
-        correct = total = 0
-        for feats, labels, task_id in self.val_sets:
-            correct += int(np.sum(self.model.predict(feats, task_id) == labels))
-            total += len(labels)
-        acc = correct / total if total else 0.0
-        if acc > self.accuracy:
-            self.accuracy, self.step, self.theta = acc, step, self.model.theta.copy()
-        return acc
-
-    def restore(self):
-        if self.theta is not None:
-            np.copyto(self.model.theta, self.theta)
-
-
-def train_task(model: MultiHeadClassifier, task, region, importance,
+def train_task(model: MultiHeadClassifier, tasks, region, importance,
                replay_buffer: ReplayBuffer | None, config: OptimizerConfig,
                rng, epochs: int, val_sets, step_hook=None) -> TaskReport:
-    """Run one task's training loop; leaves the best-validation snapshot in
-    the model.  `task` supplies train_xy() and task_id; `val_sets` is a list
-    of (features, labels, task_id) for all seen tasks."""
+    """Train on `tasks` and leave the best-validation snapshot in the model.
+
+    Each task supplies train_xy() and task_id.  Every epoch draws one
+    permutation per task, in task order, then steps through the tasks'
+    minibatches round-robin.  The last task is the current one: its
+    constrained names are the ones perturbed and masked, and it names the
+    report.  `val_sets` is a list of (features, labels, task_id), pooled for
+    validation.
+    """
     flags = config.variant
-    task_id = task.task_id
-    feats, labels = task.train_xy()
-    n = len(labels)
+    data = [(task.task_id, *task.train_xy()) for task in tasks]
+    task_id = tasks[-1].task_id
     params = model.parameters()
-    state = OptimizerState(config, params)
+    state = OptimizerState(params)
     report = TaskReport(task_id=task_id)
 
     use_penalty = flags.l2 and region is not None and importance is not None
@@ -366,11 +339,20 @@ def train_task(model: MultiHeadClassifier, task, region, importance,
         return grads, loss
 
     total = params.zeros_like()  # the step's summed gradient, rewritten each step
-    best = _BestSnapshot(model, val_sets)
+    best_theta = None
     step_index = 0
 
     def validate(step):
-        report.validation_curve.append((step, best.validate(step)))
+        nonlocal best_theta
+        correct = seen = 0
+        for feats, labels, val_task in val_sets:
+            correct += int(np.sum(model.predict(feats, val_task) == labels))
+            seen += len(labels)
+        acc = correct / seen if seen else 0.0
+        report.validation_curve.append((step, acc))
+        if best_theta is None or acc > report.best_accuracy:
+            report.best_step, report.best_accuracy = step, acc
+            best_theta = model.theta.copy()
 
     def do_step(batches):
         nonlocal step_index
@@ -399,17 +381,20 @@ def train_task(model: MultiHeadClassifier, task, region, importance,
         if step_index % config.validate_every_steps == 0:
             validate(step_index)
 
+    longest = max(len(labels) for _, _, labels in data)
     for _ in range(epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            do_step([Batch(feats[idx], labels[idx], task_id)])
-            if (flags.replay and replay_buffer is not None and len(replay_buffer)
-                    and replay_schedule(step_index, replay_buffer.replay_every)):
-                do_step(replay_buffer.sample_batches(config.batch_size, rng))
+        perms = [rng.permutation(len(labels)) for _, _, labels in data]
+        for start in range(0, longest, config.batch_size):
+            for (tid, feats, labels), perm in zip(data, perms):
+                idx = perm[start:start + config.batch_size]
+                if not idx.size:
+                    continue
+                do_step([Batch(feats[idx], labels[idx], tid)])
+                if (flags.replay and replay_buffer is not None and len(replay_buffer)
+                        and replay_schedule(step_index, replay_buffer.replay_every)):
+                    do_step(replay_buffer.sample_batches(config.batch_size, rng))
     validate(step_index)
-    best.restore()
-    report.best_step, report.best_accuracy = best.step, best.accuracy
+    np.copyto(model.theta, best_theta)
     return report
 
 
@@ -482,7 +467,7 @@ def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
         val_sets = [(*stream[j].val_xy(), j) for j in range(t + 1)]
         # Without l2 the accumulated importance still drives the sparse mask;
         # the penalty needs l2, so it stays off.
-        reports.append(train_task(model, task, region, task_importance or accumulated,
+        reports.append(train_task(model, [task], region, task_importance or accumulated,
                                   buffer, config, rng, epochs, val_sets,
                                   step_hook=step_hook))
 
@@ -515,36 +500,13 @@ def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
 
 def train_multitask(model: MultiHeadClassifier, stream, config: OptimizerConfig,
                     seed: int, epochs: int):
-    """Joint round-robin training over all tasks; returns per-task test
-    accuracies (the intransigence reference)."""
+    """Joint round-robin training over all tasks through `train_task`;
+    returns per-task test accuracies (the intransigence reference)."""
     for t, task in enumerate(stream):
         if t >= len(model.heads):
             model.add_task_head(task.class_count)
     rng = np.random.Generator(np.random.PCG64(_derived_seed(seed, 9)))
-    params = model.parameters()
-    state = OptimizerState(config, params)
-    best = _BestSnapshot(model, [(*task.val_xy(), t) for t, task in enumerate(stream)])
-    data = [task.train_xy() for task in stream]
-    step = 0
-    for _ in range(epochs):
-        queues = []
-        for t, (feats, labels) in enumerate(data):
-            perm = rng.permutation(len(labels))
-            chunks = [perm[s:s + config.batch_size]
-                      for s in range(0, len(labels), config.batch_size)]
-            queues.append(chunks)
-        for i in range(max(len(q) for q in queues)):
-            for t, chunks in enumerate(queues):
-                if i >= len(chunks):
-                    continue
-                feats, labels = data[t]
-                idx = chunks[i]
-                _, grads = model.loss_gradient(Batch(feats[idx], labels[idx], t))
-                base_step(state, params, grads, config)
-                step += 1
-                if step % config.validate_every_steps == 0:
-                    best.validate(step)
-    best.validate(step)
-    best.restore()
+    val_sets = [(*task.val_xy(), t) for t, task in enumerate(stream)]
+    train_task(model, list(stream), None, None, None, config, rng, epochs, val_sets)
     return np.array([model.accuracy(*task.test_xy(), t)
                      for t, task in enumerate(stream)])

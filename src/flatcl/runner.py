@@ -232,6 +232,8 @@ def run_experiment(cfg: dict, variant: str, out_root: str, seeds=None) -> list[d
     """Run every seed, recording a failed seed's error and traceback in
     failures.json and going on with the others."""
     check_config_keys(cfg)
+    if seeds is None and "seeds" not in cfg:
+        raise ValueError("config has no 'seeds' and no seed was given")
     seeds = list(seeds if seeds is not None else cfg["seeds"])
     if not seeds:
         raise ValueError("seeds must be nonempty")

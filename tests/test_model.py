@@ -71,9 +71,10 @@ def test_task_loss_matches_straightline_reimplementation():
 def test_missing_head_rejected():
     m = random_mlp(1)
     batch = random_batch(2, m)
-    batch.task_id = 5
-    with pytest.raises(ValueError, match="head"):
-        m.task_loss(batch)
+    for task_id in (5, -1):
+        batch.task_id = task_id
+        with pytest.raises(ValueError, match=f"no head for task {task_id}"):
+            m.task_loss(batch)
 
 
 def test_log_prob_gradient_is_minus_nll_gradient():

@@ -1,17 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatcl.autodiff import finite_diff_gradient
-from flatcl.data import gen_rotated_gaussians
+from flatcl.data import TaskStream, gen_rotated_gaussians
 from flatcl.model import Batch, MultiHeadClassifier
 from flatcl.optim import (FlatRegion, ImportanceMap, OptimizerConfig,
                           OptimizerState, VariantFlags, accumulate_fisher,
                           base_step, build_sparse_mask, clamp_to_region,
                           compute_perturbation, create_gradient, find_fisher,
                           random_importance, soft_penalty, train_continual,
-                          train_task)
+                          train_multitask, train_task)
 from flatcl.params import ParameterSet
 
 from conftest import random_batch, random_mlp
@@ -266,7 +268,7 @@ def test_flat_region_requires_prefix_names():
 def test_sgd_step():
     cfg = OptimizerConfig(learning_rate=0.1, base_optimizer="sgd", weight_decay=0.0)
     params = ParameterSet({"w": [1.0]})
-    state = OptimizerState(cfg, params)
+    state = OptimizerState(params)
     base_step(state, params, ParameterSet({"w": [2.0]}), cfg)
     assert abs(params["w"][0] - 0.8) <= 1e-15
 
@@ -274,7 +276,7 @@ def test_sgd_step():
 def test_zero_grads_zero_decay_unchanged():
     cfg = OptimizerConfig(learning_rate=0.1, weight_decay=0.0)
     params = ParameterSet({"w": [1.0, -2.0]})
-    state = OptimizerState(cfg, params)
+    state = OptimizerState(params)
     base_step(state, params, params.zeros_like(), cfg)
     assert params["w"].tolist() == [1.0, -2.0]
 
@@ -282,7 +284,7 @@ def test_zero_grads_zero_decay_unchanged():
 def test_adam_first_step_direction():
     cfg = OptimizerConfig(learning_rate=0.01, weight_decay=0.0)
     params = ParameterSet({"w": np.zeros(3)})
-    state = OptimizerState(cfg, params)
+    state = OptimizerState(params)
     base_step(state, params, ParameterSet({"w": np.ones(3)}), cfg)
     # bias-corrected moments are both 1 at step 1: update = -lr / (1 + eps)
     np.testing.assert_allclose(params["w"], -0.01 / (1 + 1e-8), rtol=1e-12)
@@ -291,7 +293,7 @@ def test_adam_first_step_direction():
 def test_base_step_rejects_nonfinite():
     cfg = OptimizerConfig()
     params = ParameterSet({"w": [1.0]})
-    state = OptimizerState(cfg, params)
+    state = OptimizerState(params)
     with pytest.raises(FloatingPointError):
         base_step(state, params, ParameterSet({"w": [np.inf]}), cfg)
 
@@ -377,6 +379,61 @@ def test_variant_all_off_single_task_matches_plain_sgd_trace():
         assert np.array_equal(model.parameters()[nm], twin.parameters()[nm])
 
 
+def test_multitask_matches_hand_written_joint_schedule():
+    """train_multitask replayed by hand: each epoch one permutation per task
+    in task order, then the tasks' minibatches round-robin (the shorter task
+    drops out when it runs out), plain SGD, and the best pooled-validation
+    snapshot restored at the end."""
+    stream = _tiny_stream(58, n_tasks=2)
+    short = stream[1]
+    train = short.splits["train"]
+    stream = TaskStream([stream[0], dataclasses.replace(short, splits={
+        "train": train[:45], "val": short.splits["val"],
+        "test": np.concatenate([short.splits["test"], train[45:]])})])
+    cfg = _config(base_optimizer="sgd", weight_decay=0.0, learning_rate=0.3)
+    model = MultiHeadClassifier(13, 4, [6], [3, 3])
+    twin = model.clone()
+    reference = train_multitask(model, stream, cfg, seed=4, epochs=3)
+
+    rng = np.random.Generator(np.random.PCG64([4, 9]))
+    data = [task.train_xy() for task in stream]
+    val = [task.val_xy() for task in stream]
+    params = twin.parameters()
+    best, best_step, best_params, step = -1.0, -1, None, 0
+
+    def validate():
+        nonlocal best, best_step, best_params
+        correct = sum(int(np.sum(twin.predict(x, t) == y)) for t, (x, y) in enumerate(val))
+        acc = correct / sum(len(y) for _, y in val)
+        if acc > best:
+            best, best_step, best_params = acc, step, params.copy()
+
+    for _ in range(3):
+        chunks = []
+        for _, y in data:
+            perm = rng.permutation(len(y))
+            chunks.append([perm[s:s + cfg.batch_size]
+                           for s in range(0, len(y), cfg.batch_size)])
+        assert [len(c) for c in chunks] == [9, 6]
+        for i in range(9):
+            for t, (x, y) in enumerate(data):
+                if i >= len(chunks[t]):
+                    continue
+                idx = chunks[t][i]
+                _, g = twin.loss_gradient(Batch(x[idx], y[idx], t))
+                for nm in params:
+                    params[nm] -= cfg.learning_rate * g[nm]
+                step += 1
+                if step % cfg.validate_every_steps == 0:
+                    validate()
+    validate()
+    assert 0 < best_step < step  # the restored snapshot is not the last step
+    twin.set_parameters(best_params)
+    assert np.array_equal(model.theta, twin.theta)
+    assert reference.tolist() == [twin.accuracy(*task.test_xy(), t)
+                                  for t, task in enumerate(stream)]
+
+
 def test_clamp_invariant_throughout_run():
     stream = _tiny_stream(51, n_tasks=2)
     cfg = _config(variant=VariantFlags(create=True, find=True, clamp=True,
@@ -418,7 +475,7 @@ def test_clamp_box_holds_after_every_train_task_step(seed, rho, base_optimizer):
         w = m.parameters().prefix(reg.constrained_names)
         inside.append(bool(np.all((w >= anchor - half) & (w <= anchor + half))))
 
-    report = train_task(model, stream[1], region, None, None, cfg,
+    report = train_task(model, [stream[1]], region, None, None, cfg,
                         np.random.Generator(np.random.PCG64(seed)), 1,
                         [(*stream[1].val_xy(), 1)], step_hook=hook)
     assert inside and all(inside)

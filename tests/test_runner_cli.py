@@ -91,7 +91,8 @@ def test_refused_config_leaves_no_directory(tmp_path):
 
 @pytest.mark.parametrize("section,key", [(None, "optimzer"), ("benchmark", "dims"),
                                          ("model", "hiden_dims"), ("probe", "enable"),
-                                         ("optimizer", "learnig_rate")])
+                                         ("optimizer", "learnig_rate"),
+                                         ("optimizer", "warmup_steps")])
 def test_unknown_config_key_rejected(tmp_path, section, key):
     cfg = small_cfg()
     cfg.setdefault("probe", {})
@@ -350,6 +351,31 @@ def test_cli_run_rejects_missing_config_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: ValueError: missing config key 'epochs_per_task'\n"
     assert not os.path.exists(tmp_path / "o")
+
+
+def test_cli_run_rejects_config_without_seeds(tmp_path, capsys):
+    cfg = small_cfg()
+    del cfg["seeds"]
+    rc = main(["run", "--config", write_cfg(tmp_path, cfg), "--variant", "seq",
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: ValueError: config has no 'seeds' and no seed was given\n")
+    assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("task", [2, 7, -1])
+def test_cli_probe_rejects_task_out_of_range(tmp_path, capsys, task):
+    cfg_path = write_cfg(tmp_path)
+    assert main(["run", "--config", cfg_path, "--variant", "seq", "--seed", "1",
+                 "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    ckpt = str(tmp_path / "out" / "tiny" / "seq" / "seed1" / "ckpt_task1.bin")
+    rc = main(["probe", "--checkpoint", ckpt, "--config", cfg_path,
+               "--task", str(task), "--lanczos-iters", "5"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: ValueError: --task {task} is out of range: the config has 2 tasks\n")
 
 
 def test_cli_error_is_single_line_and_nonzero(tmp_path, capsys):
