@@ -69,12 +69,7 @@ def save_checkpoint(path, ckpt: Checkpoint):
     if ckpt.replay_buffer is not None:
         buf = ckpt.replay_buffer
         blocks.append(("replay_features", buf.features))
-        replay_meta = {
-            "store_ratio": buf.store_ratio,
-            "replay_every": buf.replay_every,
-            "labels": buf.labels.tolist(),
-            "task_ids": buf.task_ids.tolist(),
-        }
+        replay_meta = {"labels": buf.labels.tolist(), "task_ids": buf.task_ids.tolist()}
     manifest = {
         "format": _FORMAT,
         "model": {
@@ -154,10 +149,8 @@ def load_checkpoint(path) -> Checkpoint:
     anchor = arrays.get("anchor")
 
     buffer = None
-    if manifest["replay"] is not None:
-        r = manifest["replay"]
-        buffer = ReplayBuffer(store_ratio=r["store_ratio"],
-                              replay_every=r["replay_every"])
+    if (r := manifest["replay"]) is not None:  # earlier v3 files also hold replay settings; unread
+        buffer = ReplayBuffer()
         buffer.features = arrays["replay_features"]
         buffer.labels = np.array(r["labels"], dtype=np.int64)
         buffer.task_ids = np.array(r["task_ids"], dtype=np.int64)

@@ -43,9 +43,10 @@ def _cmd_run(args):
     if not rows:
         raise RuntimeError("all seeds failed; see failures.json")
     for row in rows:
-        acc = row.get("avg_accuracy_after_last")
-        print(f"seed {row['seed']}: avg_accuracy={acc:.4f} "
-              f"forgetting={row.get('forgetting')}")
+        line = f"seed {row['seed']}: avg_accuracy={row['avg_accuracy_after_last']:.4f}"
+        if row.get("forgetting") is not None:  # an mtl row has none
+            line += f" forgetting={row['forgetting']}"
+        print(line)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Synthetic continual-learning benchmarks and delimited-file ingestion."""
+"""Synthetic continual-learning benchmarks and a delimited-file export."""
 
 from __future__ import annotations
 
@@ -43,7 +43,6 @@ class TaskDataset:
 @dataclass
 class TaskStream:
     tasks: list[TaskDataset]
-    order_name: str = "default"
 
     def __post_init__(self):
         for i, t in enumerate(self.tasks):
@@ -60,12 +59,11 @@ class TaskStream:
         return self.tasks[i]
 
 
-def _split_indices(n, rng, ratios=(0.6, 0.2, 0.2)):
-    """Deterministic train/val/test split; test takes what train and val
-    leave."""
+def _split_indices(n, rng):
+    """Deterministic 60/20/20 train/val/test split; test takes the rest."""
     perm = rng.permutation(n)
-    n_train = int(round(ratios[0] * n))
-    n_val = int(round(ratios[1] * n))
+    n_train = int(round(0.6 * n))
+    n_val = int(round(0.2 * n))
     return {
         "train": np.sort(perm[:n_train]),
         "val": np.sort(perm[n_train:n_train + n_val]),
@@ -110,7 +108,7 @@ def gen_rotated_gaussians(seed, n_tasks, classes_per_task, dim, samples_per_clas
         labels = np.concatenate(labels)
         splits = _split_indices(len(labels), rng)
         tasks.append(TaskDataset(f"rot{t}", t, features, labels, classes_per_task, splits))
-    return TaskStream(tasks, order_name="identity")
+    return TaskStream(tasks)
 
 
 def gen_permuted_features(seed, n_tasks, classes, dim, samples_per_class,
@@ -132,10 +130,10 @@ def gen_permuted_features(seed, n_tasks, classes, dim, samples_per_class,
             f"perm{t}", t, base_features[:, perm], base_labels.copy(), classes,
             {k: v.copy() for k, v in splits.items()},
         ))
-    return TaskStream(tasks, order_name="identity")
+    return TaskStream(tasks)
 
 
-def make_order(stream: TaskStream, permutation, order_name="custom") -> TaskStream:
+def make_order(stream: TaskStream, permutation) -> TaskStream:
     """Reorder (and possibly subset) a stream; task ids renumbered to 0..k-1."""
     permutation = list(permutation)
     if len(set(permutation)) != len(permutation) or any(
@@ -146,57 +144,13 @@ def make_order(stream: TaskStream, permutation, order_name="custom") -> TaskStre
         src = stream[old_id]
         tasks.append(TaskDataset(src.name, new_id, src.features, src.labels,
                                  src.class_count, src.splits))
-    return TaskStream(tasks, order_name=order_name)
-
-
-class DelimitedParseError(ValueError):
-    pass
+    return TaskStream(tasks)
 
 
 def save_delimited(path, features, labels):
-    """Full-precision decimal serialization; round-trips exactly."""
+    """Write `features, label` rows in full-precision decimal; reading them
+    back with `np.loadtxt(path, delimiter=",")` is bitwise exact."""
     with open(path, "w") as f:
         f.write("# columns: features..., label\n")
         for row, y in zip(np.asarray(features, dtype=np.float64), labels):
             f.write(",".join(repr(float(v)) for v in row) + f",{int(y)}\n")
-
-
-def load_delimited(path, task_id=0, name=None, class_count=None,
-                   split_seed=0, split_ratios=(0.6, 0.2, 0.2)) -> TaskDataset:
-    """Parse comma-separated rows of d feature columns plus an integer label."""
-    rows = []
-    width = None
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-                if width < 2:
-                    raise DelimitedParseError(
-                        f"{path}:{lineno}: need at least one feature and a label column")
-            elif len(cells) != width:
-                raise DelimitedParseError(
-                    f"{path}:{lineno}: ragged row ({len(cells)} cells, expected {width})")
-            try:
-                feats = [float(c) for c in cells[:-1]]
-            except ValueError:
-                raise DelimitedParseError(
-                    f"{path}:{lineno}: non-numeric feature cell") from None
-            try:
-                label = int(cells[-1])
-            except ValueError:
-                raise DelimitedParseError(
-                    f"{path}:{lineno}: non-integer label cell") from None
-            rows.append((feats, label))
-    if not rows:
-        raise DelimitedParseError(f"{path}: empty file")
-    features = np.array([r[0] for r in rows], dtype=np.float64)
-    labels = np.array([r[1] for r in rows], dtype=np.int64)
-    if class_count is None:
-        class_count = int(labels.max()) + 1
-    splits = _split_indices(len(labels), np.random.Generator(np.random.PCG64(split_seed)),
-                            split_ratios)
-    return TaskDataset(name or path, task_id, features, labels, class_count, splits)

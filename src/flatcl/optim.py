@@ -83,12 +83,23 @@ class OptimizerConfig:
     replay_every: int = 20
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1:
-            raise ValueError("learning_rate must be > 0 and batch_size >= 1")
-        if self.lam < 0 or self.rho < 0 or not (0 <= self.gamma <= 1):
-            raise ValueError("invalid lam/rho/gamma")
-        if not (0 < self.sparse_update_ratio <= 1):
-            raise ValueError("sparse_update_ratio must be in (0, 1]")
+        def positive_int(v):
+            return isinstance(v, int) and v >= 1
+        for name, rule, ok in (
+                ("learning_rate", "a number > 0", lambda v: v > 0),
+                ("batch_size", "an integer >= 1", positive_int),
+                ("weight_decay", "a number >= 0", lambda v: v >= 0),
+                ("lam", "a number >= 0", lambda v: v >= 0),
+                ("rho", "a number >= 0", lambda v: v >= 0),
+                ("gamma", "a number in [0, 1]", lambda v: 0 <= v <= 1),
+                ("fisher_sample_count", "an integer >= 1", positive_int),
+                ("validate_every_steps", "an integer >= 1", positive_int),
+                ("sparse_update_ratio", "a number in (0, 1]", lambda v: 0 < v <= 1),
+                ("store_ratio", "a number in (0, 1]", lambda v: 0 < v <= 1),
+                ("replay_every", "an integer >= 1", positive_int)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or not ok(value):
+                raise ValueError(f"optimizer {name} must be {rule}, got {value!r}")
         if self.base_optimizer not in ("sgd", "adam_decoupled"):
             raise ValueError(f"unknown base_optimizer {self.base_optimizer!r}")
         if isinstance(self.variant, dict):
@@ -391,7 +402,7 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
                     continue
                 do_step([Batch(feats[idx], labels[idx], tid)])
                 if (flags.replay and replay_buffer is not None and len(replay_buffer)
-                        and replay_schedule(step_index, replay_buffer.replay_every)):
+                        and replay_schedule(step_index, config.replay_every)):
                     do_step(replay_buffer.sample_batches(config.batch_size, rng))
     validate(step_index)
     np.copyto(model.theta, best_theta)
@@ -432,9 +443,7 @@ def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
     reports, probe_values = [], []
 
     rng = np.random.Generator(np.random.PCG64(_derived_seed(seed, 1)))
-    buffer = (ReplayBuffer(store_ratio=config.store_ratio,
-                           replay_every=config.replay_every)
-              if flags.replay else None)
+    buffer = ReplayBuffer() if flags.replay else None
     accumulated = None
     anchor = None
     start_task = 0
@@ -481,7 +490,8 @@ def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
         anchor = model.parameters().copy()
 
         if buffer is not None:
-            buffer.add_task(feats, labels, t, _derived_seed(seed, 4, t))
+            buffer.add_task(feats, labels, t, config.store_ratio,
+                            _derived_seed(seed, 4, t))
 
         for j in range(t + 1):
             tf, tl = stream[j].test_xy()

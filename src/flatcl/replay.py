@@ -72,13 +72,7 @@ class ReplayBuffer:
     """Fixed exemplar store, filled once per finished task: row i of
     `features` has the int64 label `labels[i]` and task id `task_ids[i]`."""
 
-    def __init__(self, store_ratio=0.01, replay_every=20):
-        if not (0 < store_ratio <= 1):
-            raise ValueError("store_ratio must be in (0, 1]")
-        if replay_every < 1:
-            raise ValueError("replay_every must be >= 1")
-        self.store_ratio = store_ratio
-        self.replay_every = replay_every
+    def __init__(self):
         self.features = np.zeros((0, 0))
         self.labels = np.zeros(0, dtype=np.int64)
         self.task_ids = np.zeros(0, dtype=np.int64)
@@ -86,8 +80,8 @@ class ReplayBuffer:
     def __len__(self):
         return len(self.labels)
 
-    def add_task(self, features, labels, task_id, seed):
-        k = max(1, int(np.floor(self.store_ratio * len(labels))))
+    def add_task(self, features, labels, task_id, store_ratio, seed):
+        k = max(1, int(np.floor(store_ratio * len(labels))))
         idx = select_exemplars(features, labels, k, seed)
         picked = np.asarray(features, dtype=np.float64)[idx]
         self.features = (np.concatenate([self.features, picked]) if len(self)

@@ -96,7 +96,7 @@ def build_stream(cfg: dict, seed: int) -> TaskStream:
     if order_name != "identity":
         if order_name not in orders:
             raise ValueError(f"unknown order {order_name!r}")
-        stream = make_order(stream, orders[order_name], order_name)
+        stream = make_order(stream, orders[order_name])
     return stream
 
 
@@ -156,6 +156,8 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
     """One (variant, seed) run; writes matrix.csv, metrics.json and per-task
     checkpoints into a fresh directory.  Returns the metrics dict."""
     check_config_keys(cfg)
+    if variant == "mtl" and resume_from is not None:
+        raise ValueError("mtl trains all tasks jointly and cannot resume from a checkpoint")
     chash = config_hash({"config": {k: v for k, v in cfg.items() if k != "seeds"},
                          "variant": variant, "seed": seed})
     loaded = None
@@ -232,6 +234,7 @@ def run_experiment(cfg: dict, variant: str, out_root: str, seeds=None) -> list[d
     """Run every seed, recording a failed seed's error and traceback in
     failures.json and going on with the others."""
     check_config_keys(cfg)
+    build_optimizer_config(cfg, variant)  # a bad setting fails once, not per seed
     if seeds is None and "seeds" not in cfg:
         raise ValueError("config has no 'seeds' and no seed was given")
     seeds = list(seeds if seeds is not None else cfg["seeds"])

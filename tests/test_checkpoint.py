@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flatcl.checkpoint import (Checkpoint, config_hash, load_checkpoint,
                                save_checkpoint)
+from flatcl.model import MultiHeadClassifier
 from flatcl.optim import ImportanceMap
 from flatcl.params import ParameterSet
 from flatcl.replay import ReplayBuffer
@@ -46,9 +48,9 @@ def test_full_state_round_trip(tmp_path):
         (n, np.abs(a) + 1.0) for n, a in model.parameters().items()))
     anchor = model.parameters().copy()
     matrix = np.array([[0.5, np.nan], [0.4, 0.6]])
-    buf = ReplayBuffer(store_ratio=0.5, replay_every=7)
+    buf = ReplayBuffer()
     buf.add_task(np.random.default_rng(0).normal(size=(8, model.input_dim)),
-                 np.arange(8) % 3, 0, seed=1)
+                 np.arange(8) % 3, 0, 0.5, seed=1)
 
     path = tmp_path / "full.bin"
     save_checkpoint(path, Checkpoint(
@@ -62,8 +64,6 @@ def test_full_state_round_trip(tmp_path):
         assert np.array_equal(loaded.importance.values[n], imp.values[n])
         assert np.array_equal(loaded.anchor[n], anchor[n])
     assert np.array_equal(loaded.matrix_rows, matrix, equal_nan=True)
-    assert loaded.replay_buffer.store_ratio == 0.5
-    assert loaded.replay_buffer.replay_every == 7
     assert len(loaded.replay_buffer) == len(buf)
 
     # the restored rng state continues the exact same stream
@@ -77,10 +77,11 @@ def test_replay_arrays_round_trip(tmp_path, n_tasks):
     """The replay store's three arrays come back bitwise, with their dtypes
     and shapes, including an empty store."""
     model = random_mlp(39)
-    buf = ReplayBuffer(store_ratio=0.3, replay_every=5)
+    buf = ReplayBuffer()
     rng = np.random.default_rng(3)
     for t in range(n_tasks):
-        buf.add_task(rng.normal(size=(10, model.input_dim)), np.arange(10) % 3, t, seed=t)
+        buf.add_task(rng.normal(size=(10, model.input_dim)), np.arange(10) % 3, t, 0.3,
+                     seed=t)
     path = tmp_path / "replay.bin"
     save_checkpoint(path, Checkpoint(model=model, replay_buffer=buf))
     loaded = load_checkpoint(path).replay_buffer
@@ -95,6 +96,64 @@ def test_replay_arrays_round_trip(tmp_path, n_tasks):
         assert x.task_id == y.task_id
         assert x.features.tobytes() == y.features.tobytes()
         assert x.labels.tobytes() == y.labels.tobytes()
+
+
+def _floats(shape, **kw):
+    return arrays(np.float64, shape, elements=st.floats(width=64, **kw))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_checkpoint_round_trip_property(data):
+    """Any layout (0-2 hidden layers, 1-4 heads, arbitrary widths) with any
+    mix of optional state comes back bitwise."""
+    hidden = data.draw(st.lists(st.integers(1, 5), max_size=2), label="hidden")
+    heads = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4), label="heads")
+    d = data.draw(st.integers(1, 4), label="input_dim")
+    model = MultiHeadClassifier(data.draw(st.integers(0, 2**32 - 1)), d, hidden, heads)
+    model.theta[:] = data.draw(_floats(model.theta.shape, allow_nan=False), label="theta")
+    size = model.theta.size
+    params = model.parameters()
+    imp = data.draw(st.none() | _floats(size, min_value=0.0).map(
+        lambda v: ImportanceMap(params.unflatten(v))), label="importance")
+    anchor = data.draw(st.none() | _floats(size).map(params.unflatten), label="anchor")
+    t = len(heads)
+    rows = data.draw(st.none() | st.integers(1, t).flatmap(
+        lambda k: _floats((k, t))), label="matrix_rows")
+    buf = data.draw(st.none() | st.just(ReplayBuffer()), label="replay")
+    n = data.draw(st.integers(0, 6), label="stored") if buf is not None else 0
+    if n:
+        buf.features = data.draw(_floats((n, d)), label="replay_features")
+        buf.labels = np.array(data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)),
+                              dtype=np.int64)
+        buf.task_ids = np.sort(np.array(data.draw(st.lists(
+            st.integers(0, t - 1), min_size=n, max_size=n)), dtype=np.int64))
+    rng = np.random.Generator(np.random.PCG64(data.draw(st.integers(0, 2**64 - 1))))
+    rng.integers(2, size=data.draw(st.integers(0, 3)))
+    next_task = data.draw(st.none() | st.integers(0, t))
+    ckpt = Checkpoint(model=model, config_hash="h", rng_state=rng.bit_generator.state,
+                      next_task=next_task, importance=imp, anchor=anchor,
+                      matrix_rows=rows, replay_buffer=buf)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.bin")
+        save_checkpoint(path, ckpt)
+        back = load_checkpoint(path)
+
+    assert back.model.hidden_dims == hidden and back.model.head_classes == heads
+    assert back.model.theta.tobytes() == model.theta.tobytes()
+    for a, b in ((imp and imp.values, back.importance and back.importance.values),
+                 (anchor, back.anchor)):
+        assert (a is None) == (b is None)
+        assert a is None or (b.names() == a.names() and b.flat.tobytes() == a.flat.tobytes())
+    assert (rows is None) == (back.matrix_rows is None)
+    assert rows is None or back.matrix_rows.tobytes() == rows.tobytes()
+    assert (buf is None) == (back.replay_buffer is None)
+    if buf is not None:
+        for field in ("features", "labels", "task_ids"):
+            a, b = getattr(buf, field), getattr(back.replay_buffer, field)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert back.rng_state == rng.bit_generator.state
+    assert back.next_task == next_task
 
 
 @pytest.mark.parametrize("field", ["importance", "anchor"])
@@ -162,8 +221,8 @@ def test_save_replaces_atomically(tmp_path):
 def _intact_checkpoint() -> bytes:
     model = random_mlp(38, hidden=(3,), classes=(3, 2))
     imp = ImportanceMap(model.parameters().unflatten(np.abs(model.theta)))
-    buf = ReplayBuffer(store_ratio=0.5)
-    buf.add_task(np.eye(4), np.arange(4) % 3, 0, seed=1)
+    buf = ReplayBuffer()
+    buf.add_task(np.eye(4), np.arange(4) % 3, 0, 0.5, seed=1)
     ckpt = Checkpoint(model=model, config_hash="h", next_task=1, importance=imp,
                       anchor=model.parameters().copy(),
                       matrix_rows=np.array([[0.5, np.nan]]), replay_buffer=buf,

@@ -298,6 +298,15 @@ def test_base_step_rejects_nonfinite():
         base_step(state, params, ParameterSet({"w": [np.inf]}), cfg)
 
 
+def test_optimizer_config_refuses_out_of_range_settings():
+    for key, value in (("learning_rate", float("nan")), ("weight_decay", -0.1),
+                       ("lam", -1.0), ("rho", -0.5), ("gamma", 1.5),
+                       ("sparse_update_ratio", 0.0), ("batch_size", "8")):
+        with pytest.raises(ValueError, match=f"optimizer {key} must be") as info:
+            OptimizerConfig(**{key: value})
+        assert "\n" not in str(info.value)
+
+
 # -- sparse mask ------------------------------------------------------------
 
 def test_sparse_mask_full_ratio_all_ones():

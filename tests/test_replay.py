@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flatcl.optim import OptimizerConfig
 from flatcl.replay import (ReplayBuffer, replay_schedule, select_exemplars)
 
 
@@ -64,26 +65,25 @@ def test_empty_input_rejected():
 
 
 def test_buffer_size_is_floor_of_ratio():
-    buf = ReplayBuffer(store_ratio=0.01, replay_every=20)
+    buf = ReplayBuffer()
     feats = np.random.default_rng(0).normal(size=(250, 2))
     labels = np.zeros(250, int)
-    buf.add_task(feats, labels, 0, seed=1)
+    buf.add_task(feats, labels, 0, 0.01, seed=1)
     assert len(buf) == 2  # floor(0.01 * 250)
 
 
 def test_buffer_minimum_one_exemplar():
-    buf = ReplayBuffer(store_ratio=0.01, replay_every=20)
-    buf.add_task(np.ones((5, 2)), np.zeros(5, int), 0, seed=1)
+    buf = ReplayBuffer()
+    buf.add_task(np.ones((5, 2)), np.zeros(5, int), 0, 0.01, seed=1)
     assert len(buf) == 1
 
 
 def test_buffer_invalid_args_rejected():
-    with pytest.raises(ValueError):
-        ReplayBuffer(store_ratio=0.0)
-    with pytest.raises(ValueError):
-        ReplayBuffer(store_ratio=1.5)
-    with pytest.raises(ValueError):
-        ReplayBuffer(replay_every=0)
+    """The buffer's settings live on OptimizerConfig, which refuses them."""
+    for key, value in (("store_ratio", 0.0), ("store_ratio", 1.5), ("replay_every", 0),
+                       ("replay_every", 2.0)):
+        with pytest.raises(ValueError, match=f"optimizer {key} must be"):
+            OptimizerConfig(**{key: value})
 
 
 def test_sample_empty_buffer_returns_nothing():
@@ -92,9 +92,9 @@ def test_sample_empty_buffer_returns_nothing():
 
 
 def test_sample_batches_grouped_by_task_with_correct_labels():
-    buf = ReplayBuffer(store_ratio=1.0)
-    buf.add_task(np.zeros((3, 2)), np.array([0, 1, 2]), 0, seed=0)
-    buf.add_task(np.ones((2, 2)), np.array([0, 1]), 1, seed=0)
+    buf = ReplayBuffer()
+    buf.add_task(np.zeros((3, 2)), np.array([0, 1, 2]), 0, 1.0, seed=0)
+    buf.add_task(np.ones((2, 2)), np.array([0, 1]), 1, 1.0, seed=0)
     batches = buf.sample_batches(16, np.random.default_rng(4))
     assert sum(len(b) for b in batches) == 16
     assert [b.task_id for b in batches] == sorted(b.task_id for b in batches)
@@ -106,9 +106,9 @@ def test_sample_batches_grouped_by_task_with_correct_labels():
 
 def test_sample_uniform_over_exemplars_monte_carlo():
     # 3 exemplars from task 0, 1 from task 1 -> task-0 mass should be 0.75
-    buf = ReplayBuffer(store_ratio=1.0)
-    buf.add_task(np.zeros((3, 2)), np.array([0, 1, 2]), 0, seed=0)
-    buf.add_task(np.ones((1, 2)), np.array([0]), 1, seed=0)
+    buf = ReplayBuffer()
+    buf.add_task(np.zeros((3, 2)), np.array([0, 1, 2]), 0, 1.0, seed=0)
+    buf.add_task(np.ones((1, 2)), np.array([0]), 1, 1.0, seed=0)
     rng = np.random.default_rng(11)
     total = hits = 0
     for _ in range(2000):
@@ -120,9 +120,9 @@ def test_sample_uniform_over_exemplars_monte_carlo():
 
 
 def test_sample_deterministic_given_rng_state():
-    buf = ReplayBuffer(store_ratio=1.0)
+    buf = ReplayBuffer()
     buf.add_task(np.random.default_rng(0).normal(size=(6, 2)),
-                 np.arange(6) % 3, 0, seed=0)
+                 np.arange(6) % 3, 0, 1.0, seed=0)
     a = buf.sample_batches(8, np.random.default_rng(5))
     b = buf.sample_batches(8, np.random.default_rng(5))
     for x, y in zip(a, b):
@@ -133,9 +133,9 @@ def test_sample_deterministic_given_rng_state():
 def test_sample_batches_follow_one_draw_in_draw_order():
     """One uniform draw over all rows; each task's batch holds its drawn rows
     in the order they were drawn, and batches come in task order."""
-    buf = ReplayBuffer(store_ratio=1.0)
-    buf.add_task(np.arange(8.0).reshape(4, 2), np.array([0, 1, 2, 0]), 0, seed=0)
-    buf.add_task(-np.arange(1.0, 7.0).reshape(3, 2), np.array([1, 0, 1]), 1, seed=0)
+    buf = ReplayBuffer()
+    buf.add_task(np.arange(8.0).reshape(4, 2), np.array([0, 1, 2, 0]), 0, 1.0, seed=0)
+    buf.add_task(-np.arange(1.0, 7.0).reshape(3, 2), np.array([1, 0, 1]), 1, 1.0, seed=0)
     idx = np.random.default_rng(7).integers(len(buf), size=12)
     batches = buf.sample_batches(12, np.random.default_rng(7))
     assert [b.task_id for b in batches] == sorted(set(buf.task_ids[idx].tolist()))

@@ -6,8 +6,9 @@ import pytest
 
 from flatcl.checkpoint import load_checkpoint
 from flatcl.cli import main
-from flatcl.runner import (VARIANT_FLAGS, load_config, read_matrix_csv,
-                           run_experiment, run_single_seed, write_matrix_csv)
+from flatcl.runner import (VARIANT_FLAGS, build_stream, load_config,
+                           read_matrix_csv, run_experiment, run_single_seed,
+                           write_matrix_csv)
 
 
 def small_cfg():
@@ -87,6 +88,26 @@ def test_refused_config_leaves_no_directory(tmp_path):
     assert not os.path.exists(out)
     run_single_seed(small_cfg(), "seq", 1, out)  # the fixed config reruns in place
     assert os.path.exists(os.path.join(out, "matrix.csv"))
+
+
+# Optimizer settings, each with a variant that used to fail only inside the
+# seed, after its directory existed (or, for store_ratio on seq, ran).
+REFUSED_SETTINGS = [("validate_every_steps", 0, "seq"), ("batch_size", 2.5, "seq"),
+                    ("fisher_sample_count", 0, "cf"), ("store_ratio", 0, "cf"),
+                    ("replay_every", 0, "replay"), ("store_ratio", 0, "seq")]
+
+
+@pytest.mark.parametrize("key,value,variant", REFUSED_SETTINGS)
+def test_refused_optimizer_setting_leaves_no_directory(tmp_path, key, value, variant):
+    out = str(tmp_path / "run")
+    bad = small_cfg()
+    bad["optimizer"][key] = value
+    with pytest.raises(ValueError, match=f"optimizer {key} must be") as info:
+        run_single_seed(bad, variant, 1, out)
+    assert "\n" not in str(info.value)
+    assert not os.path.exists(out)
+    run_single_seed(small_cfg(), variant, 1, out)  # the fixed config reruns in place
+    assert os.path.exists(os.path.join(out, "metrics.json"))
 
 
 @pytest.mark.parametrize("section,key", [(None, "optimzer"), ("benchmark", "dims"),
@@ -214,6 +235,19 @@ def test_mtl_writes_reference(tmp_path):
     assert os.path.exists(os.path.join(out, "ckpt_final.bin"))
 
 
+def test_mtl_refuses_resume(tmp_path):
+    """mtl trains every task jointly from the start, so it refuses a
+    checkpoint before reading it or making a directory."""
+    first = str(tmp_path / "mtl")
+    run_single_seed(small_cfg(), "mtl", 1, first)
+    out = str(tmp_path / "resumed")
+    for ckpt in (os.path.join(first, "ckpt_final.bin"), str(tmp_path / "missing.bin")):
+        with pytest.raises(ValueError, match="mtl .*cannot resume") as info:
+            run_single_seed(small_cfg(), "mtl", 1, out, resume_from=ckpt)
+        assert "\n" not in str(info.value)
+        assert not os.path.exists(out)
+
+
 # -- run_experiment ---------------------------------------------------------
 
 def test_run_experiment_aggregate(tmp_path):
@@ -253,6 +287,16 @@ def test_cli_run_prints_summary(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "seed 1: avg_accuracy=" in out
+
+
+def test_cli_run_prints_forgetting_only_when_the_row_has_one(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path)
+    for variant in ("mtl", "seq"):
+        assert main(["run", "--config", cfg_path, "--variant", variant,
+                     "--seed", "1", "--out", str(tmp_path / "out")]) == 0
+    mtl, seq = capsys.readouterr().out.splitlines()
+    assert mtl.startswith("seed 1: avg_accuracy=") and "forgetting" not in mtl
+    assert seq.startswith("seed 1: avg_accuracy=") and " forgetting=" in seq
 
 
 def test_cli_run_overrides_change_hash(tmp_path):
@@ -319,15 +363,16 @@ def test_cli_metrics_with_reference(tmp_path, capsys):
 
 
 def test_cli_gen_data_round_trip(tmp_path, capsys):
-    from flatcl.data import load_delimited
     cfg_path = write_cfg(tmp_path)
     out = str(tmp_path / "data")
     assert main(["gen-data", "--config", cfg_path, "--seed", "1",
                  "--out", out]) == 0
     files = sorted(os.listdir(out))
     assert files == ["rot0.csv", "rot1.csv"]
-    task = load_delimited(os.path.join(out, "rot0.csv"), class_count=3)
-    assert task.features.shape == (90, 4)
+    rows = np.loadtxt(os.path.join(out, "rot0.csv"), delimiter=",", ndmin=2)
+    task = build_stream(load_config(cfg_path), 1)[0]
+    assert rows[:, :-1].tobytes() == task.features.tobytes()  # bitwise
+    assert np.array_equal(rows[:, -1], task.labels)
 
 
 def test_cli_run_rejects_unknown_config_key(tmp_path, capsys):
@@ -350,6 +395,19 @@ def test_cli_run_rejects_missing_config_key(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err == "error: ValueError: missing config key 'epochs_per_task'\n"
+    assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("key,value,variant", REFUSED_SETTINGS)
+def test_cli_run_rejects_optimizer_setting(tmp_path, capsys, key, value, variant):
+    cfg = small_cfg()
+    cfg["optimizer"][key] = value
+    rc = main(["run", "--config", write_cfg(tmp_path, cfg), "--variant", variant,
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: optimizer {key} must be")
+    assert err.strip().count("\n") == 0
     assert not os.path.exists(tmp_path / "o")
 
 
