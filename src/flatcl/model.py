@@ -43,6 +43,13 @@ class MultiHeadClassifier:
     `add_task_head` reallocates the buffer and appends the new head at the
     end, leaving the offsets of all earlier weights unchanged; the weights
     constrained while training a task are therefore a prefix of `theta`.
+
+    `_bind` also caches a layer plan per head: for each layer from the input
+    up, its `(W, b)` views of `theta` and the names of its gradient blocks.
+    The forward/backward kernel walks that plan, so a step builds no names
+    and looks up no layers.  The public methods check their inputs and then
+    call the unchecked kernel; the training loop checks each task's rows
+    once and calls the kernel directly with buffers it owns.
     """
 
     def __init__(self, seed: int, input_dim: int, hidden_dims: list[int],
@@ -77,6 +84,9 @@ class MultiHeadClassifier:
             (params[f"enc{i}.W"], params[f"enc{i}.b"]) for i in range(len(self.hidden_dims))]
         self.heads: list[tuple[np.ndarray, np.ndarray]] = [
             (params[f"head{t}.W"], params[f"head{t}.b"]) for t in range(len(self.head_classes))]
+        encoder = [(w, b, f"enc{i}.W", f"enc{i}.b") for i, (w, b) in enumerate(self.encoder)]
+        self._plans = [encoder + [(w, b, f"head{t}.W", f"head{t}.b")]
+                       for t, (w, b) in enumerate(self.heads)]
 
     @property
     def encoder_dim(self) -> int:
@@ -124,34 +134,49 @@ class MultiHeadClassifier:
     #
     # Each step repeats the float64 operation a reverse-mode autodiff graph
     # of the same network would run, in the same order, so losses and
-    # gradients are bitwise those of the graph.
+    # gradients are bitwise those of the graph.  `_check_rows` is the input
+    # check of every public entry point; the other `_` methods trust their
+    # inputs: float64 rows of width `input_dim`, int64 labels in range for an
+    # existing head.
+
+    def _check_rows(self, features, labels, task_id):
+        """(float64 features, int64 labels) after the shape and label-range
+        checks every entry point runs; `labels` may be None."""
+        if labels is not None:
+            labels = np.asarray(labels, dtype=np.int64)
+            if labels.ndim != 1 or labels.shape[0] != np.shape(features)[0]:
+                raise ValueError(f"labels of shape {labels.shape} do not match "
+                                 f"{np.shape(features)[0]} feature rows")
+        if not 0 <= task_id < len(self.heads):
+            raise ValueError(f"no head for task {task_id} (have {len(self.heads)})")
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim != 2 or features.shape[1] != self.input_dim:
+            raise ValueError(f"features of shape {features.shape} do not match "
+                             f"input_dim {self.input_dim}")
+        classes = self.head_classes[task_id]
+        if labels is not None and (labels.min(initial=0) < 0
+                                   or labels.max(initial=0) >= classes):
+            raise ValueError(f"labels out of range [0, {classes}) for task {task_id}")
+        return features, labels
 
     def _forward(self, features, task_id):
         """(layer inputs [x, h1, ..., hL], logits) for one head."""
-        if not 0 <= task_id < len(self.heads):
-            raise ValueError(f"no head for task {task_id} (have {len(self.heads)})")
-        h = np.asarray(features, dtype=np.float64)
-        if h.ndim != 2 or h.shape[1] != self.input_dim:
-            raise ValueError(f"features of shape {h.shape} do not match "
-                             f"input_dim {self.input_dim}")
+        plan = self._plans[task_id]
+        h = features
         acts = [h]
-        for w, b in self.encoder:
-            z = h @ w + b
-            h = np.tanh(z) if self.activation == "tanh" else np.maximum(z, 0.0)
+        for w, b, _, _ in plan[:-1]:
+            z = h @ w
+            z += b
+            h = np.tanh(z, out=z) if self.activation == "tanh" else np.maximum(z, 0.0, out=z)
             acts.append(h)
-        w, b = self.heads[task_id]
-        return acts, h @ w + b
+        w, b, _, _ = plan[-1]
+        logits = h @ w
+        logits += b
+        return acts, logits
 
-    def _log_probs(self, features, labels, task_id):
-        """(layer inputs, log-softmax of the logits) after a label-range check."""
-        labels = np.asarray(labels)
-        if labels.ndim != 1 or labels.shape[0] != np.shape(features)[0]:
-            raise ValueError(f"labels of shape {labels.shape} do not match "
-                             f"{np.shape(features)[0]} feature rows")
+    def _log_probs(self, features, task_id):
+        """(layer inputs, log-softmax of the logits)."""
         acts, logits = self._forward(features, task_id)
-        if labels.min(initial=0) < 0 or labels.max(initial=0) >= logits.shape[1]:
-            raise ValueError(f"labels out of range [0, {logits.shape[1]}) "
-                             f"for task {task_id}")
         z = logits - logits.max(axis=-1, keepdims=True)
         return acts, z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
@@ -159,34 +184,37 @@ class MultiHeadClassifier:
         """Adjoint of a layer's pre-activation from that of its output h."""
         return delta * (1.0 - h * h) if self.activation == "tanh" else delta * (h > 0.0)
 
-    def _backprop(self, acts, delta, task_id):
-        """Yield (layer name, layer input, logit-side adjoint) from the head
-        down; rows of `delta` stay per sample."""
-        w = self.heads[task_id][0]
-        yield f"head{task_id}", acts[-1], delta
-        for i in reversed(range(len(self.encoder))):
-            delta = self._activation_backward(delta @ w.T, acts[i + 1])
-            w = self.encoder[i][0]
-            yield f"enc{i}", acts[i], delta
+    def _loss_gradient_into(self, features, labels, task_id, out: ParameterSet) -> float:
+        """Mean cross-entropy of the rows; its gradient goes into the blocks
+        of `out` (a set laid out like `theta`) that head `task_id` reaches.
+        Every other block of `out` is left as it was."""
+        plan = self._plans[task_id]
+        acts, logp = self._log_probs(features, task_id)
+        n = labels.shape[0]
+        rows = np.arange(n)
+        loss = -(np.add.reduce(logp[rows, labels]) / n)  # .mean()'s sum and divide
+        g = np.zeros(logp.shape)
+        g[rows, labels] = -1.0 / n
+        delta = g - np.exp(logp) * g.sum(axis=-1, keepdims=True)
+        for k in range(len(plan) - 1, -1, -1):
+            w, _, w_name, b_name = plan[k]
+            np.matmul(acts[k].T, delta, out=out[w_name])
+            delta.sum(axis=0, out=out[b_name])
+            if k:
+                delta = self._activation_backward(delta @ w.T, acts[k])
+        return float(loss)
 
     def task_loss(self, batch: Batch) -> float:
-        _, logp = self._log_probs(batch.features, batch.labels, batch.task_id)
-        return float(-logp[np.arange(len(batch)), batch.labels].mean())
+        features, labels = self._check_rows(batch.features, batch.labels, batch.task_id)
+        _, logp = self._log_probs(features, batch.task_id)
+        return float(-logp[np.arange(len(batch)), labels].mean())
 
     def loss_gradient(self, batch: Batch):
-        """(loss value, gradient ParameterSet) for mean cross-entropy.  Each
-        layer's block is written into one zeroed buffer laid out like `theta`."""
-        acts, logp = self._log_probs(batch.features, batch.labels, batch.task_id)
-        rows = np.arange(len(batch))
-        loss = -logp[rows, batch.labels].mean()
-        g = np.zeros_like(logp)
-        g[rows, batch.labels] = -1.0 / len(batch)
-        delta = g - np.exp(logp) * g.sum(axis=-1, keepdims=True)
+        """(loss value, gradient ParameterSet) for mean cross-entropy, in a
+        fresh zeroed set laid out like `theta`."""
+        features, labels = self._check_rows(batch.features, batch.labels, batch.task_id)
         grads = self._params.zeros_like()
-        for name, h, d in self._backprop(acts, delta, batch.task_id):
-            np.matmul(h.T, d, out=grads[name + ".W"])
-            np.sum(d, axis=0, out=grads[name + ".b"])
-        return float(loss), grads
+        return self._loss_gradient_into(features, labels, batch.task_id, grads), grads
 
     def log_prob_gradient(self, features, label, task_id: int) -> ParameterSet:
         """Per-sample gradient of log p(true label | x; w).
@@ -207,17 +235,21 @@ class MultiHeadClassifier:
         and per-sample logit-side adjoints D contributes (H^2)^T (D^2) to its
         weights and (||h_i||^2 + 1) * ||d_i||^2 to sample i.
         """
-        labels = np.asarray(labels, dtype=np.int64)
-        acts, logp = self._log_probs(features, labels, task_id)
+        features, labels = self._check_rows(features, labels, task_id)
+        plan = self._plans[task_id]
+        acts, logp = self._log_probs(features, task_id)
         delta = np.exp(logp)
         delta[np.arange(len(delta)), labels] -= 1.0
         sums = self._params.zeros_like()
         sq_norms = np.zeros(len(delta))
-        for name, h, d in self._backprop(acts, delta, task_id):
-            h2, d2 = h * h, d * d
-            np.matmul(h2.T, d2, out=sums[name + ".W"])
-            np.sum(d2, axis=0, out=sums[name + ".b"])
+        for k in range(len(plan) - 1, -1, -1):
+            w, _, w_name, b_name = plan[k]
+            h2, d2 = acts[k] * acts[k], delta * delta
+            np.matmul(h2.T, d2, out=sums[w_name])
+            np.sum(d2, axis=0, out=sums[b_name])
             sq_norms += (h2.sum(axis=1) + 1.0) * d2.sum(axis=1)
+            if k:
+                delta = self._activation_backward(delta @ w.T, acts[k])
         return sums, sq_norms
 
     def loss_hvp(self, batch: Batch, v: ParameterSet) -> ParameterSet:
@@ -227,29 +259,29 @@ class MultiHeadClassifier:
         at w + t v through the forward pass, then through the backward pass.
         Relu kinks contribute no curvature.
         """
-        acts, logp = self._log_probs(batch.features, batch.labels, batch.task_id)
+        features, labels = self._check_rows(batch.features, batch.labels, batch.task_id)
+        acts, logp = self._log_probs(features, batch.task_id)
         n = len(batch)
-        layers = [(f"enc{i}", w) for i, (w, _) in enumerate(self.encoder)]
-        layers.append((f"head{batch.task_id}", self.heads[batch.task_id][0]))
+        layers = self._plans[batch.task_id]
         r_acts = [np.zeros_like(acts[0])]  # R{input} of each layer
-        for k, (name, w) in enumerate(layers):
-            r_out = r_acts[k] @ w + acts[k] @ v[name + ".W"] + v[name + ".b"]
+        for k, (w, _, w_name, b_name) in enumerate(layers):
+            r_out = r_acts[k] @ w + acts[k] @ v[w_name] + v[b_name]
             if k + 1 < len(layers):
                 r_acts.append(self._activation_backward(r_out, acts[k + 1]))
         p = np.exp(logp)
         delta = p.copy()
-        delta[np.arange(n), batch.labels] -= 1.0
+        delta[np.arange(n), labels] -= 1.0
         delta /= n
         r_delta = p * (r_out - (p * r_out).sum(axis=1, keepdims=True)) / n
         out = self._params.zeros_like()
         for k in reversed(range(len(layers))):
-            name, w = layers[k]
-            out[name + ".W"] = acts[k].T @ r_delta + r_acts[k].T @ delta
-            np.sum(r_delta, axis=0, out=out[name + ".b"])
+            w, _, w_name, b_name = layers[k]
+            out[w_name] = acts[k].T @ r_delta + r_acts[k].T @ delta
+            np.sum(r_delta, axis=0, out=out[b_name])
             if k == 0:
                 break
             d_h = delta @ w.T
-            r_d_h = r_delta @ w.T + delta @ v[name + ".W"].T
+            r_d_h = r_delta @ w.T + delta @ v[w_name].T
             delta = self._activation_backward(d_h, acts[k])
             r_delta = self._activation_backward(r_d_h, acts[k])
             if self.activation == "tanh":
@@ -257,6 +289,7 @@ class MultiHeadClassifier:
         return out
 
     def logits(self, features, task_id: int) -> np.ndarray:
+        features, _ = self._check_rows(features, None, task_id)
         return self._forward(features, task_id)[1]
 
     def predict(self, features, task_id: int) -> np.ndarray:

@@ -126,15 +126,20 @@ class TaskReport:
 # core operations
 
 
-def _epsilon(w: np.ndarray, g: np.ndarray, rho: float) -> np.ndarray:
-    """rho * w^2 g / ||w g||_2 over flat vectors; zero when w g or rho is."""
+def _epsilon(w: np.ndarray, g: np.ndarray, rho: float, out=None) -> np.ndarray:
+    """rho * w^2 g / ||w g||_2 over flat vectors, written into `out` (a new
+    vector when None); zero when w g or rho is."""
     if not (np.isfinite(w).all() and np.isfinite(g).all()):
         raise FloatingPointError("non-finite inputs to compute_perturbation")
-    wg = w * g
-    denom_sq = float(wg @ wg)
+    out = np.multiply(w, g, out=out)
+    denom_sq = float(out @ out)
     if denom_sq == 0.0 or rho == 0.0:
-        return np.zeros_like(w)
-    return rho / np.sqrt(denom_sq) * w ** 2 * g
+        out.fill(0.0)
+        return out
+    np.square(w, out=out)
+    out *= rho / np.sqrt(denom_sq)
+    out *= g
+    return out
 
 
 def compute_perturbation(params: ParameterSet, grads: ParameterSet, rho: float) -> Perturbation:
@@ -148,27 +153,41 @@ def create_gradient(model: MultiHeadClassifier, batch: Batch, rho: float,
     """Gradient of the batch loss taken at the perturbed point w + eps.
 
     Only `perturb_names` (default: all), a prefix of the layout, move.
-    Returns (grads, loss_at_perturbed_point).  Weights are restored exactly
-    by copying them back, not by subtracting the perturbation.
+    Returns (grads, loss_at_perturbed_point), the grads in a fresh set.
+    Weights are restored exactly by copying them back, not by subtracting
+    the perturbation.
     """
     if rho < 0:
         raise ValueError("rho must be >= 0")
-    loss0, grads0 = model.loss_gradient(batch)
-    if rho == 0.0:
-        return grads0, loss0
+    features, labels = model._check_rows(batch.features, batch.labels, batch.task_id)
     params = model.parameters()
     w = params.flat if perturb_names is None else params.prefix(perturb_names)
-    eps = _epsilon(w, grads0.flat[:w.size], rho)
-    saved = w.copy()
+    grads = params.zeros_like()
+    loss = _create_gradient_into(model, features, labels, batch.task_id, rho, w,
+                                 grads, np.empty_like(w), np.empty_like(w))
+    return grads, loss
+
+
+def _create_gradient_into(model, features, labels, task_id, rho, w, out,
+                          eps, saved) -> float:
+    """The create step on checked rows: the gradient at w + eps goes into
+    `out` (zero outside the rows' head, as `_loss_gradient_into` needs) and
+    the loss there is returned.  `w` is the perturbed prefix of
+    `model.theta`; `eps` and `saved` are scratch vectors of its size."""
+    loss = model._loss_gradient_into(features, labels, task_id, out)
+    if rho == 0.0:
+        return loss
+    _epsilon(w, out.flat[:w.size], rho, out=eps)
+    np.copyto(saved, w)
     try:
         w += eps
-        loss_c, grads_c = model.loss_gradient(batch)
-        if not np.isfinite(loss_c):
+        loss = model._loss_gradient_into(features, labels, task_id, out)
+        if not np.isfinite(loss):
             raise FloatingPointError(
-                f"non-finite loss at perturbed point (task {batch.task_id})")
+                f"non-finite loss at perturbed point (task {task_id})")
     finally:
         np.copyto(w, saved)
-    return grads_c, loss_c
+    return loss
 
 
 def find_fisher(model: MultiHeadClassifier, features, labels, task_id: int,
@@ -224,13 +243,27 @@ def soft_penalty(params: ParameterSet, region: FlatRegion,
     names).  The caller scales both by lambda.
     """
     names = region.constrained_names
-    f = importance.values.prefix(names)
+    f = _region_importance(region, importance)
+    w, anchor = params.prefix(names), region.anchor.prefix(names)
+    grads = params.zeros_like()
+    _penalty_gradient(w, anchor, 2.0 * f, grads.flat[:w.size])
+    diff = w - anchor
+    return float(np.sum(f * diff * diff)), grads
+
+
+def _region_importance(region: FlatRegion, importance: ImportanceMap) -> np.ndarray:
+    """The importance of the region's constrained prefix, checked >= 0."""
+    f = importance.values.prefix(region.constrained_names)
     if np.any(f < 0):
         raise ValueError("negative importance in the constrained region")
-    diff = params.prefix(names) - region.anchor.prefix(names)
-    grads = params.zeros_like()
-    grads.flat[:diff.size] = 2.0 * f * diff
-    return float(np.sum(f * diff * diff)), grads
+    return f
+
+
+def _penalty_gradient(w, anchor, two_f, out) -> np.ndarray:
+    """out <- 2f (w - anchor) over the constrained prefix, given 2f."""
+    np.subtract(w, anchor, out=out)
+    out *= two_f
+    return out
 
 
 def clamp_to_region(params: ParameterSet, region: FlatRegion) -> int:
@@ -271,13 +304,25 @@ def build_sparse_mask(importance: ImportanceMap, ratio: float,
 
 class OptimizerState:
     """SGD or Adam-with-decoupled-weight-decay state; the Adam moments `m`
-    and `v` are flat vectors over the parameter buffer."""
+    and `v` are flat vectors over the parameter buffer.
+
+    It also owns the vectors a training step rewrites, so a step allocates
+    none of them: `total`, the step's summed gradient, and `grad`, one
+    batch's gradient, both sets laid out like the parameters; `perturbation`
+    and `saved`, the create step's eps and saved weights; `penalty`,
+    the anchor penalty's gradient; and `tmp`, Adam's two temporaries.
+    """
 
     def __init__(self, params: ParameterSet, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = np.zeros(params.total_size())
-        self.v = np.zeros(params.total_size())
+        n = params.total_size()
+        self.m = np.zeros(n)
+        self.v = np.zeros(n)
+        self.total = params.zeros_like()
+        self.grad = params.zeros_like()
+        self.perturbation, self.saved, self.penalty = np.empty((3, n))
+        self.tmp = np.empty((2, n))
 
 
 def base_step(state: OptimizerState, params: ParameterSet,
@@ -290,23 +335,40 @@ def base_step(state: OptimizerState, params: ParameterSet,
     state.t += 1
     lr = config.learning_rate
     w = params.flat
+    a, b = state.tmp
     if config.base_optimizer == "sgd":
-        w -= lr * g
+        w -= np.multiply(g, lr, out=a)
     else:
         b1, b2 = state.beta1, state.beta2
         state.m *= b1
-        state.m += (1 - b1) * g
+        state.m += np.multiply(g, 1 - b1, out=a)
         state.v *= b2
-        state.v += (1 - b2) * g * g
-        m_hat = state.m / (1.0 - b1 ** state.t)
-        v_hat = state.v / (1.0 - b2 ** state.t)
-        w -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        np.multiply(g, 1 - b2, out=a)
+        state.v += np.multiply(a, g, out=a)
+        m_hat = np.divide(state.m, 1.0 - b1 ** state.t, out=a)
+        v_hat = np.divide(state.v, 1.0 - b2 ** state.t, out=b)
+        denom = np.sqrt(v_hat, out=b)
+        denom += state.eps
+        m_hat *= lr
+        w -= np.divide(m_hat, denom, out=a)
     if config.weight_decay:
-        w -= lr * config.weight_decay * w
+        w -= np.multiply(w, lr * config.weight_decay, out=a)
 
 
 # ---------------------------------------------------------------------------
 # task-level training
+
+
+def _check_replay_rows(model: MultiHeadClassifier, store: ReplayBuffer):
+    """Check every stored row against its head, as `train_task` does its
+    tasks' rows; the store may come from a checkpoint."""
+    counts = (len(store.features), len(store.labels), len(store.task_ids))
+    if len(set(counts)) != 1:
+        raise ValueError(f"replay store holds {counts[0]} feature rows, {counts[1]} "
+                         f"labels and {counts[2]} task ids")
+    for tid in np.unique(store.task_ids):
+        rows = store.task_ids == tid
+        model._check_rows(store.features[rows], store.labels[rows], int(tid))
 
 
 def train_task(model: MultiHeadClassifier, tasks, region, importance,
@@ -320,9 +382,18 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
     constrained names are the ones perturbed and masked, and it names the
     report.  `val_sets` is a list of (features, labels, task_id), pooled for
     validation.
+
+    Each task's training rows, and the replay store's rows, are checked once
+    here against their heads; the steps then call the unchecked kernel and
+    write into the buffers of `OptimizerState`, with the same arithmetic as
+    `create_gradient`, `soft_penalty`, `base_step` and `clamp_to_region`.
     """
     flags = config.variant
-    data = [(task.task_id, *task.train_xy()) for task in tasks]
+    data = [(task.task_id, *model._check_rows(*task.train_xy(), task.task_id))
+            for task in tasks]
+    use_replay = flags.replay and replay_buffer is not None and len(replay_buffer) > 0
+    if use_replay:
+        _check_replay_rows(model, replay_buffer)
     task_id = tasks[-1].task_id
     params = model.parameters()
     state = OptimizerState(params)
@@ -331,7 +402,6 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
     use_penalty = flags.l2 and region is not None and importance is not None
     use_clamp = flags.clamp and region is not None
     names = model.constrained_names(task_id)
-    perturb_names = names or None
 
     if region is not None:
         report.frozen_zero_anchor_coords = int(np.count_nonzero(
@@ -343,13 +413,23 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
         mask = build_sparse_mask(importance, config.sparse_update_ratio,
                                  layers).prefix(names)
 
-    def grads_for(batch: Batch):
-        if flags.create:
-            return create_gradient(model, batch, config.rho, perturb_names)
-        loss, grads = model.loss_gradient(batch)
-        return grads, loss
+    if use_penalty:
+        w_c = params.prefix(region.constrained_names)
+        anchor_c = region.anchor.prefix(region.constrained_names)
+        two_f = 2.0 * _region_importance(region, importance)
+        penalty = state.penalty[:w_c.size]
 
-    total = params.zeros_like()  # the step's summed gradient, rewritten each step
+    if flags.create:
+        w_pert = params.prefix(names) if names else params.flat
+        eps, saved = state.perturbation[:w_pert.size], state.saved[:w_pert.size]
+
+        def grads_into(features, labels, tid, out):
+            return _create_gradient_into(model, features, labels, tid, config.rho,
+                                         w_pert, out, eps, saved)
+    else:
+        grads_into = model._loss_gradient_into
+
+    summed = state.total.flat  # the step's summed gradient, rewritten each step
     best_theta = None
     step_index = 0
 
@@ -366,23 +446,27 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
             best_theta = model.theta.copy()
 
     def do_step(batches):
+        """One update from (features, labels, task_id) batches, each
+        gradient weighted by its share of the rows."""
         nonlocal step_index
-        total_weight = sum(len(b) for b in batches)
-        summed = total.flat
+        total_weight = sum(len(labels) for _, labels, _ in batches)
         loss_val = 0.0
-        for i, b in enumerate(batches):
-            g, loss = grads_for(b)
-            w = len(b) / total_weight
+        for i, (features, labels, tid) in enumerate(batches):
+            out = state.total if i == 0 else state.grad
+            out.flat.fill(0.0)
+            loss = grads_into(features, labels, tid, out)
+            w = len(labels) / total_weight
             loss_val += w * loss
-            if i == 0:
-                np.multiply(g.flat, w, out=summed)
-            else:
-                summed += w * g.flat
+            out.flat *= w
+            if i:
+                np.add(summed, out.flat, out=summed)
         if use_penalty:
-            summed += config.lam * soft_penalty(params, region, importance)[1].flat
+            pen = _penalty_gradient(w_c, anchor_c, two_f, penalty)
+            pen *= config.lam
+            summed[:pen.size] += pen
         if mask is not None:
             summed[:mask.size] *= mask
-        base_step(state, params, total, config)
+        base_step(state, params, state.total, config)
         clamped = clamp_to_region(params, region) if use_clamp else 0
         report.step_losses.append(loss_val)
         report.clamp_counts.append(clamped)
@@ -392,18 +476,21 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
         if step_index % config.validate_every_steps == 0:
             validate(step_index)
 
+    size = config.batch_size
     longest = max(len(labels) for _, _, labels in data)
     for _ in range(epochs):
-        perms = [rng.permutation(len(labels)) for _, _, labels in data]
-        for start in range(0, longest, config.batch_size):
-            for (tid, feats, labels), perm in zip(data, perms):
-                idx = perm[start:start + config.batch_size]
-                if not idx.size:
+        epoch = []
+        for tid, feats, labels in data:
+            perm = rng.permutation(len(labels))
+            epoch.append((tid, feats[perm], labels[perm]))
+        for start in range(0, longest, size):
+            for tid, feats, labels in epoch:
+                if start >= len(labels):
                     continue
-                do_step([Batch(feats[idx], labels[idx], tid)])
-                if (flags.replay and replay_buffer is not None and len(replay_buffer)
-                        and replay_schedule(step_index, config.replay_every)):
-                    do_step(replay_buffer.sample_batches(config.batch_size, rng))
+                do_step([(feats[start:start + size], labels[start:start + size], tid)])
+                if use_replay and replay_schedule(step_index, config.replay_every):
+                    do_step([(b.features, b.labels, b.task_id)
+                             for b in replay_buffer.sample_batches(size, rng)])
     validate(step_index)
     np.copyto(model.theta, best_theta)
     return report

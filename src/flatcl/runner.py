@@ -49,10 +49,18 @@ REQUIRED_KEYS = {
     "benchmark": "kind n_tasks classes_per_task dim samples_per_class separation",
     "model": "hidden_dims",
 }
+# Counts that must be integers >= 1, per section: training assumes at least
+# one epoch and nonempty tasks, and the probe at least one row and iteration.
+COUNT_KEYS = {
+    "": "epochs_per_task",
+    "benchmark": "n_tasks classes_per_task dim samples_per_class",
+    "probe": "batch_size lanczos_iters",
+}
 
 
 def check_config_keys(cfg: dict):
-    """Raise a one-line ValueError naming the first unknown or missing key."""
+    """Raise a one-line ValueError naming the first unknown or missing key,
+    or the first count that is not an integer >= 1."""
     for section, allowed in CONFIG_KEYS.items():
         body = cfg.get(section, {}) if section else cfg
         where = f" in {section!r}" if section else ""
@@ -68,6 +76,11 @@ def check_config_keys(cfg: dict):
         for key in required:
             if key not in body:
                 raise ValueError(f"missing config key {key!r}{where}")
+        for key in COUNT_KEYS.get(section, "").split():
+            value = body.get(key, 1)
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{section + ' ' if section else ''}{key} must be "
+                                 f"an integer >= 1, got {value!r}")
 
 
 def load_config(path) -> dict:

@@ -9,12 +9,13 @@ from flatcl.autodiff import finite_diff_gradient
 from flatcl.data import TaskStream, gen_rotated_gaussians
 from flatcl.model import Batch, MultiHeadClassifier
 from flatcl.optim import (FlatRegion, ImportanceMap, OptimizerConfig,
-                          OptimizerState, VariantFlags, accumulate_fisher,
-                          base_step, build_sparse_mask, clamp_to_region,
-                          compute_perturbation, create_gradient, find_fisher,
-                          random_importance, soft_penalty, train_continual,
-                          train_multitask, train_task)
+                          OptimizerState, TaskReport, VariantFlags,
+                          accumulate_fisher, base_step, build_sparse_mask,
+                          clamp_to_region, compute_perturbation, create_gradient,
+                          find_fisher, random_importance, soft_penalty,
+                          train_continual, train_multitask, train_task)
 from flatcl.params import ParameterSet
+from flatcl.replay import ReplayBuffer, replay_schedule
 
 from conftest import random_batch, random_mlp
 
@@ -585,3 +586,214 @@ def test_random_importance_nonnegative_and_deterministic():
     for n in a.values:
         assert np.all(a.values[n] >= 0)
         assert np.array_equal(a.values[n], b.values[n])
+
+
+# -- train_task against the public per-step functions ----------------------
+
+def _reference_train_task(model, tasks, region, importance, replay_buffer, config,
+                          rng, epochs, val_sets):
+    """train_task written out step by step over the public functions: one
+    Batch per minibatch, create_gradient or loss_gradient, lam * soft_penalty,
+    the sparse mask from build_sparse_mask, base_step and clamp_to_region."""
+    flags = config.variant
+    task_id = tasks[-1].task_id
+    params = model.parameters()
+    state = OptimizerState(params)
+    report = TaskReport(task_id=task_id)
+    names = model.constrained_names(task_id)
+    if region is not None:
+        report.frozen_zero_anchor_coords = int(np.count_nonzero(
+            region.anchor.prefix(region.constrained_names) == 0.0))
+    mask = None
+    if config.sparse_update_ratio < 1.0 and importance is not None and names:
+        layers = [names[i:i + 2] for i in range(0, len(names), 2)]
+        mask = build_sparse_mask(importance, config.sparse_update_ratio,
+                                 layers).prefix(names)
+    best_theta, step = None, 0
+
+    def validate():
+        nonlocal best_theta
+        correct = sum(int(np.sum(model.predict(x, t) == y)) for x, y, t in val_sets)
+        acc = correct / sum(len(y) for _, y, _ in val_sets)
+        report.validation_curve.append((step, acc))
+        if best_theta is None or acc > report.best_accuracy:
+            report.best_step, report.best_accuracy = step, acc
+            best_theta = model.theta.copy()
+
+    def update(batches):
+        nonlocal step
+        total_weight = sum(len(b) for b in batches)
+        summed, loss_val = None, 0.0
+        for b in batches:
+            if flags.create:
+                g, loss = create_gradient(model, b, config.rho, names or None)
+            else:
+                loss, g = model.loss_gradient(b)
+            w = len(b) / total_weight
+            loss_val += w * loss
+            summed = g.scale(w) if summed is None else summed.add(g.scale(w))
+        if flags.l2 and region is not None and importance is not None:
+            summed = summed.add(soft_penalty(params, region, importance)[1].scale(config.lam))
+        if mask is not None:
+            summed.flat[:mask.size] *= mask
+        base_step(state, params, summed, config)
+        clamped = (clamp_to_region(params, region)
+                   if flags.clamp and region is not None else 0)
+        report.step_losses.append(loss_val)
+        report.clamp_counts.append(clamped)
+        step += 1
+        if step % config.validate_every_steps == 0:
+            validate()
+
+    data = [(task.task_id, *task.train_xy()) for task in tasks]
+    for _ in range(epochs):
+        perms = [rng.permutation(len(y)) for _, _, y in data]
+        for start in range(0, max(len(y) for _, _, y in data), config.batch_size):
+            for (t, x, y), perm in zip(data, perms):
+                idx = perm[start:start + config.batch_size]
+                if idx.size:
+                    update([Batch(x[idx], y[idx], t)])
+                    if (flags.replay and len(replay_buffer)
+                            and replay_schedule(step, config.replay_every)):
+                        update(replay_buffer.sample_batches(config.batch_size, rng))
+    validate()
+    np.copyto(model.theta, best_theta)
+    return report
+
+
+def _two_task_setup(seed, activation, hidden):
+    """A model with heads for tasks 0 and 1, a flat region and Fisher
+    importance around its current weights, and a replay store of task 0."""
+    stream = _tiny_stream(seed, n_tasks=2)
+    model = MultiHeadClassifier(seed, 4, list(hidden), [3, 3], activation=activation)
+    region = FlatRegion(model.parameters().copy(), 0.3, model.constrained_names(1))
+    importance = find_fisher(model, *stream[0].train_xy(), 0, 32, seed)
+    store = ReplayBuffer()
+    store.add_task(*stream[0].train_xy(), 0, 0.2, seed)
+    return stream, model, region, importance, store
+
+
+@pytest.mark.parametrize("n_tasks", [1, 2])
+@pytest.mark.parametrize("base_optimizer", ["sgd", "adam_decoupled"])
+@pytest.mark.parametrize("activation,hidden", [("tanh", ()), ("relu", (6,)),
+                                               ("tanh", (6, 5)), ("relu", (5, 4))])
+def test_train_task_matches_public_step_functions(activation, hidden, base_optimizer,
+                                                  n_tasks):
+    """train_task runs its steps on checked rows with loop-owned buffers;
+    its weights and report are bitwise those of the same loop written over
+    the public per-step functions, with every cf mechanism on: create,
+    the l2 penalty, the clamp, replay and a sparse mask."""
+    stream, model, region, importance, store = _two_task_setup(71, activation, hidden)
+    cfg = _config(base_optimizer=base_optimizer, sparse_update_ratio=0.5, replay_every=3,
+                  variant=VariantFlags(create=True, find=True, clamp=True, l2=True,
+                                       replay=True))
+    tasks = [stream[0], stream[1]][-n_tasks:]
+    val_sets = [(*task.val_xy(), task.task_id) for task in tasks]
+    twin = model.clone()
+    report = train_task(model, tasks, region, importance, store, cfg,
+                        np.random.Generator(np.random.PCG64(5)), 2, val_sets)
+    expected = _reference_train_task(twin, tasks, region, importance, store, cfg,
+                                     np.random.Generator(np.random.PCG64(5)), 2, val_sets)
+    assert model.theta.tobytes() == twin.theta.tobytes()
+    assert dataclasses.asdict(report) == dataclasses.asdict(expected)
+    batches = 2 * sum(-(-len(task.train_xy()[1]) // cfg.batch_size) for task in tasks)
+    assert len(report.step_losses) > batches  # replay steps ran
+    assert sum(report.clamp_counts) > 0
+
+
+# -- input checks that run once per call, not once per step ----------------
+
+class _Rows:
+    """A task as train_task reads it: a task id and training rows."""
+
+    def __init__(self, task_id, features, labels):
+        self.task_id = task_id
+        self._xy = (features, labels)
+
+    def train_xy(self):
+        return self._xy
+
+
+def _bad_rows(model, task_id):
+    """(name, features, labels) with one fault each: a label below 0, a label
+    equal to the head's class count, and one feature column too many.  The
+    bad label sits in the row that train_task's first epoch, drawn from
+    PCG64(0), reaches last."""
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(40, model.input_dim))
+    y = rng.integers(0, model.head_classes[task_id], size=40)
+    last = np.random.Generator(np.random.PCG64(0)).permutation(40)[-1]
+    low, high = y.copy(), y.copy()
+    low[last], high[last] = -1, model.head_classes[task_id]
+    return [("label -1", x, low), ("label == classes", x, high),
+            ("wide features", np.hstack([x, x[:, :1]]), y)]
+
+
+def _entry_points(model, x, y, task_id):
+    batch = Batch(x, y, task_id)
+    cfg = _config(variant=VariantFlags(create=True, replay=True))
+    val = [(x[:, :model.input_dim], np.zeros(len(y), dtype=int), task_id)]
+    return {
+        "loss_gradient": lambda: model.loss_gradient(batch),
+        "task_loss": lambda: model.task_loss(batch),
+        "create_gradient": lambda: create_gradient(model, batch, 0.3),
+        "find_fisher": lambda: find_fisher(model, x, y, task_id, 4, seed=0),
+        "loss_hvp": lambda: model.loss_hvp(batch, model.parameters().copy()),
+        "train_task": lambda: train_task(
+            model, [_Rows(task_id, x, y)], None, None, None, cfg,
+            np.random.Generator(np.random.PCG64(0)), 1, val),
+    }
+
+
+@pytest.mark.parametrize("fault", range(3))
+@pytest.mark.parametrize("entry", ["loss_gradient", "task_loss", "create_gradient",
+                                   "find_fisher", "loss_hvp", "train_task"])
+def test_bad_rows_refused_by_every_entry_point(entry, fault):
+    """A bad label or feature width raises ValueError before any weight
+    moves, wherever the row enters; train_task checks all of a task's rows
+    before its first step, so a bad row late in the task still leaves
+    theta untouched."""
+    model = random_mlp(80, classes=(3, 4))
+    _, x, y = _bad_rows(model, 1)[fault]
+    before = model.theta.tobytes()
+    with pytest.raises(ValueError, match="labels|input_dim"):
+        _entry_points(model, x, y, 1)[entry]()
+    assert model.theta.tobytes() == before
+
+
+@pytest.mark.parametrize("fault", ["label -1", "label == classes", "wide features",
+                                   "task id"])
+def test_bad_replay_row_refused_before_training(fault):
+    """The replay store may come from a checkpoint, so train_task checks its
+    rows against their heads before the first step."""
+    stream, model, region, importance, store = _two_task_setup(72, "tanh", (6,))
+    if fault == "task id":
+        store.task_ids[-1] = 2
+    elif fault == "wide features":
+        store.features = np.hstack([store.features, store.features[:, :1]])
+    else:
+        store.labels[-1] = -1 if fault == "label -1" else model.head_classes[0]
+    cfg = _config(variant=VariantFlags(create=True, l2=True, clamp=True, replay=True))
+    before = model.theta.tobytes()
+    with pytest.raises(ValueError, match="labels out of range|input_dim|no head for task 2"):
+        train_task(model, [stream[1]], region, importance, store, cfg,
+                   np.random.Generator(np.random.PCG64(0)), 1,
+                   [(*stream[1].val_xy(), 1)])
+    assert model.theta.tobytes() == before
+
+
+def test_public_gradients_never_share_a_buffer():
+    """loss_gradient and create_gradient hand out fresh sets: none aliases
+    model.theta, another call's result, or each other, so comparing two of
+    them (as the rho = 0 identity does) compares two computations."""
+    model = random_mlp(81, hidden=(5, 4), classes=(3, 3))
+    batch = random_batch(82, model, n=6, task_id=1)
+    flats = [model.theta]
+    for _ in range(2):
+        flats.append(model.loss_gradient(batch)[1].flat)
+        flats.append(create_gradient(model, batch, 0.0)[0].flat)
+        flats.append(create_gradient(model, batch, 0.3, model.constrained_names(1))[0].flat)
+    for i, a in enumerate(flats):
+        for b in flats[i + 1:]:
+            assert not np.shares_memory(a, b)
+    assert np.array_equal(flats[1], flats[2]) and np.array_equal(flats[1], flats[4])

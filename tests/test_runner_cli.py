@@ -110,6 +110,33 @@ def test_refused_optimizer_setting_leaves_no_directory(tmp_path, key, value, var
     assert os.path.exists(os.path.join(out, "metrics.json"))
 
 
+# Counts outside `optimizer`, each with a variant that used to fail only
+# inside the seed, after its directory existed: as a TypeError (a float
+# epoch count), a ZeroDivisionError (cf on empty tasks), an incomplete
+# matrix (seq on empty tasks) or a probe error.
+REFUSED_COUNTS = [(None, "epochs_per_task", 1.5, "cf"), (None, "epochs_per_task", 0, "seq"),
+                  ("benchmark", "samples_per_class", 0, "cf"),
+                  ("benchmark", "samples_per_class", 0, "seq"),
+                  ("benchmark", "n_tasks", 0, "seq"), ("benchmark", "classes_per_task", 0, "seq"),
+                  ("benchmark", "dim", 4.0, "seq"), ("probe", "lanczos_iters", 0, "cf"),
+                  ("probe", "batch_size", 0, "cf")]
+
+
+@pytest.mark.parametrize("section,key,value,variant", REFUSED_COUNTS)
+def test_refused_count_leaves_no_directory(tmp_path, section, key, value, variant):
+    out = str(tmp_path / "run")
+    bad = small_cfg()
+    bad["probe"] = {"enabled": True, "batch_size": 8, "lanczos_iters": 3}
+    (bad if section is None else bad[section])[key] = value
+    name = key if section is None else f"{section} {key}"
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, "
+                                         f"got {value!r}$"):
+        run_single_seed(bad, variant, 1, out)
+    assert not os.path.exists(out)
+    run_single_seed(small_cfg(), variant, 1, out)  # the fixed config reruns in place
+    assert os.path.exists(os.path.join(out, "metrics.json"))
+
+
 @pytest.mark.parametrize("section,key", [(None, "optimzer"), ("benchmark", "dims"),
                                          ("model", "hiden_dims"), ("probe", "enable"),
                                          ("optimizer", "learnig_rate"),
@@ -408,6 +435,17 @@ def test_cli_run_rejects_optimizer_setting(tmp_path, capsys, key, value, variant
     err = capsys.readouterr().err
     assert err.startswith(f"error: ValueError: optimizer {key} must be")
     assert err.strip().count("\n") == 0
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_cli_run_rejects_fractional_epochs(tmp_path, capsys):
+    cfg = small_cfg()
+    cfg["epochs_per_task"] = 1.5
+    rc = main(["run", "--config", write_cfg(tmp_path, cfg), "--variant", "cf",
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: ValueError: epochs_per_task must be an integer >= 1, got 1.5\n")
     assert not os.path.exists(tmp_path / "o")
 
 
