@@ -8,7 +8,8 @@ temporary file next to the target and renames it over the target, so a
 crash never leaves a partial checkpoint under the final name.
 
 Round-trips are bitwise exact.  Besides model weights, a checkpoint can
-carry everything needed to resume a continual run at a task boundary: the
+carry the run seed (absent from files written before it was recorded) and
+everything needed to resume a continual run at a task boundary: the
 importance accumulator, the region anchor, the rng state, finished accuracy
 rows and the replay buffer.  The weights, the importance and the anchor are
 each one block over the model's flat parameter layout; the replay buffer's
@@ -45,6 +46,7 @@ class Checkpoint:
     also hands to its `checkpoint_fn` under these field names."""
     model: MultiHeadClassifier
     config_hash: str | None = None
+    seed: int | None = None  # the run seed: `flatcl probe` rebuilds its stream from it
     rng_state: dict | None = None
     next_task: int | None = None
     importance: ImportanceMap | None = None
@@ -82,6 +84,7 @@ def save_checkpoint(path, ckpt: Checkpoint):
         "blocks": [{"name": n, "shape": list(a.shape), "bytes": a.size * 8}
                    for n, a in blocks],
         "config_hash": ckpt.config_hash,
+        "seed": ckpt.seed,
         "rng_state": ckpt.rng_state,  # PCG64 state: plain ints, JSON-exact
         "next_task": ckpt.next_task,
         "replay": replay_meta,
@@ -158,6 +161,7 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(
         model=model,
         config_hash=manifest["config_hash"],
+        seed=manifest.get("seed"),  # files written before the key have none
         rng_state=manifest["rng_state"],
         next_task=manifest["next_task"],
         importance=(None if importance is None

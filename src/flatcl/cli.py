@@ -54,7 +54,7 @@ def _cmd_probe(args):
     if args.quadratic is not None:
         diag = np.array([float(x) for x in args.quadratic.split(",")])
         obj = quadratic_objective(np.diag(diag), np.zeros(len(diag)))
-        res = lanczos_lambda_max(obj, args.lanczos_iters, args.seed)
+        res = lanczos_lambda_max(obj, args.lanczos_iters, args.seed or 0)
         print(json.dumps({"lambda_max": res.lambda_max,
                           "log_lambda_max": res.log_lambda_max}))
         return 0
@@ -62,7 +62,10 @@ def _cmd_probe(args):
         raise ValueError("probe needs --checkpoint and --config (or --quadratic)")
     cfg = load_config(args.config)
     ckpt = load_checkpoint(args.checkpoint)
-    stream = build_stream(cfg, args.seed)
+    seed = args.seed if args.seed is not None else ckpt.seed
+    if seed is None:
+        raise ValueError(f"{args.checkpoint} records no run seed; pass --seed")
+    stream = build_stream(cfg, seed)
     if not 0 <= args.task < len(stream):
         raise ValueError(f"--task {args.task} is out of range: the config has "
                          f"{len(stream)} tasks")
@@ -70,7 +73,7 @@ def _cmd_probe(args):
     size = cfg.get("probe", {}).get("batch_size", 64)
     batch = Batch(feats[:size], labels[:size], args.task)
     report = sharpness_report(ckpt.model, batch, rho=args.rho,
-                              lanczos_iters=args.lanczos_iters, seed=args.seed)
+                              lanczos_iters=args.lanczos_iters, seed=seed)
     print(json.dumps(dataclasses.asdict(report), indent=2))
     return 0
 
@@ -119,7 +122,9 @@ def build_parser():
     probe.add_argument("--checkpoint", default=None)
     probe.add_argument("--config", default=None)
     probe.add_argument("--task", type=int, default=0)
-    probe.add_argument("--seed", type=int, default=0)
+    probe.add_argument("--seed", type=int, default=None,
+                       help="run seed of the probe's stream (default: the checkpoint's; "
+                            "0 for --quadratic)")
     probe.add_argument("--rho", type=float, default=0.05)
     probe.add_argument("--lanczos-iters", type=int, default=30)
     probe.add_argument("--quadratic", default=None,

@@ -40,6 +40,7 @@ class MultiHeadClassifier:
     `encoder`, `heads` and `parameters()` are reshaped views of it, so a
     hand-written batched forward/backward reads the current weights on every
     call and perturb/restore is in-place mutation of `theta`.
+    The constructor lays out all of its heads in one buffer at once;
     `add_task_head` reallocates the buffer and appends the new head at the
     end, leaving the offsets of all earlier weights unchanged; the weights
     constrained while training a task are therefore a prefix of `theta`.
@@ -50,6 +51,13 @@ class MultiHeadClassifier:
     and looks up no layers.  The public methods check their inputs and then
     call the unchecked kernel; the training loop checks each task's rows
     once and calls the kernel directly with buffers it owns.
+
+    The Hessian-vector product is split into a bind step and an apply step
+    (`_hvp_operator`): binding to checked rows runs the forward pass, the
+    softmax and the backward adjoints once, and the operator it returns
+    runs only the passes that depend on the direction.  `loss_hvp` checks,
+    binds and applies once; a Lanczos run binds once and applies per
+    iteration.
     """
 
     def __init__(self, seed: int, input_dim: int, hidden_dims: list[int],
@@ -71,10 +79,10 @@ class MultiHeadClassifier:
             layers.append((f"enc{i}.W", _kaiming_uniform(rng, prev, (prev, width))))
             layers.append((f"enc{i}.b", np.zeros(width)))
             prev = width
-        self.head_classes: list[int] = []
+        for t, classes in enumerate(per_task_classes):
+            layers.extend(self._new_head(t, classes))
+        self.head_classes = list(per_task_classes)
         self._bind(ParameterSet(layers))
-        for classes in per_task_classes:
-            self.add_task_head(classes)
 
     def _bind(self, params: ParameterSet):
         """Adopt `params` (encoder, then heads in task order) as the weights."""
@@ -92,18 +100,22 @@ class MultiHeadClassifier:
     def encoder_dim(self) -> int:
         return self.hidden_dims[-1] if self.hidden_dims else self.input_dim
 
+    def _new_head(self, task_id: int, class_count: int):
+        """The (name, array) pairs of a freshly initialized head.  Head seeds
+        derive from (init_seed, task_id), so a head has the same weights
+        whether the model was built with it or it was added later."""
+        rng = np.random.Generator(np.random.PCG64([self.init_seed, 7919, task_id]))
+        w = _kaiming_uniform(rng, self.encoder_dim, (self.encoder_dim, class_count))
+        return [(f"head{task_id}.W", w), (f"head{task_id}.b", np.zeros(class_count))]
+
     def add_task_head(self, class_count: int) -> int:
         """Append a freshly initialized head; returns its task id."""
         if class_count < 1:
             raise ValueError("class_count must be >= 1")
         task_id = len(self.heads)
-        # Head seeds derive from (init_seed, task_id) so adding heads later
-        # reproduces the same weights regardless of training history.
-        rng = np.random.Generator(np.random.PCG64([self.init_seed, 7919, task_id]))
-        w = _kaiming_uniform(rng, self.encoder_dim, (self.encoder_dim, class_count))
         self.head_classes.append(class_count)
-        self._bind(ParameterSet([*self._params.items(), (f"head{task_id}.W", w),
-                                 (f"head{task_id}.b", np.zeros(class_count))]))
+        self._bind(ParameterSet([*self._params.items(),
+                                 *self._new_head(task_id, class_count)]))
         return task_id
 
     # -- parameter views -------------------------------------------------
@@ -206,15 +218,21 @@ class MultiHeadClassifier:
 
     def task_loss(self, batch: Batch) -> float:
         features, labels = self._check_rows(batch.features, batch.labels, batch.task_id)
-        _, logp = self._log_probs(features, batch.task_id)
-        return float(-logp[np.arange(len(batch)), labels].mean())
+        return self._task_loss(features, labels, batch.task_id)
+
+    def _task_loss(self, features, labels, task_id) -> float:
+        _, logp = self._log_probs(features, task_id)
+        return float(-logp[np.arange(labels.shape[0]), labels].mean())
 
     def loss_gradient(self, batch: Batch):
         """(loss value, gradient ParameterSet) for mean cross-entropy, in a
         fresh zeroed set laid out like `theta`."""
         features, labels = self._check_rows(batch.features, batch.labels, batch.task_id)
+        return self._loss_gradient(features, labels, batch.task_id)
+
+    def _loss_gradient(self, features, labels, task_id):
         grads = self._params.zeros_like()
-        return self._loss_gradient_into(features, labels, batch.task_id, grads), grads
+        return self._loss_gradient_into(features, labels, task_id, grads), grads
 
     def log_prob_gradient(self, features, label, task_id: int) -> ParameterSet:
         """Per-sample gradient of log p(true label | x; w).
@@ -253,40 +271,77 @@ class MultiHeadClassifier:
         return sums, sq_norms
 
     def loss_hvp(self, batch: Batch, v: ParameterSet) -> ParameterSet:
-        """Exact Hessian-vector product of the mean cross-entropy.
-
-        Pearlmutter's R-operator: push the directional derivative R{.} = d/dt
-        at w + t v through the forward pass, then through the backward pass.
-        Relu kinks contribute no curvature.
-        """
+        """Exact Hessian-vector product of the mean cross-entropy, in a fresh
+        set laid out like `theta`: the rows are checked, an operator is bound
+        to them and applied once to `v`."""
         features, labels = self._check_rows(batch.features, batch.labels, batch.task_id)
-        acts, logp = self._log_probs(features, batch.task_id)
-        n = len(batch)
-        layers = self._plans[batch.task_id]
-        r_acts = [np.zeros_like(acts[0])]  # R{input} of each layer
-        for k, (w, _, w_name, b_name) in enumerate(layers):
-            r_out = r_acts[k] @ w + acts[k] @ v[w_name] + v[b_name]
-            if k + 1 < len(layers):
-                r_acts.append(self._activation_backward(r_out, acts[k + 1]))
+        self._params.require_aligned(v, "loss_hvp")
+        hvp = self._hvp_operator(features, labels, batch.task_id)
+        return self._params.unflatten(hvp(v.flat))
+
+    def _hvp_operator(self, features, labels, task_id):
+        """Bind Pearlmutter's R-operator to checked rows at the current weights.
+
+        R{.} = d/dt at w + t v is pushed through the forward pass, then
+        through the backward pass.  Everything that depends only on the
+        weights and the rows (the layer inputs, the softmax, the backward
+        adjoints, the activation derivatives) is computed here, once.  The
+        returned operator maps a flat `v` to a fresh flat H v and runs only
+        the R-forward and R-backward passes, taking each layer's block of
+        `v` and of H v as a slice; it is valid while the weights do not
+        move.  Relu kinks contribute no curvature.
+        """
+        plan = self._plans[task_id]
+        tanh = self.activation == "tanh"
+        acts, logp = self._log_probs(features, task_id)
+        n = labels.shape[0]
         p = np.exp(logp)
+        # layers[k]: layer k's W and the slices of its W and b blocks.  For
+        # k >= 1, layer k reads the hidden output acts[k]: slope[k] is the
+        # activation's derivative there, adjoint[k] the loss adjoint of
+        # layer k's output and, for tanh, curvature[k] = 2 * d_h * acts[k]
+        # the factor that the activation's second derivative contributes.
+        layers = [(w, self._params.slice_of(w_name), self._params.slice_of(b_name))
+                  for w, _, w_name, b_name in plan]
+        slope = [None] + [(1.0 - h * h) if tanh else (h > 0.0) for h in acts[1:]]
+        adjoint, curvature = [None] * len(plan), [None] * len(plan)
         delta = p.copy()
         delta[np.arange(n), labels] -= 1.0
         delta /= n
-        r_delta = p * (r_out - (p * r_out).sum(axis=1, keepdims=True)) / n
-        out = self._params.zeros_like()
-        for k in reversed(range(len(layers))):
-            w, _, w_name, b_name = layers[k]
-            out[w_name] = acts[k].T @ r_delta + r_acts[k].T @ delta
-            np.sum(r_delta, axis=0, out=out[b_name])
-            if k == 0:
-                break
-            d_h = delta @ w.T
-            r_d_h = r_delta @ w.T + delta @ v[w_name].T
-            delta = self._activation_backward(d_h, acts[k])
-            r_delta = self._activation_backward(r_d_h, acts[k])
-            if self.activation == "tanh":
-                r_delta -= 2.0 * d_h * acts[k] * r_acts[k]
-        return out
+        for k in range(len(plan) - 1, 0, -1):
+            adjoint[k] = delta
+            d_h = delta @ plan[k][0].T
+            if tanh:
+                curvature[k] = 2.0 * d_h * acts[k]
+            delta = d_h * slope[k]
+        size = self.theta.size
+
+        def hvp(v: np.ndarray) -> np.ndarray:
+            out = np.zeros(size)
+            v_w = [v[w_sl].reshape(w.shape) for w, w_sl, _ in layers]
+            r_acts = [None]  # R{input} of each layer; R{x} = 0
+            for k, (w, _, b_sl) in enumerate(layers):
+                if k:
+                    r_out = r_acts[k] @ w + acts[k] @ v_w[k] + v[b_sl]
+                else:
+                    r_out = acts[0] @ v_w[0] + v[b_sl]
+                if k + 1 < len(layers):
+                    r_acts.append(r_out * slope[k + 1])
+            r_delta = p * (r_out - (p * r_out).sum(axis=1, keepdims=True)) / n
+            for k in range(len(layers) - 1, -1, -1):
+                w, w_sl, b_sl = layers[k]
+                out_w = out[w_sl].reshape(w.shape)
+                np.matmul(acts[k].T, r_delta, out=out_w)
+                np.sum(r_delta, axis=0, out=out[b_sl])
+                if k == 0:
+                    break
+                out_w += r_acts[k].T @ adjoint[k]
+                r_delta = (r_delta @ w.T + adjoint[k] @ v_w[k].T) * slope[k]
+                if tanh:
+                    r_delta -= curvature[k] * r_acts[k]
+            return out
+
+        return hvp
 
     def logits(self, features, task_id: int) -> np.ndarray:
         features, _ = self._check_rows(features, None, task_id)

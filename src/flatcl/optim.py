@@ -40,8 +40,7 @@ class FlatRegion:
     hi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError("rho must be >= 0")
+        check_rho(self.rho)
         anchor = self.anchor.prefix(self.constrained_names)
         half = self.rho * np.abs(anchor)
         self.lo, self.hi = anchor - half, anchor + half
@@ -98,7 +97,8 @@ class OptimizerConfig:
                 ("store_ratio", "a number in (0, 1]", lambda v: 0 < v <= 1),
                 ("replay_every", "an integer >= 1", positive_int)):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not ok(value):
+            # bool is an int subclass; a JSON true is not the number 1
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not ok(value):
                 raise ValueError(f"optimizer {name} must be {rule}, got {value!r}")
         if self.base_optimizer not in ("sgd", "adam_decoupled"):
             raise ValueError(f"unknown base_optimizer {self.base_optimizer!r}")
@@ -142,8 +142,16 @@ def _epsilon(w: np.ndarray, g: np.ndarray, rho: float, out=None) -> np.ndarray:
     return out
 
 
+def check_rho(rho: float):
+    """The one-line refusal of a negative (or NaN) radius that every entry
+    point taking rho shares."""
+    if not rho >= 0:
+        raise ValueError("rho must be >= 0")
+
+
 def compute_perturbation(params: ParameterSet, grads: ParameterSet, rho: float) -> Perturbation:
     """Ascent direction rho * w^2 g / ||w g||_2, one global normalizer."""
+    check_rho(rho)
     params.require_aligned(grads, "compute_perturbation")
     return Perturbation(params.unflatten(_epsilon(params.flat, grads.flat, rho)))
 
@@ -157,8 +165,7 @@ def create_gradient(model: MultiHeadClassifier, batch: Batch, rho: float,
     Weights are restored exactly by copying them back, not by subtracting
     the perturbation.
     """
-    if rho < 0:
-        raise ValueError("rho must be >= 0")
+    check_rho(rho)
     features, labels = model._check_rows(batch.features, batch.labels, batch.task_id)
     params = model.parameters()
     w = params.flat if perturb_names is None else params.prefix(perturb_names)

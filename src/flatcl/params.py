@@ -104,6 +104,12 @@ class ParameterSet:
                              f"layout {lay.names}")
         return self.flat[:lay.offsets[len(names)]]
 
+    def slice_of(self, name) -> slice:
+        """Where the block `name` lies in `flat`."""
+        lay = self._layout
+        i = lay.index[name]
+        return slice(lay.offsets[i], lay.offsets[i + 1])
+
     def total_size(self) -> int:
         return self.flat.size
 

@@ -16,22 +16,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Batch, MultiHeadClassifier
-from .optim import compute_perturbation
+from .optim import check_rho, compute_perturbation
 from .params import ParameterSet
 
 
 class Objective:
     """Scalar objective over a live ParameterSet.
 
-    Probes mutate `params` in place (and restore them), so `value`,
-    `gradient` and `hvp` must read the current array contents on every call.
+    Probes mutate `params` in place (and restore them), so `value` and
+    `gradient` must read the current array contents on every call.
+    `bind_hvp` binds the Hessian at the current weights: it returns an
+    operator from a flat v to a fresh flat H v that is valid while the
+    weights do not move, so a Lanczos run binds once and applies many times.
     """
 
-    def __init__(self, params: ParameterSet, value_fn, gradient_fn=None, hvp_fn=None):
+    def __init__(self, params: ParameterSet, value_fn, gradient_fn=None,
+                 bind_hvp_fn=None):
         self.params = params
         self._value_fn = value_fn
         self._gradient_fn = gradient_fn
-        self._hvp_fn = hvp_fn
+        self._bind_hvp_fn = bind_hvp_fn
 
     def value(self) -> float:
         return float(self._value_fn(self.params))
@@ -41,18 +45,22 @@ class Objective:
             raise NotImplementedError("objective has no gradient")
         return self._gradient_fn(self.params)
 
-    def hvp(self, v: ParameterSet) -> ParameterSet:
-        if self._hvp_fn is None:
+    def bind_hvp(self):
+        if self._bind_hvp_fn is None:
             raise NotImplementedError("objective has no Hessian-vector product")
-        return self._hvp_fn(v)
+        return self._bind_hvp_fn()
 
 
 def model_objective(model: MultiHeadClassifier, batch: Batch) -> Objective:
+    """The batch's mean cross-entropy.  The rows are checked here, once;
+    the objective's methods call the model's unchecked forms."""
+    features, labels = model._check_rows(batch.features, batch.labels, batch.task_id)
+    task_id = batch.task_id
     return Objective(
         model.parameters(),
-        lambda _: model.task_loss(batch),
-        lambda _: model.loss_gradient(batch)[1],
-        lambda v: model.loss_hvp(batch, v),
+        lambda _: model._task_loss(features, labels, task_id),
+        lambda _: model._loss_gradient(features, labels, task_id)[1],
+        lambda: model._hvp_operator(features, labels, task_id),
     )
 
 
@@ -64,7 +72,7 @@ def quadratic_objective(matrix, w0) -> Objective:
         params,
         lambda p: 0.5 * float(p["w"] @ matrix @ p["w"]),
         lambda p: ParameterSet({"w": matrix @ p["w"]}),
-        lambda v: ParameterSet({"w": matrix @ v["w"]}),
+        lambda: lambda v: matrix @ v,
     )
 
 
@@ -84,6 +92,7 @@ def _perturbed_value(obj: Objective, direction: ParameterSet) -> float:
 def ball_sharpness(obj: Objective, rho: float, n_directions: int, seed: int) -> float:
     """Max of L(w+eps) - L(w) over random rho-sphere directions plus the
     non-adaptive gradient-ascent direction rho * g / ||g||."""
+    check_rho(rho)
     if n_directions < 1:
         raise ValueError("n_directions must be >= 1")
     base = obj.value()
@@ -106,6 +115,7 @@ def ball_sharpness(obj: Objective, rho: float, n_directions: int, seed: int) -> 
 
 def first_order_sharpness(obj: Objective, rho: float) -> float:
     """First-order Taylor estimate of ball sharpness: rho * ||grad||_2."""
+    check_rho(rho)
     return rho * obj.gradient().norm()
 
 
@@ -115,6 +125,7 @@ def create_decomposition_check(obj: Objective, rho: float):
     The excess term is the sharpness contribution; the three values satisfy
     perturbed = excess + base exactly by construction.
     """
+    check_rho(rho)
     base = obj.value()
     grads = obj.gradient()
     eps = compute_perturbation(obj.params, grads, rho).epsilon_hat
@@ -138,12 +149,24 @@ def fisher_trace_check(model: MultiHeadClassifier, features, labels, task_id: in
     return trace, mean_sq, abs(trace - mean_sq) / denom
 
 
-def hvp(obj: Objective, v: ParameterSet) -> ParameterSet:
-    """Exact Hessian-vector product H v of the objective at its current weights."""
-    if v.norm() == 0:
+def hvp(obj, v):
+    """Exact Hessian-vector product H v at the objective's current weights.
+
+    `obj` is an Objective and `v` a ParameterSet, or `obj` is an operator
+    from `Objective.bind_hvp` and `v` a flat vector; H v has the form of
+    `v`.  Either way a zero direction and a non-finite product are refused.
+    """
+    if isinstance(obj, Objective):  # bind at the current weights, apply once
+        obj.params.require_aligned(v, "hvp")
+        return obj.params.unflatten(_checked_product(obj.bind_hvp(), v.flat))
+    return _checked_product(obj, v)
+
+
+def _checked_product(op, v: np.ndarray) -> np.ndarray:
+    if v @ v == 0:
         raise ValueError("direction must be nonzero")
-    out = obj.hvp(v)
-    if not out.all_finite():
+    out = op(v)
+    if not np.isfinite(out).all():
         raise FloatingPointError("non-finite Hessian-vector product")
     return out
 
@@ -158,10 +181,12 @@ class LanczosResult:
 
 def lanczos_lambda_max(obj: Objective, iters: int = 30, seed: int = 0) -> LanczosResult:
     """Largest Hessian eigenvalue via Lanczos with full reorthogonalization,
-    using exact Hessian-vector products as the operator.  The basis is one
-    (iters, d) array of flat vectors."""
+    using exact Hessian-vector products as the operator.  The Hessian is
+    bound once at the start and each basis row, a flat vector of the one
+    (iters, d) basis array, goes through `hvp` as it is."""
     if iters < 1:
         raise ValueError("iters must be >= 1")
+    op = obj.bind_hvp()  # the weights do not move during the run
     rng = np.random.Generator(np.random.PCG64(seed))
     q = rng.normal(size=obj.params.total_size())
     basis = np.zeros((iters, q.size))
@@ -169,7 +194,7 @@ def lanczos_lambda_max(obj: Objective, iters: int = 30, seed: int = 0) -> Lanczo
     alphas, betas = [], []
     breakdown = False
     for j in range(iters):
-        w = hvp(obj, obj.params.unflatten(basis[j])).flatten()
+        w = hvp(op, basis[j])
         alpha = float(w @ basis[j])
         alphas.append(alpha)
         w -= alpha * basis[j]

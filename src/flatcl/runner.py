@@ -78,7 +78,7 @@ def check_config_keys(cfg: dict):
                 raise ValueError(f"missing config key {key!r}{where}")
         for key in COUNT_KEYS.get(section, "").split():
             value = body.get(key, 1)
-            if not isinstance(value, int) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{section + ' ' if section else ''}{key} must be "
                                  f"an integer >= 1, got {value!r}")
 
@@ -194,7 +194,7 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
         with open(os.path.join(out_dir, "metrics.json"), "w") as f:
             json.dump(result_metrics, f, indent=2)
         save_checkpoint(os.path.join(out_dir, "ckpt_final.bin"),
-                        Checkpoint(model=model, config_hash=chash))
+                        Checkpoint(model=model, config_hash=chash, seed=seed))
         return result_metrics
 
     probe_cfg = cfg.get("probe", {})
@@ -210,7 +210,7 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
 
     def checkpoint_fn(task_idx, **state):
         save_checkpoint(os.path.join(out_dir, f"ckpt_task{task_idx}.bin"),
-                        Checkpoint(model=model, config_hash=chash, **state))
+                        Checkpoint(model=model, config_hash=chash, seed=seed, **state))
 
     model = _build_model(cfg, stream, seed) if loaded is None else loaded.model
     _fresh_dir(out_dir)

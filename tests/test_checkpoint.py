@@ -31,9 +31,9 @@ def test_model_round_trip_bitwise(tmp_path):
     # make the weights non-trivial relative to the init
     model.parameters()["enc0.W"][0, 0] = np.pi
     path = tmp_path / "m.bin"
-    save_checkpoint(path, Checkpoint(model=model, config_hash="abc"))
+    save_checkpoint(path, Checkpoint(model=model, config_hash="abc", seed=17))
     loaded = load_checkpoint(path)
-    assert loaded.config_hash == "abc"
+    assert loaded.config_hash == "abc" and loaded.seed == 17
     assert loaded.model.hidden_dims == [5, 4]
     for n in model.parameters():
         assert np.array_equal(loaded.model.parameters()[n],

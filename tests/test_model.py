@@ -201,3 +201,47 @@ def test_gradient_second_moments_match_per_sample_loop(activation, hidden):
     assert sums.names() == ref.names()
     for n in ref:
         np.testing.assert_allclose(sums[n], ref[n], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n_rows", [1, 3, 8])
+@pytest.mark.parametrize("activation,hidden", [("tanh", ()), ("tanh", (5,)),
+                                               ("tanh", (4, 3)), ("relu", ()),
+                                               ("relu", (5,)), ("relu", (4, 3))])
+def test_bound_hvp_operator_equals_loss_hvp_bitwise(activation, hidden, n_rows):
+    """One operator bound to the rows and applied to several directions in
+    turn gives, for each, the bits of a fresh `loss_hvp`, on every head."""
+    m = random_mlp(40, hidden=hidden, classes=(3, 2, 4), activation=activation)
+    rng = np.random.default_rng(41)
+    for task_id in range(3):
+        batch = random_batch(42 + task_id, m, n=n_rows, task_id=task_id)
+        op = m._hvp_operator(*m._check_rows(batch.features, batch.labels, task_id),
+                             task_id)
+        directions = [rng.normal(size=m.theta.size) for _ in range(3)]
+        products = [op(v) for v in directions]
+        for v, hv in zip(directions, products):
+            ref = m.loss_hvp(batch, m.parameters().unflatten(v))
+            assert hv.tobytes() == ref.flat.tobytes()
+            assert not np.shares_memory(hv, ref.flat)
+        assert not np.shares_memory(products[0], products[1])
+
+
+def test_one_layout_model_equals_head_by_head():
+    """Building every head at once lays out the same weights, bit for bit,
+    as building one head and adding the others in order."""
+    whole = MultiHeadClassifier(50, 4, [6, 5], [3, 2, 4, 2], activation="relu")
+    grown = MultiHeadClassifier(50, 4, [6, 5], [3], activation="relu")
+    for classes in (2, 4, 2):
+        grown.add_task_head(classes)
+    assert whole.parameters().names() == grown.parameters().names()
+    assert whole.head_classes == grown.head_classes == [3, 2, 4, 2]
+    assert whole.theta.tobytes() == grown.theta.tobytes()
+    x = np.random.default_rng(51).normal(size=(5, 4))
+    for t in range(4):
+        assert whole.logits(x, t).tobytes() == grown.logits(x, t).tobytes()
+
+
+def test_loss_hvp_refuses_misaligned_direction():
+    m = random_mlp(52, classes=(3, 2))
+    v = random_mlp(52, classes=(3,)).parameters()
+    with pytest.raises(ValueError, match="misaligned parameter sets in loss_hvp"):
+        m.loss_hvp(random_batch(53, m), v)

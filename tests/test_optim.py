@@ -308,6 +308,14 @@ def test_optimizer_config_refuses_out_of_range_settings():
         assert "\n" not in str(info.value)
 
 
+@pytest.mark.parametrize("key", ["batch_size", "fisher_sample_count",
+                                 "validate_every_steps", "replay_every", "lam", "rho"])
+def test_optimizer_config_refuses_bool(key):
+    """bool is an int subclass, but a JSON true is not the number 1."""
+    with pytest.raises(ValueError, match=f"^optimizer {key} must be .*, got True$"):
+        OptimizerConfig(**{key: True})
+
+
 # -- sparse mask ------------------------------------------------------------
 
 def test_sparse_mask_full_ratio_all_ones():

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from flatcl.model import Batch
+from flatcl.optim import compute_perturbation
 from flatcl.params import ParameterSet
 from flatcl.probe import (Objective, ball_sharpness, create_decomposition_check,
                           first_order_sharpness, fisher_trace_check, hvp,
@@ -230,3 +232,110 @@ def test_objective_without_gradient_raises():
     obj = Objective(ParameterSet({"w": [1.0]}), lambda p: float(p["w"][0]))
     with pytest.raises(NotImplementedError):
         obj.gradient()
+
+
+# -- the bound Hessian and the checks around it ------------------------------
+
+def _hand_lanczos(obj, iters, seed):
+    """lanczos_lambda_max written out over the public `hvp` on named sets."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    q = rng.normal(size=obj.params.total_size())
+    basis = np.zeros((iters, q.size))
+    basis[0] = q / np.sqrt(q @ q)
+    alphas, betas = [], []
+    for j in range(iters):
+        w = hvp(obj, obj.params.unflatten(basis[j])).flatten()
+        alphas.append(float(w @ basis[j]))
+        w -= alphas[-1] * basis[j]
+        if j > 0:
+            w -= betas[-1] * basis[j - 1]
+        done = basis[:j + 1]
+        w -= done.T @ (done @ w)
+        beta = float(np.sqrt(w @ w))
+        if j + 1 == iters or beta < 1e-12:
+            break
+        betas.append(beta)
+        basis[j + 1] = w / beta
+    tri = np.diag(alphas)
+    for i, b in enumerate(betas[:len(alphas) - 1]):
+        tri[i, i + 1] = tri[i + 1, i] = b
+    return float(np.max(np.linalg.eigvalsh(tri))), len(alphas)
+
+
+@pytest.mark.parametrize("activation,hidden", [("tanh", ()), ("tanh", (5,)),
+                                               ("tanh", (4, 3)), ("relu", (5,)),
+                                               ("relu", (4, 3))])
+def test_lanczos_equals_hand_loop_over_public_hvp(activation, hidden):
+    """Binding the Hessian once per run changes no bit of lambda_max."""
+    model = random_mlp(60, hidden=hidden, classes=(3, 4), activation=activation)
+    batch = random_batch(61, model, n=8, task_id=1)
+    obj = model_objective(model, batch)
+    res = lanczos_lambda_max(obj, iters=12, seed=5)
+    assert (res.lambda_max, res.iters_run) == _hand_lanczos(obj, 12, 5)
+
+
+def test_lanczos_equals_hand_loop_on_quadratic():
+    rng = np.random.default_rng(62)
+    a = rng.normal(size=(6, 6))
+    obj = quadratic_objective(a + a.T, rng.normal(size=6))
+    res = lanczos_lambda_max(obj, iters=6, seed=1)
+    assert (res.lambda_max, res.iters_run) == _hand_lanczos(obj, 6, 1)
+
+
+def _bad_batches(model):
+    rng = np.random.default_rng(63)
+    x = rng.normal(size=(6, model.input_dim))
+    y = rng.integers(0, 3, size=6)
+    low, high = y.copy(), y.copy()
+    low[-1], high[-1] = -1, 3
+    return {"label -1": Batch(x, low, 0), "label == classes": Batch(x, high, 0),
+            "wide features": Batch(np.hstack([x, x[:, :1]]), y, 0)}
+
+
+@pytest.mark.parametrize("fault", ["label -1", "label == classes", "wide features"])
+@pytest.mark.parametrize("entry", ["model_objective", "ball_sharpness",
+                                   "lanczos_lambda_max", "loss_hvp"])
+def test_bad_rows_refused_by_probes(entry, fault):
+    """The objective checks its rows when it is built, so a bad label or
+    feature width raises before any probe perturbs the weights."""
+    model = random_mlp(64, classes=(3,))
+    batch = _bad_batches(model)[fault]
+    calls = {
+        "model_objective": lambda: model_objective(model, batch),
+        "ball_sharpness": lambda: ball_sharpness(model_objective(model, batch),
+                                                 0.1, 4, seed=0),
+        "lanczos_lambda_max": lambda: lanczos_lambda_max(model_objective(model, batch), 5),
+        "loss_hvp": lambda: model.loss_hvp(batch, model.parameters().copy()),
+    }
+    before = model.theta.tobytes()
+    with pytest.raises(ValueError, match="labels|input_dim"):
+        calls[entry]()
+    assert model.theta.tobytes() == before
+
+
+def test_sharpness_report_checks_rows_once(monkeypatch):
+    model = random_mlp(65)
+    batch = random_batch(66, model, n=8)
+    seen = []
+    check = type(model)._check_rows
+    monkeypatch.setattr(type(model), "_check_rows",
+                        lambda self, *a: seen.append(1) or check(self, *a))
+    sharpness_report(model, batch, rho=0.1, n_directions=4, lanczos_iters=5, seed=0)
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize("rho", [-0.05, float("nan")])
+@pytest.mark.parametrize("entry", ["ball_sharpness", "first_order_sharpness",
+                                   "create_decomposition_check", "compute_perturbation"])
+def test_negative_rho_refused(entry, rho):
+    obj = _quad_1d(1.0, 1.0)
+    calls = {
+        "ball_sharpness": lambda: ball_sharpness(obj, rho, 4, seed=0),
+        "first_order_sharpness": lambda: first_order_sharpness(obj, rho),
+        "create_decomposition_check": lambda: create_decomposition_check(obj, rho),
+        "compute_perturbation": lambda: compute_perturbation(obj.params,
+                                                             obj.gradient(), rho),
+    }
+    with pytest.raises(ValueError, match=r"^rho must be >= 0$"):
+        calls[entry]()
+    assert obj.params["w"][0] == 1.0

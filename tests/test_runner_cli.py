@@ -137,6 +137,20 @@ def test_refused_count_leaves_no_directory(tmp_path, section, key, value, varian
     assert os.path.exists(os.path.join(out, "metrics.json"))
 
 
+@pytest.mark.parametrize("section,key", [(None, "epochs_per_task"),
+                                         ("benchmark", "n_tasks"), ("probe", "lanczos_iters")])
+def test_refused_bool_count_leaves_no_directory(tmp_path, section, key):
+    """A JSON true is not the count 1."""
+    out = str(tmp_path / "run")
+    bad = small_cfg()
+    bad["probe"] = {"enabled": True, "batch_size": 8, "lanczos_iters": 3}
+    (bad if section is None else bad[section])[key] = True
+    name = key if section is None else f"{section} {key}"
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got True$"):
+        run_single_seed(bad, "cf", 1, out)
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("section,key", [(None, "optimzer"), ("benchmark", "dims"),
                                          ("model", "hiden_dims"), ("probe", "enable"),
                                          ("optimizer", "learnig_rate"),
@@ -481,3 +495,67 @@ def test_cli_error_is_single_line_and_nonzero(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert err.strip().count("\n") == 0
+
+
+def _seq_run(tmp_path, seed=2):
+    cfg_path = write_cfg(tmp_path)
+    assert main(["run", "--config", cfg_path, "--variant", "seq", "--seed", str(seed),
+                 "--out", str(tmp_path / "out")]) == 0
+    return cfg_path, str(tmp_path / "out" / "tiny" / "seq" / f"seed{seed}" / "ckpt_task1.bin")
+
+
+def _drop_manifest_seed(path):
+    """Rewrite a checkpoint as one written before the manifest had a seed."""
+    from flatcl.checkpoint import _MAGIC, _digest
+    data = open(path, "rb").read()
+    head = len(_MAGIC) + 8
+    mlen = int.from_bytes(data[len(_MAGIC):head], "little")
+    manifest = json.loads(data[head:head + mlen])
+    del manifest["seed"]
+    payload = data[head + mlen:]
+    manifest["sha256"] = _digest(manifest, payload)
+    mbytes = json.dumps(manifest, sort_keys=True).encode()
+    with open(path, "wb") as f:
+        f.write(_MAGIC + len(mbytes).to_bytes(8, "little") + mbytes + payload)
+
+
+def test_cli_probe_takes_seed_from_checkpoint(tmp_path, capsys):
+    cfg_path, ckpt = _seq_run(tmp_path, seed=2)
+    assert load_checkpoint(ckpt).seed == 2
+    capsys.readouterr()
+    reports = []
+    for argv in ([], ["--seed", "2"], ["--seed", "0"]):
+        assert main(["probe", "--checkpoint", ckpt, "--config", cfg_path,
+                     "--lanczos-iters", "5", *argv]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert reports[0] != reports[2]
+
+
+def test_cli_probe_refuses_checkpoint_without_seed(tmp_path, capsys):
+    cfg_path, ckpt = _seq_run(tmp_path)
+    _drop_manifest_seed(ckpt)
+    assert load_checkpoint(ckpt).seed is None  # an older file still loads
+    capsys.readouterr()
+    assert main(["probe", "--checkpoint", ckpt, "--config", cfg_path,
+                 "--lanczos-iters", "5"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ValueError: {ckpt} records no run seed; pass --seed\n")
+    assert main(["probe", "--checkpoint", ckpt, "--config", cfg_path,
+                 "--lanczos-iters", "5", "--seed", "2"]) == 0
+
+
+def test_run_writes_seed_into_every_checkpoint(tmp_path):
+    cfg = small_cfg()
+    run_single_seed(cfg, "cf", 3, str(tmp_path / "cf"))
+    run_single_seed(cfg, "mtl", 3, str(tmp_path / "mtl"))
+    for path in ("cf/ckpt_task0.bin", "cf/ckpt_task1.bin", "mtl/ckpt_final.bin"):
+        assert load_checkpoint(str(tmp_path / path)).seed == 3
+
+
+def test_cli_probe_refuses_negative_rho(tmp_path, capsys):
+    cfg_path, ckpt = _seq_run(tmp_path)
+    capsys.readouterr()
+    assert main(["probe", "--checkpoint", ckpt, "--config", cfg_path,
+                 "--rho", "-0.05", "--lanczos-iters", "5"]) == 1
+    assert capsys.readouterr().err == "error: ValueError: rho must be >= 0\n"
