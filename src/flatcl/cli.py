@@ -15,9 +15,8 @@ from . import metrics as metrics_mod
 from .checkpoint import load_checkpoint
 from .data import save_delimited
 from .probe import lanczos_lambda_max, quadratic_objective, sharpness_report
-from .runner import (VARIANT_FLAGS, build_stream, load_config, read_matrix_csv,
-                     run_experiment)
-from .model import Batch
+from .runner import (VARIANT_FLAGS, build_stream, load_config, probe_batch,
+                     read_matrix_csv, run_experiment)
 
 
 # (`run` argument, optimizer config key) for the hyperparameter overrides.
@@ -69,10 +68,7 @@ def _cmd_probe(args):
     if not 0 <= args.task < len(stream):
         raise ValueError(f"--task {args.task} is out of range: the config has "
                          f"{len(stream)} tasks")
-    feats, labels = stream[args.task].val_xy()
-    size = cfg.get("probe", {}).get("batch_size", 64)
-    batch = Batch(feats[:size], labels[:size], args.task)
-    report = sharpness_report(ckpt.model, batch, rho=args.rho,
+    report = sharpness_report(ckpt.model, probe_batch(cfg, stream, args.task), rho=args.rho,
                               lanczos_iters=args.lanczos_iters, seed=seed)
     print(json.dumps(dataclasses.asdict(report), indent=2))
     return 0

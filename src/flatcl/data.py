@@ -88,6 +88,14 @@ def _rotate_first_two(x, theta):
     return out
 
 
+def _gaussian_classes(rng, means, samples_per_class):
+    """(features, labels, splits): `samples_per_class` unit-variance draws
+    around each row of `means` in class order, then the split."""
+    feats = [rng.normal(size=(samples_per_class, means.shape[1])) + mu for mu in means]
+    labels = np.repeat(np.arange(len(means)), samples_per_class)
+    return np.concatenate(feats), labels, _split_indices(len(labels), rng)
+
+
 def gen_rotated_gaussians(seed, n_tasks, classes_per_task, dim, samples_per_class,
                           separation, rotation_per_task) -> TaskStream:
     """Gaussian blob tasks whose class means rotate from task to task."""
@@ -100,13 +108,7 @@ def gen_rotated_gaussians(seed, n_tasks, classes_per_task, dim, samples_per_clas
     tasks = []
     for t in range(n_tasks):
         means = _rotate_first_two(base_means, t * rotation_per_task)
-        feats, labels = [], []
-        for c in range(classes_per_task):
-            feats.append(rng.normal(size=(samples_per_class, dim)) + means[c])
-            labels.append(np.full(samples_per_class, c))
-        features = np.concatenate(feats)
-        labels = np.concatenate(labels)
-        splits = _split_indices(len(labels), rng)
+        features, labels, splits = _gaussian_classes(rng, means, samples_per_class)
         tasks.append(TaskDataset(f"rot{t}", t, features, labels, classes_per_task, splits))
     return TaskStream(tasks)
 
@@ -115,14 +117,8 @@ def gen_permuted_features(seed, n_tasks, classes, dim, samples_per_class,
                           separation) -> TaskStream:
     """One base Gaussian task; task t applies a fixed coordinate permutation."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    means = _simplex_means(classes, dim, separation)
-    feats, labels = [], []
-    for c in range(classes):
-        feats.append(rng.normal(size=(samples_per_class, dim)) + means[c])
-        labels.append(np.full(samples_per_class, c))
-    base_features = np.concatenate(feats)
-    base_labels = np.concatenate(labels)
-    splits = _split_indices(len(base_labels), rng)
+    base_features, base_labels, splits = _gaussian_classes(
+        rng, _simplex_means(classes, dim, separation), samples_per_class)
     tasks = []
     for t in range(n_tasks):
         perm = np.arange(dim) if t == 0 else rng.permutation(dim)

@@ -52,12 +52,14 @@ class MultiHeadClassifier:
     call the unchecked kernel; the training loop checks each task's rows
     once and calls the kernel directly with buffers it owns.
 
-    The Hessian-vector product is split into a bind step and an apply step
-    (`_hvp_operator`): binding to checked rows runs the forward pass, the
-    softmax and the backward adjoints once, and the operator it returns
-    runs only the passes that depend on the direction.  `loss_hvp` checks,
-    binds and applies once; a Lanczos run binds once and applies per
-    iteration.
+    The gradient, the per-sample Fisher pass and the Hessian bind share one
+    backward pass, `_adjoints`; each seeds it with its own output-layer
+    adjoint.  The Hessian-vector product is split into a bind step and an
+    apply step (`_hvp_operator`): binding to checked rows runs the forward
+    pass, the softmax and the backward adjoints once, and the operator it
+    returns runs only the passes that depend on the direction.  A Lanczos
+    run binds once and applies per iteration; `probe.hvp` on a
+    `model_objective` binds and applies once.
     """
 
     def __init__(self, seed: int, input_dim: int, hidden_dims: list[int],
@@ -192,9 +194,18 @@ class MultiHeadClassifier:
         z = logits - logits.max(axis=-1, keepdims=True)
         return acts, z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
-    def _activation_backward(self, delta, h):
-        """Adjoint of a layer's pre-activation from that of its output h."""
-        return delta * (1.0 - h * h) if self.activation == "tanh" else delta * (h > 0.0)
+    def _adjoints(self, plan, acts, delta):
+        """The backward pass from `delta`, the adjoint of the last layer's
+        output: (out, inp), where out[k] is the adjoint of layer k's affine
+        output and inp[k] that of its input acts[k] (inp[0] is None; the
+        rows need none)."""
+        out, inp = [None] * len(plan), [None] * len(plan)
+        out[-1] = delta
+        for k in range(len(plan) - 1, 0, -1):
+            inp[k] = d_h = out[k] @ plan[k][0].T
+            h = acts[k]
+            out[k - 1] = d_h * (1.0 - h * h) if self.activation == "tanh" else d_h * (h > 0.0)
+        return out, inp
 
     def _loss_gradient_into(self, features, labels, task_id, out: ParameterSet) -> float:
         """Mean cross-entropy of the rows; its gradient goes into the blocks
@@ -208,12 +219,10 @@ class MultiHeadClassifier:
         g = np.zeros(logp.shape)
         g[rows, labels] = -1.0 / n
         delta = g - np.exp(logp) * g.sum(axis=-1, keepdims=True)
-        for k in range(len(plan) - 1, -1, -1):
-            w, _, w_name, b_name = plan[k]
-            np.matmul(acts[k].T, delta, out=out[w_name])
+        deltas, _ = self._adjoints(plan, acts, delta)
+        for (_, _, w_name, b_name), h, delta in zip(plan, acts, deltas):
+            np.matmul(h.T, delta, out=out[w_name])
             delta.sum(axis=0, out=out[b_name])
-            if k:
-                delta = self._activation_backward(delta @ w.T, acts[k])
         return float(loss)
 
     def task_loss(self, batch: Batch) -> float:
@@ -258,26 +267,16 @@ class MultiHeadClassifier:
         acts, logp = self._log_probs(features, task_id)
         delta = np.exp(logp)
         delta[np.arange(len(delta)), labels] -= 1.0
+        deltas, _ = self._adjoints(plan, acts, delta)
         sums = self._params.zeros_like()
         sq_norms = np.zeros(len(delta))
-        for k in range(len(plan) - 1, -1, -1):
-            w, _, w_name, b_name = plan[k]
-            h2, d2 = acts[k] * acts[k], delta * delta
+        for k in range(len(plan) - 1, -1, -1):  # top-down, the order of the sums
+            _, _, w_name, b_name = plan[k]
+            h2, d2 = acts[k] * acts[k], deltas[k] * deltas[k]
             np.matmul(h2.T, d2, out=sums[w_name])
             np.sum(d2, axis=0, out=sums[b_name])
             sq_norms += (h2.sum(axis=1) + 1.0) * d2.sum(axis=1)
-            if k:
-                delta = self._activation_backward(delta @ w.T, acts[k])
         return sums, sq_norms
-
-    def loss_hvp(self, batch: Batch, v: ParameterSet) -> ParameterSet:
-        """Exact Hessian-vector product of the mean cross-entropy, in a fresh
-        set laid out like `theta`: the rows are checked, an operator is bound
-        to them and applied once to `v`."""
-        features, labels = self._check_rows(batch.features, batch.labels, batch.task_id)
-        self._params.require_aligned(v, "loss_hvp")
-        hvp = self._hvp_operator(features, labels, batch.task_id)
-        return self._params.unflatten(hvp(v.flat))
 
     def _hvp_operator(self, features, labels, task_id):
         """Bind Pearlmutter's R-operator to checked rows at the current weights.
@@ -300,20 +299,17 @@ class MultiHeadClassifier:
         # k >= 1, layer k reads the hidden output acts[k]: slope[k] is the
         # activation's derivative there, adjoint[k] the loss adjoint of
         # layer k's output and, for tanh, curvature[k] = 2 * d_h * acts[k]
-        # the factor that the activation's second derivative contributes.
+        # (d_h the loss adjoint of acts[k]) the factor that the activation's
+        # second derivative contributes.
         layers = [(w, self._params.slice_of(w_name), self._params.slice_of(b_name))
                   for w, _, w_name, b_name in plan]
         slope = [None] + [(1.0 - h * h) if tanh else (h > 0.0) for h in acts[1:]]
-        adjoint, curvature = [None] * len(plan), [None] * len(plan)
         delta = p.copy()
         delta[np.arange(n), labels] -= 1.0
         delta /= n
-        for k in range(len(plan) - 1, 0, -1):
-            adjoint[k] = delta
-            d_h = delta @ plan[k][0].T
-            if tanh:
-                curvature[k] = 2.0 * d_h * acts[k]
-            delta = d_h * slope[k]
+        adjoint, d_h = self._adjoints(plan, acts, delta)
+        curvature = ([None] + [2.0 * d * h for d, h in zip(d_h[1:], acts[1:])]
+                     if tanh else None)
         size = self.theta.size
 
         def hvp(v: np.ndarray) -> np.ndarray:

@@ -308,6 +308,9 @@ def build_sparse_mask(importance: ImportanceMap, ratio: float,
 # ---------------------------------------------------------------------------
 # base optimizer
 
+# Adam's moment decay rates and denominator offset (Kingma and Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class OptimizerState:
     """SGD or Adam-with-decoupled-weight-decay state; the Adam moments `m`
@@ -320,8 +323,7 @@ class OptimizerState:
     the anchor penalty's gradient; and `tmp`, Adam's two temporaries.
     """
 
-    def __init__(self, params: ParameterSet, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self, params: ParameterSet):
         self.t = 0
         n = params.total_size()
         self.m = np.zeros(n)
@@ -346,7 +348,7 @@ def base_step(state: OptimizerState, params: ParameterSet,
     if config.base_optimizer == "sgd":
         w -= np.multiply(g, lr, out=a)
     else:
-        b1, b2 = state.beta1, state.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         state.m *= b1
         state.m += np.multiply(g, 1 - b1, out=a)
         state.v *= b2
@@ -355,7 +357,7 @@ def base_step(state: OptimizerState, params: ParameterSet,
         m_hat = np.divide(state.m, 1.0 - b1 ** state.t, out=a)
         v_hat = np.divide(state.v, 1.0 - b2 ** state.t, out=b)
         denom = np.sqrt(v_hat, out=b)
-        denom += state.eps
+        denom += ADAM_EPS
         m_hat *= lr
         w -= np.divide(m_hat, denom, out=a)
     if config.weight_decay:

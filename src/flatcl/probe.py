@@ -76,11 +76,12 @@ def quadratic_objective(matrix, w0) -> Objective:
     )
 
 
-def _perturbed_value(obj: Objective, direction: ParameterSet) -> float:
+def _perturbed_value(obj: Objective, direction: np.ndarray) -> float:
+    """L(w + direction) for a flat direction; the weights are restored."""
     w = obj.params.flat
     saved = w.copy()
     try:
-        w += direction.flat
+        w += direction
         val = obj.value()
     finally:
         np.copyto(w, saved)
@@ -97,16 +98,10 @@ def ball_sharpness(obj: Objective, rho: float, n_directions: int, seed: int) -> 
         raise ValueError("n_directions must be >= 1")
     base = obj.value()
     rng = np.random.Generator(np.random.PCG64(seed))
-    directions = []
-    g = obj.gradient()
-    gnorm = g.norm()
-    if gnorm > 0:
-        directions.append(g.scale(rho / gnorm))
-    for _ in range(n_directions):
-        d = obj.params.unflatten(rng.normal(size=obj.params.total_size()))
-        dnorm = d.norm()
-        if dnorm > 0:
-            directions.append(d.scale(rho / dnorm))
+    directions = [obj.gradient().flat]
+    directions += [rng.normal(size=obj.params.total_size()) for _ in range(n_directions)]
+    # each direction scaled onto the rho-sphere; a zero one is skipped
+    directions = [d * (rho / np.sqrt(d @ d)) for d in directions if d @ d > 0]
     best = 0.0 if not directions else -np.inf
     for d in directions:
         best = max(best, _perturbed_value(obj, d) - base)
@@ -129,7 +124,7 @@ def create_decomposition_check(obj: Objective, rho: float):
     base = obj.value()
     grads = obj.gradient()
     eps = compute_perturbation(obj.params, grads, rho).epsilon_hat
-    perturbed = _perturbed_value(obj, eps)
+    perturbed = _perturbed_value(obj, eps.flat)
     return perturbed, perturbed - base, base
 
 

@@ -131,9 +131,12 @@ def _build_model(cfg: dict, stream: TaskStream, seed: int, all_heads=False):
                                classes, activation=m.get("activation", "tanh"))
 
 
-def _probe_batch(stream: TaskStream, size: int) -> Batch:
-    feats, labels = stream[0].val_xy()
-    return Batch(feats[:size], labels[:size], 0)
+def probe_batch(cfg: dict, stream: TaskStream, task_id: int = 0) -> Batch:
+    """The probe's rows: the first `probe.batch_size` (default 64)
+    validation rows of task `task_id`."""
+    feats, labels = stream[task_id].val_xy()
+    size = cfg.get("probe", {}).get("batch_size", 64)
+    return Batch(feats[:size], labels[:size], task_id)
 
 
 def _fresh_dir(path):
@@ -200,7 +203,7 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
     probe_cfg = cfg.get("probe", {})
     probe_fn = None
     if probe_cfg.get("enabled", False):
-        batch = _probe_batch(stream, probe_cfg.get("batch_size", 64))
+        batch = probe_batch(cfg, stream)
         iters = probe_cfg.get("lanczos_iters", 20)
 
         def probe_fn(model, task_idx):

@@ -3,6 +3,7 @@ import pytest
 
 from flatcl.autodiff import finite_diff_gradient
 from flatcl.model import Batch, MultiHeadClassifier
+from flatcl.probe import hvp, model_objective
 
 from conftest import random_batch, random_mlp
 
@@ -209,7 +210,8 @@ def test_gradient_second_moments_match_per_sample_loop(activation, hidden):
                                                ("relu", (5,)), ("relu", (4, 3))])
 def test_bound_hvp_operator_equals_loss_hvp_bitwise(activation, hidden, n_rows):
     """One operator bound to the rows and applied to several directions in
-    turn gives, for each, the bits of a fresh `loss_hvp`, on every head."""
+    turn gives, for each, the bits of the loss's one-shot HVP
+    `hvp(model_objective(...), v)`, on every head."""
     m = random_mlp(40, hidden=hidden, classes=(3, 2, 4), activation=activation)
     rng = np.random.default_rng(41)
     for task_id in range(3):
@@ -219,7 +221,7 @@ def test_bound_hvp_operator_equals_loss_hvp_bitwise(activation, hidden, n_rows):
         directions = [rng.normal(size=m.theta.size) for _ in range(3)]
         products = [op(v) for v in directions]
         for v, hv in zip(directions, products):
-            ref = m.loss_hvp(batch, m.parameters().unflatten(v))
+            ref = hvp(model_objective(m, batch), m.parameters().unflatten(v))
             assert hv.tobytes() == ref.flat.tobytes()
             assert not np.shares_memory(hv, ref.flat)
         assert not np.shares_memory(products[0], products[1])
@@ -243,5 +245,106 @@ def test_one_layout_model_equals_head_by_head():
 def test_loss_hvp_refuses_misaligned_direction():
     m = random_mlp(52, classes=(3, 2))
     v = random_mlp(52, classes=(3,)).parameters()
-    with pytest.raises(ValueError, match="misaligned parameter sets in loss_hvp"):
-        m.loss_hvp(random_batch(53, m), v)
+    with pytest.raises(ValueError, match="misaligned parameter sets in hvp"):
+        hvp(model_objective(m, random_batch(53, m)), v)
+
+
+def _reference_kernels(m, x, y, task_id, v):
+    """The per-layer recursion written out once per kernel, each walking the
+    layers top-down with its own `delta @ W.T` step: (loss gradient, summed
+    squared per-sample gradients, per-sample squared norms, H v), each
+    gradient a list of (W, b) blocks for the encoder then head `task_id`."""
+    layers = [*m.encoder, m.heads[task_id]]
+    tanh = m.activation == "tanh"
+    acts, h = [x], x
+    for w, b in layers[:-1]:
+        z = h @ w
+        z += b
+        h = np.tanh(z) if tanh else np.maximum(z, 0.0)
+        acts.append(h)
+    w, b = layers[-1]
+    z = h @ w
+    z += b
+    z = z - z.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    n, rows, top = len(y), np.arange(len(y)), len(layers) - 1
+
+    def backward(delta, k):
+        d_h = delta @ layers[k][0].T
+        return d_h * (1.0 - acts[k] * acts[k]) if tanh else d_h * (acts[k] > 0.0)
+
+    g = np.zeros(logp.shape)
+    g[rows, y] = -1.0 / n
+    delta = g - np.exp(logp) * g.sum(axis=-1, keepdims=True)
+    grad = [None] * len(layers)
+    for k in range(top, -1, -1):
+        grad[k] = (acts[k].T @ delta, delta.sum(axis=0))
+        if k:
+            delta = backward(delta, k)
+
+    delta = np.exp(logp)
+    delta[rows, y] -= 1.0
+    sums, sq_norms = [None] * len(layers), np.zeros(n)
+    for k in range(top, -1, -1):
+        h2, d2 = acts[k] * acts[k], delta * delta
+        sums[k] = (h2.T @ d2, np.sum(d2, axis=0))
+        sq_norms += (h2.sum(axis=1) + 1.0) * d2.sum(axis=1)
+        if k:
+            delta = backward(delta, k)
+
+    p = np.exp(logp)
+    slope = [None] + [(1.0 - h * h) if tanh else (h > 0.0) for h in acts[1:]]
+    adjoint, curvature = [None] * len(layers), [None] * len(layers)
+    delta = p.copy()
+    delta[rows, y] -= 1.0
+    delta /= n
+    for k in range(top, 0, -1):
+        adjoint[k] = delta
+        d_h = delta @ layers[k][0].T
+        curvature[k] = 2.0 * d_h * acts[k]
+        delta = d_h * slope[k]
+    v_blocks = [v[name] for name in m.encoder_names() + m.head_names(task_id)]
+    v_w, v_b = v_blocks[0::2], v_blocks[1::2]
+    r_acts = [None]
+    for k, (w, _) in enumerate(layers):
+        if k:
+            r_out = r_acts[k] @ w + acts[k] @ v_w[k] + v_b[k]
+        else:
+            r_out = acts[0] @ v_w[0] + v_b[0]
+        if k < top:
+            r_acts.append(r_out * slope[k + 1])
+    r_delta = p * (r_out - (p * r_out).sum(axis=1, keepdims=True)) / n
+    hv = [None] * len(layers)
+    for k in range(top, -1, -1):
+        hv_w = acts[k].T @ r_delta
+        hv[k] = (hv_w, np.sum(r_delta, axis=0))
+        if k == 0:
+            break
+        hv_w += r_acts[k].T @ adjoint[k]
+        r_delta = (r_delta @ layers[k][0].T + adjoint[k] @ v_w[k].T) * slope[k]
+        if tanh:
+            r_delta -= curvature[k] * r_acts[k]
+    return grad, sums, sq_norms, hv
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
+def test_kernels_equal_per_layer_reference_bitwise(activation, hidden):
+    """The loss gradient, the Fisher pass and the bound HVP, which share one
+    backward pass, give the bits of the per-layer recursion written out in
+    full for each, on every head."""
+    m = random_mlp(90, hidden=hidden, classes=(3, 4), activation=activation)
+    for task_id in range(2):
+        batch = random_batch(91 + task_id, m, n=6, task_id=task_id)
+        x, y = batch.features, batch.labels
+        v = m.parameters().unflatten(np.random.default_rng(93).normal(size=m.theta.size))
+        grad, sums, sq_norms, hv = _reference_kernels(m, x, y, task_id, v)
+        names = m.encoder_names() + m.head_names(task_id)
+        _, got_grad = m.loss_gradient(batch)
+        got_sums, got_sq = m.gradient_second_moments(x, y, task_id)
+        got_hv = m.parameters().unflatten(
+            m._hvp_operator(*m._check_rows(x, y, task_id), task_id)(v.flat))
+        for got, ref in [(got_grad, grad), (got_sums, sums), (got_hv, hv)]:
+            blocks = [a for pair in ref for a in pair]
+            assert [got[n].tobytes() for n in names] == [a.tobytes() for a in blocks]
+        assert got_sq.tobytes() == sq_norms.tobytes()

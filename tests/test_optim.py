@@ -15,6 +15,7 @@ from flatcl.optim import (FlatRegion, ImportanceMap, OptimizerConfig,
                           find_fisher, random_importance, soft_penalty,
                           train_continual, train_multitask, train_task)
 from flatcl.params import ParameterSet
+from flatcl.probe import hvp, model_objective
 from flatcl.replay import ReplayBuffer, replay_schedule
 
 from conftest import random_batch, random_mlp
@@ -746,7 +747,7 @@ def _entry_points(model, x, y, task_id):
         "task_loss": lambda: model.task_loss(batch),
         "create_gradient": lambda: create_gradient(model, batch, 0.3),
         "find_fisher": lambda: find_fisher(model, x, y, task_id, 4, seed=0),
-        "loss_hvp": lambda: model.loss_hvp(batch, model.parameters().copy()),
+        "loss_hvp": lambda: hvp(model_objective(model, batch), model.parameters().copy()),
         "train_task": lambda: train_task(
             model, [_Rows(task_id, x, y)], None, None, None, cfg,
             np.random.Generator(np.random.PCG64(0)), 1, val),

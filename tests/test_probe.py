@@ -58,6 +58,15 @@ def test_ball_sharpness_rejects_zero_directions():
         ball_sharpness(_quad_1d(1.0, 1.0), 0.1, 0, seed=0)
 
 
+def test_ball_sharpness_skips_zero_norm_directions():
+    """A zero gradient is not scaled onto the sphere; with no weights every
+    direction has zero norm, none is left, and the sharpness is 0.0."""
+    val = ball_sharpness(_quad_1d(1.0, 0.0), rho=0.5, n_directions=4, seed=1)
+    assert abs(val - 0.125) <= 1e-15  # every random direction is +/- rho
+    empty = quadratic_objective(np.zeros((0, 0)), np.zeros(0))
+    assert ball_sharpness(empty, rho=0.5, n_directions=4, seed=1) == 0.0
+
+
 # -- decomposition ----------------------------------------------------------
 
 def test_decomposition_quadratic_hand_values():
@@ -305,7 +314,7 @@ def test_bad_rows_refused_by_probes(entry, fault):
         "ball_sharpness": lambda: ball_sharpness(model_objective(model, batch),
                                                  0.1, 4, seed=0),
         "lanczos_lambda_max": lambda: lanczos_lambda_max(model_objective(model, batch), 5),
-        "loss_hvp": lambda: model.loss_hvp(batch, model.parameters().copy()),
+        "loss_hvp": lambda: hvp(model_objective(model, batch), model.parameters().copy()),
     }
     before = model.theta.tobytes()
     with pytest.raises(ValueError, match="labels|input_dim"):
