@@ -8,12 +8,13 @@ temporary file next to the target and renames it over the target, so a
 crash never leaves a partial checkpoint under the final name.
 
 Round-trips are bitwise exact.  Besides model weights, a checkpoint can
-carry the run seed (absent from files written before it was recorded) and
-everything needed to resume a continual run at a task boundary: the
-importance accumulator, the region anchor, the rng state, finished accuracy
-rows and the replay buffer.  The weights, the importance and the anchor are
-each one block over the model's flat parameter layout; the replay buffer's
-features are one (n, d) block and its labels and task ids manifest lists.
+carry the run seed and variant (absent from files written before each was
+recorded) and everything needed to resume a continual run at a task
+boundary: the importance accumulator, the region anchor, the rng state,
+finished accuracy rows and the replay buffer.  The weights, the importance
+and the anchor are each one block over the model's flat parameter layout;
+the replay buffer's features are one (n, d) block and its labels and task
+ids manifest lists.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ class Checkpoint:
     model: MultiHeadClassifier
     config_hash: str | None = None
     seed: int | None = None  # the run seed: `flatcl probe` rebuilds its stream from it
+    variant: str | None = None  # the run variant: `flatcl probe` rechecks the hash with it
     rng_state: dict | None = None
     next_task: int | None = None
     importance: ImportanceMap | None = None
@@ -85,6 +87,7 @@ def save_checkpoint(path, ckpt: Checkpoint):
                    for n, a in blocks],
         "config_hash": ckpt.config_hash,
         "seed": ckpt.seed,
+        "variant": ckpt.variant,
         "rng_state": ckpt.rng_state,  # PCG64 state: plain ints, JSON-exact
         "next_task": ckpt.next_task,
         "replay": replay_meta,
@@ -161,7 +164,8 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(
         model=model,
         config_hash=manifest["config_hash"],
-        seed=manifest.get("seed"),  # files written before the key have none
+        seed=manifest.get("seed"),  # files written before these keys have none
+        variant=manifest.get("variant"),
         rng_state=manifest["rng_state"],
         next_task=manifest["next_task"],
         importance=(None if importance is None

@@ -16,7 +16,7 @@ from .checkpoint import load_checkpoint
 from .data import save_delimited
 from .probe import lanczos_lambda_max, quadratic_objective, sharpness_report
 from .runner import (VARIANT_FLAGS, build_stream, load_config, probe_batch,
-                     read_matrix_csv, run_experiment)
+                     read_matrix_csv, run_experiment, run_hash)
 
 
 # (`run` argument, optimizer config key) for the hyperparameter overrides.
@@ -26,10 +26,12 @@ _OVERRIDES = (("rho", "rho"), ("lam", "lam"), ("gamma", "gamma"),
 
 
 def _apply_overrides(cfg, args):
-    opt = cfg.setdefault("optimizer", {})
+    """Write the given overrides into the optimizer section, adding the
+    section only for one, so a run without overrides hashes the config file
+    as written and `flatcl probe` accepts that file."""
     for arg, key in _OVERRIDES:
         if getattr(args, arg) is not None:
-            opt[key] = getattr(args, arg)
+            cfg.setdefault("optimizer", {})[key] = getattr(args, arg)
 
 
 def _cmd_run(args):
@@ -61,6 +63,10 @@ def _cmd_probe(args):
         raise ValueError("probe needs --checkpoint and --config (or --quadratic)")
     cfg = load_config(args.config)
     ckpt = load_checkpoint(args.checkpoint)
+    if (ckpt.variant is not None
+            and ckpt.config_hash != run_hash(cfg, ckpt.variant, ckpt.seed)):
+        raise ValueError(f"{args.checkpoint}: checkpoint was written under a different "
+                         "config, variant or seed; refusing to probe")
     seed = args.seed if args.seed is not None else ckpt.seed
     if seed is None:
         raise ValueError(f"{args.checkpoint} records no run seed; pass --seed")
@@ -79,7 +85,11 @@ def _cmd_metrics(args):
     reference = None
     if args.reference is not None:
         with open(args.reference) as f:
-            reference = json.load(f)["reference_accuracies"]
+            ref = json.load(f)
+        if not isinstance(ref, dict) or "reference_accuracies" not in ref:
+            raise ValueError(f"{args.reference} holds no reference_accuracies; "
+                             "--reference needs the metrics.json of an mtl run")
+        reference = ref["reference_accuracies"]
     print(json.dumps(metrics_mod.summarize(matrix, reference), indent=2))
     return 0
 

@@ -37,20 +37,22 @@ class MultiHeadClassifier:
 
     Every weight lives in one contiguous float64 buffer, `theta`, laid out as
     enc0.W, enc0.b, ..., head0.W, head0.b, head1.W, ... (each W row-major).
-    `encoder`, `heads` and `parameters()` are reshaped views of it, so a
-    hand-written batched forward/backward reads the current weights on every
-    call and perturb/restore is in-place mutation of `theta`.
+    `parameters()` lays those names over it, so a hand-written batched
+    forward/backward reads the current weights on every call and
+    perturb/restore is in-place mutation of `theta`.
     The constructor lays out all of its heads in one buffer at once;
     `add_task_head` reallocates the buffer and appends the new head at the
     end, leaving the offsets of all earlier weights unchanged; the weights
     constrained while training a task are therefore a prefix of `theta`.
 
-    `_bind` also caches a layer plan per head: for each layer from the input
-    up, its `(W, b)` views of `theta` and the names of its gradient blocks.
-    The forward/backward kernel walks that plan, so a step builds no names
-    and looks up no layers.  The public methods check their inputs and then
-    call the unchecked kernel; the training loop checks each task's rows
-    once and calls the kernel directly with buffers it owns.
+    `_bind` builds one layer plan per head, the model's only map of its
+    blocks: for each layer from the input up, `(W, b, W slice, b slice)`,
+    the `(W, b)` views of `theta` and the slices where those blocks lie in
+    any vector laid out like it.  The kernels walk that plan and address
+    every output block by its slice, so a step builds no names and looks up
+    no layers.  The public methods check their inputs and then call the
+    unchecked kernel; the training loop checks each task's rows once and
+    calls the kernel directly with buffers it owns.
 
     The gradient, the per-sample Fisher pass and the Hessian bind share one
     backward pass, `_adjoints`; each seeds it with its own output-layer
@@ -87,16 +89,15 @@ class MultiHeadClassifier:
         self._bind(ParameterSet(layers))
 
     def _bind(self, params: ParameterSet):
-        """Adopt `params` (encoder, then heads in task order) as the weights."""
+        """Adopt `params` (encoder, then heads in task order, each layer a
+        consecutive (W, b) pair) as the weights and plan each head."""
         self._params = params
         self.theta = params.flat
-        self.encoder: list[tuple[np.ndarray, np.ndarray]] = [
-            (params[f"enc{i}.W"], params[f"enc{i}.b"]) for i in range(len(self.hidden_dims))]
-        self.heads: list[tuple[np.ndarray, np.ndarray]] = [
-            (params[f"head{t}.W"], params[f"head{t}.b"]) for t in range(len(self.head_classes))]
-        encoder = [(w, b, f"enc{i}.W", f"enc{i}.b") for i, (w, b) in enumerate(self.encoder)]
-        self._plans = [encoder + [(w, b, f"head{t}.W", f"head{t}.b")]
-                       for t, (w, b) in enumerate(self.heads)]
+        names = params.names()
+        layers = [(params[w], params[b], params.slice_of(w), params.slice_of(b))
+                  for w, b in zip(names[0::2], names[1::2])]
+        depth = len(self.hidden_dims)
+        self._plans = [layers[:depth] + [head] for head in layers[depth:]]
 
     @property
     def encoder_dim(self) -> int:
@@ -114,7 +115,7 @@ class MultiHeadClassifier:
         """Append a freshly initialized head; returns its task id."""
         if class_count < 1:
             raise ValueError("class_count must be >= 1")
-        task_id = len(self.heads)
+        task_id = len(self.head_classes)
         self.head_classes.append(class_count)
         self._bind(ParameterSet([*self._params.items(),
                                  *self._new_head(task_id, class_count)]))
@@ -132,17 +133,16 @@ class MultiHeadClassifier:
         np.copyto(self.theta, values.flat)
 
     def encoder_names(self) -> list[str]:
-        return [f"enc{i}.{p}" for i in range(len(self.encoder)) for p in "Wb"]
+        return self._params.names()[:2 * len(self.hidden_dims)]
 
     def head_names(self, task_id: int) -> list[str]:
         return [f"head{task_id}.W", f"head{task_id}.b"]
 
     def constrained_names(self, current_task: int) -> list[str]:
-        """Encoder plus heads of tasks before `current_task`."""
-        names = self.encoder_names()
-        for t in range(min(current_task, len(self.heads))):
-            names.extend(self.head_names(t))
-        return names
+        """Encoder plus heads of tasks before `current_task`: a prefix of
+        the layout."""
+        layers = len(self.hidden_dims) + min(current_task, len(self.head_classes))
+        return self._params.names()[:2 * layers]
 
     # -- batched forward/backward kernel ----------------------------------
     #
@@ -161,8 +161,8 @@ class MultiHeadClassifier:
             if labels.ndim != 1 or labels.shape[0] != np.shape(features)[0]:
                 raise ValueError(f"labels of shape {labels.shape} do not match "
                                  f"{np.shape(features)[0]} feature rows")
-        if not 0 <= task_id < len(self.heads):
-            raise ValueError(f"no head for task {task_id} (have {len(self.heads)})")
+        if not 0 <= task_id < len(self.head_classes):
+            raise ValueError(f"no head for task {task_id} (have {len(self.head_classes)})")
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.input_dim:
             raise ValueError(f"features of shape {features.shape} do not match "
@@ -207,10 +207,10 @@ class MultiHeadClassifier:
             out[k - 1] = d_h * (1.0 - h * h) if self.activation == "tanh" else d_h * (h > 0.0)
         return out, inp
 
-    def _loss_gradient_into(self, features, labels, task_id, out: ParameterSet) -> float:
+    def _loss_gradient_into(self, features, labels, task_id, out: np.ndarray) -> float:
         """Mean cross-entropy of the rows; its gradient goes into the blocks
-        of `out` (a set laid out like `theta`) that head `task_id` reaches.
-        Every other block of `out` is left as it was."""
+        of `out` (a flat vector laid out like `theta`) that head `task_id`
+        reaches.  Every other block of `out` is left as it was."""
         plan = self._plans[task_id]
         acts, logp = self._log_probs(features, task_id)
         n = labels.shape[0]
@@ -220,9 +220,9 @@ class MultiHeadClassifier:
         g[rows, labels] = -1.0 / n
         delta = g - np.exp(logp) * g.sum(axis=-1, keepdims=True)
         deltas, _ = self._adjoints(plan, acts, delta)
-        for (_, _, w_name, b_name), h, delta in zip(plan, acts, deltas):
-            np.matmul(h.T, delta, out=out[w_name])
-            delta.sum(axis=0, out=out[b_name])
+        for (w, _, w_sl, b_sl), h, delta in zip(plan, acts, deltas):
+            np.matmul(h.T, delta, out=out[w_sl].reshape(w.shape))
+            delta.sum(axis=0, out=out[b_sl])
         return float(loss)
 
     def task_loss(self, batch: Batch) -> float:
@@ -241,7 +241,7 @@ class MultiHeadClassifier:
 
     def _loss_gradient(self, features, labels, task_id):
         grads = self._params.zeros_like()
-        return self._loss_gradient_into(features, labels, task_id, grads), grads
+        return self._loss_gradient_into(features, labels, task_id, grads.flat), grads
 
     def log_prob_gradient(self, features, label, task_id: int) -> ParameterSet:
         """Per-sample gradient of log p(true label | x; w).
@@ -268,15 +268,15 @@ class MultiHeadClassifier:
         delta = np.exp(logp)
         delta[np.arange(len(delta)), labels] -= 1.0
         deltas, _ = self._adjoints(plan, acts, delta)
-        sums = self._params.zeros_like()
+        sums = np.zeros(self.theta.size)
         sq_norms = np.zeros(len(delta))
         for k in range(len(plan) - 1, -1, -1):  # top-down, the order of the sums
-            _, _, w_name, b_name = plan[k]
+            w, _, w_sl, b_sl = plan[k]
             h2, d2 = acts[k] * acts[k], deltas[k] * deltas[k]
-            np.matmul(h2.T, d2, out=sums[w_name])
-            np.sum(d2, axis=0, out=sums[b_name])
+            np.matmul(h2.T, d2, out=sums[w_sl].reshape(w.shape))
+            np.sum(d2, axis=0, out=sums[b_sl])
             sq_norms += (h2.sum(axis=1) + 1.0) * d2.sum(axis=1)
-        return sums, sq_norms
+        return self._params.unflatten(sums), sq_norms
 
     def _hvp_operator(self, features, labels, task_id):
         """Bind Pearlmutter's R-operator to checked rows at the current weights.
@@ -287,22 +287,19 @@ class MultiHeadClassifier:
         adjoints, the activation derivatives) is computed here, once.  The
         returned operator maps a flat `v` to a fresh flat H v and runs only
         the R-forward and R-backward passes, taking each layer's block of
-        `v` and of H v as a slice; it is valid while the weights do not
-        move.  Relu kinks contribute no curvature.
+        `v` and of H v by the plan's slices; it is valid while the weights
+        do not move.  Relu kinks contribute no curvature.
         """
         plan = self._plans[task_id]
         tanh = self.activation == "tanh"
         acts, logp = self._log_probs(features, task_id)
         n = labels.shape[0]
         p = np.exp(logp)
-        # layers[k]: layer k's W and the slices of its W and b blocks.  For
-        # k >= 1, layer k reads the hidden output acts[k]: slope[k] is the
-        # activation's derivative there, adjoint[k] the loss adjoint of
+        # For k >= 1, layer k reads the hidden output acts[k]: slope[k] is
+        # the activation's derivative there, adjoint[k] the loss adjoint of
         # layer k's output and, for tanh, curvature[k] = 2 * d_h * acts[k]
         # (d_h the loss adjoint of acts[k]) the factor that the activation's
         # second derivative contributes.
-        layers = [(w, self._params.slice_of(w_name), self._params.slice_of(b_name))
-                  for w, _, w_name, b_name in plan]
         slope = [None] + [(1.0 - h * h) if tanh else (h > 0.0) for h in acts[1:]]
         delta = p.copy()
         delta[np.arange(n), labels] -= 1.0
@@ -314,18 +311,18 @@ class MultiHeadClassifier:
 
         def hvp(v: np.ndarray) -> np.ndarray:
             out = np.zeros(size)
-            v_w = [v[w_sl].reshape(w.shape) for w, w_sl, _ in layers]
+            v_w = [v[w_sl].reshape(w.shape) for w, _, w_sl, _ in plan]
             r_acts = [None]  # R{input} of each layer; R{x} = 0
-            for k, (w, _, b_sl) in enumerate(layers):
+            for k, (w, _, _, b_sl) in enumerate(plan):
                 if k:
                     r_out = r_acts[k] @ w + acts[k] @ v_w[k] + v[b_sl]
                 else:
                     r_out = acts[0] @ v_w[0] + v[b_sl]
-                if k + 1 < len(layers):
+                if k + 1 < len(plan):
                     r_acts.append(r_out * slope[k + 1])
             r_delta = p * (r_out - (p * r_out).sum(axis=1, keepdims=True)) / n
-            for k in range(len(layers) - 1, -1, -1):
-                w, w_sl, b_sl = layers[k]
+            for k in range(len(plan) - 1, -1, -1):
+                w, _, w_sl, b_sl = plan[k]
                 out_w = out[w_sl].reshape(w.shape)
                 np.matmul(acts[k].T, r_delta, out=out_w)
                 np.sum(r_delta, axis=0, out=out[b_sl])
@@ -352,11 +349,7 @@ class MultiHeadClassifier:
         return float(np.mean(pred == np.asarray(labels)))
 
     def clone(self) -> "MultiHeadClassifier":
-        other = MultiHeadClassifier.__new__(MultiHeadClassifier)
-        other.init_seed = self.init_seed
-        other.input_dim = self.input_dim
-        other.hidden_dims = list(self.hidden_dims)
-        other.activation = self.activation
-        other.head_classes = list(self.head_classes)
-        other._bind(self._params.copy())
+        other = MultiHeadClassifier(self.init_seed, self.input_dim, self.hidden_dims,
+                                    self.head_classes, activation=self.activation)
+        np.copyto(other.theta, self.theta)
         return other

@@ -102,8 +102,6 @@ class OptimizerConfig:
                 raise ValueError(f"optimizer {name} must be {rule}, got {value!r}")
         if self.base_optimizer not in ("sgd", "adam_decoupled"):
             raise ValueError(f"unknown base_optimizer {self.base_optimizer!r}")
-        if isinstance(self.variant, dict):
-            self.variant = VariantFlags(**self.variant)
 
 
 @dataclass
@@ -171,20 +169,20 @@ def create_gradient(model: MultiHeadClassifier, batch: Batch, rho: float,
     w = params.flat if perturb_names is None else params.prefix(perturb_names)
     grads = params.zeros_like()
     loss = _create_gradient_into(model, features, labels, batch.task_id, rho, w,
-                                 grads, np.empty_like(w), np.empty_like(w))
+                                 grads.flat, np.empty_like(w), np.empty_like(w))
     return grads, loss
 
 
 def _create_gradient_into(model, features, labels, task_id, rho, w, out,
                           eps, saved) -> float:
     """The create step on checked rows: the gradient at w + eps goes into
-    `out` (zero outside the rows' head, as `_loss_gradient_into` needs) and
-    the loss there is returned.  `w` is the perturbed prefix of
+    flat `out` (zero outside the rows' head, as `_loss_gradient_into` needs)
+    and the loss there is returned.  `w` is the perturbed prefix of
     `model.theta`; `eps` and `saved` are scratch vectors of its size."""
     loss = model._loss_gradient_into(features, labels, task_id, out)
     if rho == 0.0:
         return loss
-    _epsilon(w, out.flat[:w.size], rho, out=eps)
+    _epsilon(w, out[:w.size], rho, out=eps)
     np.copyto(saved, w)
     try:
         w += eps
@@ -317,10 +315,10 @@ class OptimizerState:
     and `v` are flat vectors over the parameter buffer.
 
     It also owns the vectors a training step rewrites, so a step allocates
-    none of them: `total`, the step's summed gradient, and `grad`, one
-    batch's gradient, both sets laid out like the parameters; `perturbation`
-    and `saved`, the create step's eps and saved weights; `penalty`,
-    the anchor penalty's gradient; and `tmp`, Adam's two temporaries.
+    none of them: `total`, the step's summed gradient, a set laid out like
+    the parameters; `grad`, one batch's flat gradient; `perturbation` and
+    `saved`, the create step's eps and saved weights; `penalty`, the anchor
+    penalty's gradient; and `tmp`, Adam's two temporaries.
     """
 
     def __init__(self, params: ParameterSet):
@@ -329,8 +327,7 @@ class OptimizerState:
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self.total = params.zeros_like()
-        self.grad = params.zeros_like()
-        self.perturbation, self.saved, self.penalty = np.empty((3, n))
+        self.perturbation, self.saved, self.penalty, self.grad = np.empty((4, n))
         self.tmp = np.empty((2, n))
 
 
@@ -461,14 +458,14 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
         total_weight = sum(len(labels) for _, labels, _ in batches)
         loss_val = 0.0
         for i, (features, labels, tid) in enumerate(batches):
-            out = state.total if i == 0 else state.grad
-            out.flat.fill(0.0)
+            out = summed if i == 0 else state.grad
+            out.fill(0.0)
             loss = grads_into(features, labels, tid, out)
             w = len(labels) / total_weight
             loss_val += w * loss
-            out.flat *= w
+            out *= w
             if i:
-                np.add(summed, out.flat, out=summed)
+                np.add(summed, out, out=summed)
         if use_penalty:
             pen = _penalty_gradient(w_c, anchor_c, two_f, penalty)
             pen *= config.lam
@@ -555,7 +552,7 @@ def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
 
     for t in range(start_task, n_tasks):
         task = stream[t]
-        if t >= len(model.heads):
+        if t >= len(model.head_classes):
             model.add_task_head(task.class_count)
         if t == 0 or anchor is None:
             region = None
@@ -609,7 +606,7 @@ def train_multitask(model: MultiHeadClassifier, stream, config: OptimizerConfig,
     """Joint round-robin training over all tasks through `train_task`;
     returns per-task test accuracies (the intransigence reference)."""
     for t, task in enumerate(stream):
-        if t >= len(model.heads):
+        if t >= len(model.head_classes):
             model.add_task_head(task.class_count)
     rng = np.random.Generator(np.random.PCG64(_derived_seed(seed, 9)))
     val_sets = [(*task.val_xy(), t) for t, task in enumerate(stream)]

@@ -45,16 +45,11 @@ class ParameterSet:
                     else np.zeros(0))
         self._layout = layout
         self.flat = flat
-        self._views: dict[str, np.ndarray] = {}
 
     def __getitem__(self, name):
-        view = self._views.get(name)
-        if view is None:
-            lay = self._layout
-            i = lay.index[name]
-            view = self.flat[lay.offsets[i]:lay.offsets[i + 1]].reshape(lay.shapes[i])
-            self._views[name] = view
-        return view
+        lay = self._layout
+        i = lay.index[name]
+        return self.flat[lay.offsets[i]:lay.offsets[i + 1]].reshape(lay.shapes[i])
 
     def __setitem__(self, name, arr):
         """Write `arr` into the named view; names and shapes are fixed."""

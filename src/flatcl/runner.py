@@ -167,6 +167,13 @@ def read_matrix_csv(path):
     return matrix
 
 
+def run_hash(cfg: dict, variant: str, seed: int) -> str:
+    """The hash a run's checkpoints record: its config (less the seed
+    list), variant and seed."""
+    return config_hash({"config": {k: v for k, v in cfg.items() if k != "seeds"},
+                        "variant": variant, "seed": seed})
+
+
 def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
                     resume_from: str | None = None) -> dict:
     """One (variant, seed) run; writes matrix.csv, metrics.json and per-task
@@ -174,8 +181,7 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
     check_config_keys(cfg)
     if variant == "mtl" and resume_from is not None:
         raise ValueError("mtl trains all tasks jointly and cannot resume from a checkpoint")
-    chash = config_hash({"config": {k: v for k, v in cfg.items() if k != "seeds"},
-                         "variant": variant, "seed": seed})
+    chash = run_hash(cfg, variant, seed)
     loaded = None
     if resume_from is not None:
         loaded = load_checkpoint(resume_from)
@@ -197,7 +203,8 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
         with open(os.path.join(out_dir, "metrics.json"), "w") as f:
             json.dump(result_metrics, f, indent=2)
         save_checkpoint(os.path.join(out_dir, "ckpt_final.bin"),
-                        Checkpoint(model=model, config_hash=chash, seed=seed))
+                        Checkpoint(model=model, config_hash=chash, seed=seed,
+                                   variant=variant))
         return result_metrics
 
     probe_cfg = cfg.get("probe", {})
@@ -213,7 +220,8 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
 
     def checkpoint_fn(task_idx, **state):
         save_checkpoint(os.path.join(out_dir, f"ckpt_task{task_idx}.bin"),
-                        Checkpoint(model=model, config_hash=chash, seed=seed, **state))
+                        Checkpoint(model=model, config_hash=chash, seed=seed,
+                                   variant=variant, **state))
 
     model = _build_model(cfg, stream, seed) if loaded is None else loaded.model
     _fresh_dir(out_dir)

@@ -58,11 +58,11 @@ def test_task_loss_matches_straightline_reimplementation():
     m = random_mlp(8, input_dim=3, hidden=(5,), classes=(4,))
     batch = random_batch(9, m, n=6)
     # independent scalar reimplementation with plain numpy
+    p = m.parameters()
     h = batch.features
-    for w, b in m.encoder:
-        h = np.tanh(h @ w + b)
-    w, b = m.heads[0]
-    logits = h @ w + b
+    for i in range(len(m.hidden_dims)):
+        h = np.tanh(h @ p[f"enc{i}.W"] + p[f"enc{i}.b"])
+    logits = h @ p["head0.W"] + p["head0.b"]
     z = logits - logits.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     expected = -np.mean(logp[np.arange(len(batch)), batch.labels])
@@ -117,9 +117,9 @@ def test_add_head_increments_and_preserves_logits():
     m = random_mlp(6)
     x = np.random.default_rng(0).normal(size=(4, m.input_dim))
     before = m.logits(x, 0)
-    n_heads = len(m.heads)
+    n_heads = len(m.head_classes)
     m.add_task_head(5)
-    assert len(m.heads) == n_heads + 1
+    assert len(m.head_classes) == n_heads + 1
     np.testing.assert_array_equal(m.logits(x, 0), before)
 
 
@@ -130,16 +130,17 @@ def test_parameters_alias_one_buffer_across_head_addition():
     params = m.parameters()
     assert params is m.parameters()
     assert params.flat is m.theta and m.theta.size == before.size + 4 * 2 + 2
-    views = [a for layer in m.encoder + m.heads for a in layer]
+    views = [params[f"{layer}.{p}"] for layer in ("enc0", "enc1", "head0", "head1")
+             for p in "Wb"]
     assert len(views) == len(params) == 8
     for view, (name, arr) in zip(views, params.items()):
         assert np.shares_memory(view, m.theta) and np.shares_memory(arr, m.theta)
         assert view.shape == arr.shape and np.array_equal(view, arr)
     # earlier weights keep their offsets; the new head sits at the end
     np.testing.assert_array_equal(m.theta[:before.size], before)
-    assert np.shares_memory(m.heads[1][0], m.theta[before.size:])
+    assert np.shares_memory(m.parameters()["head1.W"], m.theta[before.size:])
     assert m.constrained_names(1) == params.names()[:6]
-    m.heads[0][1][0] = 123.0
+    m.parameters()["head0.b"][0] = 123.0
     assert params["head0.b"][0] == 123.0 and 123.0 in m.theta
 
 
@@ -242,6 +243,42 @@ def test_one_layout_model_equals_head_by_head():
         assert whole.logits(x, t).tobytes() == grown.logits(x, t).tobytes()
 
 
+def test_clone_is_an_equal_independent_model():
+    """A grown relu model's clone has its layout and bits, gives the same
+    kernels bit for bit, and shares no storage with it."""
+    m = MultiHeadClassifier(60, 4, [5, 3], [3], activation="relu")
+    m.add_task_head(2)
+    rng = np.random.default_rng(61)
+    m.theta += rng.normal(scale=0.1, size=m.theta.size)  # nonzero biases too
+    c = m.clone()
+    assert c.parameters().names() == m.parameters().names()
+    assert ([a.shape for _, a in c.parameters().items()]
+            == [a.shape for _, a in m.parameters().items()])
+    assert (c.activation, c.hidden_dims, c.head_classes) == ("relu", [5, 3], [3, 2])
+    assert c.theta.tobytes() == m.theta.tobytes()
+    v = m.parameters().unflatten(rng.normal(size=m.theta.size))
+
+    def kernels(model, batch):
+        sums, sq_norms = model.gradient_second_moments(batch.features, batch.labels,
+                                                       batch.task_id)
+        return [model.loss_gradient(batch)[1].flat, sums.flat, sq_norms,
+                hvp(model_objective(model, batch), v).flat]
+
+    for t in range(2):
+        batch = random_batch(62 + t, m, n=6, task_id=t)
+        assert ([a.tobytes() for a in kernels(c, batch)]
+                == [a.tobytes() for a in kernels(m, batch)])
+    theirs = c.theta.copy()
+    m.theta += 1.0
+    m.parameters()["head1.b"][...] = 5.0
+    assert c.theta.tobytes() == theirs.tobytes()
+    ours = m.theta.copy()
+    c.theta *= 2.0
+    c.parameters()["enc0.W"][...] = 0.0
+    c.add_task_head(4)
+    assert m.theta.tobytes() == ours.tobytes() and m.head_classes == [3, 2]
+
+
 def test_loss_hvp_refuses_misaligned_direction():
     m = random_mlp(52, classes=(3, 2))
     v = random_mlp(52, classes=(3,)).parameters()
@@ -254,7 +291,9 @@ def _reference_kernels(m, x, y, task_id, v):
     layers top-down with its own `delta @ W.T` step: (loss gradient, summed
     squared per-sample gradients, per-sample squared norms, H v), each
     gradient a list of (W, b) blocks for the encoder then head `task_id`."""
-    layers = [*m.encoder, m.heads[task_id]]
+    ps = m.parameters()
+    layers = [(ps[f"enc{i}.W"], ps[f"enc{i}.b"]) for i in range(len(m.hidden_dims))]
+    layers.append((ps[f"head{task_id}.W"], ps[f"head{task_id}.b"]))
     tanh = m.activation == "tanh"
     acts, h = [x], x
     for w, b in layers[:-1]:

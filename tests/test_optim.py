@@ -259,7 +259,7 @@ def test_flat_region_requires_prefix_names():
     model.add_task_head(3)
     anchor = model.parameters().copy()
     region = FlatRegion(anchor, 0.5, model.constrained_names(1))
-    assert region.lo.size == anchor.total_size() - model.heads[1][0].size - 3
+    assert region.lo.size == anchor.total_size() - model.parameters()["head1.W"].size - 3
     for names in (["head0.W", "head0.b"], ["enc0.W", "head0.W"], model.head_names(1)):
         with pytest.raises(ValueError, match="prefix"):
             FlatRegion(anchor, 0.5, names)

@@ -244,7 +244,7 @@ def test_resume_across_head_addition_bitwise(tmp_path):
     run_single_seed(cfg, "cf", 1, resumed, resume_from=os.path.join(full, "ckpt_task0.bin"))
     a = load_checkpoint(os.path.join(full, "ckpt_task2.bin"))
     b = load_checkpoint(os.path.join(resumed, "ckpt_task2.bin"))
-    assert len(a.model.heads) == len(b.model.heads) == 3
+    assert len(a.model.head_classes) == len(b.model.head_classes) == 3
     for x, y in ((a.model.parameters(), b.model.parameters()),
                  (a.importance.values, b.importance.values), (a.anchor, b.anchor)):
         assert x.names() == y.names()
@@ -403,6 +403,17 @@ def test_cli_metrics_with_reference(tmp_path, capsys):
     assert out["intransigence"] == pytest.approx((0.05 + 0.05) / 2)
 
 
+def test_cli_metrics_refuses_reference_without_accuracies(tmp_path, capsys):
+    out = str(tmp_path / "cf")
+    run_single_seed(small_cfg(), "cf", 1, out)
+    ref = os.path.join(out, "metrics.json")
+    assert main(["metrics", "--matrix", os.path.join(out, "matrix.csv"),
+                 "--reference", ref]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ValueError: {ref} holds no reference_accuracies; "
+        "--reference needs the metrics.json of an mtl run\n")
+
+
 def test_cli_gen_data_round_trip(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path)
     out = str(tmp_path / "data")
@@ -504,14 +515,15 @@ def _seq_run(tmp_path, seed=2):
     return cfg_path, str(tmp_path / "out" / "tiny" / "seq" / f"seed{seed}" / "ckpt_task1.bin")
 
 
-def _drop_manifest_seed(path):
-    """Rewrite a checkpoint as one written before the manifest had a seed."""
+def _drop_manifest_keys(path, *keys):
+    """Rewrite a checkpoint as one written before the manifest had `keys`."""
     from flatcl.checkpoint import _MAGIC, _digest
     data = open(path, "rb").read()
     head = len(_MAGIC) + 8
     mlen = int.from_bytes(data[len(_MAGIC):head], "little")
     manifest = json.loads(data[head:head + mlen])
-    del manifest["seed"]
+    for key in keys:
+        del manifest[key]
     payload = data[head + mlen:]
     manifest["sha256"] = _digest(manifest, payload)
     mbytes = json.dumps(manifest, sort_keys=True).encode()
@@ -534,7 +546,7 @@ def test_cli_probe_takes_seed_from_checkpoint(tmp_path, capsys):
 
 def test_cli_probe_refuses_checkpoint_without_seed(tmp_path, capsys):
     cfg_path, ckpt = _seq_run(tmp_path)
-    _drop_manifest_seed(ckpt)
+    _drop_manifest_keys(ckpt, "seed", "variant")  # the variant was recorded after the seed
     assert load_checkpoint(ckpt).seed is None  # an older file still loads
     capsys.readouterr()
     assert main(["probe", "--checkpoint", ckpt, "--config", cfg_path,
@@ -550,7 +562,53 @@ def test_run_writes_seed_into_every_checkpoint(tmp_path):
     run_single_seed(cfg, "cf", 3, str(tmp_path / "cf"))
     run_single_seed(cfg, "mtl", 3, str(tmp_path / "mtl"))
     for path in ("cf/ckpt_task0.bin", "cf/ckpt_task1.bin", "mtl/ckpt_final.bin"):
-        assert load_checkpoint(str(tmp_path / path)).seed == 3
+        ckpt = load_checkpoint(str(tmp_path / path))
+        assert ckpt.seed == 3
+        assert ckpt.variant == path.split("/")[0]
+
+
+def _other_cfg(tmp_path):
+    """A config file for a run with other data but the same model shape."""
+    cfg = small_cfg()
+    cfg["benchmark"]["rotation_per_task"] = 0.5
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_cli_probe_refuses_config_of_another_run(tmp_path, capsys):
+    _, ckpt = _seq_run(tmp_path)
+    capsys.readouterr()
+    for argv in ([], ["--seed", "2"]):
+        assert main(["probe", "--checkpoint", ckpt, "--config", _other_cfg(tmp_path),
+                     "--lanczos-iters", "5", *argv]) == 1
+        assert capsys.readouterr().err == (
+            f"error: ValueError: {ckpt}: checkpoint was written under a different "
+            "config, variant or seed; refusing to probe\n")
+
+
+def test_cli_probe_checkpoint_without_variant_is_not_checked(tmp_path, capsys):
+    _, ckpt = _seq_run(tmp_path)
+    _drop_manifest_keys(ckpt, "variant")
+    assert load_checkpoint(ckpt).variant is None  # an older file still loads
+    capsys.readouterr()
+    assert main(["probe", "--checkpoint", ckpt, "--config", _other_cfg(tmp_path),
+                 "--lanczos-iters", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["rho_used"] == 0.05
+
+
+def test_cli_probe_accepts_config_without_optimizer_section(tmp_path, capsys):
+    """`flatcl run` without overrides hashes the config file as it is, so the
+    same file passes the probe's check."""
+    cfg = small_cfg()
+    del cfg["optimizer"]
+    cfg_path = write_cfg(tmp_path, cfg)
+    assert main(["run", "--config", cfg_path, "--variant", "seq", "--seed", "1",
+                 "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    ckpt = str(tmp_path / "out" / "tiny" / "seq" / "seed1" / "ckpt_task1.bin")
+    assert main(["probe", "--checkpoint", ckpt, "--config", cfg_path,
+                 "--lanczos-iters", "5"]) == 0
 
 
 def test_cli_probe_refuses_negative_rho(tmp_path, capsys):
