@@ -48,20 +48,23 @@ class MultiHeadClassifier:
     `_bind` builds one layer plan per head, the model's only map of its
     blocks: for each layer from the input up, `(W, b, W slice, b slice)`,
     the `(W, b)` views of `theta` and the slices where those blocks lie in
-    any vector laid out like it.  The kernels walk that plan and address
-    every output block by its slice, so a step builds no names and looks up
-    no layers.  The public methods check their inputs and then call the
-    unchecked kernel; the training loop checks each task's rows once and
-    calls the kernel directly with buffers it owns.
+    any vector laid out like it.  The kernels walk that plan, so a step
+    builds no names and looks up no layers.  The gradient kernel writes
+    into `_output_views` of a flat buffer, the plan's blocks as 2-D views,
+    which a caller binds once per buffer and head.  The public methods
+    check their inputs and then call the unchecked kernel; the training
+    loop checks each task's rows once, binds the views of the buffers it
+    owns once per task and calls the kernel directly.
 
     The gradient, the per-sample Fisher pass and the Hessian bind share one
-    backward pass, `_adjoints`; each seeds it with its own output-layer
-    adjoint.  The Hessian-vector product is split into a bind step and an
-    apply step (`_hvp_operator`): binding to checked rows runs the forward
-    pass, the softmax and the backward adjoints once, and the operator it
-    returns runs only the passes that depend on the direction.  A Lanczos
-    run binds once and applies per iteration; `probe.hvp` on a
-    `model_objective` binds and applies once.
+    backward pass, `_adjoints`.  The gradient and the Fisher pass seed it
+    with one output-layer adjoint, `_output_adjoint`; the Hessian bind
+    forms its own, `(p - onehot) / n`.  The Hessian-vector product is
+    split into a bind step and an apply step (`_hvp_operator`): binding to
+    checked rows runs the forward pass, the softmax and the backward
+    adjoints once, and the operator it returns runs only the passes that
+    depend on the direction.  A Lanczos run binds once and applies per
+    iteration; `probe.hvp` on a `model_objective` binds and applies once.
     """
 
     def __init__(self, seed: int, input_dim: int, hidden_dims: list[int],
@@ -190,9 +193,31 @@ class MultiHeadClassifier:
 
     def _log_probs(self, features, task_id):
         """(layer inputs, log-softmax of the logits)."""
-        acts, logits = self._forward(features, task_id)
-        z = logits - logits.max(axis=-1, keepdims=True)
-        return acts, z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        acts, z = self._forward(features, task_id)
+        # in place; the reductions are the ones `.max` and `.sum` call
+        z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+        lse = np.add.reduce(np.exp(z), axis=-1, keepdims=True)
+        z -= np.log(lse, out=lse)
+        return acts, z
+
+    @staticmethod
+    def _output_adjoint(logp, labels, scale):
+        """scale * (softmax - onehot(labels)) from log-probabilities: the
+        logit adjoint of the mean loss (scale 1/n) and of each sample's
+        loss (scale 1).  Equal bit for bit to an autodiff graph's
+        `g - softmax * g.sum(-1)` for the one-hot `g` of -scale: each row of
+        `g` sums to exactly -scale, and IEEE negation is exact."""
+        d = np.exp(logp)
+        d *= scale
+        d[np.arange(labels.shape[0]), labels] -= scale
+        return d
+
+    def _output_views(self, out, task_id):
+        """Per layer of head `task_id`, the (W, b) blocks of flat `out` (laid
+        out like `theta`) as views shaped like the weights: the kernel's
+        output, bound once per buffer and head."""
+        return [(out[w_sl].reshape(w.shape), out[b_sl])
+                for w, _, w_sl, b_sl in self._plans[task_id]]
 
     def _adjoints(self, plan, acts, delta):
         """The backward pass from `delta`, the adjoint of the last layer's
@@ -207,23 +232,25 @@ class MultiHeadClassifier:
             out[k - 1] = d_h * (1.0 - h * h) if self.activation == "tanh" else d_h * (h > 0.0)
         return out, inp
 
-    def _loss_gradient_into(self, features, labels, task_id, out: np.ndarray) -> float:
-        """Mean cross-entropy of the rows; its gradient goes into the blocks
-        of `out` (a flat vector laid out like `theta`) that head `task_id`
-        reaches.  Every other block of `out` is left as it was."""
-        plan = self._plans[task_id]
+    def _loss_gradient_into(self, features, labels, task_id, views) -> float:
+        """Mean cross-entropy of the rows; its gradient goes into `views`,
+        `_output_views(out, task_id)` of a flat vector `out` laid out like
+        `theta`.  Every block of `out` that head `task_id` does not reach is
+        left as it was."""
         acts, logp = self._log_probs(features, task_id)
+        self._gradient_into(acts, logp, labels, task_id, views)
         n = labels.shape[0]
-        rows = np.arange(n)
-        loss = -(np.add.reduce(logp[rows, labels]) / n)  # .mean()'s sum and divide
-        g = np.zeros(logp.shape)
-        g[rows, labels] = -1.0 / n
-        delta = g - np.exp(logp) * g.sum(axis=-1, keepdims=True)
-        deltas, _ = self._adjoints(plan, acts, delta)
-        for (w, _, w_sl, b_sl), h, delta in zip(plan, acts, deltas):
-            np.matmul(h.T, delta, out=out[w_sl].reshape(w.shape))
-            delta.sum(axis=0, out=out[b_sl])
-        return float(loss)
+        return float(-(np.add.reduce(logp[np.arange(n), labels]) / n))  # .mean()'s sum and divide
+
+    def _gradient_into(self, acts, logp, labels, task_id, views):
+        """The backward half of `_loss_gradient_into`, from `_log_probs`.
+        `views` may stop short of the head: the layers past its end are
+        not written."""
+        deltas, _ = self._adjoints(self._plans[task_id], acts,
+                                   self._output_adjoint(logp, labels, 1.0 / labels.shape[0]))
+        for (out_w, out_b), h, delta in zip(views, acts, deltas):
+            np.matmul(h.T, delta, out=out_w)
+            np.add.reduce(delta, axis=0, out=out_b)  # delta.sum(axis=0)
 
     def task_loss(self, batch: Batch) -> float:
         features, labels = self._check_rows(batch.features, batch.labels, batch.task_id)
@@ -241,7 +268,8 @@ class MultiHeadClassifier:
 
     def _loss_gradient(self, features, labels, task_id):
         grads = self._params.zeros_like()
-        return self._loss_gradient_into(features, labels, task_id, grads.flat), grads
+        views = self._output_views(grads.flat, task_id)
+        return self._loss_gradient_into(features, labels, task_id, views), grads
 
     def log_prob_gradient(self, features, label, task_id: int) -> ParameterSet:
         """Per-sample gradient of log p(true label | x; w).
@@ -265,16 +293,15 @@ class MultiHeadClassifier:
         features, labels = self._check_rows(features, labels, task_id)
         plan = self._plans[task_id]
         acts, logp = self._log_probs(features, task_id)
-        delta = np.exp(logp)
-        delta[np.arange(len(delta)), labels] -= 1.0
-        deltas, _ = self._adjoints(plan, acts, delta)
+        deltas, _ = self._adjoints(plan, acts, self._output_adjoint(logp, labels, 1.0))
         sums = np.zeros(self.theta.size)
-        sq_norms = np.zeros(len(delta))
+        views = self._output_views(sums, task_id)
+        sq_norms = np.zeros(labels.shape[0])
         for k in range(len(plan) - 1, -1, -1):  # top-down, the order of the sums
-            w, _, w_sl, b_sl = plan[k]
+            out_w, out_b = views[k]
             h2, d2 = acts[k] * acts[k], deltas[k] * deltas[k]
-            np.matmul(h2.T, d2, out=sums[w_sl].reshape(w.shape))
-            np.sum(d2, axis=0, out=sums[b_sl])
+            np.matmul(h2.T, d2, out=out_w)
+            np.sum(d2, axis=0, out=out_b)
             sq_norms += (h2.sum(axis=1) + 1.0) * d2.sum(axis=1)
         return self._params.unflatten(sums), sq_norms
 

@@ -10,6 +10,7 @@ masks.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -126,16 +127,19 @@ class TaskReport:
 
 def _epsilon(w: np.ndarray, g: np.ndarray, rho: float, out=None) -> np.ndarray:
     """rho * w^2 g / ||w g||_2 over flat vectors, written into `out` (a new
-    vector when None); zero when w g or rho is."""
-    if not (np.isfinite(w).all() and np.isfinite(g).all()):
-        raise FloatingPointError("non-finite inputs to compute_perturbation")
+    vector when None, never `w` or `g`); zero when w g or rho is."""
     out = np.multiply(w, g, out=out)
     denom_sq = float(out @ out)
+    # A finite sum of squares proves every w_i g_i, hence every w_i and g_i,
+    # finite; only a sum that is not is settled entry by entry, so finite
+    # inputs whose products overflow still pass, as they always have.
+    if not math.isfinite(denom_sq) and not (np.isfinite(w).all() and np.isfinite(g).all()):
+        raise FloatingPointError("non-finite inputs to compute_perturbation")
     if denom_sq == 0.0 or rho == 0.0:
         out.fill(0.0)
         return out
     np.square(w, out=out)
-    out *= rho / np.sqrt(denom_sq)
+    out *= rho / math.sqrt(denom_sq)
     out *= g
     return out
 
@@ -168,26 +172,33 @@ def create_gradient(model: MultiHeadClassifier, batch: Batch, rho: float,
     params = model.parameters()
     w = params.flat if perturb_names is None else params.prefix(perturb_names)
     grads = params.zeros_like()
+    views = model._output_views(grads.flat, batch.task_id)
     loss = _create_gradient_into(model, features, labels, batch.task_id, rho, w,
-                                 grads.flat, np.empty_like(w), np.empty_like(w))
+                                 grads.flat, views, np.empty_like(w), np.empty_like(w))
     return grads, loss
 
 
-def _create_gradient_into(model, features, labels, task_id, rho, w, out,
+def _create_gradient_into(model, features, labels, task_id, rho, w, out, views,
                           eps, saved) -> float:
     """The create step on checked rows: the gradient at w + eps goes into
     flat `out` (zero outside the rows' head, as `_loss_gradient_into` needs)
-    and the loss there is returned.  `w` is the perturbed prefix of
-    `model.theta`; `eps` and `saved` are scratch vectors of its size."""
-    loss = model._loss_gradient_into(features, labels, task_id, out)
+    through `views`, its `model._output_views`, and the loss there is
+    returned.  `w` is the perturbed prefix of `model.theta`; `eps` and
+    `saved` are scratch vectors of its size."""
     if rho == 0.0:
-        return loss
+        return model._loss_gradient_into(features, labels, task_id, views)
+    # eps reads only the gradient over w, so the pass at w skips the loss
+    # and, when the rows' head lies past w (the current task's does), the
+    # head's blocks, which the pass at w + eps writes
+    _, _, _, head_b = model._plans[task_id][-1]
+    model._gradient_into(*model._log_probs(features, task_id), labels, task_id,
+                         views[:-1] if head_b.stop > w.size else views)
     _epsilon(w, out[:w.size], rho, out=eps)
     np.copyto(saved, w)
     try:
         w += eps
-        loss = model._loss_gradient_into(features, labels, task_id, out)
-        if not np.isfinite(loss):
+        loss = model._loss_gradient_into(features, labels, task_id, views)
+        if not math.isfinite(loss):
             raise FloatingPointError(
                 f"non-finite loss at perturbed point (task {task_id})")
     finally:
@@ -274,7 +285,7 @@ def _penalty_gradient(w, anchor, two_f, out) -> np.ndarray:
 def clamp_to_region(params: ParameterSet, region: FlatRegion) -> int:
     """Project constrained coordinates into the box; returns clamp count."""
     w = params.prefix(region.constrained_names)
-    clipped = np.clip(w, region.lo, region.hi)
+    clipped = w.clip(region.lo, region.hi)  # what np.clip calls
     count = int(np.count_nonzero(clipped != w))
     np.copyto(w, clipped)
     return count
@@ -316,7 +327,8 @@ class OptimizerState:
 
     It also owns the vectors a training step rewrites, so a step allocates
     none of them: `total`, the step's summed gradient, a set laid out like
-    the parameters; `grad`, one batch's flat gradient; `perturbation` and
+    the parameters; `grad`, one batch's flat gradient (each bound to the
+    kernel's output views once per head by `train_task`); `perturbation` and
     `saved`, the create step's eps and saved weights; `penalty`, the anchor
     penalty's gradient; and `tmp`, Adam's two temporaries.
     """
@@ -336,7 +348,8 @@ def base_step(state: OptimizerState, params: ParameterSet,
     """One in-place update; grads must already include all loss terms."""
     params.require_aligned(total_grads, "base_step")
     g = total_grads.flat
-    if not np.isfinite(g).all():
+    # a finite sum of squares proves every entry finite, as in `_epsilon`
+    if not math.isfinite(float(g @ g)) and not np.isfinite(g).all():
         raise FloatingPointError("non-finite gradients in base_step")
     state.t += 1
     lr = config.learning_rate
@@ -429,13 +442,17 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
         w_pert = params.prefix(names) if names else params.flat
         eps, saved = state.perturbation[:w_pert.size], state.saved[:w_pert.size]
 
-        def grads_into(features, labels, tid, out):
+        def grads_into(features, labels, tid, out, views):
             return _create_gradient_into(model, features, labels, tid, config.rho,
-                                         w_pert, out, eps, saved)
+                                         w_pert, out, views, eps, saved)
     else:
-        grads_into = model._loss_gradient_into
+        def grads_into(features, labels, tid, out, views):
+            return model._loss_gradient_into(features, labels, tid, views)
 
     summed = state.total.flat  # the step's summed gradient, rewritten each step
+    # per head, the kernel's output views of `summed` and of `state.grad`
+    views = [(model._output_views(summed, h), model._output_views(state.grad, h))
+             for h in range(len(model.head_classes))]
     best_theta = None
     step_index = 0
 
@@ -455,17 +472,22 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
         """One update from (features, labels, task_id) batches, each
         gradient weighted by its share of the rows."""
         nonlocal step_index
-        total_weight = sum(len(labels) for _, labels, _ in batches)
-        loss_val = 0.0
-        for i, (features, labels, tid) in enumerate(batches):
-            out = summed if i == 0 else state.grad
-            out.fill(0.0)
-            loss = grads_into(features, labels, tid, out)
-            w = len(labels) / total_weight
-            loss_val += w * loss
-            out *= w
-            if i:
-                np.add(summed, out, out=summed)
+        if len(batches) == 1:  # weight 1: scaling by it would change no bit
+            features, labels, tid = batches[0]
+            summed.fill(0.0)
+            loss_val = 0.0 + grads_into(features, labels, tid, summed, views[tid][0])
+        else:
+            total_weight = sum(len(labels) for _, labels, _ in batches)
+            loss_val = 0.0
+            for i, (features, labels, tid) in enumerate(batches):
+                out = summed if i == 0 else state.grad
+                out.fill(0.0)
+                loss = grads_into(features, labels, tid, out, views[tid][i > 0])
+                w = len(labels) / total_weight
+                loss_val += w * loss
+                out *= w
+                if i:
+                    np.add(summed, out, out=summed)
         if use_penalty:
             pen = _penalty_gradient(w_c, anchor_c, two_f, penalty)
             pen *= config.lam

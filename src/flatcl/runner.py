@@ -256,7 +256,10 @@ def aggregate(rows: list[dict], path):
 
 def run_experiment(cfg: dict, variant: str, out_root: str, seeds=None) -> list[dict]:
     """Run every seed, recording a failed seed's error and traceback in
-    failures.json and going on with the others."""
+    failures.json and going on with the others.  A repeated seed, or a
+    seed directory that already exists, is refused before anything is
+    written, so a rerun into the same `out_root` leaves the earlier results
+    as they are."""
     check_config_keys(cfg)
     build_optimizer_config(cfg, variant)  # a bad setting fails once, not per seed
     if seeds is None and "seeds" not in cfg:
@@ -264,11 +267,16 @@ def run_experiment(cfg: dict, variant: str, out_root: str, seeds=None) -> list[d
     seeds = list(seeds if seeds is not None else cfg["seeds"])
     if not seeds:
         raise ValueError("seeds must be nonempty")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds {seeds} name a seed more than once")
     name = cfg.get("name", "experiment")
+    out_dirs = [os.path.join(out_root, name, variant, f"seed{seed}") for seed in seeds]
+    for out_dir in out_dirs:
+        if os.path.lexists(out_dir):
+            raise ValueError(f"{out_dir} already exists; choose a new --out")
     rows = []
     failures = []
-    for seed in seeds:
-        out_dir = os.path.join(out_root, name, variant, f"seed{seed}")
+    for seed, out_dir in zip(seeds, out_dirs):
         try:
             rows.append(run_single_seed(cfg, variant, seed, out_dir))
         except Exception as exc:  # record and continue with other seeds

@@ -387,3 +387,41 @@ def test_kernels_equal_per_layer_reference_bitwise(activation, hidden):
             blocks = [a for pair in ref for a in pair]
             assert [got[n].tobytes() for n in names] == [a.tobytes() for a in blocks]
         assert got_sq.tobytes() == sq_norms.tobytes()
+
+
+def _one_hot_adjoints(logp, labels):
+    """The output adjoints `_output_adjoint` replaced: the gradient kernel's
+    one-hot `g - exp(logp) * g.sum(-1)` (an autodiff graph's form) and the
+    Fisher pass's `exp(logp) - onehot`."""
+    n, rows = len(labels), np.arange(len(labels))
+    g = np.zeros(logp.shape)
+    g[rows, labels] = -1.0 / n
+    mean = g - np.exp(logp) * g.sum(axis=-1, keepdims=True)
+    per_sample = np.exp(logp)
+    per_sample[rows, labels] -= 1.0
+    return mean, per_sample
+
+
+@pytest.mark.parametrize("case", ["random", "one label", "logits of +-800"])
+@pytest.mark.parametrize("n", range(1, 18))
+def test_output_adjoint_equals_one_hot_forms_bitwise(n, case):
+    """Scale 1/n gives the gradient's former adjoint and scale 1 the Fisher
+    pass's, bit for bit, for any row count (replay batches are not powers
+    of two), one label on every row, and probabilities that underflow."""
+    rng = np.random.default_rng(n)
+    logits = rng.normal(size=(n, 5)) * 3.0
+    labels = rng.integers(0, 5, size=n)
+    if case == "one label":
+        labels[:] = 2
+    elif case == "logits of +-800":
+        logits = np.where(rng.random((n, 5)) < 0.5, -800.0, 800.0)
+        logits[:, 0], logits[:, 1] = 800.0, -800.0
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    if case == "logits of +-800":
+        assert (np.exp(logp) == 0.0).any()
+    mean, per_sample = _one_hot_adjoints(logp, labels)
+    got_mean = MultiHeadClassifier._output_adjoint(logp, labels, 1.0 / n)
+    got_per_sample = MultiHeadClassifier._output_adjoint(logp, labels, 1.0)
+    assert got_mean.tobytes() == mean.tobytes()
+    assert got_per_sample.tobytes() == per_sample.tobytes()

@@ -9,7 +9,7 @@ from flatcl.autodiff import finite_diff_gradient
 from flatcl.data import TaskStream, gen_rotated_gaussians
 from flatcl.model import Batch, MultiHeadClassifier
 from flatcl.optim import (FlatRegion, ImportanceMap, OptimizerConfig,
-                          OptimizerState, TaskReport, VariantFlags,
+                          OptimizerState, TaskReport, VariantFlags, _epsilon,
                           accumulate_fisher, base_step, build_sparse_mask,
                           clamp_to_region, compute_perturbation, create_gradient,
                           find_fisher, random_importance, soft_penalty,
@@ -58,6 +58,54 @@ def test_perturbation_rejects_nonfinite():
     with pytest.raises(FloatingPointError):
         compute_perturbation(ParameterSet({"w": [np.nan]}),
                              ParameterSet({"w": [1.0]}), 0.1)
+
+
+def _epsilon_reference(w, g, rho):
+    """`_epsilon` with its former entry-by-entry finiteness check up front."""
+    if not (np.isfinite(w).all() and np.isfinite(g).all()):
+        raise FloatingPointError("non-finite inputs")
+    wg = w * g
+    denom_sq = float(wg @ wg)
+    if denom_sq == 0.0 or rho == 0.0:
+        return np.zeros_like(w)
+    out = np.square(w)
+    out *= rho / np.sqrt(denom_sq)
+    out *= g
+    return out
+
+
+_INF, _NAN = np.inf, np.nan
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.3])
+@pytest.mark.parametrize("w,g", [
+    ([_NAN, 1.0], [1.0, 2.0]), ([1.0, 2.0], [3.0, _NAN]),
+    ([_INF, 1.0], [1.0, 2.0]), ([1.0, -_INF], [1.0, 2.0]),
+    ([1.0, 2.0], [_INF, 1.0]), ([1.0, 2.0], [1.0, -_INF]),
+    ([_INF, 1.0], [0.0, 1.0]), ([0.0, 1.0], [-_INF, 1.0]),  # inf x 0 is NaN
+    ([_NAN], [0.0]), ([_INF], [_INF]),
+    ([1e200, 1.0], [1e200, 1.0]), ([1e155], [-1e155]),  # w g overflows
+    ([1e100, 3.0], [1e100, 4.0]),  # (w g)^2 overflows
+    ([1e-200, 2.0], [1e-200, 0.0]), ([0.0, 0.0], [1.0, 2.0]),
+    ([0.5, -1.5, 2.0], [3.0, 0.25, -1.0]),
+])
+def test_epsilon_refuses_and_returns_what_the_entrywise_check_did(w, g, rho):
+    """One finite sum of squares stands in for the per-entry test: the same
+    inputs are refused, and finite inputs whose products overflow still
+    give the former bytes (NaN or zeros) rather than an error."""
+    w, g = np.array(w), np.array(g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            expected = _epsilon_reference(w, g, rho)
+        except FloatingPointError:
+            with pytest.raises(FloatingPointError):
+                _epsilon(w, g, rho)
+            with pytest.raises(FloatingPointError):
+                compute_perturbation(ParameterSet({"w": w}), ParameterSet({"w": g}), rho)
+            return
+        assert _epsilon(w, g, rho).tobytes() == expected.tobytes()
+        out = np.full(w.size, 7.0)
+        assert _epsilon(w, g, rho, out=out) is out and out.tobytes() == expected.tobytes()
 
 
 # -- create gradient --------------------------------------------------------
@@ -298,6 +346,36 @@ def test_base_step_rejects_nonfinite():
     state = OptimizerState(params)
     with pytest.raises(FloatingPointError):
         base_step(state, params, ParameterSet({"w": [np.inf]}), cfg)
+
+
+@pytest.mark.parametrize("base_optimizer", ["sgd", "adam_decoupled"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_base_step_refusal_moves_no_state(bad, base_optimizer):
+    cfg = OptimizerConfig(base_optimizer=base_optimizer)
+    params = ParameterSet({"w": [1.0, -2.0, 0.5]})
+    state = OptimizerState(params)
+    base_step(state, params, ParameterSet({"w": [0.1, -0.2, 0.3]}), cfg)
+    before = [a.tobytes() for a in (state.m, state.v, params.flat)]
+    with pytest.raises(FloatingPointError):
+        base_step(state, params, ParameterSet({"w": [0.1, bad, 0.3]}), cfg)
+    assert state.t == 1
+    assert [a.tobytes() for a in (state.m, state.v, params.flat)] == before
+
+
+@pytest.mark.parametrize("base_optimizer", ["sgd", "adam_decoupled"])
+def test_base_step_takes_finite_gradient_whose_square_overflows(base_optimizer):
+    """g @ g overflows for g = 1e200, yet every entry is finite: the step
+    runs, as it did when each entry was tested on its own."""
+    cfg = OptimizerConfig(learning_rate=0.1, weight_decay=0.0, base_optimizer=base_optimizer)
+    params = ParameterSet({"w": [1.0, -2.0]})
+    state = OptimizerState(params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        base_step(state, params, ParameterSet({"w": [1e200, 1.0]}), cfg)
+    assert state.t == 1
+    if base_optimizer == "sgd":
+        assert params.flat.tobytes() == np.array([1.0 - 1e200 * 0.1, -2.0 - 1.0 * 0.1]).tobytes()
+    else:  # v overflows to inf, so the first coordinate's update is 0
+        assert params.flat[0] == 1.0 and params.flat[1] < -2.0
 
 
 def test_optimizer_config_refuses_out_of_range_settings():
@@ -708,6 +786,33 @@ def test_train_task_matches_public_step_functions(activation, hidden, base_optim
     batches = 2 * sum(-(-len(task.train_xy()[1]) // cfg.batch_size) for task in tasks)
     assert len(report.step_losses) > batches  # replay steps ran
     assert sum(report.clamp_counts) > 0
+
+
+def test_train_task_matches_public_step_functions_on_two_head_replay():
+    """A replay step over a store of two tasks draws one batch per head, the
+    path of a step that weights each batch by its share of the rows."""
+    stream, model, region, importance, store = _two_task_setup(73, "tanh", (6,))
+    store.add_task(*stream[1].train_xy(), 1, 0.2, 73)
+    cfg = _config(replay_every=2, variant=VariantFlags(create=True, clamp=True, l2=True,
+                                                       replay=True))
+    val_sets = [(*stream[1].val_xy(), 1)]
+    twin = model.clone()
+    draws = []
+
+    def sample_batches(size, rng):
+        batches = ReplayBuffer.sample_batches(store, size, rng)
+        draws.append(len(batches))
+        return batches
+
+    store.sample_batches = sample_batches
+    report = train_task(model, [stream[1]], region, importance, store, cfg,
+                        np.random.Generator(np.random.PCG64(6)), 2, val_sets)
+    del store.sample_batches
+    expected = _reference_train_task(twin, [stream[1]], region, importance, store, cfg,
+                                     np.random.Generator(np.random.PCG64(6)), 2, val_sets)
+    assert 2 in draws
+    assert model.theta.tobytes() == twin.theta.tobytes()
+    assert dataclasses.asdict(report) == dataclasses.asdict(expected)
 
 
 # -- input checks that run once per call, not once per step ----------------

@@ -305,6 +305,24 @@ def test_run_experiment_aggregate(tmp_path):
     assert float(fields[2]) == pytest.approx(np.std(accs, ddof=1))
 
 
+def test_run_experiment_refuses_existing_seed_dir_before_writing(tmp_path):
+    run_experiment(small_cfg(), "seq", str(tmp_path), seeds=[2])
+    variant_dir = tmp_path / "tiny" / "seq"
+    before = {p.name: p.read_bytes() for p in variant_dir.iterdir() if p.is_file()}
+    with pytest.raises(ValueError, match="seed2 already exists; choose a new --out"):
+        run_experiment(small_cfg(), "seq", str(tmp_path), seeds=[1, 2])
+    assert not (variant_dir / "seed1").exists()  # seed 1 came first, yet nothing ran
+    assert {p.name: p.read_bytes() for p in variant_dir.iterdir() if p.is_file()} == before
+
+
+def test_run_experiment_refuses_repeated_seed_before_writing(tmp_path):
+    cfg = small_cfg()
+    cfg["seeds"] = [1, 1]
+    with pytest.raises(ValueError, match=r"seeds \[1, 1\] name a seed more than once"):
+        run_experiment(cfg, "seq", str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_experiment_records_per_seed_failures(tmp_path):
     cfg = small_cfg()
     cfg["order"] = "missing-order"  # fails inside each per-seed run
@@ -506,6 +524,21 @@ def test_cli_error_is_single_line_and_nonzero(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert err.strip().count("\n") == 0
+
+
+def test_cli_rerun_into_same_out_is_refused_and_keeps_results(tmp_path, capsys):
+    args = ["run", "--config", write_cfg(tmp_path), "--variant", "seq", "--seed", "1",
+            "--out", str(tmp_path / "out")]
+    assert main(args) == 0
+    variant_dir = tmp_path / "out" / "tiny" / "seq"
+    aggregate = (variant_dir / "aggregate.csv").read_bytes()
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+    assert err.rstrip().endswith("already exists; choose a new --out")
+    assert (variant_dir / "aggregate.csv").read_bytes() == aggregate
+    assert not (variant_dir / "failures.json").exists()
 
 
 def _seq_run(tmp_path, seed=2):
