@@ -56,14 +56,19 @@ class Checkpoint:
     matrix_rows: np.ndarray | None = None
     replay_buffer: ReplayBuffer | None = None
 
+    def __post_init__(self):
+        """Refuse importance laid out for another model: on save and on load."""
+        if self.importance is not None and self.importance.values.shape != self.model.theta.shape:
+            raise ValueError(f"misaligned importance: {self.importance.values.shape} "
+                             f"for {self.model.theta.size} weights")
+
 
 def save_checkpoint(path, ckpt: Checkpoint):
     model = ckpt.model
     params = model.parameters()
     blocks: list[tuple[str, np.ndarray]] = [("param", model.theta)]
     if ckpt.importance is not None:
-        params.require_aligned(ckpt.importance.values, "save_checkpoint importance")
-        blocks.append(("importance", ckpt.importance.values.flat))
+        blocks.append(("importance", ckpt.importance.values))
     if ckpt.anchor is not None:
         params.require_aligned(ckpt.anchor, "save_checkpoint anchor")
         blocks.append(("anchor", ckpt.anchor.flat))
@@ -168,8 +173,7 @@ def load_checkpoint(path) -> Checkpoint:
         variant=manifest.get("variant"),
         rng_state=manifest["rng_state"],
         next_task=manifest["next_task"],
-        importance=(None if importance is None
-                    else ImportanceMap(params.unflatten(importance))),
+        importance=None if importance is None else ImportanceMap(importance),
         anchor=None if anchor is None else params.unflatten(anchor),
         matrix_rows=arrays.get("matrix"),
         replay_buffer=buffer,

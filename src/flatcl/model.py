@@ -135,12 +135,6 @@ class MultiHeadClassifier:
         self._params.require_aligned(values, "set_parameters")
         np.copyto(self.theta, values.flat)
 
-    def encoder_names(self) -> list[str]:
-        return self._params.names()[:2 * len(self.hidden_dims)]
-
-    def head_names(self, task_id: int) -> list[str]:
-        return [f"head{task_id}.W", f"head{task_id}.b"]
-
     def constrained_names(self, current_task: int) -> list[str]:
         """Encoder plus heads of tasks before `current_task`: a prefix of
         the layout."""
@@ -285,8 +279,8 @@ class MultiHeadClassifier:
     def gradient_second_moments(self, features, labels, task_id: int):
         """Squared per-sample log-prob gradients in one batched pass.
 
-        Returns (ParameterSet of per-coordinate sums over samples of g_i^2,
-        array of per-sample squared norms ||g_i||^2).  A layer with inputs H
+        Returns (per-coordinate sums over samples of g_i^2, laid out like
+        `theta`; per-sample squared norms ||g_i||^2).  A layer with inputs H
         and per-sample logit-side adjoints D contributes (H^2)^T (D^2) to its
         weights and (||h_i||^2 + 1) * ||d_i||^2 to sample i.
         """
@@ -303,7 +297,7 @@ class MultiHeadClassifier:
             np.matmul(h2.T, d2, out=out_w)
             np.sum(d2, axis=0, out=out_b)
             sq_norms += (h2.sum(axis=1) + 1.0) * d2.sum(axis=1)
-        return self._params.unflatten(sums), sq_norms
+        return sums, sq_norms
 
     def _hvp_operator(self, features, labels, task_id):
         """Bind Pearlmutter's R-operator to checked rows at the current weights.

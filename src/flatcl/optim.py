@@ -49,12 +49,12 @@ class FlatRegion:
 
 @dataclass
 class ImportanceMap:
-    """Per-parameter flatness values; never negative."""
-    values: ParameterSet
+    """Per-parameter flatness values laid out like `theta`; never negative or NaN."""
+    values: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.values.flat < 0):
-            raise ValueError("negative importance entries")
+        if not np.all(self.values >= 0):
+            raise ValueError("negative or NaN importance entries")
 
 
 @dataclass
@@ -131,10 +131,13 @@ def _epsilon(w: np.ndarray, g: np.ndarray, rho: float, out=None) -> np.ndarray:
     out = np.multiply(w, g, out=out)
     denom_sq = float(out @ out)
     # A finite sum of squares proves every w_i g_i, hence every w_i and g_i,
-    # finite; only a sum that is not is settled entry by entry, so finite
-    # inputs whose products overflow still pass, as they always have.
-    if not math.isfinite(denom_sq) and not (np.isfinite(w).all() and np.isfinite(g).all()):
-        raise FloatingPointError("non-finite inputs to compute_perturbation")
+    # finite; only a sum that is not is settled entry by entry.  Finite inputs
+    # whose sum overflows would give NaN or a silent zero unless rho is 0.
+    if not math.isfinite(denom_sq):
+        if not (np.isfinite(w).all() and np.isfinite(g).all()):
+            raise FloatingPointError("non-finite inputs to compute_perturbation")
+        if rho != 0.0:
+            raise FloatingPointError("w * g overflows in compute_perturbation")
     if denom_sq == 0.0 or rho == 0.0:
         out.fill(0.0)
         return out
@@ -222,33 +225,30 @@ def find_fisher(model: MultiHeadClassifier, features, labels, task_id: int,
         idx = rng.choice(n, size=n_samples, replace=False)
     sums, _ = model.gradient_second_moments(np.asarray(features)[idx],
                                             np.asarray(labels)[idx], task_id)
-    return ImportanceMap(sums.scale(1.0 / len(idx)))
+    return ImportanceMap(sums * (1.0 / len(idx)))
 
 
 def random_importance(model: MultiHeadClassifier, seed: int) -> ImportanceMap:
     """Random nonnegative flatness stand-in, drawn once per task."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    params = model.parameters()
-    return ImportanceMap(params.unflatten(rng.uniform(0.0, 1.0, size=params.total_size())))
+    return ImportanceMap(rng.uniform(0.0, 1.0, size=model.theta.size))
 
 
 def accumulate_fisher(importance: ImportanceMap | None, fresh: ImportanceMap,
                       gamma: float) -> ImportanceMap:
     """Decay the old accumulator, then add the fresh per-task values.
 
-    With no accumulator yet the result is a copy of `fresh`.  The old layout
-    must be a prefix of the fresh one; heads added since the last
-    accumulation start at zero importance.
+    With no accumulator yet the result is a copy of `fresh`.  The old vector
+    covers a prefix of the fresh one, so it may be no longer; heads added
+    since the last accumulation start at zero importance.
     """
     if importance is None:
         return ImportanceMap(fresh.values.copy())
     old, new = importance.values, fresh.values
-    if ([(n, a.shape) for n, a in old.items()]
-            != [(n, a.shape) for n, a in new.items()[:len(old)]]):
-        raise ValueError(f"accumulate_fisher: accumulated layout {old!r} is not a "
-                         f"prefix of the fresh layout {new!r}")
-    pad = np.zeros(new.total_size() - old.total_size())
-    return ImportanceMap(new.unflatten(np.concatenate([old.flat, pad]) * gamma + new.flat))
+    if old.size > new.size:
+        raise ValueError(f"accumulated importance longer than fresh ({old.size} > {new.size})")
+    pad = np.zeros(new.size - old.size)
+    return ImportanceMap(np.concatenate([old, pad]) * gamma + new)
 
 
 def soft_penalty(params: ParameterSet, region: FlatRegion,
@@ -269,9 +269,9 @@ def soft_penalty(params: ParameterSet, region: FlatRegion,
 
 def _region_importance(region: FlatRegion, importance: ImportanceMap) -> np.ndarray:
     """The importance of the region's constrained prefix, checked >= 0."""
-    f = importance.values.prefix(region.constrained_names)
-    if np.any(f < 0):
-        raise ValueError("negative importance in the constrained region")
+    f = importance.values[:region.lo.size]
+    if not np.all(f >= 0):
+        raise ValueError("negative or NaN importance in the constrained region")
     return f
 
 
@@ -292,25 +292,17 @@ def clamp_to_region(params: ParameterSet, region: FlatRegion) -> int:
 
 
 def build_sparse_mask(importance: ImportanceMap, ratio: float,
-                      layer_partition: list[list[str]]) -> ParameterSet:
-    """Per layer, mark the `ratio` fraction with LOWEST importance updatable."""
+                      layers: list[slice]) -> np.ndarray:
+    """Per layer (a slice), mark the `ratio` fraction with LOWEST importance updatable."""
     if not (0 < ratio <= 1):
         raise ValueError("ratio must be in (0, 1]")
-    mask = importance.values.zeros_like()
-    for group in layer_partition:
-        if not group:
-            raise ValueError("empty layer in partition")
-        values = np.concatenate([importance.values[n].ravel() for n in group])
+    mask = np.zeros_like(importance.values)
+    for layer in layers:
+        values = importance.values[layer]
         if values.size == 0:
             raise ValueError("empty layer in partition")
         k = values.size if ratio == 1.0 else max(1, int(np.floor(values.size * ratio)))
-        layer = np.zeros(values.size)
-        layer[np.argsort(values, kind="stable")[:k]] = 1.0
-        offset = 0
-        for n in group:
-            size = mask[n].size
-            mask[n] = layer[offset:offset + size].reshape(mask[n].shape)
-            offset += size
+        mask[layer][np.argsort(values, kind="stable")[:k]] = 1.0
     return mask
 
 
@@ -428,9 +420,9 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
 
     mask = None  # sparse-update mask over the constrained prefix
     if config.sparse_update_ratio < 1.0 and importance is not None and names:
-        layers = [names[i:i + 2] for i in range(0, len(names), 2)]  # (W, b) pairs
-        mask = build_sparse_mask(importance, config.sparse_update_ratio,
-                                 layers).prefix(names)
+        layers = [slice(w_sl.start, b_sl.stop) for *_, w_sl, b_sl  # encoder, earlier heads
+                  in model._plans[task_id][:-1] + [p[-1] for p in model._plans[:task_id]]]
+        mask = build_sparse_mask(importance, config.sparse_update_ratio, layers)[:layers[-1].stop]
 
     if use_penalty:
         w_c = params.prefix(region.constrained_names)

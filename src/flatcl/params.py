@@ -1,10 +1,11 @@
 """Named, shaped views over one contiguous float64 vector.
 
-A ParameterSet is the single currency for weights, gradients, perturbations
-and importance values.  It is a layout (ordered names, shapes and offsets)
-over one 1-D buffer, `flat`; `ps[name]` is a reshaped view into it, so
-writing through a view writes the buffer.  Sets built from the same layout
-share it, and whole-set arithmetic is one vector expression on `flat`.
+A ParameterSet is the single currency for weights, gradients and
+perturbations.  It is a layout (ordered names, shapes and offsets) over one
+1-D buffer, `flat`; `ps[name]` is a reshaped view into it, so writing
+through a view writes the buffer.  Sets built from the same layout share
+it, and whole-set arithmetic is one vector expression on `flat`.  Values
+read by no name (importance, the sparse mask) are vectors laid out like it.
 
 The prefix rule: a model appends each new task head at the end of its
 buffer, so the weights constrained while training task t (the encoder and
@@ -128,9 +129,6 @@ class ParameterSet:
 
     def scale(self, c: float) -> "ParameterSet":
         return self._like(self.flat * c)
-
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
 
     def __repr__(self):
         shapes = dict(zip(self._layout.names, self._layout.shapes))

@@ -138,7 +138,7 @@ def fisher_trace_check(model: MultiHeadClassifier, features, labels, task_id: in
     # were each averaged over samples; the other side averages per-sample
     # squared gradient norms.  Algebraically equal.
     sums, sq_norms = model.gradient_second_moments(features, labels, task_id)
-    trace = float(np.sum(sums.flat)) / len(labels)
+    trace = float(np.sum(sums)) / len(labels)
     mean_sq = float(np.mean(sq_norms))
     denom = max(abs(mean_sq), 1e-300)
     return trace, mean_sq, abs(trace - mean_sq) / denom

@@ -13,7 +13,6 @@ from flatcl.checkpoint import (Checkpoint, config_hash, load_checkpoint,
                                save_checkpoint)
 from flatcl.model import MultiHeadClassifier
 from flatcl.optim import ImportanceMap
-from flatcl.params import ParameterSet
 from flatcl.replay import ReplayBuffer
 
 from conftest import random_mlp
@@ -44,8 +43,7 @@ def test_full_state_round_trip(tmp_path):
     model = random_mlp(32)
     rng = np.random.Generator(np.random.PCG64(5))
     rng.normal(size=100)  # advance away from the fresh state
-    imp = ImportanceMap(ParameterSet(
-        (n, np.abs(a) + 1.0) for n, a in model.parameters().items()))
+    imp = ImportanceMap(np.abs(model.theta) + 1.0)
     anchor = model.parameters().copy()
     matrix = np.array([[0.5, np.nan], [0.4, 0.6]])
     buf = ReplayBuffer()
@@ -60,8 +58,8 @@ def test_full_state_round_trip(tmp_path):
     loaded = load_checkpoint(path)
 
     assert loaded.next_task == 2
-    for n in imp.values:
-        assert np.array_equal(loaded.importance.values[n], imp.values[n])
+    assert np.array_equal(loaded.importance.values, imp.values)
+    for n in anchor:
         assert np.array_equal(loaded.anchor[n], anchor[n])
     assert np.array_equal(loaded.matrix_rows, matrix, equal_nan=True)
     assert len(loaded.replay_buffer) == len(buf)
@@ -114,8 +112,8 @@ def test_checkpoint_round_trip_property(data):
     model.theta[:] = data.draw(_floats(model.theta.shape, allow_nan=False), label="theta")
     size = model.theta.size
     params = model.parameters()
-    imp = data.draw(st.none() | _floats(size, min_value=0.0).map(
-        lambda v: ImportanceMap(params.unflatten(v))), label="importance")
+    imp = data.draw(st.none() | _floats(size, min_value=0.0).map(ImportanceMap),
+                    label="importance")
     anchor = data.draw(st.none() | _floats(size).map(params.unflatten), label="anchor")
     t = len(heads)
     rows = data.draw(st.none() | st.integers(1, t).flatmap(
@@ -141,10 +139,11 @@ def test_checkpoint_round_trip_property(data):
 
     assert back.model.hidden_dims == hidden and back.model.head_classes == heads
     assert back.model.theta.tobytes() == model.theta.tobytes()
-    for a, b in ((imp and imp.values, back.importance and back.importance.values),
-                 (anchor, back.anchor)):
-        assert (a is None) == (b is None)
-        assert a is None or (b.names() == a.names() and b.flat.tobytes() == a.flat.tobytes())
+    assert (imp is None) == (back.importance is None)
+    assert imp is None or back.importance.values.tobytes() == imp.values.tobytes()
+    assert (anchor is None) == (back.anchor is None)
+    assert anchor is None or (back.anchor.names() == anchor.names()
+                              and back.anchor.flat.tobytes() == anchor.flat.tobytes())
     assert (rows is None) == (back.matrix_rows is None)
     assert rows is None or back.matrix_rows.tobytes() == rows.tobytes()
     assert (buf is None) == (back.replay_buffer is None)
@@ -163,11 +162,58 @@ def test_save_rejects_misaligned_state(tmp_path, field):
     model = random_mlp(40, classes=(3, 2))
     params = random_mlp(40, classes=(3,)).parameters()
     other = params.unflatten(np.abs(params.flat))
-    state = {"importance": ImportanceMap(other), "anchor": other}[field]
+    state = {"importance": ImportanceMap(other.flat), "anchor": other}[field]
     path = tmp_path / "bad.bin"
     with pytest.raises(ValueError, match="misaligned"):
         save_checkpoint(path, Checkpoint(model=model, **{field: state}))
     assert not path.exists()
+
+
+def _rewrite_block(path, name, array):
+    """Replace the block `name` of the checkpoint at `path` by `array` and
+    reseal the file, as a writer that skipped the checks would."""
+    from flatcl.checkpoint import _MAGIC, _digest
+    data = path.read_bytes()
+    head = len(_MAGIC) + 8
+    mlen = int.from_bytes(data[len(_MAGIC):head], "little")
+    manifest = json.loads(data[head:head + mlen])
+    payload, offset, blocks = b"", head + mlen, manifest["blocks"]
+    for block in blocks:
+        raw = data[offset:offset + block["bytes"]]
+        offset += block["bytes"]
+        if block["name"] == name:
+            raw = np.ascontiguousarray(array, dtype="<f8").tobytes()
+            block["shape"], block["bytes"] = list(np.shape(array)), len(raw)
+        payload += raw
+    manifest["sha256"] = _digest(manifest, payload)
+    mbytes = json.dumps(manifest, sort_keys=True).encode()
+    path.write_bytes(_MAGIC + len(mbytes).to_bytes(8, "little") + mbytes + payload)
+
+
+def test_load_rejects_misaligned_importance(tmp_path):
+    """An intact file whose importance block is not laid out like the
+    weights is refused with the same one-line error as a save."""
+    model = random_mlp(42, classes=(3, 2))
+    path = tmp_path / "c.bin"
+    imp = ImportanceMap(np.abs(model.theta))
+    save_checkpoint(path, Checkpoint(model=model, importance=imp))
+    assert load_checkpoint(path).importance.values.tobytes() == imp.values.tobytes()
+    _rewrite_block(path, "importance", np.abs(model.theta[:-1]))
+    with pytest.raises(ValueError, match="^misaligned importance") as info:
+        load_checkpoint(path)
+    assert "\n" not in str(info.value)
+
+
+def test_load_rejects_nan_importance(tmp_path):
+    """A NaN importance entry would rank as the most important coordinate
+    and, in a resumed sparse-mask run, freeze it; the file is refused."""
+    model = random_mlp(41)
+    imp = ImportanceMap(np.abs(model.theta))
+    imp.values[3] = np.nan  # breach the invariant after construction
+    path = tmp_path / "nan.bin"
+    save_checkpoint(path, Checkpoint(model=model, importance=imp))
+    with pytest.raises(ValueError, match="negative or NaN importance"):
+        load_checkpoint(path)
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -220,7 +266,7 @@ def test_save_replaces_atomically(tmp_path):
 @functools.cache
 def _intact_checkpoint() -> bytes:
     model = random_mlp(38, hidden=(3,), classes=(3, 2))
-    imp = ImportanceMap(model.parameters().unflatten(np.abs(model.theta)))
+    imp = ImportanceMap(np.abs(model.theta))
     buf = ReplayBuffer()
     buf.add_task(np.eye(4), np.arange(4) % 3, 0, 0.5, seed=1)
     ckpt = Checkpoint(model=model, config_hash="h", next_task=1, importance=imp,

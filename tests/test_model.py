@@ -200,9 +200,8 @@ def test_gradient_second_moments_match_per_sample_loop(activation, hidden):
         for n in ref:
             ref[n] += g[n] * g[n]
         assert abs(sq_norms[i] - g.norm() ** 2) <= 1e-12 * g.norm() ** 2
-    assert sums.names() == ref.names()
-    for n in ref:
-        np.testing.assert_allclose(sums[n], ref[n], rtol=1e-12, atol=0)
+    assert sums.shape == m.theta.shape
+    np.testing.assert_allclose(sums, ref.flat, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("n_rows", [1, 3, 8])
@@ -261,7 +260,7 @@ def test_clone_is_an_equal_independent_model():
     def kernels(model, batch):
         sums, sq_norms = model.gradient_second_moments(batch.features, batch.labels,
                                                        batch.task_id)
-        return [model.loss_gradient(batch)[1].flat, sums.flat, sq_norms,
+        return [model.loss_gradient(batch)[1].flat, sums, sq_norms,
                 hvp(model_objective(model, batch), v).flat]
 
     for t in range(2):
@@ -284,6 +283,12 @@ def test_loss_hvp_refuses_misaligned_direction():
     v = random_mlp(52, classes=(3,)).parameters()
     with pytest.raises(ValueError, match="misaligned parameter sets in hvp"):
         hvp(model_objective(m, random_batch(53, m)), v)
+
+
+def _layer_names(m, task_id):
+    """The block names head `task_id` reads, from the input up."""
+    encoder = m.parameters().names()[:2 * len(m.hidden_dims)]
+    return encoder + [f"head{task_id}.W", f"head{task_id}.b"]
 
 
 def _reference_kernels(m, x, y, task_id, v):
@@ -342,7 +347,7 @@ def _reference_kernels(m, x, y, task_id, v):
         d_h = delta @ layers[k][0].T
         curvature[k] = 2.0 * d_h * acts[k]
         delta = d_h * slope[k]
-    v_blocks = [v[name] for name in m.encoder_names() + m.head_names(task_id)]
+    v_blocks = [v[name] for name in _layer_names(m, task_id)]
     v_w, v_b = v_blocks[0::2], v_blocks[1::2]
     r_acts = [None]
     for k, (w, _) in enumerate(layers):
@@ -378,12 +383,12 @@ def test_kernels_equal_per_layer_reference_bitwise(activation, hidden):
         x, y = batch.features, batch.labels
         v = m.parameters().unflatten(np.random.default_rng(93).normal(size=m.theta.size))
         grad, sums, sq_norms, hv = _reference_kernels(m, x, y, task_id, v)
-        names = m.encoder_names() + m.head_names(task_id)
+        names = _layer_names(m, task_id)
         _, got_grad = m.loss_gradient(batch)
         got_sums, got_sq = m.gradient_second_moments(x, y, task_id)
-        got_hv = m.parameters().unflatten(
-            m._hvp_operator(*m._check_rows(x, y, task_id), task_id)(v.flat))
-        for got, ref in [(got_grad, grad), (got_sums, sums), (got_hv, hv)]:
+        got_hv = m._hvp_operator(*m._check_rows(x, y, task_id), task_id)(v.flat)
+        for got, ref in [(got_grad.flat, grad), (got_sums, sums), (got_hv, hv)]:
+            got = m.parameters().unflatten(got)
             blocks = [a for pair in ref for a in pair]
             assert [got[n].tobytes() for n in names] == [a.tobytes() for a in blocks]
         assert got_sq.tobytes() == sq_norms.tobytes()

@@ -61,11 +61,14 @@ def test_perturbation_rejects_nonfinite():
 
 
 def _epsilon_reference(w, g, rho):
-    """`_epsilon` with its former entry-by-entry finiteness check up front."""
+    """`_epsilon` with its former entry-by-entry finiteness check up front,
+    then the refusal of a sum of squares that overflows when rho > 0."""
     if not (np.isfinite(w).all() and np.isfinite(g).all()):
-        raise FloatingPointError("non-finite inputs")
+        raise FloatingPointError("non-finite")
     wg = w * g
     denom_sq = float(wg @ wg)
+    if not np.isfinite(denom_sq) and rho > 0:
+        raise FloatingPointError("overflows")
     if denom_sq == 0.0 or rho == 0.0:
         return np.zeros_like(w)
     out = np.square(w)
@@ -91,16 +94,17 @@ _INF, _NAN = np.inf, np.nan
 ])
 def test_epsilon_refuses_and_returns_what_the_entrywise_check_did(w, g, rho):
     """One finite sum of squares stands in for the per-entry test: the same
-    inputs are refused, and finite inputs whose products overflow still
-    give the former bytes (NaN or zeros) rather than an error."""
+    inputs are refused.  Finite inputs whose sum of squares overflows are
+    refused with an error that names the overflow when rho > 0 (they gave
+    NaN or a silent zero) and still give zeros when rho is 0."""
     w, g = np.array(w), np.array(g)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             expected = _epsilon_reference(w, g, rho)
-        except FloatingPointError:
-            with pytest.raises(FloatingPointError):
+        except FloatingPointError as exc:
+            with pytest.raises(FloatingPointError, match=str(exc)):
                 _epsilon(w, g, rho)
-            with pytest.raises(FloatingPointError):
+            with pytest.raises(FloatingPointError, match=str(exc)):
                 compute_perturbation(ParameterSet({"w": w}), ParameterSet({"w": g}), rho)
             return
         assert _epsilon(w, g, rho).tobytes() == expected.tobytes()
@@ -160,9 +164,9 @@ def test_find_fisher_nonnegative_and_zero_for_unseen_head():
     stream_feats = np.random.default_rng(1).normal(size=(20, model.input_dim))
     labels = np.random.default_rng(2).integers(0, 3, size=20)
     imp = find_fisher(model, stream_feats, labels, 0, 10, seed=5)
-    for n in imp.values:
-        assert np.all(imp.values[n] >= 0)
-    assert np.all(imp.values["head1.W"] == 0)
+    assert imp.values.shape == model.theta.shape
+    assert np.all(imp.values >= 0)
+    assert np.all(imp.values[model.parameters().slice_of("head1.W")] == 0)
 
 
 def test_find_fisher_mean_invariance_under_duplication():
@@ -171,8 +175,7 @@ def test_find_fisher_mean_invariance_under_duplication():
     y = np.array([1])
     once = find_fisher(model, x, y, 0, 1, seed=0)
     twice = find_fisher(model, np.repeat(x, 2, axis=0), np.repeat(y, 2), 0, 2, seed=0)
-    for n in once.values:
-        np.testing.assert_allclose(once.values[n], twice.values[n], rtol=1e-15)
+    np.testing.assert_allclose(once.values, twice.values, rtol=1e-15)
 
 
 def test_find_fisher_logistic_hand_value():
@@ -180,8 +183,11 @@ def test_find_fisher_logistic_hand_value():
     for n in model.parameters():
         model.parameters()[n][...] = 0.0
     imp = find_fisher(model, np.array([[1.0]]), np.array([1]), 0, 1, seed=0)
-    np.testing.assert_allclose(imp.values["head0.W"], [[0.25, 0.25]], atol=1e-15)
-    np.testing.assert_allclose(imp.values["head0.b"], [0.25, 0.25], atol=1e-15)
+    params = model.parameters()
+    np.testing.assert_allclose(imp.values[params.slice_of("head0.W")], [0.25, 0.25],
+                               atol=1e-15)
+    np.testing.assert_allclose(imp.values[params.slice_of("head0.b")], [0.25, 0.25],
+                               atol=1e-15)
 
 
 def test_find_fisher_small_dataset_warns():
@@ -192,45 +198,47 @@ def test_find_fisher_small_dataset_warns():
 
 
 def test_accumulate_fisher():
-    base = ImportanceMap(ParameterSet({"w": [1.0]}))
-    fresh = ImportanceMap(ParameterSet({"w": [0.5]}))
-    assert accumulate_fisher(base, fresh, 0.95).values["w"].tolist() == [1.45]
-    assert accumulate_fisher(base, fresh, 0.0).values["w"].tolist() == [0.5]
-    zero = ImportanceMap(ParameterSet({"w": [0.0]}))
-    assert accumulate_fisher(base, zero, 1.0).values["w"].tolist() == [1.0]
+    base = ImportanceMap(np.array([1.0]))
+    fresh = ImportanceMap(np.array([0.5]))
+    assert accumulate_fisher(base, fresh, 0.95).values.tolist() == [1.45]
+    assert accumulate_fisher(base, fresh, 0.0).values.tolist() == [0.5]
+    zero = ImportanceMap(np.array([0.0]))
+    assert accumulate_fisher(base, zero, 1.0).values.tolist() == [1.0]
     first = accumulate_fisher(None, fresh, 0.95)
-    assert first.values["w"].tolist() == [0.5] and first.values.flat is not fresh.values.flat
+    assert first.values.tolist() == [0.5] and not np.shares_memory(first.values, fresh.values)
 
 
 def test_accumulate_fisher_pads_new_heads_and_rejects_non_prefix():
-    fresh = ImportanceMap(ParameterSet({"enc": [1.0, 1.0], "head0": [1.0],
-                                        "head1": [3.0, 5.0]}))
-    old = ImportanceMap(ParameterSet({"enc": [1.0, 2.0], "head0": [4.0]}))
+    fresh = ImportanceMap(np.array([1.0, 1.0, 1.0, 3.0, 5.0]))  # enc, head0, head1
+    old = ImportanceMap(np.array([1.0, 2.0, 4.0]))  # enc, head0
     merged = accumulate_fisher(old, fresh, 0.5)
-    assert merged.values.names() == ["enc", "head0", "head1"]
-    assert merged.values.flat.tolist() == [1.5, 2.0, 3.0, 3.0, 5.0]
-    for bad in ({"head0": [4.0], "enc": [1.0, 2.0]},          # reordered
-                {"enc": [1.0], "head0": [4.0, 1.0]},          # reshaped
-                {"enc": [1.0, 2.0], "head0": [4.0], "head1": [1.0, 1.0],
-                 "head2": [1.0]}):                            # longer
-        with pytest.raises(ValueError, match="prefix"):
-            accumulate_fisher(ImportanceMap(ParameterSet(bad)), fresh, 0.5)
+    assert merged.values.tolist() == [1.5, 2.0, 3.0, 3.0, 5.0]
+    longer = np.array([1.0, 2.0, 4.0, 1.0, 1.0, 1.0])  # enc, head0, head1, head2
+    with pytest.raises(ValueError, match="longer"):
+        accumulate_fisher(ImportanceMap(longer), fresh, 0.5)
 
 
 def test_importance_rejects_negative():
     with pytest.raises(ValueError, match="negative"):
-        ImportanceMap(ParameterSet({"w": [-1.0]}))
+        ImportanceMap(np.array([-1.0]))
+
+
+def test_importance_rejects_nan():
+    """NaN passes a `< 0` test; a NaN importance would rank as the most
+    important coordinate and freeze it under a sparse mask."""
+    with pytest.raises(ValueError, match="negative"):
+        ImportanceMap(np.array([0.5, np.nan]))
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(0, 10), min_size=1, max_size=5),
        st.lists(st.floats(0, 1), min_size=1, max_size=4))
 def test_accumulate_stays_nonnegative(values, gammas):
-    acc = ImportanceMap(ParameterSet({"w": values}))
-    fresh = ImportanceMap(ParameterSet({"w": values}))
+    acc = ImportanceMap(np.array(values))
+    fresh = ImportanceMap(np.array(values))
     for g in gammas:
         acc = accumulate_fisher(acc, fresh, g)
-        assert np.all(acc.values["w"] >= 0)
+        assert np.all(acc.values >= 0)
 
 
 # -- soft penalty / clamp ---------------------------------------------------
@@ -242,7 +250,7 @@ def _region(anchor_vals, rho):
 
 def test_soft_penalty_zero_at_anchor():
     region = _region([1.0, 2.0], 0.5)
-    imp = ImportanceMap(ParameterSet({"w": [3.0, 4.0]}))
+    imp = ImportanceMap(np.array([3.0, 4.0]))
     value, grads = soft_penalty(ParameterSet({"w": [1.0, 2.0]}), region, imp)
     assert value == 0.0
     assert np.all(grads["w"] == 0)
@@ -250,7 +258,7 @@ def test_soft_penalty_zero_at_anchor():
 
 def test_soft_penalty_hand_value():
     region = _region([1.0], 0.5)
-    imp = ImportanceMap(ParameterSet({"w": [2.0]}))
+    imp = ImportanceMap(np.array([2.0]))
     value, grads = soft_penalty(ParameterSet({"w": [1.5]}), region, imp)
     assert abs(value - 0.5) <= 1e-15
     np.testing.assert_allclose(grads["w"], [2.0])
@@ -260,8 +268,8 @@ def test_soft_penalty_gradient_matches_finite_differences():
     rng = np.random.default_rng(8)
     anchor = ParameterSet({"a": rng.normal(size=4), "b": rng.normal(size=(2, 3))})
     region = FlatRegion(anchor, 0.5, ["a", "b"])
-    imp = ImportanceMap(ParameterSet(
-        {"a": rng.uniform(0, 2, 4), "b": rng.uniform(0, 2, (2, 3))}))
+    imp = ImportanceMap(np.concatenate([rng.uniform(0, 2, 4),
+                                        rng.uniform(0, 2, (2, 3)).ravel()]))
     params = ParameterSet({"a": rng.normal(size=4), "b": rng.normal(size=(2, 3))})
     _, grads = soft_penalty(params, region, imp)
     fd = finite_diff_gradient(lambda p: soft_penalty(p, region, imp)[0],
@@ -272,10 +280,11 @@ def test_soft_penalty_gradient_matches_finite_differences():
 
 def test_soft_penalty_rejects_negative_importance():
     region = _region([1.0], 0.5)
-    imp = ImportanceMap(ParameterSet({"w": [1.0]}))
-    imp.values["w"][0] = -1.0  # breach the invariant after construction
-    with pytest.raises(ValueError, match="negative"):
-        soft_penalty(ParameterSet({"w": [2.0]}), region, imp)
+    for bad in (-1.0, np.nan):
+        imp = ImportanceMap(np.array([1.0]))
+        imp.values[0] = bad  # breach the invariant after construction
+        with pytest.raises(ValueError, match="negative"):
+            soft_penalty(ParameterSet({"w": [2.0]}), region, imp)
 
 
 def test_clamp_inside_region_unchanged():
@@ -308,7 +317,7 @@ def test_flat_region_requires_prefix_names():
     anchor = model.parameters().copy()
     region = FlatRegion(anchor, 0.5, model.constrained_names(1))
     assert region.lo.size == anchor.total_size() - model.parameters()["head1.W"].size - 3
-    for names in (["head0.W", "head0.b"], ["enc0.W", "head0.W"], model.head_names(1)):
+    for names in (["head0.W", "head0.b"], ["enc0.W", "head0.W"], ["head1.W", "head1.b"]):
         with pytest.raises(ValueError, match="prefix"):
             FlatRegion(anchor, 0.5, names)
 
@@ -398,34 +407,90 @@ def test_optimizer_config_refuses_bool(key):
 # -- sparse mask ------------------------------------------------------------
 
 def test_sparse_mask_full_ratio_all_ones():
-    imp = ImportanceMap(ParameterSet({"w": [5.0, 1.0, 3.0, 2.0]}))
-    mask = build_sparse_mask(imp, 1.0, [["w"]])
-    assert mask["w"].tolist() == [1.0, 1.0, 1.0, 1.0]
+    imp = ImportanceMap(np.array([5.0, 1.0, 3.0, 2.0]))
+    mask = build_sparse_mask(imp, 1.0, [slice(0, 4)])
+    assert mask.tolist() == [1.0, 1.0, 1.0, 1.0]
 
 
 def test_sparse_mask_half_ratio_keeps_flattest():
-    imp = ImportanceMap(ParameterSet({"w": [5.0, 1.0, 3.0, 2.0]}))
-    mask = build_sparse_mask(imp, 0.5, [["w"]])
-    assert mask["w"].tolist() == [0.0, 1.0, 0.0, 1.0]
+    imp = ImportanceMap(np.array([5.0, 1.0, 3.0, 2.0]))
+    mask = build_sparse_mask(imp, 0.5, [slice(0, 4)])
+    assert mask.tolist() == [0.0, 1.0, 0.0, 1.0]
 
 
 def test_sparse_mask_minimum_one_per_layer():
-    imp = ImportanceMap(ParameterSet({"w": [5.0, 1.0, 3.0]}))
-    mask = build_sparse_mask(imp, 0.01, [["w"]])
-    assert mask["w"].sum() == 1.0
-    assert mask["w"][1] == 1.0
+    imp = ImportanceMap(np.array([5.0, 1.0, 3.0]))
+    mask = build_sparse_mask(imp, 0.01, [slice(0, 3)])
+    assert mask.sum() == 1.0
+    assert mask[1] == 1.0
 
 
 def test_sparse_mask_tie_break_by_index():
-    imp = ImportanceMap(ParameterSet({"w": [2.0, 2.0, 2.0, 2.0]}))
-    mask = build_sparse_mask(imp, 0.5, [["w"]])
-    assert mask["w"].tolist() == [1.0, 1.0, 0.0, 0.0]
+    imp = ImportanceMap(np.array([2.0, 2.0, 2.0, 2.0]))
+    mask = build_sparse_mask(imp, 0.5, [slice(0, 4)])
+    assert mask.tolist() == [1.0, 1.0, 0.0, 0.0]
 
 
 def test_sparse_mask_empty_layer_rejected():
-    imp = ImportanceMap(ParameterSet({"w": [1.0]}))
+    imp = ImportanceMap(np.array([1.0]))
     with pytest.raises(ValueError, match="empty layer"):
-        build_sparse_mask(imp, 0.5, [[]])
+        build_sparse_mask(imp, 0.5, [slice(0, 0)])
+
+
+def _layer_slices(params, names):
+    """The consecutive (W, b) name pairs of `names` as slices of `params.flat`."""
+    return [slice(params.slice_of(w).start, params.slice_of(b).stop)
+            for w, b in zip(names[0::2], names[1::2])]
+
+
+def _sparse_mask_by_names(values: ParameterSet, ratio, layer_partition):
+    """build_sparse_mask as it was over a partition of a set's names into
+    layers: the reference the slice form is held to, bit for bit."""
+    mask = values.zeros_like()
+    for group in layer_partition:
+        layer_values = np.concatenate([values[n].ravel() for n in group])
+        size = layer_values.size
+        k = size if ratio == 1.0 else max(1, int(np.floor(size * ratio)))
+        layer = np.zeros(size)
+        layer[np.argsort(layer_values, kind="stable")[:k]] = 1.0
+        offset = 0
+        for n in group:
+            size = mask[n].size
+            mask[n] = layer[offset:offset + size].reshape(mask[n].shape)
+            offset += size
+    return mask
+
+
+@pytest.mark.parametrize("ratio", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_sparse_mask_over_plan_slices_equals_name_partition_bitwise(activation, ratio):
+    """On models with 0-2 hidden layers and 1-3 heads, the mask over the
+    layer plan's slices, as train_task builds them for each task's
+    constrained layers and for every layer, has the bits of the former mask
+    over the (W, b) name pairs, with distinct, tied and all-equal values."""
+    rng = np.random.default_rng(94)
+    for hidden in [(), (5,), (4, 3)]:
+        for heads in [(3,), (3, 2), (2, 4, 3)]:
+            model = MultiHeadClassifier(95, 4, list(hidden), list(heads),
+                                        activation=activation)
+            params = model.parameters()
+            plans = model._plans
+            n = model.theta.size
+            for values in (rng.uniform(0.0, 1.0, n), rng.integers(0, 3, n) * 0.5,
+                           np.full(n, 0.25)):
+                imp = ImportanceMap(values)
+                names = params.names()
+                cases = [(plans[t][:-1] + [p[-1] for p in plans[:t]],
+                          model.constrained_names(t)) for t in range(len(heads))]
+                cases.append((plans[0][:-1] + [p[-1] for p in plans], names))
+                for layers, partition in cases:
+                    slices = [slice(w_sl.start, b_sl.stop) for *_, w_sl, b_sl in layers]
+                    assert slices == _layer_slices(params, partition)
+                    got = build_sparse_mask(imp, ratio, slices)
+                    ref = _sparse_mask_by_names(params.unflatten(values), ratio,
+                                                [partition[i:i + 2]
+                                                 for i in range(0, len(partition), 2)])
+                    assert got.tobytes() == ref.flat.tobytes()
 
 
 # -- training loops ---------------------------------------------------------
@@ -597,8 +662,8 @@ def test_sparse_mask_applies_without_l2(flags):
         if region is None:
             return
         names = region.constrained_names
-        layers = [names[i:i + 2] for i in range(0, len(names), 2)]
-        out = build_sparse_mask(accumulated[0], 0.5, layers).prefix(names) == 0.0
+        layers = _layer_slices(m.parameters(), names)
+        out = build_sparse_mask(accumulated[0], 0.5, layers)[:layers[-1].stop] == 0.0
         assert 0 < np.count_nonzero(out) < out.size
         w, anchor = m.parameters().prefix(names), region.anchor.prefix(names)
         frozen.append(w[out].tobytes() == anchor[out].tobytes())
@@ -670,9 +735,9 @@ def test_random_importance_nonnegative_and_deterministic():
     model = random_mlp(60)
     a = random_importance(model, [1, 2, 3])
     b = random_importance(model, [1, 2, 3])
-    for n in a.values:
-        assert np.all(a.values[n] >= 0)
-        assert np.array_equal(a.values[n], b.values[n])
+    assert a.values.shape == model.theta.shape
+    assert np.all(a.values >= 0)
+    assert np.array_equal(a.values, b.values)
 
 
 # -- train_task against the public per-step functions ----------------------
@@ -693,9 +758,9 @@ def _reference_train_task(model, tasks, region, importance, replay_buffer, confi
             region.anchor.prefix(region.constrained_names) == 0.0))
     mask = None
     if config.sparse_update_ratio < 1.0 and importance is not None and names:
-        layers = [names[i:i + 2] for i in range(0, len(names), 2)]
+        layers = _layer_slices(params, names)
         mask = build_sparse_mask(importance, config.sparse_update_ratio,
-                                 layers).prefix(names)
+                                 layers)[:params.prefix(names).size]
     best_theta, step = None, 0
 
     def validate():

@@ -82,9 +82,3 @@ def test_prefix_rule():
         with pytest.raises(ValueError, match="prefix"):
             ps.prefix(names)
 
-
-def test_all_finite():
-    ps = _ps()
-    assert ps.all_finite()
-    ps["a"][1] = np.nan
-    assert not ps.all_finite()
