@@ -10,11 +10,12 @@ crash never leaves a partial checkpoint under the final name.
 Round-trips are bitwise exact.  Besides model weights, a checkpoint can
 carry the run seed and variant (absent from files written before each was
 recorded) and everything needed to resume a continual run at a task
-boundary: the importance accumulator, the region anchor, the rng state,
-finished accuracy rows and the replay buffer.  The weights, the importance
-and the anchor are each one block over the model's flat parameter layout;
-the replay buffer's features are one (n, d) block and its labels and task
-ids manifest lists.
+boundary: the importance accumulator, the rng state, finished accuracy rows
+and the replay buffer.  The next task's flat region is rebuilt from the
+weights, so it is not stored; the `anchor` block of earlier v3 files, always
+equal to `param`, is not read.  The weights and the importance are each one
+block over the model's flat parameter layout; the replay buffer's features
+are one (n, d) block and its labels and task ids manifest lists.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 
 from .model import MultiHeadClassifier
 from .optim import ImportanceMap
-from .params import ParameterSet
 from .replay import ReplayBuffer
 
 _MAGIC = b"FLATCKPT"
@@ -52,7 +52,6 @@ class Checkpoint:
     rng_state: dict | None = None
     next_task: int | None = None
     importance: ImportanceMap | None = None
-    anchor: ParameterSet | None = None
     matrix_rows: np.ndarray | None = None
     replay_buffer: ReplayBuffer | None = None
 
@@ -65,13 +64,9 @@ class Checkpoint:
 
 def save_checkpoint(path, ckpt: Checkpoint):
     model = ckpt.model
-    params = model.parameters()
     blocks: list[tuple[str, np.ndarray]] = [("param", model.theta)]
     if ckpt.importance is not None:
         blocks.append(("importance", ckpt.importance.values))
-    if ckpt.anchor is not None:
-        params.require_aligned(ckpt.anchor, "save_checkpoint anchor")
-        blocks.append(("anchor", ckpt.anchor.flat))
     if ckpt.matrix_rows is not None:
         blocks.append(("matrix", np.asarray(ckpt.matrix_rows, dtype=np.float64)))
     replay_meta = None
@@ -155,9 +150,7 @@ def load_checkpoint(path) -> Checkpoint:
                                 minfo["hidden_dims"], minfo["head_classes"],
                                 activation=minfo["activation"])
     np.copyto(model.theta, arrays["param"])
-    params = model.parameters()
     importance = arrays.get("importance")
-    anchor = arrays.get("anchor")
 
     buffer = None
     if (r := manifest["replay"]) is not None:  # earlier v3 files also hold replay settings; unread
@@ -174,7 +167,6 @@ def load_checkpoint(path) -> Checkpoint:
         rng_state=manifest["rng_state"],
         next_task=manifest["next_task"],
         importance=None if importance is None else ImportanceMap(importance),
-        anchor=None if anchor is None else params.unflatten(anchor),
         matrix_rows=arrays.get("matrix"),
         replay_buffer=buffer,
     )

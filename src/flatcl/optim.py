@@ -11,6 +11,7 @@ masks.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -85,12 +86,13 @@ class OptimizerConfig:
     def __post_init__(self):
         def positive_int(v):
             return isinstance(v, int) and v >= 1
+        big = sys.float_info.max  # a larger number is inf, or an int no float holds
         for name, rule, ok in (
-                ("learning_rate", "a number > 0", lambda v: v > 0),
+                ("learning_rate", "a finite number > 0", lambda v: 0 < v <= big),
                 ("batch_size", "an integer >= 1", positive_int),
-                ("weight_decay", "a number >= 0", lambda v: v >= 0),
-                ("lam", "a number >= 0", lambda v: v >= 0),
-                ("rho", "a number >= 0", lambda v: v >= 0),
+                ("weight_decay", "a finite number >= 0", lambda v: 0 <= v <= big),
+                ("lam", "a finite number >= 0", lambda v: 0 <= v <= big),
+                ("rho", "a finite number >= 0", lambda v: 0 <= v <= big),
                 ("gamma", "a number in [0, 1]", lambda v: 0 <= v <= 1),
                 ("fisher_sample_count", "an integer >= 1", positive_int),
                 ("validate_every_steps", "an integer >= 1", positive_int),
@@ -148,10 +150,12 @@ def _epsilon(w: np.ndarray, g: np.ndarray, rho: float, out=None) -> np.ndarray:
 
 
 def check_rho(rho: float):
-    """The one-line refusal of a negative (or NaN) radius that every entry
-    point taking rho shares."""
+    """The one-line refusal of a negative, NaN or infinite radius that every
+    entry point taking rho shares."""
     if not rho >= 0:
         raise ValueError("rho must be >= 0")
+    if rho > sys.float_info.max:
+        raise ValueError("rho must be finite")
 
 
 def compute_perturbation(params: ParameterSet, grads: ParameterSet, rho: float) -> Perturbation:
@@ -537,11 +541,13 @@ def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
                     checkpoint_fn=None, step_hook=None) -> ContinualResult:
     """Sequential training over a task stream with flat-region constraints.
 
-    After each task: estimate Fisher at the converged weights, decay-then-add
-    into the accumulator, snapshot the anchor, and record test accuracy on
-    all seen tasks.  `resume`, a loaded `checkpoint.Checkpoint`, restarts at
-    its task boundary and reproduces the uninterrupted run bitwise.  After
-    each task `checkpoint_fn(t, **fields)` receives the resume fields of a
+    Each task after the first trains inside the flat region around the
+    weights it starts from, which are the previous task's solution.  After
+    each task: estimate Fisher at the converged weights, decay-then-add into
+    the accumulator, and record test accuracy on all seen tasks.  `resume`,
+    a loaded `checkpoint.Checkpoint`, restarts at its task boundary and
+    reproduces the uninterrupted run bitwise.  After each task
+    `checkpoint_fn(t, **fields)` receives the resume fields of a
     `Checkpoint` by name.
     """
     flags = config.variant
@@ -552,14 +558,12 @@ def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
     rng = np.random.Generator(np.random.PCG64(_derived_seed(seed, 1)))
     buffer = ReplayBuffer() if flags.replay else None
     accumulated = None
-    anchor = None
     start_task = 0
 
     if resume is not None:
         start_task = resume.next_task
         rng.bit_generator.state = resume.rng_state
         accumulated = resume.importance
-        anchor = resume.anchor
         if flags.replay:
             buffer = resume.replay_buffer
         matrix[:resume.matrix_rows.shape[0], :] = resume.matrix_rows
@@ -568,11 +572,9 @@ def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
         task = stream[t]
         if t >= len(model.head_classes):
             model.add_task_head(task.class_count)
-        if t == 0 or anchor is None:
-            region = None
-        else:
-            region = FlatRegion(anchor=anchor, rho=config.rho,
-                                constrained_names=model.constrained_names(t))
+        region = None if t == 0 else FlatRegion(
+            anchor=model.parameters().copy(), rho=config.rho,
+            constrained_names=model.constrained_names(t))
         task_importance = None
         if region is not None and flags.l2:
             if flags.find and accumulated is not None:
@@ -594,8 +596,6 @@ def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
                                 _derived_seed(seed, 2, t))
             accumulated = accumulate_fisher(accumulated, fresh, config.gamma)
 
-        anchor = model.parameters().copy()
-
         if buffer is not None:
             buffer.add_task(feats, labels, t, config.store_ratio,
                             _derived_seed(seed, 4, t))
@@ -609,7 +609,7 @@ def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
 
         if checkpoint_fn is not None:
             checkpoint_fn(t, next_task=t + 1, rng_state=rng.bit_generator.state,
-                          importance=accumulated, anchor=anchor, replay_buffer=buffer,
+                          importance=accumulated, replay_buffer=buffer,
                           matrix_rows=matrix[:t + 1, :].copy())
 
     return ContinualResult(model, matrix, reports, probe_values)

@@ -156,12 +156,21 @@ def write_matrix_csv(path, matrix):
 
 
 def read_matrix_csv(path):
+    """The matrix `write_matrix_csv` wrote; a row past the header's task
+    count, or with more cells than it, raises a one-line ValueError."""
     with open(path) as f:
         header = f.readline()
         t = len(header.strip().split(","))
         matrix = np.full((t, t), np.nan)
         for l, line in enumerate(f):
-            for j, cell in enumerate(line.rstrip("\n").split(",")):
+            cells = line.rstrip("\n").split(",")
+            if l >= t:
+                raise ValueError(f"{path}: line {l + 2}: more rows than the {t} tasks "
+                                 "the header names")
+            if len(cells) > t:
+                raise ValueError(f"{path}: line {l + 2}: {len(cells)} cells for the {t} "
+                                 "tasks the header names")
+            for j, cell in enumerate(cells):
                 if cell:
                     matrix[l, j] = float(cell)
     return matrix

@@ -44,7 +44,6 @@ def test_full_state_round_trip(tmp_path):
     rng = np.random.Generator(np.random.PCG64(5))
     rng.normal(size=100)  # advance away from the fresh state
     imp = ImportanceMap(np.abs(model.theta) + 1.0)
-    anchor = model.parameters().copy()
     matrix = np.array([[0.5, np.nan], [0.4, 0.6]])
     buf = ReplayBuffer()
     buf.add_task(np.random.default_rng(0).normal(size=(8, model.input_dim)),
@@ -53,14 +52,12 @@ def test_full_state_round_trip(tmp_path):
     path = tmp_path / "full.bin"
     save_checkpoint(path, Checkpoint(
         model=model, config_hash="h", rng_state=rng.bit_generator.state,
-        next_task=2, importance=imp, anchor=anchor, matrix_rows=matrix,
+        next_task=2, importance=imp, matrix_rows=matrix,
         replay_buffer=buf))
     loaded = load_checkpoint(path)
 
     assert loaded.next_task == 2
     assert np.array_equal(loaded.importance.values, imp.values)
-    for n in anchor:
-        assert np.array_equal(loaded.anchor[n], anchor[n])
     assert np.array_equal(loaded.matrix_rows, matrix, equal_nan=True)
     assert len(loaded.replay_buffer) == len(buf)
 
@@ -110,11 +107,8 @@ def test_checkpoint_round_trip_property(data):
     d = data.draw(st.integers(1, 4), label="input_dim")
     model = MultiHeadClassifier(data.draw(st.integers(0, 2**32 - 1)), d, hidden, heads)
     model.theta[:] = data.draw(_floats(model.theta.shape, allow_nan=False), label="theta")
-    size = model.theta.size
-    params = model.parameters()
-    imp = data.draw(st.none() | _floats(size, min_value=0.0).map(ImportanceMap),
+    imp = data.draw(st.none() | _floats(model.theta.size, min_value=0.0).map(ImportanceMap),
                     label="importance")
-    anchor = data.draw(st.none() | _floats(size).map(params.unflatten), label="anchor")
     t = len(heads)
     rows = data.draw(st.none() | st.integers(1, t).flatmap(
         lambda k: _floats((k, t))), label="matrix_rows")
@@ -130,8 +124,7 @@ def test_checkpoint_round_trip_property(data):
     rng.integers(2, size=data.draw(st.integers(0, 3)))
     next_task = data.draw(st.none() | st.integers(0, t))
     ckpt = Checkpoint(model=model, config_hash="h", rng_state=rng.bit_generator.state,
-                      next_task=next_task, importance=imp, anchor=anchor,
-                      matrix_rows=rows, replay_buffer=buf)
+                      next_task=next_task, importance=imp, matrix_rows=rows, replay_buffer=buf)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "c.bin")
         save_checkpoint(path, ckpt)
@@ -141,9 +134,6 @@ def test_checkpoint_round_trip_property(data):
     assert back.model.theta.tobytes() == model.theta.tobytes()
     assert (imp is None) == (back.importance is None)
     assert imp is None or back.importance.values.tobytes() == imp.values.tobytes()
-    assert (anchor is None) == (back.anchor is None)
-    assert anchor is None or (back.anchor.names() == anchor.names()
-                              and back.anchor.flat.tobytes() == anchor.flat.tobytes())
     assert (rows is None) == (back.matrix_rows is None)
     assert rows is None or back.matrix_rows.tobytes() == rows.tobytes()
     assert (buf is None) == (back.replay_buffer is None)
@@ -155,14 +145,12 @@ def test_checkpoint_round_trip_property(data):
     assert back.next_task == next_task
 
 
-@pytest.mark.parametrize("field", ["importance", "anchor"])
+@pytest.mark.parametrize("field", ["importance"])
 def test_save_rejects_misaligned_state(tmp_path, field):
-    """Importance and anchor are stored as blocks over the model's layout,
-    so state laid out for another model is refused before anything is written."""
+    """Importance is stored as a block over the model's layout, so importance
+    laid out for another model is refused before anything is written."""
     model = random_mlp(40, classes=(3, 2))
-    params = random_mlp(40, classes=(3,)).parameters()
-    other = params.unflatten(np.abs(params.flat))
-    state = {"importance": ImportanceMap(other.flat), "anchor": other}[field]
+    state = ImportanceMap(np.abs(random_mlp(40, classes=(3,)).theta))
     path = tmp_path / "bad.bin"
     with pytest.raises(ValueError, match="misaligned"):
         save_checkpoint(path, Checkpoint(model=model, **{field: state}))
@@ -270,7 +258,6 @@ def _intact_checkpoint() -> bytes:
     buf = ReplayBuffer()
     buf.add_task(np.eye(4), np.arange(4) % 3, 0, 0.5, seed=1)
     ckpt = Checkpoint(model=model, config_hash="h", next_task=1, importance=imp,
-                      anchor=model.parameters().copy(),
                       matrix_rows=np.array([[0.5, np.nan]]), replay_buffer=buf,
                       rng_state=np.random.Generator(np.random.PCG64(1)).bit_generator.state)
     with tempfile.TemporaryDirectory() as d:

@@ -388,9 +388,12 @@ def test_base_step_takes_finite_gradient_whose_square_overflows(base_optimizer):
 
 
 def test_optimizer_config_refuses_out_of_range_settings():
+    # inf passes `>= 0`, and an int too large for a float is inf in float ops
     for key, value in (("learning_rate", float("nan")), ("weight_decay", -0.1),
                        ("lam", -1.0), ("rho", -0.5), ("gamma", 1.5),
-                       ("sparse_update_ratio", 0.0), ("batch_size", "8")):
+                       ("sparse_update_ratio", 0.0), ("batch_size", "8"),
+                       ("learning_rate", float("inf")), ("weight_decay", float("inf")),
+                       ("lam", float("inf")), ("rho", float("inf")), ("lam", 10 ** 400)):
         with pytest.raises(ValueError, match=f"optimizer {key} must be") as info:
             OptimizerConfig(**{key: value})
         assert "\n" not in str(info.value)

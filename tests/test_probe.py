@@ -333,18 +333,28 @@ def test_sharpness_report_checks_rows_once(monkeypatch):
     assert len(seen) == 1
 
 
+RHO_ENTRY_POINTS = {
+    "ball_sharpness": lambda obj, rho: ball_sharpness(obj, rho, 4, seed=0),
+    "first_order_sharpness": first_order_sharpness,
+    "create_decomposition_check": create_decomposition_check,
+    "compute_perturbation": lambda obj, rho: compute_perturbation(obj.params,
+                                                                  obj.gradient(), rho),
+}
+
+
 @pytest.mark.parametrize("rho", [-0.05, float("nan")])
-@pytest.mark.parametrize("entry", ["ball_sharpness", "first_order_sharpness",
-                                   "create_decomposition_check", "compute_perturbation"])
+@pytest.mark.parametrize("entry", list(RHO_ENTRY_POINTS))
 def test_negative_rho_refused(entry, rho):
     obj = _quad_1d(1.0, 1.0)
-    calls = {
-        "ball_sharpness": lambda: ball_sharpness(obj, rho, 4, seed=0),
-        "first_order_sharpness": lambda: first_order_sharpness(obj, rho),
-        "create_decomposition_check": lambda: create_decomposition_check(obj, rho),
-        "compute_perturbation": lambda: compute_perturbation(obj.params,
-                                                             obj.gradient(), rho),
-    }
     with pytest.raises(ValueError, match=r"^rho must be >= 0$"):
-        calls[entry]()
+        RHO_ENTRY_POINTS[entry](obj, rho)
+    assert obj.params["w"][0] == 1.0
+
+
+@pytest.mark.parametrize("entry", list(RHO_ENTRY_POINTS))
+def test_infinite_rho_refused(entry):
+    """An infinite radius passes `>= 0` but perturbs to a non-finite loss."""
+    obj = _quad_1d(1.0, 1.0)
+    with pytest.raises(ValueError, match=r"^rho must be finite$"):
+        RHO_ENTRY_POINTS[entry](obj, float("inf"))
     assert obj.params["w"][0] == 1.0

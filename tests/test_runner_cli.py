@@ -4,11 +4,14 @@ import os
 import numpy as np
 import pytest
 
-from flatcl.checkpoint import load_checkpoint
+from flatcl.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from flatcl.cli import main
-from flatcl.runner import (VARIANT_FLAGS, build_stream, load_config,
-                           read_matrix_csv, run_experiment, run_single_seed,
-                           write_matrix_csv)
+from flatcl.model import MultiHeadClassifier
+from flatcl.optim import train_continual
+from flatcl.probe import lanczos_lambda_max, model_objective
+from flatcl.runner import (VARIANT_FLAGS, build_optimizer_config, build_stream,
+                           load_config, probe_batch, read_matrix_csv, run_experiment,
+                           run_single_seed, write_matrix_csv)
 
 
 def small_cfg():
@@ -43,6 +46,20 @@ def test_matrix_csv_round_trip_exact(tmp_path):
     write_matrix_csv(path, matrix)
     back = read_matrix_csv(path)
     assert np.array_equal(back, matrix, equal_nan=True)  # bitwise via repr
+
+
+@pytest.mark.parametrize("text,error", [
+    ("task0,task1\n0.9,,0.5\n0.7,0.8\n", "line 2: 3 cells for the 2 tasks the header names"),
+    ("task0,task1\n0.9,\n0.7,0.8\n0.6,0.5\n",
+     "line 4: more rows than the 2 tasks the header names"),
+], ids=["extra-cell", "extra-row"])
+def test_cli_metrics_refuses_malformed_matrix(tmp_path, capsys, text, error):
+    """A cell or a row past the header's task count is refused with a
+    one-line error naming the file and the line, not an IndexError."""
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    assert main(["metrics", "--matrix", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: ValueError: {path}: {error}\n"
 
 
 # -- run_single_seed --------------------------------------------------------
@@ -94,7 +111,9 @@ def test_refused_config_leaves_no_directory(tmp_path):
 # seed, after its directory existed (or, for store_ratio on seq, ran).
 REFUSED_SETTINGS = [("validate_every_steps", 0, "seq"), ("batch_size", 2.5, "seq"),
                     ("fisher_sample_count", 0, "cf"), ("store_ratio", 0, "cf"),
-                    ("replay_every", 0, "replay"), ("store_ratio", 0, "seq")]
+                    ("replay_every", 0, "replay"), ("store_ratio", 0, "seq"),
+                    ("lam", float("inf"), "cf"), ("rho", float("inf"), "cf"),
+                    ("learning_rate", float("inf"), "seq")]
 
 
 @pytest.mark.parametrize("key,value,variant", REFUSED_SETTINGS)
@@ -236,7 +255,7 @@ def test_resume_from_checkpoint_matches_uninterrupted(tmp_path):
 
 def test_resume_across_head_addition_bitwise(tmp_path):
     """Resuming from a checkpoint written before two heads were added gives
-    the same weights, importance and anchor, bit for bit."""
+    the same weights and importance, bit for bit."""
     cfg = small_cfg()
     cfg["benchmark"]["n_tasks"] = 3
     full, resumed = str(tmp_path / "full"), str(tmp_path / "resumed")
@@ -245,10 +264,82 @@ def test_resume_across_head_addition_bitwise(tmp_path):
     a = load_checkpoint(os.path.join(full, "ckpt_task2.bin"))
     b = load_checkpoint(os.path.join(resumed, "ckpt_task2.bin"))
     assert len(a.model.head_classes) == len(b.model.head_classes) == 3
-    for x, y in ((a.model.parameters(), b.model.parameters()), (a.anchor, b.anchor)):
-        assert x.names() == y.names()
-        assert x.flat.tobytes() == y.flat.tobytes()
+    assert a.model.parameters().names() == b.model.parameters().names()
+    assert a.model.theta.tobytes() == b.model.theta.tobytes()
     assert a.importance.values.tobytes() == b.importance.values.tobytes()
+
+
+def _add_anchor_block(path):
+    """Rewrite a checkpoint as one written before the flat region was
+    rebuilt from the weights: an `anchor` block, equal to `param`, after
+    the importance block."""
+    from flatcl.checkpoint import _MAGIC, _digest
+    data = path.read_bytes()
+    head = len(_MAGIC) + 8
+    mlen = int.from_bytes(data[len(_MAGIC):head], "little")
+    manifest = json.loads(data[head:head + mlen])
+    blocks, raw, offset = manifest["blocks"], {}, head + mlen
+    for block in blocks:
+        raw[block["name"]] = data[offset:offset + block["bytes"]]
+        offset += block["bytes"]
+    names = [block["name"] for block in blocks]
+    blocks.insert(names.index("importance") + 1, dict(blocks[0], name="anchor"))
+    raw["anchor"] = raw["param"]
+    payload = b"".join(raw[block["name"]] for block in blocks)
+    manifest["sha256"] = _digest(manifest, payload)
+    mbytes = json.dumps(manifest, sort_keys=True).encode()
+    path.write_bytes(_MAGIC + len(mbytes).to_bytes(8, "little") + mbytes + payload)
+
+
+def test_resume_from_checkpoint_with_anchor_block(tmp_path):
+    """A v3 file written before the region was rebuilt from the weights
+    still loads, and resuming from it reproduces the uninterrupted run."""
+    full = tmp_path / "full"
+    run_single_seed(small_cfg(), "cf", 1, str(full))
+    legacy = tmp_path / "legacy.bin"
+    legacy.write_bytes((full / "ckpt_task0.bin").read_bytes())
+    _add_anchor_block(legacy)
+    assert legacy.stat().st_size > (full / "ckpt_task0.bin").stat().st_size
+    old, new = load_checkpoint(legacy), load_checkpoint(full / "ckpt_task0.bin")
+    assert old.model.theta.tobytes() == new.model.theta.tobytes()
+    assert old.importance.values.tobytes() == new.importance.values.tobytes()
+    resumed = tmp_path / "resumed"
+    run_single_seed(small_cfg(), "cf", 1, str(resumed), resume_from=str(legacy))
+    for name in ("matrix.csv", "metrics.json"):
+        assert (resumed / name).read_bytes() == (full / name).read_bytes()
+
+
+def test_each_task_starts_from_the_weights_the_last_one_ended_with(tmp_path):
+    """Nothing between two tasks moves the weights: not the Fisher pass, the
+    exemplar selection, the accuracy pass, the probe or the checkpoint. So
+    the region a task trains in, built from the weights it starts with, is
+    centred on the previous task's solution."""
+    cfg = small_cfg()
+    cfg["benchmark"]["n_tasks"] = 3
+    stream = build_stream(cfg, 1)
+    model = MultiHeadClassifier(1, 4, [6], [3])
+    batch = probe_batch(cfg, stream)
+    ended, anchors = {}, {}
+
+    def probe_fn(m, t):
+        return lanczos_lambda_max(model_objective(m, batch), 5, 1).lambda_max
+
+    def checkpoint_fn(t, **state):
+        save_checkpoint(tmp_path / f"ckpt_task{t}.bin", Checkpoint(model=model, **state))
+        ended[t] = model.theta.tobytes()
+
+    def step_hook(m, region):
+        t = len(m.head_classes) - 1
+        if region is not None and t not in anchors:
+            anchors[t] = region.anchor.prefix(region.constrained_names).tobytes()
+
+    result = train_continual(model, stream, build_optimizer_config(cfg, "cf"), 1, 1,
+                             probe_fn=probe_fn, checkpoint_fn=checkpoint_fn,
+                             step_hook=step_hook)
+    assert len(result.probe_values) == 3 and sorted(ended) == [0, 1, 2]
+    assert sorted(anchors) == [1, 2]
+    for t in (1, 2):
+        assert anchors[t] == ended[t - 1]
 
 
 def test_order_applied(tmp_path):
@@ -481,6 +572,16 @@ def test_cli_run_rejects_optimizer_setting(tmp_path, capsys, key, value, variant
     assert not os.path.exists(tmp_path / "o")
 
 
+@pytest.mark.parametrize("flag,key", [("--lambda", "lam"), ("--rho", "rho")])
+def test_cli_run_rejects_infinite_override(tmp_path, capsys, flag, key):
+    rc = main(["run", "--config", write_cfg(tmp_path), "--variant", "cf", "--seed", "1",
+               flag, "inf", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: ValueError: optimizer {key} must be a finite number >= 0, got inf\n")
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_cli_run_rejects_fractional_epochs(tmp_path, capsys):
     cfg = small_cfg()
     cfg["epochs_per_task"] = 1.5
@@ -651,3 +752,11 @@ def test_cli_probe_refuses_negative_rho(tmp_path, capsys):
     assert main(["probe", "--checkpoint", ckpt, "--config", cfg_path,
                  "--rho", "-0.05", "--lanczos-iters", "5"]) == 1
     assert capsys.readouterr().err == "error: ValueError: rho must be >= 0\n"
+
+
+def test_cli_probe_refuses_infinite_rho(tmp_path, capsys):
+    cfg_path, ckpt = _seq_run(tmp_path)
+    capsys.readouterr()
+    assert main(["probe", "--checkpoint", ckpt, "--config", cfg_path,
+                 "--rho", "inf", "--lanczos-iters", "5"]) == 1
+    assert capsys.readouterr().err == "error: ValueError: rho must be finite\n"
