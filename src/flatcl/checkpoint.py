@@ -10,12 +10,15 @@ crash never leaves a partial checkpoint under the final name.
 Round-trips are bitwise exact.  Besides model weights, a checkpoint can
 carry the run seed and variant (absent from files written before each was
 recorded) and everything needed to resume a continual run at a task
-boundary: the importance accumulator, the rng state, finished accuracy rows
-and the replay buffer.  The next task's flat region is rebuilt from the
-weights, so it is not stored; the `anchor` block of earlier v3 files, always
-equal to `param`, is not read.  The weights and the importance are each one
-block over the model's flat parameter layout; the replay buffer's features
-are one (n, d) block and its labels and task ids manifest lists.
+boundary: the importance accumulator, the rng state, finished accuracy rows,
+the finished tasks' probe values and the replay buffer.  The next task's
+flat region is rebuilt from the weights, so it is not stored; the `anchor`
+block of earlier v3 files, always equal to `param`, is not read.  The
+weights and the importance are each one block over the model's flat
+parameter layout; the replay buffer's features are one (n, d) block and its
+labels and task ids manifest lists.  The probe values are one manifest
+string of JSON text, so each entry keeps its key order through the
+sorted-key manifest; files written before they were kept have none.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ class Checkpoint:
     next_task: int | None = None
     importance: ImportanceMap | None = None
     matrix_rows: np.ndarray | None = None
+    probe_values: list | None = None  # the run's `probe_fn` outputs so far
     replay_buffer: ReplayBuffer | None = None
 
     def __post_init__(self):
@@ -90,6 +94,7 @@ def save_checkpoint(path, ckpt: Checkpoint):
         "variant": ckpt.variant,
         "rng_state": ckpt.rng_state,  # PCG64 state: plain ints, JSON-exact
         "next_task": ckpt.next_task,
+        "probe_values": None if ckpt.probe_values is None else json.dumps(ckpt.probe_values),
         "replay": replay_meta,
     }
     payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in blocks)
@@ -151,6 +156,7 @@ def load_checkpoint(path) -> Checkpoint:
                                 activation=minfo["activation"])
     np.copyto(model.theta, arrays["param"])
     importance = arrays.get("importance")
+    probe_values = manifest.get("probe_values")
 
     buffer = None
     if (r := manifest["replay"]) is not None:  # earlier v3 files also hold replay settings; unread
@@ -168,5 +174,6 @@ def load_checkpoint(path) -> Checkpoint:
         next_task=manifest["next_task"],
         importance=None if importance is None else ImportanceMap(importance),
         matrix_rows=arrays.get("matrix"),
+        probe_values=None if probe_values is None else json.loads(probe_values),
         replay_buffer=buffer,
     )

@@ -57,14 +57,14 @@ class MultiHeadClassifier:
     owns once per task and calls the kernel directly.
 
     The gradient, the per-sample Fisher pass and the Hessian bind share one
-    backward pass, `_adjoints`.  The gradient and the Fisher pass seed it
-    with one output-layer adjoint, `_output_adjoint`; the Hessian bind
-    forms its own, `(p - onehot) / n`.  The Hessian-vector product is
-    split into a bind step and an apply step (`_hvp_operator`): binding to
-    checked rows runs the forward pass, the softmax and the backward
-    adjoints once, and the operator it returns runs only the passes that
-    depend on the direction.  A Lanczos run binds once and applies per
-    iteration; `probe.hvp` on a `model_objective` binds and applies once.
+    output-layer adjoint, `_output_adjoint`, and one backward pass,
+    `_adjoints`, with one activation derivative, `_slope`.  The
+    Hessian-vector product is split into a bind step and an apply step
+    (`_hvp_operator`): binding to checked rows runs the forward pass, the
+    softmax and the backward adjoints once, and the operator it returns
+    runs only the passes that depend on the direction.  A Lanczos run binds
+    once and applies per iteration; `probe.hvp` on a `model_objective`
+    binds and applies once.
     """
 
     def __init__(self, seed: int, input_dim: int, hidden_dims: list[int],
@@ -208,8 +208,8 @@ class MultiHeadClassifier:
 
     def _output_views(self, out, task_id):
         """Per layer of head `task_id`, the (W, b) blocks of flat `out` (laid
-        out like `theta`) as views shaped like the weights: the kernel's
-        output, bound once per buffer and head."""
+        out like `theta`) as views shaped like the weights: what the
+        gradient kernel writes and the Hessian operator reads and writes."""
         return [(out[w_sl].reshape(w.shape), out[b_sl])
                 for w, _, w_sl, b_sl in self._plans[task_id]]
 
@@ -222,9 +222,17 @@ class MultiHeadClassifier:
         out[-1] = delta
         for k in range(len(plan) - 1, 0, -1):
             inp[k] = d_h = out[k] @ plan[k][0].T
-            h = acts[k]
-            out[k - 1] = d_h * (1.0 - h * h) if self.activation == "tanh" else d_h * (h > 0.0)
+            out[k - 1] = d_h * self._slope(acts[k])
         return out, inp
+
+    def _slope(self, h):
+        """The activation's derivative at its output `h`."""
+        return (1.0 - h * h) if self.activation == "tanh" else (h > 0.0)
+
+    @staticmethod
+    def _nll(logp, labels) -> float:
+        """Mean negative log-probability of the labels: `.mean()`'s sum and divide."""
+        return float(-(np.add.reduce(logp[np.arange(labels.size), labels]) / labels.size))
 
     def _loss_gradient_into(self, features, labels, task_id, views) -> float:
         """Mean cross-entropy of the rows; its gradient goes into `views`,
@@ -233,8 +241,7 @@ class MultiHeadClassifier:
         left as it was."""
         acts, logp = self._log_probs(features, task_id)
         self._gradient_into(acts, logp, labels, task_id, views)
-        n = labels.shape[0]
-        return float(-(np.add.reduce(logp[np.arange(n), labels]) / n))  # .mean()'s sum and divide
+        return self._nll(logp, labels)
 
     def _gradient_into(self, acts, logp, labels, task_id, views):
         """The backward half of `_loss_gradient_into`, from `_log_probs`.
@@ -251,8 +258,7 @@ class MultiHeadClassifier:
         return self._task_loss(features, labels, batch.task_id)
 
     def _task_loss(self, features, labels, task_id) -> float:
-        _, logp = self._log_probs(features, task_id)
-        return float(-logp[np.arange(labels.shape[0]), labels].mean())
+        return self._nll(self._log_probs(features, task_id)[1], labels)
 
     def loss_gradient(self, batch: Batch):
         """(loss value, gradient ParameterSet) for mean cross-entropy, in a
@@ -307,50 +313,43 @@ class MultiHeadClassifier:
         weights and the rows (the layer inputs, the softmax, the backward
         adjoints, the activation derivatives) is computed here, once.  The
         returned operator maps a flat `v` to a fresh flat H v and runs only
-        the R-forward and R-backward passes, taking each layer's block of
-        `v` and of H v by the plan's slices; it is valid while the weights
-        do not move.  Relu kinks contribute no curvature.
+        the R-forward and R-backward passes, reading `v` and writing H v
+        through their `_output_views`; it is valid while the weights do not
+        move.  Relu kinks contribute no curvature.
         """
         plan = self._plans[task_id]
         tanh = self.activation == "tanh"
         acts, logp = self._log_probs(features, task_id)
         n = labels.shape[0]
         p = np.exp(logp)
-        # For k >= 1, layer k reads the hidden output acts[k]: slope[k] is
-        # the activation's derivative there, adjoint[k] the loss adjoint of
-        # layer k's output and, for tanh, curvature[k] = 2 * d_h * acts[k]
-        # (d_h the loss adjoint of acts[k]) the factor that the activation's
-        # second derivative contributes.
-        slope = [None] + [(1.0 - h * h) if tanh else (h > 0.0) for h in acts[1:]]
-        delta = p.copy()
-        delta[np.arange(n), labels] -= 1.0
-        delta /= n
-        adjoint, d_h = self._adjoints(plan, acts, delta)
+        # For k >= 1 layer k reads the hidden output acts[k]: slope[k] is the
+        # activation's derivative there, adjoint[k] the loss adjoint of layer
+        # k's output and, for tanh, curvature[k] = 2 * d_h * acts[k] (d_h the
+        # loss adjoint of acts[k]) the activation's second-derivative factor.
+        slope = [None] + [self._slope(h) for h in acts[1:]]
+        adjoint, d_h = self._adjoints(plan, acts, self._output_adjoint(logp, labels, 1.0 / n))
         curvature = ([None] + [2.0 * d * h for d, h in zip(d_h[1:], acts[1:])]
                      if tanh else None)
-        size = self.theta.size
 
         def hvp(v: np.ndarray) -> np.ndarray:
-            out = np.zeros(size)
-            v_w = [v[w_sl].reshape(w.shape) for w, _, w_sl, _ in plan]
+            out = np.zeros(self.theta.size)
+            v_views = self._output_views(v, task_id)
             r_acts = [None]  # R{input} of each layer; R{x} = 0
-            for k, (w, _, _, b_sl) in enumerate(plan):
-                if k:
-                    r_out = r_acts[k] @ w + acts[k] @ v_w[k] + v[b_sl]
-                else:
-                    r_out = acts[0] @ v_w[0] + v[b_sl]
+            for k, (v_w, v_b) in enumerate(v_views):
+                r_out = r_acts[k] @ plan[k][0] + acts[k] @ v_w if k else acts[0] @ v_w
+                r_out += v_b
                 if k + 1 < len(plan):
                     r_acts.append(r_out * slope[k + 1])
             r_delta = p * (r_out - (p * r_out).sum(axis=1, keepdims=True)) / n
+            out_views = self._output_views(out, task_id)
             for k in range(len(plan) - 1, -1, -1):
-                w, _, w_sl, b_sl = plan[k]
-                out_w = out[w_sl].reshape(w.shape)
+                (out_w, out_b), (v_w, _) = out_views[k], v_views[k]
                 np.matmul(acts[k].T, r_delta, out=out_w)
-                np.sum(r_delta, axis=0, out=out[b_sl])
+                np.sum(r_delta, axis=0, out=out_b)
                 if k == 0:
                     break
                 out_w += r_acts[k].T @ adjoint[k]
-                r_delta = (r_delta @ w.T + adjoint[k] @ v_w[k].T) * slope[k]
+                r_delta = (r_delta @ plan[k][0].T + adjoint[k] @ v_w.T) * slope[k]
                 if tanh:
                     r_delta -= curvature[k] * r_acts[k]
             return out

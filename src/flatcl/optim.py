@@ -546,9 +546,9 @@ def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
     each task: estimate Fisher at the converged weights, decay-then-add into
     the accumulator, and record test accuracy on all seen tasks.  `resume`,
     a loaded `checkpoint.Checkpoint`, restarts at its task boundary and
-    reproduces the uninterrupted run bitwise.  After each task
-    `checkpoint_fn(t, **fields)` receives the resume fields of a
-    `Checkpoint` by name.
+    reproduces the uninterrupted run bitwise, its probe values included.
+    After each task `checkpoint_fn(t, **fields)` receives the resume fields
+    of a `Checkpoint` by name.
     """
     flags = config.variant
     n_tasks = len(stream)
@@ -567,6 +567,7 @@ def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
         if flags.replay:
             buffer = resume.replay_buffer
         matrix[:resume.matrix_rows.shape[0], :] = resume.matrix_rows
+        probe_values = list(resume.probe_values or [])  # files without them: none
 
     for t in range(start_task, n_tasks):
         task = stream[t]
@@ -610,7 +611,8 @@ def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
         if checkpoint_fn is not None:
             checkpoint_fn(t, next_task=t + 1, rng_state=rng.bit_generator.state,
                           importance=accumulated, replay_buffer=buffer,
-                          matrix_rows=matrix[:t + 1, :].copy())
+                          matrix_rows=matrix[:t + 1, :].copy(),
+                          probe_values=list(probe_values))
 
     return ContinualResult(model, matrix, reports, probe_values)
 

@@ -30,8 +30,7 @@ class Objective:
     weights do not move, so a Lanczos run binds once and applies many times.
     """
 
-    def __init__(self, params: ParameterSet, value_fn, gradient_fn=None,
-                 bind_hvp_fn=None):
+    def __init__(self, params: ParameterSet, value_fn, gradient_fn, bind_hvp_fn):
         self.params = params
         self._value_fn = value_fn
         self._gradient_fn = gradient_fn
@@ -41,13 +40,9 @@ class Objective:
         return float(self._value_fn(self.params))
 
     def gradient(self) -> ParameterSet:
-        if self._gradient_fn is None:
-            raise NotImplementedError("objective has no gradient")
         return self._gradient_fn(self.params)
 
     def bind_hvp(self):
-        if self._bind_hvp_fn is None:
-            raise NotImplementedError("objective has no Hessian-vector product")
         return self._bind_hvp_fn()
 
 

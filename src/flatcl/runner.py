@@ -157,7 +157,8 @@ def write_matrix_csv(path, matrix):
 
 def read_matrix_csv(path):
     """The matrix `write_matrix_csv` wrote; a row past the header's task
-    count, or with more cells than it, raises a one-line ValueError."""
+    count, with more cells than it, or with a cell that is not a number
+    raises a one-line ValueError."""
     with open(path) as f:
         header = f.readline()
         t = len(header.strip().split(","))
@@ -171,8 +172,11 @@ def read_matrix_csv(path):
                 raise ValueError(f"{path}: line {l + 2}: {len(cells)} cells for the {t} "
                                  "tasks the header names")
             for j, cell in enumerate(cells):
-                if cell:
-                    matrix[l, j] = float(cell)
+                try:
+                    matrix[l, j] = float(cell) if cell else np.nan
+                except ValueError:
+                    raise ValueError(f"{path}: line {l + 2}: cell {j + 1} is not a "
+                                     f"number: {cell!r}") from None
     return matrix
 
 

@@ -49,14 +49,20 @@ def test_full_state_round_trip(tmp_path):
     buf.add_task(np.random.default_rng(0).normal(size=(8, model.input_dim)),
                  np.arange(8) % 3, 0, 0.5, seed=1)
 
+    # probe values keep their key order and float bits through the
+    # sorted-key manifest
+    probes = [{"task": t, "lambda_max": 1 / 3 + t, "log_lambda_max": -0.1 * t}
+              for t in range(2)]
+
     path = tmp_path / "full.bin"
     save_checkpoint(path, Checkpoint(
         model=model, config_hash="h", rng_state=rng.bit_generator.state,
-        next_task=2, importance=imp, matrix_rows=matrix,
+        next_task=2, importance=imp, matrix_rows=matrix, probe_values=probes,
         replay_buffer=buf))
     loaded = load_checkpoint(path)
 
     assert loaded.next_task == 2
+    assert json.dumps(loaded.probe_values) == json.dumps(probes)
     assert np.array_equal(loaded.importance.values, imp.values)
     assert np.array_equal(loaded.matrix_rows, matrix, equal_nan=True)
     assert len(loaded.replay_buffer) == len(buf)

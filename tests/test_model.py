@@ -291,11 +291,14 @@ def _layer_names(m, task_id):
     return encoder + [f"head{task_id}.W", f"head{task_id}.b"]
 
 
-def _reference_kernels(m, x, y, task_id, v):
+def _reference_kernels(m, x, y, task_id, v, one_hot_hvp=False):
     """The per-layer recursion written out once per kernel, each walking the
     layers top-down with its own `delta @ W.T` step: (loss gradient, summed
     squared per-sample gradients, per-sample squared norms, H v), each
-    gradient a list of (W, b) blocks for the encoder then head `task_id`."""
+    gradient a list of (W, b) blocks for the encoder then head `task_id`.
+    H v starts from the gradient's output adjoint `p * (1/n) - onehot / n`,
+    or with `one_hot_hvp` from `(p - onehot) / n`, the Hessian bind's own
+    form before it shared that adjoint."""
     ps = m.parameters()
     layers = [(ps[f"enc{i}.W"], ps[f"enc{i}.b"]) for i in range(len(m.hidden_dims))]
     layers.append((ps[f"head{task_id}.W"], ps[f"head{task_id}.b"]))
@@ -339,9 +342,13 @@ def _reference_kernels(m, x, y, task_id, v):
     p = np.exp(logp)
     slope = [None] + [(1.0 - h * h) if tanh else (h > 0.0) for h in acts[1:]]
     adjoint, curvature = [None] * len(layers), [None] * len(layers)
-    delta = p.copy()
-    delta[rows, y] -= 1.0
-    delta /= n
+    if one_hot_hvp:
+        delta = p.copy()
+        delta[rows, y] -= 1.0
+        delta /= n
+    else:
+        delta = p * (1.0 / n)
+        delta[rows, y] -= 1.0 / n
     for k in range(top, 0, -1):
         adjoint[k] = delta
         d_h = delta @ layers[k][0].T
@@ -392,6 +399,26 @@ def test_kernels_equal_per_layer_reference_bitwise(activation, hidden):
             blocks = [a for pair in ref for a in pair]
             assert [got[n].tobytes() for n in names] == [a.tobytes() for a in blocks]
         assert got_sq.tobytes() == sq_norms.tobytes()
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
+def test_bound_hvp_within_1e13_of_former_one_hot_adjoint(activation, hidden):
+    """Seeding the Hessian bind with the shared `_output_adjoint` moves the
+    product's bits, `(p - onehot) / n` becoming `p * (1/n) - onehot / n`,
+    but no entry by more than 1e-13 of its block's largest, on every head
+    (one entry, 3e-4 of its block's largest, moves by 1.2e-13 of itself)."""
+    m = random_mlp(90, hidden=hidden, classes=(3, 4), activation=activation)
+    for task_id in range(2):
+        batch = random_batch(91 + task_id, m, n=6, task_id=task_id)
+        x, y = batch.features, batch.labels
+        v = m.parameters().unflatten(np.random.default_rng(93).normal(size=m.theta.size))
+        *_, hv = _reference_kernels(m, x, y, task_id, v, one_hot_hvp=True)
+        got = m.parameters().unflatten(
+            m._hvp_operator(*m._check_rows(x, y, task_id), task_id)(v.flat))
+        for name, ref in zip(_layer_names(m, task_id), [a for pair in hv for a in pair]):
+            np.testing.assert_allclose(got[name], ref, rtol=0,
+                                       atol=1e-13 * np.abs(ref).max())
 
 
 def _one_hot_adjoints(logp, labels):

@@ -237,12 +237,6 @@ def test_sharpness_report_fields_and_restoration():
     assert np.isfinite(d["lambda_max"])
 
 
-def test_objective_without_gradient_raises():
-    obj = Objective(ParameterSet({"w": [1.0]}), lambda p: float(p["w"][0]))
-    with pytest.raises(NotImplementedError):
-        obj.gradient()
-
-
 # -- the bound Hessian and the checks around it ------------------------------
 
 def _hand_lanczos(obj, iters, seed):

@@ -52,10 +52,12 @@ def test_matrix_csv_round_trip_exact(tmp_path):
     ("task0,task1\n0.9,,0.5\n0.7,0.8\n", "line 2: 3 cells for the 2 tasks the header names"),
     ("task0,task1\n0.9,\n0.7,0.8\n0.6,0.5\n",
      "line 4: more rows than the 2 tasks the header names"),
-], ids=["extra-cell", "extra-row"])
+    ("task0,task1\n0.9,\n0.7,abc\n", "line 3: cell 2 is not a number: 'abc'"),
+], ids=["extra-cell", "extra-row", "not-a-number"])
 def test_cli_metrics_refuses_malformed_matrix(tmp_path, capsys, text, error):
-    """A cell or a row past the header's task count is refused with a
-    one-line error naming the file and the line, not an IndexError."""
+    """A cell or a row past the header's task count, or a cell that is not a
+    number, is refused with a one-line error naming the file and the line,
+    not an IndexError or a bare float() error."""
     path = tmp_path / "m.csv"
     path.write_text(text)
     assert main(["metrics", "--matrix", str(path)]) == 1
@@ -269,26 +271,34 @@ def test_resume_across_head_addition_bitwise(tmp_path):
     assert a.importance.values.tobytes() == b.importance.values.tobytes()
 
 
-def _add_anchor_block(path):
-    """Rewrite a checkpoint as one written before the flat region was
-    rebuilt from the weights: an `anchor` block, equal to `param`, after
-    the importance block."""
+def _rewrite_checkpoint(path, edit):
+    """Reseal the checkpoint at `path` after `edit(manifest, raw)` changes its
+    manifest and its raw blocks (bytes by block name), as an older writer
+    would have sealed it."""
     from flatcl.checkpoint import _MAGIC, _digest
     data = path.read_bytes()
     head = len(_MAGIC) + 8
     mlen = int.from_bytes(data[len(_MAGIC):head], "little")
     manifest = json.loads(data[head:head + mlen])
-    blocks, raw, offset = manifest["blocks"], {}, head + mlen
-    for block in blocks:
+    raw, offset = {}, head + mlen
+    for block in manifest["blocks"]:
         raw[block["name"]] = data[offset:offset + block["bytes"]]
         offset += block["bytes"]
-    names = [block["name"] for block in blocks]
-    blocks.insert(names.index("importance") + 1, dict(blocks[0], name="anchor"))
-    raw["anchor"] = raw["param"]
-    payload = b"".join(raw[block["name"]] for block in blocks)
+    edit(manifest, raw)
+    payload = b"".join(raw[block["name"]] for block in manifest["blocks"])
     manifest["sha256"] = _digest(manifest, payload)
     mbytes = json.dumps(manifest, sort_keys=True).encode()
     path.write_bytes(_MAGIC + len(mbytes).to_bytes(8, "little") + mbytes + payload)
+
+
+def _add_anchor_block(manifest, raw):
+    """The checkpoint as written before the flat region was rebuilt from the
+    weights: an `anchor` block, equal to `param`, after the importance
+    block."""
+    blocks = manifest["blocks"]
+    names = [block["name"] for block in blocks]
+    blocks.insert(names.index("importance") + 1, dict(blocks[0], name="anchor"))
+    raw["anchor"] = raw["param"]
 
 
 def test_resume_from_checkpoint_with_anchor_block(tmp_path):
@@ -298,7 +308,7 @@ def test_resume_from_checkpoint_with_anchor_block(tmp_path):
     run_single_seed(small_cfg(), "cf", 1, str(full))
     legacy = tmp_path / "legacy.bin"
     legacy.write_bytes((full / "ckpt_task0.bin").read_bytes())
-    _add_anchor_block(legacy)
+    _rewrite_checkpoint(legacy, _add_anchor_block)
     assert legacy.stat().st_size > (full / "ckpt_task0.bin").stat().st_size
     old, new = load_checkpoint(legacy), load_checkpoint(full / "ckpt_task0.bin")
     assert old.model.theta.tobytes() == new.model.theta.tobytes()
@@ -307,6 +317,47 @@ def test_resume_from_checkpoint_with_anchor_block(tmp_path):
     run_single_seed(small_cfg(), "cf", 1, str(resumed), resume_from=str(legacy))
     for name in ("matrix.csv", "metrics.json"):
         assert (resumed / name).read_bytes() == (full / name).read_bytes()
+
+
+def _probed_cfg():
+    cfg = small_cfg()
+    cfg["probe"] = {"enabled": True, "batch_size": 8, "lanczos_iters": 3}
+    return cfg
+
+
+def test_resume_keeps_the_whole_probe_trace(tmp_path):
+    """Resumed from each task's checkpoint, a probed run writes the
+    uninterrupted run's metrics.json byte for byte: its sharpness trace
+    holds the tasks trained before the resume too."""
+    cfg = _probed_cfg()
+    full = tmp_path / "full"
+    run_single_seed(cfg, "cf", 1, str(full))
+    trace = json.loads((full / "metrics.json").read_text())["sharpness_trace"]
+    assert [p["task"] for p in trace] == [0, 1]
+    for k in range(2):
+        resumed = tmp_path / f"resumed{k}"
+        run_single_seed(cfg, "cf", 1, str(resumed),
+                        resume_from=str(full / f"ckpt_task{k}.bin"))
+        for name in ("matrix.csv", "metrics.json"):
+            assert (resumed / name).read_bytes() == (full / name).read_bytes()
+
+
+def test_resume_from_checkpoint_without_probe_values(tmp_path):
+    """A v3 file written before the probe values were kept loads with none,
+    and a run resumed from it traces only the tasks it trains."""
+    cfg = _probed_cfg()
+    full = tmp_path / "full"
+    run_single_seed(cfg, "cf", 1, str(full))
+    legacy = tmp_path / "legacy.bin"
+    legacy.write_bytes((full / "ckpt_task0.bin").read_bytes())
+    _rewrite_checkpoint(legacy, lambda manifest, _: manifest.pop("probe_values"))
+    assert load_checkpoint(legacy).probe_values is None
+    resumed = tmp_path / "resumed"
+    run_single_seed(cfg, "cf", 1, str(resumed), resume_from=str(legacy))
+    assert (resumed / "matrix.csv").read_bytes() == (full / "matrix.csv").read_bytes()
+    trace = json.loads((full / "metrics.json").read_text())["sharpness_trace"]
+    assert (json.loads((resumed / "metrics.json").read_text())["sharpness_trace"]
+            == trace[1:])
 
 
 def test_each_task_starts_from_the_weights_the_last_one_ended_with(tmp_path):
