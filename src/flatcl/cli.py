@@ -82,6 +82,10 @@ def _cmd_probe(args):
 
 def _cmd_metrics(args):
     matrix = read_matrix_csv(args.matrix)
+    try:
+        metrics_mod._check_matrix(matrix)
+    except ValueError as exc:
+        raise ValueError(f"{args.matrix}: {exc}") from None
     reference = None
     if args.reference is not None:
         with open(args.reference) as f:

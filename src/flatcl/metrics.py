@@ -12,14 +12,21 @@ import numpy as np
 
 
 def _check_matrix(matrix):
+    """The matrix as float64, after a one-line ValueError for a matrix that
+    is not square or a lower-triangle cell that is NaN (incomplete) or
+    outside [0, 1], inf included."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("accuracy matrix must be square")
     t = matrix.shape[0]
     for l in range(t):
         for j in range(l + 1):
-            if not np.isfinite(matrix[l, j]):
+            value = float(matrix[l, j])
+            if np.isnan(value):
                 raise ValueError(f"incomplete accuracy matrix at [{l}][{j}]")
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"accuracy matrix cell [{l}][{j}] is {value!r}, "
+                                 "outside [0, 1]")
     return matrix
 
 

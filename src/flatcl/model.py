@@ -195,16 +195,15 @@ class MultiHeadClassifier:
         return acts, z
 
     @staticmethod
-    def _output_adjoint(logp, labels, scale):
-        """scale * (softmax - onehot(labels)) from log-probabilities: the
+    def _output_adjoint(p, labels, scale):
+        """scale * (p - onehot(labels)), written over the softmax `p`: the
         logit adjoint of the mean loss (scale 1/n) and of each sample's
         loss (scale 1).  Equal bit for bit to an autodiff graph's
-        `g - softmax * g.sum(-1)` for the one-hot `g` of -scale: each row of
-        `g` sums to exactly -scale, and IEEE negation is exact."""
-        d = np.exp(logp)
-        d *= scale
-        d[np.arange(labels.shape[0]), labels] -= scale
-        return d
+        `g - p * g.sum(-1)` for the one-hot `g` of -scale: each row of `g`
+        sums to exactly -scale, and IEEE negation is exact."""
+        p *= scale
+        p[np.arange(labels.shape[0]), labels] -= scale
+        return p
 
     def _output_views(self, out, task_id):
         """Per layer of head `task_id`, the (W, b) blocks of flat `out` (laid
@@ -247,8 +246,8 @@ class MultiHeadClassifier:
         """The backward half of `_loss_gradient_into`, from `_log_probs`.
         `views` may stop short of the head: the layers past its end are
         not written."""
-        deltas, _ = self._adjoints(self._plans[task_id], acts,
-                                   self._output_adjoint(logp, labels, 1.0 / labels.shape[0]))
+        d_out = self._output_adjoint(np.exp(logp), labels, 1.0 / labels.shape[0])
+        deltas, _ = self._adjoints(self._plans[task_id], acts, d_out)
         for (out_w, out_b), h, delta in zip(views, acts, deltas):
             np.matmul(h.T, delta, out=out_w)
             np.add.reduce(delta, axis=0, out=out_b)  # delta.sum(axis=0)
@@ -293,7 +292,7 @@ class MultiHeadClassifier:
         features, labels = self._check_rows(features, labels, task_id)
         plan = self._plans[task_id]
         acts, logp = self._log_probs(features, task_id)
-        deltas, _ = self._adjoints(plan, acts, self._output_adjoint(logp, labels, 1.0))
+        deltas, _ = self._adjoints(plan, acts, self._output_adjoint(np.exp(logp), labels, 1.0))
         sums = np.zeros(self.theta.size)
         views = self._output_views(sums, task_id)
         sq_norms = np.zeros(labels.shape[0])
@@ -327,7 +326,7 @@ class MultiHeadClassifier:
         # k's output and, for tanh, curvature[k] = 2 * d_h * acts[k] (d_h the
         # loss adjoint of acts[k]) the activation's second-derivative factor.
         slope = [None] + [self._slope(h) for h in acts[1:]]
-        adjoint, d_h = self._adjoints(plan, acts, self._output_adjoint(logp, labels, 1.0 / n))
+        adjoint, d_h = self._adjoints(plan, acts, self._output_adjoint(p.copy(), labels, 1.0 / n))
         curvature = ([None] + [2.0 * d * h for d, h in zip(d_h[1:], acts[1:])]
                      if tanh else None)
 

@@ -434,16 +434,13 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
         two_f = 2.0 * _region_importance(region, importance)
         penalty = state.penalty[:w_c.size]
 
-    if flags.create:
-        w_pert = params.prefix(names) if names else params.flat
-        eps, saved = state.perturbation[:w_pert.size], state.saved[:w_pert.size]
+    rho = config.rho if flags.create else 0.0  # at rho 0, the plain gradient
+    w_pert = params.prefix(names) if names else params.flat
+    eps, saved = state.perturbation[:w_pert.size], state.saved[:w_pert.size]
 
-        def grads_into(features, labels, tid, out, views):
-            return _create_gradient_into(model, features, labels, tid, config.rho,
-                                         w_pert, out, views, eps, saved)
-    else:
-        def grads_into(features, labels, tid, out, views):
-            return model._loss_gradient_into(features, labels, tid, views)
+    def grads_into(features, labels, tid, out, views):
+        return _create_gradient_into(model, features, labels, tid, rho,
+                                     w_pert, out, views, eps, saved)
 
     summed = state.total.flat  # the step's summed gradient, rewritten each step
     # per head, the kernel's output views of `summed` and of `state.grad`
@@ -526,7 +523,6 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
 
 @dataclass
 class ContinualResult:
-    model: MultiHeadClassifier
     accuracy_matrix: np.ndarray       # (T, T), NaN above the diagonal
     reports: list
     probe_values: list                # probe_fn outputs per task, if probing
@@ -576,17 +572,12 @@ def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
         region = None if t == 0 else FlatRegion(
             anchor=model.parameters().copy(), rho=config.rho,
             constrained_names=model.constrained_names(t))
-        task_importance = None
-        if region is not None and flags.l2:
-            if flags.find and accumulated is not None:
-                task_importance = accumulated
-            else:
-                task_importance = random_importance(model, _derived_seed(seed, 3, t))
+        importance = accumulated
+        if region is not None and flags.l2 and (not flags.find or accumulated is None):
+            importance = random_importance(model, _derived_seed(seed, 3, t))
 
         val_sets = [(*stream[j].val_xy(), j) for j in range(t + 1)]
-        # Without l2 the accumulated importance still drives the sparse mask;
-        # the penalty needs l2, so it stays off.
-        reports.append(train_task(model, [task], region, task_importance or accumulated,
+        reports.append(train_task(model, [task], region, importance,
                                   buffer, config, rng, epochs, val_sets,
                                   step_hook=step_hook))
 
@@ -614,7 +605,7 @@ def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
                           matrix_rows=matrix[:t + 1, :].copy(),
                           probe_values=list(probe_values))
 
-    return ContinualResult(model, matrix, reports, probe_values)
+    return ContinualResult(matrix, reports, probe_values)
 
 
 def train_multitask(model: MultiHeadClassifier, stream, config: OptimizerConfig,

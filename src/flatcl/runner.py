@@ -122,13 +122,12 @@ def build_optimizer_config(cfg: dict, variant: str) -> OptimizerConfig:
     return OptimizerConfig(variant=VARIANT_FLAGS[variant], **opt)
 
 
-def _build_model(cfg: dict, stream: TaskStream, seed: int, all_heads=False):
+def _build_model(cfg: dict, stream: TaskStream, seed: int):
+    """The model with the first task's head; training adds the others."""
     m = cfg["model"]
-    classes = ([t.class_count for t in stream] if all_heads
-               else [stream[0].class_count])
     return MultiHeadClassifier(seed + m.get("init_seed_offset", 0),
                                stream[0].features.shape[1], m["hidden_dims"],
-                               classes, activation=m.get("activation", "tanh"))
+                               [stream[0].class_count], activation=m.get("activation", "tanh"))
 
 
 def probe_batch(cfg: dict, stream: TaskStream, task_id: int = 0) -> Batch:
@@ -189,8 +188,9 @@ def run_hash(cfg: dict, variant: str, seed: int) -> str:
 
 def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
                     resume_from: str | None = None) -> dict:
-    """One (variant, seed) run; writes matrix.csv, metrics.json and per-task
-    checkpoints into a fresh directory.  Returns the metrics dict."""
+    """One (variant, seed) run into a fresh directory: per-task checkpoints
+    and matrix.csv (for mtl, ckpt_final.bin alone), then metrics.json, the
+    last file written.  Returns the metrics dict."""
     check_config_keys(cfg)
     if variant == "mtl" and resume_from is not None:
         raise ValueError("mtl trains all tasks jointly and cannot resume from a checkpoint")
@@ -205,21 +205,6 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
     stream = build_stream(cfg, seed)
     opt_config = build_optimizer_config(cfg, variant)
     epochs = cfg["epochs_per_task"]
-
-    if variant == "mtl":
-        model = _build_model(cfg, stream, seed, all_heads=True)
-        _fresh_dir(out_dir)
-        reference = train_multitask(model, stream, opt_config, seed, epochs)
-        result_metrics = {"variant": variant, "seed": seed,
-                          "reference_accuracies": reference.tolist(),
-                          "avg_accuracy_after_last": float(reference.mean())}
-        with open(os.path.join(out_dir, "metrics.json"), "w") as f:
-            json.dump(result_metrics, f, indent=2)
-        save_checkpoint(os.path.join(out_dir, "ckpt_final.bin"),
-                        Checkpoint(model=model, config_hash=chash, seed=seed,
-                                   variant=variant))
-        return result_metrics
-
     probe_cfg = cfg.get("probe", {})
     probe_fn = None
     if probe_cfg.get("enabled", False):
@@ -231,22 +216,29 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
             return {"task": task_idx, "lambda_max": res.lambda_max,
                     "log_lambda_max": res.log_lambda_max}
 
-    def checkpoint_fn(task_idx, **state):
-        save_checkpoint(os.path.join(out_dir, f"ckpt_task{task_idx}.bin"),
+    model = _build_model(cfg, stream, seed) if loaded is None else loaded.model
+    _fresh_dir(out_dir)
+
+    def save(name, **state):
+        save_checkpoint(os.path.join(out_dir, name),
                         Checkpoint(model=model, config_hash=chash, seed=seed,
                                    variant=variant, **state))
 
-    model = _build_model(cfg, stream, seed) if loaded is None else loaded.model
-    _fresh_dir(out_dir)
-    result = train_continual(model, stream, opt_config, seed, epochs,
-                             probe_fn=probe_fn, resume=loaded,
-                             checkpoint_fn=checkpoint_fn)
-
-    write_matrix_csv(os.path.join(out_dir, "matrix.csv"), result.accuracy_matrix)
-    result_metrics = metrics_mod.summarize(result.accuracy_matrix)
-    result_metrics.update({"variant": variant, "seed": seed,
-                           "config_hash": chash,
-                           "sharpness_trace": result.probe_values})
+    if variant == "mtl":
+        reference = train_multitask(model, stream, opt_config, seed, epochs)
+        save("ckpt_final.bin")
+        result_metrics = {"variant": variant, "seed": seed,
+                          "reference_accuracies": reference.tolist(),
+                          "avg_accuracy_after_last": float(reference.mean())}
+    else:
+        result = train_continual(
+            model, stream, opt_config, seed, epochs, probe_fn=probe_fn, resume=loaded,
+            checkpoint_fn=lambda task_idx, **state: save(f"ckpt_task{task_idx}.bin", **state))
+        write_matrix_csv(os.path.join(out_dir, "matrix.csv"), result.accuracy_matrix)
+        result_metrics = metrics_mod.summarize(result.accuracy_matrix)
+        result_metrics.update({"variant": variant, "seed": seed,
+                               "config_hash": chash,
+                               "sharpness_trace": result.probe_values})
     with open(os.path.join(out_dir, "metrics.json"), "w") as f:
         json.dump(result_metrics, f, indent=2)
     return result_metrics

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,24 @@ def test_incomplete_matrix_rejected():
     bad[2, 0] = np.nan
     with pytest.raises(ValueError, match=r"\[2\]\[0\]"):
         avg_accuracy_after_last(bad)
+
+
+@pytest.mark.parametrize("value", [1.9, -0.7, 1.0 + 2 ** -52, -5e-324, np.inf, -np.inf])
+def test_accuracy_outside_unit_interval_rejected(value):
+    """A lower-triangle cell outside [0, 1], inf included, is refused by
+    name and value, not reported as incomplete or scored."""
+    bad = MATRIX.copy()
+    bad[2, 1] = value
+    message = f"accuracy matrix cell [2][1] is {float(value)!r}, outside [0, 1]"
+    for score in (avg_accuracy_after_last, forgetting, summarize):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            score(bad)
+
+
+def test_accuracy_bounds_accepted():
+    edges = np.array([[0.0, NAN], [1.0, 0.0]])
+    assert avg_accuracy_after_last(edges) == 0.5
+    assert forgetting(edges)[1] == -1.0
 
 
 def test_non_square_rejected():

@@ -453,7 +453,7 @@ def test_output_adjoint_equals_one_hot_forms_bitwise(n, case):
     if case == "logits of +-800":
         assert (np.exp(logp) == 0.0).any()
     mean, per_sample = _one_hot_adjoints(logp, labels)
-    got_mean = MultiHeadClassifier._output_adjoint(logp, labels, 1.0 / n)
-    got_per_sample = MultiHeadClassifier._output_adjoint(logp, labels, 1.0)
+    got_mean = MultiHeadClassifier._output_adjoint(np.exp(logp), labels, 1.0 / n)
+    got_per_sample = MultiHeadClassifier._output_adjoint(np.exp(logp), labels, 1.0)
     assert got_mean.tobytes() == mean.tobytes()
     assert got_per_sample.tobytes() == per_sample.tobytes()

@@ -836,24 +836,26 @@ def test_train_task_matches_public_step_functions(activation, hidden, base_optim
                                                   n_tasks):
     """train_task runs its steps on checked rows with loop-owned buffers;
     its weights and report are bitwise those of the same loop written over
-    the public per-step functions, with every cf mechanism on: create,
-    the l2 penalty, the clamp, replay and a sparse mask."""
-    stream, model, region, importance, store = _two_task_setup(71, activation, hidden)
-    cfg = _config(base_optimizer=base_optimizer, sparse_update_ratio=0.5, replay_every=3,
-                  variant=VariantFlags(create=True, find=True, clamp=True, l2=True,
-                                       replay=True))
-    tasks = [stream[0], stream[1]][-n_tasks:]
-    val_sets = [(*task.val_xy(), task.task_id) for task in tasks]
-    twin = model.clone()
-    report = train_task(model, tasks, region, importance, store, cfg,
-                        np.random.Generator(np.random.PCG64(5)), 2, val_sets)
-    expected = _reference_train_task(twin, tasks, region, importance, store, cfg,
-                                     np.random.Generator(np.random.PCG64(5)), 2, val_sets)
-    assert model.theta.tobytes() == twin.theta.tobytes()
-    assert dataclasses.asdict(report) == dataclasses.asdict(expected)
-    batches = 2 * sum(-(-len(task.train_xy()[1]) // cfg.batch_size) for task in tasks)
-    assert len(report.step_losses) > batches  # replay steps ran
-    assert sum(report.clamp_counts) > 0
+    the public per-step functions, with every other cf mechanism on (the
+    l2 penalty, the clamp, replay and a sparse mask) and create on and off."""
+    for create in (True, False):
+        stream, model, region, importance, store = _two_task_setup(71, activation, hidden)
+        cfg = _config(base_optimizer=base_optimizer, sparse_update_ratio=0.5,
+                      replay_every=3, variant=VariantFlags(create=create, find=True,
+                                                           clamp=True, l2=True, replay=True))
+        tasks = [stream[0], stream[1]][-n_tasks:]
+        val_sets = [(*task.val_xy(), task.task_id) for task in tasks]
+        twin = model.clone()
+        report = train_task(model, tasks, region, importance, store, cfg,
+                            np.random.Generator(np.random.PCG64(5)), 2, val_sets)
+        expected = _reference_train_task(twin, tasks, region, importance, store, cfg,
+                                         np.random.Generator(np.random.PCG64(5)), 2,
+                                         val_sets)
+        assert model.theta.tobytes() == twin.theta.tobytes()
+        assert dataclasses.asdict(report) == dataclasses.asdict(expected)
+        batches = 2 * sum(-(-len(task.train_xy()[1]) // cfg.batch_size) for task in tasks)
+        assert len(report.step_losses) > batches  # replay steps ran
+        assert sum(report.clamp_counts) > 0
 
 
 def test_train_task_matches_public_step_functions_on_two_head_replay():

@@ -7,7 +7,7 @@ import pytest
 from flatcl.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from flatcl.cli import main
 from flatcl.model import MultiHeadClassifier
-from flatcl.optim import train_continual
+from flatcl.optim import train_continual, train_multitask
 from flatcl.probe import lanczos_lambda_max, model_objective
 from flatcl.runner import (VARIANT_FLAGS, build_optimizer_config, build_stream,
                            load_config, probe_batch, read_matrix_csv, run_experiment,
@@ -53,11 +53,14 @@ def test_matrix_csv_round_trip_exact(tmp_path):
     ("task0,task1\n0.9,\n0.7,0.8\n0.6,0.5\n",
      "line 4: more rows than the 2 tasks the header names"),
     ("task0,task1\n0.9,\n0.7,abc\n", "line 3: cell 2 is not a number: 'abc'"),
-], ids=["extra-cell", "extra-row", "not-a-number"])
+    ("task0,task1\n1.9,\n-0.7,0.8\n", "accuracy matrix cell [0][0] is 1.9, outside [0, 1]"),
+    ("task0,task1\n0.9,\n0.7,inf\n", "accuracy matrix cell [1][1] is inf, outside [0, 1]"),
+], ids=["extra-cell", "extra-row", "not-a-number", "above-one", "inf"])
 def test_cli_metrics_refuses_malformed_matrix(tmp_path, capsys, text, error):
-    """A cell or a row past the header's task count, or a cell that is not a
-    number, is refused with a one-line error naming the file and the line,
-    not an IndexError or a bare float() error."""
+    """A cell or a row past the header's task count, a cell that is not a
+    number, or an accuracy outside [0, 1] is refused with a one-line error
+    naming the file and the line or cell, not an IndexError, a bare float()
+    error or a forgetting computed from it."""
     path = tmp_path / "m.csv"
     path.write_text(text)
     assert main(["metrics", "--matrix", str(path)]) == 1
@@ -412,10 +415,35 @@ def test_unknown_variant_rejected(tmp_path):
 
 
 def test_mtl_writes_reference(tmp_path):
+    """mtl's checkpoint holds the weights of `train_multitask` run on a model
+    built with every head at once, bit for bit."""
+    cfg = small_cfg()
     out = str(tmp_path / "mtl")
-    row = run_single_seed(small_cfg(), "mtl", 1, out)
+    row = run_single_seed(cfg, "mtl", 1, out)
     assert len(row["reference_accuracies"]) == 2
-    assert os.path.exists(os.path.join(out, "ckpt_final.bin"))
+    stream = build_stream(cfg, 1)
+    model = MultiHeadClassifier(1, 4, [6], [task.class_count for task in stream])
+    reference = train_multitask(model, stream, build_optimizer_config(cfg, "mtl"), 1,
+                                cfg["epochs_per_task"])
+    saved = load_checkpoint(os.path.join(out, "ckpt_final.bin"))
+    assert saved.model.parameters().names() == model.parameters().names()
+    assert saved.model.theta.tobytes() == model.theta.tobytes()
+    assert row["reference_accuracies"] == reference.tolist()
+
+
+@pytest.mark.parametrize("variant", ["mtl", "cf"])
+def test_failed_checkpoint_leaves_no_metrics(tmp_path, monkeypatch, variant):
+    """metrics.json is written after every checkpoint, so a run whose
+    checkpoint write fails leaves none to mark the seed complete."""
+    def fail(path, ckpt):
+        raise OSError(f"cannot write {path}")
+
+    monkeypatch.setattr("flatcl.runner.save_checkpoint", fail)
+    out = str(tmp_path / variant)
+    with pytest.raises(OSError, match="cannot write"):
+        run_single_seed(small_cfg(), variant, 1, out)
+    assert os.path.isdir(out)
+    assert not os.path.exists(os.path.join(out, "metrics.json"))
 
 
 def test_mtl_refuses_resume(tmp_path):
