@@ -130,6 +130,9 @@ def load_checkpoint(path) -> Checkpoint:
         data = f.read()
     head = len(_MAGIC) + 8
     mlen = int.from_bytes(data[len(_MAGIC):head], "little")
+    # `<=` here would refuse the same files: one that ends at its manifest
+    # has no payload, and every checkpoint a save writes has one (the
+    # weights), so its checksum fails below; only the message differs.
     if data[:len(_MAGIC)] != _MAGIC or len(data) < head + mlen:
         raise ValueError(f"{path}: not a flatcl checkpoint, or truncated")
     try:
@@ -151,10 +154,9 @@ def load_checkpoint(path) -> Checkpoint:
         offset += n
 
     minfo = manifest["model"]
-    model = MultiHeadClassifier(minfo["init_seed"], minfo["input_dim"],
-                                minfo["hidden_dims"], minfo["head_classes"],
-                                activation=minfo["activation"])
-    np.copyto(model.theta, arrays["param"])
+    model = MultiHeadClassifier.from_weights(arrays["param"], minfo["init_seed"],
+                                             minfo["input_dim"], minfo["hidden_dims"],
+                                             minfo["head_classes"], minfo["activation"])
     importance = arrays.get("importance")
     probe_values = manifest.get("probe_values")
 

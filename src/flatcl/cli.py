@@ -93,7 +93,11 @@ def _cmd_metrics(args):
         if not isinstance(ref, dict) or "reference_accuracies" not in ref:
             raise ValueError(f"{args.reference} holds no reference_accuracies; "
                              "--reference needs the metrics.json of an mtl run")
-        reference = ref["reference_accuracies"]
+        try:
+            reference = metrics_mod._check_reference(ref["reference_accuracies"],
+                                                     matrix.shape[0])
+        except ValueError as exc:
+            raise ValueError(f"{args.reference}: {exc}") from None
     print(json.dumps(metrics_mod.summarize(matrix, reference), indent=2))
     return 0
 

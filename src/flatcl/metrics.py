@@ -30,6 +30,23 @@ def _check_matrix(matrix):
     return matrix
 
 
+def _check_reference(reference, tasks: int):
+    """The joint reference's accuracies as float64, after a one-line
+    ValueError for a reference that does not hold one number per task or
+    holds one that is NaN or outside [0, 1], inf included."""
+    try:
+        reference = np.asarray(reference, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError("reference accuracies must be a list of numbers") from None
+    if reference.shape != (tasks,):
+        raise ValueError(f"reference must cover every task: {tasks} accuracies, "
+                         f"got shape {reference.shape}")
+    for k, value in enumerate(reference.tolist()):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"reference accuracy [{k}] is {value!r}, outside [0, 1]")
+    return reference
+
+
 def avg_accuracy_after_last(matrix) -> float:
     """Mean accuracy over all tasks after training on the last one."""
     matrix = _check_matrix(matrix)
@@ -43,9 +60,7 @@ def intransigence(matrix, reference):
     reference on that task.
     """
     matrix = _check_matrix(matrix)
-    reference = np.asarray(reference, dtype=np.float64)
-    if reference.shape[0] != matrix.shape[0]:
-        raise ValueError("reference must cover every task")
+    reference = _check_reference(reference, matrix.shape[0])
     per_task = reference - np.diag(matrix)
     return per_task, float(per_task.mean())
 

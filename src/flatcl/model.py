@@ -69,6 +69,32 @@ class MultiHeadClassifier:
 
     def __init__(self, seed: int, input_dim: int, hidden_dims: list[int],
                  per_task_classes: list[int], activation: str = "tanh"):
+        self._lay_out(seed, input_dim, hidden_dims, per_task_classes, activation)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        for i in range(len(self.hidden_dims)):
+            w = self._params[f"enc{i}.W"]
+            w[...] = _kaiming_uniform(rng, w.shape[0], w.shape)
+        for t, classes in enumerate(self.head_classes):
+            for name, value in self._new_head(t, classes):
+                self._params[name] = value
+
+    @classmethod
+    def from_weights(cls, theta, seed: int, input_dim: int, hidden_dims: list[int],
+                     per_task_classes: list[int], activation: str = "tanh"):
+        """The model `cls(seed, ...)` describes, holding a copy of the flat
+        weights `theta` in place of its initial ones, which are not drawn:
+        what a checkpoint load and `clone` build."""
+        model = cls.__new__(cls)
+        model._lay_out(seed, input_dim, hidden_dims, per_task_classes, activation)
+        if np.shape(theta) != model.theta.shape:
+            raise ValueError(f"weights of shape {np.shape(theta)} do not fit a model "
+                             f"of {model.theta.size} weights")
+        np.copyto(model.theta, theta)
+        return model
+
+    def _lay_out(self, seed, input_dim, hidden_dims, per_task_classes, activation):
+        """Check and keep the model's description, and bind zero weights
+        laid out for it."""
         if input_dim < 1 or any(d < 1 for d in hidden_dims):
             raise ValueError("all dims must be >= 1")
         if len(per_task_classes) < 1 or any(c < 1 for c in per_task_classes):
@@ -79,17 +105,14 @@ class MultiHeadClassifier:
         self.input_dim = input_dim
         self.hidden_dims = list(hidden_dims)
         self.activation = activation
-        rng = np.random.Generator(np.random.PCG64(seed))
-        layers = []
-        prev = input_dim
-        for i, width in enumerate(hidden_dims):
-            layers.append((f"enc{i}.W", _kaiming_uniform(rng, prev, (prev, width))))
-            layers.append((f"enc{i}.b", np.zeros(width)))
-            prev = width
-        for t, classes in enumerate(per_task_classes):
-            layers.extend(self._new_head(t, classes))
         self.head_classes = list(per_task_classes)
-        self._bind(ParameterSet(layers))
+        dims = [input_dim, *self.hidden_dims]
+        blocks = []
+        for i, width in enumerate(self.hidden_dims):
+            blocks += [(f"enc{i}.W", (dims[i], width)), (f"enc{i}.b", (width,))]
+        for t, classes in enumerate(self.head_classes):
+            blocks += [(f"head{t}.W", (self.encoder_dim, classes)), (f"head{t}.b", (classes,))]
+        self._bind(ParameterSet((name, np.zeros(shape)) for name, shape in blocks))
 
     def _bind(self, params: ParameterSet):
         """Adopt `params` (encoder, then heads in task order, each layer a
@@ -170,9 +193,12 @@ class MultiHeadClassifier:
             raise ValueError(f"labels out of range [0, {classes}) for task {task_id}")
         return features, labels
 
-    def _forward(self, features, task_id):
-        """(layer inputs [x, h1, ..., hL], logits) for one head."""
-        plan = self._plans[task_id]
+    def _forward(self, features, plan):
+        """(layer inputs [x, h1, ..., hL], logits) through `plan`: a head's
+        plan, or one whose (W, b) blocks are stacks over k weight vectors,
+        (k, rows, cols) and (k, 1, cols), which gives every layer after the
+        input a leading axis of k.  Each matmul broadcasts over the stack
+        and runs per stack entry the product the unstacked plan runs."""
         h = features
         acts = [h]
         for w, b, _, _ in plan[:-1]:
@@ -185,9 +211,9 @@ class MultiHeadClassifier:
         logits += b
         return acts, logits
 
-    def _log_probs(self, features, task_id):
-        """(layer inputs, log-softmax of the logits)."""
-        acts, z = self._forward(features, task_id)
+    def _log_probs(self, features, plan):
+        """(layer inputs, log-softmax of the logits) through `plan`."""
+        acts, z = self._forward(features, plan)
         # in place; the reductions are the ones `.max` and `.sum` call
         z -= np.maximum.reduce(z, axis=-1, keepdims=True)
         lse = np.add.reduce(np.exp(z), axis=-1, keepdims=True)
@@ -229,18 +255,22 @@ class MultiHeadClassifier:
         return (1.0 - h * h) if self.activation == "tanh" else (h > 0.0)
 
     @staticmethod
-    def _nll(logp, labels) -> float:
-        """Mean negative log-probability of the labels: `.mean()`'s sum and divide."""
-        return float(-(np.add.reduce(logp[np.arange(labels.size), labels]) / labels.size))
+    def _nll(logp, labels):
+        """Mean negative log-probability of the labels over the last two
+        axes of `logp`: `.mean()`'s sum and divide.  The picks are made
+        C-contiguous first: a stack's picks come out column-major, and a
+        sum along a strided axis adds in another order."""
+        picked = np.ascontiguousarray(logp[..., np.arange(labels.size), labels])
+        return -(np.add.reduce(picked, axis=-1) / labels.size)
 
     def _loss_gradient_into(self, features, labels, task_id, views) -> float:
         """Mean cross-entropy of the rows; its gradient goes into `views`,
         `_output_views(out, task_id)` of a flat vector `out` laid out like
         `theta`.  Every block of `out` that head `task_id` does not reach is
         left as it was."""
-        acts, logp = self._log_probs(features, task_id)
+        acts, logp = self._log_probs(features, self._plans[task_id])
         self._gradient_into(acts, logp, labels, task_id, views)
-        return self._nll(logp, labels)
+        return float(self._nll(logp, labels))
 
     def _gradient_into(self, acts, logp, labels, task_id, views):
         """The backward half of `_loss_gradient_into`, from `_log_probs`.
@@ -257,7 +287,18 @@ class MultiHeadClassifier:
         return self._task_loss(features, labels, batch.task_id)
 
     def _task_loss(self, features, labels, task_id) -> float:
-        return self._nll(self._log_probs(features, task_id)[1], labels)
+        return float(self._nll(self._log_probs(features, self._plans[task_id])[1], labels))
+
+    def _task_losses(self, features, labels, task_id, thetas) -> np.ndarray:
+        """`_task_loss` at each row of `thetas`, a (k, d) stack of weight
+        vectors laid out like `theta`, in one pass through a plan whose
+        blocks are views of the stack.  Each loss equals bit for bit the one
+        `_task_loss` gives with that row as the weights; `theta` is only
+        read through the layout."""
+        k = thetas.shape[0]
+        plan = [(thetas[:, w_sl].reshape(k, *w.shape), thetas[:, None, b_sl], w_sl, b_sl)
+                for w, _, w_sl, b_sl in self._plans[task_id]]
+        return self._nll(self._log_probs(features, plan)[1], labels)
 
     def loss_gradient(self, batch: Batch):
         """(loss value, gradient ParameterSet) for mean cross-entropy, in a
@@ -291,7 +332,7 @@ class MultiHeadClassifier:
         """
         features, labels = self._check_rows(features, labels, task_id)
         plan = self._plans[task_id]
-        acts, logp = self._log_probs(features, task_id)
+        acts, logp = self._log_probs(features, plan)
         deltas, _ = self._adjoints(plan, acts, self._output_adjoint(np.exp(logp), labels, 1.0))
         sums = np.zeros(self.theta.size)
         views = self._output_views(sums, task_id)
@@ -312,13 +353,15 @@ class MultiHeadClassifier:
         weights and the rows (the layer inputs, the softmax, the backward
         adjoints, the activation derivatives) is computed here, once.  The
         returned operator maps a flat `v` to a fresh flat H v and runs only
-        the R-forward and R-backward passes, reading `v` and writing H v
-        through their `_output_views`; it is valid while the weights do not
-        move.  Relu kinks contribute no curvature.
+        the R-forward and R-backward passes, reading `v` through its
+        `_output_views` and writing H v through those of one output buffer
+        bound here with the transposes the passes read; each apply returns
+        a copy of that buffer.  It is valid while the weights do not move.
+        Relu kinks contribute no curvature.
         """
         plan = self._plans[task_id]
         tanh = self.activation == "tanh"
-        acts, logp = self._log_probs(features, task_id)
+        acts, logp = self._log_probs(features, plan)
         n = labels.shape[0]
         p = np.exp(logp)
         # For k >= 1 layer k reads the hidden output acts[k]: slope[k] is the
@@ -329,9 +372,12 @@ class MultiHeadClassifier:
         adjoint, d_h = self._adjoints(plan, acts, self._output_adjoint(p.copy(), labels, 1.0 / n))
         curvature = ([None] + [2.0 * d * h for d, h in zip(d_h[1:], acts[1:])]
                      if tanh else None)
+        weights_t, acts_t = [w.T for w, _, _, _ in plan], [h.T for h in acts]
+        # every block of the head is overwritten by each apply; the others stay 0
+        out = np.zeros(self.theta.size)
+        out_views = self._output_views(out, task_id)
 
         def hvp(v: np.ndarray) -> np.ndarray:
-            out = np.zeros(self.theta.size)
             v_views = self._output_views(v, task_id)
             r_acts = [None]  # R{input} of each layer; R{x} = 0
             for k, (v_w, v_b) in enumerate(v_views):
@@ -339,25 +385,25 @@ class MultiHeadClassifier:
                 r_out += v_b
                 if k + 1 < len(plan):
                     r_acts.append(r_out * slope[k + 1])
-            r_delta = p * (r_out - (p * r_out).sum(axis=1, keepdims=True)) / n
-            out_views = self._output_views(out, task_id)
+            # np.add.reduce is the reduction `.sum` and `np.sum` call
+            r_delta = p * (r_out - np.add.reduce(p * r_out, axis=1, keepdims=True)) / n
             for k in range(len(plan) - 1, -1, -1):
-                (out_w, out_b), (v_w, _) = out_views[k], v_views[k]
-                np.matmul(acts[k].T, r_delta, out=out_w)
-                np.sum(r_delta, axis=0, out=out_b)
+                out_w, out_b = out_views[k]
+                np.matmul(acts_t[k], r_delta, out=out_w)
+                np.add.reduce(r_delta, axis=0, out=out_b)
                 if k == 0:
                     break
                 out_w += r_acts[k].T @ adjoint[k]
-                r_delta = (r_delta @ plan[k][0].T + adjoint[k] @ v_w.T) * slope[k]
+                r_delta = (r_delta @ weights_t[k] + adjoint[k] @ v_views[k][0].T) * slope[k]
                 if tanh:
                     r_delta -= curvature[k] * r_acts[k]
-            return out
+            return out.copy()
 
         return hvp
 
     def logits(self, features, task_id: int) -> np.ndarray:
         features, _ = self._check_rows(features, None, task_id)
-        return self._forward(features, task_id)[1]
+        return self._forward(features, self._plans[task_id])[1]
 
     def predict(self, features, task_id: int) -> np.ndarray:
         """Argmax class ids; ties broken by lowest class index."""
@@ -368,7 +414,6 @@ class MultiHeadClassifier:
         return float(np.mean(pred == np.asarray(labels)))
 
     def clone(self) -> "MultiHeadClassifier":
-        other = MultiHeadClassifier(self.init_seed, self.input_dim, self.hidden_dims,
-                                    self.head_classes, activation=self.activation)
-        np.copyto(other.theta, self.theta)
-        return other
+        return MultiHeadClassifier.from_weights(self.theta, self.init_seed, self.input_dim,
+                                                self.hidden_dims, self.head_classes,
+                                                self.activation)

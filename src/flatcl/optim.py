@@ -198,7 +198,7 @@ def _create_gradient_into(model, features, labels, task_id, rho, w, out, views,
     # and, when the rows' head lies past w (the current task's does), the
     # head's blocks, which the pass at w + eps writes
     _, _, _, head_b = model._plans[task_id][-1]
-    model._gradient_into(*model._log_probs(features, task_id), labels, task_id,
+    model._gradient_into(*model._log_probs(features, model._plans[task_id]), labels, task_id,
                          views[:-1] if head_b.stop > w.size else views)
     _epsilon(w, out[:w.size], rho, out=eps)
     np.copyto(saved, w)

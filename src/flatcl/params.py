@@ -15,6 +15,9 @@ their coordinates the slice `flat[:k]` that `prefix` returns.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 
@@ -25,7 +28,7 @@ class _Layout:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate parameter names in {names}")
         self.names, self.shapes = list(names), list(shapes)
-        self.offsets = np.cumsum([0] + [int(np.prod(s)) for s in shapes]).tolist()
+        self.offsets = list(itertools.accumulate(map(math.prod, self.shapes), initial=0))
         self.index = {n: i for i, n in enumerate(self.names)}
 
 

@@ -5,12 +5,13 @@ approximation rho * ||grad||, the additive decomposition of the perturbed
 loss, the Fisher trace identity, and a largest-Hessian-eigenvalue estimate
 via Lanczos on exact Hessian-vector products.
 
-Every probe perturbs weights through a save/restore window and leaves them
-bitwise unchanged.
+No probe writes the weights: a perturbed loss is scored at a stack of
+perturbed weight vectors, and the Hessian operator reads the weights.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,21 +24,25 @@ from .params import ParameterSet
 class Objective:
     """Scalar objective over a live ParameterSet.
 
-    Probes mutate `params` in place (and restore them), so `value` and
-    `gradient` must read the current array contents on every call.
-    `bind_hvp` binds the Hessian at the current weights: it returns an
-    operator from a flat v to a fresh flat H v that is valid while the
+    `values` scores the objective at each row of a (k, d) stack of weight
+    vectors laid out like `params.flat`, in one call; `value` is `values`
+    at the current weights.  `gradient` reads the current weights on every
+    call.  `bind_hvp` binds the Hessian at the current weights: it returns
+    an operator from a flat v to a fresh flat H v that is valid while the
     weights do not move, so a Lanczos run binds once and applies many times.
     """
 
-    def __init__(self, params: ParameterSet, value_fn, gradient_fn, bind_hvp_fn):
+    def __init__(self, params: ParameterSet, values_fn, gradient_fn, bind_hvp_fn):
         self.params = params
-        self._value_fn = value_fn
+        self._values_fn = values_fn
         self._gradient_fn = gradient_fn
         self._bind_hvp_fn = bind_hvp_fn
 
+    def values(self, thetas: np.ndarray) -> np.ndarray:
+        return self._values_fn(thetas)
+
     def value(self) -> float:
-        return float(self._value_fn(self.params))
+        return float(self.values(self.params.flat[None])[0])
 
     def gradient(self) -> ParameterSet:
         return self._gradient_fn(self.params)
@@ -53,7 +58,7 @@ def model_objective(model: MultiHeadClassifier, batch: Batch) -> Objective:
     task_id = batch.task_id
     return Objective(
         model.parameters(),
-        lambda _: model._task_loss(features, labels, task_id),
+        lambda thetas: model._task_losses(features, labels, task_id, thetas),
         lambda _: model._loss_gradient(features, labels, task_id)[1],
         lambda: model._hvp_operator(features, labels, task_id),
     )
@@ -65,24 +70,19 @@ def quadratic_objective(matrix, w0) -> Objective:
     params = ParameterSet({"w": np.asarray(w0, dtype=np.float64)})
     return Objective(
         params,
-        lambda p: 0.5 * float(p["w"] @ matrix @ p["w"]),
+        lambda thetas: np.array([0.5 * float(w @ matrix @ w) for w in thetas]),
         lambda p: ParameterSet({"w": matrix @ p["w"]}),
         lambda: lambda v: matrix @ v,
     )
 
 
-def _perturbed_value(obj: Objective, direction: np.ndarray) -> float:
-    """L(w + direction) for a flat direction; the weights are restored."""
-    w = obj.params.flat
-    saved = w.copy()
-    try:
-        w += direction
-        val = obj.value()
-    finally:
-        np.copyto(w, saved)
-    if not np.isfinite(val):
+def _perturbed_values(obj: Objective, directions: np.ndarray) -> np.ndarray:
+    """L(w + e) for each row e of a (k, d) stack of flat directions, scored
+    in one call; the weights are read, not written."""
+    vals = obj.values(obj.params.flat + directions)
+    if not np.isfinite(vals).all():
         raise FloatingPointError("non-finite loss at perturbed point")
-    return val
+    return vals
 
 
 def ball_sharpness(obj: Objective, rho: float, n_directions: int, seed: int) -> float:
@@ -93,14 +93,16 @@ def ball_sharpness(obj: Objective, rho: float, n_directions: int, seed: int) -> 
         raise ValueError("n_directions must be >= 1")
     base = obj.value()
     rng = np.random.Generator(np.random.PCG64(seed))
-    directions = [obj.gradient().flat]
-    directions += [rng.normal(size=obj.params.total_size()) for _ in range(n_directions)]
-    # each direction scaled onto the rho-sphere; a zero one is skipped
-    directions = [d * (rho / np.sqrt(d @ d)) for d in directions if d @ d > 0]
-    best = 0.0 if not directions else -np.inf
-    for d in directions:
-        best = max(best, _perturbed_value(obj, d) - base)
-    return float(best)
+    directions = np.vstack([obj.gradient().flat,
+                            rng.normal(size=(n_directions, obj.params.total_size()))])
+    # each direction scaled onto the rho-sphere; a zero one is skipped.  The
+    # stacked matmul takes each row's d @ d with the product `d @ d` runs.
+    sq = np.matmul(directions[:, None, :], directions[:, :, None])[:, 0, 0]
+    keep = sq > 0
+    if not keep.any():
+        return 0.0
+    directions = directions[keep] * (rho / np.sqrt(sq[keep]))[:, None]
+    return float(np.max(_perturbed_values(obj, directions) - base))
 
 
 def first_order_sharpness(obj: Objective, rho: float) -> float:
@@ -119,7 +121,7 @@ def create_decomposition_check(obj: Objective, rho: float):
     base = obj.value()
     grads = obj.gradient()
     eps = compute_perturbation(obj.params, grads, rho).epsilon_hat
-    perturbed = _perturbed_value(obj, eps.flat)
+    perturbed = float(_perturbed_values(obj, eps.flat[None])[0])
     return perturbed, perturbed - base, base
 
 
@@ -192,7 +194,7 @@ def lanczos_lambda_max(obj: Objective, iters: int = 30, seed: int = 0) -> Lanczo
             w -= betas[-1] * basis[j - 1]
         done = basis[:j + 1]
         w -= done.T @ (done @ w)  # full reorthogonalization
-        beta = float(np.sqrt(w @ w))
+        beta = math.sqrt(w @ w)
         if j + 1 == iters:
             break
         if beta < 1e-12:

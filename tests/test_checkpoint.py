@@ -34,9 +34,12 @@ def test_model_round_trip_bitwise(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded.config_hash == "abc" and loaded.seed == 17
     assert loaded.model.hidden_dims == [5, 4]
-    for n in model.parameters():
-        assert np.array_equal(loaded.model.parameters()[n],
-                              model.parameters()[n])
+    assert loaded.model.parameters().names() == model.parameters().names()
+    assert loaded.model.theta.tobytes() == model.theta.tobytes()
+    # a head added after the load is the one the saved model would get
+    for m in (model, loaded.model):
+        m.add_task_head(4)
+    assert loaded.model.theta.tobytes() == model.theta.tobytes()
 
 
 def test_full_state_round_trip(tmp_path):

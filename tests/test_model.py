@@ -225,6 +225,35 @@ def test_bound_hvp_operator_equals_loss_hvp_bitwise(activation, hidden, n_rows):
             assert hv.tobytes() == ref.flat.tobytes()
             assert not np.shares_memory(hv, ref.flat)
         assert not np.shares_memory(products[0], products[1])
+        # the bound output buffer is copied out: a repeat is equal, not shared
+        again = op(directions[0])
+        assert again is not products[0] and not np.shares_memory(again, products[0])
+        assert again.tobytes() == products[0].tobytes()
+
+
+@pytest.mark.parametrize("n_rows", [1, 7, 60])
+@pytest.mark.parametrize("activation,hidden", [("tanh", ()), ("tanh", (5,)),
+                                               ("tanh", (4, 3)), ("relu", ()),
+                                               ("relu", (5,)), ("relu", (4, 3))])
+def test_stacked_losses_equal_task_loss_bitwise(activation, hidden, n_rows):
+    """`_task_losses` over a stack of weight vectors gives, at each row, the
+    bits `_task_loss` gives with that row as the weights, on every head,
+    for a stack of one row too; the model's own weights are not written."""
+    m = random_mlp(70, hidden=hidden, classes=(3, 2, 4), activation=activation)
+    rng = np.random.default_rng(71)
+    thetas = m.theta + rng.normal(scale=0.5, size=(17, m.theta.size))
+    twin = m.clone()
+    m.theta.flags.writeable = False
+    for task_id in range(3):
+        batch = random_batch(72 + task_id, m, n=n_rows, task_id=task_id)
+        x, y = m._check_rows(batch.features, batch.labels, task_id)
+        want = []
+        for row in thetas:
+            np.copyto(twin.theta, row)
+            want.append(twin._task_loss(x, y, task_id))
+        assert m._task_losses(x, y, task_id, thetas).tobytes() == np.array(want).tobytes()
+        one = m._task_losses(x, y, task_id, m.theta[None])
+        assert one.shape == (1,) and one[0] == m._task_loss(x, y, task_id)
 
 
 def test_one_layout_model_equals_head_by_head():
@@ -276,6 +305,18 @@ def test_clone_is_an_equal_independent_model():
     c.parameters()["enc0.W"][...] = 0.0
     c.add_task_head(4)
     assert m.theta.tobytes() == ours.tobytes() and m.head_classes == [3, 2]
+    # the clone's new head is the one a freshly built model gets
+    fresh = MultiHeadClassifier(60, 4, [5, 3], [3, 2, 4], activation="relu")
+    assert c.parameters()["head2.W"].tobytes() == fresh.parameters()["head2.W"].tobytes()
+
+
+def test_from_weights_refuses_weights_of_another_size():
+    """A stored weight vector must fit the described layout exactly; one
+    value is not broadcast over every weight."""
+    for theta in (np.zeros(1), np.zeros(50), np.zeros((1, 51))):
+        with pytest.raises(ValueError, match="do not fit a model of 51 weights"):
+            MultiHeadClassifier.from_weights(theta, 1, 4, [6], [3])
+    assert MultiHeadClassifier.from_weights(np.ones(51), 1, 4, [6], [3]).theta.sum() == 51
 
 
 def test_loss_hvp_refuses_misaligned_direction():

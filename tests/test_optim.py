@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -287,6 +288,25 @@ def test_soft_penalty_rejects_negative_importance():
             soft_penalty(ParameterSet({"w": [2.0]}), region, imp)
 
 
+def test_dead_relu_unit_trains_inside_its_region():
+    """A relu unit that never fires gets exactly zero Fisher importance.
+    The next task's region accepts those zeros (importance must be >= 0,
+    not > 0) and trains; the unit's weights stay where they were."""
+    model = MultiHeadClassifier(5, 4, [6], [3], activation="relu")
+    model.parameters()["enc0.W"][:, 2] = 0.0
+    model.parameters()["enc0.b"][2] = -1.0  # pre-activation -1 on every row
+    cfg = _config(variant=VariantFlags(create=True, find=True, clamp=True, l2=True))
+    seen = []
+    train_continual(model, _tiny_stream(60, n_tasks=2), cfg, seed=3, epochs=1,
+                    checkpoint_fn=lambda t, importance, **_: seen.append(importance.values))
+    params = model.parameters()  # task 0's importance is a prefix of its layout
+    dead = {name: seen[0][params.slice_of(name)].reshape(params[name].shape)
+            for name in ("enc0.W", "enc0.b", "head0.W")}
+    assert np.all(dead["enc0.W"][:, 2] == 0.0) and dead["enc0.b"][2] == 0.0
+    assert np.all(dead["head0.W"][2] == 0.0) and np.all(seen[1] >= 0)
+    assert np.all(params["enc0.W"][:, 2] == 0.0) and params["enc0.b"][2] < 0.0
+
+
 def test_clamp_inside_region_unchanged():
     params = ParameterSet({"w": [1.9, 2.1]})
     assert clamp_to_region(params, _region([2.0, 2.0], 0.5)) == 0
@@ -393,10 +413,18 @@ def test_optimizer_config_refuses_out_of_range_settings():
                        ("lam", -1.0), ("rho", -0.5), ("gamma", 1.5),
                        ("sparse_update_ratio", 0.0), ("batch_size", "8"),
                        ("learning_rate", float("inf")), ("weight_decay", float("inf")),
-                       ("lam", float("inf")), ("rho", float("inf")), ("lam", 10 ** 400)):
+                       ("lam", float("inf")), ("rho", float("inf")), ("lam", 10 ** 400),
+                       ("learning_rate", 0.0), ("gamma", math.nextafter(1.0, 2.0))):
         with pytest.raises(ValueError, match=f"optimizer {key} must be") as info:
             OptimizerConfig(**{key: value})
         assert "\n" not in str(info.value)
+
+
+def test_optimizer_config_accepts_range_ends():
+    """The closed ends of the ranges: a zero penalty, no or full importance
+    decay, and storing every row."""
+    for key, value in (("lam", 0.0), ("gamma", 0.0), ("gamma", 1.0), ("store_ratio", 1.0)):
+        assert getattr(OptimizerConfig(**{key: value}), key) == value
 
 
 @pytest.mark.parametrize("key", ["batch_size", "fisher_sample_count",
@@ -549,12 +577,22 @@ def test_multitask_matches_hand_written_joint_schedule():
     in task order, then the tasks' minibatches round-robin (the shorter task
     drops out when it runs out), plain SGD, and the best pooled-validation
     snapshot restored at the end."""
+    _check_joint_schedule(short_rows=45)
+
+
+def test_multitask_schedule_short_task_of_whole_batches():
+    """The shorter task holds a multiple of the batch size: it drops out
+    exactly when its rows run out, with no empty minibatch after its last."""
+    _check_joint_schedule(short_rows=40)
+
+
+def _check_joint_schedule(short_rows):
     stream = _tiny_stream(58, n_tasks=2)
     short = stream[1]
     train = short.splits["train"]
     stream = TaskStream([stream[0], dataclasses.replace(short, splits={
-        "train": train[:45], "val": short.splits["val"],
-        "test": np.concatenate([short.splits["test"], train[45:]])})])
+        "train": train[:short_rows], "val": short.splits["val"],
+        "test": np.concatenate([short.splits["test"], train[short_rows:]])})])
     cfg = _config(base_optimizer="sgd", weight_decay=0.0, learning_rate=0.3)
     model = MultiHeadClassifier(13, 4, [6], [3, 3])
     twin = model.clone()
@@ -579,7 +617,7 @@ def test_multitask_matches_hand_written_joint_schedule():
             perm = rng.permutation(len(y))
             chunks.append([perm[s:s + cfg.batch_size]
                            for s in range(0, len(y), cfg.batch_size)])
-        assert [len(c) for c in chunks] == [9, 6]
+        assert [len(c) for c in chunks] == [9, -(-short_rows // cfg.batch_size)]
         for i in range(9):
             for t, (x, y) in enumerate(data):
                 if i >= len(chunks[t]):

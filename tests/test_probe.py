@@ -53,6 +53,35 @@ def test_ball_sharpness_restores_weights_bitwise():
         assert np.array_equal(model.parameters()[n], before[n])
 
 
+def test_probes_do_not_write_the_weights():
+    """Ball sharpness and the decomposition run on read-only weights: the
+    perturbed losses are scored at a stack of weight vectors."""
+    model = random_mlp(22, hidden=(5, 4), classes=(3, 2))
+    batch = random_batch(23, model, n=9, task_id=1)
+    model.theta.flags.writeable = False
+    obj = model_objective(model, batch)
+    assert ball_sharpness(obj, 0.3, 6, seed=2) > 0
+    perturbed, excess, base = create_decomposition_check(obj, 0.3)
+    assert perturbed == excess + base and excess > 0
+
+
+def test_ball_sharpness_equals_one_direction_at_a_time_bitwise():
+    """The reference: draw each direction alone, scale it onto the sphere,
+    and score the loss with the scaled direction added to a copy of the
+    weights.  Ball sharpness gives those bits."""
+    model = random_mlp(24, hidden=(5,), classes=(3,), activation="relu")
+    batch = random_batch(25, model, n=7)
+    obj = model_objective(model, batch)
+    rng = np.random.Generator(np.random.PCG64(3))
+    directions = [obj.gradient().flat] + [rng.normal(size=model.theta.size)
+                                          for _ in range(8)]
+    twin, base, best = model.clone(), model.task_loss(batch), -np.inf
+    for d in directions:
+        np.copyto(twin.theta, model.theta + d * (0.2 / np.sqrt(d @ d)))
+        best = max(best, twin.task_loss(batch) - base)
+    assert ball_sharpness(obj, 0.2, 8, seed=3) == best
+
+
 def test_ball_sharpness_rejects_zero_directions():
     with pytest.raises(ValueError, match="n_directions"):
         ball_sharpness(_quad_1d(1.0, 1.0), 0.1, 0, seed=0)

@@ -591,6 +591,27 @@ def test_cli_metrics_with_reference(tmp_path, capsys):
     assert out["intransigence"] == pytest.approx((0.05 + 0.05) / 2)
 
 
+@pytest.mark.parametrize("reference,error", [
+    ("[1.9, NaN]", "reference accuracy [0] is 1.9, outside [0, 1]"),
+    ("[0.5, NaN]", "reference accuracy [1] is nan, outside [0, 1]"),
+    ("[0.5, -Infinity]", "reference accuracy [1] is -inf, outside [0, 1]"),
+    ("[0.5]", "reference must cover every task: 2 accuracies, got shape (1,)"),
+    ('[0.5, "a"]', "reference accuracies must be a list of numbers"),
+], ids=["above-one", "nan", "inf", "short", "not-a-number"])
+def test_cli_metrics_refuses_bad_reference(tmp_path, capsys, reference, error):
+    """A reference accuracy that is not a number in [0, 1] is refused with a
+    one-line error naming the file and the index, not printed as a NaN
+    intransigence, which is not valid JSON."""
+    ref = tmp_path / "ref.json"
+    ref.write_text('{"reference_accuracies": %s}' % reference)
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, np.array([[0.9, np.nan], [0.7, 0.8]]))
+    assert main(["metrics", "--matrix", str(path), "--reference", str(ref)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ValueError: {ref}: {error}\n"
+
+
 def test_cli_metrics_refuses_reference_without_accuracies(tmp_path, capsys):
     out = str(tmp_path / "cf")
     run_single_seed(small_cfg(), "cf", 1, out)
