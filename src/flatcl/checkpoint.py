@@ -145,37 +145,36 @@ def load_checkpoint(path) -> Checkpoint:
     if manifest.get("sha256") != _digest(manifest, payload):
         raise ValueError(f"{path}: checksum mismatch (payload length {len(payload)}); "
                          "the checkpoint is truncated or corrupt")
-    arrays = {}
-    offset = 0
-    for b in manifest["blocks"]:
-        n = b["bytes"]
-        arrays[b["name"]] = np.frombuffer(payload[offset:offset + n], dtype="<f8").astype(
-            np.float64).reshape(b["shape"])
-        offset += n
-
-    minfo = manifest["model"]
-    model = MultiHeadClassifier.from_weights(arrays["param"], minfo["init_seed"],
-                                             minfo["input_dim"], minfo["hidden_dims"],
-                                             minfo["head_classes"], minfo["activation"])
+    # an intact manifest may still describe its data wrongly, or not at all
+    try:
+        arrays, offset = {}, 0
+        for b in manifest["blocks"]:
+            raw, offset = payload[offset:offset + b["bytes"]], offset + b["bytes"]
+            arrays[b["name"]] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(b["shape"])
+        minfo = manifest["model"]
+        model = MultiHeadClassifier.from_weights(arrays["param"], minfo["init_seed"],
+                                                 minfo["input_dim"], minfo["hidden_dims"],
+                                                 minfo["head_classes"], minfo["activation"])
+        buffer = None
+        if (r := manifest["replay"]) is not None:  # earlier v3 files also hold replay settings; unread
+            buffer = ReplayBuffer()
+            buffer.features = arrays["replay_features"]
+            buffer.labels = np.array(r["labels"], dtype=np.int64)
+            buffer.task_ids = np.array(r["task_ids"], dtype=np.int64)
+        fields = {k: manifest[k] for k in ("config_hash", "rng_state", "next_task")}
+        if (probe_values := manifest.get("probe_values")) is not None:
+            fields["probe_values"] = json.loads(probe_values)
+    except KeyError as e:
+        raise ValueError(f"{path}: manifest has no {e} entry or block") from None
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: manifest does not describe its data: {e}") from None
     importance = arrays.get("importance")
-    probe_values = manifest.get("probe_values")
-
-    buffer = None
-    if (r := manifest["replay"]) is not None:  # earlier v3 files also hold replay settings; unread
-        buffer = ReplayBuffer()
-        buffer.features = arrays["replay_features"]
-        buffer.labels = np.array(r["labels"], dtype=np.int64)
-        buffer.task_ids = np.array(r["task_ids"], dtype=np.int64)
-
     return Checkpoint(
         model=model,
-        config_hash=manifest["config_hash"],
         seed=manifest.get("seed"),  # files written before these keys have none
         variant=manifest.get("variant"),
-        rng_state=manifest["rng_state"],
-        next_task=manifest["next_task"],
         importance=None if importance is None else ImportanceMap(importance),
         matrix_rows=arrays.get("matrix"),
-        probe_values=None if probe_values is None else json.loads(probe_values),
         replay_buffer=buffer,
+        **fields,
     )

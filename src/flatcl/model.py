@@ -38,23 +38,22 @@ class MultiHeadClassifier:
     Every weight lives in one contiguous float64 buffer, `theta`, laid out as
     enc0.W, enc0.b, ..., head0.W, head0.b, head1.W, ... (each W row-major).
     `parameters()` lays those names over it, so a hand-written batched
-    forward/backward reads the current weights on every call and
-    perturb/restore is in-place mutation of `theta`.
+    forward/backward reads the current weights on every call.
     The constructor lays out all of its heads in one buffer at once;
     `add_task_head` reallocates the buffer and appends the new head at the
     end, leaving the offsets of all earlier weights unchanged; the weights
     constrained while training a task are therefore a prefix of `theta`.
 
-    `_bind` builds one layer plan per head, the model's only map of its
-    blocks: for each layer from the input up, `(W, b, W slice, b slice)`,
-    the `(W, b)` views of `theta` and the slices where those blocks lie in
-    any vector laid out like it.  The kernels walk that plan, so a step
-    builds no names and looks up no layers.  The gradient kernel writes
-    into `_output_views` of a flat buffer, the plan's blocks as 2-D views,
-    which a caller binds once per buffer and head.  The public methods
-    check their inputs and then call the unchecked kernel; the training
-    loop checks each task's rows once, binds the views of the buffers it
-    owns once per task and calls the kernel directly.
+    One method, `_plan(vec, task_id)`, lays a head's blocks over any vector
+    laid out like `theta`, or a stack of them.  `_bind` keeps each head's
+    plan over `theta`; plans over other vectors are what the gradient
+    kernel writes, the Hessian operator reads directions from and the
+    create step and the probes read perturbed weights from.  The kernels
+    take a plan, not a task id, so no pass writes `theta`: only the
+    constructors, `set_parameters` and the training loop's step, clamp and
+    best-snapshot restore do.  The public methods check their inputs and then call the
+    unchecked kernel; the training loop checks each task's rows once, binds
+    the plans of the buffers it owns once per task and calls the kernel.
 
     The gradient, the per-sample Fisher pass and the Hessian bind share one
     output-layer adjoint, `_output_adjoint`, and one backward pass,
@@ -120,10 +119,24 @@ class MultiHeadClassifier:
         self._params = params
         self.theta = params.flat
         names = params.names()
-        layers = [(params[w], params[b], params.slice_of(w), params.slice_of(b))
+        layers = [(params.slice_of(w), params[w].shape, params.slice_of(b))
                   for w, b in zip(names[0::2], names[1::2])]
         depth = len(self.hidden_dims)
-        self._plans = [layers[:depth] + [head] for head in layers[depth:]]
+        self._layers = [layers[:depth] + [head] for head in layers[depth:]]
+        self._plans = [self._plan(self.theta, t) for t in range(len(self._layers))]
+
+    def _plan(self, vec, task_id):
+        """Head `task_id`'s layers in `vec`, a flat vector laid out like
+        `theta` or a (k, d) stack of them: per layer from the input up,
+        `(W, b, W slice, b slice)`, the blocks as views shaped like the
+        weights ((k, rows, cols) and (k, 1, cols) for a stack) and the
+        slices where they lie in a flat vector."""
+        if vec.ndim == 1:
+            return [(vec[w_sl].reshape(shape), vec[b_sl], w_sl, b_sl)
+                    for w_sl, shape, b_sl in self._layers[task_id]]
+        k = vec.shape[0]
+        return [(vec[:, w_sl].reshape(k, *shape), vec[:, None, b_sl], w_sl, b_sl)
+                for w_sl, shape, b_sl in self._layers[task_id]]
 
     @property
     def encoder_dim(self) -> int:
@@ -231,13 +244,6 @@ class MultiHeadClassifier:
         p[np.arange(labels.shape[0]), labels] -= scale
         return p
 
-    def _output_views(self, out, task_id):
-        """Per layer of head `task_id`, the (W, b) blocks of flat `out` (laid
-        out like `theta`) as views shaped like the weights: what the
-        gradient kernel writes and the Hessian operator reads and writes."""
-        return [(out[w_sl].reshape(w.shape), out[b_sl])
-                for w, _, w_sl, b_sl in self._plans[task_id]]
-
     def _adjoints(self, plan, acts, delta):
         """The backward pass from `delta`, the adjoint of the last layer's
         output: (out, inp), where out[k] is the adjoint of layer k's affine
@@ -263,22 +269,22 @@ class MultiHeadClassifier:
         picked = np.ascontiguousarray(logp[..., np.arange(labels.size), labels])
         return -(np.add.reduce(picked, axis=-1) / labels.size)
 
-    def _loss_gradient_into(self, features, labels, task_id, views) -> float:
-        """Mean cross-entropy of the rows; its gradient goes into `views`,
-        `_output_views(out, task_id)` of a flat vector `out` laid out like
-        `theta`.  Every block of `out` that head `task_id` does not reach is
-        left as it was."""
-        acts, logp = self._log_probs(features, self._plans[task_id])
-        self._gradient_into(acts, logp, labels, task_id, views)
+    def _loss_gradient_into(self, features, labels, plan, views) -> float:
+        """Mean cross-entropy of the rows through the weights `plan`; its
+        gradient goes into `views`, the same head's plan over a flat vector
+        laid out like `theta`.  Every block of that vector the head does not
+        reach is left as it was."""
+        acts, logp = self._log_probs(features, plan)
+        self._gradient_into(acts, logp, labels, plan, views)
         return float(self._nll(logp, labels))
 
-    def _gradient_into(self, acts, logp, labels, task_id, views):
+    def _gradient_into(self, acts, logp, labels, plan, views):
         """The backward half of `_loss_gradient_into`, from `_log_probs`.
         `views` may stop short of the head: the layers past its end are
         not written."""
         d_out = self._output_adjoint(np.exp(logp), labels, 1.0 / labels.shape[0])
-        deltas, _ = self._adjoints(self._plans[task_id], acts, d_out)
-        for (out_w, out_b), h, delta in zip(views, acts, deltas):
+        deltas, _ = self._adjoints(plan, acts, d_out)
+        for (out_w, out_b, _, _), h, delta in zip(views, acts, deltas):
             np.matmul(h.T, delta, out=out_w)
             np.add.reduce(delta, axis=0, out=out_b)  # delta.sum(axis=0)
 
@@ -291,14 +297,10 @@ class MultiHeadClassifier:
 
     def _task_losses(self, features, labels, task_id, thetas) -> np.ndarray:
         """`_task_loss` at each row of `thetas`, a (k, d) stack of weight
-        vectors laid out like `theta`, in one pass through a plan whose
-        blocks are views of the stack.  Each loss equals bit for bit the one
-        `_task_loss` gives with that row as the weights; `theta` is only
-        read through the layout."""
-        k = thetas.shape[0]
-        plan = [(thetas[:, w_sl].reshape(k, *w.shape), thetas[:, None, b_sl], w_sl, b_sl)
-                for w, _, w_sl, b_sl in self._plans[task_id]]
-        return self._nll(self._log_probs(features, plan)[1], labels)
+        vectors laid out like `theta`, in one pass through the stack's plan.
+        Each loss equals bit for bit the one `_task_loss` gives with that
+        row as the weights; `theta` is not read."""
+        return self._nll(self._log_probs(features, self._plan(thetas, task_id))[1], labels)
 
     def loss_gradient(self, batch: Batch):
         """(loss value, gradient ParameterSet) for mean cross-entropy, in a
@@ -308,8 +310,8 @@ class MultiHeadClassifier:
 
     def _loss_gradient(self, features, labels, task_id):
         grads = self._params.zeros_like()
-        views = self._output_views(grads.flat, task_id)
-        return self._loss_gradient_into(features, labels, task_id, views), grads
+        views = self._plan(grads.flat, task_id)
+        return self._loss_gradient_into(features, labels, self._plans[task_id], views), grads
 
     def log_prob_gradient(self, features, label, task_id: int) -> ParameterSet:
         """Per-sample gradient of log p(true label | x; w).
@@ -335,10 +337,10 @@ class MultiHeadClassifier:
         acts, logp = self._log_probs(features, plan)
         deltas, _ = self._adjoints(plan, acts, self._output_adjoint(np.exp(logp), labels, 1.0))
         sums = np.zeros(self.theta.size)
-        views = self._output_views(sums, task_id)
+        views = self._plan(sums, task_id)
         sq_norms = np.zeros(labels.shape[0])
         for k in range(len(plan) - 1, -1, -1):  # top-down, the order of the sums
-            out_w, out_b = views[k]
+            out_w, out_b, _, _ = views[k]
             h2, d2 = acts[k] * acts[k], deltas[k] * deltas[k]
             np.matmul(h2.T, d2, out=out_w)
             np.sum(d2, axis=0, out=out_b)
@@ -354,9 +356,9 @@ class MultiHeadClassifier:
         adjoints, the activation derivatives) is computed here, once.  The
         returned operator maps a flat `v` to a fresh flat H v and runs only
         the R-forward and R-backward passes, reading `v` through its
-        `_output_views` and writing H v through those of one output buffer
-        bound here with the transposes the passes read; each apply returns
-        a copy of that buffer.  It is valid while the weights do not move.
+        `_plan` and writing H v through that of one output buffer bound
+        here with the transposes the passes read; each apply returns a copy
+        of that buffer.  It is valid while the weights do not move.
         Relu kinks contribute no curvature.
         """
         plan = self._plans[task_id]
@@ -375,12 +377,12 @@ class MultiHeadClassifier:
         weights_t, acts_t = [w.T for w, _, _, _ in plan], [h.T for h in acts]
         # every block of the head is overwritten by each apply; the others stay 0
         out = np.zeros(self.theta.size)
-        out_views = self._output_views(out, task_id)
+        out_views = self._plan(out, task_id)
 
         def hvp(v: np.ndarray) -> np.ndarray:
-            v_views = self._output_views(v, task_id)
+            v_views = self._plan(v, task_id)
             r_acts = [None]  # R{input} of each layer; R{x} = 0
-            for k, (v_w, v_b) in enumerate(v_views):
+            for k, (v_w, v_b, _, _) in enumerate(v_views):
                 r_out = r_acts[k] @ plan[k][0] + acts[k] @ v_w if k else acts[0] @ v_w
                 r_out += v_b
                 if k + 1 < len(plan):
@@ -388,7 +390,7 @@ class MultiHeadClassifier:
             # np.add.reduce is the reduction `.sum` and `np.sum` call
             r_delta = p * (r_out - np.add.reduce(p * r_out, axis=1, keepdims=True)) / n
             for k in range(len(plan) - 1, -1, -1):
-                out_w, out_b = out_views[k]
+                out_w, out_b, _, _ = out_views[k]
                 np.matmul(acts_t[k], r_delta, out=out_w)
                 np.add.reduce(r_delta, axis=0, out=out_b)
                 if k == 0:

@@ -171,46 +171,47 @@ def create_gradient(model: MultiHeadClassifier, batch: Batch, rho: float,
 
     Only `perturb_names` (default: all), a prefix of the layout, move.
     Returns (grads, loss_at_perturbed_point), the grads in a fresh set.
-    Weights are restored exactly by copying them back, not by subtracting
-    the perturbation.
+    The perturbed point is built in a scratch vector; the weights are
+    read, never written.
     """
     check_rho(rho)
     features, labels = model._check_rows(batch.features, batch.labels, batch.task_id)
     params = model.parameters()
-    w = params.flat if perturb_names is None else params.prefix(perturb_names)
+    n = params.total_size() if perturb_names is None else params.prefix(perturb_names).size
     grads = params.zeros_like()
-    views = model._output_views(grads.flat, batch.task_id)
-    loss = _create_gradient_into(model, features, labels, batch.task_id, rho, w,
-                                 grads.flat, views, np.empty_like(w), np.empty_like(w))
+    loss = _create_step(model, n, rho)(features, labels, batch.task_id, grads.flat,
+                                       model._plan(grads.flat, batch.task_id))
     return grads, loss
 
 
-def _create_gradient_into(model, features, labels, task_id, rho, w, out, views,
-                          eps, saved) -> float:
-    """The create step on checked rows: the gradient at w + eps goes into
-    flat `out` (zero outside the rows' head, as `_loss_gradient_into` needs)
-    through `views`, its `model._output_views`, and the loss there is
-    returned.  `w` is the perturbed prefix of `model.theta`; `eps` and
-    `saved` are scratch vectors of its size."""
-    if rho == 0.0:
-        return model._loss_gradient_into(features, labels, task_id, views)
-    # eps reads only the gradient over w, so the pass at w skips the loss
-    # and, when the rows' head lies past w (the current task's does), the
-    # head's blocks, which the pass at w + eps writes
-    _, _, _, head_b = model._plans[task_id][-1]
-    model._gradient_into(*model._log_probs(features, model._plans[task_id]), labels, task_id,
-                         views[:-1] if head_b.stop > w.size else views)
-    _epsilon(w, out[:w.size], rho, out=eps)
-    np.copyto(saved, w)
-    try:
-        w += eps
-        loss = model._loss_gradient_into(features, labels, task_id, views)
+def _create_step(model, n, rho):
+    """Bind the create step, which perturbs the first `n` weights, to one
+    scratch vector and its plan per head.  `step(features, labels, task_id,
+    out, views)` writes the gradient at w + eps of checked rows through
+    `views`, the plan of flat `out` (which must be zero outside the rows'
+    head), and returns the loss there, scored through the plans of the
+    scratch vector, which holds w + eps and the rest of `theta`."""
+    scratch = np.empty(model.theta.size)
+    plans = [model._plan(scratch, t) for t in range(len(model.head_classes))]
+    w, eps = model.theta[:n], scratch[:n]
+
+    def step(features, labels, task_id, out, views):
+        plan = model._plans[task_id]
+        if rho == 0.0:
+            return model._loss_gradient_into(features, labels, plan, views)
+        # eps reads only the gradient over w, so the pass at w skips the loss
+        # and, when the rows' head lies past w (the current task's does), the
+        # head's blocks, which the pass at w + eps writes
+        model._gradient_into(*model._log_probs(features, plan), labels, plan,
+                             views[:-1] if plan[-1][3].stop > n else views)
+        np.add(_epsilon(w, out[:n], rho, out=eps), w, out=eps)  # bitwise w + eps
+        np.copyto(scratch[n:], model.theta[n:])
+        loss = model._loss_gradient_into(features, labels, plans[task_id], views)
         if not math.isfinite(loss):
-            raise FloatingPointError(
-                f"non-finite loss at perturbed point (task {task_id})")
-    finally:
-        np.copyto(w, saved)
-    return loss
+            raise FloatingPointError(f"non-finite loss at perturbed point (task {task_id})")
+        return loss
+
+    return step
 
 
 def find_fisher(model: MultiHeadClassifier, features, labels, task_id: int,
@@ -323,10 +324,10 @@ class OptimizerState:
 
     It also owns the vectors a training step rewrites, so a step allocates
     none of them: `total`, the step's summed gradient, a set laid out like
-    the parameters; `grad`, one batch's flat gradient (each bound to the
-    kernel's output views once per head by `train_task`); `perturbation` and
-    `saved`, the create step's eps and saved weights; `penalty`, the anchor
-    penalty's gradient; and `tmp`, Adam's two temporaries.
+    the parameters; `grad`, one batch's flat gradient (`train_task` binds
+    each head's plan over both once); `penalty`, the anchor penalty's
+    gradient; and `tmp`, Adam's two temporaries.  The create step's
+    perturbed point lives in the scratch vector `_create_step` binds.
     """
 
     def __init__(self, params: ParameterSet):
@@ -335,7 +336,7 @@ class OptimizerState:
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self.total = params.zeros_like()
-        self.perturbation, self.saved, self.penalty, self.grad = np.empty((4, n))
+        self.penalty, self.grad = np.empty((2, n))
         self.tmp = np.empty((2, n))
 
 
@@ -434,17 +435,12 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
         two_f = 2.0 * _region_importance(region, importance)
         penalty = state.penalty[:w_c.size]
 
-    rho = config.rho if flags.create else 0.0  # at rho 0, the plain gradient
-    w_pert = params.prefix(names) if names else params.flat
-    eps, saved = state.perturbation[:w_pert.size], state.saved[:w_pert.size]
-
-    def grads_into(features, labels, tid, out, views):
-        return _create_gradient_into(model, features, labels, tid, rho,
-                                     w_pert, out, views, eps, saved)
-
+    # at rho 0, the plain gradient; the first task's create step perturbs all
+    grads_into = _create_step(model, params.prefix(names).size if names else params.total_size(),
+                              config.rho if flags.create else 0.0)
     summed = state.total.flat  # the step's summed gradient, rewritten each step
-    # per head, the kernel's output views of `summed` and of `state.grad`
-    views = [(model._output_views(summed, h), model._output_views(state.grad, h))
+    # per head, the plans of `summed` and of `state.grad` the kernel writes into
+    views = [(model._plan(summed, h), model._plan(state.grad, h))
              for h in range(len(model.head_classes))]
     best_theta = None
     step_index = 0

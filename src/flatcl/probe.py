@@ -5,8 +5,10 @@ approximation rho * ||grad||, the additive decomposition of the perturbed
 loss, the Fisher trace identity, and a largest-Hessian-eigenvalue estimate
 via Lanczos on exact Hessian-vector products.
 
-No probe writes the weights: a perturbed loss is scored at a stack of
-perturbed weight vectors, and the Hessian operator reads the weights.
+No probe writes the weights.  Perturbed losses are scored in one pass
+through the model's plan over a stack of perturbed weight vectors, as the
+create step scores w + eps through its plan over a scratch vector; the
+Hessian operator only reads the weights.
 """
 
 from __future__ import annotations

@@ -213,6 +213,36 @@ def test_load_rejects_nan_importance(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda m: m["blocks"][0].update(name="weights"),
+    lambda m: m.pop("model"),
+    lambda m: m.pop("rng_state"),
+    lambda m: m["model"].update(hidden_dims=[7]),
+    lambda m: m["blocks"][0].update(bytes=m["blocks"][0]["bytes"] - 8),
+    lambda m: m["blocks"][0].update(shape=[m["blocks"][0]["shape"][0] + 1]),
+    lambda m: m["model"].update(activation="sigmoid"),
+], ids=["no-param-block", "no-model", "no-rng-state", "hidden-dims-misfit",
+        "bytes-misfit", "shape-misfit", "unknown-activation"])
+def test_load_refuses_resigned_manifest_that_misdescribes_its_data(tmp_path, edit):
+    """A manifest edited and re-signed with a valid digest passes the
+    checksum; one that lacks an entry or block, or describes a model or a
+    block the data does not fit, is refused with a one-line ValueError
+    that names the file."""
+    from flatcl.checkpoint import _digest
+    path = tmp_path / "c.bin"
+    save_checkpoint(path, Checkpoint(model=random_mlp(43)))
+    data = path.read_bytes()
+    mlen = int.from_bytes(data[8:16], "little")
+    manifest, payload = json.loads(data[16:16 + mlen]), data[16 + mlen:]
+    edit(manifest)
+    manifest["sha256"] = _digest(manifest, payload)
+    mbytes = json.dumps(manifest, sort_keys=True).encode()
+    path.write_bytes(data[:8] + len(mbytes).to_bytes(8, "little") + mbytes + payload)
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: ") and "\n" not in str(info.value)
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTACKPTxxxx")

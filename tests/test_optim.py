@@ -147,14 +147,40 @@ def test_create_gradient_matches_copy_model_oracle():
 
 
 def test_create_gradient_respects_perturb_subset():
+    """With the constrained prefix as `perturb_names`, eps is taken from the
+    gradient over that prefix alone and head1 keeps its own weights: the
+    result is the plain gradient of a twin moved by that eps."""
     model = random_mlp(25)
     model.add_task_head(3)
     batch = random_batch(26, model, n=4, task_id=1)
     names = model.constrained_names(1)
-    created, _ = create_gradient(model, batch, 0.3, perturb_names=names)
-    # current head must receive the gradient evaluated with its own weights
-    # unperturbed; just check the call runs and weights restore
-    assert "head1.W" in created
+    created, loss = create_gradient(model, batch, 0.3, perturb_names=names)
+    _, g0 = model.loss_gradient(batch)
+    w = model.parameters().prefix(names)
+    wg = w * g0.flat[:w.size]
+    twin = model.clone()
+    twin.theta[:w.size] += 0.3 * w * w * g0.flat[:w.size] / np.sqrt(wg @ wg)
+    assert np.array_equal(twin.parameters()["head1.W"], model.parameters()["head1.W"])
+    twin_loss, twin_grads = twin.loss_gradient(batch)
+    assert abs(loss - twin_loss) <= 1e-12
+    for n in created:
+        np.testing.assert_allclose(created[n], twin_grads[n], rtol=0, atol=1e-12)
+
+
+def test_create_gradient_never_writes_the_weights():
+    """The create step scores w + eps in a scratch vector of its own: with
+    the weights read-only it returns the bits a writable twin returns, on a
+    single head with every weight perturbed and on the second of two heads
+    with the constrained prefix perturbed."""
+    one, two = random_mlp(27), random_mlp(27, classes=(3, 2))
+    for model, task_id, names in ((one, 0, None), (two, 1, two.constrained_names(1))):
+        batch = random_batch(28, model, n=6, task_id=task_id)
+        twin = model.clone()
+        want, want_loss = create_gradient(twin, batch, 0.3, names)
+        model.theta.flags.writeable = False
+        got, loss = create_gradient(model, batch, 0.3, names)
+        assert loss == want_loss and got.flat.tobytes() == want.flat.tobytes()
+        assert model.theta.tobytes() == twin.theta.tobytes()
 
 
 # -- fisher -----------------------------------------------------------------
