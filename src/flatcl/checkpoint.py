@@ -169,12 +169,15 @@ def load_checkpoint(path) -> Checkpoint:
     except (TypeError, ValueError) as e:
         raise ValueError(f"{path}: manifest does not describe its data: {e}") from None
     importance = arrays.get("importance")
-    return Checkpoint(
-        model=model,
-        seed=manifest.get("seed"),  # files written before these keys have none
-        variant=manifest.get("variant"),
-        importance=None if importance is None else ImportanceMap(importance),
-        matrix_rows=arrays.get("matrix"),
-        replay_buffer=buffer,
-        **fields,
-    )
+    try:  # a misaligned importance block, or a negative or NaN entry
+        return Checkpoint(
+            model=model,
+            seed=manifest.get("seed"),  # files written before these keys have none
+            variant=manifest.get("variant"),
+            importance=None if importance is None else ImportanceMap(importance),
+            matrix_rows=arrays.get("matrix"),
+            replay_buffer=buffer,
+            **fields,
+        )
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -119,7 +119,9 @@ class MultiHeadClassifier:
         self._params = params
         self.theta = params.flat
         names = params.names()
-        layers = [(params.slice_of(w), params[w].shape, params.slice_of(b))
+        # each W is followed by its b, so a layer is one (rows + 1, cols) block [W; b]
+        layers = [(slice(params.slice_of(w).start, params.slice_of(b).stop),
+                   (params[w].shape[0] + 1, params[w].shape[1]))
                   for w, b in zip(names[0::2], names[1::2])]
         depth = len(self.hidden_dims)
         self._layers = [layers[:depth] + [head] for head in layers[depth:]]
@@ -128,15 +130,19 @@ class MultiHeadClassifier:
     def _plan(self, vec, task_id):
         """Head `task_id`'s layers in `vec`, a flat vector laid out like
         `theta` or a (k, d) stack of them: per layer from the input up,
-        `(W, b, W slice, b slice)`, the blocks as views shaped like the
-        weights ((k, rows, cols) and (k, 1, cols) for a stack) and the
-        slices where they lie in a flat vector."""
-        if vec.ndim == 1:
-            return [(vec[w_sl].reshape(shape), vec[b_sl], w_sl, b_sl)
-                    for w_sl, shape, b_sl in self._layers[task_id]]
-        k = vec.shape[0]
-        return [(vec[:, w_sl].reshape(k, *shape), vec[:, None, b_sl], w_sl, b_sl)
-                for w_sl, shape, b_sl in self._layers[task_id]]
+        `(W, b, Wb, slice)`.  `Wb` is the layer's folded block `[W; b]`,
+        (rows + 1, cols), `W` and `b` are its views shaped like the weights
+        ((k, rows, cols) and (k, 1, cols) for a stack), and `slice` is where
+        the layer lies in a flat vector."""
+        plan = []
+        for sl, shape in self._layers[task_id]:
+            if vec.ndim == 1:
+                wb = vec[sl].reshape(shape)
+                plan.append((wb[:-1], wb[-1], wb, sl))
+            else:
+                wb = vec[:, sl].reshape(vec.shape[0], *shape)
+                plan.append((wb[:, :-1], wb[:, -1:], wb, sl))
+        return plan
 
     @property
     def encoder_dim(self) -> int:
@@ -355,11 +361,15 @@ class MultiHeadClassifier:
         weights and the rows (the layer inputs, the softmax, the backward
         adjoints, the activation derivatives) is computed here, once.  The
         returned operator maps a flat `v` to a fresh flat H v and runs only
-        the R-forward and R-backward passes, reading `v` through its
-        `_plan` and writing H v through that of one output buffer bound
-        here with the transposes the passes read; each apply returns a copy
-        of that buffer.  It is valid while the weights do not move.
-        Relu kinks contribute no curvature.
+        the R-forward and R-backward passes.  Each layer works on its folded
+        block `[W; b]` and on its input with a ones column appended, so the
+        direction's `acts @ v_W + v_b` is one matmul and H v's W and b rows
+        are one matmul too; the 1/n of the mean is folded into the softmax
+        once.  `v` is copied into a direction buffer whose blocks, like those
+        of the output buffer, are laid out by `_plan` here, so an apply
+        builds no views; it returns a copy of the output buffer.  The
+        operator is valid while the weights do not move.  Relu kinks
+        contribute no curvature.
         """
         plan = self._plans[task_id]
         tanh = self.activation == "tanh"
@@ -374,31 +384,33 @@ class MultiHeadClassifier:
         adjoint, d_h = self._adjoints(plan, acts, self._output_adjoint(p.copy(), labels, 1.0 / n))
         curvature = ([None] + [2.0 * d * h for d, h in zip(d_h[1:], acts[1:])]
                      if tanh else None)
-        weights_t, acts_t = [w.T for w, _, _, _ in plan], [h.T for h in acts]
+        p_n = p * (1.0 / n)
+        ones = np.ones((n, 1))
+        aug = [np.concatenate((h, ones), axis=1) for h in acts]  # [h, 1] @ [W; b] = h @ W + b
+        aug_t = [a.T for a in aug]
+        weights, weights_t = [w for w, *_ in plan], [w.T for w, *_ in plan]
         # every block of the head is overwritten by each apply; the others stay 0
-        out = np.zeros(self.theta.size)
-        out_views = self._plan(out, task_id)
+        out, direction = np.zeros(self.theta.size), np.zeros(self.theta.size)
+        out_plan, v_plan = self._plan(out, task_id), self._plan(direction, task_id)
+        out_w, out_wb = [w for w, *_ in out_plan], [wb for _, _, wb, _ in out_plan]
+        v_wb, v_w_t = [wb for _, _, wb, _ in v_plan], [w.T for w, *_ in v_plan]
 
         def hvp(v: np.ndarray) -> np.ndarray:
-            v_views = self._plan(v, task_id)
+            np.copyto(direction, v)
             r_acts = [None]  # R{input} of each layer; R{x} = 0
-            for k, (v_w, v_b, _, _) in enumerate(v_views):
-                r_out = r_acts[k] @ plan[k][0] + acts[k] @ v_w if k else acts[0] @ v_w
-                r_out += v_b
-                if k + 1 < len(plan):
-                    r_acts.append(r_out * slope[k + 1])
+            r_out = aug[0] @ v_wb[0]
+            for k in range(1, len(plan)):
+                r_acts.append(r_out * slope[k])
+                r_out = r_acts[k] @ weights[k] + aug[k] @ v_wb[k]
             # np.add.reduce is the reduction `.sum` and `np.sum` call
-            r_delta = p * (r_out - np.add.reduce(p * r_out, axis=1, keepdims=True)) / n
-            for k in range(len(plan) - 1, -1, -1):
-                out_w, out_b, _, _ = out_views[k]
-                np.matmul(acts_t[k], r_delta, out=out_w)
-                np.add.reduce(r_delta, axis=0, out=out_b)
-                if k == 0:
-                    break
-                out_w += r_acts[k].T @ adjoint[k]
-                r_delta = (r_delta @ weights_t[k] + adjoint[k] @ v_views[k][0].T) * slope[k]
+            r_delta = p_n * (r_out - np.add.reduce(p * r_out, axis=1, keepdims=True))
+            for k in range(len(plan) - 1, 0, -1):
+                np.matmul(aug_t[k], r_delta, out=out_wb[k])
+                out_w[k] += r_acts[k].T @ adjoint[k]
+                r_delta = (r_delta @ weights_t[k] + adjoint[k] @ v_w_t[k]) * slope[k]
                 if tanh:
                     r_delta -= curvature[k] * r_acts[k]
+            np.matmul(aug_t[0], r_delta, out=out_wb[0])
             return out.copy()
 
         return hvp

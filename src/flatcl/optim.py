@@ -425,7 +425,7 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
 
     mask = None  # sparse-update mask over the constrained prefix
     if config.sparse_update_ratio < 1.0 and importance is not None and names:
-        layers = [slice(w_sl.start, b_sl.stop) for *_, w_sl, b_sl  # encoder, earlier heads
+        layers = [sl for *_, sl  # encoder, earlier heads
                   in model._plans[task_id][:-1] + [p[-1] for p in model._plans[:task_id]]]
         mask = build_sparse_mask(importance, config.sparse_update_ratio, layers)[:layers[-1].stop]
 

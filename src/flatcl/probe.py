@@ -8,7 +8,13 @@ via Lanczos on exact Hessian-vector products.
 No probe writes the weights.  Perturbed losses are scored in one pass
 through the model's plan over a stack of perturbed weight vectors, as the
 create step scores w + eps through its plan over a scratch vector; the
-Hessian operator only reads the weights.
+Hessian operator only reads the weights.  A report takes the gradient
+once, for both sharpness estimates.
+
+Lanczos binds the Hessian once per run.  The bound operator works on each
+layer's folded `[W; b]` block and copies each direction into one bound
+buffer, so an apply builds no views; each step then orthogonalizes the
+product against the whole basis by classical Gram-Schmidt applied twice.
 """
 
 from __future__ import annotations
@@ -160,7 +166,10 @@ def _checked_product(op, v: np.ndarray) -> np.ndarray:
     if v @ v == 0:
         raise ValueError("direction must be nonzero")
     out = op(v)
-    if not np.isfinite(out).all():
+    # a finite sum of squares proves every entry finite; only a sum that is
+    # not (a non-finite entry, or finite entries whose squares overflow) is
+    # settled entry by entry
+    if not math.isfinite(float(out @ out)) and not np.isfinite(out).all():
         raise FloatingPointError("non-finite Hessian-vector product")
     return out
 
@@ -177,7 +186,12 @@ def lanczos_lambda_max(obj: Objective, iters: int = 30, seed: int = 0) -> Lanczo
     """Largest Hessian eigenvalue via Lanczos with full reorthogonalization,
     using exact Hessian-vector products as the operator.  The Hessian is
     bound once at the start and each basis row, a flat vector of the one
-    (iters, d) basis array, goes through `hvp` as it is."""
+    (iters, d) basis array, goes through `hvp` as it is.  Each step
+    orthogonalizes H q_j against the whole basis by classical Gram-Schmidt
+    applied twice (CGS2; Giraud, Langou & Rozloznik 2005), which stands in
+    for the three-term recurrence plus one reorthogonalization: alpha_j is
+    the sum of the two projections' q_j coefficients and beta_j the norm of
+    what is left."""
     if iters < 1:
         raise ValueError("iters must be >= 1")
     op = obj.bind_hvp()  # the weights do not move during the run
@@ -189,13 +203,12 @@ def lanczos_lambda_max(obj: Objective, iters: int = 30, seed: int = 0) -> Lanczo
     breakdown = False
     for j in range(iters):
         w = hvp(op, basis[j])
-        alpha = float(w @ basis[j])
-        alphas.append(alpha)
-        w -= alpha * basis[j]
-        if j > 0:
-            w -= betas[-1] * basis[j - 1]
         done = basis[:j + 1]
-        w -= done.T @ (done @ w)  # full reorthogonalization
+        h = done @ w
+        w -= h @ done
+        h2 = done @ w
+        w -= h2 @ done
+        alphas.append(float(h[j] + h2[j]))
         beta = math.sqrt(w @ w)
         if j + 1 == iters:
             break
@@ -203,7 +216,7 @@ def lanczos_lambda_max(obj: Objective, iters: int = 30, seed: int = 0) -> Lanczo
             breakdown = True
             break
         betas.append(beta)
-        basis[j + 1] = w / beta
+        np.divide(w, beta, out=basis[j + 1])
     k = len(alphas)
     tri = np.diag(alphas)
     for i, b in enumerate(betas[:k - 1]):
@@ -227,8 +240,12 @@ def sharpness_report(model: MultiHeadClassifier, batch: Batch, rho: float,
                      n_directions: int = 16, lanczos_iters: int = 30,
                      seed: int = 0) -> SharpnessReport:
     obj = model_objective(model, batch)
-    ball = ball_sharpness(obj, rho, n_directions, seed)
-    first = first_order_sharpness(obj, rho)
+    # the weights do not move during a report, so both sharpness probes read
+    # one gradient
+    grads = obj.gradient()
+    fixed = Objective(obj.params, obj.values, lambda _: grads, obj.bind_hvp)
+    ball = ball_sharpness(fixed, rho, n_directions, seed)
+    first = first_order_sharpness(fixed, rho)
     lres = lanczos_lambda_max(obj, lanczos_iters, seed)
     return SharpnessReport(ball, first, lres.lambda_max, lres.log_lambda_max,
                            rho, n_directions, lres.iters_run)

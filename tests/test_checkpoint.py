@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -189,27 +190,30 @@ def _rewrite_block(path, name, array):
 
 def test_load_rejects_misaligned_importance(tmp_path):
     """An intact file whose importance block is not laid out like the
-    weights is refused with the same one-line error as a save."""
+    weights is refused with the same one-line error as a save, naming the
+    file like the loader's other refusals."""
     model = random_mlp(42, classes=(3, 2))
     path = tmp_path / "c.bin"
     imp = ImportanceMap(np.abs(model.theta))
     save_checkpoint(path, Checkpoint(model=model, importance=imp))
     assert load_checkpoint(path).importance.values.tobytes() == imp.values.tobytes()
     _rewrite_block(path, "importance", np.abs(model.theta[:-1]))
-    with pytest.raises(ValueError, match="^misaligned importance") as info:
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(path))}: misaligned importance") as info:
         load_checkpoint(path)
     assert "\n" not in str(info.value)
 
 
 def test_load_rejects_nan_importance(tmp_path):
     """A NaN importance entry would rank as the most important coordinate
-    and, in a resumed sparse-mask run, freeze it; the file is refused."""
+    and, in a resumed sparse-mask run, freeze it; the file is refused by
+    name."""
     model = random_mlp(41)
     imp = ImportanceMap(np.abs(model.theta))
     imp.values[3] = np.nan  # breach the invariant after construction
     path = tmp_path / "nan.bin"
     save_checkpoint(path, Checkpoint(model=model, importance=imp))
-    with pytest.raises(ValueError, match="negative or NaN importance"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: negative or NaN importance"):
         load_checkpoint(path)
 
 

@@ -332,14 +332,18 @@ def _layer_names(m, task_id):
     return encoder + [f"head{task_id}.W", f"head{task_id}.b"]
 
 
-def _reference_kernels(m, x, y, task_id, v, one_hot_hvp=False):
+def _reference_kernels(m, x, y, task_id, v, one_hot_hvp=False, split_bias_hvp=False):
     """The per-layer recursion written out once per kernel, each walking the
     layers top-down with its own `delta @ W.T` step: (loss gradient, summed
     squared per-sample gradients, per-sample squared norms, H v), each
     gradient a list of (W, b) blocks for the encoder then head `task_id`.
     H v starts from the gradient's output adjoint `p * (1/n) - onehot / n`,
     or with `one_hot_hvp` from `(p - onehot) / n`, the Hessian bind's own
-    form before it shared that adjoint."""
+    form before it shared that adjoint.  It works on each layer's folded
+    block `[W; b]` and its input with a ones column, with 1/n folded into
+    the softmax; with `split_bias_hvp` (implied by `one_hot_hvp`) it adds
+    the bias terms on their own and divides by n last, the operator's form
+    before it folded them."""
     ps = m.parameters()
     layers = [(ps[f"enc{i}.W"], ps[f"enc{i}.b"]) for i in range(len(m.hidden_dims))]
     layers.append((ps[f"head{task_id}.W"], ps[f"head{task_id}.b"]))
@@ -397,22 +401,41 @@ def _reference_kernels(m, x, y, task_id, v, one_hot_hvp=False):
         delta = d_h * slope[k]
     v_blocks = [v[name] for name in _layer_names(m, task_id)]
     v_w, v_b = v_blocks[0::2], v_blocks[1::2]
+    hv = [None] * len(layers)
+    if one_hot_hvp or split_bias_hvp:
+        r_acts = [None]
+        for k, (w, _) in enumerate(layers):
+            if k:
+                r_out = r_acts[k] @ w + acts[k] @ v_w[k] + v_b[k]
+            else:
+                r_out = acts[0] @ v_w[0] + v_b[0]
+            if k < top:
+                r_acts.append(r_out * slope[k + 1])
+        r_delta = p * (r_out - (p * r_out).sum(axis=1, keepdims=True)) / n
+        for k in range(top, -1, -1):
+            hv_w = acts[k].T @ r_delta
+            hv[k] = (hv_w, np.sum(r_delta, axis=0))
+            if k == 0:
+                break
+            hv_w += r_acts[k].T @ adjoint[k]
+            r_delta = (r_delta @ layers[k][0].T + adjoint[k] @ v_w[k].T) * slope[k]
+            if tanh:
+                r_delta -= curvature[k] * r_acts[k]
+        return grad, sums, sq_norms, hv
+    aug = [np.hstack([h, np.ones((n, 1))]) for h in acts]
+    v_wb = [np.vstack([v_w[k], v_b[k]]) for k in range(len(layers))]
     r_acts = [None]
     for k, (w, _) in enumerate(layers):
-        if k:
-            r_out = r_acts[k] @ w + acts[k] @ v_w[k] + v_b[k]
-        else:
-            r_out = acts[0] @ v_w[0] + v_b[0]
+        r_out = r_acts[k] @ w + aug[k] @ v_wb[k] if k else aug[0] @ v_wb[0]
         if k < top:
             r_acts.append(r_out * slope[k + 1])
-    r_delta = p * (r_out - (p * r_out).sum(axis=1, keepdims=True)) / n
-    hv = [None] * len(layers)
+    r_delta = (p * (1.0 / n)) * (r_out - (p * r_out).sum(axis=1, keepdims=True))
     for k in range(top, -1, -1):
-        hv_w = acts[k].T @ r_delta
-        hv[k] = (hv_w, np.sum(r_delta, axis=0))
+        hv_wb = aug[k].T @ r_delta
+        hv[k] = (hv_wb[:-1], hv_wb[-1])
         if k == 0:
             break
-        hv_w += r_acts[k].T @ adjoint[k]
+        hv_wb[:-1] += r_acts[k].T @ adjoint[k]
         r_delta = (r_delta @ layers[k][0].T + adjoint[k] @ v_w[k].T) * slope[k]
         if tanh:
             r_delta -= curvature[k] * r_acts[k]
@@ -460,6 +483,46 @@ def test_bound_hvp_within_1e13_of_former_one_hot_adjoint(activation, hidden):
         for name, ref in zip(_layer_names(m, task_id), [a for pair in hv for a in pair]):
             np.testing.assert_allclose(got[name], ref, rtol=0,
                                        atol=1e-13 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
+def test_bound_hvp_within_1e13_of_split_bias_form(activation, hidden):
+    """Folding each bias into its layer's `[W; b]` block and 1/n into the
+    softmax moves the product's bits, but no entry by more than 1e-13 of
+    its block's largest, on every head."""
+    m = random_mlp(90, hidden=hidden, classes=(3, 4), activation=activation)
+    for task_id in range(2):
+        batch = random_batch(91 + task_id, m, n=6, task_id=task_id)
+        x, y = batch.features, batch.labels
+        v = m.parameters().unflatten(np.random.default_rng(93).normal(size=m.theta.size))
+        *_, hv = _reference_kernels(m, x, y, task_id, v, split_bias_hvp=True)
+        got = m.parameters().unflatten(
+            m._hvp_operator(*m._check_rows(x, y, task_id), task_id)(v.flat))
+        for name, ref in zip(_layer_names(m, task_id), [a for pair in hv for a in pair]):
+            np.testing.assert_allclose(got[name], ref, rtol=0,
+                                       atol=1e-13 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("activation,hidden", [("tanh", (5,)), ("relu", (4, 3))])
+def test_bound_hvp_direction_buffer_keeps_no_earlier_direction(activation, hidden):
+    """The operator copies each direction into one bound buffer: applied to
+    two directions in turn, it gives two distinct arrays, each the product
+    a fresh bind gives, and it keeps no reference to the caller's array."""
+    m = random_mlp(94, hidden=hidden, classes=(3, 4), activation=activation)
+    batch = random_batch(95, m, n=7, task_id=1)
+    rows = m._check_rows(batch.features, batch.labels, 1)
+    rng = np.random.default_rng(96)
+    v1, v2 = rng.normal(size=m.theta.size), rng.normal(size=m.theta.size)
+    op = m._hvp_operator(*rows, 1)
+    first = op(v1)
+    v1[...] = 0.0  # the buffer holds a copy, so this reaches nothing
+    second = op(v2)
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() != second.tobytes()
+    assert second.tobytes() == m._hvp_operator(*rows, 1)(v2).tobytes()
+    v1 = np.random.default_rng(96).normal(size=m.theta.size)
+    assert first.tobytes() == m._hvp_operator(*rows, 1)(v1).tobytes()
 
 
 def _one_hot_adjoints(logp, labels):

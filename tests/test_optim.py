@@ -541,7 +541,7 @@ def test_sparse_mask_over_plan_slices_equals_name_partition_bitwise(activation, 
                           model.constrained_names(t)) for t in range(len(heads))]
                 cases.append((plans[0][:-1] + [p[-1] for p in plans], names))
                 for layers, partition in cases:
-                    slices = [slice(w_sl.start, b_sl.stop) for *_, w_sl, b_sl in layers]
+                    slices = [sl for *_, sl in layers]
                     assert slices == _layer_slices(params, partition)
                     got = build_sparse_mask(imp, ratio, slices)
                     ref = _sparse_mask_by_names(params.unflatten(values), ratio,

@@ -268,8 +268,11 @@ def test_sharpness_report_fields_and_restoration():
 
 # -- the bound Hessian and the checks around it ------------------------------
 
-def _hand_lanczos(obj, iters, seed):
-    """lanczos_lambda_max written out over the public `hvp` on named sets."""
+def _hand_lanczos(obj, iters, seed, three_term=False):
+    """lanczos_lambda_max written out over the public `hvp` on named sets.
+    Each step orthogonalizes by classical Gram-Schmidt applied twice, or
+    with `three_term` by the three-term recurrence followed by one full
+    reorthogonalization, the loop's form before it took CGS2."""
     rng = np.random.Generator(np.random.PCG64(seed))
     q = rng.normal(size=obj.params.total_size())
     basis = np.zeros((iters, q.size))
@@ -277,12 +280,19 @@ def _hand_lanczos(obj, iters, seed):
     alphas, betas = [], []
     for j in range(iters):
         w = hvp(obj, obj.params.unflatten(basis[j])).flatten()
-        alphas.append(float(w @ basis[j]))
-        w -= alphas[-1] * basis[j]
-        if j > 0:
-            w -= betas[-1] * basis[j - 1]
         done = basis[:j + 1]
-        w -= done.T @ (done @ w)
+        if three_term:
+            alphas.append(float(w @ basis[j]))
+            w -= alphas[-1] * basis[j]
+            if j > 0:
+                w -= betas[-1] * basis[j - 1]
+            w -= done.T @ (done @ w)
+        else:
+            first = done @ w
+            w -= first @ done
+            second = done @ w
+            w -= second @ done
+            alphas.append(float(first[j] + second[j]))
         beta = float(np.sqrt(w @ w))
         if j + 1 == iters or beta < 1e-12:
             break
@@ -304,6 +314,7 @@ def test_lanczos_equals_hand_loop_over_public_hvp(activation, hidden):
     obj = model_objective(model, batch)
     res = lanczos_lambda_max(obj, iters=12, seed=5)
     assert (res.lambda_max, res.iters_run) == _hand_lanczos(obj, 12, 5)
+    _assert_within_1e12_of_three_term_loop(res, obj, 12, 5)
 
 
 def test_lanczos_equals_hand_loop_on_quadratic():
@@ -312,6 +323,15 @@ def test_lanczos_equals_hand_loop_on_quadratic():
     obj = quadratic_objective(a + a.T, rng.normal(size=6))
     res = lanczos_lambda_max(obj, iters=6, seed=1)
     assert (res.lambda_max, res.iters_run) == _hand_lanczos(obj, 6, 1)
+    _assert_within_1e12_of_three_term_loop(res, obj, 6, 1)
+
+
+def _assert_within_1e12_of_three_term_loop(res, obj, iters, seed):
+    """Taking each step by two projections moves lambda_max's bits, but by
+    no more than 1e-12 of itself, and runs as many iterations."""
+    lam, ran = _hand_lanczos(obj, iters, seed, three_term=True)
+    assert res.iters_run == ran
+    assert abs(res.lambda_max - lam) <= 1e-12 * abs(lam)
 
 
 def _bad_batches(model):
@@ -354,6 +374,39 @@ def test_sharpness_report_checks_rows_once(monkeypatch):
                         lambda self, *a: seen.append(1) or check(self, *a))
     sharpness_report(model, batch, rho=0.1, n_directions=4, lanczos_iters=5, seed=0)
     assert len(seen) == 1
+
+
+def test_sharpness_report_takes_one_gradient(monkeypatch):
+    """Ball and first-order sharpness read one gradient per report, and
+    the report is the one each probe gives with its own gradient."""
+    model = random_mlp(67, hidden=(5,))
+    batch = random_batch(68, model, n=8)
+    obj = model_objective(model, batch)
+    want = (ball_sharpness(obj, 0.1, 4, 0), first_order_sharpness(obj, 0.1),
+            lanczos_lambda_max(obj, 5, 0).lambda_max)
+    seen = []
+    kernel = type(model)._loss_gradient
+    monkeypatch.setattr(type(model), "_loss_gradient",
+                        lambda self, *a: seen.append(1) or kernel(self, *a))
+    rep = sharpness_report(model, batch, rho=0.1, n_directions=4, lanczos_iters=5, seed=0)
+    assert len(seen) == 1
+    assert (rep.ball_sharpness, rep.first_order_sharpness, rep.lambda_max) == want
+
+
+@pytest.mark.parametrize("entry,refused", [(float("nan"), True), (float("inf"), True),
+                                           (-float("inf"), True), (1e200, False),
+                                           (-3e180, False)])
+def test_hvp_refuses_exactly_the_non_finite_products(entry, refused):
+    """A product with a NaN or infinite entry is refused; a finite one is
+    returned as it is, also when its sum of squares overflows."""
+    obj = quadratic_objective(np.diag([entry, 1.0]), [0.0, 0.0])
+    v = ParameterSet({"w": [1.0, 1.0]})
+    if refused:
+        with pytest.raises(FloatingPointError, match="non-finite Hessian-vector product"):
+            hvp(obj, v)
+    else:
+        with np.errstate(over="ignore"):  # the sum of squares overflows
+            assert hvp(obj, v)["w"].tolist() == [entry, 1.0]
 
 
 RHO_ENTRY_POINTS = {

@@ -19,7 +19,10 @@ order: a checkpoint's manifest keys and data blocks, a CSV file's cells, a
 JSON file's keys (nested keys as paths).  It also records the Python and
 numpy versions the runs used and the commit of the tree flatcl came from.
 `--check` reruns the set and names each file that differs, is missing or is
-new, with the first part that differs.  It refuses to compare runs made
+new, with the first part that differs.  After those lines it tallies every
+differing part across the files by label, with list indices shown as
+`[*]`, and gives the largest relative change of a label whose old and new
+records both read as finite numbers.  It refuses to compare runs made
 under another Python or numpy version, whose bits may differ for reasons no
 commit controls.  Exit status: 0 when every file is the same, 1 when one
 differs, 2 when the comparison is refused.
@@ -32,7 +35,9 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -200,6 +205,45 @@ def compare(expected: dict, actual: dict) -> list[str]:
     return lines
 
 
+def tally(expected: dict, actual: dict) -> list[str]:
+    """One line per part label, list indices shown as `[*]`, that differs
+    in a file present on both sides: how many such parts and files, and,
+    where both records read as finite numbers, the largest relative
+    change."""
+    parts, files, largest = {}, {}, {}
+    for name in sorted(expected["files"].keys() & actual["files"].keys()):
+        old, new = expected["files"][name], actual["files"][name]
+        if old["sha256"] == new["sha256"]:
+            continue
+        a, b = dict(map(tuple, old["parts"])), dict(map(tuple, new["parts"]))
+        for label in dict.fromkeys([*a, *b]):
+            if a.get(label) == b.get(label):
+                continue
+            key = re.sub(r"\[\d+\]", "[*]", label)
+            parts[key] = parts.get(key, 0) + 1
+            files.setdefault(key, set()).add(name)
+            x, y = _number(a.get(label)), _number(b.get(label))
+            if x is not None and y is not None:
+                change = abs(y - x) / abs(x) if x else math.inf
+                largest[key] = max(largest.get(key, 0.0), change)
+    lines = []
+    for key in sorted(parts):
+        line = f"{key}: {parts[key]} parts in {len(files[key])} files"
+        if key in largest:
+            line += f", largest relative change {largest[key]:.3g}"
+        lines.append(line)
+    return lines
+
+
+def _number(record):
+    """A part's record as a finite float, or None."""
+    try:
+        value = float(record)
+    except (TypeError, ValueError):
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _first_difference(old: dict, new: dict) -> str:
     a, b = old["parts"], new["parts"]
     for (label_a, rec_a), (label_b, rec_b) in zip(a, b):
@@ -239,6 +283,8 @@ def main(argv=None) -> int:
         print(line)
     print(f"{len(lines)} of {len(expected['files'])} files differ "
           f"(recorded at commit {expected['commit']}, checked at {actual['commit']})")
+    for line in tally(expected, actual):
+        print(f"  {line}")
     return 1 if lines else 0
 
 
