@@ -100,15 +100,26 @@ def save_checkpoint(path, ckpt: Checkpoint):
     payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in blocks)
     manifest["sha256"] = _digest(manifest, payload)
     mbytes = json.dumps(manifest, sort_keys=True).encode()
+
+    def write(f):
+        f.write(_MAGIC)
+        f.write(len(mbytes).to_bytes(8, "little"))
+        f.write(mbytes)
+        f.write(payload)
+
+    write_atomic(path, "wb", write)
+
+
+def write_atomic(path, mode, write):
+    """Call `write(f)` on a temporary file next to `path`, opened in `mode`,
+    and rename it over `path`: a write that raises leaves neither a partial
+    file under the final name nor the temporary file."""
     path = os.fspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(_MAGIC)
-            f.write(len(mbytes).to_bytes(8, "little"))
-            f.write(mbytes)
-            f.write(payload)
+        with os.fdopen(fd, mode) as f:
+            write(f)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +74,14 @@ def _split_indices(n, rng):
 
 
 def _simplex_means(classes, dim, separation):
-    """Class means evenly spaced on a circle in the first two coordinates."""
+    """Class means evenly spaced on a circle in the first two coordinates;
+    the one check of `dim` and `separation` both generators run."""
+    if dim < 2:
+        raise ValueError("dim must be >= 2")
+    # bool is an int subclass; a JSON true is not the number 1
+    if (isinstance(separation, bool) or not isinstance(separation, numbers.Real)
+            or not 0 < separation < math.inf):
+        raise ValueError(f"separation must be a finite number > 0, got {separation!r}")
     means = np.zeros((classes, dim))
     angles = 2.0 * np.pi * np.arange(classes) / classes
     means[:, 0] = separation * np.cos(angles)
@@ -99,10 +108,6 @@ def _gaussian_classes(rng, means, samples_per_class):
 def gen_rotated_gaussians(seed, n_tasks, classes_per_task, dim, samples_per_class,
                           separation, rotation_per_task) -> TaskStream:
     """Gaussian blob tasks whose class means rotate from task to task."""
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    if separation <= 0:
-        raise ValueError("separation must be > 0")
     rng = np.random.Generator(np.random.PCG64(seed))
     base_means = _simplex_means(classes_per_task, dim, separation)
     tasks = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,8 @@ class MultiHeadClassifier:
     constrained while training a task are therefore a prefix of `theta`.
 
     One method, `_plan(vec, task_id)`, lays a head's blocks over any vector
-    laid out like `theta`, or a stack of them.  `_bind` keeps each head's
+    laid out like `theta`, or a stack of them, in one form (each bias a
+    (1, cols) row); `_task_losses` scores either.  `_bind` keeps each head's
     plan over `theta`; plans over other vectors are what the gradient
     kernel writes, the Hessian operator reads directions from and the
     create step and the probes read perturbed weights from.  The kernels
@@ -94,8 +96,10 @@ class MultiHeadClassifier:
     def _lay_out(self, seed, input_dim, hidden_dims, per_task_classes, activation):
         """Check and keep the model's description, and bind zero weights
         laid out for it."""
-        if input_dim < 1 or any(d < 1 for d in hidden_dims):
-            raise ValueError("all dims must be >= 1")
+        dims = [input_dim, *hidden_dims]
+        # bool is an int subclass; a JSON true is not the width 1
+        if any(isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1 for d in dims):
+            raise ValueError(f"input and hidden dims must be integers >= 1, got {dims}")
         if len(per_task_classes) < 1 or any(c < 1 for c in per_task_classes):
             raise ValueError("need at least one task head with >= 1 classes")
         if activation not in ("tanh", "relu"):
@@ -105,7 +109,6 @@ class MultiHeadClassifier:
         self.hidden_dims = list(hidden_dims)
         self.activation = activation
         self.head_classes = list(per_task_classes)
-        dims = [input_dim, *self.hidden_dims]
         blocks = []
         for i, width in enumerate(self.hidden_dims):
             blocks += [(f"enc{i}.W", (dims[i], width)), (f"enc{i}.b", (width,))]
@@ -131,18 +134,12 @@ class MultiHeadClassifier:
         """Head `task_id`'s layers in `vec`, a flat vector laid out like
         `theta` or a (k, d) stack of them: per layer from the input up,
         `(W, b, Wb, slice)`.  `Wb` is the layer's folded block `[W; b]`,
-        (rows + 1, cols), `W` and `b` are its views shaped like the weights
-        ((k, rows, cols) and (k, 1, cols) for a stack), and `slice` is where
-        the layer lies in a flat vector."""
-        plan = []
-        for sl, shape in self._layers[task_id]:
-            if vec.ndim == 1:
-                wb = vec[sl].reshape(shape)
-                plan.append((wb[:-1], wb[-1], wb, sl))
-            else:
-                wb = vec[:, sl].reshape(vec.shape[0], *shape)
-                plan.append((wb[:, :-1], wb[:, -1:], wb, sl))
-        return plan
+        (rows + 1, cols), `W` its first rows and `b` its last row, (1, cols);
+        over a stack each view leads with k.  `slice` is where the layer lies
+        in a flat vector."""
+        blocks = [(vec[..., sl].reshape(*vec.shape[:-1], *shape), sl)
+                  for sl, shape in self._layers[task_id]]
+        return [(wb[..., :-1, :], wb[..., -1:, :], wb, sl) for wb, sl in blocks]
 
     @property
     def encoder_dim(self) -> int:
@@ -213,11 +210,11 @@ class MultiHeadClassifier:
         return features, labels
 
     def _forward(self, features, plan):
-        """(layer inputs [x, h1, ..., hL], logits) through `plan`: a head's
-        plan, or one whose (W, b) blocks are stacks over k weight vectors,
-        (k, rows, cols) and (k, 1, cols), which gives every layer after the
-        input a leading axis of k.  Each matmul broadcasts over the stack
-        and runs per stack entry the product the unstacked plan runs."""
+        """(layer inputs [x, h1, ..., hL], logits) through `plan`, over a
+        flat vector or a stack of k: a stack's (W, b) blocks, (k, rows, cols)
+        and (k, 1, cols), give every layer after the input a leading axis of
+        k.  Each matmul broadcasts over the stack and runs per stack entry
+        the product the unstacked plan runs."""
         h = features
         acts = [h]
         for w, b, _, _ in plan[:-1]:
@@ -292,20 +289,17 @@ class MultiHeadClassifier:
         deltas, _ = self._adjoints(plan, acts, d_out)
         for (out_w, out_b, _, _), h, delta in zip(views, acts, deltas):
             np.matmul(h.T, delta, out=out_w)
-            np.add.reduce(delta, axis=0, out=out_b)  # delta.sum(axis=0)
+            np.add.reduce(delta, axis=0, keepdims=True, out=out_b)  # delta.sum(0, keepdims=True)
 
     def task_loss(self, batch: Batch) -> float:
         features, labels = self._check_rows(batch.features, batch.labels, batch.task_id)
-        return self._task_loss(features, labels, batch.task_id)
-
-    def _task_loss(self, features, labels, task_id) -> float:
-        return float(self._nll(self._log_probs(features, self._plans[task_id])[1], labels))
+        return float(self._task_losses(features, labels, batch.task_id, self.theta))
 
     def _task_losses(self, features, labels, task_id, thetas) -> np.ndarray:
-        """`_task_loss` at each row of `thetas`, a (k, d) stack of weight
-        vectors laid out like `theta`, in one pass through the stack's plan.
-        Each loss equals bit for bit the one `_task_loss` gives with that
-        row as the weights; `theta` is not read."""
+        """Mean cross-entropy of checked rows at `thetas`, a flat vector laid
+        out like `theta` (a 0-d loss) or a (k, d) stack of them (k losses),
+        in one pass through its plan.  Each loss of a stack equals bit for
+        bit the one its row gives alone."""
         return self._nll(self._log_probs(features, self._plan(thetas, task_id))[1], labels)
 
     def loss_gradient(self, batch: Batch):
@@ -349,7 +343,7 @@ class MultiHeadClassifier:
             out_w, out_b, _, _ = views[k]
             h2, d2 = acts[k] * acts[k], deltas[k] * deltas[k]
             np.matmul(h2.T, d2, out=out_w)
-            np.sum(d2, axis=0, out=out_b)
+            np.sum(d2, axis=0, keepdims=True, out=out_b)
             sq_norms += (h2.sum(axis=1) + 1.0) * d2.sum(axis=1)
         return sums, sq_norms
 

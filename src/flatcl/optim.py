@@ -306,7 +306,7 @@ def build_sparse_mask(importance: ImportanceMap, ratio: float,
         values = importance.values[layer]
         if values.size == 0:
             raise ValueError("empty layer in partition")
-        k = values.size if ratio == 1.0 else max(1, int(np.floor(values.size * ratio)))
+        k = max(1, int(np.floor(values.size * ratio)))
         mask[layer][np.argsort(values, kind="stable")[:k]] = 1.0
     return mask
 
@@ -435,7 +435,8 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
         two_f = 2.0 * _region_importance(region, importance)
         penalty = state.penalty[:w_c.size]
 
-    # at rho 0, the plain gradient; the first task's create step perturbs all
+    # at rho 0, the plain gradient; the create step perturbs the constrained
+    # prefix, or every weight when it is empty (task 0 with no hidden layer)
     grads_into = _create_step(model, params.prefix(names).size if names else params.total_size(),
                               config.rho if flags.create else 0.0)
     summed = state.total.flat  # the step's summed gradient, rewritten each step

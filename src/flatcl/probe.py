@@ -20,7 +20,8 @@ product against the whole basis by classical Gram-Schmidt applied twice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,34 +30,26 @@ from .optim import check_rho, compute_perturbation
 from .params import ParameterSet
 
 
+@dataclass(frozen=True)
 class Objective:
-    """Scalar objective over a live ParameterSet.
+    """Scalar objective over a live ParameterSet: the weights and three
+    functions of them.
 
-    `values` scores the objective at each row of a (k, d) stack of weight
-    vectors laid out like `params.flat`, in one call; `value` is `values`
-    at the current weights.  `gradient` reads the current weights on every
-    call.  `bind_hvp` binds the Hessian at the current weights: it returns
-    an operator from a flat v to a fresh flat H v that is valid while the
-    weights do not move, so a Lanczos run binds once and applies many times.
+    `values(thetas)` scores the objective at each row of a (k, d) stack of
+    weight vectors laid out like `params.flat`, in one call; `value()` is
+    `values` at the current weights.  `gradient()` reads the current weights
+    on every call.  `bind_hvp()` binds the Hessian at the current weights:
+    it returns an operator from a flat v to a fresh flat H v that is valid
+    while the weights do not move, so a Lanczos run binds once and applies
+    many times.
     """
-
-    def __init__(self, params: ParameterSet, values_fn, gradient_fn, bind_hvp_fn):
-        self.params = params
-        self._values_fn = values_fn
-        self._gradient_fn = gradient_fn
-        self._bind_hvp_fn = bind_hvp_fn
-
-    def values(self, thetas: np.ndarray) -> np.ndarray:
-        return self._values_fn(thetas)
+    params: ParameterSet
+    values: Callable[[np.ndarray], np.ndarray]
+    gradient: Callable[[], ParameterSet]
+    bind_hvp: Callable[[], Callable[[np.ndarray], np.ndarray]]
 
     def value(self) -> float:
         return float(self.values(self.params.flat[None])[0])
-
-    def gradient(self) -> ParameterSet:
-        return self._gradient_fn(self.params)
-
-    def bind_hvp(self):
-        return self._bind_hvp_fn()
 
 
 def model_objective(model: MultiHeadClassifier, batch: Batch) -> Objective:
@@ -67,7 +60,7 @@ def model_objective(model: MultiHeadClassifier, batch: Batch) -> Objective:
     return Objective(
         model.parameters(),
         lambda thetas: model._task_losses(features, labels, task_id, thetas),
-        lambda _: model._loss_gradient(features, labels, task_id)[1],
+        lambda: model._loss_gradient(features, labels, task_id)[1],
         lambda: model._hvp_operator(features, labels, task_id),
     )
 
@@ -79,7 +72,7 @@ def quadratic_objective(matrix, w0) -> Objective:
     return Objective(
         params,
         lambda thetas: np.array([0.5 * float(w @ matrix @ w) for w in thetas]),
-        lambda p: ParameterSet({"w": matrix @ p["w"]}),
+        lambda: ParameterSet({"w": matrix @ params["w"]}),
         lambda: lambda v: matrix @ v,
     )
 
@@ -243,7 +236,7 @@ def sharpness_report(model: MultiHeadClassifier, batch: Batch, rho: float,
     # the weights do not move during a report, so both sharpness probes read
     # one gradient
     grads = obj.gradient()
-    fixed = Objective(obj.params, obj.values, lambda _: grads, obj.bind_hvp)
+    fixed = replace(obj, gradient=lambda: grads)
     ball = ball_sharpness(fixed, rho, n_directions, seed)
     first = first_order_sharpness(fixed, rho)
     lres = lanczos_lambda_max(obj, lanczos_iters, seed)

@@ -11,7 +11,8 @@ import traceback
 import numpy as np
 
 from . import metrics as metrics_mod
-from .checkpoint import Checkpoint, config_hash, load_checkpoint, save_checkpoint
+from .checkpoint import (Checkpoint, config_hash, load_checkpoint, save_checkpoint,
+                         write_atomic)
 from .data import TaskStream, gen_permuted_features, gen_rotated_gaussians, make_order
 from .model import Batch, MultiHeadClassifier
 from .optim import OptimizerConfig, VariantFlags, train_continual, train_multitask
@@ -56,11 +57,15 @@ COUNT_KEYS = {
     "benchmark": "n_tasks classes_per_task dim samples_per_class",
     "probe": "batch_size lanczos_iters",
 }
+# Seed offsets, per section, which must be integers: each is added to the
+# run seed, so a JSON true would run as the offset 1.
+OFFSET_KEYS = {"benchmark": "data_seed_offset", "model": "init_seed_offset"}
 
 
 def check_config_keys(cfg: dict):
     """Raise a one-line ValueError naming the first unknown or missing key,
-    or the first count that is not an integer >= 1."""
+    the first count that is not an integer >= 1, the first seed offset that
+    is not an integer, or a `probe` `enabled` that is not true or false."""
     for section, allowed in CONFIG_KEYS.items():
         body = cfg.get(section, {}) if section else cfg
         where = f" in {section!r}" if section else ""
@@ -81,6 +86,13 @@ def check_config_keys(cfg: dict):
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{section + ' ' if section else ''}{key} must be "
                                  f"an integer >= 1, got {value!r}")
+        for key in OFFSET_KEYS.get(section, "").split():
+            value = body.get(key, 0)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{section} {key} must be an integer, got {value!r}")
+    enabled = cfg.get("probe", {}).get("enabled", False)
+    if not isinstance(enabled, bool):
+        raise ValueError(f"probe enabled must be true or false, got {enabled!r}")
 
 
 def load_config(path) -> dict:
@@ -91,19 +103,8 @@ def load_config(path) -> dict:
 
 
 def build_stream(cfg: dict, seed: int) -> TaskStream:
-    bench = cfg["benchmark"]
-    data_seed = bench.get("data_seed_offset", 0) + seed
-    kind = bench["kind"]
-    if kind == "rotated_gaussians":
-        stream = gen_rotated_gaussians(
-            data_seed, bench["n_tasks"], bench["classes_per_task"], bench["dim"],
-            bench["samples_per_class"], bench["separation"], bench["rotation_per_task"])
-    elif kind == "permuted_features":
-        stream = gen_permuted_features(
-            data_seed, bench["n_tasks"], bench["classes_per_task"], bench["dim"],
-            bench["samples_per_class"], bench["separation"])
-    else:
-        raise ValueError(f"unknown benchmark kind {kind!r}")
+    """The benchmark's tasks for `seed`, in the config's order."""
+    stream = _generate(cfg["benchmark"], seed)
     order_name = cfg.get("order", "identity")
     orders = cfg.get("orders", {})
     if order_name != "identity":
@@ -111,6 +112,21 @@ def build_stream(cfg: dict, seed: int) -> TaskStream:
             raise ValueError(f"unknown order {order_name!r}")
         stream = make_order(stream, orders[order_name])
     return stream
+
+
+def _generate(bench: dict, seed: int) -> TaskStream:
+    """The tasks the `benchmark` section describes, in the generator's order."""
+    data_seed = bench.get("data_seed_offset", 0) + seed
+    kind = bench["kind"]
+    if kind == "rotated_gaussians":
+        return gen_rotated_gaussians(
+            data_seed, bench["n_tasks"], bench["classes_per_task"], bench["dim"],
+            bench["samples_per_class"], bench["separation"], bench["rotation_per_task"])
+    if kind == "permuted_features":
+        return gen_permuted_features(
+            data_seed, bench["n_tasks"], bench["classes_per_task"], bench["dim"],
+            bench["samples_per_class"], bench["separation"])
+    raise ValueError(f"unknown benchmark kind {kind!r}")
 
 
 def build_optimizer_config(cfg: dict, variant: str) -> OptimizerConfig:
@@ -190,7 +206,8 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
                     resume_from: str | None = None) -> dict:
     """One (variant, seed) run into a fresh directory: per-task checkpoints
     and matrix.csv (for mtl, ckpt_final.bin alone), then metrics.json, the
-    last file written.  Returns the metrics dict."""
+    last file written, through a temporary file renamed into place.  Returns
+    the metrics dict."""
     check_config_keys(cfg)
     if variant == "mtl" and resume_from is not None:
         raise ValueError("mtl trains all tasks jointly and cannot resume from a checkpoint")
@@ -239,8 +256,8 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
         result_metrics.update({"variant": variant, "seed": seed,
                                "config_hash": chash,
                                "sharpness_trace": result.probe_values})
-    with open(os.path.join(out_dir, "metrics.json"), "w") as f:
-        json.dump(result_metrics, f, indent=2)
+    write_atomic(os.path.join(out_dir, "metrics.json"), "w",
+                 lambda f: json.dump(result_metrics, f, indent=2))
     return result_metrics
 
 
@@ -274,6 +291,9 @@ def run_experiment(cfg: dict, variant: str, out_root: str, seeds=None) -> list[d
         raise ValueError("seeds must be nonempty")
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"seeds {seeds} name a seed more than once")
+    # the first seed's tasks and model, built here, run the generators' and
+    # the model's checks of the config once, before anything is written
+    _build_model(cfg, _generate(cfg["benchmark"], seeds[0]), seeds[0])
     name = cfg.get("name", "experiment")
     out_dirs = [os.path.join(out_root, name, variant, f"seed{seed}") for seed in seeds]
     for out_dir in out_dirs:

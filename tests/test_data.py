@@ -58,6 +58,17 @@ def test_rotated_input_validation():
         gen_rotated_gaussians(0, 2, 3, 4, 10, 0.0, 0.5)
 
 
+@pytest.mark.parametrize("separation", [float("nan"), float("inf"), 0.0, "2.0", True])
+@pytest.mark.parametrize("generate", [
+    lambda sep: gen_rotated_gaussians(0, 2, 3, 4, 10, sep, 0.5),
+    lambda sep: gen_permuted_features(0, 2, 3, 4, 10, sep)], ids=["rotated", "permuted"])
+def test_generators_refuse_a_separation_that_is_not_a_finite_positive_number(generate,
+                                                                              separation):
+    with pytest.raises(ValueError, match=f"^separation must be a finite number > 0, "
+                                         f"got {separation!r}$"):
+        generate(separation)
+
+
 def test_permuted_first_task_is_identity():
     stream = gen_permuted_features(11, 3, 3, 6, 20, 2.0)
     # every later task is a column permutation of task 0

@@ -237,7 +237,7 @@ def test_bound_hvp_operator_equals_loss_hvp_bitwise(activation, hidden, n_rows):
                                                ("relu", (5,)), ("relu", (4, 3))])
 def test_stacked_losses_equal_task_loss_bitwise(activation, hidden, n_rows):
     """`_task_losses` over a stack of weight vectors gives, at each row, the
-    bits `_task_loss` gives with that row as the weights, on every head,
+    bits `task_loss` gives with that row as the weights, on every head,
     for a stack of one row too; the model's own weights are not written."""
     m = random_mlp(70, hidden=hidden, classes=(3, 2, 4), activation=activation)
     rng = np.random.default_rng(71)
@@ -250,10 +250,36 @@ def test_stacked_losses_equal_task_loss_bitwise(activation, hidden, n_rows):
         want = []
         for row in thetas:
             np.copyto(twin.theta, row)
-            want.append(twin._task_loss(x, y, task_id))
+            want.append(twin.task_loss(batch))
         assert m._task_losses(x, y, task_id, thetas).tobytes() == np.array(want).tobytes()
         one = m._task_losses(x, y, task_id, m.theta[None])
-        assert one.shape == (1,) and one[0] == m._task_loss(x, y, task_id)
+        assert one.shape == (1,) and one[0] == m.task_loss(batch)
+
+
+@pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
+def test_plan_has_one_form_for_a_vector_and_a_stack(hidden):
+    """Each head's plan over a flat vector and over the stack of that one
+    vector gives views with the same bytes; the flat views are the stack's
+    without its leading axis, so a bias is a (1, cols) row; and a write
+    through a flat view lands in the vector, in the layer's slice."""
+    m = random_mlp(73, hidden=hidden, classes=(3, 2))
+    v = np.random.default_rng(74).normal(size=m.theta.size)
+    for task_id in range(2):
+        flat, stacked = m._plan(v, task_id), m._plan(v[None], task_id)
+        assert len(flat) == len(stacked) == len(hidden) + 1
+        for (w, b, wb, sl), (*stack_views, stack_sl) in zip(flat, stacked):
+            assert sl == stack_sl
+            rows, cols = w.shape
+            assert b.shape == (1, cols) and wb.shape == (rows + 1, cols)
+            for view, stack_view in zip((w, b, wb), stack_views):
+                assert stack_view.shape == (1, *view.shape)
+                assert view.tobytes() == stack_view[0].tobytes()
+            want = v.copy()
+            want[sl] = np.concatenate([np.full(w.size, 1.0 + task_id),
+                                       np.full(b.size, -2.0 - task_id)])
+            w[...] = 1.0 + task_id
+            b[...] = -2.0 - task_id
+            assert v.tobytes() == want.tobytes()
 
 
 def test_one_layout_model_equals_head_by_head():

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from flatcl import runner
 from flatcl.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from flatcl.cli import main
 from flatcl.model import MultiHeadClassifier
@@ -83,6 +84,19 @@ def test_run_single_seed_outputs(tmp_path):
         saved = json.load(f)
     assert saved["avg_accuracy_after_last"] == row["avg_accuracy_after_last"]
     assert saved["variant"] == "cf" and saved["seed"] == 1
+
+
+def test_failed_metrics_write_leaves_no_file(tmp_path, monkeypatch):
+    """metrics.json is written to a temporary file that is renamed into
+    place: a write that raises midway leaves neither a partial metrics.json
+    nor the temporary file."""
+    summarize = runner.metrics_mod.summarize
+    monkeypatch.setattr(runner.metrics_mod, "summarize",
+                        lambda matrix: {**summarize(matrix), "unwritable": object()})
+    out = tmp_path / "run"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        run_single_seed(small_cfg(), "seq", 1, str(out))
+    assert sorted(os.listdir(out)) == ["ckpt_task0.bin", "ckpt_task1.bin", "matrix.csv"]
 
 
 def test_resume_under_different_config_rejected(tmp_path):
@@ -173,6 +187,39 @@ def test_refused_bool_count_leaves_no_directory(tmp_path, section, key):
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got True$"):
         run_single_seed(bad, "cf", 1, out)
     assert not os.path.exists(out)
+
+
+# Config values the key checks let through, which then ran as something else
+# (the probe for "false", the offset 1 for true) or failed every seed into
+# failures.json, each with the text of its one-line error.
+REFUSED_VALUES = [
+    ("probe", "enabled", "false", "probe enabled must be true or false, got 'false'"),
+    ("benchmark", "data_seed_offset", True,
+     "benchmark data_seed_offset must be an integer, got True"),
+    ("model", "hidden_dims", [8.5], "input and hidden dims must be integers >= 1, got [4, 8.5]"),
+    ("model", "hidden_dims", [True], "input and hidden dims must be integers >= 1, got [4, True]"),
+    ("model", "activation", "Tanh", "unknown activation 'Tanh'"),
+    ("model", "init_seed_offset", 0.5, "model init_seed_offset must be an integer, got 0.5"),
+    ("benchmark", "separation", float("nan"), "separation must be a finite number > 0, got nan"),
+    ("benchmark", "separation", "3.0", "separation must be a finite number > 0, got '3.0'")]
+
+
+@pytest.mark.parametrize("section,key,value,error", REFUSED_VALUES,
+                         ids=["probe-enabled-string", "data-seed-offset-bool",
+                              "hidden-dims-float", "hidden-dims-bool", "activation-case",
+                              "init-seed-offset-float", "separation-nan",
+                              "separation-string"])
+def test_cli_run_refuses_bad_config_value_before_writing(tmp_path, capsys, section, key,
+                                                         value, error):
+    """Refused once with a one-line error, before `--out` exists: not a run
+    that exits 0, and not a failures.json and an aggregate.csv of no rows."""
+    cfg = small_cfg()
+    cfg.setdefault(section, {})[key] = value
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--variant", "seq",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: ValueError: {error}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section,key", [(None, "optimzer"), ("benchmark", "dims"),
