@@ -26,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,14 +110,15 @@ def save_checkpoint(path, ckpt: Checkpoint):
 
 
 def write_atomic(path, mode, write):
-    """Call `write(f)` on a temporary file next to `path`, opened in `mode`,
-    and rename it over `path`: a write that raises leaves neither a partial
-    file under the final name nor the temporary file."""
-    path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    """Call `write(f)` on a new temporary file next to `path`, opened in
+    `mode` ("w" or "wb"), and rename it over `path`: a write that raises
+    leaves neither a partial file under the final name nor the temporary
+    file.  The temporary file is created by `open`, exclusively, so it gets
+    the mode a plain `open(path, "w")` would under the process umask."""
+    tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
+    f = open(tmp, mode.replace("w", "x"))
     try:
-        with os.fdopen(fd, mode) as f:
+        with f:
             write(f)
         os.replace(tmp, path)
     except BaseException:
@@ -172,6 +172,9 @@ def load_checkpoint(path) -> Checkpoint:
             buffer.features = arrays["replay_features"]
             buffer.labels = np.array(r["labels"], dtype=np.int64)
             buffer.task_ids = np.array(r["task_ids"], dtype=np.int64)
+            if not len(buffer.features) == len(buffer.labels) == len(buffer.task_ids):
+                raise ValueError(f"replay store holds {len(buffer.features)} feature rows, "
+                                 f"{len(buffer.labels)} labels and {len(buffer.task_ids)} task ids")
         fields = {k: manifest[k] for k in ("config_hash", "rng_state", "next_task")}
         if (probe_values := manifest.get("probe_values")) is not None:
             fields["probe_values"] = json.loads(probe_values)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,6 +109,10 @@ def _gaussian_classes(rng, means, samples_per_class):
 def gen_rotated_gaussians(seed, n_tasks, classes_per_task, dim, samples_per_class,
                           separation, rotation_per_task) -> TaskStream:
     """Gaussian blob tasks whose class means rotate from task to task."""
+    # bool is an int subclass; a JSON true is not the angle 1
+    if (isinstance(rotation_per_task, bool) or not isinstance(rotation_per_task, numbers.Real)
+            or not abs(rotation_per_task) <= sys.float_info.max):
+        raise ValueError(f"rotation_per_task must be a finite number, got {rotation_per_task!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     base_means = _simplex_means(classes_per_task, dim, separation)
     tasks = []

@@ -12,20 +12,14 @@ from .params import ParameterSet
 
 @dataclass
 class Batch:
+    """Labeled rows for one head, a plain record: the model's entry points
+    check them, through `MultiHeadClassifier._check_rows`."""
     features: np.ndarray  # (batch, input_dim) float64
     labels: np.ndarray    # (batch,) int
     task_id: int
 
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2 or self.labels.ndim != 1:
-            raise ValueError("features must be 2-D and labels 1-D")
-        if self.features.shape[0] != self.labels.shape[0] or self.features.shape[0] < 1:
-            raise ValueError("batch must be nonempty with matching features/labels")
-
     def __len__(self):
-        return self.labels.shape[0]
+        return len(self.labels)
 
 
 def _kaiming_uniform(rng, fan_in, shape):
@@ -96,6 +90,8 @@ class MultiHeadClassifier:
     def _lay_out(self, seed, input_dim, hidden_dims, per_task_classes, activation):
         """Check and keep the model's description, and bind zero weights
         laid out for it."""
+        if not isinstance(hidden_dims, (list, tuple)):
+            raise ValueError(f"hidden_dims must be a list, got {hidden_dims!r}")
         dims = [input_dim, *hidden_dims]
         # bool is an int subclass; a JSON true is not the width 1
         if any(isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1 for d in dims):
@@ -190,13 +186,16 @@ class MultiHeadClassifier:
     # existing head.
 
     def _check_rows(self, features, labels, task_id):
-        """(float64 features, int64 labels) after the shape and label-range
-        checks every entry point runs; `labels` may be None."""
+        """(float64 features, int64 labels) after the one check of rows,
+        which every entry point runs: shapes, at least one labeled row, and
+        labels in range for the head.  `labels` may be None."""
         if labels is not None:
             labels = np.asarray(labels, dtype=np.int64)
             if labels.ndim != 1 or labels.shape[0] != np.shape(features)[0]:
                 raise ValueError(f"labels of shape {labels.shape} do not match "
                                  f"{np.shape(features)[0]} feature rows")
+            if labels.shape[0] == 0:
+                raise ValueError("need at least one sample")
         if not 0 <= task_id < len(self.head_classes):
             raise ValueError(f"no head for task {task_id} (have {len(self.head_classes)})")
         features = np.asarray(features, dtype=np.float64)

@@ -48,14 +48,18 @@ class FlatRegion:
         self.lo, self.hi = anchor - half, anchor + half
 
 
-@dataclass
+@dataclass(frozen=True)
 class ImportanceMap:
-    """Per-parameter flatness values laid out like `theta`; never negative or NaN."""
+    """Per-parameter flatness values laid out like `theta`; never negative or
+    NaN, checked here alone, on a read-only float64 copy that keeps it so."""
     values: np.ndarray
 
     def __post_init__(self):
-        if not np.all(self.values >= 0):
+        values = np.array(self.values, dtype=np.float64)
+        if not np.all(values >= 0):
             raise ValueError("negative or NaN importance entries")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
 
 @dataclass
@@ -127,11 +131,19 @@ class TaskReport:
 # core operations
 
 
+def all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of flat `x` is finite.  A finite sum of squares
+    proves it; only a sum that is not (a non-finite entry, or finite entries
+    whose squares overflow) is settled entry by entry.  `np.vdot` sums as
+    `x @ x` does, without the overflow warning."""
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
+
+
 def _epsilon(w: np.ndarray, g: np.ndarray, rho: float, out=None) -> np.ndarray:
     """rho * w^2 g / ||w g||_2 over flat vectors, written into `out` (a new
     vector when None, never `w` or `g`); zero when w g or rho is."""
     out = np.multiply(w, g, out=out)
-    denom_sq = float(out @ out)
+    denom_sq = float(np.vdot(out, out))  # the sum `all_finite` takes
     # A finite sum of squares proves every w_i g_i, hence every w_i and g_i,
     # finite; only a sum that is not is settled entry by entry.  Finite inputs
     # whose sum overflows would give NaN or a silent zero unless rho is 0.
@@ -248,7 +260,7 @@ def accumulate_fisher(importance: ImportanceMap | None, fresh: ImportanceMap,
     since the last accumulation start at zero importance.
     """
     if importance is None:
-        return ImportanceMap(fresh.values.copy())
+        return ImportanceMap(fresh.values)
     old, new = importance.values, fresh.values
     if old.size > new.size:
         raise ValueError(f"accumulated importance longer than fresh ({old.size} > {new.size})")
@@ -264,20 +276,12 @@ def soft_penalty(params: ParameterSet, region: FlatRegion,
     names).  The caller scales both by lambda.
     """
     names = region.constrained_names
-    f = _region_importance(region, importance)
+    f = importance.values[:region.lo.size]
     w, anchor = params.prefix(names), region.anchor.prefix(names)
     grads = params.zeros_like()
     _penalty_gradient(w, anchor, 2.0 * f, grads.flat[:w.size])
     diff = w - anchor
     return float(np.sum(f * diff * diff)), grads
-
-
-def _region_importance(region: FlatRegion, importance: ImportanceMap) -> np.ndarray:
-    """The importance of the region's constrained prefix, checked >= 0."""
-    f = importance.values[:region.lo.size]
-    if not np.all(f >= 0):
-        raise ValueError("negative or NaN importance in the constrained region")
-    return f
 
 
 def _penalty_gradient(w, anchor, two_f, out) -> np.ndarray:
@@ -345,8 +349,7 @@ def base_step(state: OptimizerState, params: ParameterSet,
     """One in-place update; grads must already include all loss terms."""
     params.require_aligned(total_grads, "base_step")
     g = total_grads.flat
-    # a finite sum of squares proves every entry finite, as in `_epsilon`
-    if not math.isfinite(float(g @ g)) and not np.isfinite(g).all():
+    if not all_finite(g):
         raise FloatingPointError("non-finite gradients in base_step")
     state.t += 1
     lr = config.learning_rate
@@ -377,11 +380,8 @@ def base_step(state: OptimizerState, params: ParameterSet,
 
 def _check_replay_rows(model: MultiHeadClassifier, store: ReplayBuffer):
     """Check every stored row against its head, as `train_task` does its
-    tasks' rows; the store may come from a checkpoint."""
-    counts = (len(store.features), len(store.labels), len(store.task_ids))
-    if len(set(counts)) != 1:
-        raise ValueError(f"replay store holds {counts[0]} feature rows, {counts[1]} "
-                         f"labels and {counts[2]} task ids")
+    tasks' rows; the store may come from a checkpoint, whose load checks
+    that its row, label and task-id counts agree."""
     for tid in np.unique(store.task_ids):
         rows = store.task_ids == tid
         model._check_rows(store.features[rows], store.labels[rows], int(tid))
@@ -432,7 +432,7 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
     if use_penalty:
         w_c = params.prefix(region.constrained_names)
         anchor_c = region.anchor.prefix(region.constrained_names)
-        two_f = 2.0 * _region_importance(region, importance)
+        two_f = 2.0 * importance.values[:w_c.size]
         penalty = state.penalty[:w_c.size]
 
     # at rho 0, the plain gradient; the create step perturbs the constrained

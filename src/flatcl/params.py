@@ -59,9 +59,6 @@ class ParameterSet:
         """Write `arr` into the named view; names and shapes are fixed."""
         self[name][...] = arr
 
-    def __contains__(self, name):
-        return name in self._layout.index
-
     def __iter__(self):
         return iter(self._layout.names)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import Batch, MultiHeadClassifier
-from .optim import check_rho, compute_perturbation
+from .optim import all_finite, check_rho, compute_perturbation
 from .params import ParameterSet
 
 
@@ -129,14 +129,11 @@ def create_decomposition_check(obj: Objective, rho: float):
 def fisher_trace_check(model: MultiHeadClassifier, features, labels, task_id: int):
     """Trace of the diagonal empirical Fisher vs mean squared gradient norm
     over the same samples: (trace, mean_sq_grad_norm, rel_gap)."""
-    labels = np.asarray(labels)
-    if len(labels) < 1:
-        raise ValueError("need at least one sample")
     # Two reduction orders: the trace sums per-coordinate Fisher values that
     # were each averaged over samples; the other side averages per-sample
     # squared gradient norms.  Algebraically equal.
     sums, sq_norms = model.gradient_second_moments(features, labels, task_id)
-    trace = float(np.sum(sums)) / len(labels)
+    trace = float(np.sum(sums)) / len(sq_norms)
     mean_sq = float(np.mean(sq_norms))
     denom = max(abs(mean_sq), 1e-300)
     return trace, mean_sq, abs(trace - mean_sq) / denom
@@ -156,13 +153,10 @@ def hvp(obj, v):
 
 
 def _checked_product(op, v: np.ndarray) -> np.ndarray:
-    if v @ v == 0:
+    if np.vdot(v, v) == 0:  # `v @ v`, without its overflow warning
         raise ValueError("direction must be nonzero")
     out = op(v)
-    # a finite sum of squares proves every entry finite; only a sum that is
-    # not (a non-finite entry, or finite entries whose squares overflow) is
-    # settled entry by entry
-    if not math.isfinite(float(out @ out)) and not np.isfinite(out).all():
+    if not all_finite(out):
         raise FloatingPointError("non-finite Hessian-vector product")
     return out
 

@@ -24,7 +24,11 @@ def _kmeans_pp_init(features, k, rng):
     return centroids
 
 
-def select_exemplars(features, labels, k, seed, max_iters=100):
+# Lloyd iterations K-means runs at most before keeping its assignment
+KMEANS_ITERS = 100
+
+
+def select_exemplars(features, k, seed):
     """K-means the raw features; keep the sample nearest each centroid.
 
     Returns sorted row indices into `features`.  k >= dataset size keeps
@@ -39,7 +43,7 @@ def select_exemplars(features, labels, k, seed, max_iters=100):
     rng = np.random.Generator(np.random.PCG64(seed))
     centroids = _kmeans_pp_init(features, k, rng)
     assign = None
-    for _ in range(max_iters):
+    for _ in range(KMEANS_ITERS):
         dists = np.sum((features[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         new_assign = np.argmin(dists, axis=1)
         if assign is not None and np.array_equal(new_assign, assign):
@@ -82,7 +86,7 @@ class ReplayBuffer:
 
     def add_task(self, features, labels, task_id, store_ratio, seed):
         k = max(1, int(np.floor(store_ratio * len(labels))))
-        idx = select_exemplars(features, labels, k, seed)
+        idx = select_exemplars(features, k, seed)
         picked = np.asarray(features, dtype=np.float64)[idx]
         self.features = (np.concatenate([self.features, picked]) if len(self)
                          else picked)

@@ -104,29 +104,22 @@ def load_config(path) -> dict:
 
 def build_stream(cfg: dict, seed: int) -> TaskStream:
     """The benchmark's tasks for `seed`, in the config's order."""
-    stream = _generate(cfg["benchmark"], seed)
+    bench = cfg["benchmark"]
+    args = (bench.get("data_seed_offset", 0) + seed, bench["n_tasks"],
+            bench["classes_per_task"], bench["dim"], bench["samples_per_class"],
+            bench["separation"])
+    if bench["kind"] == "rotated_gaussians":
+        stream = gen_rotated_gaussians(*args, bench["rotation_per_task"])
+    elif bench["kind"] == "permuted_features":
+        stream = gen_permuted_features(*args)
+    else:
+        raise ValueError(f"unknown benchmark kind {bench['kind']!r}")
     order_name = cfg.get("order", "identity")
-    orders = cfg.get("orders", {})
-    if order_name != "identity":
-        if order_name not in orders:
-            raise ValueError(f"unknown order {order_name!r}")
-        stream = make_order(stream, orders[order_name])
-    return stream
-
-
-def _generate(bench: dict, seed: int) -> TaskStream:
-    """The tasks the `benchmark` section describes, in the generator's order."""
-    data_seed = bench.get("data_seed_offset", 0) + seed
-    kind = bench["kind"]
-    if kind == "rotated_gaussians":
-        return gen_rotated_gaussians(
-            data_seed, bench["n_tasks"], bench["classes_per_task"], bench["dim"],
-            bench["samples_per_class"], bench["separation"], bench["rotation_per_task"])
-    if kind == "permuted_features":
-        return gen_permuted_features(
-            data_seed, bench["n_tasks"], bench["classes_per_task"], bench["dim"],
-            bench["samples_per_class"], bench["separation"])
-    raise ValueError(f"unknown benchmark kind {kind!r}")
+    if order_name == "identity":
+        return stream
+    if order_name not in cfg.get("orders", {}):
+        raise ValueError(f"unknown order {order_name!r}")
+    return make_order(stream, cfg["orders"][order_name])
 
 
 def build_optimizer_config(cfg: dict, variant: str) -> OptimizerConfig:
@@ -291,9 +284,9 @@ def run_experiment(cfg: dict, variant: str, out_root: str, seeds=None) -> list[d
         raise ValueError("seeds must be nonempty")
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"seeds {seeds} name a seed more than once")
-    # the first seed's tasks and model, built here, run the generators' and
-    # the model's checks of the config once, before anything is written
-    _build_model(cfg, _generate(cfg["benchmark"], seeds[0]), seeds[0])
+    # the first seed's tasks and model, built here, run the generators', the
+    # order's and the model's checks once, before anything is written
+    _build_model(cfg, build_stream(cfg, seeds[0]), seeds[0])
     name = cfg.get("name", "experiment")
     out_dirs = [os.path.join(out_root, name, variant, f"seed{seed}") for seed in seeds]
     for out_dir in out_dirs:

@@ -209,11 +209,36 @@ def test_load_rejects_nan_importance(tmp_path):
     and, in a resumed sparse-mask run, freeze it; the file is refused by
     name."""
     model = random_mlp(41)
-    imp = ImportanceMap(np.abs(model.theta))
-    imp.values[3] = np.nan  # breach the invariant after construction
     path = tmp_path / "nan.bin"
-    save_checkpoint(path, Checkpoint(model=model, importance=imp))
+    save_checkpoint(path, Checkpoint(model=model, importance=ImportanceMap(np.abs(model.theta))))
+    bad = np.abs(model.theta)
+    bad[3] = np.nan  # a file written by a writer that skipped the check
+    _rewrite_block(path, "importance", bad)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: negative or NaN importance"):
+        load_checkpoint(path)
+
+
+def test_load_rejects_replay_store_with_a_label_short(tmp_path):
+    """The replay store's row, label and task-id counts are checked where a
+    store comes from outside: a re-signed file whose labels list is one
+    entry short is refused by name, not left for training to trip over."""
+    from flatcl.checkpoint import _digest
+    model = random_mlp(44)
+    store = ReplayBuffer()
+    rng = np.random.default_rng(0)
+    store.add_task(rng.normal(size=(20, 4)), rng.integers(0, 3, size=20), 0, 0.25, seed=1)
+    path = tmp_path / "short.bin"
+    save_checkpoint(path, Checkpoint(model=model, replay_buffer=store))
+    assert load_checkpoint(path).replay_buffer.labels.tolist() == store.labels.tolist()
+    data = path.read_bytes()
+    mlen = int.from_bytes(data[8:16], "little")
+    manifest, payload = json.loads(data[16:16 + mlen]), data[16 + mlen:]
+    manifest["replay"]["labels"].pop()
+    manifest["sha256"] = _digest(manifest, payload)
+    mbytes = json.dumps(manifest, sort_keys=True).encode()
+    path.write_bytes(data[:8] + len(mbytes).to_bytes(8, "little") + mbytes + payload)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*replay store holds "
+                                         "5 feature rows, 4 labels and 5 task ids$"):
         load_checkpoint(path)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from flatcl.optim import (FlatRegion, ImportanceMap, OptimizerConfig,
                           find_fisher, random_importance, soft_penalty,
                           train_continual, train_multitask, train_task)
 from flatcl.params import ParameterSet
-from flatcl.probe import hvp, model_objective
+from flatcl.probe import hvp, model_objective, quadratic_objective
 from flatcl.replay import ReplayBuffer, replay_schedule
 
 from conftest import random_batch, random_mlp
@@ -257,6 +258,19 @@ def test_importance_rejects_nan():
         ImportanceMap(np.array([0.5, np.nan]))
 
 
+def test_importance_values_are_a_read_only_copy():
+    """The map's check holds for its whole life: a write to its values is
+    refused, and a write to the array it was built from reaches nothing."""
+    source = np.array([0.5, 2.0])
+    imp = ImportanceMap(source)
+    with pytest.raises(ValueError, match="read-only"):
+        imp.values[0] = -1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        imp.values = np.array([-1.0, 0.0])
+    source[0] = -1.0
+    assert imp.values.tolist() == [0.5, 2.0]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(0, 10), min_size=1, max_size=5),
        st.lists(st.floats(0, 1), min_size=1, max_size=4))
@@ -309,9 +323,9 @@ def test_soft_penalty_rejects_negative_importance():
     region = _region([1.0], 0.5)
     for bad in (-1.0, np.nan):
         imp = ImportanceMap(np.array([1.0]))
-        imp.values[0] = bad  # breach the invariant after construction
-        with pytest.raises(ValueError, match="negative"):
-            soft_penalty(ParameterSet({"w": [2.0]}), region, imp)
+        with pytest.raises(ValueError, match="read-only"):
+            imp.values[0] = bad  # a breach of the invariant after construction
+        assert soft_penalty(ParameterSet({"w": [2.0]}), region, imp)[0] == 1.0
 
 
 def test_dead_relu_unit_trains_inside_its_region():
@@ -431,6 +445,23 @@ def test_base_step_takes_finite_gradient_whose_square_overflows(base_optimizer):
         assert params.flat.tobytes() == np.array([1.0 - 1e200 * 0.1, -2.0 - 1.0 * 0.1]).tobytes()
     else:  # v overflows to inf, so the first coordinate's update is 0
         assert params.flat[0] == 1.0 and params.flat[1] < -2.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: base_step(OptimizerState(ParameterSet({"w": [1.0, -2.0]})),
+                      ParameterSet({"w": [1.0, -2.0]}), ParameterSet({"w": [1e200, 1.0]}),
+                      OptimizerConfig(base_optimizer="sgd")),
+    lambda: hvp(quadratic_objective(np.diag([1e200, 1.0]), [0.0, 0.0]),
+                ParameterSet({"w": [1.0, 1.0]})),
+    lambda: compute_perturbation(ParameterSet({"w": [1e200, -3e180]}),
+                                 ParameterSet({"w": [1.0, 2.0]}), 0.0),
+], ids=["base_step", "hvp", "compute_perturbation"])
+def test_finite_vector_whose_squares_overflow_warns_nothing(call):
+    """The one finiteness test, `all_finite`, accepts finite entries near
+    1e200 without the overflow RuntimeWarning a sum of squares by `@` prints."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call()
 
 
 def test_optimizer_config_refuses_out_of_range_settings():
@@ -1028,6 +1059,18 @@ def test_bad_replay_row_refused_before_training(fault):
                    np.random.Generator(np.random.PCG64(0)), 1,
                    [(*stream[1].val_xy(), 1)])
     assert model.theta.tobytes() == before
+
+
+@pytest.mark.filterwarnings("ignore:dataset has 0 samples")
+@pytest.mark.parametrize("entry", ["loss_gradient", "task_loss", "create_gradient",
+                                   "find_fisher", "loss_hvp", "train_task"])
+def test_zero_rows_refused_by_every_entry_point_with_one_message(entry):
+    """Rows are checked in one place, the model's `_check_rows`, which
+    every labeled entry point runs; zero labeled rows get its one message."""
+    model = random_mlp(83, classes=(3, 4))
+    x, y = np.empty((0, model.input_dim)), np.empty(0, dtype=np.int64)
+    with pytest.raises(ValueError, match="^need at least one sample$"):
+        _entry_points(model, x, y, 1)[entry]()
 
 
 def test_public_gradients_never_share_a_buffer():

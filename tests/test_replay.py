@@ -20,8 +20,7 @@ def test_select_two_separated_clouds():
     a = rng.normal(scale=0.05, size=(20, 2))
     b = rng.normal(scale=0.05, size=(20, 2)) + 100.0
     feats = np.vstack([a, b])
-    labels = np.r_[np.zeros(20, int), np.ones(20, int)]
-    idx = select_exemplars(feats, labels, 2, seed=1)
+    idx = select_exemplars(feats, 2, seed=1)
     assert len(idx) == 2
     assert (idx < 20).sum() == 1 and (idx >= 20).sum() == 1
 
@@ -30,7 +29,7 @@ def test_select_exemplar_is_nearest_to_centroid():
     # single cluster, k=1: pick the point closest to the mean
     rng = np.random.default_rng(3)
     feats = rng.normal(size=(30, 3))
-    idx = select_exemplars(feats, np.zeros(30, int), 1, seed=2)
+    idx = select_exemplars(feats, 1, seed=2)
     mean = feats.mean(axis=0)
     # k-means with one cluster converges to the global mean
     d = np.sum((feats - mean) ** 2, axis=1)
@@ -39,29 +38,28 @@ def test_select_exemplar_is_nearest_to_centroid():
 
 def test_select_k_at_least_n_returns_all():
     feats = np.arange(6, dtype=float).reshape(3, 2)
-    assert select_exemplars(feats, np.zeros(3, int), 3, seed=0).tolist() == [0, 1, 2]
-    assert select_exemplars(feats, np.zeros(3, int), 10, seed=0).tolist() == [0, 1, 2]
+    assert select_exemplars(feats, 3, seed=0).tolist() == [0, 1, 2]
+    assert select_exemplars(feats, 10, seed=0).tolist() == [0, 1, 2]
 
 
 def test_select_exact_count_on_degenerate_data():
     # all points identical: clusters collapse, but exactly k rows come back
     feats = np.ones((10, 2))
-    idx = select_exemplars(feats, np.zeros(10, int), 4, seed=5)
+    idx = select_exemplars(feats, 4, seed=5)
     assert len(idx) == 4
     assert len(np.unique(idx)) == 4
 
 
 def test_select_deterministic():
     feats = np.random.default_rng(7).normal(size=(40, 3))
-    labels = np.zeros(40, int)
-    a = select_exemplars(feats, labels, 5, seed=9)
-    b = select_exemplars(feats, labels, 5, seed=9)
+    a = select_exemplars(feats, 5, seed=9)
+    b = select_exemplars(feats, 5, seed=9)
     assert np.array_equal(a, b)
 
 
 def test_empty_input_rejected():
     with pytest.raises(ValueError, match="nonempty"):
-        select_exemplars(np.empty((0, 2)), np.empty(0, int), 1, seed=0)
+        select_exemplars(np.empty((0, 2)), 1, seed=0)
 
 
 def test_buffer_size_is_floor_of_ratio():

@@ -222,6 +222,29 @@ def test_cli_run_refuses_bad_config_value_before_writing(tmp_path, capsys, secti
     assert not out.exists()
 
 
+# Values that ran as something else (`{}` as no hidden layer, true as the
+# angle 1), failed every seed into failures.json (NaN, inf) or were refused
+# by an error that named no key.
+BAD_SHAPE_OR_ROTATION = [
+    ("model", "hidden_dims", 8, "hidden_dims must be a list, got 8"),
+    ("model", "hidden_dims", {}, "hidden_dims must be a list, got {}"),
+    *[("benchmark", "rotation_per_task", value,
+       f"rotation_per_task must be a finite number, got {value!r}")
+      for value in (float("nan"), float("inf"), -float("inf"), True, "x", [], None)]]
+
+
+@pytest.mark.parametrize("section,key,value,error", BAD_SHAPE_OR_ROTATION,
+                         ids=["hidden-dims-int", "hidden-dims-dict", "rotation-nan",
+                              "rotation-inf", "rotation-minus-inf", "rotation-bool",
+                              "rotation-string", "rotation-list", "rotation-null"])
+def test_cli_run_refuses_bad_hidden_dims_or_rotation_before_writing(tmp_path, capsys, section,
+                                                                    key, value, error):
+    """Refused once, by the model or the generator, with a one-line error
+    that names the key, before `--out` exists."""
+    test_cli_run_refuses_bad_config_value_before_writing(tmp_path, capsys, section, key,
+                                                         value, error)
+
+
 @pytest.mark.parametrize("section,key", [(None, "optimzer"), ("benchmark", "dims"),
                                          ("model", "hiden_dims"), ("probe", "enable"),
                                          ("optimizer", "learnig_rate"),
@@ -540,18 +563,44 @@ def test_run_experiment_refuses_repeated_seed_before_writing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_run_experiment_records_per_seed_failures(tmp_path):
+def test_run_experiment_refuses_unknown_order_before_writing(tmp_path):
+    """The order is looked up once, up front, not by each seed's run."""
     cfg = small_cfg()
-    cfg["order"] = "missing-order"  # fails inside each per-seed run
+    cfg["order"] = "missing-order"
+    with pytest.raises(ValueError, match="^unknown order 'missing-order'$"):
+        run_experiment(cfg, "seq", str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_files_get_the_mode_open_gives_under_the_umask(tmp_path):
+    """Checkpoints and metrics.json, written through a temporary file and
+    renamed, get the mode matrix.csv gets from a plain `open`."""
+    old = os.umask(0o022)
+    try:
+        run_single_seed(small_cfg(), "seq", 1, str(tmp_path / "r"))
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in (tmp_path / "r").iterdir()}
+    assert {"ckpt_task0.bin", "ckpt_task1.bin", "metrics.json", "matrix.csv"} <= set(modes)
+    assert set(modes.values()) == {0o644}
+
+
+def test_run_experiment_records_per_seed_failures(tmp_path, monkeypatch):
+    cfg = small_cfg()
+
+    def failing_training(*args, **kwargs):  # fails inside each per-seed run
+        raise ValueError("training failed on purpose")
+
+    monkeypatch.setattr(runner, "train_continual", failing_training)
     rows = run_experiment(cfg, "seq", str(tmp_path))
     assert rows == []
     with open(tmp_path / "tiny" / "seq" / "failures.json") as f:
         failures = json.load(f)
     assert [f["seed"] for f in failures] == [1]
-    assert "missing-order" in failures[0]["error"]
+    assert "training failed on purpose" in failures[0]["error"]
     assert failures[0]["type"] == "ValueError"
     assert failures[0]["traceback"].startswith("Traceback")
-    assert "build_stream" in failures[0]["traceback"]
+    assert "failing_training" in failures[0]["traceback"]
 
 
 # -- CLI --------------------------------------------------------------------
