@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import numbers
 import sys
 from dataclasses import dataclass, field
@@ -62,11 +61,16 @@ class TaskStream:
         return self.tasks[i]
 
 
+def _split_sizes(n):
+    """(train, val) row counts of the 60/20/20 split of n rows; test takes
+    the rest.  Every split of 4 or more rows has a row."""
+    return int(round(0.6 * n)), int(round(0.2 * n))
+
+
 def _split_indices(n, rng):
     """Deterministic 60/20/20 train/val/test split; test takes the rest."""
     perm = rng.permutation(n)
-    n_train = int(round(0.6 * n))
-    n_val = int(round(0.2 * n))
+    n_train, n_val = _split_sizes(n)
     return {
         "train": np.sort(perm[:n_train]),
         "val": np.sort(perm[n_train:n_train + n_val]),
@@ -81,7 +85,7 @@ def _simplex_means(classes, dim, separation):
         raise ValueError("dim must be >= 2")
     # bool is an int subclass; a JSON true is not the number 1
     if (isinstance(separation, bool) or not isinstance(separation, numbers.Real)
-            or not 0 < separation < math.inf):
+            or not 0 < separation <= sys.float_info.max):
         raise ValueError(f"separation must be a finite number > 0, got {separation!r}")
     means = np.zeros((classes, dim))
     angles = 2.0 * np.pi * np.arange(classes) / classes
@@ -100,7 +104,14 @@ def _rotate_first_two(x, theta):
 
 def _gaussian_classes(rng, means, samples_per_class):
     """(features, labels, splits): `samples_per_class` unit-variance draws
-    around each row of `means` in class order, then the split."""
+    around each row of `means` in class order, then the split; the one
+    check, for both generators, that every split gets a row."""
+    rows = len(means) * samples_per_class
+    n_train, n_val = _split_sizes(rows)
+    if min(n_train, n_val, rows - n_train - n_val) < 1:
+        raise ValueError(f"classes_per_task * samples_per_class must give every "
+                         f"train/val/test split a row (at least 4 rows), got "
+                         f"{len(means)} * {samples_per_class}")
     feats = [rng.normal(size=(samples_per_class, means.shape[1])) + mu for mu in means]
     labels = np.repeat(np.arange(len(means)), samples_per_class)
     return np.concatenate(feats), labels, _split_indices(len(labels), rng)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,13 +48,21 @@ class MultiHeadClassifier:
     create step and the probes read perturbed weights from.  The kernels
     take a plan, not a task id, so no pass writes `theta`: only the
     constructors, `set_parameters` and the training loop's step, clamp and
-    best-snapshot restore do.  The public methods check their inputs and then call the
-    unchecked kernel; the training loop checks each task's rows once, binds
-    the plans of the buffers it owns once per task and calls the kernel.
+    best-snapshot restore do.  The public methods check their inputs and
+    then call the unchecked kernel; the training loop checks each task's
+    rows once and calls the kernel through passes bound once.
 
-    The gradient, the per-sample Fisher pass and the Hessian bind share one
-    output-layer adjoint, `_output_adjoint`, and one backward pass,
-    `_adjoints`, with one activation derivative, `_slope`.  The
+    There is one forward and one backward pass, `_Pass`, in folded form
+    (each layer one matmul `[h, 1] @ [W; b]`, the softmax `exp(z - max) /
+    sum`).  The model keeps one pass per head over `theta`, `_head_pass`,
+    which the training step, `loss_gradient`, the Fisher pass and `logits`
+    share; the create step's perturbed point, the stacked scoring and the
+    Hessian bind each bind a pass of their own.  The gradient, the per-sample
+    Fisher pass and the Hessian bind share the pass's output-layer adjoint
+    and backward adjoints.  Their bits are those of the per-layer recursion
+    tests/test_model.py writes out in the same folded form, and lie within
+    1e-13 (of each block's largest entry) of the former unfolded spelling,
+    `h @ W + b` with a log-softmax, which an autodiff graph computes.  The
     Hessian-vector product is split into a bind step and an apply step
     (`_hvp_operator`): binding to checked rows runs the forward pass, the
     softmax and the backward adjoints once, and the operator it returns
@@ -125,6 +134,7 @@ class MultiHeadClassifier:
         depth = len(self.hidden_dims)
         self._layers = [layers[:depth] + [head] for head in layers[depth:]]
         self._plans = [self._plan(self.theta, t) for t in range(len(self._layers))]
+        self._passes = [None] * len(self._plans)  # bound on first use, see `_head_pass`
 
     def _plan(self, vec, task_id):
         """Head `task_id`'s layers in `vec`, a flat vector laid out like
@@ -178,12 +188,10 @@ class MultiHeadClassifier:
 
     # -- batched forward/backward kernel ----------------------------------
     #
-    # Each step repeats the float64 operation a reverse-mode autodiff graph
-    # of the same network would run, in the same order, so losses and
-    # gradients are bitwise those of the graph.  `_check_rows` is the input
-    # check of every public entry point; the other `_` methods trust their
-    # inputs: float64 rows of width `input_dim`, int64 labels in range for an
-    # existing head.
+    # Every pass runs through a `_Pass` bound to a plan.  `_check_rows` is the
+    # input check of every public entry point; the other `_` methods, and
+    # `_Pass`, trust their inputs: float64 rows of width `input_dim`, int64
+    # labels in range for an existing head.
 
     def _check_rows(self, features, labels, task_id):
         """(float64 features, int64 labels) after the one check of rows,
@@ -208,87 +216,19 @@ class MultiHeadClassifier:
             raise ValueError(f"labels out of range [0, {classes}) for task {task_id}")
         return features, labels
 
-    def _forward(self, features, plan):
-        """(layer inputs [x, h1, ..., hL], logits) through `plan`, over a
-        flat vector or a stack of k: a stack's (W, b) blocks, (k, rows, cols)
-        and (k, 1, cols), give every layer after the input a leading axis of
-        k.  Each matmul broadcasts over the stack and runs per stack entry
-        the product the unstacked plan runs."""
-        h = features
-        acts = [h]
-        for w, b, _, _ in plan[:-1]:
-            z = h @ w
-            z += b
-            h = np.tanh(z, out=z) if self.activation == "tanh" else np.maximum(z, 0.0, out=z)
-            acts.append(h)
-        w, b, _, _ = plan[-1]
-        logits = h @ w
-        logits += b
-        return acts, logits
+    def _head_pass(self, task_id) -> "_Pass":
+        """The model's pass of head `task_id` over `theta`, bound on first
+        use and kept until the next `add_task_head`: every entry point that
+        runs and finishes a pass at the weights shares it."""
+        bound = self._passes[task_id]
+        if bound is None:
+            bound = self._passes[task_id] = _Pass(self._plans[task_id], self.activation)
+        return bound
 
-    def _log_probs(self, features, plan):
-        """(layer inputs, log-softmax of the logits) through `plan`."""
-        acts, z = self._forward(features, plan)
-        # in place; the reductions are the ones `.max` and `.sum` call
-        z -= np.maximum.reduce(z, axis=-1, keepdims=True)
-        lse = np.add.reduce(np.exp(z), axis=-1, keepdims=True)
-        z -= np.log(lse, out=lse)
-        return acts, z
-
-    @staticmethod
-    def _output_adjoint(p, labels, scale):
-        """scale * (p - onehot(labels)), written over the softmax `p`: the
-        logit adjoint of the mean loss (scale 1/n) and of each sample's
-        loss (scale 1).  Equal bit for bit to an autodiff graph's
-        `g - p * g.sum(-1)` for the one-hot `g` of -scale: each row of `g`
-        sums to exactly -scale, and IEEE negation is exact."""
-        p *= scale
-        p[np.arange(labels.shape[0]), labels] -= scale
-        return p
-
-    def _adjoints(self, plan, acts, delta):
-        """The backward pass from `delta`, the adjoint of the last layer's
-        output: (out, inp), where out[k] is the adjoint of layer k's affine
-        output and inp[k] that of its input acts[k] (inp[0] is None; the
-        rows need none)."""
-        out, inp = [None] * len(plan), [None] * len(plan)
-        out[-1] = delta
-        for k in range(len(plan) - 1, 0, -1):
-            inp[k] = d_h = out[k] @ plan[k][0].T
-            out[k - 1] = d_h * self._slope(acts[k])
-        return out, inp
-
-    def _slope(self, h):
-        """The activation's derivative at its output `h`."""
-        return (1.0 - h * h) if self.activation == "tanh" else (h > 0.0)
-
-    @staticmethod
-    def _nll(logp, labels):
-        """Mean negative log-probability of the labels over the last two
-        axes of `logp`: `.mean()`'s sum and divide.  The picks are made
-        C-contiguous first: a stack's picks come out column-major, and a
-        sum along a strided axis adds in another order."""
-        picked = np.ascontiguousarray(logp[..., np.arange(labels.size), labels])
-        return -(np.add.reduce(picked, axis=-1) / labels.size)
-
-    def _loss_gradient_into(self, features, labels, plan, views) -> float:
-        """Mean cross-entropy of the rows through the weights `plan`; its
-        gradient goes into `views`, the same head's plan over a flat vector
-        laid out like `theta`.  Every block of that vector the head does not
-        reach is left as it was."""
-        acts, logp = self._log_probs(features, plan)
-        self._gradient_into(acts, logp, labels, plan, views)
-        return float(self._nll(logp, labels))
-
-    def _gradient_into(self, acts, logp, labels, plan, views):
-        """The backward half of `_loss_gradient_into`, from `_log_probs`.
-        `views` may stop short of the head: the layers past its end are
-        not written."""
-        d_out = self._output_adjoint(np.exp(logp), labels, 1.0 / labels.shape[0])
-        deltas, _ = self._adjoints(plan, acts, d_out)
-        for (out_w, out_b, _, _), h, delta in zip(views, acts, deltas):
-            np.matmul(h.T, delta, out=out_w)
-            np.add.reduce(delta, axis=0, keepdims=True, out=out_b)  # delta.sum(0, keepdims=True)
+    def _folded(self, vec, task_id) -> list:
+        """The folded `[W; b]` blocks of head `task_id` in flat `vec`, from
+        the input up: the output views a pass writes a gradient into."""
+        return [wb for _, _, wb, _ in self._plan(vec, task_id)]
 
     def task_loss(self, batch: Batch) -> float:
         features, labels = self._check_rows(batch.features, batch.labels, batch.task_id)
@@ -299,7 +239,10 @@ class MultiHeadClassifier:
         out like `theta` (a 0-d loss) or a (k, d) stack of them (k losses),
         in one pass through its plan.  Each loss of a stack equals bit for
         bit the one its row gives alone."""
-        return self._nll(self._log_probs(features, self._plan(thetas, task_id))[1], labels)
+        bound = _Pass(self._plan(thetas, task_id), self.activation)
+        rows, z = bound.forward(features)
+        _, s = bound.exp_sum(z)
+        return bound.loss(z, s, rows.index, labels)
 
     def loss_gradient(self, batch: Batch):
         """(loss value, gradient ParameterSet) for mean cross-entropy, in a
@@ -309,8 +252,9 @@ class MultiHeadClassifier:
 
     def _loss_gradient(self, features, labels, task_id):
         grads = self._params.zeros_like()
-        views = self._plan(grads.flat, task_id)
-        return self._loss_gradient_into(features, labels, self._plans[task_id], views), grads
+        loss = self._head_pass(task_id).loss_gradient(features, labels,
+                                                      self._folded(grads.flat, task_id))
+        return loss, grads
 
     def log_prob_gradient(self, features, label, task_id: int) -> ParameterSet:
         """Per-sample gradient of log p(true label | x; w).
@@ -328,22 +272,20 @@ class MultiHeadClassifier:
 
         Returns (per-coordinate sums over samples of g_i^2, laid out like
         `theta`; per-sample squared norms ||g_i||^2).  A layer with inputs H
-        and per-sample logit-side adjoints D contributes (H^2)^T (D^2) to its
-        weights and (||h_i||^2 + 1) * ||d_i||^2 to sample i.
+        and per-sample logit-side adjoints D contributes [H^2, 1]^T (D^2) to
+        its folded block and (||h_i||^2 + 1) * ||d_i||^2 to sample i.
         """
         features, labels = self._check_rows(features, labels, task_id)
-        plan = self._plans[task_id]
-        acts, logp = self._log_probs(features, plan)
-        deltas, _ = self._adjoints(plan, acts, self._output_adjoint(np.exp(logp), labels, 1.0))
-        sums = np.zeros(self.theta.size)
-        views = self._plan(sums, task_id)
-        sq_norms = np.zeros(labels.shape[0])
-        for k in range(len(plan) - 1, -1, -1):  # top-down, the order of the sums
-            out_w, out_b, _, _ = views[k]
-            h2, d2 = acts[k] * acts[k], deltas[k] * deltas[k]
-            np.matmul(h2.T, d2, out=out_w)
-            np.sum(d2, axis=0, keepdims=True, out=out_b)
-            sq_norms += (h2.sum(axis=1) + 1.0) * d2.sum(axis=1)
+        bound = self._head_pass(task_id)
+        rows, z = bound.forward(features)
+        p, _ = bound.softmax(z)
+        deltas, _ = bound.adjoints(rows, bound.output_adjoint(p, labels, 1.0, np.eye(p.shape[1])))
+        sums, sq_norms = np.zeros(self.theta.size), np.zeros(labels.shape[0])
+        views = self._folded(sums, task_id)
+        for k in range(len(deltas) - 1, -1, -1):  # top-down, the order of the sums
+            a2, d2 = rows.aug[k] * rows.aug[k], deltas[k] * deltas[k]  # a2 = [h^2, 1]
+            np.matmul(a2.T, d2, out=views[k])
+            sq_norms += np.add.reduce(a2, axis=1) * np.add.reduce(d2, axis=1)
         return sums, sq_norms
 
     def _hvp_operator(self, features, labels, task_id):
@@ -352,36 +294,37 @@ class MultiHeadClassifier:
         R{.} = d/dt at w + t v is pushed through the forward pass, then
         through the backward pass.  Everything that depends only on the
         weights and the rows (the layer inputs, the softmax, the backward
-        adjoints, the activation derivatives) is computed here, once.  The
-        returned operator maps a flat `v` to a fresh flat H v and runs only
-        the R-forward and R-backward passes.  Each layer works on its folded
-        block `[W; b]` and on its input with a ones column appended, so the
-        direction's `acts @ v_W + v_b` is one matmul and H v's W and b rows
-        are one matmul too; the 1/n of the mean is folded into the softmax
-        once.  `v` is copied into a direction buffer whose blocks, like those
-        of the output buffer, are laid out by `_plan` here, so an apply
-        builds no views; it returns a copy of the output buffer.  The
-        operator is valid while the weights do not move.  Relu kinks
-        contribute no curvature.
+        adjoints, the activation derivatives) is computed here, once, by a
+        pass of its own whose buffers the operator keeps.  The returned
+        operator maps a flat `v` to a fresh flat H v and runs only the
+        R-forward and R-backward passes, in the pass's folded form: the
+        direction's `h @ v_W + v_b` is one matmul, `[h, 1] @ [v_W; v_b]`,
+        and H v's W and b rows are one matmul too; the 1/n of the mean is
+        folded into the softmax once.  `v` is copied into a direction buffer
+        whose blocks, like those of the output buffer, are laid out by
+        `_plan` here, so an apply builds no views; it returns a copy of the
+        output buffer.  The operator is valid while the weights do not move.
+        Relu kinks contribute no curvature.  Its products are bitwise those
+        of the R-operator recursion tests/test_model.py writes out in the
+        same folded form.
         """
         plan = self._plans[task_id]
-        tanh = self.activation == "tanh"
-        acts, logp = self._log_probs(features, plan)
+        bound = _Pass(plan, self.activation)
+        rows, z = bound.forward(features)
+        p, _ = bound.softmax(z)
         n = labels.shape[0]
-        p = np.exp(logp)
         # For k >= 1 layer k reads the hidden output acts[k]: slope[k] is the
         # activation's derivative there, adjoint[k] the loss adjoint of layer
         # k's output and, for tanh, curvature[k] = 2 * d_h * acts[k] (d_h the
         # loss adjoint of acts[k]) the activation's second-derivative factor.
-        slope = [None] + [self._slope(h) for h in acts[1:]]
-        adjoint, d_h = self._adjoints(plan, acts, self._output_adjoint(p.copy(), labels, 1.0 / n))
+        acts, aug, aug_t = rows.acts, rows.aug, rows.aug_t
+        slope = [None] + [bound.slope(h) for h in acts[1:]]
+        adjoint, d_h = bound.adjoints(
+            rows, bound.output_adjoint(p.copy(), labels, 1.0 / n, rows.eye_n))
         curvature = ([None] + [2.0 * d * h for d, h in zip(d_h[1:], acts[1:])]
-                     if tanh else None)
+                     if bound.tanh else None)
         p_n = p * (1.0 / n)
-        ones = np.ones((n, 1))
-        aug = [np.concatenate((h, ones), axis=1) for h in acts]  # [h, 1] @ [W; b] = h @ W + b
-        aug_t = [a.T for a in aug]
-        weights, weights_t = [w for w, *_ in plan], [w.T for w, *_ in plan]
+        weights, weights_t = [w for w, *_ in plan], bound.w_t
         # every block of the head is overwritten by each apply; the others stay 0
         out, direction = np.zeros(self.theta.size), np.zeros(self.theta.size)
         out_plan, v_plan = self._plan(out, task_id), self._plan(direction, task_id)
@@ -401,7 +344,7 @@ class MultiHeadClassifier:
                 np.matmul(aug_t[k], r_delta, out=out_wb[k])
                 out_w[k] += r_acts[k].T @ adjoint[k]
                 r_delta = (r_delta @ weights_t[k] + adjoint[k] @ v_w_t[k]) * slope[k]
-                if tanh:
+                if bound.tanh:
                     r_delta -= curvature[k] * r_acts[k]
             np.matmul(aug_t[0], r_delta, out=out_wb[0])
             return out.copy()
@@ -410,7 +353,7 @@ class MultiHeadClassifier:
 
     def logits(self, features, task_id: int) -> np.ndarray:
         features, _ = self._check_rows(features, None, task_id)
-        return self._forward(features, self._plans[task_id])[1]
+        return self._head_pass(task_id).forward(features)[1]
 
     def predict(self, features, task_id: int) -> np.ndarray:
         """Argmax class ids; ties broken by lowest class index."""
@@ -424,3 +367,151 @@ class MultiHeadClassifier:
         return MultiHeadClassifier.from_weights(self.theta, self.init_seed, self.input_dim,
                                                 self.hidden_dims, self.head_classes,
                                                 self.activation)
+
+
+class _Rows(NamedTuple):
+    """A bound pass's buffers for n rows: `aug`, each layer's input with a
+    ones column appended ([x, 1], [h1, 1], ...), and `aug_t`, their
+    transposes; `acts`, the layer inputs, and `fill`, the views of `aug`
+    they go into (x is written into `fill[0]` directly; each hidden h has a
+    contiguous buffer, copied into its `fill` after the activation);
+    `index`, arange(n); and `eye_n`, the identity over the head's classes
+    over n (bitwise times 1/n), whose rows are the mean loss's scaled
+    one-hot labels (a forward of no rows, which `logits` allows, has none
+    to scale; a stack's rows, which no backward reads, have none)."""
+    aug: list
+    aug_t: list
+    acts: list
+    fill: list
+    index: np.ndarray
+    eye_n: np.ndarray
+
+
+class _Pass:
+    """The one forward and backward pass of a head, bound to a plan.
+
+    Each layer is one matmul of its input with a ones column appended and
+    its folded block, `[h, 1] @ [W; b]`; the softmax is `exp(z - max) / sum`
+    and the loss `mean(log(sum) - (z - max)[label])`, which needs no
+    division; and each layer's W and b gradient is one matmul,
+    `[h, 1].T @ delta`, into the folded block of an output plan.  The pass
+    keeps the plan's folded blocks, the transposes of its W blocks and, per
+    row count, one `_Rows` set of buffers with the ones columns set once.
+    A forward's layer inputs stay valid until the next forward of as many
+    rows through a pass sharing those buffers.  Over the plan of a (k, d)
+    stack every layer after the input has a leading axis of k, and each
+    matmul runs per stack entry the product the unstacked plan runs; only
+    the forward and the loss are taken over a stack.
+    """
+
+    def __init__(self, plan, activation, rows=None):
+        self.wb = [wb for _, _, wb, _ in plan]
+        self.w_t = [w.swapaxes(-1, -2) for w, *_ in plan]
+        self.activation = activation
+        self.tanh = activation == "tanh"
+        self._rows = {} if rows is None else rows
+
+    def sharing_buffers(self, plan) -> "_Pass":
+        """A pass through `plan`, another plan of this pass's head, that
+        writes into this pass's buffers: for passes that never run at once."""
+        return _Pass(plan, self.activation, self._rows)
+
+    def _new_rows(self, n) -> _Rows:
+        lead = self.wb[0].shape[:-2]  # () for a flat plan, (k,) for a stack
+        aug = [np.empty((n, self.wb[0].shape[-2]))]
+        aug += [np.empty((*lead, n, wb.shape[-2])) for wb in self.wb[1:]]
+        for a in aug:
+            a[..., -1] = 1.0
+        fill = [a[..., :-1] for a in aug]
+        acts = fill[:1] + [np.empty(f.shape) for f in fill[1:]]
+        # only a flat plan runs the backward, the one reader of `eye_n`
+        eye_n = None if lead else np.eye(self.wb[-1].shape[-1]) / max(n, 1)
+        rows = self._rows[n] = _Rows(aug, [a.swapaxes(-1, -2) for a in aug], acts, fill,
+                                     np.arange(n), eye_n)
+        return rows
+
+    def forward(self, features):
+        """(rows, logits): the buffers for the features' row count, holding
+        every layer's input, and the logits, a fresh array."""
+        n = features.shape[0]
+        rows = self._rows.get(n) or self._new_rows(n)
+        aug, acts, fill = rows.aug, rows.acts, rows.fill
+        np.copyto(fill[0], features)
+        for k in range(1, len(aug)):
+            h = np.matmul(aug[k - 1], self.wb[k - 1], out=acts[k])
+            if self.tanh:
+                np.tanh(h, out=h)
+            else:
+                np.maximum(h, 0.0, out=h)
+            np.copyto(fill[k], h)
+        return rows, aug[-1] @ self.wb[-1]
+
+    @staticmethod
+    def exp_sum(z):
+        """(e, s) from logits `z`: e = exp(z - max) and s its sum over the
+        last axis, kept as a (..., 1) column, so the softmax is e / s.  `z`
+        becomes z - max in place; the reductions are the ones `.max` and
+        `.sum` call.  The loss reads `z` and `s` alone."""
+        z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+        e = np.exp(z)
+        return e, np.add.reduce(e, axis=-1, keepdims=True)
+
+    def softmax(self, z):
+        """(p, s): `exp_sum`'s s and the softmax p = e / s, written over e."""
+        p, s = self.exp_sum(z)
+        p /= s
+        return p, s
+
+    @staticmethod
+    def loss(z, s, index, labels):
+        """Mean cross-entropy over the last two axes, from `exp_sum`'s
+        shifted `z` and `s`: the mean of log(s) - z[label], `.mean()`'s sum
+        and divide.  The terms are C-contiguous: a stack's picks come out
+        column-major, and a sum along a strided axis adds in another
+        order."""
+        terms = np.log(s[..., 0])
+        terms -= z[..., index, labels]
+        return np.add.reduce(terms, axis=-1) / index.size
+
+    @staticmethod
+    def output_adjoint(p, labels, scale, scaled_eye):
+        """scale * (p - onehot(labels)), written over the softmax `p` as
+        p * scale - scaled_eye[labels], where `scaled_eye` is scale times
+        the identity: the logit adjoint of the mean loss (scale 1/n) and of
+        each sample's loss (scale 1).  Subtracting a zero changes no bit,
+        so it equals bit for bit an autodiff graph's `g - p * g.sum(-1)` for
+        the one-hot `g` of -scale: each row of `g` sums to exactly -scale,
+        and IEEE negation is exact."""
+        p *= scale
+        p -= scaled_eye[labels]
+        return p
+
+    def adjoints(self, rows, delta):
+        """The backward pass from `delta`, the adjoint of the logits, over
+        the layer inputs in `rows`: (out, inp), where out[k] is the adjoint
+        of layer k's affine output and inp[k] that of its input acts[k]
+        (inp[0] is None; the rows need none)."""
+        out, inp = [None] * len(self.wb), [None] * len(self.wb)
+        out[-1] = delta
+        for k in range(len(self.wb) - 1, 0, -1):
+            inp[k] = d_h = out[k] @ self.w_t[k]
+            out[k - 1] = d_h * self.slope(rows.acts[k])
+        return out, inp
+
+    def slope(self, h):
+        """The activation's derivative at its output `h`."""
+        return (1.0 - h * h) if self.tanh else (h > 0.0)
+
+    def loss_gradient(self, features, labels, views, loss=True):
+        """Mean cross-entropy of the rows, or None without `loss`; its
+        gradient goes into `views`, the folded blocks of an output plan from
+        the input up.  `views` may stop short of the head: the layers past
+        its end are not written, nor is anything outside them."""
+        rows, z = self.forward(features)
+        p, s = self.softmax(z)
+        value = float(self.loss(z, s, rows.index, labels)) if loss else None
+        delta = self.output_adjoint(p, labels, 1.0 / labels.shape[0], rows.eye_n)
+        deltas, _ = self.adjoints(rows, delta)
+        for a_t, delta, out in zip(rows.aug_t, deltas, views):
+            np.matmul(a_t, delta, out=out)
+        return value

@@ -40,12 +40,15 @@ class FlatRegion:
     constrained_names: list[str]
     lo: np.ndarray = field(init=False, repr=False)
     hi: np.ndarray = field(init=False, repr=False)
+    clipped: np.ndarray = field(init=False, repr=False)  # `clamp_to_region`'s buffers
+    moved: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         check_rho(self.rho)
         anchor = self.anchor.prefix(self.constrained_names)
         half = self.rho * np.abs(anchor)
         self.lo, self.hi = anchor - half, anchor + half
+        self.clipped, self.moved = np.empty(anchor.size), np.empty(anchor.size, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -192,33 +195,40 @@ def create_gradient(model: MultiHeadClassifier, batch: Batch, rho: float,
     n = params.total_size() if perturb_names is None else params.prefix(perturb_names).size
     grads = params.zeros_like()
     loss = _create_step(model, n, rho)(features, labels, batch.task_id, grads.flat,
-                                       model._plan(grads.flat, batch.task_id))
+                                       model._folded(grads.flat, batch.task_id))
     return grads, loss
 
 
 def _create_step(model, n, rho):
-    """Bind the create step, which perturbs the first `n` weights, to one
-    scratch vector and its plan per head.  `step(features, labels, task_id,
-    out, views)` writes the gradient at w + eps of checked rows through
-    `views`, the plan of flat `out` (which must be zero outside the rows'
-    head), and returns the loss there, scored through the plans of the
-    scratch vector, which holds w + eps and the rest of `theta`."""
+    """Bind the create step, which perturbs the first `n` weights: the
+    model's passes at the weights and, at rho > 0, one scratch vector and a
+    pass per head through its plan, which shares the buffers of the head's
+    pass at the weights.  `step(features, labels, task_id, out,
+    views)` writes the gradient at w + eps of checked rows through `views`,
+    the folded blocks of the rows' head in flat `out` (which must be zero
+    outside them), and returns the loss there, scored through the scratch
+    vector, which holds w + eps and the rest of `theta`."""
+    heads = range(len(model.head_classes))
+    at_w = [model._head_pass(t) for t in heads]
+    if rho == 0.0:
+        def plain(features, labels, task_id, out, views):
+            return at_w[task_id].loss_gradient(features, labels, views)
+        return plain
     scratch = np.empty(model.theta.size)
-    plans = [model._plan(scratch, t) for t in range(len(model.head_classes))]
+    # a step runs the pass at w + eps after the one at w, so both share buffers
+    at_eps = [at_w[t].sharing_buffers(model._plan(scratch, t)) for t in heads]
+    # eps reads only the gradient over w, so the pass at w skips the loss
+    # and, when the rows' head lies past w (the current task's does), the
+    # head's blocks, which the pass at w + eps writes
+    depth = [len(model._plans[t]) - (model._plans[t][-1][3].stop > n) for t in heads]
     w, eps = model.theta[:n], scratch[:n]
+    rest, scratch_rest = model.theta[n:], scratch[n:]
 
     def step(features, labels, task_id, out, views):
-        plan = model._plans[task_id]
-        if rho == 0.0:
-            return model._loss_gradient_into(features, labels, plan, views)
-        # eps reads only the gradient over w, so the pass at w skips the loss
-        # and, when the rows' head lies past w (the current task's does), the
-        # head's blocks, which the pass at w + eps writes
-        model._gradient_into(*model._log_probs(features, plan), labels, plan,
-                             views[:-1] if plan[-1][3].stop > n else views)
+        at_w[task_id].loss_gradient(features, labels, views[:depth[task_id]], loss=False)
         np.add(_epsilon(w, out[:n], rho, out=eps), w, out=eps)  # bitwise w + eps
-        np.copyto(scratch[n:], model.theta[n:])
-        loss = model._loss_gradient_into(features, labels, plans[task_id], views)
+        np.copyto(scratch_rest, rest)
+        loss = at_eps[task_id].loss_gradient(features, labels, views)
         if not math.isfinite(loss):
             raise FloatingPointError(f"non-finite loss at perturbed point (task {task_id})")
         return loss
@@ -292,10 +302,14 @@ def _penalty_gradient(w, anchor, two_f, out) -> np.ndarray:
 
 
 def clamp_to_region(params: ParameterSet, region: FlatRegion) -> int:
-    """Project constrained coordinates into the box; returns clamp count."""
+    """Project constrained coordinates into the box; returns clamp count,
+    the coordinates the projection changes (a NaN one counts).  The
+    projection is np.maximum then np.minimum, which give np.clip's bits,
+    written through the region's two buffers."""
     w = params.prefix(region.constrained_names)
-    clipped = w.clip(region.lo, region.hi)  # what np.clip calls
-    count = int(np.count_nonzero(clipped != w))
+    clipped = np.maximum(w, region.lo, out=region.clipped)
+    np.minimum(clipped, region.hi, out=clipped)
+    count = int(np.count_nonzero(np.not_equal(clipped, w, out=region.moved)))
     np.copyto(w, clipped)
     return count
 
@@ -328,8 +342,8 @@ class OptimizerState:
 
     It also owns the vectors a training step rewrites, so a step allocates
     none of them: `total`, the step's summed gradient, a set laid out like
-    the parameters; `grad`, one batch's flat gradient (`train_task` binds
-    each head's plan over both once); `penalty`, the anchor penalty's
+    the parameters; `grad`, one batch's flat gradient (`train_task` lays
+    each head's folded blocks over both once); `penalty`, the anchor penalty's
     gradient; and `tmp`, Adam's two temporaries.  The create step's
     perturbed point lives in the scratch vector `_create_step` binds.
     """
@@ -400,9 +414,12 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
     validation.
 
     Each task's training rows, and the replay store's rows, are checked once
-    here against their heads; the steps then call the unchecked kernel and
-    write into the buffers of `OptimizerState`, with the same arithmetic as
-    `create_gradient`, `soft_penalty`, `base_step` and `clamp_to_region`.
+    here against their heads.  The create step is bound once here, over the
+    model's bound passes and a scratch vector of its own, and the steps run
+    it on the unchecked rows into the buffers of `OptimizerState`: the same
+    kernel `create_gradient` and `loss_gradient` run, the gradient of
+    `soft_penalty` written into a buffer, and `base_step` and
+    `clamp_to_region` themselves.
     """
     flags = config.variant
     data = [(task.task_id, *model._check_rows(*task.train_xy(), task.task_id))
@@ -428,20 +445,22 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
         layers = [sl for *_, sl  # encoder, earlier heads
                   in model._plans[task_id][:-1] + [p[-1] for p in model._plans[:task_id]]]
         mask = build_sparse_mask(importance, config.sparse_update_ratio, layers)[:layers[-1].stop]
+        masked = state.total.flat[:mask.size]  # the summed gradient's masked prefix
 
     if use_penalty:
         w_c = params.prefix(region.constrained_names)
         anchor_c = region.anchor.prefix(region.constrained_names)
         two_f = 2.0 * importance.values[:w_c.size]
         penalty = state.penalty[:w_c.size]
+        penalized = state.total.flat[:w_c.size]  # the summed gradient's constrained prefix
 
     # at rho 0, the plain gradient; the create step perturbs the constrained
     # prefix, or every weight when it is empty (task 0 with no hidden layer)
     grads_into = _create_step(model, params.prefix(names).size if names else params.total_size(),
                               config.rho if flags.create else 0.0)
-    summed = state.total.flat  # the step's summed gradient, rewritten each step
-    # per head, the plans of `summed` and of `state.grad` the kernel writes into
-    views = [(model._plan(summed, h), model._plan(state.grad, h))
+    summed, grad = state.total.flat, state.grad  # rewritten each step
+    # per head, the folded blocks of `summed` and of `grad` the kernel writes into
+    views = [(model._folded(summed, h), model._folded(grad, h))
              for h in range(len(model.head_classes))]
     best_theta = None
     step_index = 0
@@ -458,32 +477,15 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
             report.best_step, report.best_accuracy = step, acc
             best_theta = model.theta.copy()
 
-    def do_step(batches):
-        """One update from (features, labels, task_id) batches, each
-        gradient weighted by its share of the rows."""
+    def update(loss_val):
+        """The rest of a step, from the summed gradient of its batches."""
         nonlocal step_index
-        if len(batches) == 1:  # weight 1: scaling by it would change no bit
-            features, labels, tid = batches[0]
-            summed.fill(0.0)
-            loss_val = 0.0 + grads_into(features, labels, tid, summed, views[tid][0])
-        else:
-            total_weight = sum(len(labels) for _, labels, _ in batches)
-            loss_val = 0.0
-            for i, (features, labels, tid) in enumerate(batches):
-                out = summed if i == 0 else state.grad
-                out.fill(0.0)
-                loss = grads_into(features, labels, tid, out, views[tid][i > 0])
-                w = len(labels) / total_weight
-                loss_val += w * loss
-                out *= w
-                if i:
-                    np.add(summed, out, out=summed)
         if use_penalty:
             pen = _penalty_gradient(w_c, anchor_c, two_f, penalty)
             pen *= config.lam
-            summed[:pen.size] += pen
+            np.add(penalized, pen, out=penalized)
         if mask is not None:
-            summed[:mask.size] *= mask
+            np.multiply(masked, mask, out=masked)
         base_step(state, params, state.total, config)
         clamped = clamp_to_region(params, region) if use_clamp else 0
         report.step_losses.append(loss_val)
@@ -493,6 +495,30 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
         step_index += 1
         if step_index % config.validate_every_steps == 0:
             validate(step_index)
+
+    def step(features, labels, tid):
+        """One update from one batch, of weight 1: scaling by it would
+        change no bit."""
+        summed.fill(0.0)
+        update(0.0 + grads_into(features, labels, tid, summed, views[tid][0]))
+
+    def replay_step(batches):
+        """One update from replay's per-head batches, each gradient
+        weighted by its share of the rows."""
+        if len(batches) == 1:
+            return step(batches[0].features, batches[0].labels, batches[0].task_id)
+        total_weight = sum(len(b) for b in batches)
+        loss_val = 0.0
+        for i, b in enumerate(batches):
+            out = summed if i == 0 else grad
+            out.fill(0.0)
+            loss = grads_into(b.features, b.labels, b.task_id, out, views[b.task_id][i > 0])
+            w = len(b) / total_weight
+            loss_val += w * loss
+            out *= w
+            if i:
+                np.add(summed, out, out=summed)
+        update(loss_val)
 
     size = config.batch_size
     longest = max(len(labels) for _, _, labels in data)
@@ -505,10 +531,9 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
             for tid, feats, labels in epoch:
                 if start >= len(labels):
                     continue
-                do_step([(feats[start:start + size], labels[start:start + size], tid)])
+                step(feats[start:start + size], labels[start:start + size], tid)
                 if use_replay and replay_schedule(step_index, config.replay_every):
-                    do_step([(b.features, b.labels, b.task_id)
-                             for b in replay_buffer.sample_batches(size, rng)])
+                    replay_step(replay_buffer.sample_batches(size, rng))
     validate(step_index)
     np.copyto(model.theta, best_theta)
     return report

@@ -153,7 +153,7 @@ def hvp(obj, v):
 
 
 def _checked_product(op, v: np.ndarray) -> np.ndarray:
-    if np.vdot(v, v) == 0:  # `v @ v`, without its overflow warning
+    if not np.count_nonzero(v):  # exact: a sum of squares can underflow to 0
         raise ValueError("direction must be nonzero")
     out = op(v)
     if not all_finite(out):

@@ -28,6 +28,13 @@ def _kmeans_pp_init(features, k, rng):
 KMEANS_ITERS = 100
 
 
+def _sq_distances(features, centroids):
+    """(n, k) squared distances of each row to each centroid."""
+    diff = features[:, None, :] - centroids[None, :, :]
+    diff *= diff
+    return np.add.reduce(diff, axis=2)
+
+
 def select_exemplars(features, k, seed):
     """K-means the raw features; keep the sample nearest each centroid.
 
@@ -44,16 +51,17 @@ def select_exemplars(features, k, seed):
     centroids = _kmeans_pp_init(features, k, rng)
     assign = None
     for _ in range(KMEANS_ITERS):
-        dists = np.sum((features[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        dists = _sq_distances(features, centroids)
         new_assign = np.argmin(dists, axis=1)
-        if assign is not None and np.array_equal(new_assign, assign):
-            break
+        if assign is not None and not np.add.reduce(new_assign != assign):
+            break  # converged: the centroids are the ones `dists` was taken at
         assign = new_assign
         for c in range(k):
             members = features[assign == c]
             if len(members):
-                centroids[c] = members.mean(axis=0)
-    dists = np.sum((features[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+                centroids[c] = np.add.reduce(members, axis=0) / len(members)  # .mean(axis=0)
+    else:
+        dists = _sq_distances(features, centroids)
     picked = []
     for c in range(k):
         # argmin over all rows of distance-to-centroid, restricted to the

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flatcl.autodiff import finite_diff_gradient
-from flatcl.model import Batch, MultiHeadClassifier
+from flatcl.model import Batch, MultiHeadClassifier, _Pass
 from flatcl.probe import hvp, model_objective
 
 from conftest import random_batch, random_mlp
@@ -142,6 +142,15 @@ def test_parameters_alias_one_buffer_across_head_addition():
     assert m.constrained_names(1) == params.names()[:6]
     m.parameters()["head0.b"][0] = 123.0
     assert params["head0.b"][0] == 123.0 and 123.0 in m.theta
+
+
+def test_logits_of_no_rows_are_empty():
+    """A forward of zero rows gives zero rows of logits, on a fresh pass and
+    after passes of other row counts."""
+    m = random_mlp(5, hidden=(4,), classes=(3,))
+    assert m.logits(np.zeros((0, m.input_dim)), 0).shape == (0, 3)
+    m.loss_gradient(random_batch(6, m, n=4))
+    assert m.predict(np.zeros((0, m.input_dim)), 0).shape == (0,)
 
 
 def test_predict_tie_break_lowest_index():
@@ -358,11 +367,23 @@ def _layer_names(m, task_id):
     return encoder + [f"head{task_id}.W", f"head{task_id}.b"]
 
 
-def _reference_kernels(m, x, y, task_id, v, one_hot_hvp=False, split_bias_hvp=False):
+def _reference_kernels(m, x, y, task_id, v, one_hot_hvp=False, split_bias_hvp=False,
+                       unfolded=False):
     """The per-layer recursion written out once per kernel, each walking the
-    layers top-down with its own `delta @ W.T` step: (loss gradient, summed
-    squared per-sample gradients, per-sample squared norms, H v), each
-    gradient a list of (W, b) blocks for the encoder then head `task_id`.
+    layers top-down with its own `delta @ W.T` step: (mean loss, loss
+    gradient, summed squared per-sample gradients, per-sample squared
+    norms, H v), each gradient a list of (W, b) blocks for the encoder then
+    head `task_id`.
+
+    Each layer works on its input with a ones column appended and its
+    folded block: the forward's `[h, 1] @ [W; b]`, the gradient's
+    `[h, 1].T @ delta` and the Fisher sums' `[h^2, 1].T @ delta^2`, each
+    split into its W rows and b row.  The softmax is `exp(z - max) / sum`
+    and the loss `mean(log(sum) - (z - max)[label])`.  With `unfolded`, the
+    former spelling: the forward adds each bias after its matmul, the
+    softmax is the exp of the log-softmax, the loss the mean of minus its
+    picks, and each bias gradient is a sum of `delta` over the rows.
+
     H v starts from the gradient's output adjoint `p * (1/n) - onehot / n`,
     or with `one_hot_hvp` from `(p - onehot) / n`, the Hessian bind's own
     form before it shared that adjoint.  It works on each layer's folded
@@ -374,43 +395,64 @@ def _reference_kernels(m, x, y, task_id, v, one_hot_hvp=False, split_bias_hvp=Fa
     layers = [(ps[f"enc{i}.W"], ps[f"enc{i}.b"]) for i in range(len(m.hidden_dims))]
     layers.append((ps[f"head{task_id}.W"], ps[f"head{task_id}.b"]))
     tanh = m.activation == "tanh"
-    acts, h = [x], x
-    for w, b in layers[:-1]:
-        z = h @ w
-        z += b
+    n, rows, top = len(y), np.arange(len(y)), len(layers) - 1
+    ones = np.ones((n, 1))
+    acts, aug, h = [x], [np.hstack([x, ones])], x
+    for k, (w, b) in enumerate(layers):
+        if unfolded:
+            z = h @ w
+            z += b
+        else:
+            z = aug[k] @ np.vstack([w, b])
+        if k == top:
+            break
         h = np.tanh(z) if tanh else np.maximum(z, 0.0)
         acts.append(h)
-    w, b = layers[-1]
-    z = h @ w
-    z += b
+        aug.append(np.hstack([h, ones]))
     z = z - z.max(axis=-1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    n, rows, top = len(y), np.arange(len(y)), len(layers) - 1
+    if unfolded:
+        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        p = np.exp(logp)
+        loss = -np.mean(logp[rows, y])
+    else:
+        e = np.exp(z)
+        s = e.sum(axis=-1, keepdims=True)
+        p = e / s
+        loss = np.mean(np.log(s[:, 0]) - z[rows, y])
 
     def backward(delta, k):
         d_h = delta @ layers[k][0].T
         return d_h * (1.0 - acts[k] * acts[k]) if tanh else d_h * (acts[k] > 0.0)
 
-    g = np.zeros(logp.shape)
+    def split(wb):
+        return wb[:-1], wb[-1]
+
+    g = np.zeros(p.shape)
     g[rows, y] = -1.0 / n
-    delta = g - np.exp(logp) * g.sum(axis=-1, keepdims=True)
+    delta = g - p * g.sum(axis=-1, keepdims=True)
     grad = [None] * len(layers)
     for k in range(top, -1, -1):
-        grad[k] = (acts[k].T @ delta, delta.sum(axis=0))
+        grad[k] = ((acts[k].T @ delta, delta.sum(axis=0)) if unfolded
+                   else split(aug[k].T @ delta))
         if k:
             delta = backward(delta, k)
 
-    delta = np.exp(logp)
+    delta = p.copy()
     delta[rows, y] -= 1.0
     sums, sq_norms = [None] * len(layers), np.zeros(n)
     for k in range(top, -1, -1):
-        h2, d2 = acts[k] * acts[k], delta * delta
-        sums[k] = (h2.T @ d2, np.sum(d2, axis=0))
-        sq_norms += (h2.sum(axis=1) + 1.0) * d2.sum(axis=1)
+        d2 = delta * delta
+        if unfolded:
+            h2 = acts[k] * acts[k]
+            sums[k] = (h2.T @ d2, np.sum(d2, axis=0))
+            sq_norms += (h2.sum(axis=1) + 1.0) * d2.sum(axis=1)
+        else:
+            a2 = aug[k] * aug[k]
+            sums[k] = split(a2.T @ d2)
+            sq_norms += a2.sum(axis=1) * d2.sum(axis=1)
         if k:
             delta = backward(delta, k)
 
-    p = np.exp(logp)
     slope = [None] + [(1.0 - h * h) if tanh else (h > 0.0) for h in acts[1:]]
     adjoint, curvature = [None] * len(layers), [None] * len(layers)
     if one_hot_hvp:
@@ -447,8 +489,7 @@ def _reference_kernels(m, x, y, task_id, v, one_hot_hvp=False, split_bias_hvp=Fa
             r_delta = (r_delta @ layers[k][0].T + adjoint[k] @ v_w[k].T) * slope[k]
             if tanh:
                 r_delta -= curvature[k] * r_acts[k]
-        return grad, sums, sq_norms, hv
-    aug = [np.hstack([h, np.ones((n, 1))]) for h in acts]
+        return loss, grad, sums, sq_norms, hv
     v_wb = [np.vstack([v_w[k], v_b[k]]) for k in range(len(layers))]
     r_acts = [None]
     for k, (w, _) in enumerate(layers):
@@ -465,30 +506,94 @@ def _reference_kernels(m, x, y, task_id, v, one_hot_hvp=False, split_bias_hvp=Fa
         r_delta = (r_delta @ layers[k][0].T + adjoint[k] @ v_w[k].T) * slope[k]
         if tanh:
             r_delta -= curvature[k] * r_acts[k]
-    return grad, sums, sq_norms, hv
+    return loss, grad, sums, sq_norms, hv
+
+
+def _kernels(m, batch, v):
+    """(loss, gradient, Fisher sums, per-sample squared norms, H v) from
+    the model's kernel, each a flat vector but the loss."""
+    x, y, task_id = batch.features, batch.labels, batch.task_id
+    loss, grad = m.loss_gradient(batch)
+    sums, sq_norms = m.gradient_second_moments(x, y, task_id)
+    hv = m._hvp_operator(*m._check_rows(x, y, task_id), task_id)(v.flat)
+    return loss, grad.flat, sums, sq_norms, hv
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 @pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
 def test_kernels_equal_per_layer_reference_bitwise(activation, hidden):
-    """The loss gradient, the Fisher pass and the bound HVP, which share one
-    backward pass, give the bits of the per-layer recursion written out in
-    full for each, on every head."""
+    """The loss, its gradient, the Fisher pass and the bound HVP, which
+    share one forward and one backward pass, give the bits of the per-layer
+    recursion written out in full for each, on every head."""
     m = random_mlp(90, hidden=hidden, classes=(3, 4), activation=activation)
     for task_id in range(2):
-        batch = random_batch(91 + task_id, m, n=6, task_id=task_id)
-        x, y = batch.features, batch.labels
-        v = m.parameters().unflatten(np.random.default_rng(93).normal(size=m.theta.size))
-        grad, sums, sq_norms, hv = _reference_kernels(m, x, y, task_id, v)
-        names = _layer_names(m, task_id)
-        _, got_grad = m.loss_gradient(batch)
-        got_sums, got_sq = m.gradient_second_moments(x, y, task_id)
-        got_hv = m._hvp_operator(*m._check_rows(x, y, task_id), task_id)(v.flat)
-        for got, ref in [(got_grad.flat, grad), (got_sums, sums), (got_hv, hv)]:
-            got = m.parameters().unflatten(got)
-            blocks = [a for pair in ref for a in pair]
-            assert [got[n].tobytes() for n in names] == [a.tobytes() for a in blocks]
-        assert got_sq.tobytes() == sq_norms.tobytes()
+        for n_rows in (1, 6, 11):
+            batch = random_batch(91 + task_id, m, n=n_rows, task_id=task_id)
+            v = m.parameters().unflatten(np.random.default_rng(93).normal(size=m.theta.size))
+            loss, *refs = _reference_kernels(m, batch.features, batch.labels, task_id, v)
+            got_loss, got_grad, got_sums, got_sq, got_hv = _kernels(m, batch, v)
+            assert got_loss == loss
+            names = _layer_names(m, task_id)
+            for got, ref in [(got_grad, refs[0]), (got_sums, refs[1]), (got_hv, refs[3])]:
+                got = m.parameters().unflatten(got)
+                blocks = [a for pair in ref for a in pair]
+                assert [got[n].tobytes() for n in names] == [a.tobytes() for a in blocks]
+            assert got_sq.tobytes() == refs[2].tobytes()
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
+def test_bound_pass_equals_one_shot_kernel_bitwise(activation, hidden):
+    """One pass bound per head over the weights, run for every row count
+    from 1 to 16 in a shuffled order and twice over while the weights move
+    between calls, gives the loss and gradient bits of the one-shot
+    `loss_gradient`, through an output plan with the head's blocks and one
+    without them, which leaves them as they were."""
+    m = random_mlp(84, hidden=hidden, classes=(3, 2), activation=activation)
+    rng = np.random.default_rng(85)
+    passes = [_Pass(m._plans[t], activation) for t in range(2)]
+    out = np.zeros(m.theta.size)
+    for n_rows in [int(r) for r in rng.permutation(np.arange(1, 17))] * 2:
+        for task_id in (0, 1):
+            batch = random_batch(n_rows * 2 + task_id, m, n=n_rows, task_id=task_id)
+            x, y = m._check_rows(batch.features, batch.labels, task_id)
+            want_loss, want = m.loss_gradient(batch)
+            head = m.parameters().slice_of(f"head{task_id}.W").start
+            views = m._folded(out, task_id)
+            out.fill(0.0)
+            assert passes[task_id].loss_gradient(x, y, views) == want_loss
+            assert out.tobytes() == want.flat.tobytes()
+            out.fill(-1.0)
+            out[:head] = 0.0
+            assert passes[task_id].loss_gradient(x, y, views[:-1], loss=False) is None
+            assert out[:head].tobytes() == want.flat[:head].tobytes()
+            assert (out[head:] == -1.0).all()
+            m.theta += rng.normal(scale=0.01, size=m.theta.size)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
+def test_kernels_within_1e13_of_unfolded_form(activation, hidden):
+    """Folding each bias into its layer's matmul and taking the softmax as
+    exp/sum moves the kernels' bits, but no entry of the loss, the
+    gradient, the Fisher sums, the per-sample squared norms or H v by more
+    than 1e-13 of its block's largest, on every head."""
+    m = random_mlp(90, hidden=hidden, classes=(3, 4), activation=activation)
+    for task_id in range(2):
+        for n_rows in (1, 6, 11):
+            batch = random_batch(91 + task_id, m, n=n_rows, task_id=task_id)
+            v = m.parameters().unflatten(np.random.default_rng(93).normal(size=m.theta.size))
+            loss, *refs = _reference_kernels(m, batch.features, batch.labels, task_id, v,
+                                             unfolded=True)
+            got_loss, got_grad, got_sums, got_sq, got_hv = _kernels(m, batch, v)
+            assert abs(got_loss - loss) <= 1e-13 * abs(loss)
+            np.testing.assert_allclose(got_sq, refs[2], rtol=0,
+                                       atol=1e-13 * np.abs(refs[2]).max())
+            for got, ref in [(got_grad, refs[0]), (got_sums, refs[1]), (got_hv, refs[3])]:
+                got = m.parameters().unflatten(got)
+                for name, block in zip(_layer_names(m, task_id), [a for pair in ref for a in pair]):
+                    np.testing.assert_allclose(got[name], block, rtol=0,
+                                               atol=1e-13 * np.abs(block).max())
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
@@ -552,7 +657,7 @@ def test_bound_hvp_direction_buffer_keeps_no_earlier_direction(activation, hidde
 
 
 def _one_hot_adjoints(logp, labels):
-    """The output adjoints `_output_adjoint` replaced: the gradient kernel's
+    """The output adjoints `_Pass.output_adjoint` replaced: the gradient kernel's
     one-hot `g - exp(logp) * g.sum(-1)` (an autodiff graph's form) and the
     Fisher pass's `exp(logp) - onehot`."""
     n, rows = len(labels), np.arange(len(labels))
@@ -583,7 +688,7 @@ def test_output_adjoint_equals_one_hot_forms_bitwise(n, case):
     if case == "logits of +-800":
         assert (np.exp(logp) == 0.0).any()
     mean, per_sample = _one_hot_adjoints(logp, labels)
-    got_mean = MultiHeadClassifier._output_adjoint(np.exp(logp), labels, 1.0 / n)
-    got_per_sample = MultiHeadClassifier._output_adjoint(np.exp(logp), labels, 1.0)
+    got_mean = _Pass.output_adjoint(np.exp(logp), labels, 1.0 / n, np.eye(5) * (1.0 / n))
+    got_per_sample = _Pass.output_adjoint(np.exp(logp), labels, 1.0, np.eye(5))
     assert got_mean.tobytes() == mean.tobytes()
     assert got_per_sample.tobytes() == per_sample.tobytes()

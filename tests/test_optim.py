@@ -168,6 +168,36 @@ def test_create_gradient_respects_perturb_subset():
         np.testing.assert_allclose(created[n], twin_grads[n], rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("rho", [0.0, 0.3])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
+def test_bound_training_pass_equals_one_shot_kernel_bitwise(hidden, activation, rho):
+    """The create step train_task binds once per task, called for every row
+    count from 1 to 16 (a full batch, the last partial one and replay's
+    per-head batches) in a shuffled order and twice over, on both heads,
+    while the weights move between calls, gives the bits of the one-shot
+    `create_gradient` (at rho 0 `loss_gradient`) bound afresh for each
+    call."""
+    from flatcl.optim import _create_step
+    model = MultiHeadClassifier(80, 4, list(hidden), [3, 2], activation=activation)
+    rng = np.random.default_rng(81)
+    names = model.constrained_names(1)
+    step = _create_step(model, model.parameters().prefix(names).size, rho)
+    out = np.zeros(model.theta.size)
+    for n_rows in [int(r) for r in rng.permutation(np.arange(1, 17))] * 2:
+        for task_id in (0, 1):
+            batch = random_batch(n_rows * 2 + task_id, model, n=n_rows, task_id=task_id)
+            out.fill(0.0)
+            loss = step(*model._check_rows(batch.features, batch.labels, task_id), task_id,
+                        out, model._folded(out, task_id))
+            if rho:
+                want, want_loss = create_gradient(model, batch, rho, names)
+            else:
+                want_loss, want = model.loss_gradient(batch)
+            assert loss == want_loss and out.tobytes() == want.flat.tobytes()
+            model.theta += rng.normal(scale=0.01, size=model.theta.size)
+
+
 def test_create_gradient_never_writes_the_weights():
     """The create step scores w + eps in a scratch vector of its own: with
     the weights read-only it returns the bits a writable twin returns, on a
@@ -369,6 +399,28 @@ def test_clamp_zero_anchor_pins_to_zero():
     params = ParameterSet({"w": [0.7]})
     clamp_to_region(params, _region([0.0], 0.5))
     assert params["w"].tolist() == [0.0]
+
+
+def test_clamp_equals_np_clip_reference():
+    """The clamp gives np.clip's bits and counts the coordinates it changes,
+    a NaN one included, on boxes with zero anchors (of either sign), NaN
+    weights and weights exactly on a bound, call after call through the
+    region's buffers."""
+    rng = np.random.default_rng(96)
+    anchor = rng.normal(size=40)
+    anchor[:6] = [0.0, -0.0, 0.0, -0.0, 0.0, -0.0]
+    region = _region(anchor, 0.3)
+    for trial in range(20):
+        w = anchor + rng.normal(scale=0.4, size=40)
+        w[rng.integers(0, 40, size=3)] = np.nan
+        w[:6] = [0.7, -0.7, -0.0, 0.0, np.nan, 0.0]
+        w[6], w[7] = region.lo[6], region.hi[7]
+        want = np.clip(w, region.lo, region.hi)
+        params = ParameterSet({"w": w.copy()})
+        count = clamp_to_region(params, region)
+        assert params["w"].tobytes() == want.tobytes()
+        assert count == int(np.count_nonzero(want != w))
+        assert count > 0 and np.isnan(params["w"]).any()
 
 
 def test_flat_region_requires_prefix_names():

@@ -163,6 +163,16 @@ def test_hvp_zero_direction_rejected():
         hvp(_quad_1d(1.0, 1.0), ParameterSet({"w": [0.0]}))
 
 
+def test_hvp_takes_a_direction_whose_sum_of_squares_underflows():
+    """Entries near 1e-170 square to 0, but the direction is not zero: its
+    product is returned; an all-zero direction is still refused."""
+    obj = quadratic_objective(np.eye(2), [0, 0])
+    tiny = hvp(obj, ParameterSet({"w": [1e-170, 1e-170]}))
+    assert tiny["w"].tolist() == [1e-170, 1e-170]
+    with pytest.raises(ValueError, match="^direction must be nonzero$"):
+        hvp(obj, ParameterSet({"w": [0.0, -0.0]}))
+
+
 def test_hvp_restores_weights_bitwise():
     model = random_mlp(20)
     batch = random_batch(21, model)

@@ -141,3 +141,80 @@ def test_sample_batches_follow_one_draw_in_draw_order():
         rows = [i for i in idx if buf.task_ids[i] == b.task_id]
         assert b.features.tobytes() == buf.features[rows].tobytes()
         assert b.labels.tolist() == buf.labels[rows].tolist()
+
+
+def _kmeans_pp_init_oracle(features, k, rng):
+    n = features.shape[0]
+    centroids = np.empty((k, features.shape[1]))
+    first = int(rng.integers(n))
+    centroids[0] = features[first]
+    d2 = np.sum((features - centroids[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centroids[i] = features[idx]
+        d2 = np.minimum(d2, np.sum((features - centroids[i]) ** 2, axis=1))
+    return centroids
+
+
+def _select_exemplars_oracle(features, k, seed, iters=100):
+    """select_exemplars as it was written with np.sum, .mean and
+    np.array_equal, recomputing the distances after the last iteration."""
+    features = np.asarray(features, dtype=np.float64)
+    n = features.shape[0]
+    if k >= n:
+        return np.arange(n)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    centroids = _kmeans_pp_init_oracle(features, k, rng)
+    assign = None
+    for _ in range(iters):
+        dists = np.sum((features[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        new_assign = np.argmin(dists, axis=1)
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for c in range(k):
+            members = features[assign == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+    dists = np.sum((features[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+    picked = []
+    for c in range(k):
+        members = np.where(assign == c)[0]
+        pool = members if len(members) else np.arange(n)
+        picked.append(int(pool[np.argmin(dists[pool, c])]))
+    picked = list(np.unique(picked))
+    for i in range(n):
+        if len(picked) == k:
+            break
+        if i not in picked:
+            picked.append(i)
+    return np.sort(picked)
+
+
+@pytest.mark.parametrize("iters", [1, 2, 100])
+def test_select_exemplars_equals_former_implementation(monkeypatch, iters):
+    """The exemplars are the ones the former implementation picks, on random
+    rows, rows with duplicates, rows that are all one point and k >= n,
+    whether K-means converges or stops at its iteration cap (which the
+    small caps reach)."""
+    from flatcl import replay
+    monkeypatch.setattr(replay, "KMEANS_ITERS", iters)
+    rng = np.random.default_rng(97)
+    cases = []
+    for trial in range(12):
+        n, dim = int(rng.integers(2, 60)), int(rng.integers(1, 6))
+        feats = rng.normal(size=(n, dim)) + 4.0 * rng.integers(0, 3, size=(n, 1))
+        cases.append((feats, int(rng.integers(1, n + 3))))
+        dupes = feats[rng.integers(0, max(1, n // 4), size=n)]
+        cases.append((dupes, int(rng.integers(1, n))))
+    cases.append((np.ones((9, 3)), 4))
+    cases.append((np.arange(6, dtype=float).reshape(3, 2), 3))
+    for feats, k in cases:
+        for seed in (1, 2):
+            got = select_exemplars(feats, k, seed)
+            want = _select_exemplars_oracle(feats, k, seed, iters)
+            assert got.tobytes() == want.tobytes()

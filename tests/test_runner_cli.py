@@ -245,6 +245,41 @@ def test_cli_run_refuses_bad_hidden_dims_or_rotation_before_writing(tmp_path, ca
                                                          value, error)
 
 
+@pytest.mark.parametrize("kind", ["rotated_gaussians", "permuted_features"])
+def test_cli_run_refuses_a_benchmark_too_small_for_its_splits(tmp_path, capsys, kind):
+    """One class of one sample leaves the val and test splits empty: refused
+    once, by the generator, with one line naming both keys, before `--out`
+    exists, not run into a failed seed, an aggregate.csv and a
+    failures.json."""
+    cfg = small_cfg()
+    cfg["benchmark"].update(kind=kind, classes_per_task=1, samples_per_class=1)
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--variant", "seq",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: ValueError: classes_per_task * samples_per_class must give every "
+        "train/val/test split a row (at least 4 rows), got 1 * 1\n")
+    assert not out.exists()
+    cfg["benchmark"]["samples_per_class"] = 4  # the smallest benchmark that splits
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--variant", "seq",
+                 "--out", str(out)]) == 0
+
+
+def test_cli_run_refuses_a_separation_too_large_for_a_float(tmp_path, capsys):
+    """A JSON integer no float holds is refused as a `separation` that is
+    not a finite number, on one line, before `--out` exists."""
+    from importlib import resources
+    with resources.as_file(resources.files("flatcl") / "configs" / "perm5.json") as path:
+        cfg = load_config(path)
+    cfg["benchmark"]["separation"] = 10 ** 400
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--variant", "seq",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: ValueError: separation must be a finite number > 0, got {10 ** 400}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section,key", [(None, "optimzer"), ("benchmark", "dims"),
                                          ("model", "hiden_dims"), ("probe", "enable"),
                                          ("optimizer", "learnig_rate"),
