@@ -150,12 +150,17 @@ def gen_permuted_features(seed, n_tasks, classes, dim, samples_per_class,
     return TaskStream(tasks)
 
 
-def make_order(stream: TaskStream, permutation) -> TaskStream:
-    """Reorder (and possibly subset) a stream; task ids renumbered to 0..k-1."""
-    permutation = list(permutation)
-    if len(set(permutation)) != len(permutation) or any(
-            p < 0 or p >= len(stream) for p in permutation):
-        raise ValueError(f"invalid permutation {permutation} over {len(stream)} tasks")
+def make_order(stream: TaskStream, permutation, name="permutation") -> TaskStream:
+    """Reorder (and possibly subset) a stream; task ids renumbered to 0..k-1.
+    `permutation` must be a nonempty list of distinct task indices; `name`
+    names it in the refusal."""
+    # bool is an int subclass; a JSON true is not the index 1
+    if (not isinstance(permutation, (list, tuple)) or not permutation
+            or any(isinstance(p, bool) or not isinstance(p, numbers.Integral)
+                   or not 0 <= p < len(stream) for p in permutation)
+            or len(set(permutation)) != len(permutation)):
+        raise ValueError(f"{name} must be a nonempty list of distinct task indices "
+                         f"in [0, {len(stream)}), got {permutation!r}")
     tasks = []
     for new_id, old_id in enumerate(permutation):
         src = stream[old_id]

@@ -40,17 +40,18 @@ class MultiHeadClassifier:
     end, leaving the offsets of all earlier weights unchanged; the weights
     constrained while training a task are therefore a prefix of `theta`.
 
-    One method, `_plan(vec, task_id)`, lays a head's blocks over any vector
-    laid out like `theta`, or a stack of them, in one form (each bias a
-    (1, cols) row); `_task_losses` scores either.  `_bind` keeps each head's
-    plan over `theta`; plans over other vectors are what the gradient
-    kernel writes, the Hessian operator reads directions from and the
-    create step and the probes read perturbed weights from.  The kernels
-    take a plan, not a task id, so no pass writes `theta`: only the
-    constructors, `set_parameters` and the training loop's step, clamp and
-    best-snapshot restore do.  The public methods check their inputs and
-    then call the unchecked kernel; the training loop checks each task's
-    rows once and calls the kernel through passes bound once.
+    `_layers` records where each head's layers lie; from it `_plan(vec,
+    task_id)` lays the head's folded `[W; b]` blocks over any vector laid
+    out like `theta`, or a stack of them, and `layer_slices` gives the
+    slices.  A plan over `theta` is made when a pass binds; plans over
+    other vectors are what the gradient kernel writes, the Hessian operator
+    reads directions from and the create step and the probes read perturbed
+    weights from.  The kernels take a plan, not a task id, so no pass
+    writes `theta`: only the constructors, `set_parameters` and the
+    training loop's step, clamp and best-snapshot restore do.  The public
+    methods check their inputs and then call the unchecked kernel; the
+    training loop checks each task's rows once and calls the kernel through
+    passes bound once.
 
     There is one forward and one backward pass, `_Pass`, in folded form
     (each layer one matmul `[h, 1] @ [W; b]`, the softmax `exp(z - max) /
@@ -123,7 +124,8 @@ class MultiHeadClassifier:
 
     def _bind(self, params: ParameterSet):
         """Adopt `params` (encoder, then heads in task order, each layer a
-        consecutive (W, b) pair) as the weights and plan each head."""
+        consecutive (W, b) pair) as the weights and record each head's
+        layers."""
         self._params = params
         self.theta = params.flat
         names = params.names()
@@ -133,19 +135,20 @@ class MultiHeadClassifier:
                   for w, b in zip(names[0::2], names[1::2])]
         depth = len(self.hidden_dims)
         self._layers = [layers[:depth] + [head] for head in layers[depth:]]
-        self._plans = [self._plan(self.theta, t) for t in range(len(self._layers))]
-        self._passes = [None] * len(self._plans)  # bound on first use, see `_head_pass`
+        self._passes = [None] * len(self._layers)  # bound on first use, see `_head_pass`
 
-    def _plan(self, vec, task_id):
+    def _plan(self, vec, task_id) -> list:
         """Head `task_id`'s layers in `vec`, a flat vector laid out like
-        `theta` or a (k, d) stack of them: per layer from the input up,
-        `(W, b, Wb, slice)`.  `Wb` is the layer's folded block `[W; b]`,
-        (rows + 1, cols), `W` its first rows and `b` its last row, (1, cols);
-        over a stack each view leads with k.  `slice` is where the layer lies
-        in a flat vector."""
-        blocks = [(vec[..., sl].reshape(*vec.shape[:-1], *shape), sl)
-                  for sl, shape in self._layers[task_id]]
-        return [(wb[..., :-1, :], wb[..., -1:, :], wb, sl) for wb, sl in blocks]
+        `theta` or a (k, d) stack of them: per layer from the input up, the
+        folded block `[W; b]`, (rows + 1, cols), whose last row is the bias;
+        over a stack each block leads with k.  `wb[..., :-1, :]` is W."""
+        return [vec[..., sl].reshape(*vec.shape[:-1], *shape)
+                for sl, shape in self._layers[task_id]]
+
+    def layer_slices(self, task_id) -> list[slice]:
+        """Where each layer of head `task_id` lies in `theta`, from the input
+        up; each is one contiguous (W, b) pair."""
+        return [sl for sl, _ in self._layers[task_id]]
 
     @property
     def encoder_dim(self) -> int:
@@ -222,13 +225,9 @@ class MultiHeadClassifier:
         runs and finishes a pass at the weights shares it."""
         bound = self._passes[task_id]
         if bound is None:
-            bound = self._passes[task_id] = _Pass(self._plans[task_id], self.activation)
+            bound = self._passes[task_id] = _Pass(self._plan(self.theta, task_id),
+                                                  self.activation)
         return bound
-
-    def _folded(self, vec, task_id) -> list:
-        """The folded `[W; b]` blocks of head `task_id` in flat `vec`, from
-        the input up: the output views a pass writes a gradient into."""
-        return [wb for _, _, wb, _ in self._plan(vec, task_id)]
 
     def task_loss(self, batch: Batch) -> float:
         features, labels = self._check_rows(batch.features, batch.labels, batch.task_id)
@@ -253,7 +252,7 @@ class MultiHeadClassifier:
     def _loss_gradient(self, features, labels, task_id):
         grads = self._params.zeros_like()
         loss = self._head_pass(task_id).loss_gradient(features, labels,
-                                                      self._folded(grads.flat, task_id))
+                                                      self._plan(grads.flat, task_id))
         return loss, grads
 
     def log_prob_gradient(self, features, label, task_id: int) -> ParameterSet:
@@ -265,7 +264,8 @@ class MultiHeadClassifier:
         features = np.asarray(features, dtype=np.float64).reshape(1, -1)
         batch = Batch(features, np.array([label]), task_id)
         _, grads = self.loss_gradient(batch)
-        return grads.scale(-1.0)
+        grads.flat *= -1.0
+        return grads
 
     def gradient_second_moments(self, features, labels, task_id: int):
         """Squared per-sample log-prob gradients in one batched pass.
@@ -281,7 +281,7 @@ class MultiHeadClassifier:
         p, _ = bound.softmax(z)
         deltas, _ = bound.adjoints(rows, bound.output_adjoint(p, labels, 1.0, np.eye(p.shape[1])))
         sums, sq_norms = np.zeros(self.theta.size), np.zeros(labels.shape[0])
-        views = self._folded(sums, task_id)
+        views = self._plan(sums, task_id)
         for k in range(len(deltas) - 1, -1, -1):  # top-down, the order of the sums
             a2, d2 = rows.aug[k] * rows.aug[k], deltas[k] * deltas[k]  # a2 = [h^2, 1]
             np.matmul(a2.T, d2, out=views[k])
@@ -308,8 +308,7 @@ class MultiHeadClassifier:
         of the R-operator recursion tests/test_model.py writes out in the
         same folded form.
         """
-        plan = self._plans[task_id]
-        bound = _Pass(plan, self.activation)
+        bound = _Pass(self._plan(self.theta, task_id), self.activation)
         rows, z = bound.forward(features)
         p, _ = bound.softmax(z)
         n = labels.shape[0]
@@ -324,23 +323,22 @@ class MultiHeadClassifier:
         curvature = ([None] + [2.0 * d * h for d, h in zip(d_h[1:], acts[1:])]
                      if bound.tanh else None)
         p_n = p * (1.0 / n)
-        weights, weights_t = [w for w, *_ in plan], bound.w_t
+        weights, weights_t = [wb[..., :-1, :] for wb in bound.wb], bound.w_t
         # every block of the head is overwritten by each apply; the others stay 0
         out, direction = np.zeros(self.theta.size), np.zeros(self.theta.size)
-        out_plan, v_plan = self._plan(out, task_id), self._plan(direction, task_id)
-        out_w, out_wb = [w for w, *_ in out_plan], [wb for _, _, wb, _ in out_plan]
-        v_wb, v_w_t = [wb for _, _, wb, _ in v_plan], [w.T for w, *_ in v_plan]
+        out_wb, v_wb = self._plan(out, task_id), self._plan(direction, task_id)
+        out_w, v_w_t = [wb[..., :-1, :] for wb in out_wb], [wb[..., :-1, :].T for wb in v_wb]
 
         def hvp(v: np.ndarray) -> np.ndarray:
             np.copyto(direction, v)
             r_acts = [None]  # R{input} of each layer; R{x} = 0
             r_out = aug[0] @ v_wb[0]
-            for k in range(1, len(plan)):
+            for k in range(1, len(v_wb)):
                 r_acts.append(r_out * slope[k])
                 r_out = r_acts[k] @ weights[k] + aug[k] @ v_wb[k]
             # np.add.reduce is the reduction `.sum` and `np.sum` call
             r_delta = p_n * (r_out - np.add.reduce(p * r_out, axis=1, keepdims=True))
-            for k in range(len(plan) - 1, 0, -1):
+            for k in range(len(v_wb) - 1, 0, -1):
                 np.matmul(aug_t[k], r_delta, out=out_wb[k])
                 out_w[k] += r_acts[k].T @ adjoint[k]
                 r_delta = (r_delta @ weights_t[k] + adjoint[k] @ v_w_t[k]) * slope[k]
@@ -405,8 +403,8 @@ class _Pass:
     """
 
     def __init__(self, plan, activation, rows=None):
-        self.wb = [wb for _, _, wb, _ in plan]
-        self.w_t = [w.swapaxes(-1, -2) for w, *_ in plan]
+        self.wb = plan
+        self.w_t = [wb[..., :-1, :].swapaxes(-1, -2) for wb in plan]
         self.activation = activation
         self.tanh = activation == "tanh"
         self._rows = {} if rows is None else rows

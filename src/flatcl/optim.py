@@ -195,7 +195,7 @@ def create_gradient(model: MultiHeadClassifier, batch: Batch, rho: float,
     n = params.total_size() if perturb_names is None else params.prefix(perturb_names).size
     grads = params.zeros_like()
     loss = _create_step(model, n, rho)(features, labels, batch.task_id, grads.flat,
-                                       model._folded(grads.flat, batch.task_id))
+                                       model._plan(grads.flat, batch.task_id))
     return grads, loss
 
 
@@ -220,7 +220,7 @@ def _create_step(model, n, rho):
     # eps reads only the gradient over w, so the pass at w skips the loss
     # and, when the rows' head lies past w (the current task's does), the
     # head's blocks, which the pass at w + eps writes
-    depth = [len(model._plans[t]) - (model._plans[t][-1][3].stop > n) for t in heads]
+    depth = [len(sl) - (sl[-1].stop > n) for sl in map(model.layer_slices, heads)]
     w, eps = model.theta[:n], scratch[:n]
     rest, scratch_rest = model.theta[n:], scratch[n:]
 
@@ -442,8 +442,8 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
 
     mask = None  # sparse-update mask over the constrained prefix
     if config.sparse_update_ratio < 1.0 and importance is not None and names:
-        layers = [sl for *_, sl  # encoder, earlier heads
-                  in model._plans[task_id][:-1] + [p[-1] for p in model._plans[:task_id]]]
+        layers = (model.layer_slices(task_id)[:-1]  # encoder, earlier heads
+                  + [model.layer_slices(t)[-1] for t in range(task_id)])
         mask = build_sparse_mask(importance, config.sparse_update_ratio, layers)[:layers[-1].stop]
         masked = state.total.flat[:mask.size]  # the summed gradient's masked prefix
 
@@ -460,7 +460,7 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
                               config.rho if flags.create else 0.0)
     summed, grad = state.total.flat, state.grad  # rewritten each step
     # per head, the folded blocks of `summed` and of `grad` the kernel writes into
-    views = [(model._folded(summed, h), model._folded(grad, h))
+    views = [(model._plan(summed, h), model._plan(grad, h))
              for h in range(len(model.head_classes))]
     best_theta = None
     step_index = 0
@@ -505,8 +505,6 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
     def replay_step(batches):
         """One update from replay's per-head batches, each gradient
         weighted by its share of the rows."""
-        if len(batches) == 1:
-            return step(batches[0].features, batches[0].labels, batches[0].task_id)
         total_weight = sum(len(b) for b in batches)
         loss_val = 0.0
         for i, b in enumerate(batches):

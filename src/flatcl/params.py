@@ -123,13 +123,6 @@ class ParameterSet:
     def norm(self) -> float:
         return float(np.sqrt(self.flat @ self.flat))
 
-    def add(self, other: "ParameterSet") -> "ParameterSet":
-        self.require_aligned(other, "add")
-        return self._like(self.flat + other.flat)
-
-    def scale(self, c: float) -> "ParameterSet":
-        return self._like(self.flat * c)
-
     def __repr__(self):
         shapes = dict(zip(self._layout.names, self._layout.shapes))
         return f"ParameterSet({shapes})"

@@ -5,11 +5,11 @@ approximation rho * ||grad||, the additive decomposition of the perturbed
 loss, the Fisher trace identity, and a largest-Hessian-eigenvalue estimate
 via Lanczos on exact Hessian-vector products.
 
-No probe writes the weights.  Perturbed losses are scored in one pass
-through the model's plan over a stack of perturbed weight vectors, as the
-create step scores w + eps through its plan over a scratch vector; the
-Hessian operator only reads the weights.  A report takes the gradient
-once, for both sharpness estimates.
+No probe writes the weights.  A probe's losses, at w and at each perturbed
+point, are scored in one pass through the model's plan over a stack of
+weight vectors, as the create step scores w + eps through its plan over a
+scratch vector; the Hessian operator only reads the weights.  A report
+takes the gradient once, for both sharpness estimates.
 
 Lanczos binds the Hessian once per run.  The bound operator works on each
 layer's folded `[W; b]` block and copies each direction into one bound
@@ -36,9 +36,8 @@ class Objective:
     functions of them.
 
     `values(thetas)` scores the objective at each row of a (k, d) stack of
-    weight vectors laid out like `params.flat`, in one call; `value()` is
-    `values` at the current weights.  `gradient()` reads the current weights
-    on every call.  `bind_hvp()` binds the Hessian at the current weights:
+    weight vectors laid out like `params.flat`, in one call.  `gradient()`
+    reads the current weights on every call.  `bind_hvp()` binds the Hessian at the current weights:
     it returns an operator from a flat v to a fresh flat H v that is valid
     while the weights do not move, so a Lanczos run binds once and applies
     many times.
@@ -47,9 +46,6 @@ class Objective:
     values: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[], ParameterSet]
     bind_hvp: Callable[[], Callable[[np.ndarray], np.ndarray]]
-
-    def value(self) -> float:
-        return float(self.values(self.params.flat[None])[0])
 
 
 def model_objective(model: MultiHeadClassifier, batch: Batch) -> Objective:
@@ -77,11 +73,17 @@ def quadratic_objective(matrix, w0) -> Objective:
     )
 
 
-def _perturbed_values(obj: Objective, directions: np.ndarray) -> np.ndarray:
-    """L(w + e) for each row e of a (k, d) stack of flat directions, scored
-    in one call; the weights are read, not written."""
-    vals = obj.values(obj.params.flat + directions)
-    if not np.isfinite(vals).all():
+def _losses_around(obj: Objective, directions: np.ndarray):
+    """[L(w), L(w + e_1), ...] for the rows e_i of a (k, d) stack of flat
+    directions, scored in one call on the stack [w; w + e_1; ...]; the
+    weights are read, not written.  Row 0 is w itself, not w + 0, so a -0.0
+    weight keeps its sign.  Only a perturbed loss must be finite."""
+    w = obj.params.flat
+    thetas = np.empty((len(directions) + 1, w.size))
+    thetas[0] = w
+    np.add(w, directions, out=thetas[1:])
+    vals = obj.values(thetas)
+    if not np.isfinite(vals[1:]).all():
         raise FloatingPointError("non-finite loss at perturbed point")
     return vals
 
@@ -92,7 +94,6 @@ def ball_sharpness(obj: Objective, rho: float, n_directions: int, seed: int) -> 
     check_rho(rho)
     if n_directions < 1:
         raise ValueError("n_directions must be >= 1")
-    base = obj.value()
     rng = np.random.Generator(np.random.PCG64(seed))
     directions = np.vstack([obj.gradient().flat,
                             rng.normal(size=(n_directions, obj.params.total_size()))])
@@ -103,7 +104,8 @@ def ball_sharpness(obj: Objective, rho: float, n_directions: int, seed: int) -> 
     if not keep.any():
         return 0.0
     directions = directions[keep] * (rho / np.sqrt(sq[keep]))[:, None]
-    return float(np.max(_perturbed_values(obj, directions) - base))
+    losses = _losses_around(obj, directions)
+    return float(np.max(losses[1:] - losses[0]))
 
 
 def first_order_sharpness(obj: Objective, rho: float) -> float:
@@ -119,10 +121,8 @@ def create_decomposition_check(obj: Objective, rho: float):
     perturbed = excess + base exactly by construction.
     """
     check_rho(rho)
-    base = obj.value()
-    grads = obj.gradient()
-    eps = compute_perturbation(obj.params, grads, rho).epsilon_hat
-    perturbed = float(_perturbed_values(obj, eps.flat[None])[0])
+    eps = compute_perturbation(obj.params, obj.gradient(), rho).epsilon_hat
+    base, perturbed = map(float, _losses_around(obj, eps.flat[None]))
     return perturbed, perturbed - base, base
 
 

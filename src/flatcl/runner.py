@@ -119,7 +119,7 @@ def build_stream(cfg: dict, seed: int) -> TaskStream:
         return stream
     if order_name not in cfg.get("orders", {}):
         raise ValueError(f"unknown order {order_name!r}")
-    return make_order(stream, cfg["orders"][order_name])
+    return make_order(stream, cfg["orders"][order_name], f"order {order_name!r}")
 
 
 def build_optimizer_config(cfg: dict, variant: str) -> OptimizerConfig:

@@ -120,8 +120,8 @@ def test_batch_gradient_linearity():
     for i in range(len(batch)):
         _, g = model.loss_gradient(
             Batch(batch.features[i:i + 1], batch.labels[i:i + 1], 0))
-        acc = acc.add(g)
-    acc = acc.scale(1.0 / len(batch))
+        acc.flat += g.flat
+    acc.flat *= 1.0 / len(batch)
     for n in acc:
         np.testing.assert_allclose(acc[n], batch_grads[n], rtol=1e-12, atol=1e-15)
 

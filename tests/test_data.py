@@ -97,6 +97,8 @@ def test_make_order_invalid_permutation():
         make_order(stream, [0, 0])
     with pytest.raises(ValueError, match="permutation"):
         make_order(stream, [0, 5])
+    with pytest.raises(ValueError, match=r"^permutation must be a nonempty list .* got \[True\]$"):
+        make_order(stream, [True])
 
 
 def test_task_dataset_label_range_checked():

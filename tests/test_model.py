@@ -184,8 +184,8 @@ def test_batched_log_prob_gradient_identity():
     _, g = m.loss_gradient(batch)
     acc = m.parameters().zeros_like()
     for i in range(len(batch)):
-        acc = acc.add(m.log_prob_gradient(batch.features[i], batch.labels[i], 0))
-    acc = acc.scale(1.0 / len(batch))
+        acc.flat += m.log_prob_gradient(batch.features[i], batch.labels[i], 0).flat
+    acc.flat *= 1.0 / len(batch)
     for n in g:
         np.testing.assert_allclose(acc[n], -g[n], rtol=1e-12, atol=1e-15)
 
@@ -268,26 +268,31 @@ def test_stacked_losses_equal_task_loss_bitwise(activation, hidden, n_rows):
 @pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
 def test_plan_has_one_form_for_a_vector_and_a_stack(hidden):
     """Each head's plan over a flat vector and over the stack of that one
-    vector gives views with the same bytes; the flat views are the stack's
-    without its leading axis, so a bias is a (1, cols) row; and a write
-    through a flat view lands in the vector, in the layer's slice."""
+    vector gives folded blocks with the same bytes; the flat blocks are the
+    stack's without its leading axis; each is the layer's (W, b) pair in
+    `layer_slices`, its last row the bias; and a write through a flat block
+    lands in the vector, in the layer's slice."""
     m = random_mlp(73, hidden=hidden, classes=(3, 2))
+    params = m.parameters()
     v = np.random.default_rng(74).normal(size=m.theta.size)
     for task_id in range(2):
         flat, stacked = m._plan(v, task_id), m._plan(v[None], task_id)
-        assert len(flat) == len(stacked) == len(hidden) + 1
-        for (w, b, wb, sl), (*stack_views, stack_sl) in zip(flat, stacked):
-            assert sl == stack_sl
-            rows, cols = w.shape
-            assert b.shape == (1, cols) and wb.shape == (rows + 1, cols)
-            for view, stack_view in zip((w, b, wb), stack_views):
-                assert stack_view.shape == (1, *view.shape)
-                assert view.tobytes() == stack_view[0].tobytes()
+        slices = m.layer_slices(task_id)
+        assert len(flat) == len(stacked) == len(slices) == len(hidden) + 1
+        names = [f"enc{i}" for i in range(len(hidden))] + [f"head{task_id}"]
+        for wb, stack_wb, sl, name in zip(flat, stacked, slices, names):
+            w = params.unflatten(v)[f"{name}.W"]
+            assert wb.shape == (w.shape[0] + 1, w.shape[1])
+            assert sl == slice(params.slice_of(f"{name}.W").start,
+                               params.slice_of(f"{name}.b").stop)
+            assert wb[..., :-1, :].tobytes() == w.tobytes()
+            assert stack_wb.shape == (1, *wb.shape)
+            assert wb.tobytes() == stack_wb[0].tobytes()
             want = v.copy()
             want[sl] = np.concatenate([np.full(w.size, 1.0 + task_id),
-                                       np.full(b.size, -2.0 - task_id)])
-            w[...] = 1.0 + task_id
-            b[...] = -2.0 - task_id
+                                       np.full(w.shape[1], -2.0 - task_id)])
+            wb[..., :-1, :] = 1.0 + task_id
+            wb[..., -1:, :] = -2.0 - task_id
             assert v.tobytes() == want.tobytes()
 
 
@@ -551,7 +556,7 @@ def test_bound_pass_equals_one_shot_kernel_bitwise(activation, hidden):
     without them, which leaves them as they were."""
     m = random_mlp(84, hidden=hidden, classes=(3, 2), activation=activation)
     rng = np.random.default_rng(85)
-    passes = [_Pass(m._plans[t], activation) for t in range(2)]
+    passes = [_Pass(m._plan(m.theta, t), activation) for t in range(2)]
     out = np.zeros(m.theta.size)
     for n_rows in [int(r) for r in rng.permutation(np.arange(1, 17))] * 2:
         for task_id in (0, 1):
@@ -559,7 +564,7 @@ def test_bound_pass_equals_one_shot_kernel_bitwise(activation, hidden):
             x, y = m._check_rows(batch.features, batch.labels, task_id)
             want_loss, want = m.loss_gradient(batch)
             head = m.parameters().slice_of(f"head{task_id}.W").start
-            views = m._folded(out, task_id)
+            views = m._plan(out, task_id)
             out.fill(0.0)
             assert passes[task_id].loss_gradient(x, y, views) == want_loss
             assert out.tobytes() == want.flat.tobytes()

@@ -189,7 +189,7 @@ def test_bound_training_pass_equals_one_shot_kernel_bitwise(hidden, activation, 
             batch = random_batch(n_rows * 2 + task_id, model, n=n_rows, task_id=task_id)
             out.fill(0.0)
             loss = step(*model._check_rows(batch.features, batch.labels, task_id), task_id,
-                        out, model._folded(out, task_id))
+                        out, model._plan(out, task_id))
             if rho:
                 want, want_loss = create_gradient(model, batch, rho, names)
             else:
@@ -614,7 +614,7 @@ def test_sparse_mask_over_plan_slices_equals_name_partition_bitwise(activation, 
             model = MultiHeadClassifier(95, 4, list(hidden), list(heads),
                                         activation=activation)
             params = model.parameters()
-            plans = model._plans
+            plans = [model.layer_slices(t) for t in range(len(heads))]
             n = model.theta.size
             for values in (rng.uniform(0.0, 1.0, n), rng.integers(0, 3, n) * 0.5,
                            np.full(n, 0.25)):
@@ -623,8 +623,7 @@ def test_sparse_mask_over_plan_slices_equals_name_partition_bitwise(activation, 
                 cases = [(plans[t][:-1] + [p[-1] for p in plans[:t]],
                           model.constrained_names(t)) for t in range(len(heads))]
                 cases.append((plans[0][:-1] + [p[-1] for p in plans], names))
-                for layers, partition in cases:
-                    slices = [sl for *_, sl in layers]
+                for slices, partition in cases:
                     assert slices == _layer_slices(params, partition)
                     got = build_sparse_mask(imp, ratio, slices)
                     ref = _sparse_mask_by_names(params.unflatten(values), ratio,
@@ -933,12 +932,12 @@ def _reference_train_task(model, tasks, region, importance, replay_buffer, confi
                 loss, g = model.loss_gradient(b)
             w = len(b) / total_weight
             loss_val += w * loss
-            summed = g.scale(w) if summed is None else summed.add(g.scale(w))
+            summed = g.flat * w if summed is None else summed + g.flat * w
         if flags.l2 and region is not None and importance is not None:
-            summed = summed.add(soft_penalty(params, region, importance)[1].scale(config.lam))
+            summed = summed + soft_penalty(params, region, importance)[1].flat * config.lam
         if mask is not None:
-            summed.flat[:mask.size] *= mask
-        base_step(state, params, summed, config)
+            summed[:mask.size] *= mask
+        base_step(state, params, params.unflatten(summed), config)
         clamped = (clamp_to_region(params, region)
                    if flags.clamp and region is not None else 0)
         report.step_losses.append(loss_val)

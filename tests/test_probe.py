@@ -121,6 +121,64 @@ def test_decomposition_rho_zero_has_no_excess():
     assert excess == 0.0 and perturbed == base
 
 
+def _two_pass_decomposition(obj, rho):
+    """create_decomposition_check in its former form: the base loss scored
+    alone at w, then the perturbed loss alone at w + eps_hat."""
+    base = float(obj.values(obj.params.flat[None])[0])
+    eps = compute_perturbation(obj.params, obj.gradient(), rho).epsilon_hat
+    perturbed = float(obj.values(obj.params.flat + eps.flat[None])[0])
+    return perturbed, perturbed - base, base
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
+def test_decomposition_equals_two_pass_form_bitwise(activation, hidden):
+    """Scoring w and w + eps_hat in one stack gives the triple's bits of
+    scoring each alone, on every head, at small and large rho."""
+    for seed in range(3):
+        model = random_mlp(30 + seed, hidden=hidden, classes=(3, 2), activation=activation)
+        for task_id in (0, 1):
+            obj = model_objective(model, random_batch(40 + seed, model, n=6 + seed,
+                                                      task_id=task_id))
+            for rho in (0.05, 0.65):
+                got = create_decomposition_check(obj, rho)
+                assert np.array(got).tobytes() == np.array(
+                    _two_pass_decomposition(obj, rho)).tobytes()
+
+
+@pytest.mark.parametrize("probe", [lambda obj: ball_sharpness(obj, 0.2, 5, seed=1),
+                                   lambda obj: create_decomposition_check(obj, 0.2)],
+                         ids=["ball_sharpness", "create_decomposition_check"])
+def test_each_probe_scores_its_losses_in_one_stack(probe):
+    """A probe scores the loss at w and at every perturbed point in one
+    `values` call, on a stack whose row 0 is w itself, not w + 0: a -0.0
+    weight keeps its sign."""
+    model = random_mlp(26, hidden=(5,))
+    model.theta[0] = -0.0
+    obj = model_objective(model, random_batch(27, model, n=6))
+    stacks = []
+    counted = dataclasses.replace(obj, values=lambda t: stacks.append(t.copy()) or obj.values(t))
+    probe(counted)
+    assert len(stacks) == 1
+    assert stacks[0][0].tobytes() == model.theta.tobytes()
+
+
+def test_only_a_perturbed_loss_must_be_finite():
+    """Each probe refuses a non-finite loss at a perturbed point, with one
+    message, and scores the loss at w unchecked."""
+    params = ParameterSet({"w": [1.0]})
+
+    def objective(base, perturbed):
+        return Objective(params, lambda t: np.r_[base, np.full(len(t) - 1, perturbed)],
+                         lambda: ParameterSet({"w": [1.0]}), None)
+
+    for probe in (lambda obj: ball_sharpness(obj, 0.1, 2, seed=0),
+                  lambda obj: create_decomposition_check(obj, 0.1)):
+        with pytest.raises(FloatingPointError, match="^non-finite loss at perturbed point$"):
+            probe(objective(0.0, np.inf))
+        assert np.isnan(probe(objective(np.nan, 1.0))).any()
+
+
 # -- fisher trace identity --------------------------------------------------
 
 def test_fisher_trace_identity_small_gap():
@@ -153,9 +211,9 @@ def test_hvp_linearity():
     obj = quadratic_objective(a + a.T, rng.normal(size=4))
     v1 = ParameterSet({"w": rng.normal(size=4)})
     v2 = ParameterSet({"w": rng.normal(size=4)})
-    lhs = hvp(obj, v1.add(v2))
-    rhs = hvp(obj, v1).add(hvp(obj, v2))
-    np.testing.assert_allclose(lhs["w"], rhs["w"], rtol=1e-6, atol=1e-8)
+    lhs = hvp(obj, v1.unflatten(v1.flat + v2.flat))
+    rhs = hvp(obj, v1).flat + hvp(obj, v2).flat
+    np.testing.assert_allclose(lhs["w"], rhs, rtol=1e-6, atol=1e-8)
 
 
 def test_hvp_zero_direction_rejected():

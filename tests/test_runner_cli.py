@@ -607,6 +607,23 @@ def test_run_experiment_refuses_unknown_order_before_writing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("order", [[True, False], [], [0.5], "10"],
+                         ids=["bools", "empty", "float", "string"])
+def test_cli_run_refuses_a_malformed_order_before_writing(tmp_path, capsys, order):
+    """An order that is not a nonempty list of distinct integer task
+    indices (a JSON true is not the index 1) is refused with one line
+    naming it, before anything is written."""
+    cfg = small_cfg()
+    cfg["orders"]["x"] = order
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--variant", "seq",
+                 "--seed", "1", "--order", "x", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: ValueError: order 'x' must be a nonempty list of distinct task "
+        f"indices in [0, 2), got {order!r}\n")
+    assert not out.exists()
+
+
 def test_run_files_get_the_mode_open_gives_under_the_umask(tmp_path):
     """Checkpoints and metrics.json, written through a temporary file and
     renamed, get the mode matrix.csv gets from a plain `open`."""
