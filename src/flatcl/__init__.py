@@ -2,23 +2,3 @@
 sharpness-aware updates, estimate per-parameter flatness via the empirical
 Fisher, and train new tasks under hard/soft flatness constraints with
 replay, plus probes and metrics."""
-
-from .params import ParameterSet
-from .model import Batch, MultiHeadClassifier
-from .optim import (FlatRegion, ImportanceMap, OptimizerConfig, Perturbation,
-                    VariantFlags, accumulate_fisher, base_step,
-                    build_sparse_mask, clamp_to_region, compute_perturbation,
-                    create_gradient, find_fisher, soft_penalty, train_continual,
-                    train_multitask, train_task)
-from .replay import ReplayBuffer, replay_schedule, select_exemplars
-from .metrics import avg_accuracy_after_last, forgetting, intransigence
-
-__all__ = [
-    "ParameterSet", "Batch", "MultiHeadClassifier",
-    "FlatRegion", "ImportanceMap", "OptimizerConfig", "Perturbation",
-    "VariantFlags", "accumulate_fisher", "base_step", "build_sparse_mask",
-    "clamp_to_region", "compute_perturbation", "create_gradient", "find_fisher",
-    "soft_penalty", "train_continual", "train_multitask", "train_task",
-    "ReplayBuffer", "replay_schedule", "select_exemplars",
-    "avg_accuracy_after_last", "forgetting", "intransigence",
-]

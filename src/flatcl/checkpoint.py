@@ -45,8 +45,9 @@ def config_hash(config_dict: dict) -> str:
 
 @dataclass
 class Checkpoint:
-    """A model plus the state `optim.train_continual` resumes from, which it
-    also hands to its `checkpoint_fn` under these field names."""
+    """A model plus the state `optim.train_continual` resumes from and hands
+    to its `after_task` hook under these field names, and the probe values
+    `runner.run_single_seed` keeps."""
     model: MultiHeadClassifier
     config_hash: str | None = None
     seed: int | None = None  # the run seed: `flatcl probe` rebuilds its stream from it
@@ -55,7 +56,7 @@ class Checkpoint:
     next_task: int | None = None
     importance: ImportanceMap | None = None
     matrix_rows: np.ndarray | None = None
-    probe_values: list | None = None  # the run's `probe_fn` outputs so far
+    probe_values: list | None = None  # the run's probe values so far
     replay_buffer: ReplayBuffer | None = None
 
     def __post_init__(self):

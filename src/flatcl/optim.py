@@ -112,6 +112,11 @@ class OptimizerConfig:
                 raise ValueError(f"optimizer {name} must be {rule}, got {value!r}")
         if self.base_optimizer not in ("sgd", "adam_decoupled"):
             raise ValueError(f"unknown base_optimizer {self.base_optimizer!r}")
+        # decoupled decay scales the weights by 1 - lr * wd each step
+        # (`base_step`), which flips or zeroes every weight at a product >= 1
+        if self.learning_rate * self.weight_decay >= 1:
+            raise ValueError("optimizer learning_rate * weight_decay must be < 1, got "
+                             f"{self.learning_rate!r} * {self.weight_decay!r}")
 
 
 @dataclass
@@ -406,20 +411,21 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
                rng, epochs: int, val_sets, step_hook=None) -> TaskReport:
     """Train on `tasks` and leave the best-validation snapshot in the model.
 
-    Each task supplies train_xy() and task_id.  Every epoch draws one
-    permutation per task, in task order, then steps through the tasks'
-    minibatches round-robin.  The last task is the current one: its
-    constrained names are the ones perturbed and masked, and it names the
-    report.  `val_sets` is a list of (features, labels, task_id), pooled for
-    validation.
+    Each task supplies train_xy() and task_id.  `_step_batches` lays out
+    the steps: the tasks' minibatches round-robin, one permutation per task
+    and epoch, with replay's draws between them.  The last task is the
+    current one: its constrained names are the ones perturbed and masked,
+    and it names the report.  `val_sets` is a list of (features, labels,
+    task_id), pooled for validation.
 
     Each task's training rows, and the replay store's rows, are checked once
     here against their heads.  The create step is bound once here, over the
-    model's bound passes and a scratch vector of its own, and the steps run
-    it on the unchecked rows into the buffers of `OptimizerState`: the same
-    kernel `create_gradient` and `loss_gradient` run, the gradient of
-    `soft_penalty` written into a buffer, and `base_step` and
-    `clamp_to_region` themselves.
+    model's bound passes and a scratch vector of its own.  One loop body
+    takes every step: it runs the create step on the step's unchecked
+    batches into the buffers of `OptimizerState`, summing their gradients
+    by row weight, and then applies the gradient of `soft_penalty` written
+    into a buffer, the sparse mask, `base_step` and `clamp_to_region`.
+    These are the kernels `create_gradient` and `loss_gradient` run.
     """
     flags = config.variant
     data = [(task.task_id, *model._check_rows(*task.train_xy(), task.task_id))
@@ -463,7 +469,6 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
     views = [(model._plan(summed, h), model._plan(grad, h))
              for h in range(len(model.head_classes))]
     best_theta = None
-    step_index = 0
 
     def validate(step):
         nonlocal best_theta
@@ -477,9 +482,20 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
             report.best_step, report.best_accuracy = step, acc
             best_theta = model.theta.copy()
 
-    def update(loss_val):
-        """The rest of a step, from the summed gradient of its batches."""
-        nonlocal step_index
+    steps = _step_batches(data, replay_buffer if use_replay else None, config, rng, epochs)
+    for step_index, batches in enumerate(steps, 1):
+        # the batches' gradients, each weighted by its share of the step's
+        # rows (a weight of 1.0 would change no bit), summed into `summed`:
+        # the first is written there, each later one into `grad` and added
+        out, loss_val = summed, 0.0
+        for weight, features, labels, tid in batches:
+            out.fill(0.0)
+            loss_val += weight * grads_into(features, labels, tid, out, views[tid][out is grad])
+            if weight != 1.0:
+                out *= weight
+            if out is grad:
+                np.add(summed, out, out=summed)
+            out = grad
         if use_penalty:
             pen = _penalty_gradient(w_c, anchor_c, two_f, penalty)
             pen *= config.lam
@@ -492,34 +508,24 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
         report.clamp_counts.append(clamped)
         if step_hook is not None:
             step_hook(model, region)
-        step_index += 1
         if step_index % config.validate_every_steps == 0:
             validate(step_index)
+    validate(len(report.step_losses))
+    np.copyto(model.theta, best_theta)
+    return report
 
-    def step(features, labels, tid):
-        """One update from one batch, of weight 1: scaling by it would
-        change no bit."""
-        summed.fill(0.0)
-        update(0.0 + grads_into(features, labels, tid, summed, views[tid][0]))
 
-    def replay_step(batches):
-        """One update from replay's per-head batches, each gradient
-        weighted by its share of the rows."""
-        total_weight = sum(len(b) for b in batches)
-        loss_val = 0.0
-        for i, b in enumerate(batches):
-            out = summed if i == 0 else grad
-            out.fill(0.0)
-            loss = grads_into(b.features, b.labels, b.task_id, out, views[b.task_id][i > 0])
-            w = len(b) / total_weight
-            loss_val += w * loss
-            out *= w
-            if i:
-                np.add(summed, out, out=summed)
-        update(loss_val)
-
+def _step_batches(data, replay_buffer, config, rng, epochs):
+    """Each step's batches, as a tuple of (weight, features, labels,
+    task_id).  Every epoch draws one permutation per task of `data`'s
+    (task_id, features, labels), in order, then takes the tasks'
+    minibatches round-robin, each a step of its own at weight 1.0.  With a
+    `replay_buffer`, a step that `replay_schedule` picks follows a
+    minibatch: replay's draw as per-head batches, each weighted by its share
+    of the rows."""
     size = config.batch_size
     longest = max(len(labels) for _, _, labels in data)
+    taken = 0
     for _ in range(epochs):
         epoch = []
         for tid, feats, labels in data:
@@ -529,12 +535,14 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
             for tid, feats, labels in epoch:
                 if start >= len(labels):
                     continue
-                step(feats[start:start + size], labels[start:start + size], tid)
-                if use_replay and replay_schedule(step_index, config.replay_every):
-                    replay_step(replay_buffer.sample_batches(size, rng))
-    validate(step_index)
-    np.copyto(model.theta, best_theta)
-    return report
+                yield ((1.0, feats[start:start + size], labels[start:start + size], tid),)
+                taken += 1
+                if replay_buffer is not None and replay_schedule(taken, config.replay_every):
+                    batches = replay_buffer.sample_batches(size, rng)
+                    rows = sum(len(b) for b in batches)
+                    yield tuple((len(b) / rows, b.features, b.labels, b.task_id)
+                                for b in batches)
+                    taken += 1
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +553,6 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
 class ContinualResult:
     accuracy_matrix: np.ndarray       # (T, T), NaN above the diagonal
     reports: list
-    probe_values: list                # probe_fn outputs per task, if probing
 
 
 def _derived_seed(seed, *tags):
@@ -553,8 +560,8 @@ def _derived_seed(seed, *tags):
 
 
 def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
-                    seed: int, epochs: int, probe_fn=None, resume=None,
-                    checkpoint_fn=None, step_hook=None) -> ContinualResult:
+                    seed: int, epochs: int, resume=None, after_task=None,
+                    step_hook=None) -> ContinualResult:
     """Sequential training over a task stream with flat-region constraints.
 
     Each task after the first trains inside the flat region around the
@@ -562,14 +569,14 @@ def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
     each task: estimate Fisher at the converged weights, decay-then-add into
     the accumulator, and record test accuracy on all seen tasks.  `resume`,
     a loaded `checkpoint.Checkpoint`, restarts at its task boundary and
-    reproduces the uninterrupted run bitwise, its probe values included.
-    After each task `checkpoint_fn(t, **fields)` receives the resume fields
-    of a `Checkpoint` by name.
+    reproduces the uninterrupted run bitwise.  After each task, with the
+    model at its weights, `after_task(t, **fields)` receives the resume
+    fields of a `Checkpoint` by name.
     """
     flags = config.variant
     n_tasks = len(stream)
     matrix = np.full((n_tasks, n_tasks), np.nan)
-    reports, probe_values = [], []
+    reports = []
 
     rng = np.random.Generator(np.random.PCG64(_derived_seed(seed, 1)))
     buffer = ReplayBuffer() if flags.replay else None
@@ -583,7 +590,6 @@ def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
         if flags.replay:
             buffer = resume.replay_buffer
         matrix[:resume.matrix_rows.shape[0], :] = resume.matrix_rows
-        probe_values = list(resume.probe_values or [])  # files without them: none
 
     for t in range(start_task, n_tasks):
         task = stream[t]
@@ -616,16 +622,12 @@ def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
             tf, tl = stream[j].test_xy()
             matrix[t, j] = model.accuracy(tf, tl, j)
 
-        if probe_fn is not None:
-            probe_values.append(probe_fn(model, t))
+        if after_task is not None:
+            after_task(t, next_task=t + 1, rng_state=rng.bit_generator.state,
+                       importance=accumulated, replay_buffer=buffer,
+                       matrix_rows=matrix[:t + 1, :].copy())
 
-        if checkpoint_fn is not None:
-            checkpoint_fn(t, next_task=t + 1, rng_state=rng.bit_generator.state,
-                          importance=accumulated, replay_buffer=buffer,
-                          matrix_rows=matrix[:t + 1, :].copy(),
-                          probe_values=list(probe_values))
-
-    return ContinualResult(matrix, reports, probe_values)
+    return ContinualResult(matrix, reports)
 
 
 def train_multitask(model: MultiHeadClassifier, stream, config: OptimizerConfig,

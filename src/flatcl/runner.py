@@ -117,9 +117,12 @@ def build_stream(cfg: dict, seed: int) -> TaskStream:
     order_name = cfg.get("order", "identity")
     if order_name == "identity":
         return stream
-    if order_name not in cfg.get("orders", {}):
+    orders = cfg.get("orders", {})
+    if not isinstance(orders, dict):
+        raise ValueError(f"orders must be an object of named orders, got {orders!r}")
+    if order_name not in orders:
         raise ValueError(f"unknown order {order_name!r}")
-    return make_order(stream, cfg["orders"][order_name], f"order {order_name!r}")
+    return make_order(stream, orders[order_name], f"order {order_name!r}")
 
 
 def build_optimizer_config(cfg: dict, variant: str) -> OptimizerConfig:
@@ -216,16 +219,7 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
     opt_config = build_optimizer_config(cfg, variant)
     epochs = cfg["epochs_per_task"]
     probe_cfg = cfg.get("probe", {})
-    probe_fn = None
-    if probe_cfg.get("enabled", False):
-        batch = probe_batch(cfg, stream)
-        iters = probe_cfg.get("lanczos_iters", 20)
-
-        def probe_fn(model, task_idx):
-            res = lanczos_lambda_max(model_objective(model, batch), iters, seed)
-            return {"task": task_idx, "lambda_max": res.lambda_max,
-                    "log_lambda_max": res.log_lambda_max}
-
+    batch = probe_batch(cfg, stream) if probe_cfg.get("enabled", False) else None
     model = _build_model(cfg, stream, seed) if loaded is None else loaded.model
     _fresh_dir(out_dir)
 
@@ -241,14 +235,26 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
                           "reference_accuracies": reference.tolist(),
                           "avg_accuracy_after_last": float(reference.mean())}
     else:
-        result = train_continual(
-            model, stream, opt_config, seed, epochs, probe_fn=probe_fn, resume=loaded,
-            checkpoint_fn=lambda task_idx, **state: save(f"ckpt_task{task_idx}.bin", **state))
+        # the finished tasks' probe values; each checkpoint carries them, so
+        # a resumed run's trace is the uninterrupted run's (a file written
+        # before they were kept has none, and traces the remaining tasks)
+        probe_values = list(loaded.probe_values or []) if loaded is not None else []
+
+        def after_task(task_idx, **state):
+            if batch is not None:
+                res = lanczos_lambda_max(model_objective(model, batch),
+                                         probe_cfg.get("lanczos_iters", 20), seed)
+                probe_values.append({"task": task_idx, "lambda_max": res.lambda_max,
+                                     "log_lambda_max": res.log_lambda_max})
+            save(f"ckpt_task{task_idx}.bin", probe_values=probe_values, **state)
+
+        result = train_continual(model, stream, opt_config, seed, epochs, resume=loaded,
+                                 after_task=after_task)
         write_matrix_csv(os.path.join(out_dir, "matrix.csv"), result.accuracy_matrix)
         result_metrics = metrics_mod.summarize(result.accuracy_matrix)
         result_metrics.update({"variant": variant, "seed": seed,
                                "config_hash": chash,
-                               "sharpness_trace": result.probe_values})
+                               "sharpness_trace": probe_values})
     write_atomic(os.path.join(out_dir, "metrics.json"), "w",
                  lambda f: json.dump(result_metrics, f, indent=2))
     return result_metrics

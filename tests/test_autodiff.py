@@ -154,3 +154,15 @@ def test_log_softmax_gradcheck(seed, dim, rows):
     model.set_parameters(ps0)
     for n in grads:
         np.testing.assert_allclose(grads[n], fd[n], rtol=1e-5, atol=1e-8)
+
+
+@pytest.mark.parametrize("loss,h,kind,error", [
+    (lambda p: 0.0, 0.0, ValueError, "h must be positive"),
+    (lambda p: np.log(p.flat[0]), 1e-5, FloatingPointError,
+     "non-finite loss while differencing coordinate 0"),
+], ids=["zero-step", "non-finite-loss"])
+def test_finite_diff_refuses_with_one_line(loss, h, kind, error):
+    """The second case steps the coordinate 0 to -h, where log is NaN."""
+    with np.errstate(invalid="ignore"), pytest.raises(kind) as info:
+        finite_diff_gradient(loss, ParameterSet({"w": [0.0, 1.0]}), h=h)
+    assert str(info.value) == error

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from flatcl.data import (TaskDataset, gen_permuted_features, gen_rotated_gaussians,
-                         make_order, save_delimited)
+from flatcl.data import (TaskDataset, TaskStream, gen_permuted_features,
+                         gen_rotated_gaussians, make_order, save_delimited)
 
 
 def test_rotated_deterministic_and_shapes():
@@ -123,3 +123,10 @@ def test_delimited_round_trip_exact(tmp_path):
     back = np.loadtxt(path, delimiter=",", ndmin=2)
     assert back[:, :-1].tobytes() == feats.tobytes()  # bitwise
     assert np.array_equal(back[:, -1], labels)
+
+
+def test_task_stream_refuses_task_ids_out_of_order():
+    stream = gen_permuted_features(1, 2, 3, 4, 10, 3.0)
+    with pytest.raises(ValueError) as info:
+        TaskStream([stream[1], stream[0]])
+    assert str(info.value) == "task_ids must be 0..T-1 in presented order"

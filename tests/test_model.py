@@ -697,3 +697,14 @@ def test_output_adjoint_equals_one_hot_forms_bitwise(n, case):
     got_per_sample = _Pass.output_adjoint(np.exp(logp), labels, 1.0, np.eye(5))
     assert got_mean.tobytes() == mean.tobytes()
     assert got_per_sample.tobytes() == per_sample.tobytes()
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda m: m.add_task_head(0), "class_count must be >= 1"),
+    (lambda m: m.loss_gradient(Batch(np.zeros((2, 4)), np.array([0, 1, 2]), 0)),
+     "labels of shape (3,) do not match 2 feature rows"),
+], ids=["no-classes", "labels-misfit"])
+def test_model_refuses_with_one_line(call, error):
+    with pytest.raises(ValueError) as info:
+        call(random_mlp(1))
+    assert str(info.value) == error

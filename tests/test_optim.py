@@ -368,7 +368,7 @@ def test_dead_relu_unit_trains_inside_its_region():
     cfg = _config(variant=VariantFlags(create=True, find=True, clamp=True, l2=True))
     seen = []
     train_continual(model, _tiny_stream(60, n_tasks=2), cfg, seed=3, epochs=1,
-                    checkpoint_fn=lambda t, importance, **_: seen.append(importance.values))
+                    after_task=lambda t, importance, **_: seen.append(importance.values))
     params = model.parameters()  # task 0's importance is a prefix of its layout
     dead = {name: seen[0][params.slice_of(name)].reshape(params[name].shape)
             for name in ("enc0.W", "enc0.b", "head0.W")}
@@ -527,6 +527,46 @@ def test_optimizer_config_refuses_out_of_range_settings():
         with pytest.raises(ValueError, match=f"optimizer {key} must be") as info:
             OptimizerConfig(**{key: value})
         assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("lr,wd", [(1e6, 1e6), (100, 0.01), (1.0, 1.0), (0.5, 2.0),
+                                   (1e308, 1e308)])
+def test_optimizer_config_refuses_decay_that_flips_or_zeroes_the_weights(lr, wd):
+    """Decoupled decay scales the weights by 1 - lr * wd each step; a
+    product of 1 or more is refused on one line naming both keys."""
+    with pytest.raises(ValueError) as info:
+        OptimizerConfig(learning_rate=lr, weight_decay=wd)
+    assert str(info.value) == ("optimizer learning_rate * weight_decay must be < 1, "
+                               f"got {lr!r} * {wd!r}")
+
+
+def test_optimizer_config_accepts_decay_below_one_and_no_decay():
+    for lr, wd in ((0.99, 1.0), (1e308, 0.0), (1.0, math.nextafter(1.0, 0.0))):
+        config = OptimizerConfig(learning_rate=lr, weight_decay=wd)
+        assert (config.learning_rate, config.weight_decay) == (lr, wd)
+
+
+def _create_gradient_at_huge_rho():
+    model = random_mlp(3)
+    return create_gradient(model, random_batch(4, model), 1e308)
+
+
+@pytest.mark.parametrize("call,kind,error", [
+    (lambda: OptimizerConfig(base_optimizer="adam"), ValueError,
+     "unknown base_optimizer 'adam'"),
+    (_create_gradient_at_huge_rho, FloatingPointError,
+     "non-finite loss at perturbed point (task 0)"),
+    (lambda: find_fisher(random_mlp(3), np.zeros((4, 4)), [0, 1, 2, 0], 0, 0, 1),
+     ValueError, "n_samples must be >= 1"),
+    (lambda: build_sparse_mask(ImportanceMap(np.ones(3)), 0.0, [slice(0, 3)]), ValueError,
+     "ratio must be in (0, 1]"),
+], ids=["base-optimizer", "create-step-overflow", "no-fisher-samples", "zero-mask-ratio"])
+def test_optim_refuses_with_one_line(call, kind, error):
+    """The create step at rho 1e308 moves the weights to where the loss is
+    not finite; it names the task rather than return that loss."""
+    with np.errstate(all="ignore"), pytest.raises(kind) as info:
+        call()
+    assert str(info.value) == error
 
 
 def test_optimizer_config_accepts_range_ends():
@@ -817,7 +857,7 @@ def test_sparse_mask_applies_without_l2(flags):
         w, anchor = m.parameters().prefix(names), region.anchor.prefix(names)
         frozen.append(w[out].tobytes() == anchor[out].tobytes())
 
-    train_continual(model, stream, cfg, seed=11, epochs=1, checkpoint_fn=keep,
+    train_continual(model, stream, cfg, seed=11, epochs=1, after_task=keep,
                     step_hook=hook)
     assert frozen and all(frozen)
 

@@ -81,3 +81,15 @@ def test_prefix_rule():
         with pytest.raises(ValueError, match="prefix"):
             ps.prefix(names)
 
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: ParameterSet([("a", np.zeros(2)), ("a", np.zeros(2))]),
+     "duplicate parameter names in ['a', 'a']"),
+    (lambda: ParameterSet({"a": np.zeros(4)}).unflatten(np.zeros(3)),
+     "flat vector of shape (3,) does not match total size 4"),
+], ids=["duplicate-names", "flat-misfit"])
+def test_parameter_set_refuses_with_one_line(call, error):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == error

@@ -478,13 +478,12 @@ def test_each_task_starts_from_the_weights_the_last_one_ended_with(tmp_path):
     stream = build_stream(cfg, 1)
     model = MultiHeadClassifier(1, 4, [6], [3])
     batch = probe_batch(cfg, stream)
-    ended, anchors = {}, {}
+    ended, anchors, probe_values = {}, {}, []
 
-    def probe_fn(m, t):
-        return lanczos_lambda_max(model_objective(m, batch), 5, 1).lambda_max
-
-    def checkpoint_fn(t, **state):
-        save_checkpoint(tmp_path / f"ckpt_task{t}.bin", Checkpoint(model=model, **state))
+    def after_task(t, **state):
+        probe_values.append(lanczos_lambda_max(model_objective(model, batch), 5, 1).lambda_max)
+        save_checkpoint(tmp_path / f"ckpt_task{t}.bin",
+                        Checkpoint(model=model, probe_values=probe_values, **state))
         ended[t] = model.theta.tobytes()
 
     def step_hook(m, region):
@@ -492,10 +491,9 @@ def test_each_task_starts_from_the_weights_the_last_one_ended_with(tmp_path):
         if region is not None and t not in anchors:
             anchors[t] = region.anchor.prefix(region.constrained_names).tobytes()
 
-    result = train_continual(model, stream, build_optimizer_config(cfg, "cf"), 1, 1,
-                             probe_fn=probe_fn, checkpoint_fn=checkpoint_fn,
-                             step_hook=step_hook)
-    assert len(result.probe_values) == 3 and sorted(ended) == [0, 1, 2]
+    train_continual(model, stream, build_optimizer_config(cfg, "cf"), 1, 1,
+                    after_task=after_task, step_hook=step_hook)
+    assert len(probe_values) == 3 and sorted(ended) == [0, 1, 2]
     assert sorted(anchors) == [1, 2]
     for t in (1, 2):
         assert anchors[t] == ended[t - 1]
@@ -622,6 +620,73 @@ def test_cli_run_refuses_a_malformed_order_before_writing(tmp_path, capsys, orde
         "error: ValueError: order 'x' must be a nonempty list of distinct task "
         f"indices in [0, 2), got {order!r}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("orders", ["xyz", ["x"], None, 3],
+                         ids=["string", "list", "null", "number"])
+def test_cli_run_refuses_orders_that_are_not_an_object_before_writing(tmp_path, capsys,
+                                                                     orders):
+    """`orders` must be an object of named orders; a string or a list used
+    to fail as a TypeError that named no key."""
+    cfg = small_cfg()
+    cfg["orders"] = orders
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--variant", "seq",
+                 "--seed", "1", "--order", "x", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ValueError: orders must be an object of named orders, got {orders!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lr,wd", [(1e6, 1e6), (100, 0.01)])
+def test_cli_run_refuses_decay_that_flips_or_zeroes_the_weights_before_writing(
+        tmp_path, capsys, lr, wd):
+    """A product of 1e12 used to overflow into a failed seed and an empty
+    seed directory; one of 1 ran, zeroing the weights on every step."""
+    cfg = small_cfg()
+    cfg["optimizer"].update(learning_rate=lr, weight_decay=wd)
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--variant", "seq",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: ValueError: optimizer learning_rate * weight_decay must be < 1, "
+        f"got {lr!r} * {wd!r}\n")
+    assert not out.exists()
+
+
+def test_cli_run_fails_every_seed_of_a_setting_that_cannot_train(tmp_path, capsys):
+    """A finite setting that passes every check but cannot train, a learning
+    rate of 1e308 with no decay, fails each seed into failures.json, and
+    `flatcl run` ends with one line and exit 1."""
+    cfg = small_cfg()
+    cfg["optimizer"].update(learning_rate=1e308, weight_decay=0.0)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", write_cfg(tmp_path, cfg), "--variant", "seq",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: RuntimeError: all seeds failed; see failures.json\n"
+    failures = json.loads((out / "tiny" / "seq" / "failures.json").read_text())
+    assert [(f["seed"], f["type"], f["error"]) for f in failures] == [
+        (1, "FloatingPointError", "non-finite gradients in base_step")]
+
+
+def _run_argv(tmp_path, **changes):
+    cfg = small_cfg()
+    cfg.update(changes)
+    return ["run", "--config", write_cfg(tmp_path, cfg), "--variant", "seq",
+            "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("argv,error", [
+    (lambda tmp: ["probe", "--checkpoint", str(tmp / "ckpt_task0.bin")],
+     "probe needs --checkpoint and --config (or --quadratic)"),
+    (lambda tmp: _run_argv(tmp, model=8), "config section 'model' must be an object"),
+    (lambda tmp: _run_argv(tmp, seeds=[]), "seeds must be nonempty"),
+], ids=["probe-without-config", "section-not-an-object", "no-seeds"])
+def test_cli_refuses_with_one_line_before_writing(tmp_path, capsys, argv, error):
+    assert main(argv(tmp_path)) == 1
+    assert capsys.readouterr().err == f"error: ValueError: {error}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_files_get_the_mode_open_gives_under_the_umask(tmp_path):
