@@ -124,6 +124,10 @@ def gen_rotated_gaussians(seed, n_tasks, classes_per_task, dim, samples_per_clas
     if (isinstance(rotation_per_task, bool) or not isinstance(rotation_per_task, numbers.Real)
             or not abs(rotation_per_task) <= sys.float_info.max):
         raise ValueError(f"rotation_per_task must be a finite number, got {rotation_per_task!r}")
+    # the last task's angle; cos and sin of an infinite one are NaN
+    if not abs((n_tasks - 1) * rotation_per_task) <= sys.float_info.max:
+        raise ValueError(f"rotation_per_task must give the last of {n_tasks} tasks a finite "
+                         f"angle, got {rotation_per_task!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     base_means = _simplex_means(classes_per_task, dim, separation)
     tasks = []

@@ -34,65 +34,54 @@ VARIANT_FLAGS["random_indicator"] = VARIANT_FLAGS["cf_minus_find"]
 VARIANT_FLAGS["create_only"] = VARIANT_FLAGS["cf_minus_l2"]
 
 
-# Keys a config may hold, per section; keys starting with "_" are comments.
-CONFIG_KEYS = {
-    "": "name benchmark orders order seeds epochs_per_task model optimizer probe",
-    "benchmark": "kind n_tasks classes_per_task dim samples_per_class separation "
-                 "rotation_per_task data_seed_offset",
-    "model": "hidden_dims activation init_seed_offset",
-    "optimizer": " ".join(f.name for f in dataclasses.fields(OptimizerConfig)
-                          if f.name != "variant"),
-    "probe": "enabled batch_size lanczos_iters",
+# Every key a config may hold, per section, with its rule; keys starting
+# with "_" are comments.  "required": read without a default.  "count": an
+# integer >= 1, since training assumes at least one epoch and nonempty
+# tasks, and the probe at least one row and iteration.  "offset": an
+# integer, since each seed offset is added to the run seed, so a JSON true
+# would run as the offset 1.  "flag": true or false.  The code that reads a
+# key checks what its rule does not.
+CONFIG_RULES = {
+    "": {"name": "", "benchmark": "required", "orders": "", "order": "", "seeds": "",
+         "epochs_per_task": "required count", "model": "required", "optimizer": "",
+         "probe": ""},
+    "benchmark": {"kind": "required", "n_tasks": "required count",
+                  "classes_per_task": "required count", "dim": "required count",
+                  "samples_per_class": "required count", "separation": "required",
+                  "rotation_per_task": "", "data_seed_offset": "offset"},
+    "model": {"hidden_dims": "required", "activation": "", "init_seed_offset": "offset"},
+    "optimizer": dict.fromkeys((f.name for f in dataclasses.fields(OptimizerConfig)
+                                if f.name != "variant"), ""),
+    "probe": {"enabled": "flag", "batch_size": "count", "lanczos_iters": "count"},
 }
-# Keys read without a default, per section.
-REQUIRED_KEYS = {
-    "": "benchmark epochs_per_task model",
-    "benchmark": "kind n_tasks classes_per_task dim samples_per_class separation",
-    "model": "hidden_dims",
-}
-# Counts that must be integers >= 1, per section: training assumes at least
-# one epoch and nonempty tasks, and the probe at least one row and iteration.
-COUNT_KEYS = {
-    "": "epochs_per_task",
-    "benchmark": "n_tasks classes_per_task dim samples_per_class",
-    "probe": "batch_size lanczos_iters",
-}
-# Seed offsets, per section, which must be integers: each is added to the
-# run seed, so a JSON true would run as the offset 1.
-OFFSET_KEYS = {"benchmark": "data_seed_offset", "model": "init_seed_offset"}
 
 
 def check_config_keys(cfg: dict):
     """Raise a one-line ValueError naming the first unknown or missing key,
-    the first count that is not an integer >= 1, the first seed offset that
-    is not an integer, or a `probe` `enabled` that is not true or false."""
-    for section, allowed in CONFIG_KEYS.items():
+    or the first value that breaks its key's rule in `CONFIG_RULES`."""
+    for section, rules in CONFIG_RULES.items():
         body = cfg.get(section, {}) if section else cfg
-        where = f" in {section!r}" if section else ""
+        where, prefix = (f" in {section!r}", f"{section} ") if section else ("", "")
         if not isinstance(body, dict):
             raise ValueError(f"config section {section!r} must be an object")
         for key in body:
-            if key not in allowed.split() and not key.startswith("_"):
+            if key not in rules and not key.startswith("_"):
                 raise ValueError(f"unknown config key {key!r}{where}; "
-                                 f"expected one of: {allowed}")
-        required = REQUIRED_KEYS.get(section, "").split()
-        if section == "benchmark" and body.get("kind") == "rotated_gaussians":
-            required.append("rotation_per_task")
-        for key in required:
+                                 f"expected one of: {' '.join(rules)}")
+        for key, rule in rules.items():
+            value = body.get(key)
             if key not in body:
-                raise ValueError(f"missing config key {key!r}{where}")
-        for key in COUNT_KEYS.get(section, "").split():
-            value = body.get(key, 1)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{section + ' ' if section else ''}{key} must be "
-                                 f"an integer >= 1, got {value!r}")
-        for key in OFFSET_KEYS.get(section, "").split():
-            value = body.get(key, 0)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{section} {key} must be an integer, got {value!r}")
-    enabled = cfg.get("probe", {}).get("enabled", False)
-    if not isinstance(enabled, bool):
-        raise ValueError(f"probe enabled must be true or false, got {enabled!r}")
+                # the rotation is read only for the rotated benchmark
+                if "required" in rule or (key == "rotation_per_task"
+                                          and body.get("kind") == "rotated_gaussians"):
+                    raise ValueError(f"missing config key {key!r}{where}")
+            # bool is an int subclass; a JSON true is not the integer 1
+            elif "count" in rule and (type(value) is not int or value < 1):
+                raise ValueError(f"{prefix}{key} must be an integer >= 1, got {value!r}")
+            elif "offset" in rule and type(value) is not int:
+                raise ValueError(f"{prefix}{key} must be an integer, got {value!r}")
+            elif "flag" in rule and not isinstance(value, bool):
+                raise ValueError(f"{prefix}{key} must be true or false, got {value!r}")
 
 
 def load_config(path) -> dict:
@@ -115,6 +104,8 @@ def build_stream(cfg: dict, seed: int) -> TaskStream:
     else:
         raise ValueError(f"unknown benchmark kind {bench['kind']!r}")
     order_name = cfg.get("order", "identity")
+    if not isinstance(order_name, str):
+        raise ValueError(f"order must be a string naming an order, got {order_name!r}")
     if order_name == "identity":
         return stream
     orders = cfg.get("orders", {})
@@ -203,7 +194,8 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
     """One (variant, seed) run into a fresh directory: per-task checkpoints
     and matrix.csv (for mtl, ckpt_final.bin alone), then metrics.json, the
     last file written, through a temporary file renamed into place.  Returns
-    the metrics dict."""
+    the metrics dict; the first floating-point overflow or invalid operation
+    after the directory is made raises FloatingPointError."""
     check_config_keys(cfg)
     if variant == "mtl" and resume_from is not None:
         raise ValueError("mtl trains all tasks jointly and cannot resume from a checkpoint")
@@ -228,35 +220,39 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
                         Checkpoint(model=model, config_hash=chash, seed=seed,
                                    variant=variant, **state))
 
-    if variant == "mtl":
-        reference = train_multitask(model, stream, opt_config, seed, epochs)
-        save("ckpt_final.bin")
-        result_metrics = {"variant": variant, "seed": seed,
-                          "reference_accuracies": reference.tolist(),
-                          "avg_accuracy_after_last": float(reference.mean())}
-    else:
-        # the finished tasks' probe values; each checkpoint carries them, so
-        # a resumed run's trace is the uninterrupted run's (a file written
-        # before they were kept has none, and traces the remaining tasks)
-        probe_values = list(loaded.probe_values or []) if loaded is not None else []
+    # The seed's training, probe and writes run under one rule: an overflow
+    # or invalid operation raises where it happens, failing the seed, where
+    # numpy would warn and go on with inf or NaN weights.
+    with np.errstate(over="raise", invalid="raise"):
+        if variant == "mtl":
+            reference = train_multitask(model, stream, opt_config, seed, epochs)
+            save("ckpt_final.bin")
+            result_metrics = {"variant": variant, "seed": seed,
+                              "reference_accuracies": reference.tolist(),
+                              "avg_accuracy_after_last": float(reference.mean())}
+        else:
+            # the finished tasks' probe values; each checkpoint carries them, so
+            # a resumed run's trace is the uninterrupted run's (a file written
+            # before they were kept has none, and traces the remaining tasks)
+            probe_values = list(loaded.probe_values or []) if loaded is not None else []
 
-        def after_task(task_idx, **state):
-            if batch is not None:
-                res = lanczos_lambda_max(model_objective(model, batch),
-                                         probe_cfg.get("lanczos_iters", 20), seed)
-                probe_values.append({"task": task_idx, "lambda_max": res.lambda_max,
-                                     "log_lambda_max": res.log_lambda_max})
-            save(f"ckpt_task{task_idx}.bin", probe_values=probe_values, **state)
+            def after_task(task_idx, **state):
+                if batch is not None:
+                    res = lanczos_lambda_max(model_objective(model, batch),
+                                             probe_cfg.get("lanczos_iters", 20), seed)
+                    probe_values.append({"task": task_idx, "lambda_max": res.lambda_max,
+                                         "log_lambda_max": res.log_lambda_max})
+                save(f"ckpt_task{task_idx}.bin", probe_values=probe_values, **state)
 
-        result = train_continual(model, stream, opt_config, seed, epochs, resume=loaded,
-                                 after_task=after_task)
-        write_matrix_csv(os.path.join(out_dir, "matrix.csv"), result.accuracy_matrix)
-        result_metrics = metrics_mod.summarize(result.accuracy_matrix)
-        result_metrics.update({"variant": variant, "seed": seed,
-                               "config_hash": chash,
-                               "sharpness_trace": probe_values})
-    write_atomic(os.path.join(out_dir, "metrics.json"), "w",
-                 lambda f: json.dump(result_metrics, f, indent=2))
+            result = train_continual(model, stream, opt_config, seed, epochs, resume=loaded,
+                                     after_task=after_task)
+            write_matrix_csv(os.path.join(out_dir, "matrix.csv"), result.accuracy_matrix)
+            result_metrics = metrics_mod.summarize(result.accuracy_matrix)
+            result_metrics.update({"variant": variant, "seed": seed,
+                                   "config_hash": chash,
+                                   "sharpness_trace": probe_values})
+        write_atomic(os.path.join(out_dir, "metrics.json"), "w",
+                     lambda f: json.dump(result_metrics, f, indent=2))
     return result_metrics
 
 
@@ -285,7 +281,10 @@ def run_experiment(cfg: dict, variant: str, out_root: str, seeds=None) -> list[d
     build_optimizer_config(cfg, variant)  # a bad setting fails once, not per seed
     if seeds is None and "seeds" not in cfg:
         raise ValueError("config has no 'seeds' and no seed was given")
-    seeds = list(seeds if seeds is not None else cfg["seeds"])
+    seeds = seeds if seeds is not None else cfg["seeds"]
+    # bool is an int subclass; a JSON true is not the seed 1
+    if not isinstance(seeds, list) or any(type(s) is not int or s < 0 for s in seeds):
+        raise ValueError(f"seeds must be a list of integers >= 0, got {seeds!r}")
     if not seeds:
         raise ValueError("seeds must be nonempty")
     if len(set(seeds)) != len(seeds):
@@ -294,6 +293,11 @@ def run_experiment(cfg: dict, variant: str, out_root: str, seeds=None) -> list[d
     # order's and the model's checks once, before anything is written
     _build_model(cfg, build_stream(cfg, seeds[0]), seeds[0])
     name = cfg.get("name", "experiment")
+    # one directory under out_root: never beside it, above it or two levels down
+    if (not isinstance(name, str) or name in ("", ".", "..")
+            or any(c in name for c in ("/", os.sep, "\0"))):
+        raise ValueError(f"name must be one directory name (no '/', not '.' or '..'), "
+                         f"got {name!r}")
     out_dirs = [os.path.join(out_root, name, variant, f"seed{seed}") for seed in seeds]
     for out_dir in out_dirs:
         if os.path.lexists(out_dir):

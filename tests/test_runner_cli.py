@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -656,18 +657,84 @@ def test_cli_run_refuses_decay_that_flips_or_zeroes_the_weights_before_writing(
 
 def test_cli_run_fails_every_seed_of_a_setting_that_cannot_train(tmp_path, capsys):
     """A finite setting that passes every check but cannot train, a learning
-    rate of 1e308 with no decay, fails each seed into failures.json, and
-    `flatcl run` ends with one line and exit 1."""
+    rate of 1e308 with no decay, fails each seed at its first overflow into
+    failures.json, and `flatcl run` ends with one line and exit 1."""
     cfg = small_cfg()
     cfg["optimizer"].update(learning_rate=1e308, weight_decay=0.0)
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        assert main(["run", "--config", write_cfg(tmp_path, cfg), "--variant", "seq",
-                     "--out", str(out)]) == 1
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--variant", "seq",
+                 "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: RuntimeError: all seeds failed; see failures.json\n"
     failures = json.loads((out / "tiny" / "seq" / "failures.json").read_text())
     assert [(f["seed"], f["type"], f["error"]) for f in failures] == [
-        (1, "FloatingPointError", "non-finite gradients in base_step")]
+        (1, "FloatingPointError", "overflow encountered in matmul")]
+
+
+def test_cli_run_fails_a_seed_at_its_first_overflow_without_a_warning(tmp_path, capsys):
+    """A lam of 1e308 overflowed Adam's second moment to inf: numpy printed
+    a RuntimeWarning and the run exited 0 with the weights it had frozen."""
+    cfg = small_cfg()
+    cfg["optimizer"]["lam"] = 1e308
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # as `flatcl run` prints them
+        assert main(["run", "--config", write_cfg(tmp_path, cfg), "--variant", "cf",
+                     "--out", str(out)]) == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "error: RuntimeError: all seeds failed; see failures.json\n"
+    failures = json.loads((out / "tiny" / "cf" / "failures.json").read_text())
+    assert [(f["seed"], f["type"]) for f in failures] == [(1, "FloatingPointError")]
+
+
+def test_cli_run_refuses_a_rotation_whose_last_angle_is_not_finite(tmp_path, capsys):
+    """A finite rotation_per_task whose angle for the last task overflows
+    gave every feature NaN through cos(inf); the rule is on that angle."""
+    cfg = small_cfg()
+    cfg["benchmark"].update(n_tasks=3, rotation_per_task=1e308)
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--variant", "seq",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: ValueError: rotation_per_task must give the last of 3 tasks a finite angle, "
+        "got 1e+308\n")
+    assert not out.exists()
+    cfg["benchmark"]["n_tasks"] = 2  # the last angle is 1e308 itself
+    assert np.isfinite(build_stream(cfg, 1)[1].features).all()
+
+
+# A `name`, `seeds` or `order` that wrote outside --out ("../esc" and ".."
+# beside it, "" and "." without the name level, "a/b" two levels down), left
+# an empty --out (a NUL byte), ran as another seed ([true] as seed 1, under
+# another run hash) or failed with an error that named no key.
+NAME_ERROR = "name must be one directory name (no '/', not '.' or '..'), got "
+BAD_NAME_SEEDS_OR_ORDER = [
+    *[("name", value, f"{NAME_ERROR}{value!r}")
+      for value in ("../esc", "..", "", ".", "a/b", "a\0b", 3)],
+    *[("seeds", value, f"seeds must be a list of integers >= 0, got {value!r}")
+      for value in ([True], float("nan"), True, None, 0.5, -1, ["a"], [1.5], [-1])],
+    *[("order", value, f"order must be a string naming an order, got {value!r}")
+      for value in ([], {})]]
+
+
+@pytest.mark.parametrize("key,value,error", BAD_NAME_SEEDS_OR_ORDER,
+                         ids=[f"{key}-{value!r}" for key, value, _ in BAD_NAME_SEEDS_OR_ORDER])
+def test_cli_run_refuses_a_bad_name_seed_list_or_order_before_writing(tmp_path, capsys, key,
+                                                                     value, error):
+    cfg = small_cfg()
+    cfg[key] = value
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--variant", "seq",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: ValueError: {error}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]  # nothing in or beside --out
+
+
+def test_cli_run_refuses_a_negative_seed_before_writing(tmp_path, capsys):
+    """`--seed -1` failed inside numpy's seeding, naming no key."""
+    assert main(["run", "--config", write_cfg(tmp_path), "--variant", "seq", "--seed", "-1",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: ValueError: seeds must be a list of integers >= 0, got [-1]\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def _run_argv(tmp_path, **changes):
