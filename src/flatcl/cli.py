@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -15,7 +16,7 @@ from . import metrics as metrics_mod
 from .checkpoint import load_checkpoint
 from .data import save_delimited
 from .probe import lanczos_lambda_max, quadratic_objective, sharpness_report
-from .runner import (VARIANT_FLAGS, build_stream, load_config, probe_batch,
+from .runner import (VARIANT_FLAGS, build_stream, is_seed, load_config, probe_batch,
                      read_matrix_csv, run_experiment, run_hash)
 
 
@@ -51,9 +52,31 @@ def _cmd_run(args):
     return 0
 
 
+def _check_seed(seed):
+    """The seed rule `run` applies, `runner.is_seed`, for `probe --seed`
+    and `gen-data --seed`."""
+    if seed is not None and not is_seed(seed):
+        raise ValueError(f"--seed must be an integer >= 0, got {seed}")
+
+
+def _is_finite_number(text):
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
 def _cmd_probe(args):
+    _check_seed(args.seed)
+    # the library's refusal, `iters must be >= 1`, names no flag
+    if args.lanczos_iters < 1:
+        raise ValueError(f"--lanczos-iters must be >= 1, got {args.lanczos_iters}")
     if args.quadratic is not None:
-        diag = np.array([float(x) for x in args.quadratic.split(",")])
+        entries = args.quadratic.split(",")
+        if not all(map(_is_finite_number, entries)):
+            raise ValueError("--quadratic must be comma-separated finite numbers, "
+                             f"got {args.quadratic!r}")
+        diag = np.array([float(x) for x in entries])
         obj = quadratic_objective(np.diag(diag), np.zeros(len(diag)))
         res = lanczos_lambda_max(obj, args.lanczos_iters, args.seed or 0)
         print(json.dumps({"lambda_max": res.lambda_max,
@@ -103,6 +126,7 @@ def _cmd_metrics(args):
 
 
 def _cmd_gen_data(args):
+    _check_seed(args.seed)
     cfg = load_config(args.config)
     stream = build_stream(cfg, args.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -163,7 +187,10 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        # an overflow or invalid operation fails the subcommand where it
+        # happens, with the one error line, where numpy would warn and go on
+        with np.errstate(over="raise", invalid="raise"):
+            return args.fn(args)
     except SystemExit:
         raise
     except Exception as exc:

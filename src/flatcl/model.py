@@ -55,10 +55,11 @@ class MultiHeadClassifier:
 
     There is one forward and one backward pass, `_Pass`, in folded form
     (each layer one matmul `[h, 1] @ [W; b]`, the softmax `exp(z - max) /
-    sum`).  The model keeps one pass per head over `theta`, `_head_pass`,
-    which the training step, `loss_gradient`, the Fisher pass and `logits`
-    share; the create step's perturbed point, the stacked scoring and the
-    Hessian bind each bind a pass of their own.  The gradient, the per-sample
+    sum`).  Every pass but the Hessian bind's is bound by `_pass` and writes
+    into the model's one row-buffer cache, kept across `add_task_head`: a
+    pass's layer inputs stay valid until the next forward of as many rows
+    through any pass of the same model, except the Hessian operator's.
+    `_head_pass` keeps one pass per head over `theta`.  The gradient, the per-sample
     Fisher pass and the Hessian bind share the pass's output-layer adjoint
     and backward adjoints.  Their bits are those of the per-layer recursion
     tests/test_model.py writes out in the same folded form, and lie within
@@ -120,6 +121,7 @@ class MultiHeadClassifier:
             blocks += [(f"enc{i}.W", (dims[i], width)), (f"enc{i}.b", (width,))]
         for t, classes in enumerate(self.head_classes):
             blocks += [(f"head{t}.W", (self.encoder_dim, classes)), (f"head{t}.b", (classes,))]
+        self._rows = {}  # (stack shape, class count) -> {row count: _Rows}, see `_pass`
         self._bind(ParameterSet((name, np.zeros(shape)) for name, shape in blocks))
 
     def _bind(self, params: ParameterSet):
@@ -219,14 +221,19 @@ class MultiHeadClassifier:
             raise ValueError(f"labels out of range [0, {classes}) for task {task_id}")
         return features, labels
 
+    def _pass(self, vec, task_id) -> "_Pass":
+        """A pass of head `task_id` through the plan of `vec` (laid out like
+        `theta`, or a stack of them) into the model's row buffers."""
+        rows = self._rows.setdefault((vec.shape[:-1], self.head_classes[task_id]), {})
+        return _Pass(self._plan(vec, task_id), self.activation, rows)
+
     def _head_pass(self, task_id) -> "_Pass":
         """The model's pass of head `task_id` over `theta`, bound on first
         use and kept until the next `add_task_head`: every entry point that
         runs and finishes a pass at the weights shares it."""
         bound = self._passes[task_id]
         if bound is None:
-            bound = self._passes[task_id] = _Pass(self._plan(self.theta, task_id),
-                                                  self.activation)
+            bound = self._passes[task_id] = self._pass(self.theta, task_id)
         return bound
 
     def task_loss(self, batch: Batch) -> float:
@@ -238,7 +245,7 @@ class MultiHeadClassifier:
         out like `theta` (a 0-d loss) or a (k, d) stack of them (k losses),
         in one pass through its plan.  Each loss of a stack equals bit for
         bit the one its row gives alone."""
-        bound = _Pass(self._plan(thetas, task_id), self.activation)
+        bound = self._pass(thetas, task_id)
         rows, z = bound.forward(features)
         _, s = bound.exp_sum(z)
         return bound.loss(z, s, rows.index, labels)
@@ -308,7 +315,7 @@ class MultiHeadClassifier:
         of the R-operator recursion tests/test_model.py writes out in the
         same folded form.
         """
-        bound = _Pass(self._plan(self.theta, task_id), self.activation)
+        bound = _Pass(self._plan(self.theta, task_id), self.activation, {})
         rows, z = bound.forward(features)
         p, _ = bound.softmax(z)
         n = labels.shape[0]
@@ -393,26 +400,20 @@ class _Pass:
     and the loss `mean(log(sum) - (z - max)[label])`, which needs no
     division; and each layer's W and b gradient is one matmul,
     `[h, 1].T @ delta`, into the folded block of an output plan.  The pass
-    keeps the plan's folded blocks, the transposes of its W blocks and, per
-    row count, one `_Rows` set of buffers with the ones columns set once.
-    A forward's layer inputs stay valid until the next forward of as many
-    rows through a pass sharing those buffers.  Over the plan of a (k, d)
+    keeps the plan's folded blocks, the transposes of its W blocks and
+    `rows`, a dict of one `_Rows` set per row count, whose ones columns are
+    set once.  A forward's layer inputs stay valid until the next forward
+    of as many rows through a pass given the same dict.  Over the plan of a (k, d)
     stack every layer after the input has a leading axis of k, and each
     matmul runs per stack entry the product the unstacked plan runs; only
     the forward and the loss are taken over a stack.
     """
 
-    def __init__(self, plan, activation, rows=None):
+    def __init__(self, plan, activation, rows):
         self.wb = plan
         self.w_t = [wb[..., :-1, :].swapaxes(-1, -2) for wb in plan]
-        self.activation = activation
         self.tanh = activation == "tanh"
-        self._rows = {} if rows is None else rows
-
-    def sharing_buffers(self, plan) -> "_Pass":
-        """A pass through `plan`, another plan of this pass's head, that
-        writes into this pass's buffers: for passes that never run at once."""
-        return _Pass(plan, self.activation, self._rows)
+        self._rows = rows
 
     def _new_rows(self, n) -> _Rows:
         lead = self.wb[0].shape[:-2]  # () for a flat plan, (k,) for a stack

@@ -207,8 +207,7 @@ def create_gradient(model: MultiHeadClassifier, batch: Batch, rho: float,
 def _create_step(model, n, rho):
     """Bind the create step, which perturbs the first `n` weights: the
     model's passes at the weights and, at rho > 0, one scratch vector and a
-    pass per head through its plan, which shares the buffers of the head's
-    pass at the weights.  `step(features, labels, task_id, out,
+    pass per head through its plan.  `step(features, labels, task_id, out,
     views)` writes the gradient at w + eps of checked rows through `views`,
     the folded blocks of the rows' head in flat `out` (which must be zero
     outside them), and returns the loss there, scored through the scratch
@@ -220,8 +219,8 @@ def _create_step(model, n, rho):
             return at_w[task_id].loss_gradient(features, labels, views)
         return plain
     scratch = np.empty(model.theta.size)
-    # a step runs the pass at w + eps after the one at w, so both share buffers
-    at_eps = [at_w[t].sharing_buffers(model._plan(scratch, t)) for t in heads]
+    # the pass at w + eps runs after the one at w ends, so both use one row-buffer set
+    at_eps = [model._pass(scratch, t) for t in heads]
     # eps reads only the gradient over w, so the pass at w skips the loss
     # and, when the rows' head lies past w (the current task's does), the
     # head's blocks, which the pass at w + eps writes

@@ -38,9 +38,10 @@ VARIANT_FLAGS["create_only"] = VARIANT_FLAGS["cf_minus_l2"]
 # with "_" are comments.  "required": read without a default.  "count": an
 # integer >= 1, since training assumes at least one epoch and nonempty
 # tasks, and the probe at least one row and iteration.  "offset": an
-# integer, since each seed offset is added to the run seed, so a JSON true
-# would run as the offset 1.  "flag": true or false.  The code that reads a
-# key checks what its rule does not.
+# integer >= 0, since each seed offset is added to the run seed, which numpy
+# seeds from only at >= 0, and a JSON true would run as the offset 1.
+# "flag": true or false.  The code that reads a key checks what its rule
+# does not.
 CONFIG_RULES = {
     "": {"name": "", "benchmark": "required", "orders": "", "order": "", "seeds": "",
          "epochs_per_task": "required count", "model": "required", "optimizer": "",
@@ -80,8 +81,16 @@ def check_config_keys(cfg: dict):
                 raise ValueError(f"{prefix}{key} must be an integer >= 1, got {value!r}")
             elif "offset" in rule and type(value) is not int:
                 raise ValueError(f"{prefix}{key} must be an integer, got {value!r}")
+            elif "offset" in rule and value < 0:
+                raise ValueError(f"{prefix}{key} must be >= 0, got {value!r}")
             elif "flag" in rule and not isinstance(value, bool):
                 raise ValueError(f"{prefix}{key} must be true or false, got {value!r}")
+
+
+def is_seed(value) -> bool:
+    """The one seed rule: an integer >= 0 (bool is an int subclass, and a
+    JSON true is not the seed 1)."""
+    return type(value) is int and value >= 0
 
 
 def load_config(path) -> dict:
@@ -282,8 +291,7 @@ def run_experiment(cfg: dict, variant: str, out_root: str, seeds=None) -> list[d
     if seeds is None and "seeds" not in cfg:
         raise ValueError("config has no 'seeds' and no seed was given")
     seeds = seeds if seeds is not None else cfg["seeds"]
-    # bool is an int subclass; a JSON true is not the seed 1
-    if not isinstance(seeds, list) or any(type(s) is not int or s < 0 for s in seeds):
+    if not isinstance(seeds, list) or not all(map(is_seed, seeds)):
         raise ValueError(f"seeds must be a list of integers >= 0, got {seeds!r}")
     if not seeds:
         raise ValueError("seeds must be nonempty")

@@ -1,0 +1,104 @@
+"""The flag contract of `flatcl probe` and `flatcl gen-data`, case by case,
+beside tests/test_config_sweep.py's contract of the config.  Each flag in
+`FLAGS` is set in turn to each value in `VALUES` and run in process;
+`probe`'s flags run on one rot5 `cf` checkpoint, written once per module,
+except `--quadratic`, which probes its surrogate alone.  Every case ends
+in one of four ways: it runs; it is refused with one `error:` line that
+names the flag; argparse refuses it (exit 2) naming the flag; or it is one
+of the finite but hopeless settings in `HOPELESS`, which fails at its first
+overflow with one line.  No case prints a RuntimeWarning, and a refused
+`gen-data` writes nothing."""
+
+import json
+import re
+import warnings
+from importlib import resources
+
+import pytest
+
+from flatcl.cli import main
+
+# never 10**6 for --lanczos-iters: its basis would hold 10**6 x d floats
+VALUES = ["nan", "inf", "-inf", "-1", "0", "0.5", "", "x", "1e308"]
+FLAGS = [("probe", "--seed"), ("probe", "--task"), ("probe", "--rho"),
+         ("probe", "--lanczos-iters"), ("probe", "--quadratic"), ("gen-data", "--seed")]
+# a Hessian diagonal of several entries, one of them bad
+QUADRATIC = ["1,nan", "1,inf", "1,", "1,x"]
+# (flag, value) that passes every check and cannot be probed
+HOPELESS = {("--rho", "1e308")}
+
+CASES = [(command, flag, value) for command, flag in FLAGS for value in VALUES]
+CASES += [("probe", "--quadratic", value) for value in QUADRATIC]
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    """rot5's config and its `cf` seed 1 checkpoint after the last task."""
+    root = tmp_path_factory.mktemp("cli_sweep")
+    config = root / "rot5.json"
+    config.write_text((resources.files("flatcl") / "configs" / "rot5.json").read_text())
+    assert main(["run", "--config", str(config), "--variant", "cf", "--seed", "1",
+                 "--out", str(root / "r")]) == 0
+    return config, root / "r" / json.loads(config.read_text())["name"] / "cf" / "seed1"
+
+
+def _argv(command, flag, value, config, checkpoint, out):
+    if command == "gen-data":
+        return ["gen-data", "--config", str(config), f"{flag}={value}", "--out", str(out)]
+    if flag == "--quadratic":
+        return ["probe", f"{flag}={value}"]
+    return ["probe", "--config", str(config), "--checkpoint", str(checkpoint),
+            f"{flag}={value}"]
+
+
+def _main(argv):
+    """(exit status, RuntimeWarnings) of an in-process `flatcl` call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # as `flatcl` prints them
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's refusal
+            rc = exc.code
+    return rc, [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("command,flag,value", CASES,
+                         ids=[f"{c}{f}={v!r}" for c, f, v in CASES])
+def test_flag_value_runs_or_is_refused_naming_its_flag(tmp_path, capsys, run_dir, command,
+                                                       flag, value):
+    config, seed_dir = run_dir
+    out = tmp_path / "out"
+    rc, caught = _main(_argv(command, flag, value, config, seed_dir / "ckpt_task4.bin", out))
+    err = capsys.readouterr().err
+    assert caught == []
+    assert "Warning" not in err
+    if rc == 0:
+        assert err == ""
+        return
+    if command == "gen-data":
+        assert not out.exists()
+    name = re.escape(flag.lstrip("-"))
+    if rc == 2:
+        assert re.search(rf"error: argument {re.escape(flag)}\b", err), err
+    elif (flag, value) in HOPELESS:
+        assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+        assert re.search(rf"(?<![\w-])(--)?{name}\b", err), err
+
+
+@pytest.mark.parametrize("command", ["run", "probe", "probe --quadratic", "gen-data"])
+def test_negative_seed_is_refused_by_every_subcommand(tmp_path, capsys, run_dir, command):
+    """One seed rule, an integer >= 0: each subcommand refuses `--seed -1`
+    with one line naming the seed, before it writes anything."""
+    config, seed_dir = run_dir
+    out = tmp_path / "out"
+    argv = {"run": ["run", "--config", str(config), "--variant", "seq", "--out", str(out)],
+            "probe": ["probe", "--config", str(config),
+                      "--checkpoint", str(seed_dir / "ckpt_task4.bin")],
+            "probe --quadratic": ["probe", "--quadratic", "1,2"],
+            "gen-data": ["gen-data", "--config", str(config), "--out", str(out)]}[command]
+    assert _main([*argv, "--seed", "-1"]) == (1, [])
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "seed" in err, err
+    assert not out.exists()

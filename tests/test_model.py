@@ -556,7 +556,7 @@ def test_bound_pass_equals_one_shot_kernel_bitwise(activation, hidden):
     without them, which leaves them as they were."""
     m = random_mlp(84, hidden=hidden, classes=(3, 2), activation=activation)
     rng = np.random.default_rng(85)
-    passes = [_Pass(m._plan(m.theta, t), activation) for t in range(2)]
+    passes = [m._pass(m.theta, t) for t in range(2)]
     out = np.zeros(m.theta.size)
     for n_rows in [int(r) for r in rng.permutation(np.arange(1, 17))] * 2:
         for task_id in (0, 1):
@@ -659,6 +659,31 @@ def test_bound_hvp_direction_buffer_keeps_no_earlier_direction(activation, hidde
     assert second.tobytes() == m._hvp_operator(*rows, 1)(v2).tobytes()
     v1 = np.random.default_rng(96).normal(size=m.theta.size)
     assert first.tobytes() == m._hvp_operator(*rows, 1)(v1).tobytes()
+
+
+def test_row_buffers_outlive_add_task_head(monkeypatch):
+    """The model has one row-buffer cache, kept across `add_task_head`: after
+    a head is added, a forward of a row count the model has already run, by
+    the head's pass, the new head's pass (same class count) or a pass over
+    another weight vector, allocates no `_Rows` set and gets the same one;
+    a stack, another class count and the Hessian bind get sets of their
+    own."""
+    m = random_mlp(97, hidden=(5,), classes=(3,))
+    x = random_batch(98, m, n=6).features
+    rows, _ = m._head_pass(0).forward(x)
+    m.add_task_head(3)
+    m.add_task_head(2)
+    new_rows, made = _Pass._new_rows, []
+    monkeypatch.setattr(_Pass, "_new_rows",
+                        lambda self, n: made.append(n) or new_rows(self, n))
+    assert m._head_pass(0).forward(x)[0] is rows
+    assert m._head_pass(1).forward(x)[0] is rows
+    assert m._pass(np.zeros(m.theta.size), 0).forward(x)[0] is rows
+    assert made == []
+    others = [m._head_pass(2).forward(x)[0], m._pass(m.theta[None], 0).forward(x)[0]]
+    m._hvp_operator(x, np.zeros(6, dtype=np.int64), 0)
+    assert made == [6, 6, 6] and all(o is not rows for o in others)
+    assert m._head_pass(2).forward(x)[0] is others[0]
 
 
 def _one_hot_adjoints(logp, labels):

@@ -191,8 +191,9 @@ def test_refused_bool_count_leaves_no_directory(tmp_path, section, key):
 
 
 # Config values the key checks let through, which then ran as something else
-# (the probe for "false", the offset 1 for true) or failed every seed into
-# failures.json, each with the text of its one-line error.
+# (the probe for "false", the offset 1 for true), failed every seed into
+# failures.json or failed in numpy's seeding naming no key (a negative
+# offset), each with the text of its one-line error.
 REFUSED_VALUES = [
     ("probe", "enabled", "false", "probe enabled must be true or false, got 'false'"),
     ("benchmark", "data_seed_offset", True,
@@ -201,6 +202,8 @@ REFUSED_VALUES = [
     ("model", "hidden_dims", [True], "input and hidden dims must be integers >= 1, got [4, True]"),
     ("model", "activation", "Tanh", "unknown activation 'Tanh'"),
     ("model", "init_seed_offset", 0.5, "model init_seed_offset must be an integer, got 0.5"),
+    ("benchmark", "data_seed_offset", -5, "benchmark data_seed_offset must be >= 0, got -5"),
+    ("model", "init_seed_offset", -5, "model init_seed_offset must be >= 0, got -5"),
     ("benchmark", "separation", float("nan"), "separation must be a finite number > 0, got nan"),
     ("benchmark", "separation", "3.0", "separation must be a finite number > 0, got '3.0'")]
 
@@ -208,7 +211,8 @@ REFUSED_VALUES = [
 @pytest.mark.parametrize("section,key,value,error", REFUSED_VALUES,
                          ids=["probe-enabled-string", "data-seed-offset-bool",
                               "hidden-dims-float", "hidden-dims-bool", "activation-case",
-                              "init-seed-offset-float", "separation-nan",
+                              "init-seed-offset-float", "data-seed-offset-negative",
+                              "init-seed-offset-negative", "separation-nan",
                               "separation-string"])
 def test_cli_run_refuses_bad_config_value_before_writing(tmp_path, capsys, section, key,
                                                          value, error):
