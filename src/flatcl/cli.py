@@ -17,7 +17,7 @@ from .checkpoint import load_checkpoint
 from .data import save_delimited
 from .probe import lanczos_lambda_max, quadratic_objective, sharpness_report
 from .runner import (VARIANT_FLAGS, build_stream, is_seed, load_config, probe_batch,
-                     read_matrix_csv, run_experiment, run_hash)
+                     read_json, read_matrix_csv, run_experiment, run_hash)
 
 
 # (`run` argument, optimizer config key) for the hyperparameter overrides.
@@ -72,6 +72,10 @@ def _cmd_probe(args):
     if args.lanczos_iters < 1:
         raise ValueError(f"--lanczos-iters must be >= 1, got {args.lanczos_iters}")
     if args.quadratic is not None:
+        # the surrogate reads no checkpoint, config, task or radius
+        for flag in ("checkpoint", "config", "task", "rho"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} does not apply to --quadratic")
         entries = args.quadratic.split(",")
         if not all(map(_is_finite_number, entries)):
             raise ValueError("--quadratic must be comma-separated finite numbers, "
@@ -94,10 +98,12 @@ def _cmd_probe(args):
     if seed is None:
         raise ValueError(f"{args.checkpoint} records no run seed; pass --seed")
     stream = build_stream(cfg, seed)
-    if not 0 <= args.task < len(stream):
-        raise ValueError(f"--task {args.task} is out of range: the config has "
+    task = 0 if args.task is None else args.task
+    if not 0 <= task < len(stream):
+        raise ValueError(f"--task {task} is out of range: the config has "
                          f"{len(stream)} tasks")
-    report = sharpness_report(ckpt.model, probe_batch(cfg, stream, args.task), rho=args.rho,
+    rho = 0.05 if args.rho is None else args.rho
+    report = sharpness_report(ckpt.model, probe_batch(cfg, stream, task), rho=rho,
                               lanczos_iters=args.lanczos_iters, seed=seed)
     print(json.dumps(dataclasses.asdict(report), indent=2))
     return 0
@@ -111,8 +117,7 @@ def _cmd_metrics(args):
         raise ValueError(f"{args.matrix}: {exc}") from None
     reference = None
     if args.reference is not None:
-        with open(args.reference) as f:
-            ref = json.load(f)
+        ref = read_json(args.reference)
         if not isinstance(ref, dict) or "reference_accuracies" not in ref:
             raise ValueError(f"{args.reference} holds no reference_accuracies; "
                              "--reference needs the metrics.json of an mtl run")
@@ -159,11 +164,12 @@ def build_parser():
     probe = sub.add_parser("probe", help="sharpness report for a checkpoint")
     probe.add_argument("--checkpoint", default=None)
     probe.add_argument("--config", default=None)
-    probe.add_argument("--task", type=int, default=0)
+    probe.add_argument("--task", type=int, default=None, help="task to probe (default: 0)")
     probe.add_argument("--seed", type=int, default=None,
                        help="run seed of the probe's stream (default: the checkpoint's; "
                             "0 for --quadratic)")
-    probe.add_argument("--rho", type=float, default=0.05)
+    probe.add_argument("--rho", type=float, default=None,
+                       help="ball-sharpness radius (default: 0.05)")
     probe.add_argument("--lanczos-iters", type=int, default=30)
     probe.add_argument("--quadratic", default=None,
                        help="comma-separated Hessian diagonal for a surrogate probe")

@@ -33,7 +33,8 @@ def _check_matrix(matrix):
 def _check_reference(reference, tasks: int):
     """The joint reference's accuracies as float64, after a one-line
     ValueError for a reference that does not hold one number per task or
-    holds one that is NaN or outside [0, 1], inf included."""
+    holds one that is a bool, NaN or outside [0, 1], inf included."""
+    given = reference
     try:
         reference = np.asarray(reference, dtype=np.float64)
     except (TypeError, ValueError):
@@ -41,7 +42,10 @@ def _check_reference(reference, tasks: int):
     if reference.shape != (tasks,):
         raise ValueError(f"reference must cover every task: {tasks} accuracies, "
                          f"got shape {reference.shape}")
-    for k, value in enumerate(reference.tolist()):
+    for k, (value, item) in enumerate(zip(reference.tolist(), given)):
+        # bool is an int subclass; a JSON true is not the accuracy 1.0
+        if isinstance(item, (bool, np.bool_)):
+            raise ValueError(f"reference accuracy [{k}] is {item!r}, not a number")
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"reference accuracy [{k}] is {value!r}, outside [0, 1]")
     return reference

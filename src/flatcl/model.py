@@ -55,11 +55,10 @@ class MultiHeadClassifier:
 
     There is one forward and one backward pass, `_Pass`, in folded form
     (each layer one matmul `[h, 1] @ [W; b]`, the softmax `exp(z - max) /
-    sum`).  Every pass but the Hessian bind's is bound by `_pass` and writes
-    into the model's one row-buffer cache, kept across `add_task_head`: a
-    pass's layer inputs stay valid until the next forward of as many rows
-    through any pass of the same model, except the Hessian operator's.
-    `_head_pass` keeps one pass per head over `theta`.  The gradient, the per-sample
+    sum`).  Every pass is bound by `_pass` and writes into the model's one
+    row-buffer cache, kept across `add_task_head`: a pass's layer inputs
+    stay valid until the next forward of as many rows through any pass of
+    the same model.  The gradient, the per-sample
     Fisher pass and the Hessian bind share the pass's output-layer adjoint
     and backward adjoints.  Their bits are those of the per-layer recursion
     tests/test_model.py writes out in the same folded form, and lie within
@@ -137,7 +136,6 @@ class MultiHeadClassifier:
                   for w, b in zip(names[0::2], names[1::2])]
         depth = len(self.hidden_dims)
         self._layers = [layers[:depth] + [head] for head in layers[depth:]]
-        self._passes = [None] * len(self._layers)  # bound on first use, see `_head_pass`
 
     def _plan(self, vec, task_id) -> list:
         """Head `task_id`'s layers in `vec`, a flat vector laid out like
@@ -227,15 +225,6 @@ class MultiHeadClassifier:
         rows = self._rows.setdefault((vec.shape[:-1], self.head_classes[task_id]), {})
         return _Pass(self._plan(vec, task_id), self.activation, rows)
 
-    def _head_pass(self, task_id) -> "_Pass":
-        """The model's pass of head `task_id` over `theta`, bound on first
-        use and kept until the next `add_task_head`: every entry point that
-        runs and finishes a pass at the weights shares it."""
-        bound = self._passes[task_id]
-        if bound is None:
-            bound = self._passes[task_id] = self._pass(self.theta, task_id)
-        return bound
-
     def task_loss(self, batch: Batch) -> float:
         features, labels = self._check_rows(batch.features, batch.labels, batch.task_id)
         return float(self._task_losses(features, labels, batch.task_id, self.theta))
@@ -258,8 +247,8 @@ class MultiHeadClassifier:
 
     def _loss_gradient(self, features, labels, task_id):
         grads = self._params.zeros_like()
-        loss = self._head_pass(task_id).loss_gradient(features, labels,
-                                                      self._plan(grads.flat, task_id))
+        loss = self._pass(self.theta, task_id).loss_gradient(features, labels,
+                                                             self._plan(grads.flat, task_id))
         return loss, grads
 
     def log_prob_gradient(self, features, label, task_id: int) -> ParameterSet:
@@ -283,7 +272,7 @@ class MultiHeadClassifier:
         its folded block and (||h_i||^2 + 1) * ||d_i||^2 to sample i.
         """
         features, labels = self._check_rows(features, labels, task_id)
-        bound = self._head_pass(task_id)
+        bound = self._pass(self.theta, task_id)
         rows, z = bound.forward(features)
         p, _ = bound.softmax(z)
         deltas, _ = bound.adjoints(rows, bound.output_adjoint(p, labels, 1.0, np.eye(p.shape[1])))
@@ -301,8 +290,9 @@ class MultiHeadClassifier:
         R{.} = d/dt at w + t v is pushed through the forward pass, then
         through the backward pass.  Everything that depends only on the
         weights and the rows (the layer inputs, the softmax, the backward
-        adjoints, the activation derivatives) is computed here, once, by a
-        pass of its own whose buffers the operator keeps.  The returned
+        adjoints, the activation derivatives) is computed here, once, by the
+        model's pass; the operator keeps copies of the layer inputs, the only
+        row buffers it reads after the bind.  The returned
         operator maps a flat `v` to a fresh flat H v and runs only the
         R-forward and R-backward passes, in the pass's folded form: the
         direction's `h @ v_W + v_b` is one matmul, `[h, 1] @ [v_W; v_b]`,
@@ -315,7 +305,7 @@ class MultiHeadClassifier:
         of the R-operator recursion tests/test_model.py writes out in the
         same folded form.
         """
-        bound = _Pass(self._plan(self.theta, task_id), self.activation, {})
+        bound = self._pass(self.theta, task_id)
         rows, z = bound.forward(features)
         p, _ = bound.softmax(z)
         n = labels.shape[0]
@@ -323,7 +313,8 @@ class MultiHeadClassifier:
         # activation's derivative there, adjoint[k] the loss adjoint of layer
         # k's output and, for tanh, curvature[k] = 2 * d_h * acts[k] (d_h the
         # loss adjoint of acts[k]) the activation's second-derivative factor.
-        acts, aug, aug_t = rows.acts, rows.aug, rows.aug_t
+        acts, aug = rows.acts, [a.copy() for a in rows.aug]  # the operator outlives `rows`
+        aug_t = [a.T for a in aug]
         slope = [None] + [bound.slope(h) for h in acts[1:]]
         adjoint, d_h = bound.adjoints(
             rows, bound.output_adjoint(p.copy(), labels, 1.0 / n, rows.eye_n))
@@ -358,7 +349,7 @@ class MultiHeadClassifier:
 
     def logits(self, features, task_id: int) -> np.ndarray:
         features, _ = self._check_rows(features, None, task_id)
-        return self._head_pass(task_id).forward(features)[1]
+        return self._pass(self.theta, task_id).forward(features)[1]
 
     def predict(self, features, task_id: int) -> np.ndarray:
         """Argmax class ids; ties broken by lowest class index."""

@@ -213,7 +213,7 @@ def _create_step(model, n, rho):
     outside them), and returns the loss there, scored through the scratch
     vector, which holds w + eps and the rest of `theta`."""
     heads = range(len(model.head_classes))
-    at_w = [model._head_pass(t) for t in heads]
+    at_w = [model._pass(model.theta, t) for t in heads]
     if rho == 0.0:
         def plain(features, labels, task_id, out, views):
             return at_w[task_id].loss_gradient(features, labels, views)

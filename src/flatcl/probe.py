@@ -103,7 +103,12 @@ def ball_sharpness(obj: Objective, rho: float, n_directions: int, seed: int) -> 
     keep = sq > 0
     if not keep.any():
         return 0.0
-    directions = directions[keep] * (rho / np.sqrt(sq[keep]))[:, None]
+    # a radius past what a float can scale is refused here, naming it, not
+    # where numpy's overflow would stop the probe
+    with np.errstate(over="ignore", invalid="ignore"):
+        directions = directions[keep] * (rho / np.sqrt(sq[keep]))[:, None]
+    if not np.isfinite(directions).all():
+        raise ValueError(f"rho {rho!r} scales a probe direction past the float range")
     losses = _losses_around(obj, directions)
     return float(np.max(losses[1:] - losses[0]))
 

@@ -4,6 +4,7 @@ checkpointing, and CSV/JSON result emission."""
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import os
 import traceback
@@ -93,9 +94,28 @@ def is_seed(value) -> bool:
     return type(value) is int and value >= 0
 
 
+def _read_text(path) -> str:
+    """The UTF-8 text of file `path`; one that is not UTF-8 raises a
+    one-line ValueError naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
+def read_json(path):
+    """The JSON value in file `path`; one that is not UTF-8 text or not
+    JSON raises a one-line ValueError naming it."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from None
+
+
 def load_config(path) -> dict:
-    with open(path) as f:
-        cfg = json.load(f)
+    cfg = read_json(path)
     check_config_keys(cfg)
     return cfg
 
@@ -169,8 +189,8 @@ def write_matrix_csv(path, matrix):
 def read_matrix_csv(path):
     """The matrix `write_matrix_csv` wrote; a row past the header's task
     count, with more cells than it, or with a cell that is not a number
-    raises a one-line ValueError."""
-    with open(path) as f:
+    raises a one-line ValueError, as does a file that is not UTF-8 text."""
+    with io.StringIO(_read_text(path)) as f:
         header = f.readline()
         t = len(header.strip().split(","))
         matrix = np.full((t, t), np.nan)

@@ -1,13 +1,15 @@
-"""The flag contract of `flatcl probe` and `flatcl gen-data`, case by case,
-beside tests/test_config_sweep.py's contract of the config.  Each flag in
-`FLAGS` is set in turn to each value in `VALUES` and run in process;
-`probe`'s flags run on one rot5 `cf` checkpoint, written once per module,
-except `--quadratic`, which probes its surrogate alone.  Every case ends
-in one of four ways: it runs; it is refused with one `error:` line that
-names the flag; argparse refuses it (exit 2) naming the flag; or it is one
-of the finite but hopeless settings in `HOPELESS`, which fails at its first
-overflow with one line.  No case prints a RuntimeWarning, and a refused
-`gen-data` writes nothing."""
+"""The flag contract of `flatcl probe`, `flatcl gen-data` and `flatcl
+metrics`, case by case, beside tests/test_config_sweep.py's contract of the
+config.  Each flag in `FLAGS` is set in turn to each value in `VALUES` and
+run in process; `probe`'s flags run on one rot5 `cf` checkpoint, written
+once per module, except `--quadratic`, which probes its surrogate alone.
+Every case ends in one of three ways: it runs; it is refused with one
+`error:` line that names the flag; or argparse refuses it (exit 2) naming
+the flag.  The files a subcommand reads (`metrics`' `--matrix` and
+`--reference`, and every `--config`) are swept the same way over the
+files in `FILES`: each bad one is refused with one line naming it.  No case
+prints a RuntimeWarning, and a refused `run` or `gen-data` writes
+nothing."""
 
 import json
 import re
@@ -24,8 +26,6 @@ FLAGS = [("probe", "--seed"), ("probe", "--task"), ("probe", "--rho"),
          ("probe", "--lanczos-iters"), ("probe", "--quadratic"), ("gen-data", "--seed")]
 # a Hessian diagonal of several entries, one of them bad
 QUADRATIC = ["1,nan", "1,inf", "1,", "1,x"]
-# (flag, value) that passes every check and cannot be probed
-HOPELESS = {("--rho", "1e308")}
 
 CASES = [(command, flag, value) for command, flag in FLAGS for value in VALUES]
 CASES += [("probe", "--quadratic", value) for value in QUADRATIC]
@@ -80,8 +80,6 @@ def test_flag_value_runs_or_is_refused_naming_its_flag(tmp_path, capsys, run_dir
     name = re.escape(flag.lstrip("-"))
     if rc == 2:
         assert re.search(rf"error: argument {re.escape(flag)}\b", err), err
-    elif (flag, value) in HOPELESS:
-        assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
     else:
         assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1, err
         assert re.search(rf"(?<![\w-])(--)?{name}\b", err), err
@@ -101,4 +99,77 @@ def test_negative_seed_is_refused_by_every_subcommand(tmp_path, capsys, run_dir,
     assert _main([*argv, "--seed", "-1"]) == (1, [])
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "seed" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--checkpoint", "nosuch.bin"),
+                                        ("--config", "nosuch.json"), ("--task", "99"),
+                                        ("--task", "0"), ("--rho", "-5"), ("--rho", "0.05")])
+def test_quadratic_refuses_the_checkpoint_flags(capsys, flag, value):
+    """`--quadratic` probes its surrogate alone: a checkpoint flag given with
+    it, even at its default, is refused with one line naming the flag, before
+    any file is read."""
+    assert _main(["probe", "--quadratic", "1,2", flag, value]) == (1, [])
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert re.search(rf"{flag}\b", err), err
+
+
+# a 2-task accuracy matrix, and the files `metrics` may be given to read
+MATRIX = "task0,task1\n0.9,\n0.8,0.7\n"
+MISSING, DIRECTORY = object(), object()
+FILES = {"undecodable": b"\xff\xfe\n", "not_json": "task0\n{\n", "missing": MISSING,
+         "directory": DIRECTORY, "true": '{"reference_accuracies": [true, 0.5]}',
+         "nan": '{"reference_accuracies": [NaN, 0.5]}',
+         "short": '{"reference_accuracies": [0.5]}',
+         "reference": '{"reference_accuracies": [0.95, 0.9]}'}
+METRICS_CASES = [("--matrix", kind) for kind in ("undecodable", "not_json", "missing",
+                                                 "directory")]
+METRICS_CASES += [("--reference", kind) for kind in FILES]
+
+
+def _write(path, content):
+    if content is DIRECTORY:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not MISSING:
+        path.write_text(content)
+    return path
+
+
+@pytest.mark.parametrize("flag,kind", METRICS_CASES, ids=[f"{f}={k}" for f, k in METRICS_CASES])
+def test_metrics_file_runs_or_is_refused_naming_it(tmp_path, capsys, flag, kind):
+    """`metrics` reads its matrix and its reference: a file that is missing,
+    a directory, not UTF-8 text, not JSON, or a reference holding a bool, a
+    NaN or too few accuracies is refused with one line naming the file."""
+    bad = _write(tmp_path / kind, FILES[kind])
+    matrix = _write(tmp_path / "matrix.csv", MATRIX) if flag == "--reference" else bad
+    argv = ["metrics", "--matrix", str(matrix)]
+    if flag == "--reference":
+        argv += ["--reference", str(bad)]
+    rc, caught = _main(argv)
+    err = capsys.readouterr().err
+    assert caught == [] and "Warning" not in err
+    if kind == "reference":
+        assert rc == 0 and err == ""
+        return
+    assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(bad) in err, err
+
+
+@pytest.mark.parametrize("kind", ["undecodable", "not_json"])
+@pytest.mark.parametrize("command", ["run", "probe", "gen-data"])
+def test_config_that_is_not_json_text_is_refused_naming_it(tmp_path, capsys, run_dir,
+                                                           command, kind):
+    """Every `--config` is read as UTF-8 JSON: a file that is not is refused
+    with one line naming it, and nothing is written."""
+    _, seed_dir = run_dir
+    config, out = _write(tmp_path / kind, FILES[kind]), tmp_path / "out"
+    argv = {"run": ["run", "--variant", "seq", "--seed", "1", "--out", str(out)],
+            "probe": ["probe", "--checkpoint", str(seed_dir / "ckpt_task4.bin")],
+            "gen-data": ["gen-data", "--out", str(out)]}[command]
+    assert _main([*argv, "--config", str(config)]) == (1, [])
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(config) in err, err
     assert not out.exists()

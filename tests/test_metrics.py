@@ -77,6 +77,15 @@ def test_intransigence_reference_length_checked():
         intransigence(MATRIX, [0.9, 0.9])
 
 
+@pytest.mark.parametrize("reference", [[0.95, True, 0.95], np.ones(3, dtype=bool)])
+def test_intransigence_reference_bool_rejected(reference):
+    """A JSON true is not the accuracy 1.0: a bool in the reference is
+    refused by index, not scored."""
+    message = r"reference accuracy \[\d\] is (np\.)?True_?, not a number"
+    with pytest.raises(ValueError, match=message):
+        intransigence(MATRIX, reference)
+
+
 def test_incomplete_matrix_rejected():
     bad = MATRIX.copy()
     bad[2, 0] = np.nan

@@ -664,26 +664,49 @@ def test_bound_hvp_direction_buffer_keeps_no_earlier_direction(activation, hidde
 def test_row_buffers_outlive_add_task_head(monkeypatch):
     """The model has one row-buffer cache, kept across `add_task_head`: after
     a head is added, a forward of a row count the model has already run, by
-    the head's pass, the new head's pass (same class count) or a pass over
-    another weight vector, allocates no `_Rows` set and gets the same one;
-    a stack, another class count and the Hessian bind get sets of their
+    the head's pass, the new head's pass (same class count), a pass over
+    another weight vector or the Hessian bind, allocates no `_Rows` set and
+    gets the same one; a stack and another class count get sets of their
     own."""
     m = random_mlp(97, hidden=(5,), classes=(3,))
     x = random_batch(98, m, n=6).features
-    rows, _ = m._head_pass(0).forward(x)
+    rows, _ = m._pass(m.theta, 0).forward(x)
     m.add_task_head(3)
     m.add_task_head(2)
     new_rows, made = _Pass._new_rows, []
     monkeypatch.setattr(_Pass, "_new_rows",
                         lambda self, n: made.append(n) or new_rows(self, n))
-    assert m._head_pass(0).forward(x)[0] is rows
-    assert m._head_pass(1).forward(x)[0] is rows
+    assert m._pass(m.theta, 0).forward(x)[0] is rows
+    assert m._pass(m.theta, 1).forward(x)[0] is rows
     assert m._pass(np.zeros(m.theta.size), 0).forward(x)[0] is rows
     assert made == []
-    others = [m._head_pass(2).forward(x)[0], m._pass(m.theta[None], 0).forward(x)[0]]
+    others = [m._pass(m.theta, 2).forward(x)[0], m._pass(m.theta[None], 0).forward(x)[0]]
     m._hvp_operator(x, np.zeros(6, dtype=np.int64), 0)
-    assert made == [6, 6, 6] and all(o is not rows for o in others)
-    assert m._head_pass(2).forward(x)[0] is others[0]
+    assert made == [6, 6] and all(o is not rows for o in others)
+    assert m._pass(m.theta, 2).forward(x)[0] is others[0]
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
+def test_bound_hvp_outlives_forwards_of_its_row_count(activation, hidden):
+    """The Hessian bind runs the model's pass into the shared row buffers,
+    which the next forward of as many rows overwrites: between an
+    operator's applies, `loss_gradient` and `logits` run forwards of the
+    bound row count on every head, at other rows, and each product stays
+    bitwise the one a fresh bind gives."""
+    m = random_mlp(99, hidden=hidden, classes=(3, 3), activation=activation)
+    batch = random_batch(100, m, n=7, task_id=0)
+    rows = m._check_rows(batch.features, batch.labels, 0)
+    rng = np.random.default_rng(101)
+    directions = rng.normal(size=(3, m.theta.size))
+    want = [m._hvp_operator(*rows, 0)(v).tobytes() for v in directions]
+    op = m._hvp_operator(*rows, 0)
+    for k, v in enumerate(directions):
+        for task_id in (0, 1):
+            other = random_batch(102 + 2 * k + task_id, m, n=7, task_id=task_id)
+            m.loss_gradient(other)
+            m.logits(other.features, task_id)
+        assert op(v).tobytes() == want[k]
 
 
 def _one_hot_adjoints(logp, labels):

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -42,6 +43,17 @@ def test_ball_sharpness_nonnegative_at_minimum():
     obj = _quad_1d(1.0, 0.0)  # gradient is zero at the minimum
     val = ball_sharpness(obj, rho=0.5, n_directions=4, seed=1)
     assert val >= 0.0
+
+
+@pytest.mark.parametrize("rho", [1e308, sys.float_info.max])
+def test_ball_sharpness_refuses_a_radius_no_direction_can_be_scaled_to(rho):
+    """A gradient of norm below 1 scaled onto a sphere of radius near the
+    largest float overflows: the radius is refused naming rho, with no
+    numpy error or warning."""
+    obj = _quad_1d(1.0, 0.5)
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match=r"^rho .* past the float range$"):
+            ball_sharpness(obj, rho, n_directions=4, seed=0)
 
 
 def test_ball_sharpness_restores_weights_bitwise():
