@@ -149,7 +149,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"{path}: not a flatcl checkpoint, or truncated")
     try:
         manifest = json.loads(data[head:head + mlen].decode())
-    except ValueError:  # bad UTF-8 or JSON
+    except (ValueError, RecursionError):  # bad UTF-8 or JSON, or JSON nested too deeply
         raise ValueError(f"{path}: corrupt manifest") from None
     if not isinstance(manifest, dict) or manifest.get("format") != _FORMAT:
         raise ValueError(f"{path}: not a {_FORMAT} manifest")

@@ -280,7 +280,7 @@ class MultiHeadClassifier:
         views = self._plan(sums, task_id)
         for k in range(len(deltas) - 1, -1, -1):  # top-down, the order of the sums
             a2, d2 = rows.aug[k] * rows.aug[k], deltas[k] * deltas[k]  # a2 = [h^2, 1]
-            np.matmul(a2.T, d2, out=views[k])
+            np.dot(a2.T, d2, out=views[k])
             sq_norms += np.add.reduce(a2, axis=1) * np.add.reduce(d2, axis=1)
         return sums, sq_norms
 
@@ -330,19 +330,19 @@ class MultiHeadClassifier:
         def hvp(v: np.ndarray) -> np.ndarray:
             np.copyto(direction, v)
             r_acts = [None]  # R{input} of each layer; R{x} = 0
-            r_out = aug[0] @ v_wb[0]
+            r_out = np.dot(aug[0], v_wb[0])
             for k in range(1, len(v_wb)):
                 r_acts.append(r_out * slope[k])
-                r_out = r_acts[k] @ weights[k] + aug[k] @ v_wb[k]
+                r_out = np.dot(r_acts[k], weights[k]) + np.dot(aug[k], v_wb[k])
             # np.add.reduce is the reduction `.sum` and `np.sum` call
             r_delta = p_n * (r_out - np.add.reduce(p * r_out, axis=1, keepdims=True))
             for k in range(len(v_wb) - 1, 0, -1):
-                np.matmul(aug_t[k], r_delta, out=out_wb[k])
-                out_w[k] += r_acts[k].T @ adjoint[k]
-                r_delta = (r_delta @ weights_t[k] + adjoint[k] @ v_w_t[k]) * slope[k]
+                np.dot(aug_t[k], r_delta, out=out_wb[k])
+                out_w[k] += np.dot(r_acts[k].T, adjoint[k])
+                r_delta = (np.dot(r_delta, weights_t[k]) + np.dot(adjoint[k], v_w_t[k])) * slope[k]
                 if bound.tanh:
                     r_delta -= curvature[k] * r_acts[k]
-            np.matmul(aug_t[0], r_delta, out=out_wb[0])
+            np.dot(aug_t[0], r_delta, out=out_wb[0])
             return out.copy()
 
         return hvp
@@ -398,10 +398,18 @@ class _Pass:
     stack every layer after the input has a leading axis of k, and each
     matmul runs per stack entry the product the unstacked plan runs; only
     the forward and the loss are taken over a stack.
+
+    Every product goes through `_dot`, bound once: `np.dot` over a flat
+    plan, `np.matmul` over a stack, on which `np.dot` means another
+    product.  On 2-d float64 operands both call the same BLAS gemm and give
+    the same bits; `np.dot` skips the ufunc dispatch.  It writes only into
+    a C-contiguous `out=`, so the forward writes into the contiguous hidden
+    buffers and copies into the strided `fill` views.
     """
 
     def __init__(self, plan, activation, rows):
         self.wb = plan
+        self._dot = np.dot if plan[0].ndim == 2 else np.matmul
         self.w_t = [wb[..., :-1, :].swapaxes(-1, -2) for wb in plan]
         self.tanh = activation == "tanh"
         self._rows = rows
@@ -426,15 +434,16 @@ class _Pass:
         n = features.shape[0]
         rows = self._rows.get(n) or self._new_rows(n)
         aug, acts, fill = rows.aug, rows.acts, rows.fill
-        np.copyto(fill[0], features)
+        dot, wb = self._dot, self.wb
+        fill[0][...] = features
         for k in range(1, len(aug)):
-            h = np.matmul(aug[k - 1], self.wb[k - 1], out=acts[k])
+            h = dot(aug[k - 1], wb[k - 1], out=acts[k])
             if self.tanh:
                 np.tanh(h, out=h)
             else:
                 np.maximum(h, 0.0, out=h)
-            np.copyto(fill[k], h)
-        return rows, aug[-1] @ self.wb[-1]
+            fill[k][...] = h
+        return rows, dot(aug[-1], wb[-1])
 
     @staticmethod
     def exp_sum(z):
@@ -473,7 +482,7 @@ class _Pass:
         the one-hot `g` of -scale: each row of `g` sums to exactly -scale,
         and IEEE negation is exact."""
         p *= scale
-        p -= scaled_eye[labels]
+        p -= scaled_eye.take(labels, axis=0)
         return p
 
     def adjoints(self, rows, delta):
@@ -484,7 +493,7 @@ class _Pass:
         out, inp = [None] * len(self.wb), [None] * len(self.wb)
         out[-1] = delta
         for k in range(len(self.wb) - 1, 0, -1):
-            inp[k] = d_h = out[k] @ self.w_t[k]
+            inp[k] = d_h = self._dot(out[k], self.w_t[k])
             out[k - 1] = d_h * self.slope(rows.acts[k])
         return out, inp
 
@@ -503,5 +512,5 @@ class _Pass:
         delta = self.output_adjoint(p, labels, 1.0 / labels.shape[0], rows.eye_n)
         deltas, _ = self.adjoints(rows, delta)
         for a_t, delta, out in zip(rows.aug_t, deltas, views):
-            np.matmul(a_t, delta, out=out)
+            self._dot(a_t, delta, out=out)
         return value

@@ -231,7 +231,7 @@ def _create_step(model, n, rho):
     def step(features, labels, task_id, out, views):
         at_w[task_id].loss_gradient(features, labels, views[:depth[task_id]], loss=False)
         np.add(_epsilon(w, out[:n], rho, out=eps), w, out=eps)  # bitwise w + eps
-        np.copyto(scratch_rest, rest)
+        scratch_rest[...] = rest
         loss = at_eps[task_id].loss_gradient(features, labels, views)
         if not math.isfinite(loss):
             raise FloatingPointError(f"non-finite loss at perturbed point (task {task_id})")
@@ -314,7 +314,7 @@ def clamp_to_region(params: ParameterSet, region: FlatRegion) -> int:
     clipped = np.maximum(w, region.lo, out=region.clipped)
     np.minimum(clipped, region.hi, out=clipped)
     count = int(np.count_nonzero(np.not_equal(clipped, w, out=region.moved)))
-    np.copyto(w, clipped)
+    w[...] = clipped
     return count
 
 
@@ -341,22 +341,28 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class OptimizerState:
-    """SGD or Adam-with-decoupled-weight-decay state; the Adam moments `m`
-    and `v` are flat vectors over the parameter buffer.
+    """SGD or Adam-with-decoupled-weight-decay state; the Adam moments are
+    the rows of one (2, d) array, `moments`, over the parameter buffer, and
+    `m` and `v` are its row views.  `decay` and `gain` are (2, d) rows of
+    (b1; b2) and (1 - b1; 1 - b2), which scale `moments` and the gradient
+    in one call each: a full row runs numpy's contiguous loop, which a
+    broadcast (2, 1) column does not.
 
     It also owns the vectors a training step rewrites, so a step allocates
     none of them: `total`, the step's summed gradient, a set laid out like
     the parameters; `grad`, one batch's flat gradient (`train_task` lays
     each head's folded blocks over both once); `penalty`, the anchor penalty's
-    gradient; and `tmp`, Adam's two temporaries.  The create step's
+    gradient; and `tmp`, Adam's (2, d) temporaries.  The create step's
     perturbed point lives in the scratch vector `_create_step` binds.
     """
 
     def __init__(self, params: ParameterSet):
         self.t = 0
         n = params.total_size()
-        self.m = np.zeros(n)
-        self.v = np.zeros(n)
+        self.moments = np.zeros((2, n))
+        self.m, self.v = self.moments
+        self.decay = np.repeat([[ADAM_BETA1], [ADAM_BETA2]], n, axis=1)
+        self.gain = np.repeat([[1 - ADAM_BETA1], [1 - ADAM_BETA2]], n, axis=1)
         self.total = params.zeros_like()
         self.penalty, self.grad = np.empty((2, n))
         self.tmp = np.empty((2, n))
@@ -364,7 +370,12 @@ class OptimizerState:
 
 def base_step(state: OptimizerState, params: ParameterSet,
               total_grads: ParameterSet, config: OptimizerConfig):
-    """One in-place update; grads must already include all loss terms."""
+    """One in-place update; grads must already include all loss terms.
+
+    Adam updates both moments at once, m <- b1 m + (1 - b1) g and v <- b2 v
+    + ((1 - b2) g) g, and then takes m-hat and v-hat into the rows of
+    `tmp`: each entry goes through the operations, in the order, that the
+    per-vector form m *= b1; m += g * (1 - b1); ... gives it."""
     params.require_aligned(total_grads, "base_step")
     g = total_grads.flat
     if not all_finite(g):
@@ -372,22 +383,21 @@ def base_step(state: OptimizerState, params: ParameterSet,
     state.t += 1
     lr = config.learning_rate
     w = params.flat
-    a, b = state.tmp
+    a, b = tmp = state.tmp
     if config.base_optimizer == "sgd":
         w -= np.multiply(g, lr, out=a)
     else:
-        b1, b2 = ADAM_BETA1, ADAM_BETA2
-        state.m *= b1
-        state.m += np.multiply(g, 1 - b1, out=a)
-        state.v *= b2
-        np.multiply(g, 1 - b2, out=a)
-        state.v += np.multiply(a, g, out=a)
-        m_hat = np.divide(state.m, 1.0 - b1 ** state.t, out=a)
-        v_hat = np.divide(state.v, 1.0 - b2 ** state.t, out=b)
-        denom = np.sqrt(v_hat, out=b)
-        denom += ADAM_EPS
-        m_hat *= lr
-        w -= np.divide(m_hat, denom, out=a)
+        moments = state.moments
+        moments *= state.decay
+        np.multiply(g, state.gain, out=tmp)
+        b *= g
+        moments += tmp
+        np.divide(state.m, 1.0 - ADAM_BETA1 ** state.t, out=a)
+        np.divide(state.v, 1.0 - ADAM_BETA2 ** state.t, out=b)
+        np.sqrt(b, out=b)  # a is m-hat, b becomes sqrt(v-hat) + eps
+        b += ADAM_EPS
+        a *= lr
+        w -= np.divide(a, b, out=a)
     if config.weight_decay:
         w -= np.multiply(w, lr * config.weight_decay, out=a)
 

@@ -73,19 +73,37 @@ def quadratic_objective(matrix, w0) -> Objective:
     )
 
 
-def _losses_around(obj: Objective, directions: np.ndarray):
+def _losses_around(obj: Objective, directions: np.ndarray, rho: float):
     """[L(w), L(w + e_1), ...] for the rows e_i of a (k, d) stack of flat
     directions, scored in one call on the stack [w; w + e_1; ...]; the
     weights are read, not written.  Row 0 is w itself, not w + 0, so a -0.0
-    weight keeps its sign.  Only a perturbed loss must be finite."""
+    weight keeps its sign.  Only a perturbed loss must be finite: a
+    non-finite loss the objective returns at w is kept.  An overflow or
+    invalid operation while scoring, whatever the caller's numpy error
+    state, is refused naming `rho`, the radius the directions were scaled
+    to, unless the loss at w alone overflows, which is refused as such; an
+    underflow is neither."""
     w = obj.params.flat
     thetas = np.empty((len(directions) + 1, w.size))
     thetas[0] = w
     np.add(w, directions, out=thetas[1:])
-    vals = obj.values(thetas)
+    try:
+        vals = _guarded_values(obj, thetas)
+    except FloatingPointError:
+        try:  # only on the refusal path: is w itself at fault?
+            _guarded_values(obj, thetas[:1])
+        except FloatingPointError:
+            raise FloatingPointError("the loss at w overflows") from None
+        raise ValueError(f"rho {rho!r} puts a probe point where the loss "
+                         "overflows") from None
     if not np.isfinite(vals[1:]).all():
         raise FloatingPointError("non-finite loss at perturbed point")
     return vals
+
+
+def _guarded_values(obj: Objective, thetas: np.ndarray) -> np.ndarray:
+    with np.errstate(over="raise", invalid="raise", under="ignore"):
+        return obj.values(thetas)
 
 
 def ball_sharpness(obj: Objective, rho: float, n_directions: int, seed: int) -> float:
@@ -109,7 +127,7 @@ def ball_sharpness(obj: Objective, rho: float, n_directions: int, seed: int) -> 
         directions = directions[keep] * (rho / np.sqrt(sq[keep]))[:, None]
     if not np.isfinite(directions).all():
         raise ValueError(f"rho {rho!r} scales a probe direction past the float range")
-    losses = _losses_around(obj, directions)
+    losses = _losses_around(obj, directions, rho)
     return float(np.max(losses[1:] - losses[0]))
 
 
@@ -127,7 +145,7 @@ def create_decomposition_check(obj: Objective, rho: float):
     """
     check_rho(rho)
     eps = compute_perturbation(obj.params, obj.gradient(), rho).epsilon_hat
-    base, perturbed = map(float, _losses_around(obj, eps.flat[None]))
+    base, perturbed = map(float, _losses_around(obj, eps.flat[None], rho))
     return perturbed, perturbed - base, base
 
 
@@ -183,7 +201,11 @@ def lanczos_lambda_max(obj: Objective, iters: int = 30, seed: int = 0) -> Lanczo
     applied twice (CGS2; Giraud, Langou & Rozloznik 2005), which stands in
     for the three-term recurrence plus one reorthogonalization: alpha_j is
     the sum of the two projections' q_j coefficients and beta_j the norm of
-    what is left."""
+    what is left.  The four projections, `Q @ w` and `h @ Q`, are flat
+    products and go through `np.dot`, which calls the BLAS routine
+    `np.matmul` calls and gives its bits without the ufunc dispatch;
+    `np.matmul` is the entry point for stacks, on which `np.dot` means
+    another product."""
     if iters < 1:
         raise ValueError("iters must be >= 1")
     op = obj.bind_hvp()  # the weights do not move during the run
@@ -196,10 +218,10 @@ def lanczos_lambda_max(obj: Objective, iters: int = 30, seed: int = 0) -> Lanczo
     for j in range(iters):
         w = hvp(op, basis[j])
         done = basis[:j + 1]
-        h = done @ w
-        w -= h @ done
-        h2 = done @ w
-        w -= h2 @ done
+        h = np.dot(done, w)
+        w -= np.dot(h, done)
+        h2 = np.dot(done, w)
+        w -= np.dot(h2, done)
         alphas.append(float(h[j] + h2[j]))
         beta = math.sqrt(w @ w)
         if j + 1 == iters:

@@ -105,13 +105,16 @@ def _read_text(path) -> str:
 
 
 def read_json(path):
-    """The JSON value in file `path`; one that is not UTF-8 text or not
-    JSON raises a one-line ValueError naming it."""
+    """The JSON value in file `path`; one that is not UTF-8 text, not JSON
+    or nested past what the parser recurses into raises a one-line
+    ValueError naming it."""
     text = _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def load_config(path) -> dict:

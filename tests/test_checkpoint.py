@@ -311,6 +311,18 @@ def test_wrong_format_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_manifest_nested_too_deeply_rejected_naming_the_file(tmp_path):
+    """A manifest that is JSON nested past the parser's recursion limit is
+    corrupt, like one that is not JSON: one line naming the file."""
+    path = tmp_path / "deep.bin"
+    save_checkpoint(path, Checkpoint(model=random_mlp(35)))
+    data = path.read_bytes()
+    mbytes = b"[" * 100000 + b"]" * 100000
+    path.write_bytes(data[:8] + len(mbytes).to_bytes(8, "little") + mbytes)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: corrupt manifest$"):
+        load_checkpoint(path)
+
+
 def test_save_replaces_atomically(tmp_path):
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, Checkpoint(model=random_mlp(36), config_hash="a"))

@@ -29,6 +29,8 @@ QUADRATIC = ["1,nan", "1,inf", "1,", "1,x"]
 
 CASES = [(command, flag, value) for command, flag in FLAGS for value in VALUES]
 CASES += [("probe", "--quadratic", value) for value in QUADRATIC]
+# a radius whose probe directions are finite but whose probe points overflow the loss
+CASES += [("probe", "--rho", "1e307")]
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +124,7 @@ FILES = {"undecodable": b"\xff\xfe\n", "not_json": "task0\n{\n", "missing": MISS
          "directory": DIRECTORY, "true": '{"reference_accuracies": [true, 0.5]}',
          "nan": '{"reference_accuracies": [NaN, 0.5]}',
          "short": '{"reference_accuracies": [0.5]}',
+         "too_deep": "[" * 100000 + "]" * 100000,
          "reference": '{"reference_accuracies": [0.95, 0.9]}'}
 METRICS_CASES = [("--matrix", kind) for kind in ("undecodable", "not_json", "missing",
                                                  "directory")]
@@ -141,8 +144,9 @@ def _write(path, content):
 @pytest.mark.parametrize("flag,kind", METRICS_CASES, ids=[f"{f}={k}" for f, k in METRICS_CASES])
 def test_metrics_file_runs_or_is_refused_naming_it(tmp_path, capsys, flag, kind):
     """`metrics` reads its matrix and its reference: a file that is missing,
-    a directory, not UTF-8 text, not JSON, or a reference holding a bool, a
-    NaN or too few accuracies is refused with one line naming the file."""
+    a directory, not UTF-8 text, not JSON, JSON nested too deeply for the
+    parser, or a reference holding a bool, a NaN or too few accuracies is
+    refused with one line naming the file."""
     bad = _write(tmp_path / kind, FILES[kind])
     matrix = _write(tmp_path / "matrix.csv", MATRIX) if flag == "--reference" else bad
     argv = ["metrics", "--matrix", str(matrix)]
@@ -158,12 +162,13 @@ def test_metrics_file_runs_or_is_refused_naming_it(tmp_path, capsys, flag, kind)
     assert str(bad) in err, err
 
 
-@pytest.mark.parametrize("kind", ["undecodable", "not_json"])
+@pytest.mark.parametrize("kind", ["undecodable", "not_json", "too_deep"])
 @pytest.mark.parametrize("command", ["run", "probe", "gen-data"])
 def test_config_that_is_not_json_text_is_refused_naming_it(tmp_path, capsys, run_dir,
                                                            command, kind):
-    """Every `--config` is read as UTF-8 JSON: a file that is not is refused
-    with one line naming it, and nothing is written."""
+    """Every `--config` is read as UTF-8 JSON: a file that is not, or whose
+    nesting is too deep for the parser, is refused with one line naming it,
+    and nothing is written."""
     _, seed_dir = run_dir
     config, out = _write(tmp_path / kind, FILES[kind]), tmp_path / "out"
     argv = {"run": ["run", "--variant", "seq", "--seed", "1", "--out", str(out)],

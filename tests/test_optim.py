@@ -469,6 +469,38 @@ def test_base_step_rejects_nonfinite():
         base_step(state, params, ParameterSet({"w": [np.inf]}), cfg)
 
 
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_adam_step_equals_the_per_vector_form_bitwise(weight_decay):
+    """`base_step` updates both moments as rows of one array; each entry
+    takes the per-vector form's operations in its order, so the weights and
+    moments match it bit for bit, zero gradient coordinates included."""
+    cfg = OptimizerConfig(learning_rate=0.01, weight_decay=weight_decay)
+    rng = np.random.default_rng(41)
+    w0 = rng.normal(size=23)
+    params = ParameterSet({"a": w0[:20].reshape(4, 5), "b": w0[20:]})
+    state = OptimizerState(params)
+    w, m, v = w0.copy(), np.zeros(23), np.zeros(23)
+    b1, b2, lr = 0.9, 0.999, cfg.learning_rate
+    for t in range(1, 8):
+        g = rng.normal(size=23) * 10.0 ** rng.integers(-6, 3, size=23)
+        g[rng.random(23) < 0.3] = 0.0
+        base_step(state, params, params.unflatten(g), cfg)
+        m *= b1
+        m += g * (1 - b1)
+        v *= b2
+        v += (g * (1 - b2)) * g
+        m_hat = m / (1.0 - b1 ** t)
+        denom = np.sqrt(v / (1.0 - b2 ** t))
+        denom += 1e-8
+        m_hat *= lr
+        w -= m_hat / denom
+        if weight_decay:
+            w -= w * (lr * weight_decay)
+        assert [a.tobytes() for a in (params.flat, state.m, state.v)] == [
+            a.tobytes() for a in (w, m, v)]
+    assert state.t == 7
+
+
 @pytest.mark.parametrize("base_optimizer", ["sgd", "adam_decoupled"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_base_step_refusal_moves_no_state(bad, base_optimizer):

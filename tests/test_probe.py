@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,45 @@ def test_only_a_perturbed_loss_must_be_finite():
         with pytest.raises(FloatingPointError, match="^non-finite loss at perturbed point$"):
             probe(objective(0.0, np.inf))
         assert np.isnan(probe(objective(np.nan, 1.0))).any()
+
+
+@pytest.mark.parametrize("state", ["ignore", "warn", "raise"])
+def test_ball_sharpness_refuses_a_radius_whose_probe_points_overflow_naming_it(state):
+    """At rho 1e307 every probe direction is finite, but the sum of the
+    losses of 60 rows at a probe point overflows: the radius is refused by
+    name, with no warning, whatever numpy's error state; 1e306 is scored."""
+    model = random_mlp(26, hidden=(5,))
+    obj = model_objective(model, random_batch(27, model, n=60))
+    with np.errstate(all=state), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^rho 1e\+307 puts a probe point where the loss "
+                                             r"overflows$"):
+            ball_sharpness(obj, 1e307, 4, seed=1)
+    assert np.isfinite(ball_sharpness(obj, 1e306, 4, seed=1))
+
+
+@pytest.mark.parametrize("state", ["ignore", "warn", "raise"])
+@pytest.mark.parametrize("probe", [lambda obj, rho: ball_sharpness(obj, rho, 2, seed=0),
+                                   create_decomposition_check],
+                         ids=["ball_sharpness", "create_decomposition_check"])
+def test_an_overflow_names_rho_only_when_the_loss_at_w_scores_cleanly(probe, state):
+    """L(w) = w * 1e307 on one weight with gradient 1.  At w = 1, rho 100
+    puts a probe point past the float range and is refused naming rho,
+    while rho 0.05 is scored; at w = 100 the loss at w itself overflows, and
+    every radius, 0 included, is refused naming w, not rho."""
+    def objective(w):
+        return Objective(ParameterSet({"w": [w]}), lambda t: t[:, 0] * 1e307,
+                         lambda: ParameterSet({"w": [1.0]}), None)
+
+    with np.errstate(all=state), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^rho 100\.0 puts a probe point where the loss "
+                                             r"overflows$"):
+            probe(objective(1.0), 100.0)
+        assert np.isfinite(probe(objective(1.0), 0.05)).all()
+        for rho in (0.0, 0.05):
+            with pytest.raises(FloatingPointError, match="^the loss at w overflows$"):
+                probe(objective(100.0), rho)
 
 
 # -- fisher trace identity --------------------------------------------------

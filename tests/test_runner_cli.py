@@ -671,7 +671,7 @@ def test_cli_run_fails_every_seed_of_a_setting_that_cannot_train(tmp_path, capsy
     assert capsys.readouterr().err == "error: RuntimeError: all seeds failed; see failures.json\n"
     failures = json.loads((out / "tiny" / "seq" / "failures.json").read_text())
     assert [(f["seed"], f["type"], f["error"]) for f in failures] == [
-        (1, "FloatingPointError", "overflow encountered in matmul")]
+        (1, "FloatingPointError", "overflow encountered in dot")]
 
 
 def test_cli_run_fails_a_seed_at_its_first_overflow_without_a_warning(tmp_path, capsys):
