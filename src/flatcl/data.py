@@ -25,7 +25,8 @@ class TaskDataset:
             raise ValueError(f"labels out of range for class_count={self.class_count}")
         if self.splits:
             all_idx = np.concatenate([np.asarray(v) for v in self.splits.values()])
-            if len(np.unique(all_idx)) != len(all_idx) or len(all_idx) != len(self.labels):
+            # sorted, the indices are 0..n-1: disjoint, covering, none out of range
+            if not np.array_equal(np.sort(all_idx), np.arange(len(self.labels))):
                 raise ValueError("splits must be disjoint and cover the dataset")
 
     def split_xy(self, split: str):

@@ -410,9 +410,9 @@ def _check_replay_rows(model: MultiHeadClassifier, store: ReplayBuffer):
     """Check every stored row against its head, as `train_task` does its
     tasks' rows; the store may come from a checkpoint, whose load checks
     that its row, label and task-id counts agree."""
-    for tid in np.unique(store.task_ids):
+    for tid in sorted(set(store.task_ids.tolist())):
         rows = store.task_ids == tid
-        model._check_rows(store.features[rows], store.labels[rows], int(tid))
+        model._check_rows(store.features[rows], store.labels[rows], tid)
 
 
 def train_task(model: MultiHeadClassifier, tasks, region, importance,

@@ -69,7 +69,7 @@ def select_exemplars(features, k, seed):
         members = np.where(assign == c)[0]
         pool = members if len(members) else np.arange(n)
         picked.append(int(pool[np.argmin(dists[pool, c])]))
-    picked = list(np.unique(picked))
+    picked = sorted(set(picked))
     # Degenerate clusters can collapse onto one sample; pad back to k so the
     # buffer size stays exactly max(1, floor(ratio * n)).
     for i in range(n):
@@ -110,9 +110,9 @@ class ReplayBuffer:
         idx = rng.integers(len(self), size=batch_size)
         tasks = self.task_ids[idx]
         batches = []
-        for task_id in np.unique(tasks):
+        for task_id in sorted(set(tasks.tolist())):
             rows = idx[tasks == task_id]
-            batches.append(Batch(self.features[rows], self.labels[rows], int(task_id)))
+            batches.append(Batch(self.features[rows], self.labels[rows], task_id))
         return batches
 
 

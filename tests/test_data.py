@@ -106,10 +106,18 @@ def test_task_dataset_label_range_checked():
         TaskDataset("t", 0, np.ones((2, 2)), np.array([0, 3]), 2)
 
 
-def test_task_dataset_split_coverage_checked():
-    with pytest.raises(ValueError, match="splits"):
-        TaskDataset("t", 0, np.ones((3, 2)), np.array([0, 1, 0]), 2,
-                    {"train": np.array([0]), "val": np.array([0, 1])})
+@pytest.mark.parametrize("labels, splits", [
+    # row 0 twice, row 2 never
+    ([0, 1, 0], {"train": [0], "val": [0, 1]}),
+    # as many distinct indices as rows, but -1 is row 1 again and row 0 is never used
+    ([0, 1], {"train": [1], "val": [-1], "test": []}),
+    # an index past the last row
+    ([0, 1], {"train": [0], "val": [5]}),
+])
+def test_task_dataset_split_coverage_checked(labels, splits):
+    with pytest.raises(ValueError, match="^splits must be disjoint and cover the dataset$"):
+        TaskDataset("t", 0, np.ones((len(labels), 2)), np.array(labels), 2,
+                    {k: np.array(v, dtype=np.int64) for k, v in splits.items()})
 
 
 def test_delimited_round_trip_exact(tmp_path):

@@ -1,6 +1,10 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -273,7 +277,6 @@ def test_cli_run_refuses_a_benchmark_too_small_for_its_splits(tmp_path, capsys, 
 def test_cli_run_refuses_a_separation_too_large_for_a_float(tmp_path, capsys):
     """A JSON integer no float holds is refused as a `separation` that is
     not a finite number, on one line, before `--out` exists."""
-    from importlib import resources
     with resources.as_file(resources.files("flatcl") / "configs" / "perm5.json") as path:
         cfg = load_config(path)
     cfg["benchmark"]["separation"] = 10 ** 400
@@ -330,7 +333,6 @@ def test_rotation_only_required_for_rotated_benchmark(tmp_path):
 
 
 def test_comment_keys_and_shipped_configs_accepted(tmp_path):
-    from importlib import resources
     for name in ("rot5.json", "perm5.json"):
         with resources.as_file(resources.files("flatcl") / "configs" / name) as path:
             assert load_config(path)["name"] == name[:-5]
@@ -1144,3 +1146,47 @@ def test_cli_probe_refuses_infinite_rho(tmp_path, capsys):
     assert main(["probe", "--checkpoint", ckpt, "--config", cfg_path,
                  "--rho", "inf", "--lanczos-iters", "5"]) == 1
     assert capsys.readouterr().err == "error: ValueError: rho must be finite\n"
+
+
+# Each subcommand in turn, in one fresh interpreter; the script prints
+# whether `import numpy` alone loaded numpy.ma, then whether it is loaded
+# after every subcommand has run.
+_NO_MA_SCRIPT = textwrap.dedent("""
+    import contextlib, io, os, sys
+    import numpy
+    print("numpy.ma" in sys.modules)
+    from flatcl.cli import main
+    config, out = sys.argv[1], sys.argv[2]
+    seed_dir = os.path.join(out, "rot5", "{}", "seed1")
+    argvs = [
+        ["run", "--config", config, "--variant", "cf", "--seed", "1", "--out", out],
+        ["run", "--config", config, "--variant", "mtl", "--seed", "1", "--out", out],
+        ["probe", "--config", config,
+         "--checkpoint", os.path.join(seed_dir.format("cf"), "ckpt_task4.bin")],
+        ["probe", "--quadratic", "1,3"],
+        ["metrics", "--matrix", os.path.join(seed_dir.format("cf"), "matrix.csv"),
+         "--reference", os.path.join(seed_dir.format("mtl"), "metrics.json")],
+        ["gen-data", "--config", config, "--seed", "1", "--out", os.path.join(out, "d")],
+    ]
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+    print("numpy.ma" in sys.modules)
+""")
+
+
+def test_no_subcommand_imports_numpy_ma(tmp_path):
+    """`np.unique` makes numpy 2.x import numpy.ma (1.28 MB resident), which
+    no run, probe or subcommand needs; the run path calls none."""
+    config = tmp_path / "rot5.json"
+    config.write_text((resources.files("flatcl") / "configs" / "rot5.json").read_text())
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_MA_SCRIPT, str(config),
+                           str(tmp_path / "out")], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    with_numpy, after = proc.stdout.split()
+    if with_numpy == "True":
+        pytest.skip("`import numpy` alone loads numpy.ma (numpy 1.x)")
+    assert after == "False"

@@ -14,12 +14,16 @@ odd pairs and the change first in even ones.
 For every metric the runs report (the end-to-end metrics with `--trace
 0`, the per-layer ones with `--trace 1`) it prints each side's median and
 quartiles (`statistics.quantiles(values, n=4)`), the pairs the change
-wins, the gap between the medians, and whether that gap exceeds the
-parent's quartile spread.  Whether lower or higher is better, and an
-end-to-end metric's bound, come from `BENCHMARK.json`.  With `--out` it
-writes these figures, every run's values and the run order as one
-workload entry of a `BENCH_*.json` file, merged into the file when it
-exists.  The temporary directory is removed on exit.
+wins, the gap between the medians, whether that gap exceeds the parent's
+quartile spread, and a verdict: `gain` when the change wins at least 9 in
+10 pairs (ties count for neither side) and its median is better by more
+than the parent's spread; `worse` when the parent wins like that, or when
+an end-to-end metric worsens by more than its bound; otherwise `no
+change`.  Whether lower or higher is better, and an end-to-end metric's
+bound, come from `BENCHMARK.json`.  With `--out` it writes these figures,
+every run's values and the run order as one workload entry of a
+`BENCH_*.json` file, merged into the file when it exists.  The temporary
+directory is removed on exit.
 """
 
 from __future__ import annotations
@@ -79,17 +83,34 @@ def summarize(parent: list, change: list, higher_is_better: bool, bound=None) ->
     q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else parent * 3
     better = (lambda c, p: c > p) if higher_is_better else (lambda c, p: c < p)
     worsening = (c_med - p_med) / p_med if p_med else 0.0
+    if higher_is_better:
+        worsening = -worsening
+    past_spread = abs(c_med - p_med) > q3 - q1
+    change_wins = sum(better(c, p) for p, c in zip(parent, change))
+    parent_wins = sum(better(p, c) for p, c in zip(parent, change))  # ties count for neither
+
+    def settled(wins, winner_med, loser_med):
+        """`wins` of the pairs are 9 in 10 or more, and the medians' gap is past the spread."""
+        return 10 * wins >= 9 * len(parent) and better(winner_med, loser_med) and past_spread
+
+    if settled(change_wins, c_med, p_med):
+        verdict = "gain"
+    elif settled(parent_wins, p_med, c_med) or (bound is not None and worsening > bound):
+        verdict = "worse"
+    else:
+        verdict = "no change"
     out = {
         "parent": parent, "change": change,
         "parent_median": p_med, "change_median": c_med,
         "parent_quartiles": [q1, q3],
         "change_quartiles": (list(statistics.quantiles(change, n=4)[::2])
                              if len(change) > 1 else change * 2),
-        "relative_worsening": round(-worsening if higher_is_better else worsening, 4),
-        "change_better": sum(better(c, p) for p, c in zip(parent, change)),
+        "relative_worsening": round(worsening, 4),
+        "change_better": change_wins,
         "median_gap": abs(c_med - p_med),
         "parent_quartile_spread": q3 - q1,
-        "gap_exceeds_parent_spread": abs(c_med - p_med) > q3 - q1,
+        "gap_exceeds_parent_spread": past_spread,
+        "verdict": verdict,
     }
     if bound is not None:
         out["bound"] = bound
@@ -149,7 +170,7 @@ def main(argv=None) -> int:
               f"[{fig['change_quartiles'][0]:.6g}, {fig['change_quartiles'][1]:.6g}]  "
               f"wins {fig['change_better']}/{args.pairs}  gap {fig['median_gap']:.3g} "
               f"{'>' if fig['gap_exceeds_parent_spread'] else '<='} spread "
-              f"{fig['parent_quartile_spread']:.3g}")
+              f"{fig['parent_quartile_spread']:.3g}  {fig['verdict']}")
 
     if args.out:
         doc = {"_about": args.about, "host": {"python": platform.python_version(),
