@@ -8,8 +8,8 @@ Every case ends in one of three ways: it runs; it is refused with one
 the flag.  The files a subcommand reads (`metrics`' `--matrix` and
 `--reference`, and every `--config`) are swept the same way over the
 files in `FILES`: each bad one is refused with one line naming it.  No case
-prints a RuntimeWarning, and a refused `run` or `gen-data` writes
-nothing."""
+prints a RuntimeWarning, a refused `run` or `gen-data` writes nothing, and
+each refusal's full text is the one tests/refusals.json holds for its id."""
 
 import json
 import re
@@ -66,12 +66,13 @@ def _main(argv):
 
 @pytest.mark.parametrize("command,flag,value", CASES,
                          ids=[f"{c}{f}={v!r}" for c, f, v in CASES])
-def test_flag_value_runs_or_is_refused_naming_its_flag(tmp_path, capsys, run_dir, command,
-                                                       flag, value):
+def test_flag_value_runs_or_is_refused_naming_its_flag(tmp_path, capsys, refusal, run_dir,
+                                                       command, flag, value):
     config, seed_dir = run_dir
     out = tmp_path / "out"
     rc, caught = _main(_argv(command, flag, value, config, seed_dir / "ckpt_task4.bin", out))
     err = capsys.readouterr().err
+    refusal(err)
     assert caught == []
     assert "Warning" not in err
     if rc == 0:
@@ -88,7 +89,8 @@ def test_flag_value_runs_or_is_refused_naming_its_flag(tmp_path, capsys, run_dir
 
 
 @pytest.mark.parametrize("command", ["run", "probe", "probe --quadratic", "gen-data"])
-def test_negative_seed_is_refused_by_every_subcommand(tmp_path, capsys, run_dir, command):
+def test_negative_seed_is_refused_by_every_subcommand(tmp_path, capsys, refusal, run_dir,
+                                                      command):
     """One seed rule, an integer >= 0: each subcommand refuses `--seed -1`
     with one line naming the seed, before it writes anything."""
     config, seed_dir = run_dir
@@ -100,6 +102,7 @@ def test_negative_seed_is_refused_by_every_subcommand(tmp_path, capsys, run_dir,
             "gen-data": ["gen-data", "--config", str(config), "--out", str(out)]}[command]
     assert _main([*argv, "--seed", "-1"]) == (1, [])
     err = capsys.readouterr().err
+    refusal(err)
     assert err.startswith("error: ") and err.count("\n") == 1 and "seed" in err, err
     assert not out.exists()
 
@@ -107,12 +110,13 @@ def test_negative_seed_is_refused_by_every_subcommand(tmp_path, capsys, run_dir,
 @pytest.mark.parametrize("flag,value", [("--checkpoint", "nosuch.bin"),
                                         ("--config", "nosuch.json"), ("--task", "99"),
                                         ("--task", "0"), ("--rho", "-5"), ("--rho", "0.05")])
-def test_quadratic_refuses_the_checkpoint_flags(capsys, flag, value):
+def test_quadratic_refuses_the_checkpoint_flags(capsys, refusal, flag, value):
     """`--quadratic` probes its surrogate alone: a checkpoint flag given with
     it, even at its default, is refused with one line naming the flag, before
     any file is read."""
     assert _main(["probe", "--quadratic", "1,2", flag, value]) == (1, [])
     err = capsys.readouterr().err
+    refusal(err)
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert re.search(rf"{flag}\b", err), err
 
@@ -142,7 +146,7 @@ def _write(path, content):
 
 
 @pytest.mark.parametrize("flag,kind", METRICS_CASES, ids=[f"{f}={k}" for f, k in METRICS_CASES])
-def test_metrics_file_runs_or_is_refused_naming_it(tmp_path, capsys, flag, kind):
+def test_metrics_file_runs_or_is_refused_naming_it(tmp_path, capsys, refusal, flag, kind):
     """`metrics` reads its matrix and its reference: a file that is missing,
     a directory, not UTF-8 text, not JSON, JSON nested too deeply for the
     parser, or a reference holding a bool, a NaN or too few accuracies is
@@ -154,6 +158,7 @@ def test_metrics_file_runs_or_is_refused_naming_it(tmp_path, capsys, flag, kind)
         argv += ["--reference", str(bad)]
     rc, caught = _main(argv)
     err = capsys.readouterr().err
+    refusal(err)
     assert caught == [] and "Warning" not in err
     if kind == "reference":
         assert rc == 0 and err == ""
@@ -164,7 +169,7 @@ def test_metrics_file_runs_or_is_refused_naming_it(tmp_path, capsys, flag, kind)
 
 @pytest.mark.parametrize("kind", ["undecodable", "not_json", "too_deep"])
 @pytest.mark.parametrize("command", ["run", "probe", "gen-data"])
-def test_config_that_is_not_json_text_is_refused_naming_it(tmp_path, capsys, run_dir,
+def test_config_that_is_not_json_text_is_refused_naming_it(tmp_path, capsys, refusal, run_dir,
                                                            command, kind):
     """Every `--config` is read as UTF-8 JSON: a file that is not, or whose
     nesting is too deep for the parser, is refused with one line naming it,
@@ -176,5 +181,6 @@ def test_config_that_is_not_json_text_is_refused_naming_it(tmp_path, capsys, run
             "gen-data": ["gen-data", "--out", str(out)]}[command]
     assert _main([*argv, "--config", str(config)]) == (1, [])
     err = capsys.readouterr().err
+    refusal(err)
     assert err.startswith("error: ") and err.count("\n") == 1 and str(config) in err, err
     assert not out.exists()

@@ -4,7 +4,8 @@ is set in turn to each value in `VALUES` and run through an in-process
 `--seed`).  Every case ends in one of three ways: it runs; it is refused,
 before anything is written, with one `error:` line that names the key; or
 it is one of the finite but hopeless settings in `HOPELESS`, each of whose
-seeds fails at its first overflow.  No case prints a RuntimeWarning."""
+seeds fails at its first overflow.  No case prints a RuntimeWarning, and
+each refusal's full text is the one tests/refusals.json holds for its id."""
 
 import json
 import math
@@ -50,8 +51,8 @@ CASES = _cases("rot5") + _cases("perm5")
 @pytest.mark.parametrize("config,section,key,value", CASES, ids=[
     f"{config}-{section + '.' if section else ''}{key}-{value!r}"
     for config, section, key, value in CASES])
-def test_config_value_runs_or_is_refused_naming_its_key(tmp_path, capsys, config, section,
-                                                        key, value):
+def test_config_value_runs_or_is_refused_naming_its_key(tmp_path, capsys, refusal, config,
+                                                        section, key, value):
     cfg = _config(config)
     (cfg[section] if section else cfg)[key] = value
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
@@ -61,6 +62,7 @@ def test_config_value_runs_or_is_refused_naming_its_key(tmp_path, capsys, config
         rc = main(["run", "--config", str(tmp_path / "cfg.json"), "--variant", "cf", *seed,
                    "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
+    refusal(err)
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     if value == 1e308 and (section, key) in HOPELESS:
         assert (rc, err) == (1, ALL_SEEDS_FAILED)
