@@ -15,24 +15,26 @@ import numpy as np
 from . import metrics as metrics_mod
 from .checkpoint import load_checkpoint
 from .data import save_delimited
+from .optim import OptimizerConfig, check
 from .probe import lanczos_lambda_max, quadratic_objective, sharpness_report
-from .runner import (VARIANT_FLAGS, build_stream, is_seed, load_config, probe_batch,
+from .runner import (VARIANT_FLAGS, build_stream, load_config, probe_batch,
                      read_json, read_matrix_csv, run_experiment, run_hash)
 
 
-# (`run` argument, optimizer config key) for the hyperparameter overrides.
-_OVERRIDES = (("rho", "rho"), ("lam", "lam"), ("gamma", "gamma"),
-              ("sparse_ratio", "sparse_update_ratio"), ("replay_every", "replay_every"),
-              ("store_ratio", "store_ratio"))
+# (`run` flag, optimizer config key) of each hyperparameter override.
+_OVERRIDES = (("--rho", "rho"), ("--lambda", "lam"), ("--gamma", "gamma"),
+              ("--sparse-ratio", "sparse_update_ratio"), ("--replay-every", "replay_every"),
+              ("--store-ratio", "store_ratio"))
 
 
 def _apply_overrides(cfg, args):
     """Write the given overrides into the optimizer section, adding the
     section only for one, so a run without overrides hashes the config file
     as written and `flatcl probe` accepts that file."""
-    for arg, key in _OVERRIDES:
-        if getattr(args, arg) is not None:
-            cfg.setdefault("optimizer", {})[key] = getattr(args, arg)
+    for flag, key in _OVERRIDES:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            cfg.setdefault("optimizer", {})[key] = value
 
 
 def _cmd_run(args):
@@ -52,13 +54,6 @@ def _cmd_run(args):
     return 0
 
 
-def _check_seed(seed):
-    """The seed rule `run` applies, `runner.is_seed`, for `probe --seed`
-    and `gen-data --seed`."""
-    if seed is not None and not is_seed(seed):
-        raise ValueError(f"--seed must be an integer >= 0, got {seed}")
-
-
 def _is_finite_number(text):
     try:
         return math.isfinite(float(text))
@@ -67,7 +62,8 @@ def _is_finite_number(text):
 
 
 def _cmd_probe(args):
-    _check_seed(args.seed)
+    if args.seed is not None:
+        check("seed", args.seed, "--seed")
     # the library's refusal, `iters must be >= 1`, names no flag
     if args.lanczos_iters < 1:
         raise ValueError(f"--lanczos-iters must be >= 1, got {args.lanczos_iters}")
@@ -131,7 +127,7 @@ def _cmd_metrics(args):
 
 
 def _cmd_gen_data(args):
-    _check_seed(args.seed)
+    check("seed", args.seed, "--seed")
     cfg = load_config(args.config)
     stream = build_stream(cfg, args.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -153,12 +149,8 @@ def build_parser():
     run.add_argument("--order", default=None)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--out", required=True)
-    run.add_argument("--rho", type=float, default=None)
-    run.add_argument("--lambda", dest="lam", type=float, default=None)
-    run.add_argument("--gamma", type=float, default=None)
-    run.add_argument("--sparse-ratio", type=float, default=None)
-    run.add_argument("--replay-every", type=int, default=None)
-    run.add_argument("--store-ratio", type=float, default=None)
+    for flag, key in _OVERRIDES:  # each parses as its field's default does
+        run.add_argument(flag, type=type(getattr(OptimizerConfig, key)), default=None)
     run.set_defaults(fn=_cmd_run)
 
     probe = sub.add_parser("probe", help="sharpness report for a checkpoint")

@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .optim import check
+
 
 @dataclass
 class TaskDataset:
@@ -84,10 +86,7 @@ def _simplex_means(classes, dim, separation):
     the one check of `dim` and `separation` both generators run."""
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    # bool is an int subclass; a JSON true is not the number 1
-    if (isinstance(separation, bool) or not isinstance(separation, numbers.Real)
-            or not 0 < separation <= sys.float_info.max):
-        raise ValueError(f"separation must be a finite number > 0, got {separation!r}")
+    check("positive", separation, "separation")
     means = np.zeros((classes, dim))
     angles = 2.0 * np.pi * np.arange(classes) / classes
     means[:, 0] = separation * np.cos(angles)
@@ -121,10 +120,7 @@ def _gaussian_classes(rng, means, samples_per_class):
 def gen_rotated_gaussians(seed, n_tasks, classes_per_task, dim, samples_per_class,
                           separation, rotation_per_task) -> TaskStream:
     """Gaussian blob tasks whose class means rotate from task to task."""
-    # bool is an int subclass; a JSON true is not the angle 1
-    if (isinstance(rotation_per_task, bool) or not isinstance(rotation_per_task, numbers.Real)
-            or not abs(rotation_per_task) <= sys.float_info.max):
-        raise ValueError(f"rotation_per_task must be a finite number, got {rotation_per_task!r}")
+    check("finite", rotation_per_task, "rotation_per_task")
     # the last task's angle; cos and sin of an infinite one are NaN
     if not abs((n_tasks - 1) * rotation_per_task) <= sys.float_info.max:
         raise ValueError(f"rotation_per_task must give the last of {n_tasks} tasks a finite "

@@ -74,6 +74,51 @@ class VariantFlags:
     replay: bool = False
 
 
+def _number(v) -> bool:
+    # bool is an int subclass; a JSON true is not the number 1
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _integer(v) -> bool:
+    return _number(v) and isinstance(v, int)
+
+
+_BIG = sys.float_info.max  # a larger number is inf, or an int no float holds
+
+# Every value rule a config key, a CLI flag or a generator argument shares:
+# the ordered (phrase, predicate) steps `check` applies.  The empty rule
+# leaves the value to the code that reads it.
+RULES = {
+    "": (),
+    "count": (("an integer >= 1", lambda v: _integer(v) and v >= 1),),
+    "offset": (("an integer", _integer), (">= 0", lambda v: v >= 0)),
+    "seed": (("an integer >= 0", lambda v: _integer(v) and v >= 0),),
+    "flag": (("true or false", lambda v: isinstance(v, bool)),),
+    "finite": (("a finite number", lambda v: _number(v) and abs(v) <= _BIG),),
+    "positive": (("a finite number > 0", lambda v: _number(v) and 0 < v <= _BIG),),
+    "nonnegative": (("a finite number >= 0", lambda v: _number(v) and 0 <= v <= _BIG),),
+    "unit": (("a number in [0, 1]", lambda v: _number(v) and 0 <= v <= 1),),
+    "fraction": (("a number in (0, 1]", lambda v: _number(v) and 0 < v <= 1),),
+}
+
+
+def check(rule: str, value, name: str):
+    """Raise a one-line ValueError, `{name} must be {phrase}, got
+    {value!r}`, at the first step of `RULES[rule]` that `value` fails."""
+    for phrase, ok in RULES[rule]:
+        if not ok(value):
+            raise ValueError(f"{name} must be {phrase}, got {value!r}")
+
+
+# The rule of each `OptimizerConfig` field a config may set, in field order.
+OPTIMIZER_RULES = {
+    "learning_rate": "positive", "batch_size": "count", "base_optimizer": "",
+    "weight_decay": "nonnegative", "lam": "nonnegative", "rho": "nonnegative",
+    "gamma": "unit", "fisher_sample_count": "count", "validate_every_steps": "count",
+    "sparse_update_ratio": "fraction", "store_ratio": "fraction", "replay_every": "count",
+}
+
+
 @dataclass
 class OptimizerConfig:
     learning_rate: float = 0.01
@@ -91,25 +136,8 @@ class OptimizerConfig:
     replay_every: int = 20
 
     def __post_init__(self):
-        def positive_int(v):
-            return isinstance(v, int) and v >= 1
-        big = sys.float_info.max  # a larger number is inf, or an int no float holds
-        for name, rule, ok in (
-                ("learning_rate", "a finite number > 0", lambda v: 0 < v <= big),
-                ("batch_size", "an integer >= 1", positive_int),
-                ("weight_decay", "a finite number >= 0", lambda v: 0 <= v <= big),
-                ("lam", "a finite number >= 0", lambda v: 0 <= v <= big),
-                ("rho", "a finite number >= 0", lambda v: 0 <= v <= big),
-                ("gamma", "a number in [0, 1]", lambda v: 0 <= v <= 1),
-                ("fisher_sample_count", "an integer >= 1", positive_int),
-                ("validate_every_steps", "an integer >= 1", positive_int),
-                ("sparse_update_ratio", "a number in (0, 1]", lambda v: 0 < v <= 1),
-                ("store_ratio", "a number in (0, 1]", lambda v: 0 < v <= 1),
-                ("replay_every", "an integer >= 1", positive_int)):
-            value = getattr(self, name)
-            # bool is an int subclass; a JSON true is not the number 1
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not ok(value):
-                raise ValueError(f"optimizer {name} must be {rule}, got {value!r}")
+        for name, rule in OPTIMIZER_RULES.items():
+            check(rule, getattr(self, name), f"optimizer {name}")
         if self.base_optimizer not in ("sgd", "adam_decoupled"):
             raise ValueError(f"unknown base_optimizer {self.base_optimizer!r}")
         # decoupled decay scales the weights by 1 - lr * wd each step

@@ -3,7 +3,6 @@ checkpointing, and CSV/JSON result emission."""
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import os
@@ -16,7 +15,8 @@ from .checkpoint import (Checkpoint, config_hash, load_checkpoint, save_checkpoi
                          write_atomic)
 from .data import TaskStream, gen_permuted_features, gen_rotated_gaussians, make_order
 from .model import Batch, MultiHeadClassifier
-from .optim import OptimizerConfig, VariantFlags, train_continual, train_multitask
+from .optim import (OPTIMIZER_RULES, RULES, OptimizerConfig, VariantFlags, check,
+                    train_continual, train_multitask)
 from .probe import lanczos_lambda_max, model_objective
 
 VARIANT_FLAGS = {
@@ -35,14 +35,12 @@ VARIANT_FLAGS["random_indicator"] = VARIANT_FLAGS["cf_minus_find"]
 VARIANT_FLAGS["create_only"] = VARIANT_FLAGS["cf_minus_l2"]
 
 
-# Every key a config may hold, per section, with its rule; keys starting
-# with "_" are comments.  "required": read without a default.  "count": an
-# integer >= 1, since training assumes at least one epoch and nonempty
-# tasks, and the probe at least one row and iteration.  "offset": an
-# integer >= 0, since each seed offset is added to the run seed, which numpy
-# seeds from only at >= 0, and a JSON true would run as the offset 1.
-# "flag": true or false.  The code that reads a key checks what its rule
-# does not.
+# Every key a config may hold, per section, with its rule in `RULES`, after
+# "required" for a key read without a default; keys starting with "_" are
+# comments.  Training assumes at least one epoch and nonempty tasks, and the
+# probe at least one row and iteration; numpy seeds only from integers >= 0,
+# and each seed offset is added to the run seed.  The code that reads a key
+# checks what its rule does not.
 CONFIG_RULES = {
     "": {"name": "", "benchmark": "required", "orders": "", "order": "", "seeds": "",
          "epochs_per_task": "required count", "model": "required", "optimizer": "",
@@ -52,8 +50,7 @@ CONFIG_RULES = {
                   "samples_per_class": "required count", "separation": "required",
                   "rotation_per_task": "", "data_seed_offset": "offset"},
     "model": {"hidden_dims": "required", "activation": "", "init_seed_offset": "offset"},
-    "optimizer": dict.fromkeys((f.name for f in dataclasses.fields(OptimizerConfig)
-                                if f.name != "variant"), ""),
+    "optimizer": OPTIMIZER_RULES,
     "probe": {"enabled": "flag", "batch_size": "count", "lanczos_iters": "count"},
 }
 
@@ -71,27 +68,12 @@ def check_config_keys(cfg: dict):
                 raise ValueError(f"unknown config key {key!r}{where}; "
                                  f"expected one of: {' '.join(rules)}")
         for key, rule in rules.items():
-            value = body.get(key)
-            if key not in body:
-                # the rotation is read only for the rotated benchmark
-                if "required" in rule or (key == "rotation_per_task"
-                                          and body.get("kind") == "rotated_gaussians"):
-                    raise ValueError(f"missing config key {key!r}{where}")
-            # bool is an int subclass; a JSON true is not the integer 1
-            elif "count" in rule and (type(value) is not int or value < 1):
-                raise ValueError(f"{prefix}{key} must be an integer >= 1, got {value!r}")
-            elif "offset" in rule and type(value) is not int:
-                raise ValueError(f"{prefix}{key} must be an integer, got {value!r}")
-            elif "offset" in rule and value < 0:
-                raise ValueError(f"{prefix}{key} must be >= 0, got {value!r}")
-            elif "flag" in rule and not isinstance(value, bool):
-                raise ValueError(f"{prefix}{key} must be true or false, got {value!r}")
-
-
-def is_seed(value) -> bool:
-    """The one seed rule: an integer >= 0 (bool is an int subclass, and a
-    JSON true is not the seed 1)."""
-    return type(value) is int and value >= 0
+            if key in body:
+                check(rule.removeprefix("required").lstrip(), body[key], f"{prefix}{key}")
+            # the rotation is read only for the rotated benchmark
+            elif rule.startswith("required") or (key == "rotation_per_task"
+                                                 and body.get("kind") == "rotated_gaussians"):
+                raise ValueError(f"missing config key {key!r}{where}")
 
 
 def _read_text(path) -> str:
@@ -314,7 +296,7 @@ def run_experiment(cfg: dict, variant: str, out_root: str, seeds=None) -> list[d
     if seeds is None and "seeds" not in cfg:
         raise ValueError("config has no 'seeds' and no seed was given")
     seeds = seeds if seeds is not None else cfg["seeds"]
-    if not isinstance(seeds, list) or not all(map(is_seed, seeds)):
+    if not isinstance(seeds, list) or not all(ok(s) for s in seeds for _, ok in RULES["seed"]):
         raise ValueError(f"seeds must be a list of integers >= 0, got {seeds!r}")
     if not seeds:
         raise ValueError("seeds must be nonempty")
