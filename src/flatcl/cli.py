@@ -15,7 +15,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from .checkpoint import load_checkpoint
 from .data import save_delimited
-from .optim import OptimizerConfig, check
+from .optim import OPTIMIZER_RULES, OptimizerConfig, check
 from .probe import lanczos_lambda_max, quadratic_objective, sharpness_report
 from .runner import (VARIANT_FLAGS, build_stream, load_config, probe_batch,
                      read_json, read_matrix_csv, run_experiment, run_hash)
@@ -28,12 +28,14 @@ _OVERRIDES = (("--rho", "rho"), ("--lambda", "lam"), ("--gamma", "gamma"),
 
 
 def _apply_overrides(cfg, args):
-    """Write the given overrides into the optimizer section, adding the
-    section only for one, so a run without overrides hashes the config file
-    as written and `flatcl probe` accepts that file."""
+    """Write the given overrides into the optimizer section, each checked by
+    its key's rule under the flag's name, adding the section only for one,
+    so a run without overrides hashes the config file as written and
+    `flatcl probe` accepts that file."""
     for flag, key in _OVERRIDES:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
+            check(OPTIMIZER_RULES[key], value, flag)
             cfg.setdefault("optimizer", {})[key] = value
 
 

@@ -1,11 +1,13 @@
-"""The flag contract of `flatcl probe`, `flatcl gen-data` and `flatcl
-metrics`, case by case, beside tests/test_config_sweep.py's contract of the
-config.  Each flag in `FLAGS` is set in turn to each value in `VALUES` and
-run in process; `probe`'s flags run on one rot5 `cf` checkpoint, written
-once per module, except `--quadratic`, which probes its surrogate alone.
-Every case ends in one of three ways: it runs; it is refused with one
-`error:` line that names the flag; or argparse refuses it (exit 2) naming
-the flag.  The files a subcommand reads (`metrics`' `--matrix` and
+"""The flag contract of `flatcl run`'s overrides, `flatcl probe`, `flatcl
+gen-data` and `flatcl metrics`, case by case, beside
+tests/test_config_sweep.py's contract of the config.  Each flag in `FLAGS`
+is set in turn to each value in `VALUES` and run in process; `run`'s flags
+run rot5 `cf` seed 1, and `probe`'s run on one rot5 `cf` checkpoint,
+written once per module, except `--quadratic`, which probes its surrogate
+alone.  Every case ends in one of four ways: it runs; it is refused with one
+`error:` line that names the flag; argparse refuses it (exit 2) naming the
+flag; or it is one of the finite but hopeless settings in `HOPELESS`, whose
+seed fails at its first overflow.  The files a subcommand reads (`metrics`' `--matrix` and
 `--reference`, and every `--config`) are swept the same way over the
 files in `FILES`: each bad one is refused with one line naming it.  No case
 prints a RuntimeWarning, a refused `run` or `gen-data` writes nothing, and
@@ -22,8 +24,13 @@ from flatcl.cli import main
 
 # never 10**6 for --lanczos-iters: its basis would hold 10**6 x d floats
 VALUES = ["nan", "inf", "-inf", "-1", "0", "0.5", "", "x", "1e308"]
-FLAGS = [("probe", "--seed"), ("probe", "--task"), ("probe", "--rho"),
+FLAGS = [("run", "--rho"), ("run", "--lambda"), ("run", "--gamma"), ("run", "--sparse-ratio"),
+         ("run", "--replay-every"), ("run", "--store-ratio"), ("probe", "--seed"), ("probe", "--task"), ("probe", "--rho"),
          ("probe", "--lanczos-iters"), ("probe", "--quadratic"), ("gen-data", "--seed")]
+# (command, flag) whose value 1e308 passes every check and cannot train, as
+# its config key does in tests/test_config_sweep.py
+HOPELESS = {("run", "--lambda"), ("run", "--rho")}
+ALL_SEEDS_FAILED = "error: RuntimeError: all seeds failed; see failures.json\n"
 # a Hessian diagonal of several entries, one of them bad
 QUADRATIC = ["1,nan", "1,inf", "1,", "1,x"]
 
@@ -45,6 +52,9 @@ def run_dir(tmp_path_factory):
 
 
 def _argv(command, flag, value, config, checkpoint, out):
+    if command == "run":
+        return ["run", "--config", str(config), "--variant", "cf", "--seed", "1",
+                f"{flag}={value}", "--out", str(out)]
     if command == "gen-data":
         return ["gen-data", "--config", str(config), f"{flag}={value}", "--out", str(out)]
     if flag == "--quadratic":
@@ -75,11 +85,13 @@ def test_flag_value_runs_or_is_refused_naming_its_flag(tmp_path, capsys, refusal
     refusal(err)
     assert caught == []
     assert "Warning" not in err
+    if value == "1e308" and (command, flag) in HOPELESS:
+        assert (rc, err) == (1, ALL_SEEDS_FAILED)
+        return
     if rc == 0:
         assert err == ""
         return
-    if command == "gen-data":
-        assert not out.exists()
+    assert not out.exists()
     name = re.escape(flag.lstrip("-"))
     if rc == 2:
         assert re.search(rf"error: argument {re.escape(flag)}\b", err), err

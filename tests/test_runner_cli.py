@@ -958,13 +958,13 @@ def test_cli_run_rejects_optimizer_setting(tmp_path, capsys, key, value, variant
     assert not os.path.exists(tmp_path / "o")
 
 
-@pytest.mark.parametrize("flag,key", [("--lambda", "lam"), ("--rho", "rho")])
-def test_cli_run_rejects_infinite_override(tmp_path, capsys, flag, key):
+@pytest.mark.parametrize("flag", ["--lambda", "--rho"])
+def test_cli_run_rejects_infinite_override(tmp_path, capsys, flag):
     rc = main(["run", "--config", write_cfg(tmp_path), "--variant", "cf", "--seed", "1",
                flag, "inf", "--out", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err == (
-        f"error: ValueError: optimizer {key} must be a finite number >= 0, got inf\n")
+        f"error: ValueError: {flag} must be a finite number >= 0, got inf\n")
     assert not os.path.exists(tmp_path / "o")
 
 
