@@ -28,10 +28,9 @@ _OVERRIDES = (("--rho", "rho"), ("--lambda", "lam"), ("--gamma", "gamma"),
 
 
 def _apply_overrides(cfg, args):
-    """Write the given overrides into the optimizer section, each checked by
-    its key's rule under the flag's name, adding the section only for one,
-    so a run without overrides hashes the config file as written and
-    `flatcl probe` accepts that file."""
+    """Write each given override, checked by its key's rule under the flag's
+    name, into the optimizer section, added only for one, so a run without
+    overrides hashes the config file as written and `flatcl probe` takes it."""
     for flag, key in _OVERRIDES:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:

@@ -111,12 +111,11 @@ def check(rule: str, value, name: str):
 
 
 # The rule of each `OptimizerConfig` field a config may set, in field order.
-OPTIMIZER_RULES = {
-    "learning_rate": "positive", "batch_size": "count", "base_optimizer": "",
-    "weight_decay": "nonnegative", "lam": "nonnegative", "rho": "nonnegative",
-    "gamma": "unit", "fisher_sample_count": "count", "validate_every_steps": "count",
-    "sparse_update_ratio": "fraction", "store_ratio": "fraction", "replay_every": "count",
-}
+OPTIMIZER_RULES = {"learning_rate": "positive", "batch_size": "count", "base_optimizer": "",
+                   "weight_decay": "nonnegative", "lam": "nonnegative", "rho": "nonnegative",
+                   "gamma": "unit", "fisher_sample_count": "count",
+                   "validate_every_steps": "count", "sparse_update_ratio": "fraction",
+                   "store_ratio": "fraction", "replay_every": "count"}
 
 
 @dataclass

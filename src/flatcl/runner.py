@@ -37,10 +37,9 @@ VARIANT_FLAGS["create_only"] = VARIANT_FLAGS["cf_minus_l2"]
 
 # Every key a config may hold, per section, with its rule in `RULES`, after
 # "required" for a key read without a default; keys starting with "_" are
-# comments.  Training assumes at least one epoch and nonempty tasks, and the
-# probe at least one row and iteration; numpy seeds only from integers >= 0,
-# and each seed offset is added to the run seed.  The code that reads a key
-# checks what its rule does not.
+# comments.  A "count" is of epochs, task rows or probe rows and iterations;
+# an "offset" is added to the run seed, and numpy seeds only from integers
+# >= 0.  The code that reads a key checks what its rule does not.
 CONFIG_RULES = {
     "": {"name": "", "benchmark": "required", "orders": "", "order": "", "seeds": "",
          "epochs_per_task": "required count", "model": "required", "optimizer": "",

@@ -25,8 +25,9 @@ from flatcl.cli import main
 # never 10**6 for --lanczos-iters: its basis would hold 10**6 x d floats
 VALUES = ["nan", "inf", "-inf", "-1", "0", "0.5", "", "x", "1e308"]
 FLAGS = [("run", "--rho"), ("run", "--lambda"), ("run", "--gamma"), ("run", "--sparse-ratio"),
-         ("run", "--replay-every"), ("run", "--store-ratio"), ("probe", "--seed"), ("probe", "--task"), ("probe", "--rho"),
-         ("probe", "--lanczos-iters"), ("probe", "--quadratic"), ("gen-data", "--seed")]
+         ("run", "--replay-every"), ("run", "--store-ratio"), ("probe", "--seed"),
+         ("probe", "--task"), ("probe", "--rho"), ("probe", "--lanczos-iters"),
+         ("probe", "--quadratic"), ("gen-data", "--seed")]
 # (command, flag) whose value 1e308 passes every check and cannot train, as
 # its config key does in tests/test_config_sweep.py
 HOPELESS = {("run", "--lambda"), ("run", "--rho")}

@@ -69,6 +69,17 @@ def test_generators_refuse_a_separation_that_is_not_a_finite_positive_number(gen
         generate(separation)
 
 
+def test_generators_take_the_number_rule_every_input_shares():
+    """A separation or rotation is an int or a float (np.float64 is a
+    float); other numpy scalars are refused, as in a config."""
+    gen_rotated_gaussians(0, 2, 3, 4, 10, np.float64(2.0), np.float64(0.5))
+    for value in (np.float32(2.0), np.int64(2)):
+        with pytest.raises(ValueError, match="^separation must be a finite number > 0, got"):
+            gen_permuted_features(0, 2, 3, 4, 10, value)
+        with pytest.raises(ValueError, match="^rotation_per_task must be a finite number, got"):
+            gen_rotated_gaussians(0, 2, 3, 4, 10, 2.0, value)
+
+
 def test_permuted_first_task_is_identity():
     stream = gen_permuted_features(11, 3, 3, 6, 20, 2.0)
     # every later task is a column permutation of task 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,7 +14,8 @@ from flatcl import runner
 from flatcl.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from flatcl.cli import main
 from flatcl.model import MultiHeadClassifier
-from flatcl.optim import train_continual, train_multitask
+from flatcl.optim import (OPTIMIZER_RULES, RULES, OptimizerConfig, train_continual,
+                          train_multitask)
 from flatcl.probe import lanczos_lambda_max, model_objective
 from flatcl.runner import (VARIANT_FLAGS, build_optimizer_config, build_stream,
                            load_config, probe_batch, read_matrix_csv, run_experiment,
@@ -966,6 +968,18 @@ def test_cli_run_rejects_infinite_override(tmp_path, capsys, flag):
     assert capsys.readouterr().err == (
         f"error: ValueError: {flag} must be a finite number >= 0, got inf\n")
     assert not os.path.exists(tmp_path / "o")
+
+
+def test_every_rule_is_in_the_one_table():
+    """Every optimizer field a config sets has its rule in OPTIMIZER_RULES,
+    in field order, and every rule a config key names is one of RULES."""
+    fields = [f.name for f in dataclasses.fields(OptimizerConfig) if f.name != "variant"]
+    assert list(OPTIMIZER_RULES) == fields
+    assert all(OPTIMIZER_RULES[name] in RULES and RULES[OPTIMIZER_RULES[name]]
+               for name in fields if name != "base_optimizer")
+    named = {rule.removeprefix("required").lstrip()
+             for rules in runner.CONFIG_RULES.values() for rule in rules.values()}
+    assert named <= set(RULES)
 
 
 def test_cli_run_rejects_fractional_epochs(tmp_path, capsys):
