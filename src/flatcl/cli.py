@@ -83,6 +83,8 @@ def _cmd_probe(args):
         print(json.dumps({"lambda_max": res.lambda_max,
                           "log_lambda_max": res.log_lambda_max}))
         return 0
+    if args.rho is not None:  # the library's `check_rho` names no flag
+        check("nonnegative", args.rho, "--rho")
     if args.checkpoint is None or args.config is None:
         raise ValueError("probe needs --checkpoint and --config (or --quadratic)")
     cfg = load_config(args.config)

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import numbers
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .optim import check
+from .optim import _integer, check
 
 
 @dataclass
@@ -155,10 +154,8 @@ def make_order(stream: TaskStream, permutation, name="permutation") -> TaskStrea
     """Reorder (and possibly subset) a stream; task ids renumbered to 0..k-1.
     `permutation` must be a nonempty list of distinct task indices; `name`
     names it in the refusal."""
-    # bool is an int subclass; a JSON true is not the index 1
     if (not isinstance(permutation, (list, tuple)) or not permutation
-            or any(isinstance(p, bool) or not isinstance(p, numbers.Integral)
-                   or not 0 <= p < len(stream) for p in permutation)
+            or any(not _integer(p) or not 0 <= p < len(stream) for p in permutation)
             or len(set(permutation)) != len(permutation)):
         raise ValueError(f"{name} must be a nonempty list of distinct task indices "
                          f"in [0, {len(stream)}), got {permutation!r}")

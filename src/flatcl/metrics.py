@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .optim import _number
+
 
 def _check_matrix(matrix):
     """The matrix as float64, after a one-line ValueError for a matrix that
@@ -33,7 +35,9 @@ def _check_matrix(matrix):
 def _check_reference(reference, tasks: int):
     """The joint reference's accuracies as float64, after a one-line
     ValueError for a reference that does not hold one number per task or
-    holds one that is a bool, NaN or outside [0, 1], inf included."""
+    holds one that the rule table's number predicate refuses (a bool, a
+    string, a numpy scalar other than float64), NaN or outside [0, 1], inf
+    included."""
     given = reference
     try:
         reference = np.asarray(reference, dtype=np.float64)
@@ -43,8 +47,7 @@ def _check_reference(reference, tasks: int):
         raise ValueError(f"reference must cover every task: {tasks} accuracies, "
                          f"got shape {reference.shape}")
     for k, (value, item) in enumerate(zip(reference.tolist(), given)):
-        # bool is an int subclass; a JSON true is not the accuracy 1.0
-        if isinstance(item, (bool, np.bool_)):
+        if not _number(item):
             raise ValueError(f"reference accuracy [{k}] is {item!r}, not a number")
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"reference accuracy [{k}] is {value!r}, outside [0, 1]")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -102,9 +101,9 @@ class MultiHeadClassifier:
         laid out for it."""
         if not isinstance(hidden_dims, (list, tuple)):
             raise ValueError(f"hidden_dims must be a list, got {hidden_dims!r}")
+        from .optim import _integer  # optim imports this module
         dims = [input_dim, *hidden_dims]
-        # bool is an int subclass; a JSON true is not the width 1
-        if any(isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1 for d in dims):
+        if any(not _integer(d) or d < 1 for d in dims):
             raise ValueError(f"input and hidden dims must be integers >= 1, got {dims}")
         if len(per_task_classes) < 1 or any(c < 1 for c in per_task_classes):
             raise ValueError("need at least one task head with >= 1 classes")
@@ -115,25 +114,27 @@ class MultiHeadClassifier:
         self.hidden_dims = list(hidden_dims)
         self.activation = activation
         self.head_classes = list(per_task_classes)
-        blocks = []
-        for i, width in enumerate(self.hidden_dims):
-            blocks += [(f"enc{i}.W", (dims[i], width)), (f"enc{i}.b", (width,))]
-        for t, classes in enumerate(self.head_classes):
-            blocks += [(f"head{t}.W", (self.encoder_dim, classes)), (f"head{t}.b", (classes,))]
         self._rows = {}  # (stack shape, class count) -> {row count: _Rows}, see `_pass`
-        self._bind(ParameterSet((name, np.zeros(shape)) for name, shape in blocks))
+        self._bind()
 
-    def _bind(self, params: ParameterSet):
-        """Adopt `params` (encoder, then heads in task order, each layer a
-        consecutive (W, b) pair) as the weights and record each head's
-        layers."""
-        self._params = params
-        self.theta = params.flat
-        names = params.names()
-        # each W is followed by its b, so a layer is one (rows + 1, cols) block [W; b]
-        layers = [(slice(params.slice_of(w).start, params.slice_of(b).stop),
-                   (params[w].shape[0] + 1, params[w].shape[1]))
-                  for w, b in zip(names[0::2], names[1::2])]
+    def _bind(self):
+        """Bind zero weights laid out for the model's description, in one
+        buffer, and record each head's layers: the encoder, then the heads
+        in task order, each layer a (W, b) pair that is one (rows + 1,
+        cols) block [W; b]."""
+        dims = [self.input_dim, *self.hidden_dims]
+        shapes = [*zip(dims, self.hidden_dims),
+                  *((self.encoder_dim, classes) for classes in self.head_classes)]
+        layer_names = ([f"enc{i}" for i in range(len(self.hidden_dims))]
+                       + [f"head{t}" for t in range(len(self.head_classes))])
+        self._params = ParameterSet.zeros(
+            [f"{name}.{p}" for name in layer_names for p in "Wb"],
+            [block for shape in shapes for block in (shape, shape[1:])])
+        self.theta = self._params.flat
+        layers, start = [], 0
+        for rows, cols in shapes:
+            layers.append((slice(start, start + (rows + 1) * cols), (rows + 1, cols)))
+            start += (rows + 1) * cols
         depth = len(self.hidden_dims)
         self._layers = [layers[:depth] + [head] for head in layers[depth:]]
 
@@ -168,8 +169,11 @@ class MultiHeadClassifier:
             raise ValueError("class_count must be >= 1")
         task_id = len(self.head_classes)
         self.head_classes.append(class_count)
-        self._bind(ParameterSet([*self._params.items(),
-                                 *self._new_head(task_id, class_count)]))
+        kept = self.theta
+        self._bind()
+        self.theta[:kept.size] = kept
+        for name, value in self._new_head(task_id, class_count):
+            self._params[name] = value
         return task_id
 
     # -- parameter views -------------------------------------------------
@@ -290,20 +294,23 @@ class MultiHeadClassifier:
         R{.} = d/dt at w + t v is pushed through the forward pass, then
         through the backward pass.  Everything that depends only on the
         weights and the rows (the layer inputs, the softmax, the backward
-        adjoints, the activation derivatives) is computed here, once, by the
-        model's pass; the operator keeps copies of the layer inputs, the only
-        row buffers it reads after the bind.  The returned
-        operator maps a flat `v` to a fresh flat H v and runs only the
-        R-forward and R-backward passes, in the pass's folded form: the
-        direction's `h @ v_W + v_b` is one matmul, `[h, 1] @ [v_W; v_b]`,
-        and H v's W and b rows are one matmul too; the 1/n of the mean is
-        folded into the softmax once.  `v` is copied into a direction buffer
-        whose blocks, like those of the output buffer, are laid out by
-        `_plan` here, so an apply builds no views; it returns a copy of the
-        output buffer.  The operator is valid while the weights do not move.
-        Relu kinks contribute no curvature.  Its products are bitwise those
-        of the R-operator recursion tests/test_model.py writes out in the
-        same folded form.
+        adjoints, the activation derivatives, relu's as float64 so no apply
+        casts a bool mask) is computed here, once, by the model's pass; the
+        operator keeps copies of the layer inputs, the only row buffers it
+        reads after the bind.  The returned operator maps a flat `v` to a
+        fresh flat H v and runs only the R-forward and R-backward passes,
+        in the pass's folded form: the direction's `h @ v_W + v_b` is one
+        matmul, `[h, 1] @ [v_W; v_b]`, and H v's W and b rows are one
+        matmul too; the 1/n of the mean is folded into the softmax once.
+        An apply writes every intermediate into a buffer bound here, with
+        `out=`, and allocates only the copy of the output buffer it
+        returns: `v` is copied into a direction buffer whose blocks, like
+        those of the output buffer, are laid out by `_plan` here, so an
+        apply builds no views either.  The buffers are the operator's own,
+        so a forward through the model leaves them be.  The operator is
+        valid while the weights do not move.  Relu kinks contribute no
+        curvature.  Its products are bitwise those of the R-operator
+        recursion tests/test_model.py writes out in the same folded form.
         """
         bound = self._pass(self.theta, task_id)
         rows, z = bound.forward(features)
@@ -315,34 +322,51 @@ class MultiHeadClassifier:
         # loss adjoint of acts[k]) the activation's second-derivative factor.
         acts, aug = rows.acts, [a.copy() for a in rows.aug]  # the operator outlives `rows`
         aug_t = [a.T for a in aug]
-        slope = [None] + [bound.slope(h) for h in acts[1:]]
+        slope = [None] + [np.asarray(bound.slope(h), dtype=np.float64) for h in acts[1:]]
         adjoint, d_h = bound.adjoints(
             rows, bound.output_adjoint(p.copy(), labels, 1.0 / n, rows.eye_n))
+        tanh = bound.tanh
         curvature = ([None] + [2.0 * d * h for d, h in zip(d_h[1:], acts[1:])]
-                     if bound.tanh else None)
+                     if tanh else None)
         p_n = p * (1.0 / n)
         weights, weights_t = [wb[..., :-1, :] for wb in bound.wb], bound.w_t
         # every block of the head is overwritten by each apply; the others stay 0
         out, direction = np.zeros(self.theta.size), np.zeros(self.theta.size)
         out_wb, v_wb = self._plan(out, task_id), self._plan(direction, task_id)
         out_w, v_w_t = [wb[..., :-1, :] for wb in out_wb], [wb[..., :-1, :].T for wb in v_wb]
+        # per layer k of c outputs over h inputs: R{out} and R{delta}, (n, c);
+        # second[k], (n, c), the direction's product in the forward and, in
+        # the backward of layer k + 1, its product and the curvature term;
+        # and for k >= 1 R{input}, (n, h), and the W-term of H v, (h, c)
+        r_out, r_delta, second = ([np.empty((n, wb.shape[1])) for wb in v_wb]
+                                  for _ in range(3))
+        r_in = [None] + [np.empty(h.shape) for h in acts[1:]]
+        w_term = [None] + [np.empty(w.shape) for w in out_w[1:]]
+        p_r, p_r_sum = np.empty(p.shape), np.empty((n, 1))  # p * R{z} and its row sum
+        dot, add, subtract, multiply = np.dot, np.add, np.subtract, np.multiply
 
         def hvp(v: np.ndarray) -> np.ndarray:
             np.copyto(direction, v)
-            r_acts = [None]  # R{input} of each layer; R{x} = 0
-            r_out = np.dot(aug[0], v_wb[0])
+            dot(aug[0], v_wb[0], out=r_out[0])
             for k in range(1, len(v_wb)):
-                r_acts.append(r_out * slope[k])
-                r_out = np.dot(r_acts[k], weights[k]) + np.dot(aug[k], v_wb[k])
-            # np.add.reduce is the reduction `.sum` and `np.sum` call
-            r_delta = p_n * (r_out - np.add.reduce(p * r_out, axis=1, keepdims=True))
+                multiply(r_out[k - 1], slope[k], out=r_in[k])
+                dot(r_in[k], weights[k], out=r_out[k])
+                add(r_out[k], dot(aug[k], v_wb[k], out=second[k]), out=r_out[k])
+            # np.add.reduce is the reduction `.sum` and `np.sum` call; the sum
+            # is copied over its row, as a ufunc's broadcast takes a buffer
+            np.add.reduce(multiply(p, r_out[-1], out=p_r), axis=1, keepdims=True, out=p_r_sum)
+            np.copyto(p_r, p_r_sum)
+            multiply(p_n, subtract(r_out[-1], p_r, out=r_delta[-1]), out=r_delta[-1])
             for k in range(len(v_wb) - 1, 0, -1):
-                np.dot(aug_t[k], r_delta, out=out_wb[k])
-                out_w[k] += np.dot(r_acts[k].T, adjoint[k])
-                r_delta = (np.dot(r_delta, weights_t[k]) + np.dot(adjoint[k], v_w_t[k])) * slope[k]
-                if bound.tanh:
-                    r_delta -= curvature[k] * r_acts[k]
-            np.dot(aug_t[0], r_delta, out=out_wb[0])
+                dot(aug_t[k], r_delta[k], out=out_wb[k])
+                add(out_w[k], dot(r_in[k].T, adjoint[k], out=w_term[k]), out=out_w[k])
+                below, scratch = r_delta[k - 1], second[k - 1]
+                dot(r_delta[k], weights_t[k], out=below)
+                add(below, dot(adjoint[k], v_w_t[k], out=scratch), out=below)
+                multiply(below, slope[k], out=below)
+                if tanh:
+                    subtract(below, multiply(curvature[k], r_in[k], out=scratch), out=below)
+            dot(aug_t[0], r_delta[0], out=out_wb[0])
             return out.copy()
 
         return hvp
@@ -363,6 +387,25 @@ class MultiHeadClassifier:
         return MultiHeadClassifier.from_weights(self.theta, self.init_seed, self.input_dim,
                                                 self.hidden_dims, self.head_classes,
                                                 self.activation)
+
+
+def _row_max(z):
+    """The class max of a flat pass's logits, (n, 1): the reduction `.max`
+    calls, which over 8 rows costs less than a call per class column."""
+    return np.maximum.reduce(z, axis=-1, keepdims=True)
+
+
+def _column_max(z):
+    """The class max of a stack's logits, (k, n, 1): c - 1 elementwise
+    maxima over the class columns, each over all k * n rows at once, where
+    a reduction loops over the rows of a short axis.  A max is exact, so it
+    can differ from the reduction's only in the sign of a zero max, which
+    no loss reads: z - max is then a zero, whose exp is 1 and which
+    log(s) - z leaves at log(s), or at +0 when log(s) is 0."""
+    top = z[..., :1].copy()
+    for j in range(1, z.shape[-1]):
+        np.maximum(top, z[..., j:j + 1], out=top)
+    return top
 
 
 class _Rows(NamedTuple):
@@ -404,12 +447,19 @@ class _Pass:
     product.  On 2-d float64 operands both call the same BLAS gemm and give
     the same bits; `np.dot` skips the ufunc dispatch.  It writes only into
     a C-contiguous `out=`, so the forward writes into the contiguous hidden
-    buffers and copies into the strided `fill` views.
+    buffers and copies into the strided `fill` views.  The softmax's class
+    max is bound the same way, `_class_max`: a reduction over a flat
+    pass's 8 rows, c - 1 elementwise maxima over the class columns of a
+    stack's k * n rows (`_column_max`).  A max is exact, so both give every
+    loss the same bits; the sum over the classes stays a reduction on
+    both, as a column chain would add in another order from 8 classes on.
     """
 
     def __init__(self, plan, activation, rows):
         self.wb = plan
-        self._dot = np.dot if plan[0].ndim == 2 else np.matmul
+        flat = plan[0].ndim == 2
+        self._dot = np.dot if flat else np.matmul
+        self._class_max = _row_max if flat else _column_max
         self.w_t = [wb[..., :-1, :].swapaxes(-1, -2) for wb in plan]
         self.tanh = activation == "tanh"
         self._rows = rows
@@ -445,13 +495,12 @@ class _Pass:
             fill[k][...] = h
         return rows, dot(aug[-1], wb[-1])
 
-    @staticmethod
-    def exp_sum(z):
+    def exp_sum(self, z):
         """(e, s) from logits `z`: e = exp(z - max) and s its sum over the
         last axis, kept as a (..., 1) column, so the softmax is e / s.  `z`
-        becomes z - max in place; the reductions are the ones `.max` and
-        `.sum` call.  The loss reads `z` and `s` alone."""
-        z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+        becomes z - max in place.  The max is `_class_max`'s and the sum
+        the reduction `.sum` calls.  The loss reads `z` and `s` alone."""
+        z -= self._class_max(z)
         e = np.exp(z)
         return e, np.add.reduce(e, axis=-1, keepdims=True)
 

@@ -36,7 +36,9 @@ class ParameterSet:
     """Ordered mapping from parameter name to a view into one float64 vector.
 
     `ParameterSet(items)` copies a dict or (name, array) pairs into a new
-    buffer.  `unflatten` lays the same names and shapes over another vector.
+    buffer; `ParameterSet.zeros(names, shapes)` lays names out over one new
+    zero buffer.  `unflatten` lays the same names and shapes over another
+    vector.
     """
 
     def __init__(self, items=None, *, layout: _Layout | None = None,
@@ -49,6 +51,12 @@ class ParameterSet:
                     else np.zeros(0))
         self._layout = layout
         self.flat = flat
+
+    @classmethod
+    def zeros(cls, names, shapes) -> "ParameterSet":
+        """Zeros laid out as `names` with `shapes`, in one new buffer."""
+        layout = _Layout(names, shapes)
+        return cls(layout=layout, flat=np.zeros(layout.offsets[-1]))
 
     def __getitem__(self, name):
         lay = self._layout

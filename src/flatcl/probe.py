@@ -13,8 +13,13 @@ takes the gradient once, for both sharpness estimates.
 
 Lanczos binds the Hessian once per run.  The bound operator works on each
 layer's folded `[W; b]` block and copies each direction into one bound
-buffer, so an apply builds no views; each step then orthogonalizes the
-product against the whole basis by classical Gram-Schmidt applied twice.
+buffer, so an apply builds no views; it writes every intermediate into
+buffers bound with it and allocates only the product it returns.  Each
+step then orthogonalizes the product against the whole basis by classical
+Gram-Schmidt applied twice, writing its projections into two vectors made
+once per run.  The stacked pass of the ball-sharpness losses takes its
+class max column by column, elementwise, and its sum as a reduction (see
+`model._Pass`).
 """
 
 from __future__ import annotations
@@ -205,7 +210,9 @@ def lanczos_lambda_max(obj: Objective, iters: int = 30, seed: int = 0) -> Lanczo
     products and go through `np.dot`, which calls the BLAS routine
     `np.matmul` calls and gives its bits without the ufunc dispatch;
     `np.matmul` is the entry point for stacks, on which `np.dot` means
-    another product."""
+    another product.  They write, with `out=`, into two vectors made once
+    per run, the coefficients `h` and the product `h @ Q`, so a step
+    allocates only the product H q_j the operator returns."""
     if iters < 1:
         raise ValueError("iters must be >= 1")
     op = obj.bind_hvp()  # the weights do not move during the run
@@ -213,16 +220,19 @@ def lanczos_lambda_max(obj: Objective, iters: int = 30, seed: int = 0) -> Lanczo
     q = rng.normal(size=obj.params.total_size())
     basis = np.zeros((iters, q.size))
     basis[0] = q / np.sqrt(q @ q)
+    # the coefficients h of each projection and its product h @ Q
+    h, projection = np.empty(iters), np.empty(q.size)
     alphas, betas = [], []
     breakdown = False
     for j in range(iters):
         w = hvp(op, basis[j])
-        done = basis[:j + 1]
-        h = np.dot(done, w)
-        w -= np.dot(h, done)
-        h2 = np.dot(done, w)
-        w -= np.dot(h2, done)
-        alphas.append(float(h[j] + h2[j]))
+        done, h_j = basis[:j + 1], h[:j + 1]
+        np.dot(done, w, out=h_j)
+        w -= np.dot(h_j, done, out=projection)
+        alpha = h_j[j]
+        np.dot(done, w, out=h_j)
+        w -= np.dot(h_j, done, out=projection)
+        alphas.append(float(alpha + h_j[j]))
         beta = math.sqrt(w @ w)
         if j + 1 == iters:
             break

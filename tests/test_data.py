@@ -112,6 +112,16 @@ def test_make_order_invalid_permutation():
         make_order(stream, [True])
 
 
+def test_make_order_refuses_a_numpy_integer_index():
+    """The indices follow the rule table's integer predicate: a numpy
+    integer is refused, as a bool is, naming the whole permutation."""
+    stream = gen_rotated_gaussians(15, 3, 3, 4, 20, 2.0, 0.8)
+    with pytest.raises(ValueError) as info:
+        make_order(stream, [np.int64(1)])
+    assert str(info.value) == ("permutation must be a nonempty list of distinct task "
+                               "indices in [0, 3), got [np.int64(1)]")
+
+
 def test_task_dataset_label_range_checked():
     with pytest.raises(ValueError, match="labels"):
         TaskDataset("t", 0, np.ones((2, 2)), np.array([0, 3]), 2)

@@ -86,6 +86,16 @@ def test_intransigence_reference_bool_rejected(reference):
         intransigence(MATRIX, reference)
 
 
+@pytest.mark.parametrize("item", ["0.85", np.float32(0.85), np.int64(1)])
+def test_intransigence_reference_item_must_be_a_number(item):
+    """The reference follows the rule table's number predicate: a string
+    or a numpy scalar other than float64, which `np.asarray` would read as
+    a number, is refused by index, as a bool is."""
+    with pytest.raises(ValueError) as info:
+        intransigence(MATRIX, [0.95, item, 0.95])
+    assert str(info.value) == f"reference accuracy [1] is {item!r}, not a number"
+
+
 def test_incomplete_matrix_rejected():
     bad = MATRIX.copy()
     bad[2, 0] = np.nan

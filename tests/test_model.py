@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from flatcl.autodiff import finite_diff_gradient
+from flatcl.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from flatcl.model import Batch, MultiHeadClassifier, _Pass
 from flatcl.probe import hvp, model_objective
 
@@ -30,6 +33,15 @@ def test_parameter_count():
 def test_zero_class_count_rejected():
     with pytest.raises(ValueError):
         MultiHeadClassifier(0, 2, [4], [0])
+
+
+@pytest.mark.parametrize("dims", [(np.int64(4), [3]), (4, [np.int64(3)])])
+def test_numpy_integer_width_rejected(dims):
+    """The widths follow the rule table's integer predicate: a numpy
+    integer is refused, as a bool or a float is."""
+    with pytest.raises(ValueError, match=r"^input and hidden dims must be integers >= 1, "
+                                         r"got \[(np\.int64\(4\)|4), (np\.int64\(3\)|3)\]$"):
+        MultiHeadClassifier(0, dims[0], dims[1], [2])
 
 
 def test_linear_model_allowed():
@@ -240,6 +252,29 @@ def test_bound_hvp_operator_equals_loss_hvp_bitwise(activation, hidden, n_rows):
         assert again.tobytes() == products[0].tobytes()
 
 
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("hidden", [(), (5,), (16, 8)])
+def test_bound_hvp_apply_allocates_only_its_result(activation, hidden):
+    """An apply writes every intermediate into buffers bound with the
+    operator: over one apply to 512 rows, traced memory peaks less than one
+    (rows, widest layer) float64 array above where it started, room for
+    the product it returns and for no row-sized intermediate."""
+    m = random_mlp(103, hidden=hidden, classes=(3,), activation=activation)
+    batch = random_batch(104, m, n=512)
+    op = m._hvp_operator(*m._check_rows(batch.features, batch.labels, 0), 0)
+    v = np.random.default_rng(105).normal(size=m.theta.size)
+    op(v)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        op(v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    widest = max(m.input_dim, *hidden, 3)
+    assert peak - start < 512 * widest * 8
+
+
 @pytest.mark.parametrize("n_rows", [1, 7, 60])
 @pytest.mark.parametrize("activation,hidden", [("tanh", ()), ("tanh", (5,)),
                                                ("tanh", (4, 3)), ("relu", ()),
@@ -263,6 +298,57 @@ def test_stacked_losses_equal_task_loss_bitwise(activation, hidden, n_rows):
         assert m._task_losses(x, y, task_id, thetas).tobytes() == np.array(want).tobytes()
         one = m._task_losses(x, y, task_id, m.theta[None])
         assert one.shape == (1,) and one[0] == m.task_loss(batch)
+
+
+@pytest.mark.parametrize("classes", range(1, 10))
+def test_stacked_losses_equal_task_loss_bitwise_on_tied_logits(classes):
+    """A stack takes its class max column by column, the flat pass by a
+    reduction; each loss of the stack still has the bits `task_loss` gives
+    its row when logits tie at the max, when whole rows of logits are
+    equal, and for 1 to 9 classes.  A NaN weight gives a NaN loss on both
+    paths."""
+    m = random_mlp(106, hidden=(), classes=(classes,))
+    batch = random_batch(107, m, n=9)
+    x, y = m._check_rows(batch.features, batch.labels, 0)
+    rng = np.random.default_rng(108)
+    thetas = np.repeat(m.theta[None], 6, axis=0)
+    heads = [m.parameters().unflatten(row) for row in thetas]  # views into the rows
+    heads[0]["head0.W"][...] = 0.0  # every logit 0
+    heads[1]["head0.W"][...] = 0.0  # ties within each row, the same for every row
+    heads[1]["head0.b"][...] = rng.choice([1.5, 1.5, -0.5], size=classes)
+    heads[2]["head0.W"][...] = heads[2]["head0.W"][:, :1]  # each row's logits equal
+    heads[3]["head0.W"][:, -1] = heads[3]["head0.W"][:, 0]  # the first and last tie
+    heads[4]["head0.b"][...] = np.where(np.arange(classes) % 2, -0.0, 0.0)
+    heads[5]["head0.b"][0] = np.nan
+    twin = m.clone()
+    want = []
+    for row in thetas:
+        np.copyto(twin.theta, row)
+        want.append(twin.task_loss(batch))
+    got = m._task_losses(x, y, 0, thetas)
+    assert got[:5].tobytes() == np.array(want[:5]).tobytes()
+    assert np.isnan(got[5]) and np.isnan(want[5])
+
+
+@pytest.mark.parametrize("classes", range(1, 10))
+def test_stacked_class_max_keeps_the_loss_bits_on_signed_zeros(classes):
+    """Logits of +0 and -0 tied at the max, whose sign the column max and
+    the reduction may take differently, give each stack entry's loss the
+    bits the flat pass gives it alone; a NaN logit gives NaN on both."""
+    m = random_mlp(109, hidden=(), classes=(classes,))
+    rng = np.random.default_rng(110 + classes)
+    z = rng.choice([0.0, -0.0, -1.0, -2.5], size=(12, 7, classes))
+    z[0, 0, 0] = np.nan
+    labels, index = rng.integers(0, classes, size=7), np.arange(7)
+    stack, flat = m._pass(np.zeros((12, m.theta.size)), 0), m._pass(m.theta, 0)
+    stacked = z.copy()
+    _, s = stack.exp_sum(stacked)
+    got = stack.loss(stacked, s, index, labels)
+    for entry, loss in zip(z, got):
+        alone = entry.copy()
+        _, s = flat.exp_sum(alone)
+        assert loss.tobytes() == flat.loss(alone, s, index, labels).tobytes()
+    assert np.isnan(got[0]) and not np.isnan(got[1:]).any()
 
 
 @pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
@@ -309,6 +395,29 @@ def test_one_layout_model_equals_head_by_head():
     x = np.random.default_rng(51).normal(size=(5, 4))
     for t in range(4):
         assert whole.logits(x, t).tobytes() == grown.logits(x, t).tobytes()
+
+
+@pytest.mark.parametrize("heads", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_loaded_model_has_the_constructed_layout(tmp_path, depth, heads):
+    """A checkpoint load, `from_weights` and a model grown head by head lay
+    out the names, shapes and offsets of the model built whole, and the
+    same layers per head."""
+    hidden, classes = [5, 4][:depth], [2, 3, 4, 1, 3][:heads]
+    built = MultiHeadClassifier(111, 6, hidden, classes)
+    save_checkpoint(tmp_path / "m.bin", Checkpoint(model=built))
+    grown = MultiHeadClassifier(111, 6, hidden, classes[:1])
+    for c in classes[1:]:
+        grown.add_task_head(c)
+    want = built.parameters()
+    for model in (load_checkpoint(tmp_path / "m.bin").model, grown,
+                  MultiHeadClassifier.from_weights(built.theta, 111, 6, hidden, classes)):
+        got = model.parameters()
+        assert got.names() == want.names()
+        assert [got[n].shape for n in got] == [want[n].shape for n in want]
+        assert [got.slice_of(n) for n in got] == [want.slice_of(n) for n in want]
+        assert model._layers == built._layers
+        assert model.theta.tobytes() == built.theta.tobytes()
 
 
 def test_clone_is_an_equal_independent_model():

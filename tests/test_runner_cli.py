@@ -1151,7 +1151,8 @@ def test_cli_probe_refuses_negative_rho(tmp_path, capsys):
     capsys.readouterr()
     assert main(["probe", "--checkpoint", ckpt, "--config", cfg_path,
                  "--rho", "-0.05", "--lanczos-iters", "5"]) == 1
-    assert capsys.readouterr().err == "error: ValueError: rho must be >= 0\n"
+    assert capsys.readouterr().err == ("error: ValueError: --rho must be a finite number >= 0, "
+                                       "got -0.05\n")
 
 
 def test_cli_probe_refuses_infinite_rho(tmp_path, capsys):
@@ -1159,7 +1160,18 @@ def test_cli_probe_refuses_infinite_rho(tmp_path, capsys):
     capsys.readouterr()
     assert main(["probe", "--checkpoint", ckpt, "--config", cfg_path,
                  "--rho", "inf", "--lanczos-iters", "5"]) == 1
-    assert capsys.readouterr().err == "error: ValueError: rho must be finite\n"
+    assert capsys.readouterr().err == ("error: ValueError: --rho must be a finite number >= 0, "
+                                       "got inf\n")
+
+
+@pytest.mark.parametrize("rho", ["-1", "nan"])
+def test_cli_probe_checks_rho_before_reading_a_file(tmp_path, capsys, rho):
+    """`probe --rho` is checked by the rule `run --rho` uses, under the flag's
+    name, before the config or the checkpoint is opened."""
+    missing = str(tmp_path / "missing")
+    assert main(["probe", "--checkpoint", missing, "--config", missing, "--rho", rho]) == 1
+    assert capsys.readouterr().err == ("error: ValueError: --rho must be a finite number >= 0, "
+                                       f"got {float(rho)!r}\n")
 
 
 # Each subcommand in turn, in one fresh interpreter; the script prints

@@ -3,6 +3,9 @@
 import importlib.util
 import json
 import pathlib
+import subprocess
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 RUNS = [{"kind": "run", "config": "rot5", "variant": "seq", "seeds": [1]},
@@ -68,3 +71,58 @@ def test_check_tallies_differing_parts_and_their_largest_change(tmp_path, monkey
     assert out[0].startswith(f"{name}: differs at key sharpness_trace[1].lambda_max")
     assert out[1].startswith("1 of 16 files differ")
     assert out[2:] == [f"  {line}" for line in tool.tally(first, second)]
+
+
+def _in_git_checkout():
+    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
+                          capture_output=True).returncode == 0
+
+
+@pytest.mark.skipif(not _in_git_checkout(), reason="--against exports a commit of the checkout")
+def test_against_runs_the_reference_from_the_commit_and_checks_pythonpath(
+        tmp_path, monkeypatch, capsys):
+    """`--against HEAD` runs the reference from HEAD's export and the
+    checked side from PYTHONPATH: HEAD's own export reads 0 files
+    differing, recorded at HEAD's commit, and a copy of it whose weight
+    init differs has every file named."""
+    tool = _tool()
+    monkeypatch.setattr(tool, "FIXED_SET", RUNS)
+    tree = tmp_path / "tree"
+    tool.export_commit("HEAD", str(tree))
+    monkeypatch.setenv("PYTHONPATH", str(tree / "src"))
+    head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short=12", "HEAD"],
+                          capture_output=True, text=True, check=True).stdout.strip()
+    assert tool.main(["--against", "HEAD"]) == 0
+    assert capsys.readouterr().out.startswith(
+        f"0 of 16 files differ (recorded at commit {head}, checked at ")
+
+    model = tree / "src" / "flatcl" / "model.py"
+    text = model.read_text()
+    assert text.count("np.sqrt(6.0 /") == 1
+    model.write_text(text.replace("np.sqrt(6.0 /", "np.sqrt(6.5 /"))
+    assert tool.main(["--against", "HEAD"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("runs/perm5/seq/aggregate.csv: differs at ")
+    assert out[16].startswith(f"16 of 16 files differ (recorded at commit {head}, ")
+
+
+@pytest.mark.skipif(not _in_git_checkout(), reason="--against exports a commit of the checkout")
+def test_against_refuses_another_numpy_and_an_unknown_rev(monkeypatch, capsys):
+    """As `--check` does, `--against` refuses to compare runs made under
+    another numpy version; a name that is no commit is refused too."""
+    tool = _tool()
+    monkeypatch.setattr(tool, "FIXED_SET", RUNS)
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    produce = tool.produce
+
+    def reference_under_numpy_0(runs, out_dir, src=None):
+        info = produce(runs, out_dir, src)
+        return {**info, "numpy": "0.0"} if src is not None else info
+
+    monkeypatch.setattr(tool, "produce", reference_under_numpy_0)
+    assert tool.main(["--against", "HEAD"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the run of HEAD was written under numpy 0.0, this run used ")
+    assert err.endswith("; refusing to compare\n")
+    assert tool.main(["--against", "no-such-rev"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot export no-such-rev: ")

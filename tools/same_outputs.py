@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python3 tools/same_outputs.py --write manifest.json
     PYTHONPATH=src python3 tools/same_outputs.py --check manifest.json
+    PYTHONPATH=src python3 tools/same_outputs.py --against REV
 
-Both run a fixed set of flatcl runs in a fresh interpreter that imports
+Each runs a fixed set of flatcl runs in a fresh interpreter that imports
 flatcl from PYTHONPATH, into a temporary directory:
 
 - rot5 and perm5, each of the eight variants, seeds 1-3 (`flatcl run`'s
@@ -19,13 +20,17 @@ order: a checkpoint's manifest keys and data blocks, a CSV file's cells, a
 JSON file's keys (nested keys as paths).  It also records the Python and
 numpy versions the runs used and the commit of the tree flatcl came from.
 `--check` reruns the set and names each file that differs, is missing or is
-new, with the first part that differs.  After those lines it tallies every
-differing part across the files by label, with list indices shown as
-`[*]`, and gives the largest relative change of a label whose old and new
-records both read as finite numbers.  It refuses to compare runs made
+new, with the first part that differs.  `--against REV` takes its
+reference from commit REV instead of a manifest: it exports REV's tree with
+`git archive`, as tools/bench_pairs.py does, runs the set with flatcl
+imported from that export's `src/`, then checks the tree on PYTHONPATH
+against it, all in one command (run it from a checkout).  After those lines
+the check tallies every differing part across the files by label, with
+list indices shown as `[*]`, and gives the largest relative change of a
+label whose old and new records both read as finite numbers.  It refuses to compare runs made
 under another Python or numpy version, whose bits may differ for reasons no
 commit controls.  Exit status: 0 when every file is the same, 1 when one
-differs, 2 when the comparison is refused.
+differs, 2 when the comparison is refused or REV cannot be exported.
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ import re
 import subprocess
 import sys
 import tempfile
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))  # tools/, for bench_pairs
+from bench_pairs import ROOT, export_commit
 
 CONFIGS = ("rot5", "perm5")
 VARIANTS = ("seq", "replay", "cf", "cf_minus_clamp", "cf_minus_find", "cf_minus_l2",
@@ -107,13 +115,15 @@ print(json.dumps({"python": platform.python_version(), "numpy": np.__version__,
 '''
 
 
-def produce(runs, out_dir) -> dict:
-    """Run `runs` in a fresh interpreter that imports flatcl from
-    PYTHONPATH, writing under `out_dir`; returns the Python and numpy
-    versions it ran under and the commit of the tree flatcl came from."""
+def produce(runs, out_dir, src=None) -> dict:
+    """Run `runs` in a fresh interpreter that imports flatcl from `src`, or
+    from PYTHONPATH without it, writing under `out_dir`; returns the Python
+    and numpy versions it ran under and the commit of the tree flatcl came
+    from."""
+    env = None if src is None else {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", _CHILD],
                           input=json.dumps({"runs": runs, "out": out_dir}),
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         raise RuntimeError(f"the runs failed:\n{proc.stderr.strip()}")
     info = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -121,6 +131,12 @@ def produce(runs, out_dir) -> dict:
                           "--dirty", "--abbrev=12"], capture_output=True, text=True)
     info["commit"] = git.stdout.strip() if git.returncode == 0 else None
     return info
+
+
+def _resolve(rev: str) -> str:
+    """The 12-digit commit hash `rev` names in the checkout."""
+    return subprocess.run(["git", "rev-parse", "--short=12", f"{rev}^{{commit}}"], cwd=ROOT,
+                          capture_output=True, text=True, check=True).stdout.strip()
 
 
 def _short(text: str) -> str:
@@ -175,10 +191,11 @@ def file_parts(name: str, data: bytes) -> list:
     return [["bytes", "sha256:" + hashlib.sha256(data).hexdigest()]]
 
 
-def manifest(runs=FIXED_SET) -> dict:
-    """Run `runs` and record every output file."""
+def manifest(runs=FIXED_SET, src=None) -> dict:
+    """Run `runs`, importing flatcl as `produce` does, and record every
+    output file."""
     with tempfile.TemporaryDirectory(prefix="same_outputs.") as out:
-        info = produce(runs, out)
+        info = produce(runs, out, src)
         files = {}
         for root, _, names in os.walk(out):
             for n in names:
@@ -261,6 +278,8 @@ def main(argv=None) -> int:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--write", metavar="MANIFEST", help="run the set and record its outputs")
     mode.add_argument("--check", metavar="MANIFEST", help="rerun the set and compare")
+    mode.add_argument("--against", metavar="REV",
+                      help="run the set from commit REV's tree, then rerun it and compare")
     args = p.parse_args(argv)
     if args.write:
         record = manifest()
@@ -270,12 +289,25 @@ def main(argv=None) -> int:
         print(f"{len(record['files'])} files recorded (python {record['python']}, "
               f"numpy {record['numpy']}, commit {record['commit']})")
         return 0
-    with open(args.check) as f:
-        expected = json.load(f)
+    if args.against:
+        reference = f"the run of {args.against}"
+        with tempfile.TemporaryDirectory(prefix="same_outputs.") as tree:
+            try:
+                export_commit(args.against, tree)
+            except subprocess.CalledProcessError as exc:
+                print(f"error: cannot export {args.against}: {exc.stderr.decode().strip()}",
+                      file=sys.stderr)
+                return 2
+            expected = manifest(FIXED_SET, os.path.join(tree, "src"))
+        expected["commit"] = _resolve(args.against)
+    else:
+        reference = args.check
+        with open(args.check) as f:
+            expected = json.load(f)
     actual = manifest(expected["runs"])
     for key in ("python", "numpy"):
         if actual[key] != expected[key]:
-            print(f"error: {args.check} was written under {key} {expected[key]}, this run "
+            print(f"error: {reference} was written under {key} {expected[key]}, this run "
                   f"used {actual[key]}; refusing to compare", file=sys.stderr)
             return 2
     lines = compare(expected, actual)
