@@ -3,9 +3,11 @@
 Layout: the magic bytes, the manifest length (8 bytes, little-endian), the
 manifest (sorted-key JSON) and the data blocks.  The manifest's `sha256` is
 the SHA-256 of the manifest serialized without that field, followed by the
-data blocks, so any truncated or corrupted file is refused.  A save writes a
+data blocks, so any truncated or corrupted file is refused.  A save builds
+the file's bytes first and hands them to `write_atomic`, which writes a
 temporary file next to the target and renames it over the target, so a
-crash never leaves a partial checkpoint under the final name.
+crash never leaves a partial checkpoint under the final name.  Every other
+file flatcl writes goes through `write_atomic` too.
 
 Round-trips are bitwise exact.  Besides model weights, a checkpoint can
 carry the run seed and variant (absent from files written before each was
@@ -100,27 +102,21 @@ def save_checkpoint(path, ckpt: Checkpoint):
     payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in blocks)
     manifest["sha256"] = _digest(manifest, payload)
     mbytes = json.dumps(manifest, sort_keys=True).encode()
-
-    def write(f):
-        f.write(_MAGIC)
-        f.write(len(mbytes).to_bytes(8, "little"))
-        f.write(mbytes)
-        f.write(payload)
-
-    write_atomic(path, "wb", write)
+    write_atomic(path, _MAGIC + len(mbytes).to_bytes(8, "little") + mbytes + payload)
 
 
-def write_atomic(path, mode, write):
-    """Call `write(f)` on a new temporary file next to `path`, opened in
-    `mode` ("w" or "wb"), and rename it over `path`: a write that raises
-    leaves neither a partial file under the final name nor the temporary
-    file.  The temporary file is created by `open`, exclusively, so it gets
-    the mode a plain `open(path, "w")` would under the process umask."""
+def write_atomic(path, data: bytes):
+    """Write `data`, a file's finished bytes, to a new temporary file next
+    to `path` and rename it over `path`.  Every file flatcl writes goes
+    through here, so a write that raises leaves neither a partial file under
+    the final name nor the temporary file.  The temporary file is created by
+    `open(tmp, "xb")`, so it gets the mode a plain `open(path, "w")` would
+    under the process umask."""
     tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
-    f = open(tmp, mode.replace("w", "x"))
+    f = open(tmp, "xb")
     try:
         with f:
-            write(f)
+            f.write(data)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

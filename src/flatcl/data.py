@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import write_atomic
 from .optim import _integer, check
 
 
@@ -168,9 +169,10 @@ def make_order(stream: TaskStream, permutation, name="permutation") -> TaskStrea
 
 
 def save_delimited(path, features, labels):
-    """Write `features, label` rows in full-precision decimal; reading them
-    back with `np.loadtxt(path, delimiter=",")` is bitwise exact."""
-    with open(path, "w") as f:
-        f.write("# columns: features..., label\n")
-        for row, y in zip(np.asarray(features, dtype=np.float64), labels):
-            f.write(",".join(repr(float(v)) for v in row) + f",{int(y)}\n")
+    """Write `features, label` rows in full-precision decimal, through
+    `write_atomic`; reading them back with `np.loadtxt(path, delimiter=",")`
+    is bitwise exact."""
+    lines = ["# columns: features..., label\n"]
+    for row, y in zip(np.asarray(features, dtype=np.float64), labels):
+        lines.append(",".join(repr(float(v)) for v in row) + f",{int(y)}\n")
+    write_atomic(path, "".join(lines).encode())

@@ -65,7 +65,7 @@ class ImportanceMap:
         object.__setattr__(self, "values", values)
 
 
-@dataclass
+@dataclass(frozen=True)  # one instance per variant, shared by its configs and its alias
 class VariantFlags:
     create: bool = False
     find: bool = False

@@ -162,12 +162,11 @@ def _fresh_dir(path):
 
 def write_matrix_csv(path, matrix):
     t = matrix.shape[0]
-    with open(path, "w") as f:
-        f.write(",".join(f"task{j}" for j in range(t)) + "\n")
-        for l in range(t):
-            cells = ["" if np.isnan(matrix[l, j]) else repr(float(matrix[l, j]))
-                     for j in range(t)]
-            f.write(",".join(cells) + "\n")
+    lines = [",".join(f"task{j}" for j in range(t))]
+    for l in range(t):
+        lines.append(",".join("" if np.isnan(matrix[l, j]) else repr(float(matrix[l, j]))
+                              for j in range(t)))
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_matrix_csv(path):
@@ -206,9 +205,10 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
                     resume_from: str | None = None) -> dict:
     """One (variant, seed) run into a fresh directory: per-task checkpoints
     and matrix.csv (for mtl, ckpt_final.bin alone), then metrics.json, the
-    last file written, through a temporary file renamed into place.  Returns
-    the metrics dict; the first floating-point overflow or invalid operation
-    after the directory is made raises FloatingPointError."""
+    last file written, each through `write_atomic`'s temporary file renamed
+    into place.  Returns the metrics dict; the first floating-point overflow
+    or invalid operation after the directory is made raises
+    FloatingPointError."""
     check_config_keys(cfg)
     if variant == "mtl" and resume_from is not None:
         raise ValueError("mtl trains all tasks jointly and cannot resume from a checkpoint")
@@ -264,24 +264,23 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
             result_metrics.update({"variant": variant, "seed": seed,
                                    "config_hash": chash,
                                    "sharpness_trace": probe_values})
-        write_atomic(os.path.join(out_dir, "metrics.json"), "w",
-                     lambda f: json.dump(result_metrics, f, indent=2))
+        write_atomic(os.path.join(out_dir, "metrics.json"),
+                     json.dumps(result_metrics, indent=2).encode())
     return result_metrics
 
 
 def aggregate(rows: list[dict], path):
     """Mean +/- sample std (n-1 denominator) over seeds for scalar metrics."""
-    keys = ["avg_accuracy_after_last", "forgetting"]
-    with open(path, "w") as f:
-        f.write("metric,mean,std,n\n")
-        for key in keys:
-            vals = [r[key] for r in rows if r.get(key) is not None]
-            if not vals:
-                f.write(f"{key},,,0\n")
-                continue
-            mean = float(np.mean(vals))
-            std = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-            f.write(f"{key},{mean!r},{std!r},{len(vals)}\n")
+    lines = ["metric,mean,std,n"]
+    for key in ["avg_accuracy_after_last", "forgetting"]:
+        vals = [r[key] for r in rows if r.get(key) is not None]
+        if not vals:
+            lines.append(f"{key},,,0")
+            continue
+        mean = float(np.mean(vals))
+        std = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
+        lines.append(f"{key},{mean!r},{std!r},{len(vals)}")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def run_experiment(cfg: dict, variant: str, out_root: str, seeds=None) -> list[dict]:
@@ -326,6 +325,6 @@ def run_experiment(cfg: dict, variant: str, out_root: str, seeds=None) -> list[d
     os.makedirs(agg_dir, exist_ok=True)
     aggregate(rows, os.path.join(agg_dir, "aggregate.csv"))
     if failures:
-        with open(os.path.join(agg_dir, "failures.json"), "w") as f:
-            json.dump(failures, f, indent=2)
+        write_atomic(os.path.join(agg_dir, "failures.json"),
+                     json.dumps(failures, indent=2).encode())
     return rows

@@ -521,6 +521,17 @@ def test_ablation_aliases_share_flags():
     assert VARIANT_FLAGS["create_only"] is VARIANT_FLAGS["cf_minus_l2"]
 
 
+def test_built_config_flags_cannot_be_written():
+    """A built config holds the table's own flags, which an alias shares:
+    a write to them raises and leaves the table, and every later run of
+    the variants that share them, as it was."""
+    before = {name: dataclasses.asdict(flags) for name, flags in VARIANT_FLAGS.items()}
+    flags = build_optimizer_config(small_cfg(), "cf_minus_find").variant
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        flags.replay = False
+    assert {name: dataclasses.asdict(flags) for name, flags in VARIANT_FLAGS.items()} == before
+
+
 def test_unknown_variant_rejected(tmp_path):
     with pytest.raises(ValueError, match="variant"):
         run_single_seed(small_cfg(), "nope", 1, str(tmp_path / "x"))
@@ -764,25 +775,50 @@ def test_cli_refuses_with_one_line_before_writing(tmp_path, capsys, argv, error)
     assert not (tmp_path / "out").exists()
 
 
-def test_run_files_get_the_mode_open_gives_under_the_umask(tmp_path):
-    """Checkpoints and metrics.json, written through a temporary file and
-    renamed, get the mode matrix.csv gets from a plain `open`."""
+def failing_training(*args, **kwargs):  # fails inside each per-seed run
+    raise ValueError("training failed on purpose")
+
+
+def test_run_files_get_the_mode_open_gives_under_the_umask(tmp_path, monkeypatch):
+    """Every file a run or gen-data writes goes through a temporary file
+    renamed into place and gets the mode a plain `open` gives under the
+    umask: checkpoints, matrix.csv, metrics.json, aggregate.csv,
+    failures.json and the delimited files; no temporary file is left."""
+    cfg_path = write_cfg(tmp_path)
     old = os.umask(0o022)
     try:
         run_single_seed(small_cfg(), "seq", 1, str(tmp_path / "r"))
+        assert main(["gen-data", "--config", cfg_path, "--seed", "1",
+                     "--out", str(tmp_path / "d")]) == 0
+        monkeypatch.setattr(runner, "train_continual", failing_training)
+        assert run_experiment(small_cfg(), "seq", str(tmp_path / "f")) == []
     finally:
         os.umask(old)
-    modes = {p.name: p.stat().st_mode & 0o777 for p in (tmp_path / "r").iterdir()}
-    assert {"ckpt_task0.bin", "ckpt_task1.bin", "metrics.json", "matrix.csv"} <= set(modes)
+    modes = {p.relative_to(tmp_path).as_posix(): p.stat().st_mode & 0o777
+             for d in ("r", "d", "f") for p in (tmp_path / d).rglob("*") if p.is_file()}
+    assert set(modes) == {"r/ckpt_task0.bin", "r/ckpt_task1.bin", "r/metrics.json",
+                          "r/matrix.csv", "d/rot0.csv", "d/rot1.csv",
+                          "f/tiny/seq/aggregate.csv", "f/tiny/seq/failures.json"}
     assert set(modes.values()) == {0o644}
+
+
+def test_matrix_csv_that_fails_midway_leaves_no_file(tmp_path):
+    """matrix.csv is built whole before anything is written: a row that
+    cannot be formatted leaves neither a partial file nor a temporary one."""
+    matrix = np.array([[0.5, np.nan], [object(), 0.3]], dtype=object)
+    with pytest.raises(TypeError):
+        write_matrix_csv(tmp_path / "matrix.csv", matrix)
+    assert os.listdir(tmp_path) == []
+
+
+def test_aggregate_that_fails_midway_leaves_no_file(tmp_path):
+    with pytest.raises(TypeError):
+        runner.aggregate([{"avg_accuracy_after_last": "high"}], tmp_path / "aggregate.csv")
+    assert os.listdir(tmp_path) == []
 
 
 def test_run_experiment_records_per_seed_failures(tmp_path, monkeypatch):
     cfg = small_cfg()
-
-    def failing_training(*args, **kwargs):  # fails inside each per-seed run
-        raise ValueError("training failed on purpose")
-
     monkeypatch.setattr(runner, "train_continual", failing_training)
     rows = run_experiment(cfg, "seq", str(tmp_path))
     assert rows == []

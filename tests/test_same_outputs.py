@@ -45,6 +45,15 @@ def test_manifest_checks_clean_and_names_an_edited_file(tmp_path, monkeypatch, c
     assert out[1].startswith("1 of 16 files differ")
 
 
+def test_manifest_records_gen_data_files_cell_by_cell(monkeypatch):
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    record = _tool().manifest([{"kind": "gen-data", "config": "perm5", "seed": 1}])
+    assert sorted(record["files"]) == [f"data/perm5-seed1/perm{t}.csv" for t in range(5)]
+    parts = record["files"]["data/perm5-seed1/perm0.csv"]["parts"]
+    assert parts[0] == ["line 1 cell 1", "# columns: features..."]
+    assert parts[-1][0].startswith("line ") and parts[-1][1].isdigit()  # the last label
+
+
 def test_check_tallies_differing_parts_and_their_largest_change(tmp_path, monkeypatch, capsys):
     """Two edited numeric records of one label are tallied under it, list
     indices shown as `[*]`, with the larger relative change; the exit

@@ -13,7 +13,11 @@ flatcl from PYTHONPATH, into a temporary directory:
   0.5`), variants cf, cf_minus_l2 and seq, seeds 1-2;
 - rot5 cf seed 1 resumed from its ckpt_task2.bin;
 - `flatcl probe` on rot5 cf seed 1's ckpt_task4.bin, with the run seed taken
-  from the checkpoint.
+  from the checkpoint;
+- `flatcl gen-data` on rot5 and perm5, seed 1.
+
+A failed seed's failures.json is not in the set: its traceback carries file
+paths and line numbers, which change with any edit.
 
 `--write` records each output file's SHA-256 and, per file, its parts in
 order: a checkpoint's manifest keys and data blocks, a CSV file's cells, a
@@ -61,6 +65,7 @@ FIXED_SET = (
        for c in CONFIGS for v in ("cf", "cf_minus_l2", "seq")]
     + [{"kind": "resume", "config": "rot5", "variant": "cf", "seed": 1, "task": 2},
        {"kind": "probe", "config": "rot5", "variant": "cf", "seed": 1, "task": 4}]
+    + [{"kind": "gen-data", "config": c, "seed": 1} for c in CONFIGS]
 )
 
 # Runs in the child interpreter: reads {"runs": [...], "out": dir} on stdin,
@@ -108,6 +113,13 @@ for spec in job["runs"]:
         os.makedirs(os.path.join(out, "probe"), exist_ok=True)
         with open(os.path.join(out, "probe", name), "w") as f:
             f.write(text.getvalue())
+    elif kind == "gen-data":
+        data_dir = os.path.join(out, "data", f"{spec['config']}-seed{spec['seed']}")
+        with contextlib.redirect_stdout(io.StringIO()):  # the paths it prints
+            code = cli.main(["gen-data", "--config", os.path.join(configs, spec["config"] + ".json"),
+                             "--seed", str(spec["seed"]), "--out", data_dir])
+        if code != 0:
+            sys.exit(f"flatcl gen-data exited {code}")
     else:
         sys.exit(f"unknown run kind {kind!r}")
 print(json.dumps({"python": platform.python_version(), "numpy": np.__version__,
