@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .optim import check
 from .params import ParameterSet
 
 
 def finite_diff_gradient(loss_fn, params: ParameterSet, h: float = 1e-5) -> ParameterSet:
     """Central-difference gradient oracle: (f(w+h e_i) - f(w-h e_i)) / 2h."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    check("positive", h, "h")
     work = params.copy()
     out = work.zeros_like()
     w = work.flat

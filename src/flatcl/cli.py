@@ -65,9 +65,8 @@ def _is_finite_number(text):
 def _cmd_probe(args):
     if args.seed is not None:
         check("seed", args.seed, "--seed")
-    # the library's refusal, `iters must be >= 1`, names no flag
-    if args.lanczos_iters < 1:
-        raise ValueError(f"--lanczos-iters must be >= 1, got {args.lanczos_iters}")
+    # the library's refusal of the same rule names its argument, `iters`, not the flag
+    check("count", args.lanczos_iters, "--lanczos-iters")
     if args.quadratic is not None:
         # the surrogate reads no checkpoint, config, task or radius
         for flag in ("checkpoint", "config", "task", "rho"):
@@ -83,7 +82,7 @@ def _cmd_probe(args):
         print(json.dumps({"lambda_max": res.lambda_max,
                           "log_lambda_max": res.log_lambda_max}))
         return 0
-    if args.rho is not None:  # the library's `check_rho` names no flag
+    if args.rho is not None:  # the library's refusal names `rho`, not the flag
         check("nonnegative", args.rho, "--rho")
     if args.checkpoint is None or args.config is None:
         raise ValueError("probe needs --checkpoint and --config (or --quadratic)")

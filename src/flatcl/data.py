@@ -171,8 +171,13 @@ def make_order(stream: TaskStream, permutation, name="permutation") -> TaskStrea
 def save_delimited(path, features, labels):
     """Write `features, label` rows in full-precision decimal, through
     `write_atomic`; reading them back with `np.loadtxt(path, delimiter=",")`
-    is bitwise exact."""
+    is bitwise exact.  Features that are not one row per label are refused
+    before anything is written."""
+    features, labels = np.asarray(features, dtype=np.float64), np.asarray(labels)
+    if features.ndim != 2 or labels.shape != features.shape[:1]:
+        raise ValueError(f"labels of shape {labels.shape} do not match features "
+                         f"of shape {features.shape}")
     lines = ["# columns: features..., label\n"]
-    for row, y in zip(np.asarray(features, dtype=np.float64), labels):
+    for row, y in zip(features, labels):
         lines.append(",".join(repr(float(v)) for v in row) + f",{int(y)}\n")
     write_atomic(path, "".join(lines).encode())

@@ -101,12 +101,14 @@ class MultiHeadClassifier:
         laid out for it."""
         if not isinstance(hidden_dims, (list, tuple)):
             raise ValueError(f"hidden_dims must be a list, got {hidden_dims!r}")
-        from .optim import _integer  # optim imports this module
+        from .optim import _integer, check  # optim imports this module
         dims = [input_dim, *hidden_dims]
         if any(not _integer(d) or d < 1 for d in dims):
             raise ValueError(f"input and hidden dims must be integers >= 1, got {dims}")
-        if len(per_task_classes) < 1 or any(c < 1 for c in per_task_classes):
+        if len(per_task_classes) < 1:
             raise ValueError("need at least one task head with >= 1 classes")
+        for class_count in per_task_classes:
+            check("count", class_count, "class_count")
         if activation not in ("tanh", "relu"):
             raise ValueError(f"unknown activation {activation!r}")
         self.init_seed = seed
@@ -131,10 +133,9 @@ class MultiHeadClassifier:
             [f"{name}.{p}" for name in layer_names for p in "Wb"],
             [block for shape in shapes for block in (shape, shape[1:])])
         self.theta = self._params.flat
-        layers, start = [], 0
-        for rows, cols in shapes:
-            layers.append((slice(start, start + (rows + 1) * cols), (rows + 1, cols)))
-            start += (rows + 1) * cols
+        at = self._params.slice_of
+        layers = [(slice(at(f"{name}.W").start, at(f"{name}.b").stop), (rows + 1, cols))
+                  for name, (rows, cols) in zip(layer_names, shapes)]
         depth = len(self.hidden_dims)
         self._layers = [layers[:depth] + [head] for head in layers[depth:]]
 
@@ -165,8 +166,8 @@ class MultiHeadClassifier:
 
     def add_task_head(self, class_count: int) -> int:
         """Append a freshly initialized head; returns its task id."""
-        if class_count < 1:
-            raise ValueError("class_count must be >= 1")
+        from .optim import check  # optim imports this module
+        check("count", class_count, "class_count")
         task_id = len(self.head_classes)
         self.head_classes.append(class_count)
         kept = self.theta

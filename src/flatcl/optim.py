@@ -44,7 +44,7 @@ class FlatRegion:
     moved: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        check_rho(self.rho)
+        check("nonnegative", self.rho, "rho")
         anchor = self.anchor.prefix(self.constrained_names)
         half = self.rho * np.abs(anchor)
         self.lo, self.hi = anchor - half, anchor + half
@@ -196,18 +196,9 @@ def _epsilon(w: np.ndarray, g: np.ndarray, rho: float, out=None) -> np.ndarray:
     return out
 
 
-def check_rho(rho: float):
-    """The one-line refusal of a negative, NaN or infinite radius that every
-    entry point taking rho shares."""
-    if not rho >= 0:
-        raise ValueError("rho must be >= 0")
-    if rho > sys.float_info.max:
-        raise ValueError("rho must be finite")
-
-
 def compute_perturbation(params: ParameterSet, grads: ParameterSet, rho: float) -> Perturbation:
     """Ascent direction rho * w^2 g / ||w g||_2, one global normalizer."""
-    check_rho(rho)
+    check("nonnegative", rho, "rho")
     params.require_aligned(grads, "compute_perturbation")
     return Perturbation(params.unflatten(_epsilon(params.flat, grads.flat, rho)))
 
@@ -221,7 +212,7 @@ def create_gradient(model: MultiHeadClassifier, batch: Batch, rho: float,
     The perturbed point is built in a scratch vector; the weights are
     read, never written.
     """
-    check_rho(rho)
+    check("nonnegative", rho, "rho")
     features, labels = model._check_rows(batch.features, batch.labels, batch.task_id)
     params = model.parameters()
     n = params.total_size() if perturb_names is None else params.prefix(perturb_names).size
@@ -271,8 +262,7 @@ def find_fisher(model: MultiHeadClassifier, features, labels, task_id: int,
                 n_samples: int, seed: int) -> ImportanceMap:
     """Diagonal empirical Fisher: mean squared per-sample log-prob gradient,
     from one batched pass over the sampled rows."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    check("count", n_samples, "n_samples")
     n = len(labels)
     if n < n_samples:
         warnings.warn(f"dataset has {n} samples < fisher_sample_count {n_samples}; "
@@ -348,8 +338,7 @@ def clamp_to_region(params: ParameterSet, region: FlatRegion) -> int:
 def build_sparse_mask(importance: ImportanceMap, ratio: float,
                       layers: list[slice]) -> np.ndarray:
     """Per layer (a slice), mark the `ratio` fraction with LOWEST importance updatable."""
-    if not (0 < ratio <= 1):
-        raise ValueError("ratio must be in (0, 1]")
+    check("fraction", ratio, "ratio")
     mask = np.zeros_like(importance.values)
     for layer in layers:
         values = importance.values[layer]

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import Batch, MultiHeadClassifier
-from .optim import all_finite, check_rho, compute_perturbation
+from .optim import all_finite, check, compute_perturbation
 from .params import ParameterSet
 
 
@@ -114,9 +114,8 @@ def _guarded_values(obj: Objective, thetas: np.ndarray) -> np.ndarray:
 def ball_sharpness(obj: Objective, rho: float, n_directions: int, seed: int) -> float:
     """Max of L(w+eps) - L(w) over random rho-sphere directions plus the
     non-adaptive gradient-ascent direction rho * g / ||g||."""
-    check_rho(rho)
-    if n_directions < 1:
-        raise ValueError("n_directions must be >= 1")
+    check("nonnegative", rho, "rho")
+    check("count", n_directions, "n_directions")
     rng = np.random.Generator(np.random.PCG64(seed))
     directions = np.vstack([obj.gradient().flat,
                             rng.normal(size=(n_directions, obj.params.total_size()))])
@@ -138,7 +137,7 @@ def ball_sharpness(obj: Objective, rho: float, n_directions: int, seed: int) -> 
 
 def first_order_sharpness(obj: Objective, rho: float) -> float:
     """First-order Taylor estimate of ball sharpness: rho * ||grad||_2."""
-    check_rho(rho)
+    check("nonnegative", rho, "rho")
     return rho * obj.gradient().norm()
 
 
@@ -148,7 +147,7 @@ def create_decomposition_check(obj: Objective, rho: float):
     The excess term is the sharpness contribution; the three values satisfy
     perturbed = excess + base exactly by construction.
     """
-    check_rho(rho)
+    check("nonnegative", rho, "rho")
     eps = compute_perturbation(obj.params, obj.gradient(), rho).epsilon_hat
     base, perturbed = map(float, _losses_around(obj, eps.flat[None], rho))
     return perturbed, perturbed - base, base
@@ -213,8 +212,7 @@ def lanczos_lambda_max(obj: Objective, iters: int = 30, seed: int = 0) -> Lanczo
     another product.  They write, with `out=`, into two vectors made once
     per run, the coefficients `h` and the product `h @ Q`, so a step
     allocates only the product H q_j the operator returns."""
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
+    check("count", iters, "iters")
     op = obj.bind_hvp()  # the weights do not move during the run
     rng = np.random.Generator(np.random.PCG64(seed))
     q = rng.normal(size=obj.params.total_size())

@@ -161,6 +161,9 @@ def _fresh_dir(path):
 
 
 def write_matrix_csv(path, matrix):
+    """Write the accuracy matrix, NaN cells empty, after `metrics`' one
+    check of a matrix, so no shape is truncated into the file."""
+    matrix = metrics_mod._check_matrix(matrix)
     t = matrix.shape[0]
     lines = [",".join(f"task{j}" for j in range(t))]
     for l in range(t):

@@ -157,7 +157,7 @@ def test_log_softmax_gradcheck(seed, dim, rows):
 
 
 @pytest.mark.parametrize("loss,h,kind,error", [
-    (lambda p: 0.0, 0.0, ValueError, "h must be positive"),
+    (lambda p: 0.0, 0.0, ValueError, "h must be a finite number > 0, got 0.0"),
     (lambda p: np.log(p.flat[0]), 1e-5, FloatingPointError,
      "non-finite loss while differencing coordinate 0"),
 ], ids=["zero-step", "non-finite-loss"])

@@ -188,6 +188,19 @@ def _rewrite_block(path, name, array):
     path.write_bytes(_MAGIC + len(mbytes).to_bytes(8, "little") + mbytes + payload)
 
 
+def _resign(path, edit):
+    """Apply `edit` to the manifest of the checkpoint at `path` and reseal
+    the file with a valid digest, as a writer that skipped the checks would."""
+    from flatcl.checkpoint import _digest
+    data = path.read_bytes()
+    mlen = int.from_bytes(data[8:16], "little")
+    manifest, payload = json.loads(data[16:16 + mlen]), data[16 + mlen:]
+    edit(manifest)
+    manifest["sha256"] = _digest(manifest, payload)
+    mbytes = json.dumps(manifest, sort_keys=True).encode()
+    path.write_bytes(data[:8] + len(mbytes).to_bytes(8, "little") + mbytes + payload)
+
+
 def test_load_rejects_misaligned_importance(tmp_path):
     """An intact file whose importance block is not laid out like the
     weights is refused with the same one-line error as a save, naming the
@@ -222,7 +235,6 @@ def test_load_rejects_replay_store_with_a_label_short(tmp_path):
     """The replay store's row, label and task-id counts are checked where a
     store comes from outside: a re-signed file whose labels list is one
     entry short is refused by name, not left for training to trip over."""
-    from flatcl.checkpoint import _digest
     model = random_mlp(44)
     store = ReplayBuffer()
     rng = np.random.default_rng(0)
@@ -230,13 +242,7 @@ def test_load_rejects_replay_store_with_a_label_short(tmp_path):
     path = tmp_path / "short.bin"
     save_checkpoint(path, Checkpoint(model=model, replay_buffer=store))
     assert load_checkpoint(path).replay_buffer.labels.tolist() == store.labels.tolist()
-    data = path.read_bytes()
-    mlen = int.from_bytes(data[8:16], "little")
-    manifest, payload = json.loads(data[16:16 + mlen]), data[16 + mlen:]
-    manifest["replay"]["labels"].pop()
-    manifest["sha256"] = _digest(manifest, payload)
-    mbytes = json.dumps(manifest, sort_keys=True).encode()
-    path.write_bytes(data[:8] + len(mbytes).to_bytes(8, "little") + mbytes + payload)
+    _resign(path, lambda m: m["replay"]["labels"].pop())
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*replay store holds "
                                          "5 feature rows, 4 labels and 5 task ids$"):
         load_checkpoint(path)
@@ -257,19 +263,24 @@ def test_load_refuses_resigned_manifest_that_misdescribes_its_data(tmp_path, edi
     checksum; one that lacks an entry or block, or describes a model or a
     block the data does not fit, is refused with a one-line ValueError
     that names the file."""
-    from flatcl.checkpoint import _digest
     path = tmp_path / "c.bin"
     save_checkpoint(path, Checkpoint(model=random_mlp(43)))
-    data = path.read_bytes()
-    mlen = int.from_bytes(data[8:16], "little")
-    manifest, payload = json.loads(data[16:16 + mlen]), data[16 + mlen:]
-    edit(manifest)
-    manifest["sha256"] = _digest(manifest, payload)
-    mbytes = json.dumps(manifest, sort_keys=True).encode()
-    path.write_bytes(data[:8] + len(mbytes).to_bytes(8, "little") + mbytes + payload)
+    _resign(path, edit)
     with pytest.raises(ValueError) as info:
         load_checkpoint(path)
     assert str(info.value).startswith(f"{path}: ") and "\n" not in str(info.value)
+
+
+def test_load_refuses_resigned_head_classes_through_the_rule_table(tmp_path):
+    """A class count the rule table refuses is refused with its text, not
+    left for the layout to fail on."""
+    path = tmp_path / "c.bin"
+    save_checkpoint(path, Checkpoint(model=random_mlp(43)))
+    _resign(path, lambda m: m["model"].update(head_classes=[2.5]))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == (f"{path}: manifest does not describe its data: "
+                               "class_count must be an integer >= 1, got 2.5")
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,20 @@ def test_delimited_round_trip_exact(tmp_path):
     back = np.loadtxt(path, delimiter=",", ndmin=2)
     assert back[:, :-1].tobytes() == feats.tobytes()  # bitwise
     assert np.array_equal(back[:, -1], labels)
+
+
+@pytest.mark.parametrize("features,labels,error", [
+    (np.zeros((3, 2)), [0], "labels of shape (1,) do not match features of shape (3, 2)"),
+    (np.zeros((1, 2)), [0, 1, 2], "labels of shape (3,) do not match features of shape (1, 2)"),
+    (np.zeros(2), [0, 1], "labels of shape (2,) do not match features of shape (2,)"),
+], ids=["short-labels", "long-labels", "flat-features"])
+def test_delimited_refuses_features_not_one_row_per_label(tmp_path, features, labels, error):
+    """A shape a row-by-row zip would truncate is refused on one line
+    before a byte is written."""
+    with pytest.raises(ValueError) as info:
+        save_delimited(tmp_path / "data.csv", features, labels)
+    assert str(info.value) == error
+    assert os.listdir(tmp_path) == []
 
 
 def test_task_stream_refuses_task_ids_out_of_order():

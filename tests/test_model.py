@@ -857,7 +857,7 @@ def test_output_adjoint_equals_one_hot_forms_bitwise(n, case):
 
 
 @pytest.mark.parametrize("call,error", [
-    (lambda m: m.add_task_head(0), "class_count must be >= 1"),
+    (lambda m: m.add_task_head(0), "class_count must be an integer >= 1, got 0"),
     (lambda m: m.loss_gradient(Batch(np.zeros((2, 4)), np.array([0, 1, 2]), 0)),
      "labels of shape (3,) do not match 2 feature rows"),
 ], ids=["no-classes", "labels-misfit"])

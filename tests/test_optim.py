@@ -17,7 +17,8 @@ from flatcl.optim import (FlatRegion, ImportanceMap, OptimizerConfig,
                           find_fisher, random_importance, soft_penalty,
                           train_continual, train_multitask, train_task)
 from flatcl.params import ParameterSet
-from flatcl.probe import hvp, model_objective, quadratic_objective
+from flatcl.probe import (ball_sharpness, create_decomposition_check, first_order_sharpness,
+                          hvp, lanczos_lambda_max, model_objective, quadratic_objective)
 from flatcl.replay import ReplayBuffer, replay_schedule
 
 from conftest import random_batch, random_mlp
@@ -589,9 +590,9 @@ def _create_gradient_at_huge_rho():
     (_create_gradient_at_huge_rho, FloatingPointError,
      "non-finite loss at perturbed point (task 0)"),
     (lambda: find_fisher(random_mlp(3), np.zeros((4, 4)), [0, 1, 2, 0], 0, 0, 1),
-     ValueError, "n_samples must be >= 1"),
+     ValueError, "n_samples must be an integer >= 1, got 0"),
     (lambda: build_sparse_mask(ImportanceMap(np.ones(3)), 0.0, [slice(0, 3)]), ValueError,
-     "ratio must be in (0, 1]"),
+     "ratio must be a number in (0, 1], got 0.0"),
 ], ids=["base-optimizer", "create-step-overflow", "no-fisher-samples", "zero-mask-ratio"])
 def test_optim_refuses_with_one_line(call, kind, error):
     """The create step at rho 1e308 moves the weights to where the loss is
@@ -614,6 +615,68 @@ def test_optimizer_config_refuses_bool(key):
     """bool is an int subclass, but a JSON true is not the number 1."""
     with pytest.raises(ValueError, match=f"^optimizer {key} must be .*, got True$"):
         OptimizerConfig(**{key: True})
+
+
+def _quad():
+    return quadratic_objective([[1.0]], [1.0])
+
+
+_NAN, _INF = float("nan"), float("inf")
+# Per rule a routed argument takes: its phrase, and the values it refuses
+# among True, 2.5, np.int64(2), 0, -1, NaN and inf.
+_RHO = ("a finite number >= 0", (True, np.int64(2), -1, _NAN, _INF))
+_COUNT = ("an integer >= 1", (True, 2.5, np.int64(2), 0, -1, _NAN, _INF))
+_FRACTION = ("a number in (0, 1]", (True, 2.5, np.int64(2), 0, -1, _NAN, _INF))
+_POSITIVE = ("a finite number > 0", (True, np.int64(2), 0, -1, _NAN, _INF))
+# Each library argument the rule table checks: the name it is refused
+# under, its rule, and a call passing a value as it, given a model and a
+# batch for it.
+LIBRARY_ARGUMENTS = {
+    "FlatRegion-rho": ("rho", _RHO, lambda m, b, v: FlatRegion(m.parameters().copy(), v,
+                                                              ["enc0.W"])),
+    "compute_perturbation-rho": ("rho", _RHO, lambda m, b, v: compute_perturbation(
+        m.parameters(), m.parameters().copy(), v)),
+    "create_gradient-rho": ("rho", _RHO, lambda m, b, v: create_gradient(m, b, v)),
+    "ball_sharpness-rho": ("rho", _RHO, lambda m, b, v: ball_sharpness(_quad(), v, 4, 0)),
+    "first_order_sharpness-rho": ("rho", _RHO,
+                                  lambda m, b, v: first_order_sharpness(_quad(), v)),
+    "create_decomposition_check-rho": ("rho", _RHO,
+                                       lambda m, b, v: create_decomposition_check(_quad(), v)),
+    "find_fisher-n_samples": ("n_samples", _COUNT, lambda m, b, v: find_fisher(
+        m, b.features, b.labels, 0, v, 1)),
+    "ball_sharpness-n_directions": ("n_directions", _COUNT,
+                                    lambda m, b, v: ball_sharpness(_quad(), 0.1, v, 0)),
+    "lanczos_lambda_max-iters": ("iters", _COUNT, lambda m, b, v: lanczos_lambda_max(_quad(), v)),
+    "add_task_head-class_count": ("class_count", _COUNT, lambda m, b, v: m.add_task_head(v)),
+    "MultiHeadClassifier-class_count": ("class_count", _COUNT,
+                                        lambda m, b, v: MultiHeadClassifier(0, 4, [6], [3, v])),
+    "build_sparse_mask-ratio": ("ratio", _FRACTION, lambda m, b, v: build_sparse_mask(
+        ImportanceMap(np.ones(3)), v, [slice(0, 3)])),
+    "finite_diff_gradient-h": ("h", _POSITIVE, lambda m, b, v: finite_diff_gradient(
+        lambda p: 0.0, m.parameters(), v)),
+}
+
+
+@pytest.mark.parametrize("site,value", [(site, v) for site, (_, (_, bad), _) in
+                                        LIBRARY_ARGUMENTS.items() for v in bad],
+                         ids=lambda x: x if isinstance(x, str) else repr(x))
+def test_library_arguments_refused_through_the_rule_table(site, value):
+    """Every range-checked library argument is refused with the table's one
+    text, naming the argument, before any state moves: a refused
+    `add_task_head` leaves the heads and the weights as they were, and the
+    model still predicts and takes a head."""
+    name, (phrase, _), call = LIBRARY_ARGUMENTS[site]
+    model = random_mlp(3)
+    batch = random_batch(4, model)
+    heads, theta = list(model.head_classes), model.theta.copy()
+    logits = model.logits(batch.features, 0)
+    with pytest.raises(ValueError) as info:
+        call(model, batch, value)
+    assert str(info.value) == f"{name} must be {phrase}, got {value!r}"
+    assert model.head_classes == heads and model.theta.tobytes() == theta.tobytes()
+    assert model.logits(batch.features, 0).tobytes() == logits.tobytes()
+    assert model.add_task_head(2) == 1
+    assert model.logits(batch.features, 1).shape == (len(batch), 2)
 
 
 # -- sparse mask ------------------------------------------------------------

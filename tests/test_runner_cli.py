@@ -811,6 +811,21 @@ def test_matrix_csv_that_fails_midway_leaves_no_file(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("matrix,error", [
+    (np.full((2, 3), 0.5), "accuracy matrix must be square"),
+    (np.full(3, 0.5), "accuracy matrix must be square"),
+    (np.array([[0.5, np.nan], [np.nan, 0.3]]), "incomplete accuracy matrix at [1][0]"),
+], ids=["wide", "flat", "incomplete"])
+def test_matrix_csv_refuses_what_metrics_refuses(tmp_path, matrix, error):
+    """matrix.csv holds only a matrix `metrics` would score: a shape the
+    header would truncate is refused with `metrics`' text before a byte is
+    written."""
+    with pytest.raises(ValueError) as info:
+        write_matrix_csv(tmp_path / "matrix.csv", matrix)
+    assert str(info.value) == error
+    assert os.listdir(tmp_path) == []
+
+
 def test_aggregate_that_fails_midway_leaves_no_file(tmp_path):
     with pytest.raises(TypeError):
         runner.aggregate([{"avg_accuracy_after_last": "high"}], tmp_path / "aggregate.csv")
