@@ -11,16 +11,17 @@ file flatcl writes goes through `write_atomic` too.
 
 Round-trips are bitwise exact.  Besides model weights, a checkpoint can
 carry the run seed and variant (absent from files written before each was
-recorded) and everything needed to resume a continual run at a task
-boundary: the importance accumulator, the rng state, finished accuracy rows,
-the finished tasks' probe values and the replay buffer.  The next task's
-flat region is rebuilt from the weights, so it is not stored; the `anchor`
-block of earlier v3 files, always equal to `param`, is not read.  The
-weights and the importance are each one block over the model's flat
-parameter layout; the replay buffer's features are one (n, d) block and its
-labels and task ids manifest lists.  The probe values are one manifest
-string of JSON text, so each entry keeps its key order through the
-sorted-key manifest; files written before they were kept have none.
+recorded) and the rest of the `optim.RunState` a continual run resumes
+from at a task boundary: the next task, the importance accumulator, the rng
+state, finished accuracy rows, the finished tasks' probe values and the
+replay buffer.  The next task's flat region is rebuilt from the weights, so
+it is not stored; the `anchor` block of earlier v3 files, always equal to
+`param`, is not read.  The weights and the importance are each one block
+over the model's flat parameter layout; the replay buffer's features are
+one (n, d) block and its labels and task ids manifest lists.  The probe
+values are one manifest string of JSON text, so each entry keeps its key
+order through the sorted-key manifest; files written before they were kept
+have none.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import MultiHeadClassifier
-from .optim import ImportanceMap
+from .optim import ImportanceMap, RunState
 from .replay import ReplayBuffer
 
 _MAGIC = b"FLATCKPT"
@@ -46,26 +47,12 @@ def config_hash(config_dict: dict) -> str:
 
 
 @dataclass
-class Checkpoint:
-    """A model plus the state `optim.train_continual` resumes from and hands
-    to its `after_task` hook under these field names, and the probe values
-    `runner.run_single_seed` keeps."""
-    model: MultiHeadClassifier
+class Checkpoint(RunState):
+    """A task-boundary `RunState`, which `optim.train_continual` moves and
+    resumes from, plus what identifies its run."""
     config_hash: str | None = None
     seed: int | None = None  # the run seed: `flatcl probe` rebuilds its stream from it
     variant: str | None = None  # the run variant: `flatcl probe` rechecks the hash with it
-    rng_state: dict | None = None
-    next_task: int | None = None
-    importance: ImportanceMap | None = None
-    matrix_rows: np.ndarray | None = None
-    probe_values: list | None = None  # the run's probe values so far
-    replay_buffer: ReplayBuffer | None = None
-
-    def __post_init__(self):
-        """Refuse importance laid out for another model: on save and on load."""
-        if self.importance is not None and self.importance.values.shape != self.model.theta.shape:
-            raise ValueError(f"misaligned importance: {self.importance.values.shape} "
-                             f"for {self.model.theta.size} weights")
 
 
 def save_checkpoint(path, ckpt: Checkpoint):

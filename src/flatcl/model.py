@@ -99,9 +99,11 @@ class MultiHeadClassifier:
     def _lay_out(self, seed, input_dim, hidden_dims, per_task_classes, activation):
         """Check and keep the model's description, and bind zero weights
         laid out for it."""
-        if not isinstance(hidden_dims, (list, tuple)):
-            raise ValueError(f"hidden_dims must be a list, got {hidden_dims!r}")
         from .optim import _integer, check  # optim imports this module
+        check("seed", seed, "seed")
+        for name, value in (("hidden_dims", hidden_dims), ("per_task_classes", per_task_classes)):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {value!r}")
         dims = [input_dim, *hidden_dims]
         if any(not _integer(d) or d < 1 for d in dims):
             raise ValueError(f"input and hidden dims must be integers >= 1, got {dims}")

@@ -263,6 +263,8 @@ def find_fisher(model: MultiHeadClassifier, features, labels, task_id: int,
     """Diagonal empirical Fisher: mean squared per-sample log-prob gradient,
     from one batched pass over the sampled rows."""
     check("count", n_samples, "n_samples")
+    for part in seed if isinstance(seed, list) else [seed]:  # a run derives a list
+        check("seed", part, "seed")
     n = len(labels)
     if n < n_samples:
         warnings.warn(f"dataset has {n} samples < fisher_sample_count {n_samples}; "
@@ -575,9 +577,22 @@ def _step_batches(data, replay_buffer, config, rng, epochs):
 
 
 @dataclass
-class ContinualResult:
-    accuracy_matrix: np.ndarray       # (T, T), NaN above the diagonal
-    reports: list
+class RunState:
+    """What a continual run hands on at a task boundary.  A fresh run starts
+    from `RunState(model)`; the next flat region is rebuilt from the weights."""
+    model: MultiHeadClassifier
+    next_task: int | None = None
+    rng_state: dict | None = None
+    importance: ImportanceMap | None = None
+    matrix_rows: np.ndarray | None = None
+    probe_values: list | None = None  # the finished tasks' probe values
+    replay_buffer: ReplayBuffer | None = None
+
+    def __post_init__(self):
+        """Refuse importance laid out for another model: on save and on load."""
+        if self.importance is not None and self.importance.values.shape != self.model.theta.shape:
+            raise ValueError(f"misaligned importance: {self.importance.values.shape} "
+                             f"for {self.model.theta.size} weights")
 
 
 def _derived_seed(seed, *tags):
@@ -585,74 +600,71 @@ def _derived_seed(seed, *tags):
 
 
 def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
-                    seed: int, epochs: int, resume=None, after_task=None,
-                    step_hook=None) -> ContinualResult:
+                    seed: int, epochs: int, state=None, after_task=None,
+                    step_hook=None) -> RunState:
     """Sequential training over a task stream with flat-region constraints.
 
     Each task after the first trains inside the flat region around the
     weights it starts from, which are the previous task's solution.  After
     each task: estimate Fisher at the converged weights, decay-then-add into
-    the accumulator, and record test accuracy on all seen tasks.  `resume`,
-    a loaded `checkpoint.Checkpoint`, restarts at its task boundary and
-    reproduces the uninterrupted run bitwise.  After each task, with the
-    model at its weights, `after_task(t, **fields)` receives the resume
-    fields of a `Checkpoint` by name.
+    the accumulator, and record test accuracy on all seen tasks.  The run
+    moves `state`, a `RunState` of `model` or None for a fresh one, from
+    boundary to boundary; a loaded checkpoint reproduces the uninterrupted
+    run bitwise.  After each task, with the model at its weights,
+    `after_task(state, report)` gets the new boundary and the `TaskReport`.
+    Returns the last state: `matrix_rows` is the (T, T) matrix.
     """
     flags = config.variant
     n_tasks = len(stream)
-    matrix = np.full((n_tasks, n_tasks), np.nan)
-    reports = []
-
+    state = RunState(model) if state is None else state
+    if state.model is not model:
+        raise ValueError("state holds another model than the one to train")
     rng = np.random.Generator(np.random.PCG64(_derived_seed(seed, 1)))
-    buffer = ReplayBuffer() if flags.replay else None
-    accumulated = None
-    start_task = 0
+    if state.rng_state is not None:
+        rng.bit_generator.state = state.rng_state
+    if flags.replay and state.replay_buffer is None:
+        state.replay_buffer = ReplayBuffer()
+    matrix = np.full((n_tasks, n_tasks), np.nan)
+    if state.matrix_rows is not None:
+        matrix[:state.matrix_rows.shape[0], :] = state.matrix_rows
 
-    if resume is not None:
-        start_task = resume.next_task
-        rng.bit_generator.state = resume.rng_state
-        accumulated = resume.importance
-        if flags.replay:
-            buffer = resume.replay_buffer
-        matrix[:resume.matrix_rows.shape[0], :] = resume.matrix_rows
-
-    for t in range(start_task, n_tasks):
+    for t in range(state.next_task or 0, n_tasks):
         task = stream[t]
         if t >= len(model.head_classes):
             model.add_task_head(task.class_count)
         region = None if t == 0 else FlatRegion(
             anchor=model.parameters().copy(), rho=config.rho,
             constrained_names=model.constrained_names(t))
-        importance = accumulated
-        if region is not None and flags.l2 and (not flags.find or accumulated is None):
+        importance = state.importance
+        if region is not None and flags.l2 and (not flags.find or importance is None):
             importance = random_importance(model, _derived_seed(seed, 3, t))
 
         val_sets = [(*stream[j].val_xy(), j) for j in range(t + 1)]
-        reports.append(train_task(model, [task], region, importance,
-                                  buffer, config, rng, epochs, val_sets,
-                                  step_hook=step_hook))
+        report = train_task(model, [task], region, importance, state.replay_buffer,
+                            config, rng, epochs, val_sets, step_hook=step_hook)
 
         feats, labels = task.train_xy()
         if flags.find or config.sparse_update_ratio < 1.0:
             fresh = find_fisher(model, feats, labels, t,
                                 config.fisher_sample_count,
                                 _derived_seed(seed, 2, t))
-            accumulated = accumulate_fisher(accumulated, fresh, config.gamma)
+            state.importance = accumulate_fisher(state.importance, fresh, config.gamma)
 
-        if buffer is not None:
-            buffer.add_task(feats, labels, t, config.store_ratio,
-                            _derived_seed(seed, 4, t))
+        if flags.replay:
+            state.replay_buffer.add_task(feats, labels, t, config.store_ratio,
+                                         _derived_seed(seed, 4, t))
 
         for j in range(t + 1):
             tf, tl = stream[j].test_xy()
             matrix[t, j] = model.accuracy(tf, tl, j)
 
+        # rows up to t are finished, so the view never changes again
+        state.next_task, state.matrix_rows = t + 1, matrix[:t + 1]
+        state.rng_state = rng.bit_generator.state
         if after_task is not None:
-            after_task(t, next_task=t + 1, rng_state=rng.bit_generator.state,
-                       importance=accumulated, replay_buffer=buffer,
-                       matrix_rows=matrix[:t + 1, :].copy())
+            after_task(state, report)
 
-    return ContinualResult(matrix, reports)
+    return state
 
 
 def train_multitask(model: MultiHeadClassifier, stream, config: OptimizerConfig,

@@ -116,6 +116,7 @@ def ball_sharpness(obj: Objective, rho: float, n_directions: int, seed: int) -> 
     non-adaptive gradient-ascent direction rho * g / ||g||."""
     check("nonnegative", rho, "rho")
     check("count", n_directions, "n_directions")
+    check("seed", seed, "seed")
     rng = np.random.Generator(np.random.PCG64(seed))
     directions = np.vstack([obj.gradient().flat,
                             rng.normal(size=(n_directions, obj.params.total_size()))])
@@ -213,6 +214,7 @@ def lanczos_lambda_max(obj: Objective, iters: int = 30, seed: int = 0) -> Lanczo
     per run, the coefficients `h` and the product `h @ Q`, so a step
     allocates only the product H q_j the operator returns."""
     check("count", iters, "iters")
+    check("seed", seed, "seed")
     op = obj.bind_hvp()  # the weights do not move during the run
     rng = np.random.Generator(np.random.PCG64(seed))
     q = rng.normal(size=obj.params.total_size())

@@ -216,33 +216,28 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
     if variant == "mtl" and resume_from is not None:
         raise ValueError("mtl trains all tasks jointly and cannot resume from a checkpoint")
     chash = run_hash(cfg, variant, seed)
-    loaded = None
-    if resume_from is not None:
-        loaded = load_checkpoint(resume_from)
-        if loaded.config_hash != chash:
-            raise ValueError(f"{resume_from}: checkpoint was written under a different "
-                             "config, variant or seed; refusing to resume")
+    state = None if resume_from is None else load_checkpoint(resume_from)
+    if state is not None and state.config_hash != chash:
+        raise ValueError(f"{resume_from}: checkpoint was written under a different "
+                         "config, variant or seed; refusing to resume")
     # Everything that can refuse the config runs before out_dir exists.
     stream = build_stream(cfg, seed)
     opt_config = build_optimizer_config(cfg, variant)
     epochs = cfg["epochs_per_task"]
     probe_cfg = cfg.get("probe", {})
     batch = probe_batch(cfg, stream) if probe_cfg.get("enabled", False) else None
-    model = _build_model(cfg, stream, seed) if loaded is None else loaded.model
+    if state is None:  # a fresh run starts from its model alone
+        state = Checkpoint(model=_build_model(cfg, stream, seed), config_hash=chash)
+    state.seed, state.variant = seed, variant  # a file from before they were kept has neither
     _fresh_dir(out_dir)
-
-    def save(name, **state):
-        save_checkpoint(os.path.join(out_dir, name),
-                        Checkpoint(model=model, config_hash=chash, seed=seed,
-                                   variant=variant, **state))
 
     # The seed's training, probe and writes run under one rule: an overflow
     # or invalid operation raises where it happens, failing the seed, where
     # numpy would warn and go on with inf or NaN weights.
     with np.errstate(over="raise", invalid="raise"):
         if variant == "mtl":
-            reference = train_multitask(model, stream, opt_config, seed, epochs)
-            save("ckpt_final.bin")
+            reference = train_multitask(state.model, stream, opt_config, seed, epochs)
+            save_checkpoint(os.path.join(out_dir, "ckpt_final.bin"), state)
             result_metrics = {"variant": variant, "seed": seed,
                               "reference_accuracies": reference.tolist(),
                               "avg_accuracy_after_last": float(reference.mean())}
@@ -250,23 +245,23 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
             # the finished tasks' probe values; each checkpoint carries them, so
             # a resumed run's trace is the uninterrupted run's (a file written
             # before they were kept has none, and traces the remaining tasks)
-            probe_values = list(loaded.probe_values or []) if loaded is not None else []
+            state.probe_values = state.probe_values or []
 
-            def after_task(task_idx, **state):
+            def after_task(state, report):
                 if batch is not None:
-                    res = lanczos_lambda_max(model_objective(model, batch),
+                    res = lanczos_lambda_max(model_objective(state.model, batch),
                                              probe_cfg.get("lanczos_iters", 20), seed)
-                    probe_values.append({"task": task_idx, "lambda_max": res.lambda_max,
-                                         "log_lambda_max": res.log_lambda_max})
-                save(f"ckpt_task{task_idx}.bin", probe_values=probe_values, **state)
+                    state.probe_values.append({"task": report.task_id, "lambda_max": res.lambda_max,
+                                               "log_lambda_max": res.log_lambda_max})
+                save_checkpoint(os.path.join(out_dir, f"ckpt_task{report.task_id}.bin"), state)
 
-            result = train_continual(model, stream, opt_config, seed, epochs, resume=loaded,
-                                     after_task=after_task)
-            write_matrix_csv(os.path.join(out_dir, "matrix.csv"), result.accuracy_matrix)
-            result_metrics = metrics_mod.summarize(result.accuracy_matrix)
+            state = train_continual(state.model, stream, opt_config, seed, epochs, state,
+                                    after_task)
+            write_matrix_csv(os.path.join(out_dir, "matrix.csv"), state.matrix_rows)
+            result_metrics = metrics_mod.summarize(state.matrix_rows)
             result_metrics.update({"variant": variant, "seed": seed,
                                    "config_hash": chash,
-                                   "sharpness_trace": probe_values})
+                                   "sharpness_trace": state.probe_values})
         write_atomic(os.path.join(out_dir, "metrics.json"),
                      json.dumps(result_metrics, indent=2).encode())
     return result_metrics

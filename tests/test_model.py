@@ -44,6 +44,23 @@ def test_numpy_integer_width_rejected(dims):
         MultiHeadClassifier(0, dims[0], dims[1], [2])
 
 
+@pytest.mark.parametrize("seed", [True, -1, 1.5, np.int64(1)])
+def test_constructor_refuses_a_seed_the_rule_table_refuses(seed):
+    """The init seed follows `RULES["seed"]`, naming the argument, before
+    any weight is drawn: a bool is not the number 1."""
+    with pytest.raises(ValueError) as info:
+        MultiHeadClassifier(seed, 4, [3], [2])
+    assert str(info.value) == f"seed must be an integer >= 0, got {seed!r}"
+
+
+@pytest.mark.parametrize("classes", [3, "ab", None])
+def test_per_task_classes_must_be_a_list(classes):
+    """As hidden_dims is: a count or a string is not a list of heads."""
+    with pytest.raises(ValueError) as info:
+        MultiHeadClassifier(0, 4, [3], classes)
+    assert str(info.value) == f"per_task_classes must be a list, got {classes!r}"
+
+
 def test_linear_model_allowed():
     m = MultiHeadClassifier(0, 2, [], [3])
     assert m.parameters().total_size() == 2 * 3 + 3

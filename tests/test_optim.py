@@ -11,7 +11,7 @@ from flatcl.autodiff import finite_diff_gradient
 from flatcl.data import TaskStream, gen_rotated_gaussians
 from flatcl.model import Batch, MultiHeadClassifier
 from flatcl.optim import (FlatRegion, ImportanceMap, OptimizerConfig,
-                          OptimizerState, TaskReport, VariantFlags, _epsilon,
+                          OptimizerState, RunState, TaskReport, VariantFlags, _epsilon,
                           accumulate_fisher, base_step, build_sparse_mask,
                           clamp_to_region, compute_perturbation, create_gradient,
                           find_fisher, random_importance, soft_penalty,
@@ -369,7 +369,7 @@ def test_dead_relu_unit_trains_inside_its_region():
     cfg = _config(variant=VariantFlags(create=True, find=True, clamp=True, l2=True))
     seen = []
     train_continual(model, _tiny_stream(60, n_tasks=2), cfg, seed=3, epochs=1,
-                    after_task=lambda t, importance, **_: seen.append(importance.values))
+                    after_task=lambda state, report: seen.append(state.importance.values))
     params = model.parameters()  # task 0's importance is a prefix of its layout
     dead = {name: seen[0][params.slice_of(name)].reshape(params[name].shape)
             for name in ("enc0.W", "enc0.b", "head0.W")}
@@ -591,9 +591,14 @@ def _create_gradient_at_huge_rho():
      "non-finite loss at perturbed point (task 0)"),
     (lambda: find_fisher(random_mlp(3), np.zeros((4, 4)), [0, 1, 2, 0], 0, 0, 1),
      ValueError, "n_samples must be an integer >= 1, got 0"),
+    (lambda: find_fisher(random_mlp(3), np.zeros((4, 4)), [0, 1, 2, 0], 0, 2, -3),
+     ValueError, "seed must be an integer >= 0, got -3"),
+    (lambda: find_fisher(random_mlp(3), np.zeros((4, 4)), [0, 1, 2, 0], 0, 2, [1, 2, True]),
+     ValueError, "seed must be an integer >= 0, got True"),
     (lambda: build_sparse_mask(ImportanceMap(np.ones(3)), 0.0, [slice(0, 3)]), ValueError,
      "ratio must be a number in (0, 1], got 0.0"),
-], ids=["base-optimizer", "create-step-overflow", "no-fisher-samples", "zero-mask-ratio"])
+], ids=["base-optimizer", "create-step-overflow", "no-fisher-samples", "negative-fisher-seed",
+        "bool-in-derived-fisher-seed", "zero-mask-ratio"])
 def test_optim_refuses_with_one_line(call, kind, error):
     """The create step at rho 1e308 moves the weights to where the loss is
     not finite; it names the task rather than return that loss."""
@@ -939,8 +944,8 @@ def test_sparse_mask_applies_without_l2(flags):
     model = MultiHeadClassifier(12, 4, [6], [3])
     accumulated, frozen = {}, []
 
-    def keep(t, importance, **state):
-        accumulated[t] = importance
+    def keep(state, report):
+        accumulated[report.task_id] = state.importance
 
     def hook(m, region):
         if region is None:
@@ -967,7 +972,7 @@ def test_lambda_zero_matches_find_disabled_trace():
                          seed=4, epochs=1)
     r2 = train_continual(m2, stream, _config(lam=0.0, variant=flags_off),
                          seed=4, epochs=1)
-    assert np.array_equal(r1.accuracy_matrix, r2.accuracy_matrix,
+    assert np.array_equal(r1.matrix_rows, r2.matrix_rows,
                           equal_nan=True)
     for nm in m1.parameters():
         assert np.array_equal(m1.parameters()[nm], m2.parameters()[nm])
@@ -977,8 +982,10 @@ def test_best_snapshot_at_least_final_accuracy():
     stream = _tiny_stream(53, n_tasks=2)
     cfg = _config(variant=VariantFlags())
     model = MultiHeadClassifier(8, 4, [6], [3])
-    res = train_continual(model, stream, cfg, seed=5, epochs=2)
-    report = res.reports[-1]
+    reports = []
+    train_continual(model, stream, cfg, seed=5, epochs=2,
+                    after_task=lambda state, report: reports.append(report))
+    report = reports[-1]
     # returned model achieves the best recorded validation accuracy
     assert report.best_accuracy == max(a for _, a in report.validation_curve)
 
@@ -986,11 +993,13 @@ def test_best_snapshot_at_least_final_accuracy():
 def test_single_task_matrix_shape():
     stream = _tiny_stream(54, n_tasks=1)
     model = MultiHeadClassifier(9, 4, [6], [3])
+    reports = []
     res = train_continual(model, stream, _config(variant=VariantFlags()),
-                          seed=6, epochs=1)
-    assert res.accuracy_matrix.shape == (1, 1)
-    assert np.isfinite(res.accuracy_matrix[0, 0])
-    assert all(c == 0 for c in res.reports[0].clamp_counts)
+                          seed=6, epochs=1,
+                          after_task=lambda state, report: reports.append(report))
+    assert res.matrix_rows.shape == (1, 1)
+    assert np.isfinite(res.matrix_rows[0, 0])
+    assert all(c == 0 for c in reports[0].clamp_counts)
 
 
 def test_continual_determinism_bitwise():
@@ -1001,8 +1010,21 @@ def test_continual_determinism_bitwise():
         stream = _tiny_stream(55, n_tasks=3)
         model = MultiHeadClassifier(10, 4, [6], [3])
         res = train_continual(model, stream, cfg, seed=7, epochs=2)
-        mats.append(res.accuracy_matrix)
+        mats.append(res.matrix_rows)
     assert np.array_equal(mats[0], mats[1], equal_nan=True)
+
+
+def test_train_continual_refuses_a_state_of_another_model():
+    """A state carries its model: training `model` from another model's
+    state would move weights the state does not hold."""
+    stream = _tiny_stream(55, n_tasks=2)
+    model = MultiHeadClassifier(10, 4, [6], [3])
+    before = model.theta.tobytes()
+    with pytest.raises(ValueError) as info:
+        train_continual(model, stream, _config(), seed=7, epochs=1,
+                        state=RunState(model.clone()))
+    assert str(info.value) == "state holds another model than the one to train"
+    assert model.theta.tobytes() == before
 
 
 def test_fisher_trace_identity_after_training():

@@ -538,6 +538,23 @@ RHO_ENTRY_POINTS = {
 }
 
 
+SEED_ENTRY_POINTS = {
+    "ball_sharpness": lambda obj, seed: ball_sharpness(obj, 0.1, 2, seed),
+    "lanczos_lambda_max": lambda obj, seed: lanczos_lambda_max(obj, 2, seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+@pytest.mark.parametrize("entry", list(SEED_ENTRY_POINTS))
+def test_bad_seed_refused_naming_it(entry, seed):
+    """A probe's seed follows `RULES["seed"]`, not numpy's words."""
+    obj = _quad_1d(1.0, 1.0)
+    with pytest.raises(ValueError) as info:
+        SEED_ENTRY_POINTS[entry](obj, seed)
+    assert str(info.value) == f"seed must be an integer >= 0, got {seed!r}"
+    assert obj.params["w"][0] == 1.0
+
+
 @pytest.mark.parametrize("rho", [-0.05, float("nan")])
 @pytest.mark.parametrize("entry", list(RHO_ENTRY_POINTS))
 def test_negative_rho_refused(entry, rho):

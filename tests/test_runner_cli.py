@@ -442,20 +442,29 @@ def _probed_cfg():
     return cfg
 
 
-def test_resume_keeps_the_whole_probe_trace(tmp_path):
+@pytest.mark.parametrize("variant", ["seq", "replay", "cf_minus_find", "cf"])
+def test_resume_keeps_the_whole_probe_trace(tmp_path, variant):
     """Resumed from each task's checkpoint, a probed run writes the
-    uninterrupted run's metrics.json byte for byte: its sharpness trace
-    holds the tasks trained before the resume too."""
+    uninterrupted run's matrix.csv, metrics.json and later checkpoints byte
+    for byte: its sharpness trace holds the tasks trained before the resume
+    too.  The variants cover a state with and without importance and a
+    replay store."""
     cfg = _probed_cfg()
     full = tmp_path / "full"
-    run_single_seed(cfg, "cf", 1, str(full))
+    run_single_seed(cfg, variant, 1, str(full))
     trace = json.loads((full / "metrics.json").read_text())["sharpness_trace"]
     assert [p["task"] for p in trace] == [0, 1]
+    state = load_checkpoint(full / "ckpt_task0.bin")
+    assert (state.importance is None) == (variant != "cf")
+    assert (state.replay_buffer is None) == (variant == "seq")
     for k in range(2):
         resumed = tmp_path / f"resumed{k}"
-        run_single_seed(cfg, "cf", 1, str(resumed),
+        run_single_seed(cfg, variant, 1, str(resumed),
                         resume_from=str(full / f"ckpt_task{k}.bin"))
-        for name in ("matrix.csv", "metrics.json"):
+        names = sorted(p.name for p in resumed.iterdir())
+        assert names == [f"ckpt_task{j}.bin" for j in range(k + 1, 2)] + ["matrix.csv",
+                                                                         "metrics.json"]
+        for name in names:
             assert (resumed / name).read_bytes() == (full / name).read_bytes()
 
 
@@ -487,12 +496,13 @@ def test_each_task_starts_from_the_weights_the_last_one_ended_with(tmp_path):
     stream = build_stream(cfg, 1)
     model = MultiHeadClassifier(1, 4, [6], [3])
     batch = probe_batch(cfg, stream)
-    ended, anchors, probe_values = {}, {}, []
+    ended, anchors = {}, {}
 
-    def after_task(t, **state):
-        probe_values.append(lanczos_lambda_max(model_objective(model, batch), 5, 1).lambda_max)
-        save_checkpoint(tmp_path / f"ckpt_task{t}.bin",
-                        Checkpoint(model=model, probe_values=probe_values, **state))
+    def after_task(state, report):
+        t = report.task_id
+        state.probe_values.append(
+            lanczos_lambda_max(model_objective(model, batch), 5, 1).lambda_max)
+        save_checkpoint(tmp_path / f"ckpt_task{t}.bin", state)
         ended[t] = model.theta.tobytes()
 
     def step_hook(m, region):
@@ -500,9 +510,9 @@ def test_each_task_starts_from_the_weights_the_last_one_ended_with(tmp_path):
         if region is not None and t not in anchors:
             anchors[t] = region.anchor.prefix(region.constrained_names).tobytes()
 
-    train_continual(model, stream, build_optimizer_config(cfg, "cf"), 1, 1,
-                    after_task=after_task, step_hook=step_hook)
-    assert len(probe_values) == 3 and sorted(ended) == [0, 1, 2]
+    state = train_continual(model, stream, build_optimizer_config(cfg, "cf"), 1, 1,
+                            Checkpoint(model=model, probe_values=[]), after_task, step_hook)
+    assert len(state.probe_values) == 3 and sorted(ended) == [0, 1, 2]
     assert sorted(anchors) == [1, 2]
     for t in (1, 2):
         assert anchors[t] == ended[t - 1]

@@ -11,7 +11,10 @@ flatcl from PYTHONPATH, into a temporary directory:
   `run_experiment`, so each variant's aggregate.csv is written too);
 - rot5 and perm5 with sparse_update_ratio 0.5 (`flatcl run --sparse-ratio
   0.5`), variants cf, cf_minus_l2 and seq, seeds 1-2;
-- rot5 cf seed 1 resumed from its ckpt_task2.bin;
+- rot5 cf seed 1 resumed from its ckpt_task2.bin, perm5 replay seed 1 from
+  its ckpt_task1.bin and rot5 seq seed 1 from its ckpt_task3.bin, so a
+  resume that carries a replay store and one that carries no importance
+  are checked too;
 - `flatcl probe` on rot5 cf seed 1's ckpt_task4.bin, with the run seed taken
   from the checkpoint;
 - `flatcl gen-data` on rot5 and perm5, seed 1.
@@ -64,6 +67,8 @@ FIXED_SET = (
     + [{"kind": "run", "config": c, "variant": v, "seeds": [1, 2], "sparse_ratio": 0.5}
        for c in CONFIGS for v in ("cf", "cf_minus_l2", "seq")]
     + [{"kind": "resume", "config": "rot5", "variant": "cf", "seed": 1, "task": 2},
+       {"kind": "resume", "config": "perm5", "variant": "replay", "seed": 1, "task": 1},
+       {"kind": "resume", "config": "rot5", "variant": "seq", "seed": 1, "task": 3},
        {"kind": "probe", "config": "rot5", "variant": "cf", "seed": 1, "task": 4}]
     + [{"kind": "gen-data", "config": c, "seed": 1} for c in CONFIGS]
 )
