@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .optim import check
 from .params import ParameterSet
+from .rules import check
 
 
 def finite_diff_gradient(loss_fn, params: ParameterSet, h: float = 1e-5) -> ParameterSet:

@@ -15,8 +15,9 @@ import numpy as np
 from . import metrics as metrics_mod
 from .checkpoint import load_checkpoint
 from .data import save_delimited
-from .optim import OPTIMIZER_RULES, OptimizerConfig, check
+from .optim import OPTIMIZER_RULES, OptimizerConfig
 from .probe import lanczos_lambda_max, quadratic_objective, sharpness_report
+from .rules import check
 from .runner import (VARIANT_FLAGS, build_stream, load_config, probe_batch,
                      read_json, read_matrix_csv, run_experiment, run_hash)
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import write_atomic
-from .optim import _integer, check
+from .rules import _integer, check, generator
 
 
 @dataclass
@@ -125,7 +125,7 @@ def gen_rotated_gaussians(seed, n_tasks, classes_per_task, dim, samples_per_clas
     if not abs((n_tasks - 1) * rotation_per_task) <= sys.float_info.max:
         raise ValueError(f"rotation_per_task must give the last of {n_tasks} tasks a finite "
                          f"angle, got {rotation_per_task!r}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = generator(seed)
     base_means = _simplex_means(classes_per_task, dim, separation)
     tasks = []
     for t in range(n_tasks):
@@ -138,7 +138,7 @@ def gen_rotated_gaussians(seed, n_tasks, classes_per_task, dim, samples_per_clas
 def gen_permuted_features(seed, n_tasks, classes, dim, samples_per_class,
                           separation) -> TaskStream:
     """One base Gaussian task; task t applies a fixed coordinate permutation."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = generator(seed)
     base_features, base_labels, splits = _gaussian_classes(
         rng, _simplex_means(classes, dim, separation), samples_per_class)
     tasks = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .optim import _number
+from .rules import _number
 
 
 def _check_matrix(matrix):

@@ -8,6 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .params import ParameterSet
+from .rules import _integer, check, generator
 
 
 @dataclass
@@ -74,7 +75,7 @@ class MultiHeadClassifier:
     def __init__(self, seed: int, input_dim: int, hidden_dims: list[int],
                  per_task_classes: list[int], activation: str = "tanh"):
         self._lay_out(seed, input_dim, hidden_dims, per_task_classes, activation)
-        rng = np.random.Generator(np.random.PCG64(seed))
+        rng = generator(seed)
         for i in range(len(self.hidden_dims)):
             w = self._params[f"enc{i}.W"]
             w[...] = _kaiming_uniform(rng, w.shape[0], w.shape)
@@ -99,7 +100,6 @@ class MultiHeadClassifier:
     def _lay_out(self, seed, input_dim, hidden_dims, per_task_classes, activation):
         """Check and keep the model's description, and bind zero weights
         laid out for it."""
-        from .optim import _integer, check  # optim imports this module
         check("seed", seed, "seed")
         for name, value in (("hidden_dims", hidden_dims), ("per_task_classes", per_task_classes)):
             if not isinstance(value, (list, tuple)):
@@ -162,13 +162,12 @@ class MultiHeadClassifier:
         """The (name, array) pairs of a freshly initialized head.  Head seeds
         derive from (init_seed, task_id), so a head has the same weights
         whether the model was built with it or it was added later."""
-        rng = np.random.Generator(np.random.PCG64([self.init_seed, 7919, task_id]))
+        rng = generator([self.init_seed, 7919, task_id])
         w = _kaiming_uniform(rng, self.encoder_dim, (self.encoder_dim, class_count))
         return [(f"head{task_id}.W", w), (f"head{task_id}.b", np.zeros(class_count))]
 
     def add_task_head(self, class_count: int) -> int:
         """Append a freshly initialized head; returns its task id."""
-        from .optim import check  # optim imports this module
         check("count", class_count, "class_count")
         task_id = len(self.head_classes)
         self.head_classes.append(class_count)

@@ -11,7 +11,6 @@ masks.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -20,6 +19,7 @@ import numpy as np
 from .model import Batch, MultiHeadClassifier
 from .params import ParameterSet
 from .replay import ReplayBuffer, replay_schedule
+from .rules import _integer, check, generator
 
 
 # ---------------------------------------------------------------------------
@@ -72,42 +72,6 @@ class VariantFlags:
     clamp: bool = False
     l2: bool = False
     replay: bool = False
-
-
-def _number(v) -> bool:
-    # bool is an int subclass; a JSON true is not the number 1
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _integer(v) -> bool:
-    return _number(v) and isinstance(v, int)
-
-
-_BIG = sys.float_info.max  # a larger number is inf, or an int no float holds
-
-# Every value rule a config key, a CLI flag or a generator argument shares:
-# the ordered (phrase, predicate) steps `check` applies.  The empty rule
-# leaves the value to the code that reads it.
-RULES = {
-    "": (),
-    "count": (("an integer >= 1", lambda v: _integer(v) and v >= 1),),
-    "offset": (("an integer", _integer), (">= 0", lambda v: v >= 0)),
-    "seed": (("an integer >= 0", lambda v: _integer(v) and v >= 0),),
-    "flag": (("true or false", lambda v: isinstance(v, bool)),),
-    "finite": (("a finite number", lambda v: _number(v) and abs(v) <= _BIG),),
-    "positive": (("a finite number > 0", lambda v: _number(v) and 0 < v <= _BIG),),
-    "nonnegative": (("a finite number >= 0", lambda v: _number(v) and 0 <= v <= _BIG),),
-    "unit": (("a number in [0, 1]", lambda v: _number(v) and 0 <= v <= 1),),
-    "fraction": (("a number in (0, 1]", lambda v: _number(v) and 0 < v <= 1),),
-}
-
-
-def check(rule: str, value, name: str):
-    """Raise a one-line ValueError, `{name} must be {phrase}, got
-    {value!r}`, at the first step of `RULES[rule]` that `value` fails."""
-    for phrase, ok in RULES[rule]:
-        if not ok(value):
-            raise ValueError(f"{name} must be {phrase}, got {value!r}")
 
 
 # The rule of each `OptimizerConfig` field a config may set, in field order.
@@ -263,15 +227,13 @@ def find_fisher(model: MultiHeadClassifier, features, labels, task_id: int,
     """Diagonal empirical Fisher: mean squared per-sample log-prob gradient,
     from one batched pass over the sampled rows."""
     check("count", n_samples, "n_samples")
-    for part in seed if isinstance(seed, list) else [seed]:  # a run derives a list
-        check("seed", part, "seed")
+    rng = generator(seed)
     n = len(labels)
     if n < n_samples:
         warnings.warn(f"dataset has {n} samples < fisher_sample_count {n_samples}; "
                       "using the full dataset")
         idx = np.arange(n)
     else:
-        rng = np.random.Generator(np.random.PCG64(seed))
         idx = rng.choice(n, size=n_samples, replace=False)
     sums, _ = model.gradient_second_moments(np.asarray(features)[idx],
                                             np.asarray(labels)[idx], task_id)
@@ -280,7 +242,7 @@ def find_fisher(model: MultiHeadClassifier, features, labels, task_id: int,
 
 def random_importance(model: MultiHeadClassifier, seed: int) -> ImportanceMap:
     """Random nonnegative flatness stand-in, drawn once per task."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = generator(seed)
     return ImportanceMap(rng.uniform(0.0, 1.0, size=model.theta.size))
 
 
@@ -589,14 +551,24 @@ class RunState:
     replay_buffer: ReplayBuffer | None = None
 
     def __post_init__(self):
-        """Refuse importance laid out for another model: on save and on load."""
+        """Refuse, on save and on load, a state no run hands on: importance
+        laid out for another model, an rng state a PCG64 generator does not
+        take, or a next task that is not the count of finished accuracy rows
+        (at most one per head; None, for a fresh run, with no rows)."""
         if self.importance is not None and self.importance.values.shape != self.model.theta.shape:
             raise ValueError(f"misaligned importance: {self.importance.values.shape} "
                              f"for {self.model.theta.size} weights")
-
-
-def _derived_seed(seed, *tags):
-    return [int(seed)] + [int(t) for t in tags]
+        if self.rng_state is not None:
+            try:  # restored into a throwaway generator, numpy's own check
+                generator(0).bit_generator.state = self.rng_state
+            except (KeyError, OverflowError, TypeError, ValueError):
+                raise ValueError("rng_state is not a PCG64 generator state") from None
+        rows = len(self.matrix_rows) if np.ndim(self.matrix_rows) else 0  # None holds no rows
+        heads = len(self.model.head_classes)
+        if not (self.next_task is None and rows == 0
+                or _integer(self.next_task) and 1 <= self.next_task == rows <= heads):
+            raise ValueError(f"next_task {self.next_task!r} does not fit {rows} finished "
+                             f"accuracy rows and {heads} task heads")
 
 
 def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
@@ -619,7 +591,7 @@ def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
     state = RunState(model) if state is None else state
     if state.model is not model:
         raise ValueError("state holds another model than the one to train")
-    rng = np.random.Generator(np.random.PCG64(_derived_seed(seed, 1)))
+    rng = generator([seed, 1])
     if state.rng_state is not None:
         rng.bit_generator.state = state.rng_state
     if flags.replay and state.replay_buffer is None:
@@ -637,7 +609,7 @@ def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
             constrained_names=model.constrained_names(t))
         importance = state.importance
         if region is not None and flags.l2 and (not flags.find or importance is None):
-            importance = random_importance(model, _derived_seed(seed, 3, t))
+            importance = random_importance(model, [seed, 3, t])
 
         val_sets = [(*stream[j].val_xy(), j) for j in range(t + 1)]
         report = train_task(model, [task], region, importance, state.replay_buffer,
@@ -645,14 +617,12 @@ def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,
 
         feats, labels = task.train_xy()
         if flags.find or config.sparse_update_ratio < 1.0:
-            fresh = find_fisher(model, feats, labels, t,
-                                config.fisher_sample_count,
-                                _derived_seed(seed, 2, t))
+            fresh = find_fisher(model, feats, labels, t, config.fisher_sample_count,
+                                [seed, 2, t])
             state.importance = accumulate_fisher(state.importance, fresh, config.gamma)
 
         if flags.replay:
-            state.replay_buffer.add_task(feats, labels, t, config.store_ratio,
-                                         _derived_seed(seed, 4, t))
+            state.replay_buffer.add_task(feats, labels, t, config.store_ratio, [seed, 4, t])
 
         for j in range(t + 1):
             tf, tl = stream[j].test_xy()
@@ -671,10 +641,10 @@ def train_multitask(model: MultiHeadClassifier, stream, config: OptimizerConfig,
                     seed: int, epochs: int):
     """Joint round-robin training over all tasks through `train_task`;
     returns per-task test accuracies (the intransigence reference)."""
+    rng = generator([seed, 9])
     for t, task in enumerate(stream):
         if t >= len(model.head_classes):
             model.add_task_head(task.class_count)
-    rng = np.random.Generator(np.random.PCG64(_derived_seed(seed, 9)))
     val_sets = [(*task.val_xy(), t) for t, task in enumerate(stream)]
     train_task(model, list(stream), None, None, None, config, rng, epochs, val_sets)
     return np.array([model.accuracy(*task.test_xy(), t)

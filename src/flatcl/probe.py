@@ -31,8 +31,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import Batch, MultiHeadClassifier
-from .optim import all_finite, check, compute_perturbation
+from .optim import all_finite, compute_perturbation
 from .params import ParameterSet
+from .rules import check, generator
 
 
 @dataclass(frozen=True)
@@ -116,8 +117,7 @@ def ball_sharpness(obj: Objective, rho: float, n_directions: int, seed: int) -> 
     non-adaptive gradient-ascent direction rho * g / ||g||."""
     check("nonnegative", rho, "rho")
     check("count", n_directions, "n_directions")
-    check("seed", seed, "seed")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = generator(seed)
     directions = np.vstack([obj.gradient().flat,
                             rng.normal(size=(n_directions, obj.params.total_size()))])
     # each direction scaled onto the rho-sphere; a zero one is skipped.  The
@@ -214,9 +214,8 @@ def lanczos_lambda_max(obj: Objective, iters: int = 30, seed: int = 0) -> Lanczo
     per run, the coefficients `h` and the product `h @ Q`, so a step
     allocates only the product H q_j the operator returns."""
     check("count", iters, "iters")
-    check("seed", seed, "seed")
+    rng = generator(seed)
     op = obj.bind_hvp()  # the weights do not move during the run
-    rng = np.random.Generator(np.random.PCG64(seed))
     q = rng.normal(size=obj.params.total_size())
     basis = np.zeros((iters, q.size))
     basis[0] = q / np.sqrt(q @ q)

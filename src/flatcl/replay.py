@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import Batch
+from .rules import generator
 
 
 def _kmeans_pp_init(features, k, rng):
@@ -45,9 +46,9 @@ def select_exemplars(features, k, seed):
     n = features.shape[0]
     if n == 0:
         raise ValueError("task_data must be nonempty")
+    rng = generator(seed)
     if k >= n:
         return np.arange(n)
-    rng = np.random.Generator(np.random.PCG64(seed))
     centroids = _kmeans_pp_init(features, k, rng)
     assign = None
     for _ in range(KMEANS_ITERS):

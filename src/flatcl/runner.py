@@ -15,9 +15,9 @@ from .checkpoint import (Checkpoint, config_hash, load_checkpoint, save_checkpoi
                          write_atomic)
 from .data import TaskStream, gen_permuted_features, gen_rotated_gaussians, make_order
 from .model import Batch, MultiHeadClassifier
-from .optim import (OPTIMIZER_RULES, RULES, OptimizerConfig, VariantFlags, check,
-                    train_continual, train_multitask)
+from .optim import OPTIMIZER_RULES, OptimizerConfig, VariantFlags, train_continual, train_multitask
 from .probe import lanczos_lambda_max, model_objective
+from .rules import RULES, check
 
 VARIANT_FLAGS = {
     "seq": VariantFlags(),

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flatcl.checkpoint import _MAGIC, _digest
 from flatcl.model import Batch, MultiHeadClassifier
 
 
@@ -25,6 +26,25 @@ def random_batch(seed, model, n=5, task_id=0):
 def mlp_and_batch():
     model = random_mlp(7)
     return model, random_batch(11, model)
+
+
+def resign_checkpoint(path, edit):
+    """Reseal the checkpoint at `path` with a valid digest after
+    `edit(manifest, raw)` changes its manifest and `raw`, the list of its
+    blocks' bytes in file order, as a writer that skipped the checks would."""
+    path = Path(path)
+    data = path.read_bytes()
+    head = len(_MAGIC) + 8
+    mlen = int.from_bytes(data[len(_MAGIC):head], "little")
+    manifest, raw, offset = json.loads(data[head:head + mlen]), [], head + mlen
+    for block in manifest["blocks"]:
+        raw.append(data[offset:offset + block["bytes"]])
+        offset += block["bytes"]
+    edit(manifest, raw)
+    payload = b"".join(raw)
+    manifest["sha256"] = _digest(manifest, payload)
+    mbytes = json.dumps(manifest, sort_keys=True).encode()
+    path.write_bytes(_MAGIC + len(mbytes).to_bytes(8, "little") + mbytes + payload)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -16,7 +16,7 @@ from flatcl.model import MultiHeadClassifier
 from flatcl.optim import ImportanceMap
 from flatcl.replay import ReplayBuffer
 
-from conftest import random_mlp
+from conftest import random_mlp, resign_checkpoint
 
 
 def test_config_hash_stable_and_order_insensitive():
@@ -44,7 +44,7 @@ def test_model_round_trip_bitwise(tmp_path):
 
 
 def test_full_state_round_trip(tmp_path):
-    model = random_mlp(32)
+    model = random_mlp(32, classes=(3, 2))
     rng = np.random.Generator(np.random.PCG64(5))
     rng.normal(size=100)  # advance away from the fresh state
     imp = ImportanceMap(np.abs(model.theta) + 1.0)
@@ -132,7 +132,7 @@ def test_checkpoint_round_trip_property(data):
             st.integers(0, t - 1), min_size=n, max_size=n)), dtype=np.int64))
     rng = np.random.Generator(np.random.PCG64(data.draw(st.integers(0, 2**64 - 1))))
     rng.integers(2, size=data.draw(st.integers(0, 3)))
-    next_task = data.draw(st.none() | st.integers(0, t))
+    next_task = None if rows is None else len(rows)  # the one value `RunState` takes
     ckpt = Checkpoint(model=model, config_hash="h", rng_state=rng.bit_generator.state,
                       next_task=next_task, importance=imp, matrix_rows=rows, replay_buffer=buf)
     with tempfile.TemporaryDirectory() as tmp:
@@ -167,38 +167,13 @@ def test_save_rejects_misaligned_state(tmp_path, field):
     assert not path.exists()
 
 
-def _rewrite_block(path, name, array):
-    """Replace the block `name` of the checkpoint at `path` by `array` and
-    reseal the file, as a writer that skipped the checks would."""
-    from flatcl.checkpoint import _MAGIC, _digest
-    data = path.read_bytes()
-    head = len(_MAGIC) + 8
-    mlen = int.from_bytes(data[len(_MAGIC):head], "little")
-    manifest = json.loads(data[head:head + mlen])
-    payload, offset, blocks = b"", head + mlen, manifest["blocks"]
-    for block in blocks:
-        raw = data[offset:offset + block["bytes"]]
-        offset += block["bytes"]
-        if block["name"] == name:
-            raw = np.ascontiguousarray(array, dtype="<f8").tobytes()
-            block["shape"], block["bytes"] = list(np.shape(array)), len(raw)
-        payload += raw
-    manifest["sha256"] = _digest(manifest, payload)
-    mbytes = json.dumps(manifest, sort_keys=True).encode()
-    path.write_bytes(_MAGIC + len(mbytes).to_bytes(8, "little") + mbytes + payload)
-
-
-def _resign(path, edit):
-    """Apply `edit` to the manifest of the checkpoint at `path` and reseal
-    the file with a valid digest, as a writer that skipped the checks would."""
-    from flatcl.checkpoint import _digest
-    data = path.read_bytes()
-    mlen = int.from_bytes(data[8:16], "little")
-    manifest, payload = json.loads(data[16:16 + mlen]), data[16 + mlen:]
-    edit(manifest)
-    manifest["sha256"] = _digest(manifest, payload)
-    mbytes = json.dumps(manifest, sort_keys=True).encode()
-    path.write_bytes(data[:8] + len(mbytes).to_bytes(8, "little") + mbytes + payload)
+def _block_edit(name, array):
+    """A `resign_checkpoint` edit that puts `array` in block `name`."""
+    def edit(manifest, raw):
+        i = [block["name"] for block in manifest["blocks"]].index(name)
+        raw[i] = np.ascontiguousarray(array, dtype="<f8").tobytes()
+        manifest["blocks"][i].update(shape=list(np.shape(array)), bytes=len(raw[i]))
+    return edit
 
 
 def test_load_rejects_misaligned_importance(tmp_path):
@@ -210,7 +185,7 @@ def test_load_rejects_misaligned_importance(tmp_path):
     imp = ImportanceMap(np.abs(model.theta))
     save_checkpoint(path, Checkpoint(model=model, importance=imp))
     assert load_checkpoint(path).importance.values.tobytes() == imp.values.tobytes()
-    _rewrite_block(path, "importance", np.abs(model.theta[:-1]))
+    resign_checkpoint(path, _block_edit("importance", np.abs(model.theta[:-1])))
     with pytest.raises(ValueError,
                        match=f"^{re.escape(str(path))}: misaligned importance") as info:
         load_checkpoint(path)
@@ -226,7 +201,7 @@ def test_load_rejects_nan_importance(tmp_path):
     save_checkpoint(path, Checkpoint(model=model, importance=ImportanceMap(np.abs(model.theta))))
     bad = np.abs(model.theta)
     bad[3] = np.nan  # a file written by a writer that skipped the check
-    _rewrite_block(path, "importance", bad)
+    resign_checkpoint(path, _block_edit("importance", bad))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: negative or NaN importance"):
         load_checkpoint(path)
 
@@ -242,20 +217,20 @@ def test_load_rejects_replay_store_with_a_label_short(tmp_path):
     path = tmp_path / "short.bin"
     save_checkpoint(path, Checkpoint(model=model, replay_buffer=store))
     assert load_checkpoint(path).replay_buffer.labels.tolist() == store.labels.tolist()
-    _resign(path, lambda m: m["replay"]["labels"].pop())
+    resign_checkpoint(path, lambda m, _: m["replay"]["labels"].pop())
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*replay store holds "
                                          "5 feature rows, 4 labels and 5 task ids$"):
         load_checkpoint(path)
 
 
 @pytest.mark.parametrize("edit", [
-    lambda m: m["blocks"][0].update(name="weights"),
-    lambda m: m.pop("model"),
-    lambda m: m.pop("rng_state"),
-    lambda m: m["model"].update(hidden_dims=[7]),
-    lambda m: m["blocks"][0].update(bytes=m["blocks"][0]["bytes"] - 8),
-    lambda m: m["blocks"][0].update(shape=[m["blocks"][0]["shape"][0] + 1]),
-    lambda m: m["model"].update(activation="sigmoid"),
+    lambda m, _: m["blocks"][0].update(name="weights"),
+    lambda m, _: m.pop("model"),
+    lambda m, _: m.pop("rng_state"),
+    lambda m, _: m["model"].update(hidden_dims=[7]),
+    lambda m, _: m["blocks"][0].update(bytes=m["blocks"][0]["bytes"] - 8),
+    lambda m, _: m["blocks"][0].update(shape=[m["blocks"][0]["shape"][0] + 1]),
+    lambda m, _: m["model"].update(activation="sigmoid"),
 ], ids=["no-param-block", "no-model", "no-rng-state", "hidden-dims-misfit",
         "bytes-misfit", "shape-misfit", "unknown-activation"])
 def test_load_refuses_resigned_manifest_that_misdescribes_its_data(tmp_path, edit):
@@ -265,7 +240,7 @@ def test_load_refuses_resigned_manifest_that_misdescribes_its_data(tmp_path, edi
     that names the file."""
     path = tmp_path / "c.bin"
     save_checkpoint(path, Checkpoint(model=random_mlp(43)))
-    _resign(path, edit)
+    resign_checkpoint(path, edit)
     with pytest.raises(ValueError) as info:
         load_checkpoint(path)
     assert str(info.value).startswith(f"{path}: ") and "\n" not in str(info.value)
@@ -276,7 +251,7 @@ def test_load_refuses_resigned_head_classes_through_the_rule_table(tmp_path):
     left for the layout to fail on."""
     path = tmp_path / "c.bin"
     save_checkpoint(path, Checkpoint(model=random_mlp(43)))
-    _resign(path, lambda m: m["model"].update(head_classes=[2.5]))
+    resign_checkpoint(path, lambda m, _: m["model"].update(head_classes=[2.5]))
     with pytest.raises(ValueError) as info:
         load_checkpoint(path)
     assert str(info.value) == (f"{path}: manifest does not describe its data: "

@@ -14,12 +14,14 @@ from flatcl import runner
 from flatcl.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from flatcl.cli import main
 from flatcl.model import MultiHeadClassifier
-from flatcl.optim import (OPTIMIZER_RULES, RULES, OptimizerConfig, train_continual,
-                          train_multitask)
+from flatcl.optim import OPTIMIZER_RULES, OptimizerConfig, train_continual, train_multitask
 from flatcl.probe import lanczos_lambda_max, model_objective
+from flatcl.rules import RULES
 from flatcl.runner import (VARIANT_FLAGS, build_optimizer_config, build_stream,
                            load_config, probe_batch, read_matrix_csv, run_experiment,
                            run_single_seed, write_matrix_csv)
+
+from conftest import resign_checkpoint
 
 
 def small_cfg():
@@ -388,34 +390,14 @@ def test_resume_across_head_addition_bitwise(tmp_path):
     assert a.importance.values.tobytes() == b.importance.values.tobytes()
 
 
-def _rewrite_checkpoint(path, edit):
-    """Reseal the checkpoint at `path` after `edit(manifest, raw)` changes its
-    manifest and its raw blocks (bytes by block name), as an older writer
-    would have sealed it."""
-    from flatcl.checkpoint import _MAGIC, _digest
-    data = path.read_bytes()
-    head = len(_MAGIC) + 8
-    mlen = int.from_bytes(data[len(_MAGIC):head], "little")
-    manifest = json.loads(data[head:head + mlen])
-    raw, offset = {}, head + mlen
-    for block in manifest["blocks"]:
-        raw[block["name"]] = data[offset:offset + block["bytes"]]
-        offset += block["bytes"]
-    edit(manifest, raw)
-    payload = b"".join(raw[block["name"]] for block in manifest["blocks"])
-    manifest["sha256"] = _digest(manifest, payload)
-    mbytes = json.dumps(manifest, sort_keys=True).encode()
-    path.write_bytes(_MAGIC + len(mbytes).to_bytes(8, "little") + mbytes + payload)
-
-
 def _add_anchor_block(manifest, raw):
     """The checkpoint as written before the flat region was rebuilt from the
     weights: an `anchor` block, equal to `param`, after the importance
     block."""
     blocks = manifest["blocks"]
-    names = [block["name"] for block in blocks]
-    blocks.insert(names.index("importance") + 1, dict(blocks[0], name="anchor"))
-    raw["anchor"] = raw["param"]
+    at = [block["name"] for block in blocks].index("importance") + 1
+    blocks.insert(at, dict(blocks[0], name="anchor"))
+    raw.insert(at, raw[0])
 
 
 def test_resume_from_checkpoint_with_anchor_block(tmp_path):
@@ -425,7 +407,7 @@ def test_resume_from_checkpoint_with_anchor_block(tmp_path):
     run_single_seed(small_cfg(), "cf", 1, str(full))
     legacy = tmp_path / "legacy.bin"
     legacy.write_bytes((full / "ckpt_task0.bin").read_bytes())
-    _rewrite_checkpoint(legacy, _add_anchor_block)
+    resign_checkpoint(legacy, _add_anchor_block)
     assert legacy.stat().st_size > (full / "ckpt_task0.bin").stat().st_size
     old, new = load_checkpoint(legacy), load_checkpoint(full / "ckpt_task0.bin")
     assert old.model.theta.tobytes() == new.model.theta.tobytes()
@@ -476,7 +458,7 @@ def test_resume_from_checkpoint_without_probe_values(tmp_path):
     run_single_seed(cfg, "cf", 1, str(full))
     legacy = tmp_path / "legacy.bin"
     legacy.write_bytes((full / "ckpt_task0.bin").read_bytes())
-    _rewrite_checkpoint(legacy, lambda manifest, _: manifest.pop("probe_values"))
+    resign_checkpoint(legacy, lambda manifest, _: manifest.pop("probe_values"))
     assert load_checkpoint(legacy).probe_values is None
     resumed = tmp_path / "resumed"
     run_single_seed(cfg, "cf", 1, str(resumed), resume_from=str(legacy))
@@ -484,6 +466,43 @@ def test_resume_from_checkpoint_without_probe_values(tmp_path):
     trace = json.loads((full / "metrics.json").read_text())["sharpness_trace"]
     assert (json.loads((resumed / "metrics.json").read_text())["sharpness_trace"]
             == trace[1:])
+
+
+@pytest.fixture(scope="module")
+def cf_task0(tmp_path_factory):
+    """A 3-task cf run's config and its ckpt_task0.bin's bytes."""
+    cfg = small_cfg()
+    cfg["benchmark"]["n_tasks"] = 3
+    out = tmp_path_factory.mktemp("cf") / "full"
+    run_single_seed(cfg, "cf", 1, str(out))
+    return cfg, (out / "ckpt_task0.bin").read_bytes()
+
+
+_MT19937 = {"bit_generator": "MT19937", "state": {"key": list(range(624)), "pos": 624}}
+_NO_RNG = "rng_state is not a PCG64 generator state"
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("rng_state", {"foo": 1}, _NO_RNG),
+    ("rng_state", "x", _NO_RNG),
+    ("rng_state", _MT19937, _NO_RNG),
+    *(("next_task", value, f"next_task {value!r} does not fit 1 finished accuracy rows "
+       "and 1 task heads") for value in (99, -1, 2, "x", None)),
+], ids=["rng-dict", "rng-string", "rng-mt19937", "next-99", "next-minus-1", "next-2",
+        "next-string", "next-none"])
+def test_resume_refuses_a_state_no_run_hands_on(tmp_path, cf_task0, key, value, error):
+    """A re-signed ckpt_task0.bin whose rng state a PCG64 generator does not
+    take, or whose next task is not its one accuracy row, is refused on load
+    by one line naming the file, before the seed directory is made."""
+    cfg, data = cf_task0
+    path = tmp_path / "ckpt_task0.bin"
+    path.write_bytes(data)
+    resign_checkpoint(path, lambda m, _: m.update({key: value}))
+    resumed = tmp_path / "resumed"
+    with pytest.raises(ValueError) as info:
+        run_single_seed(cfg, "cf", 1, str(resumed), resume_from=str(path))
+    assert str(info.value) == f"{path}: {error}"
+    assert not resumed.exists()
 
 
 def test_each_task_starts_from_the_weights_the_last_one_ended_with(tmp_path):
@@ -1110,23 +1129,6 @@ def _seq_run(tmp_path, seed=2):
     return cfg_path, str(tmp_path / "out" / "tiny" / "seq" / f"seed{seed}" / "ckpt_task1.bin")
 
 
-def _drop_manifest_keys(path, *keys):
-    """Rewrite a checkpoint as one written before the manifest had `keys`."""
-    from flatcl.checkpoint import _MAGIC, _digest
-    with open(path, "rb") as f:
-        data = f.read()
-    head = len(_MAGIC) + 8
-    mlen = int.from_bytes(data[len(_MAGIC):head], "little")
-    manifest = json.loads(data[head:head + mlen])
-    for key in keys:
-        del manifest[key]
-    payload = data[head + mlen:]
-    manifest["sha256"] = _digest(manifest, payload)
-    mbytes = json.dumps(manifest, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(_MAGIC + len(mbytes).to_bytes(8, "little") + mbytes + payload)
-
-
 def test_cli_probe_takes_seed_from_checkpoint(tmp_path, capsys):
     cfg_path, ckpt = _seq_run(tmp_path, seed=2)
     assert load_checkpoint(ckpt).seed == 2
@@ -1142,7 +1144,8 @@ def test_cli_probe_takes_seed_from_checkpoint(tmp_path, capsys):
 
 def test_cli_probe_refuses_checkpoint_without_seed(tmp_path, capsys):
     cfg_path, ckpt = _seq_run(tmp_path)
-    _drop_manifest_keys(ckpt, "seed", "variant")  # the variant was recorded after the seed
+    # a file written before the seed was kept; the variant was recorded after it
+    resign_checkpoint(ckpt, lambda m, _: (m.pop("seed"), m.pop("variant")))
     assert load_checkpoint(ckpt).seed is None  # an older file still loads
     capsys.readouterr()
     assert main(["probe", "--checkpoint", ckpt, "--config", cfg_path,
@@ -1185,7 +1188,7 @@ def test_cli_probe_refuses_config_of_another_run(tmp_path, capsys):
 
 def test_cli_probe_checkpoint_without_variant_is_not_checked(tmp_path, capsys):
     _, ckpt = _seq_run(tmp_path)
-    _drop_manifest_keys(ckpt, "variant")
+    resign_checkpoint(ckpt, lambda m, _: m.pop("variant"))  # a file from before it was kept
     assert load_checkpoint(ckpt).variant is None  # an older file still loads
     capsys.readouterr()
     assert main(["probe", "--checkpoint", ckpt, "--config", _other_cfg(tmp_path),
