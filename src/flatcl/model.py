@@ -69,7 +69,8 @@ class MultiHeadClassifier:
     softmax and the backward adjoints once, and the operator it returns
     runs only the passes that depend on the direction.  A Lanczos run binds
     once and applies per iteration; `probe.hvp` on a `model_objective`
-    binds and applies once.
+    binds and applies once; a probe report's one bind also writes its
+    gradient.
     """
 
     def __init__(self, seed: int, input_dim: int, hidden_dims: list[int],
@@ -135,9 +136,9 @@ class MultiHeadClassifier:
             [f"{name}.{p}" for name in layer_names for p in "Wb"],
             [block for shape in shapes for block in (shape, shape[1:])])
         self.theta = self._params.flat
-        at = self._params.slice_of
-        layers = [(slice(at(f"{name}.W").start, at(f"{name}.b").stop), (rows + 1, cols))
-                  for name, (rows, cols) in zip(layer_names, shapes)]
+        ends = self._params.offsets()  # layer i is the (W, b) pair of blocks 2i and 2i + 1
+        layers = [(slice(ends[2 * i], ends[2 * i + 2]), (rows + 1, cols))
+                  for i, (rows, cols) in enumerate(shapes)]
         depth = len(self.hidden_dims)
         self._layers = [layers[:depth] + [head] for head in layers[depth:]]
 
@@ -290,7 +291,7 @@ class MultiHeadClassifier:
             sq_norms += np.add.reduce(a2, axis=1) * np.add.reduce(d2, axis=1)
         return sums, sq_norms
 
-    def _hvp_operator(self, features, labels, task_id):
+    def _hvp_operator(self, features, labels, task_id, grads=None):
         """Bind Pearlmutter's R-operator to checked rows at the current weights.
 
         R{.} = d/dt at w + t v is pushed through the forward pass, then
@@ -313,6 +314,12 @@ class MultiHeadClassifier:
         valid while the weights do not move.  Relu kinks contribute no
         curvature.  Its products are bitwise those of the R-operator
         recursion tests/test_model.py writes out in the same folded form.
+
+        Given `grads`, a flat vector laid out like `theta`, the bind also
+        writes the mean loss's gradient into the head's blocks of it, `[h,
+        1].T @ delta` per layer from its own adjoints: bit for bit
+        `_loss_gradient`'s, with no second pass at w.  The rest of `grads`
+        is left as it is.
         """
         bound = self._pass(self.theta, task_id)
         rows, z = bound.forward(features)
@@ -327,6 +334,9 @@ class MultiHeadClassifier:
         slope = [None] + [np.asarray(bound.slope(h), dtype=np.float64) for h in acts[1:]]
         adjoint, d_h = bound.adjoints(
             rows, bound.output_adjoint(p.copy(), labels, 1.0 / n, rows.eye_n))
+        if grads is not None:
+            for a_t, delta, block in zip(aug_t, adjoint, self._plan(grads, task_id)):
+                np.dot(a_t, delta, out=block)
         tanh = bound.tanh
         curvature = ([None] + [2.0 * d * h for d, h in zip(d_h[1:], acts[1:])]
                      if tanh else None)
@@ -397,6 +407,11 @@ def _row_max(z):
     return np.maximum.reduce(z, axis=-1, keepdims=True)
 
 
+def _row_sum(e):
+    """The class sum, (..., 1): the reduction `.sum` calls."""
+    return np.add.reduce(e, axis=-1, keepdims=True)
+
+
 def _column_max(z):
     """The class max of a stack's logits, (k, n, 1): c - 1 elementwise
     maxima over the class columns, each over all k * n rows at once, where
@@ -404,10 +419,23 @@ def _column_max(z):
     can differ from the reduction's only in the sign of a zero max, which
     no loss reads: z - max is then a zero, whose exp is 1 and which
     log(s) - z leaves at log(s), or at +0 when log(s) is 0."""
-    top = z[..., :1].copy()
-    for j in range(1, z.shape[-1]):
-        np.maximum(top, z[..., j:j + 1], out=top)
-    return top
+    return _column_chain(np.maximum, z)
+
+
+def _column_sum(e):
+    """The class sum of a stack's exps over fewer than 8 classes, (k, n,
+    1): c - 1 elementwise adds over the class columns, left to right, the
+    order in which the reduction adds fewer than 8 terms, so its bits."""
+    return _column_chain(np.add, e)
+
+
+def _column_chain(ufunc, a):
+    """`ufunc` folded over the last axis of `a` left to right, one
+    elementwise call per column over every row, into a fresh (..., 1)."""
+    out = a[..., :1].copy()
+    for j in range(1, a.shape[-1]):
+        ufunc(out, a[..., j:j + 1], out=out)
+    return out
 
 
 class _Rows(NamedTuple):
@@ -453,8 +481,10 @@ class _Pass:
     max is bound the same way, `_class_max`: a reduction over a flat
     pass's 8 rows, c - 1 elementwise maxima over the class columns of a
     stack's k * n rows (`_column_max`).  A max is exact, so both give every
-    loss the same bits; the sum over the classes stays a reduction on
-    both, as a column chain would add in another order from 8 classes on.
+    loss the same bits.  The class sum, `_class_sum`, is bound alike: a
+    reduction over a flat pass, and over a stack of fewer than 8 classes a
+    column chain (`_column_sum`), which adds in the reduction's order; from
+    8 classes on the reduction adds in another order, so a stack keeps it.
     """
 
     def __init__(self, plan, activation, rows):
@@ -462,6 +492,7 @@ class _Pass:
         flat = plan[0].ndim == 2
         self._dot = np.dot if flat else np.matmul
         self._class_max = _row_max if flat else _column_max
+        self._class_sum = _row_sum if flat or plan[-1].shape[-1] >= 8 else _column_sum
         self.w_t = [wb[..., :-1, :].swapaxes(-1, -2) for wb in plan]
         self.tanh = activation == "tanh"
         self._rows = rows
@@ -501,10 +532,10 @@ class _Pass:
         """(e, s) from logits `z`: e = exp(z - max) and s its sum over the
         last axis, kept as a (..., 1) column, so the softmax is e / s.  `z`
         becomes z - max in place.  The max is `_class_max`'s and the sum
-        the reduction `.sum` calls.  The loss reads `z` and `s` alone."""
+        `_class_sum`'s.  The loss reads `z` and `s` alone."""
         z -= self._class_max(z)
         e = np.exp(z)
-        return e, np.add.reduce(e, axis=-1, keepdims=True)
+        return e, self._class_sum(e)
 
     def softmax(self, z):
         """(p, s): `exp_sum`'s s and the softmax p = e / s, written over e."""

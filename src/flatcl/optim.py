@@ -10,6 +10,7 @@ masks.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -538,6 +539,14 @@ def _step_batches(data, replay_buffer, config, rng, epochs):
 # continual loop
 
 
+@functools.cache
+def _rng_checker():
+    """The one PCG64 a `RunState` restores an rng state into, numpy's own
+    check of it, made on first use: importing flatcl loads no
+    `numpy.random`.  Nothing draws from it, so no state it takes is read."""
+    return generator(0).bit_generator
+
+
 @dataclass
 class RunState:
     """What a continual run hands on at a task boundary.  A fresh run starts
@@ -559,8 +568,8 @@ class RunState:
             raise ValueError(f"misaligned importance: {self.importance.values.shape} "
                              f"for {self.model.theta.size} weights")
         if self.rng_state is not None:
-            try:  # restored into a throwaway generator, numpy's own check
-                generator(0).bit_generator.state = self.rng_state
+            try:
+                _rng_checker().state = self.rng_state
             except (KeyError, OverflowError, TypeError, ValueError):
                 raise ValueError("rng_state is not a PCG64 generator state") from None
         rows = len(self.matrix_rows) if np.ndim(self.matrix_rows) else 0  # None holds no rows

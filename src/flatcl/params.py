@@ -114,6 +114,10 @@ class ParameterSet:
         i = lay.index[name]
         return slice(lay.offsets[i], lay.offsets[i + 1])
 
+    def offsets(self) -> list[int]:
+        """Where each block starts in `flat`, in layout order, then its size."""
+        return self._layout.offsets
+
     def total_size(self) -> int:
         return self.flat.size
 

@@ -9,7 +9,8 @@ No probe writes the weights.  A probe's losses, at w and at each perturbed
 point, are scored in one pass through the model's plan over a stack of
 weight vectors, as the create step scores w + eps through its plan over a
 scratch vector; the Hessian operator only reads the weights.  A report
-takes the gradient once, for both sharpness estimates.
+makes one pass at w: its Hessian bind also writes the gradient, which both
+sharpness estimates read, and Lanczos applies the operator it bound.
 
 Lanczos binds the Hessian once per run.  The bound operator works on each
 layer's folded `[W; b]` block and copies each direction into one bound
@@ -18,8 +19,8 @@ buffers bound with it and allocates only the product it returns.  Each
 step then orthogonalizes the product against the whole basis by classical
 Gram-Schmidt applied twice, writing its projections into two vectors made
 once per run.  The stacked pass of the ball-sharpness losses takes its
-class max column by column, elementwise, and its sum as a reduction (see
-`model._Pass`).
+class max, and under 8 classes its class sum, column by column,
+elementwise (see `model._Pass`).
 """
 
 from __future__ import annotations
@@ -46,12 +47,13 @@ class Objective:
     reads the current weights on every call.  `bind_hvp()` binds the Hessian at the current weights:
     it returns an operator from a flat v to a fresh flat H v that is valid
     while the weights do not move, so a Lanczos run binds once and applies
-    many times.
+    many times.  A model objective's `bind_hvp(grads)` also writes the
+    gradient into `grads`, a zero flat vector laid out like `params.flat`.
     """
     params: ParameterSet
     values: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[], ParameterSet]
-    bind_hvp: Callable[[], Callable[[np.ndarray], np.ndarray]]
+    bind_hvp: Callable[..., Callable[[np.ndarray], np.ndarray]]
 
 
 def model_objective(model: MultiHeadClassifier, batch: Batch) -> Objective:
@@ -63,7 +65,7 @@ def model_objective(model: MultiHeadClassifier, batch: Batch) -> Objective:
         model.parameters(),
         lambda thetas: model._task_losses(features, labels, task_id, thetas),
         lambda: model._loss_gradient(features, labels, task_id)[1],
-        lambda: model._hvp_operator(features, labels, task_id),
+        lambda grads=None: model._hvp_operator(features, labels, task_id, grads),
     )
 
 
@@ -240,10 +242,10 @@ def lanczos_lambda_max(obj: Objective, iters: int = 30, seed: int = 0) -> Lanczo
             break
         betas.append(beta)
         np.divide(w, beta, out=basis[j + 1])
-    k = len(alphas)
+    k = len(alphas)  # one more than the betas
     tri = np.diag(alphas)
-    for i, b in enumerate(betas[:k - 1]):
-        tri[i, i + 1] = tri[i + 1, i] = b
+    i = np.arange(k - 1)
+    tri[i, i + 1] = tri[i + 1, i] = betas
     lam = float(np.max(np.linalg.eigvalsh(tri)))
     return LanczosResult(lam, float(np.log(max(lam, 1e-30))), k, breakdown)
 
@@ -263,12 +265,13 @@ def sharpness_report(model: MultiHeadClassifier, batch: Batch, rho: float,
                      n_directions: int = 16, lanczos_iters: int = 30,
                      seed: int = 0) -> SharpnessReport:
     obj = model_objective(model, batch)
-    # the weights do not move during a report, so both sharpness probes read
-    # one gradient
-    grads = obj.gradient()
-    fixed = replace(obj, gradient=lambda: grads)
+    # the weights do not move during a report, so one bind at w serves all
+    # three probes: its gradient both sharpness estimates, its operator Lanczos
+    grads = obj.params.zeros_like()
+    op = obj.bind_hvp(grads.flat)
+    fixed = replace(obj, gradient=lambda: grads, bind_hvp=lambda: op)
     ball = ball_sharpness(fixed, rho, n_directions, seed)
     first = first_order_sharpness(fixed, rho)
-    lres = lanczos_lambda_max(obj, lanczos_iters, seed)
+    lres = lanczos_lambda_max(fixed, lanczos_iters, seed)
     return SharpnessReport(ball, first, lres.lambda_max, lres.log_lambda_max,
                            rho, n_directions, lres.iters_run)

@@ -77,6 +77,27 @@ def test_full_state_round_trip(tmp_path):
     assert np.array_equal(rng.normal(size=10), rng2.normal(size=10))
 
 
+def test_load_builds_no_generator(tmp_path, monkeypatch):
+    """A load checks the rng state it reads by restoring it into the one
+    PCG64 kept for that check, so it builds no generator and seeds no
+    SeedSequence (numpy builds one for each PCG64 given a seed)."""
+    rng = np.random.Generator(np.random.PCG64(6))
+    path = tmp_path / "m.bin"
+    # building the state checks it, which makes the kept PCG64 if none is yet
+    save_checkpoint(path, Checkpoint(model=random_mlp(33), rng_state=rng.bit_generator.state))
+    built = []
+
+    def counted(name, make):
+        def call(*args, **kwargs):
+            built.append(name)
+            return make(*args, **kwargs)
+        return call
+    for name in ("Generator", "PCG64", "SeedSequence", "default_rng"):
+        monkeypatch.setattr(np.random, name, counted(name, getattr(np.random, name)))
+    assert load_checkpoint(path).rng_state == rng.bit_generator.state
+    assert built == []
+
+
 @pytest.mark.parametrize("n_tasks", [0, 1, 3])
 def test_replay_arrays_round_trip(tmp_path, n_tasks):
     """The replay store's three arrays come back bitwise, with their dtypes

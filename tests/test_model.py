@@ -270,6 +270,27 @@ def test_bound_hvp_operator_equals_loss_hvp_bitwise(activation, hidden, n_rows):
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
+def test_hvp_bind_writes_the_loss_gradient_bitwise(activation, hidden):
+    """Given a gradient output, the Hessian bind writes into it, on every
+    head, the bits of `loss_gradient`'s gradient, and nothing outside the
+    head's layers; its operator is the one a bind without it returns."""
+    m = random_mlp(43, hidden=hidden, classes=(3, 2, 4), activation=activation)
+    v = np.random.default_rng(44).normal(size=m.theta.size)
+    for task_id in range(3):
+        batch = random_batch(45 + task_id, m, n=8, task_id=task_id)
+        rows = m._check_rows(batch.features, batch.labels, task_id)
+        grads = np.zeros(m.theta.size)
+        op = m._hvp_operator(*rows, task_id, grads)
+        assert grads.tobytes() == m.loss_gradient(batch)[1].flat.tobytes()
+        outside = np.ones(m.theta.size, dtype=bool)
+        for sl in m.layer_slices(task_id):
+            outside[sl] = False
+        assert not grads[outside].any() and grads[~outside].any()
+        assert op(v).tobytes() == m._hvp_operator(*rows, task_id)(v).tobytes()
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
 @pytest.mark.parametrize("hidden", [(), (5,), (16, 8)])
 def test_bound_hvp_apply_allocates_only_its_result(activation, hidden):
     """An apply writes every intermediate into buffers bound with the

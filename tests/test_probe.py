@@ -496,20 +496,26 @@ def test_sharpness_report_checks_rows_once(monkeypatch):
     assert len(seen) == 1
 
 
-def test_sharpness_report_takes_one_gradient(monkeypatch):
-    """Ball and first-order sharpness read one gradient per report, and
-    the report is the one each probe gives with its own gradient."""
+def test_sharpness_report_makes_one_pass_at_w(monkeypatch):
+    """A report binds the Hessian once, and that bind's gradient serves
+    ball and first-order sharpness: no gradient pass runs.  The report is
+    the one each probe gives with its own gradient and its own bind."""
     model = random_mlp(67, hidden=(5,))
     batch = random_batch(68, model, n=8)
     obj = model_objective(model, batch)
     want = (ball_sharpness(obj, 0.1, 4, 0), first_order_sharpness(obj, 0.1),
             lanczos_lambda_max(obj, 5, 0).lambda_max)
-    seen = []
-    kernel = type(model)._loss_gradient
-    monkeypatch.setattr(type(model), "_loss_gradient",
-                        lambda self, *a: seen.append(1) or kernel(self, *a))
+    seen = {"_loss_gradient": 0, "_hvp_operator": 0}
+
+    def counted(name, kernel):
+        def call(self, *args):
+            seen[name] += 1
+            return kernel(self, *args)
+        return call
+    for name in seen:
+        monkeypatch.setattr(type(model), name, counted(name, getattr(type(model), name)))
     rep = sharpness_report(model, batch, rho=0.1, n_directions=4, lanczos_iters=5, seed=0)
-    assert len(seen) == 1
+    assert seen == {"_loss_gradient": 0, "_hvp_operator": 1}
     assert (rep.ball_sharpness, rep.first_order_sharpness, rep.lambda_max) == want
 
 

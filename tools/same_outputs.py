@@ -15,8 +15,8 @@ flatcl from PYTHONPATH, into a temporary directory:
   its ckpt_task1.bin and rot5 seq seed 1 from its ckpt_task3.bin, so a
   resume that carries a replay store and one that carries no importance
   are checked too;
-- `flatcl probe` on rot5 cf seed 1's ckpt_task4.bin, with the run seed taken
-  from the checkpoint;
+- `flatcl probe` on rot5 cf seed 1's ckpt_task4.bin and on perm5 cf seed
+  1's ckpt_task2.bin, with the run seed taken from the checkpoint;
 - `flatcl gen-data` on rot5 and perm5, seed 1.
 
 A failed seed's failures.json is not in the set: its traceback carries file
@@ -69,7 +69,8 @@ FIXED_SET = (
     + [{"kind": "resume", "config": "rot5", "variant": "cf", "seed": 1, "task": 2},
        {"kind": "resume", "config": "perm5", "variant": "replay", "seed": 1, "task": 1},
        {"kind": "resume", "config": "rot5", "variant": "seq", "seed": 1, "task": 3},
-       {"kind": "probe", "config": "rot5", "variant": "cf", "seed": 1, "task": 4}]
+       {"kind": "probe", "config": "rot5", "variant": "cf", "seed": 1, "task": 4},
+       {"kind": "probe", "config": "perm5", "variant": "cf", "seed": 1, "task": 2}]
     + [{"kind": "gen-data", "config": c, "seed": 1} for c in CONFIGS]
 )
 
