@@ -1,27 +1,25 @@
 """Binary checkpoints: a JSON manifest plus raw little-endian float64 blocks.
 
 Layout: the magic bytes, the manifest length (8 bytes, little-endian), the
-manifest (sorted-key JSON) and the data blocks.  The manifest's `sha256` is
-the SHA-256 of the manifest serialized without that field, followed by the
-data blocks, so any truncated or corrupted file is refused.  A save builds
-the file's bytes first and hands them to `write_atomic`, which writes a
+manifest (sorted-key JSON), the data blocks and the 32-byte SHA-256 of
+every byte before it, so any truncated or corrupted file is refused; files
+of the earlier formats (v1-v3) are refused by name.  A save builds the
+file's bytes first and hands them to `write_atomic`, which writes a
 temporary file next to the target and renames it over the target, so a
 crash never leaves a partial checkpoint under the final name.  Every other
 file flatcl writes goes through `write_atomic` too.
 
-Round-trips are bitwise exact.  Besides model weights, a checkpoint can
-carry the run seed and variant (absent from files written before each was
-recorded) and the rest of the `optim.RunState` a continual run resumes
-from at a task boundary: the next task, the importance accumulator, the rng
-state, finished accuracy rows, the finished tasks' probe values and the
-replay buffer.  The next task's flat region is rebuilt from the weights, so
-it is not stored; the `anchor` block of earlier v3 files, always equal to
-`param`, is not read.  The weights and the importance are each one block
-over the model's flat parameter layout; the replay buffer's features are
-one (n, d) block and its labels and task ids manifest lists.  The probe
-values are one manifest string of JSON text, so each entry keeps its key
-order through the sorted-key manifest; files written before they were kept
-have none.
+Round-trips are bitwise exact.  Besides model weights, a checkpoint
+carries the run seed and variant, both required, and the rest of the
+`optim.RunState` a continual run resumes from at a task boundary: the next
+task, the importance accumulator, the rng state, finished accuracy rows,
+the finished tasks' probe values and the replay buffer.  The next task's
+flat region is rebuilt from the weights, so it is not stored.  The weights
+and the importance are each one block over the model's flat parameter
+layout; the replay buffer's features are one (n, d) block and its labels
+and task ids manifest lists.  The probe values are one manifest string of
+JSON text, so each entry keeps its key order through the sorted-key
+manifest.
 """
 
 from __future__ import annotations
@@ -36,9 +34,11 @@ import numpy as np
 from .model import MultiHeadClassifier
 from .optim import ImportanceMap, RunState
 from .replay import ReplayBuffer
+from .rules import check
 
 _MAGIC = b"FLATCKPT"
-_FORMAT = "flatcl-checkpoint-v3"
+_FORMAT = "flatcl-checkpoint-v4"
+_DIGEST = 32  # bytes of the SHA-256 trailer
 
 
 def config_hash(config_dict: dict) -> str:
@@ -46,13 +46,21 @@ def config_hash(config_dict: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Checkpoint(RunState):
     """A task-boundary `RunState`, which `optim.train_continual` moves and
-    resumes from, plus what identifies its run."""
+    resumes from, plus what identifies its run.  A seed that breaks
+    `RULES["seed"]` or a variant that is not a nonempty string is refused,
+    on save and on load."""
+    seed: int  # the run seed: `flatcl probe` rebuilds its stream from it
+    variant: str  # the run variant: `flatcl probe` rechecks the hash with it
     config_hash: str | None = None
-    seed: int | None = None  # the run seed: `flatcl probe` rebuilds its stream from it
-    variant: str | None = None  # the run variant: `flatcl probe` rechecks the hash with it
+
+    def __post_init__(self):
+        super().__post_init__()
+        check("seed", self.seed, "seed")
+        if not (isinstance(self.variant, str) and self.variant):
+            raise ValueError(f"variant must be a nonempty string, got {self.variant!r}")
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
@@ -87,9 +95,9 @@ def save_checkpoint(path, ckpt: Checkpoint):
         "replay": replay_meta,
     }
     payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in blocks)
-    manifest["sha256"] = _digest(manifest, payload)
     mbytes = json.dumps(manifest, sort_keys=True).encode()
-    write_atomic(path, _MAGIC + len(mbytes).to_bytes(8, "little") + mbytes + payload)
+    data = _MAGIC + len(mbytes).to_bytes(8, "little") + mbytes + payload
+    write_atomic(path, data + hashlib.sha256(data).digest())
 
 
 def write_atomic(path, data: bytes):
@@ -110,14 +118,6 @@ def write_atomic(path, data: bytes):
         raise
 
 
-def _digest(manifest: dict, payload: bytes) -> str:
-    """SHA-256 of the manifest without its `sha256` field, then the payload."""
-    core = {k: v for k, v in manifest.items() if k != "sha256"}
-    h = hashlib.sha256(json.dumps(core, sort_keys=True).encode())
-    h.update(payload)
-    return h.hexdigest()
-
-
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a file that is not an intact checkpoint of this
     format raises a one-line ValueError."""
@@ -126,8 +126,8 @@ def load_checkpoint(path) -> Checkpoint:
     head = len(_MAGIC) + 8
     mlen = int.from_bytes(data[len(_MAGIC):head], "little")
     # `<=` here would refuse the same files: one that ends at its manifest
-    # has no payload, and every checkpoint a save writes has one (the
-    # weights), so its checksum fails below; only the message differs.
+    # has no payload or digest, so its checksum fails below; only the
+    # message differs.
     if data[:len(_MAGIC)] != _MAGIC or len(data) < head + mlen:
         raise ValueError(f"{path}: not a flatcl checkpoint, or truncated")
     try:
@@ -136,8 +136,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"{path}: corrupt manifest") from None
     if not isinstance(manifest, dict) or manifest.get("format") != _FORMAT:
         raise ValueError(f"{path}: not a {_FORMAT} manifest")
-    payload = data[head + mlen:]
-    if manifest.get("sha256") != _digest(manifest, payload):
+    payload = data[head + mlen:len(data) - _DIGEST]
+    if hashlib.sha256(data[:-_DIGEST]).digest() != data[-_DIGEST:]:
         raise ValueError(f"{path}: checksum mismatch (payload length {len(payload)}); "
                          "the checkpoint is truncated or corrupt")
     # an intact manifest may still describe its data wrongly, or not at all
@@ -151,7 +151,7 @@ def load_checkpoint(path) -> Checkpoint:
                                                  minfo["input_dim"], minfo["hidden_dims"],
                                                  minfo["head_classes"], minfo["activation"])
         buffer = None
-        if (r := manifest["replay"]) is not None:  # earlier v3 files also hold replay settings; unread
+        if (r := manifest["replay"]) is not None:
             buffer = ReplayBuffer()
             buffer.features = arrays["replay_features"]
             buffer.labels = np.array(r["labels"], dtype=np.int64)
@@ -159,19 +159,18 @@ def load_checkpoint(path) -> Checkpoint:
             if not len(buffer.features) == len(buffer.labels) == len(buffer.task_ids):
                 raise ValueError(f"replay store holds {len(buffer.features)} feature rows, "
                                  f"{len(buffer.labels)} labels and {len(buffer.task_ids)} task ids")
-        fields = {k: manifest[k] for k in ("config_hash", "rng_state", "next_task")}
-        if (probe_values := manifest.get("probe_values")) is not None:
+        fields = {k: manifest[k]
+                  for k in ("config_hash", "seed", "variant", "rng_state", "next_task")}
+        if (probe_values := manifest["probe_values"]) is not None:
             fields["probe_values"] = json.loads(probe_values)
     except KeyError as e:
         raise ValueError(f"{path}: manifest has no {e} entry or block") from None
     except (TypeError, ValueError) as e:
         raise ValueError(f"{path}: manifest does not describe its data: {e}") from None
     importance = arrays.get("importance")
-    try:  # a misaligned importance block, or a negative or NaN entry
+    try:  # a misaligned importance block, a negative or NaN entry, a bad seed or variant
         return Checkpoint(
             model=model,
-            seed=manifest.get("seed"),  # files written before these keys have none
-            variant=manifest.get("variant"),
             importance=None if importance is None else ImportanceMap(importance),
             matrix_rows=arrays.get("matrix"),
             replay_buffer=buffer,

@@ -89,13 +89,10 @@ def _cmd_probe(args):
         raise ValueError("probe needs --checkpoint and --config (or --quadratic)")
     cfg = load_config(args.config)
     ckpt = load_checkpoint(args.checkpoint)
-    if (ckpt.variant is not None
-            and ckpt.config_hash != run_hash(cfg, ckpt.variant, ckpt.seed)):
+    if ckpt.config_hash != run_hash(cfg, ckpt.variant, ckpt.seed):
         raise ValueError(f"{args.checkpoint}: checkpoint was written under a different "
                          "config, variant or seed; refusing to probe")
     seed = args.seed if args.seed is not None else ckpt.seed
-    if seed is None:
-        raise ValueError(f"{args.checkpoint} records no run seed; pass --seed")
     stream = build_stream(cfg, seed)
     task = 0 if args.task is None else args.task
     if not 0 <= task < len(stream):

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .params import ParameterSet
+from .params import ParameterSet, _Layout
 from .rules import _integer, check, generator
 
 
@@ -28,6 +29,29 @@ def _kaiming_uniform(rng, fan_in, shape):
     return rng.uniform(-bound, bound, size=shape)
 
 
+# A run of T tasks makes T descriptions, one per head count, again for each
+# seed of a multi-seed run: fewer than T entries evict each before its
+# reuse, and 64 holds every description of a run of up to 64 tasks.
+@functools.lru_cache(maxsize=64)
+def _layout_of(input_dim, hidden_dims, head_classes):
+    """The parameter layout of one checked model description and its
+    per-head layer table: the encoder, then the heads in task order, each
+    layer a (W, b) pair that is one (rows + 1, cols) block [W; b].  Both
+    are tuples, built once per description and shared by every model of
+    it; only the weights and the row buffers are a model's own."""
+    dims = (input_dim, *hidden_dims)
+    shapes = (*zip(dims, hidden_dims), *((dims[-1], classes) for classes in head_classes))
+    layer_names = ([f"enc{i}" for i in range(len(hidden_dims))]
+                   + [f"head{t}" for t in range(len(head_classes))])
+    layout = _Layout([f"{name}.{p}" for name in layer_names for p in "Wb"],
+                     [block for shape in shapes for block in (shape, shape[1:])])
+    ends = layout.offsets  # layer i is the (W, b) pair of blocks 2i and 2i + 1
+    layers = tuple((slice(ends[2 * i], ends[2 * i + 2]), (rows + 1, cols))
+                   for i, (rows, cols) in enumerate(shapes))
+    depth = len(hidden_dims)
+    return layout, tuple((*layers[:depth], head) for head in layers[depth:])
+
+
 class MultiHeadClassifier:
     """Shared encoder with per-task affine heads.
 
@@ -40,7 +64,8 @@ class MultiHeadClassifier:
     end, leaving the offsets of all earlier weights unchanged; the weights
     constrained while training a task are therefore a prefix of `theta`.
 
-    `_layers` records where each head's layers lie; from it `_plan(vec,
+    `_layers`, shared like the layout by every model of one description
+    (`_layout_of`), records where each head's layers lie; from it `_plan(vec,
     task_id)` lays the head's folded `[W; b]` blocks over any vector laid
     out like `theta`, or a stack of them, and `layer_slices` gives the
     slices.  A plan over `theta` is made when a pass binds; plans over
@@ -124,23 +149,11 @@ class MultiHeadClassifier:
 
     def _bind(self):
         """Bind zero weights laid out for the model's description, in one
-        buffer, and record each head's layers: the encoder, then the heads
-        in task order, each layer a (W, b) pair that is one (rows + 1,
-        cols) block [W; b]."""
-        dims = [self.input_dim, *self.hidden_dims]
-        shapes = [*zip(dims, self.hidden_dims),
-                  *((self.encoder_dim, classes) for classes in self.head_classes)]
-        layer_names = ([f"enc{i}" for i in range(len(self.hidden_dims))]
-                       + [f"head{t}" for t in range(len(self.head_classes))])
-        self._params = ParameterSet.zeros(
-            [f"{name}.{p}" for name in layer_names for p in "Wb"],
-            [block for shape in shapes for block in (shape, shape[1:])])
+        buffer, with the description's shared layout and layer table."""
+        layout, self._layers = _layout_of(self.input_dim, tuple(self.hidden_dims),
+                                          tuple(self.head_classes))
+        self._params = ParameterSet(layout=layout, flat=np.zeros(layout.offsets[-1]))
         self.theta = self._params.flat
-        ends = self._params.offsets()  # layer i is the (W, b) pair of blocks 2i and 2i + 1
-        layers = [(slice(ends[2 * i], ends[2 * i + 2]), (rows + 1, cols))
-                  for i, (rows, cols) in enumerate(shapes)]
-        depth = len(self.hidden_dims)
-        self._layers = [layers[:depth] + [head] for head in layers[depth:]]
 
     def _plan(self, vec, task_id) -> list:
         """Head `task_id`'s layers in `vec`, a flat vector laid out like

@@ -22,13 +22,14 @@ import numpy as np
 
 
 class _Layout:
-    """Ordered names with their shapes and [start, stop) offsets in `flat`."""
+    """Ordered names with their shapes and [start, stop) offsets in `flat`,
+    each a tuple, so sets and models can share one layout."""
 
     def __init__(self, names, shapes):
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate parameter names in {names}")
-        self.names, self.shapes = list(names), list(shapes)
-        self.offsets = list(itertools.accumulate(map(math.prod, self.shapes), initial=0))
+        self.names, self.shapes = tuple(names), tuple(shapes)
+        self.offsets = tuple(itertools.accumulate(map(math.prod, self.shapes), initial=0))
         self.index = {n: i for i, n in enumerate(self.names)}
 
 
@@ -36,9 +37,8 @@ class ParameterSet:
     """Ordered mapping from parameter name to a view into one float64 vector.
 
     `ParameterSet(items)` copies a dict or (name, array) pairs into a new
-    buffer; `ParameterSet.zeros(names, shapes)` lays names out over one new
-    zero buffer.  `unflatten` lays the same names and shapes over another
-    vector.
+    buffer; `ParameterSet(layout=, flat=)` lays a `_Layout` over `flat`.
+    `unflatten` lays the same names and shapes over another vector.
     """
 
     def __init__(self, items=None, *, layout: _Layout | None = None,
@@ -51,12 +51,6 @@ class ParameterSet:
                     else np.zeros(0))
         self._layout = layout
         self.flat = flat
-
-    @classmethod
-    def zeros(cls, names, shapes) -> "ParameterSet":
-        """Zeros laid out as `names` with `shapes`, in one new buffer."""
-        layout = _Layout(names, shapes)
-        return cls(layout=layout, flat=np.zeros(layout.offsets[-1]))
 
     def __getitem__(self, name):
         lay = self._layout
@@ -103,9 +97,9 @@ class ParameterSet:
         """View of the coordinates of `names`, which must be this set's
         first names in order (see the prefix rule above)."""
         lay = self._layout
-        if lay.names[:len(names)] != list(names):
+        if lay.names[:len(names)] != tuple(names):
             raise ValueError(f"{list(names)} is not a prefix of the parameter "
-                             f"layout {lay.names}")
+                             f"layout {list(lay.names)}")
         return self.flat[:lay.offsets[len(names)]]
 
     def slice_of(self, name) -> slice:
@@ -113,10 +107,6 @@ class ParameterSet:
         lay = self._layout
         i = lay.index[name]
         return slice(lay.offsets[i], lay.offsets[i + 1])
-
-    def offsets(self) -> list[int]:
-        """Where each block starts in `flat`, in layout order, then its size."""
-        return self._layout.offsets
 
     def total_size(self) -> int:
         return self.flat.size

@@ -227,8 +227,8 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
     probe_cfg = cfg.get("probe", {})
     batch = probe_batch(cfg, stream) if probe_cfg.get("enabled", False) else None
     if state is None:  # a fresh run starts from its model alone
-        state = Checkpoint(model=_build_model(cfg, stream, seed), config_hash=chash)
-    state.seed, state.variant = seed, variant  # a file from before they were kept has neither
+        state = Checkpoint(model=_build_model(cfg, stream, seed), config_hash=chash,
+                           seed=seed, variant=variant)
     _fresh_dir(out_dir)
 
     # The seed's training, probe and writes run under one rule: an overflow
@@ -243,8 +243,8 @@ def run_single_seed(cfg: dict, variant: str, seed: int, out_dir: str,
                               "avg_accuracy_after_last": float(reference.mean())}
         else:
             # the finished tasks' probe values; each checkpoint carries them, so
-            # a resumed run's trace is the uninterrupted run's (a file written
-            # before they were kept has none, and traces the remaining tasks)
+            # a resumed run's trace is the uninterrupted run's (a state saved
+            # outside a run may hold none, and traces the remaining tasks)
             state.probe_values = state.probe_values or []
 
             def after_task(state, report):

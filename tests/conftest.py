@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flatcl.checkpoint import _MAGIC, _digest
+from flatcl.checkpoint import _MAGIC
 from flatcl.model import Batch, MultiHeadClassifier
 
 
@@ -31,7 +32,9 @@ def mlp_and_batch():
 def resign_checkpoint(path, edit):
     """Reseal the checkpoint at `path` with a valid digest after
     `edit(manifest, raw)` changes its manifest and `raw`, the list of its
-    blocks' bytes in file order, as a writer that skipped the checks would."""
+    blocks' bytes in file order, as a writer that skipped the checks would.
+    The digest is the SHA-256 trailer over every byte before it.  CI calls
+    this too, with tests/ on PYTHONPATH."""
     path = Path(path)
     data = path.read_bytes()
     head = len(_MAGIC) + 8
@@ -41,10 +44,9 @@ def resign_checkpoint(path, edit):
         raw.append(data[offset:offset + block["bytes"]])
         offset += block["bytes"]
     edit(manifest, raw)
-    payload = b"".join(raw)
-    manifest["sha256"] = _digest(manifest, payload)
     mbytes = json.dumps(manifest, sort_keys=True).encode()
-    path.write_bytes(_MAGIC + len(mbytes).to_bytes(8, "little") + mbytes + payload)
+    body = _MAGIC + len(mbytes).to_bytes(8, "little") + mbytes + b"".join(raw)
+    path.write_bytes(body + hashlib.sha256(body).digest())
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -31,7 +31,7 @@ def test_model_round_trip_bitwise(tmp_path):
     # make the weights non-trivial relative to the init
     model.parameters()["enc0.W"][0, 0] = np.pi
     path = tmp_path / "m.bin"
-    save_checkpoint(path, Checkpoint(model=model, config_hash="abc", seed=17))
+    save_checkpoint(path, Checkpoint(model=model, config_hash="abc", seed=17, variant="cf"))
     loaded = load_checkpoint(path)
     assert loaded.config_hash == "abc" and loaded.seed == 17
     assert loaded.model.hidden_dims == [5, 4]
@@ -60,7 +60,7 @@ def test_full_state_round_trip(tmp_path):
 
     path = tmp_path / "full.bin"
     save_checkpoint(path, Checkpoint(
-        model=model, config_hash="h", rng_state=rng.bit_generator.state,
+        seed=1, variant="seq", model=model, config_hash="h", rng_state=rng.bit_generator.state,
         next_task=2, importance=imp, matrix_rows=matrix, probe_values=probes,
         replay_buffer=buf))
     loaded = load_checkpoint(path)
@@ -84,7 +84,8 @@ def test_load_builds_no_generator(tmp_path, monkeypatch):
     rng = np.random.Generator(np.random.PCG64(6))
     path = tmp_path / "m.bin"
     # building the state checks it, which makes the kept PCG64 if none is yet
-    save_checkpoint(path, Checkpoint(model=random_mlp(33), rng_state=rng.bit_generator.state))
+    save_checkpoint(path, Checkpoint(seed=1, variant="seq", model=random_mlp(33),
+                                     rng_state=rng.bit_generator.state))
     built = []
 
     def counted(name, make):
@@ -109,7 +110,7 @@ def test_replay_arrays_round_trip(tmp_path, n_tasks):
         buf.add_task(rng.normal(size=(10, model.input_dim)), np.arange(10) % 3, t, 0.3,
                      seed=t)
     path = tmp_path / "replay.bin"
-    save_checkpoint(path, Checkpoint(model=model, replay_buffer=buf))
+    save_checkpoint(path, Checkpoint(seed=1, variant="seq", model=model, replay_buffer=buf))
     loaded = load_checkpoint(path).replay_buffer
     for name in ("features", "labels", "task_ids"):
         a, b = getattr(loaded, name), getattr(buf, name)
@@ -154,8 +155,9 @@ def test_checkpoint_round_trip_property(data):
     rng = np.random.Generator(np.random.PCG64(data.draw(st.integers(0, 2**64 - 1))))
     rng.integers(2, size=data.draw(st.integers(0, 3)))
     next_task = None if rows is None else len(rows)  # the one value `RunState` takes
-    ckpt = Checkpoint(model=model, config_hash="h", rng_state=rng.bit_generator.state,
-                      next_task=next_task, importance=imp, matrix_rows=rows, replay_buffer=buf)
+    ckpt = Checkpoint(seed=1, variant="seq", model=model, config_hash="h",
+                      rng_state=rng.bit_generator.state, next_task=next_task,
+                      importance=imp, matrix_rows=rows, replay_buffer=buf)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "c.bin")
         save_checkpoint(path, ckpt)
@@ -184,8 +186,21 @@ def test_save_rejects_misaligned_state(tmp_path, field):
     state = ImportanceMap(np.abs(random_mlp(40, classes=(3,)).theta))
     path = tmp_path / "bad.bin"
     with pytest.raises(ValueError, match="misaligned"):
-        save_checkpoint(path, Checkpoint(model=model, **{field: state}))
+        save_checkpoint(path, Checkpoint(seed=1, variant="seq", model=model, **{field: state}))
     assert not path.exists()
+
+
+@pytest.mark.parametrize("run, error", [
+    ({"seed": -1, "variant": "seq"}, "seed must be an integer >= 0, got -1"),
+    ({"seed": "1", "variant": "seq"}, "seed must be an integer >= 0, got '1'"),
+    ({"seed": 1, "variant": ""}, "variant must be a nonempty string, got ''"),
+    ({"seed": 1, "variant": None}, "variant must be a nonempty string, got None"),
+])
+def test_checkpoint_refuses_a_run_seed_or_variant_no_run_has(run, error):
+    """The run seed and variant a load requires are checked where a
+    checkpoint is made, so no save writes a file the load would refuse."""
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        Checkpoint(model=random_mlp(45), **run)
 
 
 def _block_edit(name, array):
@@ -204,7 +219,7 @@ def test_load_rejects_misaligned_importance(tmp_path):
     model = random_mlp(42, classes=(3, 2))
     path = tmp_path / "c.bin"
     imp = ImportanceMap(np.abs(model.theta))
-    save_checkpoint(path, Checkpoint(model=model, importance=imp))
+    save_checkpoint(path, Checkpoint(seed=1, variant="seq", model=model, importance=imp))
     assert load_checkpoint(path).importance.values.tobytes() == imp.values.tobytes()
     resign_checkpoint(path, _block_edit("importance", np.abs(model.theta[:-1])))
     with pytest.raises(ValueError,
@@ -219,7 +234,8 @@ def test_load_rejects_nan_importance(tmp_path):
     name."""
     model = random_mlp(41)
     path = tmp_path / "nan.bin"
-    save_checkpoint(path, Checkpoint(model=model, importance=ImportanceMap(np.abs(model.theta))))
+    save_checkpoint(path, Checkpoint(seed=1, variant="seq", model=model,
+                                     importance=ImportanceMap(np.abs(model.theta))))
     bad = np.abs(model.theta)
     bad[3] = np.nan  # a file written by a writer that skipped the check
     resign_checkpoint(path, _block_edit("importance", bad))
@@ -236,7 +252,7 @@ def test_load_rejects_replay_store_with_a_label_short(tmp_path):
     rng = np.random.default_rng(0)
     store.add_task(rng.normal(size=(20, 4)), rng.integers(0, 3, size=20), 0, 0.25, seed=1)
     path = tmp_path / "short.bin"
-    save_checkpoint(path, Checkpoint(model=model, replay_buffer=store))
+    save_checkpoint(path, Checkpoint(seed=1, variant="seq", model=model, replay_buffer=store))
     assert load_checkpoint(path).replay_buffer.labels.tolist() == store.labels.tolist()
     resign_checkpoint(path, lambda m, _: m["replay"]["labels"].pop())
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*replay store holds "
@@ -260,7 +276,7 @@ def test_load_refuses_resigned_manifest_that_misdescribes_its_data(tmp_path, edi
     block the data does not fit, is refused with a one-line ValueError
     that names the file."""
     path = tmp_path / "c.bin"
-    save_checkpoint(path, Checkpoint(model=random_mlp(43)))
+    save_checkpoint(path, Checkpoint(seed=1, variant="seq", model=random_mlp(43)))
     resign_checkpoint(path, edit)
     with pytest.raises(ValueError) as info:
         load_checkpoint(path)
@@ -271,7 +287,7 @@ def test_load_refuses_resigned_head_classes_through_the_rule_table(tmp_path):
     """A class count the rule table refuses is refused with its text, not
     left for the layout to fail on."""
     path = tmp_path / "c.bin"
-    save_checkpoint(path, Checkpoint(model=random_mlp(43)))
+    save_checkpoint(path, Checkpoint(seed=1, variant="seq", model=random_mlp(43)))
     resign_checkpoint(path, lambda m, _: m["model"].update(head_classes=[2.5]))
     with pytest.raises(ValueError) as info:
         load_checkpoint(path)
@@ -287,34 +303,41 @@ def test_bad_magic_rejected(tmp_path):
 
 
 def test_truncated_payload_rejected(tmp_path):
+    """A file cut short fails its digest, and the message gives the length
+    of the payload left between the manifest and the 32-byte trailer."""
     model = random_mlp(33)
     path = tmp_path / "trunc.bin"
-    save_checkpoint(path, Checkpoint(model=model))
+    save_checkpoint(path, Checkpoint(seed=1, variant="seq", model=model))
     data = path.read_bytes()
     path.write_bytes(data[:-8])
-    with pytest.raises(ValueError, match="payload length"):
+    payload = len(data) - 8 - 16 - int.from_bytes(data[8:16], "little") - 32
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: checksum mismatch (payload length {payload}); ")):
         load_checkpoint(path)
 
 
 def test_save_is_deterministic(tmp_path):
     model = random_mlp(34)
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-    save_checkpoint(p1, Checkpoint(model=model, config_hash="h"))
-    save_checkpoint(p2, Checkpoint(model=model, config_hash="h"))
+    save_checkpoint(p1, Checkpoint(seed=1, variant="seq", model=model, config_hash="h"))
+    save_checkpoint(p2, Checkpoint(seed=1, variant="seq", model=model, config_hash="h"))
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_wrong_format_rejected(tmp_path):
+    """A v3 file, whose manifest carried its checksum and which had no
+    trailer, is refused by the format check, naming the format read."""
     path = tmp_path / "old.bin"
-    save_checkpoint(path, Checkpoint(model=random_mlp(35)))
+    save_checkpoint(path, Checkpoint(seed=1, variant="seq", model=random_mlp(35)))
     data = path.read_bytes()
     mlen = int.from_bytes(data[8:16], "little")
     manifest = json.loads(data[16:16 + mlen])
-    manifest["format"] = "flatcl-checkpoint-v2"
+    manifest.update(format="flatcl-checkpoint-v3", sha256="0" * 64)
     mbytes = json.dumps(manifest, sort_keys=True).encode()
     path.write_bytes(data[:8] + len(mbytes).to_bytes(8, "little") + mbytes
-                     + data[16 + mlen:])
-    with pytest.raises(ValueError, match="flatcl-checkpoint-v3"):
+                     + data[16 + mlen:-32])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a "
+                                         "flatcl-checkpoint-v4 manifest$"):
         load_checkpoint(path)
 
 
@@ -322,7 +345,7 @@ def test_manifest_nested_too_deeply_rejected_naming_the_file(tmp_path):
     """A manifest that is JSON nested past the parser's recursion limit is
     corrupt, like one that is not JSON: one line naming the file."""
     path = tmp_path / "deep.bin"
-    save_checkpoint(path, Checkpoint(model=random_mlp(35)))
+    save_checkpoint(path, Checkpoint(seed=1, variant="seq", model=random_mlp(35)))
     data = path.read_bytes()
     mbytes = b"[" * 100000 + b"]" * 100000
     path.write_bytes(data[:8] + len(mbytes).to_bytes(8, "little") + mbytes)
@@ -332,8 +355,8 @@ def test_manifest_nested_too_deeply_rejected_naming_the_file(tmp_path):
 
 def test_save_replaces_atomically(tmp_path):
     path = tmp_path / "ckpt.bin"
-    save_checkpoint(path, Checkpoint(model=random_mlp(36), config_hash="a"))
-    save_checkpoint(path, Checkpoint(model=random_mlp(37), config_hash="b"))
+    save_checkpoint(path, Checkpoint(seed=1, variant="seq", model=random_mlp(36), config_hash="a"))
+    save_checkpoint(path, Checkpoint(seed=1, variant="seq", model=random_mlp(37), config_hash="b"))
     assert os.listdir(tmp_path) == ["ckpt.bin"]  # no temporary file left
     assert load_checkpoint(path).config_hash == "b"
 
@@ -344,8 +367,8 @@ def _intact_checkpoint() -> bytes:
     imp = ImportanceMap(np.abs(model.theta))
     buf = ReplayBuffer()
     buf.add_task(np.eye(4), np.arange(4) % 3, 0, 0.5, seed=1)
-    ckpt = Checkpoint(model=model, config_hash="h", next_task=1, importance=imp,
-                      matrix_rows=np.array([[0.5, np.nan]]), replay_buffer=buf,
+    ckpt = Checkpoint(seed=1, variant="seq", model=model, config_hash="h", next_task=1,
+                      importance=imp, matrix_rows=np.array([[0.5, np.nan]]), replay_buffer=buf,
                       rng_state=np.random.Generator(np.random.PCG64(1)).bit_generator.state)
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "c.bin")

@@ -443,7 +443,7 @@ def test_loaded_model_has_the_constructed_layout(tmp_path, depth, heads):
     same layers per head."""
     hidden, classes = [5, 4][:depth], [2, 3, 4, 1, 3][:heads]
     built = MultiHeadClassifier(111, 6, hidden, classes)
-    save_checkpoint(tmp_path / "m.bin", Checkpoint(model=built))
+    save_checkpoint(tmp_path / "m.bin", Checkpoint(seed=1, variant="seq", model=built))
     grown = MultiHeadClassifier(111, 6, hidden, classes[:1])
     for c in classes[1:]:
         grown.add_task_head(c)
@@ -456,6 +456,42 @@ def test_loaded_model_has_the_constructed_layout(tmp_path, depth, heads):
         assert [got.slice_of(n) for n in got] == [want.slice_of(n) for n in want]
         assert model._layers == built._layers
         assert model.theta.tobytes() == built.theta.tobytes()
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_models_of_one_description_share_its_layout(depth):
+    """Every model of one description (input dim, hidden dims, head class
+    counts) shares one layout, held in tuples, and one layer table, whatever
+    its seed or activation, but never its weights or row buffers.
+    `from_weights`, `clone` and a model grown head by head take the layout
+    of a fresh build with as many heads: names, shapes, offsets and layer
+    slices."""
+    hidden, classes = [5, 4][:depth], [3, 2, 4]
+    fresh = MultiHeadClassifier(70, 6, hidden, classes)
+    grown = MultiHeadClassifier(71, 6, hidden, classes[:1], activation="relu")
+    for c in classes[1:]:
+        grown.add_task_head(c)
+    models = [MultiHeadClassifier(72, 6, hidden, classes), fresh.clone(),
+              MultiHeadClassifier.from_weights(fresh.theta, 70, 6, hidden, classes), grown]
+    want = fresh.parameters()
+    assert all(isinstance(getattr(want._layout, k), tuple) for k in ("names", "shapes", "offsets"))
+    x = np.random.default_rng(73).normal(size=(5, 6))
+    for model in models:
+        got = model.parameters()
+        assert got._layout is want._layout and model._layers is fresh._layers
+        assert got.names() == want.names()
+        assert [got[n].shape for n in got] == [want[n].shape for n in want]
+        assert [got.slice_of(n) for n in got] == [want.slice_of(n) for n in want]
+        for t in range(len(classes)):
+            assert model.layer_slices(t) == fresh.layer_slices(t)
+        assert not np.shares_memory(model.theta, fresh.theta)
+        assert model._rows is not fresh._rows
+        for m in (model, fresh):
+            m.logits(x, 0)
+        ours, theirs = (m._rows[((), classes[0])][5].aug for m in (model, fresh))
+        assert not any(np.shares_memory(a, b) for a in ours for b in theirs)
+    # a model with fewer heads is another description, with a layout of its own
+    assert MultiHeadClassifier(70, 6, hidden, classes[:2]).parameters()._layout is not want._layout
 
 
 def test_clone_is_an_equal_independent_model():

@@ -390,34 +390,6 @@ def test_resume_across_head_addition_bitwise(tmp_path):
     assert a.importance.values.tobytes() == b.importance.values.tobytes()
 
 
-def _add_anchor_block(manifest, raw):
-    """The checkpoint as written before the flat region was rebuilt from the
-    weights: an `anchor` block, equal to `param`, after the importance
-    block."""
-    blocks = manifest["blocks"]
-    at = [block["name"] for block in blocks].index("importance") + 1
-    blocks.insert(at, dict(blocks[0], name="anchor"))
-    raw.insert(at, raw[0])
-
-
-def test_resume_from_checkpoint_with_anchor_block(tmp_path):
-    """A v3 file written before the region was rebuilt from the weights
-    still loads, and resuming from it reproduces the uninterrupted run."""
-    full = tmp_path / "full"
-    run_single_seed(small_cfg(), "cf", 1, str(full))
-    legacy = tmp_path / "legacy.bin"
-    legacy.write_bytes((full / "ckpt_task0.bin").read_bytes())
-    resign_checkpoint(legacy, _add_anchor_block)
-    assert legacy.stat().st_size > (full / "ckpt_task0.bin").stat().st_size
-    old, new = load_checkpoint(legacy), load_checkpoint(full / "ckpt_task0.bin")
-    assert old.model.theta.tobytes() == new.model.theta.tobytes()
-    assert old.importance.values.tobytes() == new.importance.values.tobytes()
-    resumed = tmp_path / "resumed"
-    run_single_seed(small_cfg(), "cf", 1, str(resumed), resume_from=str(legacy))
-    for name in ("matrix.csv", "metrics.json"):
-        assert (resumed / name).read_bytes() == (full / name).read_bytes()
-
-
 def _probed_cfg():
     cfg = small_cfg()
     cfg["probe"] = {"enabled": True, "batch_size": 8, "lanczos_iters": 3}
@@ -451,17 +423,17 @@ def test_resume_keeps_the_whole_probe_trace(tmp_path, variant):
 
 
 def test_resume_from_checkpoint_without_probe_values(tmp_path):
-    """A v3 file written before the probe values were kept loads with none,
-    and a run resumed from it traces only the tasks it trains."""
+    """A checkpoint whose probe values are null, as one saved outside a run
+    may be, resumes a probed run that traces only the tasks it trains."""
     cfg = _probed_cfg()
     full = tmp_path / "full"
     run_single_seed(cfg, "cf", 1, str(full))
-    legacy = tmp_path / "legacy.bin"
-    legacy.write_bytes((full / "ckpt_task0.bin").read_bytes())
-    resign_checkpoint(legacy, lambda manifest, _: manifest.pop("probe_values"))
-    assert load_checkpoint(legacy).probe_values is None
+    saved = tmp_path / "saved.bin"
+    saved.write_bytes((full / "ckpt_task0.bin").read_bytes())
+    resign_checkpoint(saved, lambda manifest, _: manifest.update(probe_values=None))
+    assert load_checkpoint(saved).probe_values is None
     resumed = tmp_path / "resumed"
-    run_single_seed(cfg, "cf", 1, str(resumed), resume_from=str(legacy))
+    run_single_seed(cfg, "cf", 1, str(resumed), resume_from=str(saved))
     assert (resumed / "matrix.csv").read_bytes() == (full / "matrix.csv").read_bytes()
     trace = json.loads((full / "metrics.json").read_text())["sharpness_trace"]
     assert (json.loads((resumed / "metrics.json").read_text())["sharpness_trace"]
@@ -530,7 +502,8 @@ def test_each_task_starts_from_the_weights_the_last_one_ended_with(tmp_path):
             anchors[t] = region.anchor.prefix(region.constrained_names).tobytes()
 
     state = train_continual(model, stream, build_optimizer_config(cfg, "cf"), 1, 1,
-                            Checkpoint(model=model, probe_values=[]), after_task, step_hook)
+                            Checkpoint(seed=1, variant="cf", model=model, probe_values=[]),
+                            after_task, step_hook)
     assert len(state.probe_values) == 3 and sorted(ended) == [0, 1, 2]
     assert sorted(anchors) == [1, 2]
     for t in (1, 2):
@@ -1142,18 +1115,23 @@ def test_cli_probe_takes_seed_from_checkpoint(tmp_path, capsys):
     assert reports[0] != reports[2]
 
 
-def test_cli_probe_refuses_checkpoint_without_seed(tmp_path, capsys):
+@pytest.mark.parametrize("edit, error", [
+    (lambda m, _: m.pop("seed"), "manifest has no 'seed' entry or block"),
+    (lambda m, _: m.update(seed="x"), "seed must be an integer >= 0, got 'x'"),
+    (lambda m, _: m.update(seed=-1), "seed must be an integer >= 0, got -1"),
+    (lambda m, _: m.update(seed=None), "seed must be an integer >= 0, got None"),
+], ids=["no-seed", "seed-string", "seed-negative", "seed-null"])
+def test_cli_probe_refuses_checkpoint_without_seed(tmp_path, capsys, edit, error):
+    """The run seed is a required manifest entry, checked on load by the
+    seed rule: a re-signed file without one, or with one the rule refuses,
+    is refused with one line naming the file, with or without --seed."""
     cfg_path, ckpt = _seq_run(tmp_path)
-    # a file written before the seed was kept; the variant was recorded after it
-    resign_checkpoint(ckpt, lambda m, _: (m.pop("seed"), m.pop("variant")))
-    assert load_checkpoint(ckpt).seed is None  # an older file still loads
+    resign_checkpoint(ckpt, edit)
     capsys.readouterr()
-    assert main(["probe", "--checkpoint", ckpt, "--config", cfg_path,
-                 "--lanczos-iters", "5"]) == 1
-    assert capsys.readouterr().err == (
-        f"error: ValueError: {ckpt} records no run seed; pass --seed\n")
-    assert main(["probe", "--checkpoint", ckpt, "--config", cfg_path,
-                 "--lanczos-iters", "5", "--seed", "2"]) == 0
+    for argv in ([], ["--seed", "2"]):
+        assert main(["probe", "--checkpoint", ckpt, "--config", cfg_path,
+                     "--lanczos-iters", "5", *argv]) == 1
+        assert capsys.readouterr().err == f"error: ValueError: {ckpt}: {error}\n"
 
 
 def test_run_writes_seed_into_every_checkpoint(tmp_path):
@@ -1186,14 +1164,24 @@ def test_cli_probe_refuses_config_of_another_run(tmp_path, capsys):
             "config, variant or seed; refusing to probe\n")
 
 
-def test_cli_probe_checkpoint_without_variant_is_not_checked(tmp_path, capsys):
-    _, ckpt = _seq_run(tmp_path)
-    resign_checkpoint(ckpt, lambda m, _: m.pop("variant"))  # a file from before it was kept
-    assert load_checkpoint(ckpt).variant is None  # an older file still loads
+@pytest.mark.parametrize("edit, error", [
+    (lambda m, _: m.pop("variant"), "manifest has no 'variant' entry or block"),
+    (lambda m, _: (m.pop("variant"), m.update(seed="x")),
+     "manifest has no 'variant' entry or block"),
+    (lambda m, _: m.update(variant=""), "variant must be a nonempty string, got ''"),
+    (lambda m, _: m.update(variant=3), "variant must be a nonempty string, got 3"),
+], ids=["no-variant", "no-variant-seed-string", "variant-empty", "variant-number"])
+def test_cli_probe_refuses_checkpoint_without_variant(tmp_path, capsys, edit, error):
+    """The run variant is a required manifest entry, checked on load: a
+    re-signed file without one is refused by one line naming the file, so
+    the probe never takes it with another run's config unchecked."""
+    cfg_path, ckpt = _seq_run(tmp_path)
+    resign_checkpoint(ckpt, edit)
     capsys.readouterr()
-    assert main(["probe", "--checkpoint", ckpt, "--config", _other_cfg(tmp_path),
-                 "--lanczos-iters", "5"]) == 0
-    assert json.loads(capsys.readouterr().out)["rho_used"] == 0.05
+    for config in (cfg_path, _other_cfg(tmp_path)):
+        assert main(["probe", "--checkpoint", ckpt, "--config", config,
+                     "--lanczos-iters", "5"]) == 1
+        assert capsys.readouterr().err == f"error: ValueError: {ckpt}: {error}\n"
 
 
 def test_cli_probe_accepts_config_without_optimizer_section(tmp_path, capsys):

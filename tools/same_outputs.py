@@ -23,9 +23,10 @@ A failed seed's failures.json is not in the set: its traceback carries file
 paths and line numbers, which change with any edit.
 
 `--write` records each output file's SHA-256 and, per file, its parts in
-order: a checkpoint's manifest keys and data blocks, a CSV file's cells, a
-JSON file's keys (nested keys as paths).  It also records the Python and
-numpy versions the runs used and the commit of the tree flatcl came from.
+order: a checkpoint's manifest keys, data blocks and digest, a CSV file's
+cells, a JSON file's keys (nested keys as paths).  It also records the
+Python and numpy versions the runs used and the commit of the tree flatcl
+came from.
 `--check` reruns the set and names each file that differs, is missing or is
 new, with the first part that differs.  `--against REV` takes its
 reference from commit REV instead of a manifest: it exports REV's tree with
@@ -177,7 +178,8 @@ def _json_parts(value, path=""):
 
 
 def _checkpoint_parts(data: bytes):
-    """A checkpoint's header, manifest keys and data blocks."""
+    """A checkpoint's header, manifest keys, data blocks and the digest
+    that ends it: the 32-byte SHA-256 trailer."""
     head = 16
     mlen = int.from_bytes(data[8:head], "little")
     manifest = json.loads(data[head:head + mlen])
@@ -189,7 +191,7 @@ def _checkpoint_parts(data: bytes):
         end = offset + block["bytes"]
         yield f"block {block['name']}", "sha256:" + hashlib.sha256(data[offset:end]).hexdigest()
         offset = end
-    yield "trailing bytes", _short(data[offset:].hex())
+    yield "digest", _short(data[offset:].hex())
 
 
 def file_parts(name: str, data: bytes) -> list:
