@@ -34,7 +34,7 @@ import numpy as np
 from .model import MultiHeadClassifier
 from .optim import ImportanceMap, RunState
 from .replay import ReplayBuffer
-from .rules import check
+from .rules import check, int_labels
 
 _MAGIC = b"FLATCKPT"
 _FORMAT = "flatcl-checkpoint-v4"
@@ -95,9 +95,16 @@ def save_checkpoint(path, ckpt: Checkpoint):
         "replay": replay_meta,
     }
     payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in blocks)
+    write_atomic(path, frame(manifest, payload))
+
+
+def frame(manifest: dict, payload: bytes) -> bytes:
+    """A checkpoint file's bytes: the magic, the manifest's length, the
+    manifest as sorted-key JSON, the payload and the SHA-256 of all of them.
+    The one writer of the framing `load_checkpoint` reads."""
     mbytes = json.dumps(manifest, sort_keys=True).encode()
     data = _MAGIC + len(mbytes).to_bytes(8, "little") + mbytes + payload
-    write_atomic(path, data + hashlib.sha256(data).digest())
+    return data + hashlib.sha256(data).digest()
 
 
 def write_atomic(path, data: bytes):
@@ -154,7 +161,7 @@ def load_checkpoint(path) -> Checkpoint:
         if (r := manifest["replay"]) is not None:
             buffer = ReplayBuffer()
             buffer.features = arrays["replay_features"]
-            buffer.labels = np.array(r["labels"], dtype=np.int64)
+            buffer.labels = int_labels(r["labels"])
             buffer.task_ids = np.array(r["task_ids"], dtype=np.int64)
             if not len(buffer.features) == len(buffer.labels) == len(buffer.task_ids):
                 raise ValueError(f"replay store holds {len(buffer.features)} feature rows, "

@@ -164,7 +164,8 @@ def build_parser():
                        help="ball-sharpness radius (default: 0.05)")
     probe.add_argument("--lanczos-iters", type=int, default=30)
     probe.add_argument("--quadratic", default=None,
-                       help="comma-separated Hessian diagonal for a surrogate probe")
+                       help="comma-separated Hessian diagonal for a surrogate probe; "
+                            "one starting with a minus takes the = form: --quadratic=-2,1")
     probe.set_defaults(fn=_cmd_probe)
 
     met = sub.add_parser("metrics", help="recompute metrics from a stored matrix")

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import write_atomic
-from .rules import _integer, check, generator
+from .rules import _integer, check, generator, int_labels
 
 
 @dataclass
@@ -22,7 +22,7 @@ class TaskDataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = int_labels(self.labels)
         if self.labels.min(initial=0) < 0 or self.labels.max(initial=0) >= self.class_count:
             raise ValueError(f"labels out of range for class_count={self.class_count}")
         if self.splits:
@@ -173,7 +173,7 @@ def save_delimited(path, features, labels):
     `write_atomic`; reading them back with `np.loadtxt(path, delimiter=",")`
     is bitwise exact.  Features that are not one row per label are refused
     before anything is written."""
-    features, labels = np.asarray(features, dtype=np.float64), np.asarray(labels)
+    features, labels = np.asarray(features, dtype=np.float64), int_labels(labels)
     if features.ndim != 2 or labels.shape != features.shape[:1]:
         raise ValueError(f"labels of shape {labels.shape} do not match features "
                          f"of shape {features.shape}")

@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .params import ParameterSet, _Layout
-from .rules import _integer, check, generator
+from .rules import _integer, check, generator, int_labels
 
 
 @dataclass
@@ -24,9 +24,12 @@ class Batch:
         return len(self.labels)
 
 
-def _kaiming_uniform(rng, fan_in, shape):
-    bound = np.sqrt(6.0 / max(fan_in, 1))
-    return rng.uniform(-bound, bound, size=shape)
+def _kaiming_uniform(rng, wb):
+    """Draw the W rows of the folded block `wb` uniform in +-sqrt(6 /
+    fan_in), fan_in being W's row count; the bias row is left as it is."""
+    w = wb[:-1]
+    bound = np.sqrt(6.0 / max(w.shape[0], 1))
+    w[...] = rng.uniform(-bound, bound, size=w.shape)
 
 
 # A run of T tasks makes T descriptions, one per head count, again for each
@@ -36,19 +39,19 @@ def _kaiming_uniform(rng, fan_in, shape):
 def _layout_of(input_dim, hidden_dims, head_classes):
     """The parameter layout of one checked model description and its
     per-head layer table: the encoder, then the heads in task order, each
-    layer a (W, b) pair that is one (rows + 1, cols) block [W; b].  Both
-    are tuples, built once per description and shared by every model of
-    it; only the weights and the row buffers are a model's own."""
-    dims = (input_dim, *hidden_dims)
-    shapes = (*zip(dims, hidden_dims), *((dims[-1], classes) for classes in head_classes))
-    layer_names = ([f"enc{i}" for i in range(len(hidden_dims))]
-                   + [f"head{t}" for t in range(len(head_classes))])
-    layout = _Layout([f"{name}.{p}" for name in layer_names for p in "Wb"],
-                     [block for shape in shapes for block in (shape, shape[1:])])
-    ends = layout.offsets  # layer i is the (W, b) pair of blocks 2i and 2i + 1
-    layers = tuple((slice(ends[2 * i], ends[2 * i + 2]), (rows + 1, cols))
-                   for i, (rows, cols) in enumerate(shapes))
+    layer one name (enc0, ..., head0, head1, ...) over one folded block
+    `[W; b]` of shape (fan_in + 1, fan_out), whose last row is the bias.
+    The table is read off the layout's own offsets and shapes.  Both are
+    tuples, built once per description and shared by every model of it;
+    only the weights and the row buffers are a model's own."""
     depth = len(hidden_dims)
+    rows = [fan_in + 1 for fan_in in (input_dim, *hidden_dims)]  # W's fan_in rows, b's one
+    layout = _Layout([f"enc{i}" for i in range(depth)]
+                     + [f"head{t}" for t in range(len(head_classes))],
+                     [*zip(rows, hidden_dims)] + [(rows[-1], classes) for classes in head_classes])
+    ends = layout.offsets
+    layers = tuple((slice(start, stop), shape)
+                   for start, stop, shape in zip(ends, ends[1:], layout.shapes))
     return layout, tuple((*layers[:depth], head) for head in layers[depth:])
 
 
@@ -56,7 +59,8 @@ class MultiHeadClassifier:
     """Shared encoder with per-task affine heads.
 
     Every weight lives in one contiguous float64 buffer, `theta`, laid out as
-    enc0.W, enc0.b, ..., head0.W, head0.b, head1.W, ... (each W row-major).
+    enc0, ..., head0, head1, ..., one name per layer, each the folded block
+    `[W; b]` (row-major, so W's rows and then the bias row).
     `parameters()` lays those names over it, so a hand-written batched
     forward/backward reads the current weights on every call.
     The constructor lays out all of its heads in one buffer at once;
@@ -64,19 +68,19 @@ class MultiHeadClassifier:
     end, leaving the offsets of all earlier weights unchanged; the weights
     constrained while training a task are therefore a prefix of `theta`.
 
-    `_layers`, shared like the layout by every model of one description
-    (`_layout_of`), records where each head's layers lie; from it `_plan(vec,
-    task_id)` lays the head's folded `[W; b]` blocks over any vector laid
-    out like `theta`, or a stack of them, and `layer_slices` gives the
-    slices.  A plan over `theta` is made when a pass binds; plans over
-    other vectors are what the gradient kernel writes, the Hessian operator
-    reads directions from and the create step and the probes read perturbed
-    weights from.  The kernels take a plan, not a task id, so no pass
-    writes `theta`: only the constructors, `set_parameters` and the
-    training loop's step, clamp and best-snapshot restore do.  The public
-    methods check their inputs and then call the unchecked kernel; the
-    training loop checks each task's rows once and calls the kernel through
-    passes bound once.
+    `_layers`, read off the layout and shared like it by every model of one
+    description (`_layout_of`), records where each head's named layers lie;
+    from it `_plan(vec, task_id)` lays the head's folded `[W; b]` blocks
+    over any vector laid out like `theta`, or a stack of them, and
+    `layer_slices` gives the slices.  A plan over `theta` is made when a
+    pass binds; plans over other vectors are what the gradient kernel
+    writes, the Hessian operator reads directions from and the create step
+    and the probes read perturbed weights from.  The kernels take a plan,
+    not a task id, so no pass writes `theta`: only the constructors,
+    `set_parameters` and the training loop's step, clamp and best-snapshot
+    restore do.  The public methods check their inputs and then call the
+    unchecked kernel; the training loop checks each task's rows once and
+    calls the kernel through passes bound once.
 
     There is one forward and one backward pass, `_Pass`, in folded form
     (each layer one matmul `[h, 1] @ [W; b]`, the softmax `exp(z - max) /
@@ -103,11 +107,9 @@ class MultiHeadClassifier:
         self._lay_out(seed, input_dim, hidden_dims, per_task_classes, activation)
         rng = generator(seed)
         for i in range(len(self.hidden_dims)):
-            w = self._params[f"enc{i}.W"]
-            w[...] = _kaiming_uniform(rng, w.shape[0], w.shape)
-        for t, classes in enumerate(self.head_classes):
-            for name, value in self._new_head(t, classes):
-                self._params[name] = value
+            _kaiming_uniform(rng, self._params[f"enc{i}"])
+        for t in range(len(self.head_classes)):
+            self._new_head(t)
 
     @classmethod
     def from_weights(cls, theta, seed: int, input_dim: int, hidden_dims: list[int],
@@ -165,20 +167,16 @@ class MultiHeadClassifier:
 
     def layer_slices(self, task_id) -> list[slice]:
         """Where each layer of head `task_id` lies in `theta`, from the input
-        up; each is one contiguous (W, b) pair."""
+        up; each is one named block `[W; b]`."""
         return [sl for sl, _ in self._layers[task_id]]
 
-    @property
-    def encoder_dim(self) -> int:
-        return self.hidden_dims[-1] if self.hidden_dims else self.input_dim
-
-    def _new_head(self, task_id: int, class_count: int):
-        """The (name, array) pairs of a freshly initialized head.  Head seeds
-        derive from (init_seed, task_id), so a head has the same weights
-        whether the model was built with it or it was added later."""
-        rng = generator([self.init_seed, 7919, task_id])
-        w = _kaiming_uniform(rng, self.encoder_dim, (self.encoder_dim, class_count))
-        return [(f"head{task_id}.W", w), (f"head{task_id}.b", np.zeros(class_count))]
+    def _new_head(self, task_id: int):
+        """Draw head `task_id`'s W into its block; its bias row stays the
+        zero `_bind` laid out.  Head seeds derive from (init_seed, task_id),
+        so a head has the same weights whether the model was built with it
+        or it was added later."""
+        _kaiming_uniform(generator([self.init_seed, 7919, task_id]),
+                         self._params[f"head{task_id}"])
 
     def add_task_head(self, class_count: int) -> int:
         """Append a freshly initialized head; returns its task id."""
@@ -188,8 +186,7 @@ class MultiHeadClassifier:
         kept = self.theta
         self._bind()
         self.theta[:kept.size] = kept
-        for name, value in self._new_head(task_id, class_count):
-            self._params[name] = value
+        self._new_head(task_id)
         return task_id
 
     # -- parameter views -------------------------------------------------
@@ -206,8 +203,8 @@ class MultiHeadClassifier:
     def constrained_names(self, current_task: int) -> list[str]:
         """Encoder plus heads of tasks before `current_task`: a prefix of
         the layout."""
-        layers = len(self.hidden_dims) + min(current_task, len(self.head_classes))
-        return self._params.names()[:2 * layers]
+        return self._params.names()[:len(self.hidden_dims)
+                                    + min(current_task, len(self.head_classes))]
 
     # -- batched forward/backward kernel ----------------------------------
     #
@@ -219,9 +216,9 @@ class MultiHeadClassifier:
     def _check_rows(self, features, labels, task_id):
         """(float64 features, int64 labels) after the one check of rows,
         which every entry point runs: shapes, at least one labeled row, and
-        labels in range for the head.  `labels` may be None."""
+        integer labels in range for the head.  `labels` may be None."""
         if labels is not None:
-            labels = np.asarray(labels, dtype=np.int64)
+            labels = int_labels(labels)
             if labels.ndim != 1 or labels.shape[0] != np.shape(features)[0]:
                 raise ValueError(f"labels of shape {labels.shape} do not match "
                                  f"{np.shape(features)[0]} feature rows")
@@ -405,8 +402,8 @@ class MultiHeadClassifier:
         return np.argmax(self.logits(features, task_id), axis=1)
 
     def accuracy(self, features, labels, task_id: int) -> float:
-        pred = self.predict(features, task_id)
-        return float(np.mean(pred == np.asarray(labels)))
+        features, labels = self._check_rows(features, labels, task_id)
+        return float(np.mean(self.predict(features, task_id) == labels))
 
     def clone(self) -> "MultiHeadClassifier":
         return MultiHeadClassifier.from_weights(self.theta, self.init_seed, self.input_dim,

@@ -438,8 +438,7 @@ def train_task(model: MultiHeadClassifier, tasks, region, importance,
 
     mask = None  # sparse-update mask over the constrained prefix
     if config.sparse_update_ratio < 1.0 and importance is not None and names:
-        layers = (model.layer_slices(task_id)[:-1]  # encoder, earlier heads
-                  + [model.layer_slices(t)[-1] for t in range(task_id)])
+        layers = [params.slice_of(name) for name in names]  # encoder, earlier heads
         mask = build_sparse_mask(importance, config.sparse_update_ratio, layers)[:layers[-1].stop]
         masked = state.total.flat[:mask.size]  # the summed gradient's masked prefix
 

@@ -57,10 +57,6 @@ class ParameterSet:
         i = lay.index[name]
         return self.flat[lay.offsets[i]:lay.offsets[i + 1]].reshape(lay.shapes[i])
 
-    def __setitem__(self, name, arr):
-        """Write `arr` into the named view; names and shapes are fixed."""
-        self[name][...] = arr
-
     def __iter__(self):
         return iter(self._layout.names)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import Batch
-from .rules import generator
+from .rules import generator, int_labels
 
 
 def _kmeans_pp_init(features, k, rng):
@@ -99,7 +99,7 @@ class ReplayBuffer:
         picked = np.asarray(features, dtype=np.float64)[idx]
         self.features = (np.concatenate([self.features, picked]) if len(self)
                          else picked)
-        self.labels = np.concatenate([self.labels, np.asarray(labels, dtype=np.int64)[idx]])
+        self.labels = np.concatenate([self.labels, int_labels(labels)[idx]])
         self.task_ids = np.concatenate([self.task_ids,
                                         np.full(len(idx), task_id, dtype=np.int64)])
 

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import re
@@ -7,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flatcl.checkpoint import _MAGIC
+from flatcl.checkpoint import _MAGIC, frame
 from flatcl.model import Batch, MultiHeadClassifier
 
 
@@ -32,8 +31,8 @@ def mlp_and_batch():
 def resign_checkpoint(path, edit):
     """Reseal the checkpoint at `path` with a valid digest after
     `edit(manifest, raw)` changes its manifest and `raw`, the list of its
-    blocks' bytes in file order, as a writer that skipped the checks would.
-    The digest is the SHA-256 trailer over every byte before it.  CI calls
+    blocks' bytes in file order, as a writer that skipped the checks would;
+    `checkpoint.frame`, which every save calls, writes its bytes.  CI calls
     this too, with tests/ on PYTHONPATH."""
     path = Path(path)
     data = path.read_bytes()
@@ -44,9 +43,7 @@ def resign_checkpoint(path, edit):
         raw.append(data[offset:offset + block["bytes"]])
         offset += block["bytes"]
     edit(manifest, raw)
-    mbytes = json.dumps(manifest, sort_keys=True).encode()
-    body = _MAGIC + len(mbytes).to_bytes(8, "little") + mbytes + b"".join(raw)
-    path.write_bytes(body + hashlib.sha256(body).digest())
+    path.write_bytes(frame(manifest, b"".join(raw)))
 
 
 def pytest_terminal_summary(terminalreporter):

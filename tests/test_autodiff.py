@@ -16,27 +16,28 @@ from conftest import random_batch, random_mlp
 
 
 def _set(model, values):
+    """Write each layer's (W, b) into its folded block [W; b]."""
     for n, a in model.parameters().items():
-        a[...] = values[n]
+        a[:-1], a[-1] = values[n]
 
 
 def test_matmul_forward():
     m = MultiHeadClassifier(0, 2, [], [1])
-    _set(m, {"head0.W": [[3.0], [4.0]], "head0.b": [0.5]})
+    _set(m, {"head0": ([[3.0], [4.0]], [0.5])})
     assert m.logits(np.array([[1.0, 2.0]]), 0).tolist() == [[11.5]]
 
 
 def test_relu_forward():
     m = MultiHeadClassifier(0, 1, [3], [1], activation="relu")
-    _set(m, {"enc0.W": [[-1.0, 0.0, 2.0]], "enc0.b": [0.0, 0.0, 0.0],
-             "head0.W": [[1.0], [1.0], [1.0]], "head0.b": [0.0]})
+    _set(m, {"enc0": ([[-1.0, 0.0, 2.0]], [0.0, 0.0, 0.0]),
+             "head0": ([[1.0], [1.0], [1.0]], [0.0])})
     # hidden pre-activations (-1, 0, 2) clip to (0, 0, 2)
     assert m.logits(np.array([[1.0]]), 0).tolist() == [[2.0]]
 
 
 def test_log_softmax_symmetry():
     m = MultiHeadClassifier(0, 2, [], [2])
-    _set(m, {"head0.W": np.zeros((2, 2)), "head0.b": np.zeros(2)})
+    _set(m, {"head0": (np.zeros((2, 2)), np.zeros(2))})
     for label in (0, 1):
         loss = m.task_loss(Batch(np.ones((1, 2)), np.array([label]), 0))
         assert abs(loss - np.log(2)) <= 1e-15
@@ -52,7 +53,7 @@ def test_bias_broadcast_add():
     p = np.exp(logits - logits.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
     p[np.arange(4), batch.labels] -= 1.0
-    np.testing.assert_allclose(grads["head0.b"], p.mean(axis=0), rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(grads["head0"][-1], p.mean(axis=0), rtol=1e-12, atol=1e-15)
 
 
 def test_nll_loss_label_range():
@@ -64,7 +65,7 @@ def test_nll_loss_label_range():
         labels = np.array([0, bad])
         batch = Batch(feats, labels, task)
         v = m.parameters().zeros_like()
-        v[f"head{task}.b"][0] = 1.0
+        v[f"head{task}"][-1, 0] = 1.0
         with pytest.raises(ValueError, match="labels"):
             m.loss_gradient(batch)
         with pytest.raises(ValueError, match="labels"):

@@ -29,7 +29,7 @@ def test_config_hash_stable_and_order_insensitive():
 def test_model_round_trip_bitwise(tmp_path):
     model = random_mlp(31, input_dim=3, hidden=(5, 4), classes=(3, 2))
     # make the weights non-trivial relative to the init
-    model.parameters()["enc0.W"][0, 0] = np.pi
+    model.parameters()["enc0"][0, 0] = np.pi
     path = tmp_path / "m.bin"
     save_checkpoint(path, Checkpoint(model=model, config_hash="abc", seed=17, variant="cf"))
     loaded = load_checkpoint(path)
@@ -260,6 +260,21 @@ def test_load_rejects_replay_store_with_a_label_short(tmp_path):
         load_checkpoint(path)
 
 
+def test_load_rejects_replay_store_with_a_fractional_label(tmp_path):
+    """A re-signed replay store whose labels list holds a label that is not
+    an integer is refused by name, not truncated to one."""
+    model = random_mlp(45)
+    store = ReplayBuffer()
+    store.add_task(np.ones((8, 4)), np.arange(8) % 3, 0, 0.5, seed=1)
+    path = tmp_path / "fractional.bin"
+    save_checkpoint(path, Checkpoint(seed=1, variant="seq", model=model, replay_buffer=store))
+    resign_checkpoint(path, lambda m, _: m["replay"]["labels"].insert(0, 1.5))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == (f"{path}: manifest does not describe its data: "
+                               "labels must be integers, got 1.5")
+
+
 @pytest.mark.parametrize("edit", [
     lambda m, _: m["blocks"][0].update(name="weights"),
     lambda m, _: m.pop("model"),
@@ -322,6 +337,23 @@ def test_save_is_deterministic(tmp_path):
     save_checkpoint(p1, Checkpoint(seed=1, variant="seq", model=model, config_hash="h"))
     save_checkpoint(p2, Checkpoint(seed=1, variant="seq", model=model, config_hash="h"))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_resign_with_no_edit_rewrites_the_saved_bytes(tmp_path):
+    """A save and `resign_checkpoint` share one writer of the framing, so
+    resealing a full state's file with no edit gives back every byte."""
+    model = random_mlp(35, classes=(3, 2))
+    buffer = ReplayBuffer()
+    buffer.add_task(np.ones((10, model.input_dim)), np.arange(10) % 3, 0, 0.5, 1)
+    path = tmp_path / "c.bin"
+    save_checkpoint(path, Checkpoint(
+        model=model, seed=2, variant="cf", config_hash="h", next_task=2,
+        importance=ImportanceMap(np.abs(model.theta)), matrix_rows=np.full((2, 2), 0.5),
+        probe_values=[{"lambda_max": 1.5}], replay_buffer=buffer,
+        rng_state=np.random.Generator(np.random.PCG64(3)).bit_generator.state))
+    saved = path.read_bytes()
+    resign_checkpoint(path, lambda manifest, raw: None)
+    assert path.read_bytes() == saved
 
 
 def test_wrong_format_rejected(tmp_path):

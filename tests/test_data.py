@@ -129,6 +129,17 @@ def test_task_dataset_label_range_checked():
         TaskDataset("t", 0, np.ones((2, 2)), np.array([0, 3]), 2)
 
 
+def test_task_dataset_refuses_labels_the_int64_cast_would_change():
+    """A fractional or NaN label is refused, not truncated; integer-valued
+    floats, as `np.loadtxt` reads labels back, are kept as their integers."""
+    for labels, bad in (([0.9, 1.5], "0.9"), ([0.0, np.nan], "nan")):
+        with pytest.raises(ValueError) as info:
+            TaskDataset("t", 0, np.ones((2, 2)), labels, 2)
+        assert str(info.value) == f"labels must be integers, got {bad}"
+    task = TaskDataset("t", 0, np.ones((2, 2)), np.array([1.0, 0.0]), 2)
+    assert task.labels.dtype == np.int64 and task.labels.tolist() == [1, 0]
+
+
 @pytest.mark.parametrize("labels, splits", [
     # row 0 twice, row 2 never
     ([0, 1, 0], {"train": [0], "val": [0, 1]}),
@@ -160,7 +171,8 @@ def test_delimited_round_trip_exact(tmp_path):
     (np.zeros((3, 2)), [0], "labels of shape (1,) do not match features of shape (3, 2)"),
     (np.zeros((1, 2)), [0, 1, 2], "labels of shape (3,) do not match features of shape (1, 2)"),
     (np.zeros(2), [0, 1], "labels of shape (2,) do not match features of shape (2,)"),
-], ids=["short-labels", "long-labels", "flat-features"])
+    (np.zeros((2, 2)), [0.7, 1.0], "labels must be integers, got 0.7"),
+], ids=["short-labels", "long-labels", "flat-features", "fractional-label"])
 def test_delimited_refuses_features_not_one_row_per_label(tmp_path, features, labels, error):
     """A shape a row-by-row zip would truncate is refused on one line
     before a byte is written."""

@@ -1,4 +1,5 @@
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from flatcl.autodiff import finite_diff_gradient
 from flatcl.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from flatcl.model import Batch, MultiHeadClassifier, _Pass
 from flatcl.probe import hvp, model_objective
+from flatcl.runner import _build_model, build_stream, load_config
 
 from conftest import random_batch, random_mlp
 
@@ -90,8 +92,8 @@ def test_task_loss_matches_straightline_reimplementation():
     p = m.parameters()
     h = batch.features
     for i in range(len(m.hidden_dims)):
-        h = np.tanh(h @ p[f"enc{i}.W"] + p[f"enc{i}.b"])
-    logits = h @ p["head0.W"] + p["head0.b"]
+        h = np.tanh(h @ p[f"enc{i}"][:-1] + p[f"enc{i}"][-1])
+    logits = h @ p["head0"][:-1] + p["head0"][-1]
     z = logits - logits.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     expected = -np.mean(logp[np.arange(len(batch)), batch.labels])
@@ -120,7 +122,7 @@ def test_log_prob_gradient_zero_for_unused_head():
     m = MultiHeadClassifier(3, 2, [4], [2])
     m.add_task_head(3)
     lg = m.log_prob_gradient(np.ones(2), 0, 0)
-    assert np.all(lg["head1.W"] == 0) and np.all(lg["head1.b"] == 0)
+    assert np.all(lg["head1"][:-1] == 0) and np.all(lg["head1"][-1] == 0)
 
 
 def test_logistic_log_prob_gradient_hand_value():
@@ -129,8 +131,8 @@ def test_logistic_log_prob_gradient_hand_value():
     for n in m.parameters():
         m.parameters()[n][...] = 0.0
     g = m.log_prob_gradient(np.array([1.0]), 1, 0)
-    np.testing.assert_allclose(g["head0.W"], [[-0.5, 0.5]], atol=1e-15)
-    np.testing.assert_allclose(g["head0.b"], [-0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(g["head0"][:-1], [[-0.5, 0.5]], atol=1e-15)
+    np.testing.assert_allclose(g["head0"][-1], [-0.5, 0.5], atol=1e-15)
     # cross-check against finite differences of log p
     def logp(ps):
         m.set_parameters(ps)
@@ -159,18 +161,17 @@ def test_parameters_alias_one_buffer_across_head_addition():
     params = m.parameters()
     assert params is m.parameters()
     assert params.flat is m.theta and m.theta.size == before.size + 4 * 2 + 2
-    views = [params[f"{layer}.{p}"] for layer in ("enc0", "enc1", "head0", "head1")
-             for p in "Wb"]
-    assert len(views) == len(params) == 8
+    views = [params[layer] for layer in ("enc0", "enc1", "head0", "head1")]
+    assert len(views) == len(params) == 4
     for view, (name, arr) in zip(views, params.items()):
         assert np.shares_memory(view, m.theta) and np.shares_memory(arr, m.theta)
         assert view.shape == arr.shape and np.array_equal(view, arr)
     # earlier weights keep their offsets; the new head sits at the end
     np.testing.assert_array_equal(m.theta[:before.size], before)
-    assert np.shares_memory(m.parameters()["head1.W"], m.theta[before.size:])
-    assert m.constrained_names(1) == params.names()[:6]
-    m.parameters()["head0.b"][0] = 123.0
-    assert params["head0.b"][0] == 123.0 and 123.0 in m.theta
+    assert np.shares_memory(m.parameters()["head1"][:-1], m.theta[before.size:])
+    assert m.constrained_names(1) == params.names()[:3]
+    m.parameters()["head0"][-1, 0] = 123.0
+    assert params["head0"][-1, 0] == 123.0 and 123.0 in m.theta
 
 
 def test_logits_of_no_rows_are_empty():
@@ -197,6 +198,41 @@ def test_random_two_class_accuracy_monte_carlo():
     labels = rng.integers(0, 2, size=10000)
     acc = m.accuracy(feats, labels, 0)
     assert abs(acc - 0.5) <= 0.02
+
+
+def test_accuracy_checks_its_rows():
+    """`accuracy` takes its rows through the one check of rows: a label is
+    not broadcast over every row, a label outside the head's classes and a
+    label that is not an integer are refused, and integer-valued float
+    labels score as their integers."""
+    m = random_mlp(14, classes=(3,))
+    x = np.random.default_rng(15).normal(size=(5, m.input_dim))
+    for labels, message in (([2], "labels of shape (1,) do not match 5 feature rows"),
+                            ([0, 1], "labels of shape (2,) do not match 5 feature rows"),
+                            ([7] * 5, "labels out of range [0, 3) for task 0"),
+                            ([0, 1, 2, 0.5, 1], "labels must be integers, got 0.5")):
+        with pytest.raises(ValueError) as info:
+            m.accuracy(x, labels, 0)
+        assert str(info.value) == message
+    y = np.array([0, 1, 2, 0, 1])
+    want = float(np.mean(m.predict(x, 0) == y))
+    assert m.accuracy(x, y, 0) == m.accuracy(x, y.astype(np.float64), 0) == want
+
+
+@pytest.mark.parametrize("labels", [[0.7, 1.2], [-0.5, 0.0], [np.nan, 0.0],
+                                    [np.inf, 0.0], [1e19, 0.0]])
+def test_labels_the_int64_cast_would_change_are_refused(labels):
+    """A fractional, NaN, infinite or too large label is refused in one line
+    by every entry point that takes labeled rows, before any numpy warning
+    of its cast (warnings are errors here), not truncated to an integer."""
+    m = random_mlp(16, classes=(3,))
+    batch = Batch(np.ones((2, m.input_dim)), labels, 0)
+    for call in (lambda: m.loss_gradient(batch), lambda: m.task_loss(batch),
+                 lambda: m.accuracy(batch.features, labels, 0),
+                 lambda: m.gradient_second_moments(batch.features, labels, 0)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"labels must be integers, got {labels[0]:g}"
 
 
 def test_task_loss_permutation_invariant():
@@ -236,7 +272,7 @@ def test_gradient_second_moments_match_per_sample_loop(activation, hidden):
     for i in range(len(batch)):
         g = m.log_prob_gradient(batch.features[i], batch.labels[i], 1)
         for n in ref:
-            ref[n] += g[n] * g[n]
+            ref[n][...] += g[n] * g[n]
         assert abs(sq_norms[i] - g.norm() ** 2) <= 1e-12 * g.norm() ** 2
     assert sums.shape == m.theta.shape
     np.testing.assert_allclose(sums, ref.flat, rtol=1e-12, atol=0)
@@ -351,13 +387,13 @@ def test_stacked_losses_equal_task_loss_bitwise_on_tied_logits(classes):
     rng = np.random.default_rng(108)
     thetas = np.repeat(m.theta[None], 6, axis=0)
     heads = [m.parameters().unflatten(row) for row in thetas]  # views into the rows
-    heads[0]["head0.W"][...] = 0.0  # every logit 0
-    heads[1]["head0.W"][...] = 0.0  # ties within each row, the same for every row
-    heads[1]["head0.b"][...] = rng.choice([1.5, 1.5, -0.5], size=classes)
-    heads[2]["head0.W"][...] = heads[2]["head0.W"][:, :1]  # each row's logits equal
-    heads[3]["head0.W"][:, -1] = heads[3]["head0.W"][:, 0]  # the first and last tie
-    heads[4]["head0.b"][...] = np.where(np.arange(classes) % 2, -0.0, 0.0)
-    heads[5]["head0.b"][0] = np.nan
+    heads[0]["head0"][:-1] = 0.0  # every logit 0
+    heads[1]["head0"][:-1] = 0.0  # ties within each row, the same for every row
+    heads[1]["head0"][-1] = rng.choice([1.5, 1.5, -0.5], size=classes)
+    heads[2]["head0"][:-1] = heads[2]["head0"][:-1, :1]  # each row's logits equal
+    heads[3]["head0"][:-1, -1] = heads[3]["head0"][:-1, 0]  # the first and last tie
+    heads[4]["head0"][-1] = np.where(np.arange(classes) % 2, -0.0, 0.0)
+    heads[5]["head0"][-1, 0] = np.nan
     twin = m.clone()
     want = []
     for row in thetas:
@@ -405,10 +441,9 @@ def test_plan_has_one_form_for_a_vector_and_a_stack(hidden):
         assert len(flat) == len(stacked) == len(slices) == len(hidden) + 1
         names = [f"enc{i}" for i in range(len(hidden))] + [f"head{task_id}"]
         for wb, stack_wb, sl, name in zip(flat, stacked, slices, names):
-            w = params.unflatten(v)[f"{name}.W"]
+            w = params.unflatten(v)[name][:-1]
             assert wb.shape == (w.shape[0] + 1, w.shape[1])
-            assert sl == slice(params.slice_of(f"{name}.W").start,
-                               params.slice_of(f"{name}.b").stop)
+            assert sl == params.slice_of(name)
             assert wb[..., :-1, :].tobytes() == w.tobytes()
             assert stack_wb.shape == (1, *wb.shape)
             assert wb.tobytes() == stack_wb[0].tobytes()
@@ -418,6 +453,32 @@ def test_plan_has_one_form_for_a_vector_and_a_stack(hidden):
             wb[..., :-1, :] = 1.0 + task_id
             wb[..., -1:, :] = -2.0 - task_id
             assert v.tobytes() == want.tobytes()
+
+
+def test_each_layer_is_one_named_block():
+    """The layout names each layer once: a rot5 model grown to its 5 heads
+    is enc0 then the heads in task order.  On models with 0-2 hidden
+    layers, each block of every head's plan over `theta` is that layer's
+    named view, with its shape and start, and `layer_slices` gives the
+    names' slices."""
+    with resources.as_file(resources.files("flatcl") / "configs" / "rot5.json") as path:
+        cfg = load_config(path)
+    stream = build_stream(cfg, 1)
+    model = _build_model(cfg, stream, 1)
+    for task in list(stream)[1:]:
+        model.add_task_head(task.class_count)
+    assert model.parameters().names() == ["enc0", "head0", "head1", "head2", "head3", "head4"]
+    for hidden in [(), (5,), (4, 3)]:
+        m = random_mlp(75, hidden=hidden, classes=(3, 2, 4))
+        params = m.parameters()
+        for task_id in range(3):
+            names = [f"enc{i}" for i in range(len(hidden))] + [f"head{task_id}"]
+            plan = m._plan(m.theta, task_id)
+            assert len(plan) == len(names)
+            for wb, view in zip(plan, map(params.__getitem__, names)):
+                assert wb.shape == view.shape and np.shares_memory(wb, view)
+                assert wb.__array_interface__["data"] == view.__array_interface__["data"]
+            assert m.layer_slices(task_id) == [params.slice_of(n) for n in names]
 
 
 def test_one_layout_model_equals_head_by_head():
@@ -521,16 +582,16 @@ def test_clone_is_an_equal_independent_model():
                 == [a.tobytes() for a in kernels(m, batch)])
     theirs = c.theta.copy()
     m.theta += 1.0
-    m.parameters()["head1.b"][...] = 5.0
+    m.parameters()["head1"][-1] = 5.0
     assert c.theta.tobytes() == theirs.tobytes()
     ours = m.theta.copy()
     c.theta *= 2.0
-    c.parameters()["enc0.W"][...] = 0.0
+    c.parameters()["enc0"][:-1] = 0.0
     c.add_task_head(4)
     assert m.theta.tobytes() == ours.tobytes() and m.head_classes == [3, 2]
     # the clone's new head is the one a freshly built model gets
     fresh = MultiHeadClassifier(60, 4, [5, 3], [3, 2, 4], activation="relu")
-    assert c.parameters()["head2.W"].tobytes() == fresh.parameters()["head2.W"].tobytes()
+    assert c.parameters()["head2"][:-1].tobytes() == fresh.parameters()["head2"][:-1].tobytes()
 
 
 def test_from_weights_refuses_weights_of_another_size():
@@ -550,9 +611,13 @@ def test_loss_hvp_refuses_misaligned_direction():
 
 
 def _layer_names(m, task_id):
-    """The block names head `task_id` reads, from the input up."""
-    encoder = m.parameters().names()[:2 * len(m.hidden_dims)]
-    return encoder + [f"head{task_id}.W", f"head{task_id}.b"]
+    """The layer names head `task_id` reads, from the input up."""
+    return m.parameters().names()[:len(m.hidden_dims)] + [f"head{task_id}"]
+
+
+def _split(ps, names):
+    """Each named folded block [W; b] of `ps` as its (W, b) pair."""
+    return [(ps[n][:-1], ps[n][-1]) for n in names]
 
 
 def _reference_kernels(m, x, y, task_id, v, one_hot_hvp=False, split_bias_hvp=False,
@@ -580,8 +645,7 @@ def _reference_kernels(m, x, y, task_id, v, one_hot_hvp=False, split_bias_hvp=Fa
     the bias terms on their own and divides by n last, the operator's form
     before it folded them."""
     ps = m.parameters()
-    layers = [(ps[f"enc{i}.W"], ps[f"enc{i}.b"]) for i in range(len(m.hidden_dims))]
-    layers.append((ps[f"head{task_id}.W"], ps[f"head{task_id}.b"]))
+    layers = _split(ps, _layer_names(m, task_id))
     tanh = m.activation == "tanh"
     n, rows, top = len(y), np.arange(len(y)), len(layers) - 1
     ones = np.ones((n, 1))
@@ -655,8 +719,7 @@ def _reference_kernels(m, x, y, task_id, v, one_hot_hvp=False, split_bias_hvp=Fa
         d_h = delta @ layers[k][0].T
         curvature[k] = 2.0 * d_h * acts[k]
         delta = d_h * slope[k]
-    v_blocks = [v[name] for name in _layer_names(m, task_id)]
-    v_w, v_b = v_blocks[0::2], v_blocks[1::2]
+    v_w, v_b = zip(*_split(v, _layer_names(m, task_id)))
     hv = [None] * len(layers)
     if one_hot_hvp or split_bias_hvp:
         r_acts = [None]
@@ -725,7 +788,8 @@ def test_kernels_equal_per_layer_reference_bitwise(activation, hidden):
             for got, ref in [(got_grad, refs[0]), (got_sums, refs[1]), (got_hv, refs[3])]:
                 got = m.parameters().unflatten(got)
                 blocks = [a for pair in ref for a in pair]
-                assert [got[n].tobytes() for n in names] == [a.tobytes() for a in blocks]
+                assert ([a.tobytes() for pair in _split(got, names) for a in pair]
+                        == [a.tobytes() for a in blocks])
             assert got_sq.tobytes() == refs[2].tobytes()
 
 
@@ -746,7 +810,7 @@ def test_bound_pass_equals_one_shot_kernel_bitwise(activation, hidden):
             batch = random_batch(n_rows * 2 + task_id, m, n=n_rows, task_id=task_id)
             x, y = m._check_rows(batch.features, batch.labels, task_id)
             want_loss, want = m.loss_gradient(batch)
-            head = m.parameters().slice_of(f"head{task_id}.W").start
+            head = m.parameters().slice_of(f"head{task_id}").start
             views = m._plan(out, task_id)
             out.fill(0.0)
             assert passes[task_id].loss_gradient(x, y, views) == want_loss
@@ -779,9 +843,10 @@ def test_kernels_within_1e13_of_unfolded_form(activation, hidden):
                                        atol=1e-13 * np.abs(refs[2]).max())
             for got, ref in [(got_grad, refs[0]), (got_sums, refs[1]), (got_hv, refs[3])]:
                 got = m.parameters().unflatten(got)
-                for name, block in zip(_layer_names(m, task_id), [a for pair in ref for a in pair]):
-                    np.testing.assert_allclose(got[name], block, rtol=0,
-                                               atol=1e-13 * np.abs(block).max())
+                for pair, ref_pair in zip(_split(got, _layer_names(m, task_id)), ref):
+                    for block, want in zip(pair, ref_pair):
+                        np.testing.assert_allclose(block, want, rtol=0,
+                                                   atol=1e-13 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
@@ -799,9 +864,10 @@ def test_bound_hvp_within_1e13_of_former_one_hot_adjoint(activation, hidden):
         *_, hv = _reference_kernels(m, x, y, task_id, v, one_hot_hvp=True)
         got = m.parameters().unflatten(
             m._hvp_operator(*m._check_rows(x, y, task_id), task_id)(v.flat))
-        for name, ref in zip(_layer_names(m, task_id), [a for pair in hv for a in pair]):
-            np.testing.assert_allclose(got[name], ref, rtol=0,
-                                       atol=1e-13 * np.abs(ref).max())
+        for pair, ref_pair in zip(_split(got, _layer_names(m, task_id)), hv):
+            for block, ref in zip(pair, ref_pair):
+                np.testing.assert_allclose(block, ref, rtol=0,
+                                           atol=1e-13 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
@@ -818,9 +884,10 @@ def test_bound_hvp_within_1e13_of_split_bias_form(activation, hidden):
         *_, hv = _reference_kernels(m, x, y, task_id, v, split_bias_hvp=True)
         got = m.parameters().unflatten(
             m._hvp_operator(*m._check_rows(x, y, task_id), task_id)(v.flat))
-        for name, ref in zip(_layer_names(m, task_id), [a for pair in hv for a in pair]):
-            np.testing.assert_allclose(got[name], ref, rtol=0,
-                                       atol=1e-13 * np.abs(ref).max())
+        for pair, ref_pair in zip(_split(got, _layer_names(m, task_id)), hv):
+            for block, ref in zip(pair, ref_pair):
+                np.testing.assert_allclose(block, ref, rtol=0,
+                                           atol=1e-13 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("activation,hidden", [("tanh", (5,)), ("relu", (4, 3))])

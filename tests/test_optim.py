@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -162,7 +163,7 @@ def test_create_gradient_respects_perturb_subset():
     wg = w * g0.flat[:w.size]
     twin = model.clone()
     twin.theta[:w.size] += 0.3 * w * w * g0.flat[:w.size] / np.sqrt(wg @ wg)
-    assert np.array_equal(twin.parameters()["head1.W"], model.parameters()["head1.W"])
+    assert np.array_equal(twin.parameters()["head1"][:-1], model.parameters()["head1"][:-1])
     twin_loss, twin_grads = twin.loss_gradient(batch)
     assert abs(loss - twin_loss) <= 1e-12
     for n in created:
@@ -225,7 +226,7 @@ def test_find_fisher_nonnegative_and_zero_for_unseen_head():
     imp = find_fisher(model, stream_feats, labels, 0, 10, seed=5)
     assert imp.values.shape == model.theta.shape
     assert np.all(imp.values >= 0)
-    assert np.all(imp.values[model.parameters().slice_of("head1.W")] == 0)
+    assert np.all(imp.values[model.parameters().slice_of("head1")] == 0)
 
 
 def test_find_fisher_mean_invariance_under_duplication():
@@ -243,10 +244,9 @@ def test_find_fisher_logistic_hand_value():
         model.parameters()[n][...] = 0.0
     imp = find_fisher(model, np.array([[1.0]]), np.array([1]), 0, 1, seed=0)
     params = model.parameters()
-    np.testing.assert_allclose(imp.values[params.slice_of("head0.W")], [0.25, 0.25],
-                               atol=1e-15)
-    np.testing.assert_allclose(imp.values[params.slice_of("head0.b")], [0.25, 0.25],
-                               atol=1e-15)
+    head = params.unflatten(imp.values)["head0"]
+    np.testing.assert_allclose(head[:-1].ravel(), [0.25, 0.25], atol=1e-15)
+    np.testing.assert_allclose(head[-1], [0.25, 0.25], atol=1e-15)
 
 
 def test_find_fisher_small_dataset_warns():
@@ -364,18 +364,18 @@ def test_dead_relu_unit_trains_inside_its_region():
     The next task's region accepts those zeros (importance must be >= 0,
     not > 0) and trains; the unit's weights stay where they were."""
     model = MultiHeadClassifier(5, 4, [6], [3], activation="relu")
-    model.parameters()["enc0.W"][:, 2] = 0.0
-    model.parameters()["enc0.b"][2] = -1.0  # pre-activation -1 on every row
+    model.parameters()["enc0"][:-1, 2] = 0.0
+    model.parameters()["enc0"][-1, 2] = -1.0  # pre-activation -1 on every row
     cfg = _config(variant=VariantFlags(create=True, find=True, clamp=True, l2=True))
     seen = []
     train_continual(model, _tiny_stream(60, n_tasks=2), cfg, seed=3, epochs=1,
                     after_task=lambda state, report: seen.append(state.importance.values))
     params = model.parameters()  # task 0's importance is a prefix of its layout
     dead = {name: seen[0][params.slice_of(name)].reshape(params[name].shape)
-            for name in ("enc0.W", "enc0.b", "head0.W")}
-    assert np.all(dead["enc0.W"][:, 2] == 0.0) and dead["enc0.b"][2] == 0.0
-    assert np.all(dead["head0.W"][2] == 0.0) and np.all(seen[1] >= 0)
-    assert np.all(params["enc0.W"][:, 2] == 0.0) and params["enc0.b"][2] < 0.0
+            for name in ("enc0", "head0")}
+    assert np.all(dead["enc0"][:-1, 2] == 0.0) and dead["enc0"][-1, 2] == 0.0
+    assert np.all(dead["head0"][:-1][2] == 0.0) and np.all(seen[1] >= 0)
+    assert np.all(params["enc0"][:-1, 2] == 0.0) and params["enc0"][-1, 2] < 0.0
 
 
 def test_clamp_inside_region_unchanged():
@@ -429,8 +429,8 @@ def test_flat_region_requires_prefix_names():
     model.add_task_head(3)
     anchor = model.parameters().copy()
     region = FlatRegion(anchor, 0.5, model.constrained_names(1))
-    assert region.lo.size == anchor.total_size() - model.parameters()["head1.W"].size - 3
-    for names in (["head0.W", "head0.b"], ["enc0.W", "head0.W"], ["head1.W", "head1.b"]):
+    assert region.lo.size == anchor.total_size() - model.parameters()["head1"][:-1].size - 3
+    for names in (["head0"], ["enc0", "head1"], ["head1"]):
         with pytest.raises(ValueError, match="prefix"):
             FlatRegion(anchor, 0.5, names)
 
@@ -638,7 +638,7 @@ _POSITIVE = ("a finite number > 0", (True, np.int64(2), 0, -1, _NAN, _INF))
 # batch for it.
 LIBRARY_ARGUMENTS = {
     "FlatRegion-rho": ("rho", _RHO, lambda m, b, v: FlatRegion(m.parameters().copy(), v,
-                                                              ["enc0.W"])),
+                                                              ["enc0"])),
     "compute_perturbation-rho": ("rho", _RHO, lambda m, b, v: compute_perturbation(
         m.parameters(), m.parameters().copy(), v)),
     "create_gradient-rho": ("rho", _RHO, lambda m, b, v: create_gradient(m, b, v)),
@@ -718,9 +718,8 @@ def test_sparse_mask_empty_layer_rejected():
 
 
 def _layer_slices(params, names):
-    """The consecutive (W, b) name pairs of `names` as slices of `params.flat`."""
-    return [slice(params.slice_of(w).start, params.slice_of(b).stop)
-            for w, b in zip(names[0::2], names[1::2])]
+    """The layers `names` as slices of `params.flat`, one per name."""
+    return [params.slice_of(n) for n in names]
 
 
 def _sparse_mask_by_names(values: ParameterSet, ratio, layer_partition):
@@ -736,7 +735,7 @@ def _sparse_mask_by_names(values: ParameterSet, ratio, layer_partition):
         offset = 0
         for n in group:
             size = mask[n].size
-            mask[n] = layer[offset:offset + size].reshape(mask[n].shape)
+            mask[n][...] = layer[offset:offset + size].reshape(mask[n].shape)
             offset += size
     return mask
 
@@ -767,8 +766,7 @@ def test_sparse_mask_over_plan_slices_equals_name_partition_bitwise(activation, 
                     assert slices == _layer_slices(params, partition)
                     got = build_sparse_mask(imp, ratio, slices)
                     ref = _sparse_mask_by_names(params.unflatten(values), ratio,
-                                                [partition[i:i + 2]
-                                                 for i in range(0, len(partition), 2)])
+                                                [[n] for n in partition])
                     assert got.tobytes() == ref.flat.tobytes()
 
 
@@ -806,7 +804,7 @@ def test_variant_all_off_single_task_matches_plain_sgd_trace():
         idx = perm[start:start + cfg.batch_size]
         _, g = twin.loss_gradient(Batch(feats[idx], labels[idx], 0))
         for nm in params:
-            params[nm] -= cfg.learning_rate * g[nm]
+            params[nm][...] -= cfg.learning_rate * g[nm]
         step += 1
         if step % cfg.validate_every_steps == 0:
             acc = twin.accuracy(vx, vy, 0)
@@ -873,7 +871,7 @@ def _check_joint_schedule(short_rows):
                 idx = chunks[t][i]
                 _, g = twin.loss_gradient(Batch(x[idx], y[idx], t))
                 for nm in params:
-                    params[nm] -= cfg.learning_rate * g[nm]
+                    params[nm][...] -= cfg.learning_rate * g[nm]
                 step += 1
                 if step % cfg.validate_every_steps == 0:
                     validate()
@@ -976,6 +974,23 @@ def test_lambda_zero_matches_find_disabled_trace():
                           equal_nan=True)
     for nm in m1.parameters():
         assert np.array_equal(m1.parameters()[nm], m2.parameters()[nm])
+
+
+@pytest.mark.parametrize("create,clamp,replay", list(itertools.product((False, True), repeat=3)))
+def test_find_without_l2_changes_no_byte(create, clamp, replay):
+    """With sparse_update_ratio 1 and `l2` off nothing reads the
+    importance: `find` acts only through the penalty and the sparse mask,
+    so turning it on changes no byte of the accuracy matrix or of the final
+    weights, for every setting of `create`, `clamp` and `replay`."""
+    stream = _tiny_stream(58, n_tasks=3)
+    runs = []
+    for find in (False, True):
+        flags = VariantFlags(create=create, find=find, clamp=clamp, replay=replay)
+        model = MultiHeadClassifier(14, 4, [6], [3])
+        state = train_continual(model, stream, _config(variant=flags), seed=6, epochs=1)
+        assert (state.importance is not None) == find  # the Fisher pass ran
+        runs.append((state.matrix_rows.tobytes(), model.theta.tobytes()))
+    assert runs[0] == runs[1]
 
 
 def test_best_snapshot_at_least_final_accuracy():

@@ -61,13 +61,13 @@ def test_shape_mismatch_not_aligned():
 def test_views_write_through_one_buffer():
     ps = _ps()
     ps["b"][0, 0] = 7.0
-    ps["a"] = [5.0, 6.0]
+    ps["a"][...] = [5.0, 6.0]
     assert ps.flat.tolist() == [5.0, 6.0, 7.0, 4.0]
     ps.flat[1] = -1.0
     assert ps["a"].tolist() == [5.0, -1.0]
     assert np.shares_memory(ps.unflatten(ps.flat)["b"], ps.flat)
     with pytest.raises(KeyError):
-        ps["c"] = [1.0]
+        ps["c"][...] = [1.0]
 
 
 def test_prefix_rule():

@@ -306,7 +306,7 @@ def test_hvp_matches_central_differences_of_gradient(hidden):
     r = 1e-5
     saved = params.copy()
     for n in params:
-        params[n] += r * v[n]
+        params[n][...] += r * v[n]
     g_plus = model.loss_gradient(batch)[1].flatten()
     for n in params:
         np.copyto(params[n], saved[n] - r * v[n])

@@ -76,6 +76,16 @@ def test_buffer_minimum_one_exemplar():
     assert len(buf) == 1
 
 
+def test_buffer_refuses_labels_that_are_not_integers():
+    """A stored label is the label given, never a truncated float."""
+    buf = ReplayBuffer()
+    with pytest.raises(ValueError) as info:
+        buf.add_task(np.ones((4, 2)), [0.7, 1.0, 2.0, 0.0], 0, 1.0, seed=1)
+    assert str(info.value) == "labels must be integers, got 0.7" and len(buf) == 0
+    buf.add_task(np.ones((4, 2)), np.array([0.0, 1.0, 2.0, 0.0]), 0, 1.0, seed=1)
+    assert buf.labels.dtype == np.int64 and sorted(buf.labels.tolist()) == [0, 0, 1, 2]
+
+
 def test_buffer_invalid_args_rejected():
     """The buffer's settings live on OptimizerConfig, which refuses them."""
     for key, value in (("store_ratio", 0.0), ("store_ratio", 1.5), ("replay_every", 0),

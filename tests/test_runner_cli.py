@@ -889,6 +889,20 @@ def test_cli_probe_quadratic_surrogate(capsys):
     assert abs(out["log_lambda_max"] - np.log(3.0)) <= 1e-6
 
 
+def test_cli_probe_quadratic_with_a_negative_entry(capsys):
+    """A diagonal that starts with a minus sign is given in the = form, as
+    the flag's help says; a separate `-2,1` is taken for a flag."""
+    assert main(["probe", "--quadratic=-2,1", "--lanczos-iters", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["lambda_max"] == 1.0
+    with pytest.raises(SystemExit) as info:
+        main(["probe", "--quadratic", "-2,1"])
+    assert info.value.code == 2
+    assert "--quadratic: expected one argument" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["probe", "--help"])
+    assert "--quadratic=-2,1" in " ".join(capsys.readouterr().out.split())
+
+
 def test_cli_probe_checkpoint(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path)
     assert main(["run", "--config", cfg_path, "--variant", "seq", "--seed", "1",
