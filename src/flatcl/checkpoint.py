@@ -101,10 +101,53 @@ def save_checkpoint(path, ckpt: Checkpoint):
 def frame(manifest: dict, payload: bytes) -> bytes:
     """A checkpoint file's bytes: the magic, the manifest's length, the
     manifest as sorted-key JSON, the payload and the SHA-256 of all of them.
-    The one writer of the framing `load_checkpoint` reads."""
+    The one writer of the framing `unframe` reads."""
     mbytes = json.dumps(manifest, sort_keys=True).encode()
     data = _MAGIC + len(mbytes).to_bytes(8, "little") + mbytes + payload
     return data + hashlib.sha256(data).digest()
+
+
+def unframe(path) -> tuple[dict, list[bytes]]:
+    """The manifest of the checkpoint file at `path` and its payload split
+    into the manifest's blocks, their bytes in file order: the one reader of
+    the framing `frame` writes.  A file whose magic, length, manifest JSON,
+    format or digest is wrong, or whose manifest does not split its payload
+    into blocks, raises a one-line ValueError that names it."""
+    with open(path, "rb") as f:
+        data = f.read()
+    head = len(_MAGIC) + 8
+    mlen = int.from_bytes(data[len(_MAGIC):head], "little")
+    # `<=` here would refuse the same files: one that ends at its manifest
+    # has no payload or digest, so its checksum fails below; only the
+    # message differs.
+    if data[:len(_MAGIC)] != _MAGIC or len(data) < head + mlen:
+        raise ValueError(f"{path}: not a flatcl checkpoint, or truncated")
+    try:
+        manifest = json.loads(data[head:head + mlen].decode())
+    except (ValueError, RecursionError):  # bad UTF-8 or JSON, or JSON nested too deeply
+        raise ValueError(f"{path}: corrupt manifest") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != _FORMAT:
+        raise ValueError(f"{path}: not a {_FORMAT} manifest")
+    payload = data[head + mlen:len(data) - _DIGEST]
+    if hashlib.sha256(data[:-_DIGEST]).digest() != data[-_DIGEST:]:
+        raise ValueError(f"{path}: checksum mismatch (payload length {len(payload)}); "
+                         "the checkpoint is truncated or corrupt")
+    try:
+        raw, offset = [], 0
+        for b in manifest["blocks"]:
+            raw.append(payload[offset:offset + b["bytes"]])
+            offset += b["bytes"]
+    except (KeyError, TypeError) as e:
+        raise _misdescribed(path, e) from None
+    return manifest, raw
+
+
+def _misdescribed(path, e: Exception) -> ValueError:
+    """The one-line refusal of an intact manifest that lacks an entry or a
+    block (`e` a KeyError), or describes its data wrongly."""
+    if isinstance(e, KeyError):
+        return ValueError(f"{path}: manifest has no {e} entry or block")
+    return ValueError(f"{path}: manifest does not describe its data: {e}")
 
 
 def write_atomic(path, data: bytes):
@@ -128,31 +171,12 @@ def write_atomic(path, data: bytes):
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a file that is not an intact checkpoint of this
     format raises a one-line ValueError."""
-    with open(path, "rb") as f:
-        data = f.read()
-    head = len(_MAGIC) + 8
-    mlen = int.from_bytes(data[len(_MAGIC):head], "little")
-    # `<=` here would refuse the same files: one that ends at its manifest
-    # has no payload or digest, so its checksum fails below; only the
-    # message differs.
-    if data[:len(_MAGIC)] != _MAGIC or len(data) < head + mlen:
-        raise ValueError(f"{path}: not a flatcl checkpoint, or truncated")
-    try:
-        manifest = json.loads(data[head:head + mlen].decode())
-    except (ValueError, RecursionError):  # bad UTF-8 or JSON, or JSON nested too deeply
-        raise ValueError(f"{path}: corrupt manifest") from None
-    if not isinstance(manifest, dict) or manifest.get("format") != _FORMAT:
-        raise ValueError(f"{path}: not a {_FORMAT} manifest")
-    payload = data[head + mlen:len(data) - _DIGEST]
-    if hashlib.sha256(data[:-_DIGEST]).digest() != data[-_DIGEST:]:
-        raise ValueError(f"{path}: checksum mismatch (payload length {len(payload)}); "
-                         "the checkpoint is truncated or corrupt")
+    manifest, raw = unframe(path)
     # an intact manifest may still describe its data wrongly, or not at all
     try:
-        arrays, offset = {}, 0
-        for b in manifest["blocks"]:
-            raw, offset = payload[offset:offset + b["bytes"]], offset + b["bytes"]
-            arrays[b["name"]] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(b["shape"])
+        arrays = {}
+        for b, block in zip(manifest["blocks"], raw):
+            arrays[b["name"]] = np.frombuffer(block, dtype="<f8").astype(np.float64).reshape(b["shape"])
         minfo = manifest["model"]
         model = MultiHeadClassifier.from_weights(arrays["param"], minfo["init_seed"],
                                                  minfo["input_dim"], minfo["hidden_dims"],
@@ -162,7 +186,7 @@ def load_checkpoint(path) -> Checkpoint:
             buffer = ReplayBuffer()
             buffer.features = arrays["replay_features"]
             buffer.labels = int_labels(r["labels"])
-            buffer.task_ids = np.array(r["task_ids"], dtype=np.int64)
+            buffer.task_ids = np.asarray(r["task_ids"])  # `RunState` checks them
             if not len(buffer.features) == len(buffer.labels) == len(buffer.task_ids):
                 raise ValueError(f"replay store holds {len(buffer.features)} feature rows, "
                                  f"{len(buffer.labels)} labels and {len(buffer.task_ids)} task ids")
@@ -170,12 +194,12 @@ def load_checkpoint(path) -> Checkpoint:
                   for k in ("config_hash", "seed", "variant", "rng_state", "next_task")}
         if (probe_values := manifest["probe_values"]) is not None:
             fields["probe_values"] = json.loads(probe_values)
-    except KeyError as e:
-        raise ValueError(f"{path}: manifest has no {e} entry or block") from None
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"{path}: manifest does not describe its data: {e}") from None
+    except (KeyError, TypeError, ValueError) as e:
+        raise _misdescribed(path, e) from None
     importance = arrays.get("importance")
-    try:  # a misaligned importance block, a negative or NaN entry, a bad seed or variant
+    # a misaligned importance block, a negative or NaN entry, a bad seed or
+    # variant, or a replay store no head takes (TypeError: an id no cast takes)
+    try:
         return Checkpoint(
             model=model,
             importance=None if importance is None else ImportanceMap(importance),
@@ -183,5 +207,5 @@ def load_checkpoint(path) -> Checkpoint:
             replay_buffer=buffer,
             **fields,
         )
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ValueError(f"{path}: {e}") from None

@@ -37,22 +37,16 @@ def _kaiming_uniform(rng, wb):
 # reuse, and 64 holds every description of a run of up to 64 tasks.
 @functools.lru_cache(maxsize=64)
 def _layout_of(input_dim, hidden_dims, head_classes):
-    """The parameter layout of one checked model description and its
-    per-head layer table: the encoder, then the heads in task order, each
-    layer one name (enc0, ..., head0, head1, ...) over one folded block
-    `[W; b]` of shape (fan_in + 1, fan_out), whose last row is the bias.
-    The table is read off the layout's own offsets and shapes.  Both are
-    tuples, built once per description and shared by every model of it;
-    only the weights and the row buffers are a model's own."""
-    depth = len(hidden_dims)
+    """The parameter layout of one checked model description: the encoder,
+    then the heads in task order, each layer one name (enc0, ..., head0,
+    head1, ...) over one folded block `[W; b]` of shape (fan_in + 1,
+    fan_out), whose last row is the bias.  Built once per description and
+    shared by every model of it; only the weights and the row buffers are a
+    model's own."""
     rows = [fan_in + 1 for fan_in in (input_dim, *hidden_dims)]  # W's fan_in rows, b's one
-    layout = _Layout([f"enc{i}" for i in range(depth)]
-                     + [f"head{t}" for t in range(len(head_classes))],
-                     [*zip(rows, hidden_dims)] + [(rows[-1], classes) for classes in head_classes])
-    ends = layout.offsets
-    layers = tuple((slice(start, stop), shape)
-                   for start, stop, shape in zip(ends, ends[1:], layout.shapes))
-    return layout, tuple((*layers[:depth], head) for head in layers[depth:])
+    return _Layout([f"enc{i}" for i in range(len(hidden_dims))]
+                   + [f"head{t}" for t in range(len(head_classes))],
+                   [*zip(rows, hidden_dims)] + [(rows[-1], classes) for classes in head_classes])
 
 
 class MultiHeadClassifier:
@@ -68,11 +62,11 @@ class MultiHeadClassifier:
     end, leaving the offsets of all earlier weights unchanged; the weights
     constrained while training a task are therefore a prefix of `theta`.
 
-    `_layers`, read off the layout and shared like it by every model of one
-    description (`_layout_of`), records where each head's named layers lie;
-    from it `_plan(vec, task_id)` lays the head's folded `[W; b]` blocks
-    over any vector laid out like `theta`, or a stack of them, and
-    `layer_slices` gives the slices.  A plan over `theta` is made when a
+    The layout, shared by every model of one description (`_layout_of`),
+    is the one record of where each block lies; `_plan(vec, task_id)` views
+    a head's folded `[W; b]` blocks through it, `_Layout.block`, over any
+    vector laid out like `theta`, or a stack of them, as `parameters()[name]`
+    does over `theta`.  A plan over `theta` is made when a
     pass binds; plans over other vectors are what the gradient kernel
     writes, the Hessian operator reads directions from and the create step
     and the probes read perturbed weights from.  The kernels take a plan,
@@ -151,24 +145,19 @@ class MultiHeadClassifier:
 
     def _bind(self):
         """Bind zero weights laid out for the model's description, in one
-        buffer, with the description's shared layout and layer table."""
-        layout, self._layers = _layout_of(self.input_dim, tuple(self.hidden_dims),
-                                          tuple(self.head_classes))
+        buffer, with the description's shared layout."""
+        layout = _layout_of(self.input_dim, tuple(self.hidden_dims), tuple(self.head_classes))
         self._params = ParameterSet(layout=layout, flat=np.zeros(layout.offsets[-1]))
         self.theta = self._params.flat
 
     def _plan(self, vec, task_id) -> list:
         """Head `task_id`'s layers in `vec`, a flat vector laid out like
         `theta` or a (k, d) stack of them: per layer from the input up, the
-        folded block `[W; b]`, (rows + 1, cols), whose last row is the bias;
-        over a stack each block leads with k.  `wb[..., :-1, :]` is W."""
-        return [vec[..., sl].reshape(*vec.shape[:-1], *shape)
-                for sl, shape in self._layers[task_id]]
-
-    def layer_slices(self, task_id) -> list[slice]:
-        """Where each layer of head `task_id` lies in `theta`, from the input
-        up; each is one named block `[W; b]`."""
-        return [sl for sl, _ in self._layers[task_id]]
+        layout's block of enc0, ..., then of head{task_id}, each the folded
+        `[W; b]`, (rows + 1, cols), whose last row is the bias; over a stack
+        each block leads with k.  `wb[..., :-1, :]` is W."""
+        depth, block = len(self.hidden_dims), self._params._layout.block
+        return [block(vec, i) for i in (*range(depth), depth + task_id)]
 
     def _new_head(self, task_id: int):
         """Draw head `task_id`'s W into its block; its bias row stays the

@@ -20,7 +20,7 @@ import numpy as np
 from .model import Batch, MultiHeadClassifier
 from .params import ParameterSet
 from .replay import ReplayBuffer, replay_schedule
-from .rules import _integer, check, generator
+from .rules import _integer, check, generator, int_labels
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +207,8 @@ def _create_step(model, n, rho):
     # eps reads only the gradient over w, so the pass at w skips the loss
     # and, when the rows' head lies past w (the current task's does), the
     # head's blocks, which the pass at w + eps writes
-    depth = [len(sl) - (sl[-1].stop > n) for sl in map(model.layer_slices, heads)]
+    params = model.parameters()
+    depth = [len(model.hidden_dims) + (params.slice_of(f"head{t}").stop <= n) for t in heads]
     w, eps = model.theta[:n], scratch[:n]
     rest, scratch_rest = model.theta[n:], scratch[n:]
 
@@ -561,8 +562,11 @@ class RunState:
     def __post_init__(self):
         """Refuse, on save and on load, a state no run hands on: importance
         laid out for another model, an rng state a PCG64 generator does not
-        take, or a next task that is not the count of finished accuracy rows
-        (at most one per head; None, for a fresh run, with no rows)."""
+        take, a next task that is not the count of finished accuracy rows
+        (at most one per head; None, for a fresh run, with no rows), or a
+        replay store whose task ids are not integers (an integer-valued
+        float is cast), are not one per label or name no head, or whose
+        labels are out of range for their heads."""
         if self.importance is not None and self.importance.values.shape != self.model.theta.shape:
             raise ValueError(f"misaligned importance: {self.importance.values.shape} "
                              f"for {self.model.theta.size} weights")
@@ -577,6 +581,20 @@ class RunState:
                 or _integer(self.next_task) and 1 <= self.next_task == rows <= heads):
             raise ValueError(f"next_task {self.next_task!r} does not fit {rows} finished "
                              f"accuracy rows and {heads} task heads")
+        if (store := self.replay_buffer) is not None:
+            # one vectorized pass, not a loop per head: every load, one per
+            # probe op, checks the store it reads
+            store.task_ids = ids = int_labels(store.task_ids, "replay task ids")
+            if ids.ndim != 1 or ids.shape != store.labels.shape:
+                raise ValueError(f"replay task ids of shape {ids.shape} do not fit "
+                                 f"labels of shape {store.labels.shape}")
+            if (stray := (ids < 0) | (ids >= heads)).any():
+                raise ValueError(f"replay task id {ids[stray][0]} names no head "
+                                 f"(have {heads})")
+            classes = np.asarray(self.model.head_classes)[ids]
+            if (out := (store.labels < 0) | (store.labels >= classes)).any():
+                raise ValueError(f"replay label {store.labels[out][0]} is out of range "
+                                 f"[0, {classes[out][0]}) for task {ids[out][0]}")
 
 
 def train_continual(model: MultiHeadClassifier, stream, config: OptimizerConfig,

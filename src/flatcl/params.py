@@ -32,6 +32,13 @@ class _Layout:
         self.offsets = tuple(itertools.accumulate(map(math.prod, self.shapes), initial=0))
         self.index = {n: i for i, n in enumerate(self.names)}
 
+    def block(self, vec, i):
+        """Block `i` of `vec`, a flat vector laid out like this layout or a
+        (k, d) stack of them, as a view of its shape (over a stack, leading
+        with k): the one reader of where and how a block lies."""
+        return vec[..., self.offsets[i]:self.offsets[i + 1]].reshape(vec.shape[:-1]
+                                                                     + self.shapes[i])
+
 
 class ParameterSet:
     """Ordered mapping from parameter name to a view into one float64 vector.
@@ -53,9 +60,7 @@ class ParameterSet:
         self.flat = flat
 
     def __getitem__(self, name):
-        lay = self._layout
-        i = lay.index[name]
-        return self.flat[lay.offsets[i]:lay.offsets[i + 1]].reshape(lay.shapes[i])
+        return self._layout.block(self.flat, self._layout.index[name])
 
     def __iter__(self):
         return iter(self._layout.names)

@@ -51,16 +51,16 @@ def generator(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def int_labels(labels) -> np.ndarray:
-    """`labels` as int64, refused in one line when the cast would change a
-    value (a fractional, NaN or infinite label, or one past int64); an
-    integer-valued float, as `np.loadtxt` reads a label back, passes.  An
-    integer array is cast with no check."""
+def int_labels(labels, name="labels") -> np.ndarray:
+    """`labels` as int64, refused in one line, as `name`, when the cast
+    would change a value (a fractional, NaN or infinite label, or one past
+    int64); an integer-valued float, as `np.loadtxt` reads a label back,
+    passes.  An integer array is cast with no check."""
     labels = np.asarray(labels)
     if labels.dtype.kind in "biu":
         return labels.astype(np.int64, copy=False)
     with np.errstate(invalid="ignore"):  # a NaN's cast is refused below, not warned about
         cast = labels.astype(np.int64)
     if (changed := cast != labels).any():
-        raise ValueError(f"labels must be integers, got {labels[changed][0]}")
+        raise ValueError(f"{name} must be integers, got {labels[changed][0]}")
     return cast

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flatcl.checkpoint import _MAGIC, frame
+from flatcl.checkpoint import frame, unframe
 from flatcl.model import Batch, MultiHeadClassifier
 
 
@@ -31,19 +31,13 @@ def mlp_and_batch():
 def resign_checkpoint(path, edit):
     """Reseal the checkpoint at `path` with a valid digest after
     `edit(manifest, raw)` changes its manifest and `raw`, the list of its
-    blocks' bytes in file order, as a writer that skipped the checks would;
+    blocks' bytes in file order, as a writer that skipped the checks would.
+    `checkpoint.unframe`, which every load calls, reads the file, and
     `checkpoint.frame`, which every save calls, writes its bytes.  CI calls
     this too, with tests/ on PYTHONPATH."""
-    path = Path(path)
-    data = path.read_bytes()
-    head = len(_MAGIC) + 8
-    mlen = int.from_bytes(data[len(_MAGIC):head], "little")
-    manifest, raw, offset = json.loads(data[head:head + mlen]), [], head + mlen
-    for block in manifest["blocks"]:
-        raw.append(data[offset:offset + block["bytes"]])
-        offset += block["bytes"]
+    manifest, raw = unframe(path)
     edit(manifest, raw)
-    path.write_bytes(frame(manifest, b"".join(raw)))
+    Path(path).write_bytes(frame(manifest, b"".join(raw)))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -103,7 +103,7 @@ def test_load_builds_no_generator(tmp_path, monkeypatch):
 def test_replay_arrays_round_trip(tmp_path, n_tasks):
     """The replay store's three arrays come back bitwise, with their dtypes
     and shapes, including an empty store."""
-    model = random_mlp(39)
+    model = random_mlp(39, classes=(3,) * max(n_tasks, 1))  # a head per stored task
     buf = ReplayBuffer()
     rng = np.random.default_rng(3)
     for t in range(n_tasks):
@@ -148,10 +148,11 @@ def test_checkpoint_round_trip_property(data):
     n = data.draw(st.integers(0, 6), label="stored") if buf is not None else 0
     if n:
         buf.features = data.draw(_floats((n, d)), label="replay_features")
-        buf.labels = np.array(data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)),
-                              dtype=np.int64)
         buf.task_ids = np.sort(np.array(data.draw(st.lists(
             st.integers(0, t - 1), min_size=n, max_size=n)), dtype=np.int64))
+        # each label in range for its head, the one store a `RunState` takes
+        buf.labels = np.array([data.draw(st.integers(0, heads[i] - 1)) for i in buf.task_ids],
+                              dtype=np.int64)
     rng = np.random.Generator(np.random.PCG64(data.draw(st.integers(0, 2**64 - 1))))
     rng.integers(2, size=data.draw(st.integers(0, 3)))
     next_task = None if rows is None else len(rows)  # the one value `RunState` takes
@@ -273,6 +274,41 @@ def test_load_rejects_replay_store_with_a_fractional_label(tmp_path):
         load_checkpoint(path)
     assert str(info.value) == (f"{path}: manifest does not describe its data: "
                                "labels must be integers, got 1.5")
+
+
+@pytest.mark.parametrize("task_ids, labels, error", [
+    ([0.9, 1], [0, 1], "replay task ids must be integers, got 0.9"),
+    ([0, 2], [0, 1], "replay task id 2 names no head (have 2)"),
+    ([-1, 1], [0, 1], "replay task id -1 names no head (have 2)"),
+    ([0, 1], [2, 2], "replay label 2 is out of range [0, 2) for task 1"),
+    ([0, 1], [-1, 0], "replay label -1 is out of range [0, 3) for task 0"),
+    ([[0], [1]], [0, 1], "replay task ids of shape (2, 1) do not fit labels of shape (2,)"),
+    ([[0], [1]], [[0], [1]], "replay task ids of shape (2, 1) do not fit labels of shape (2, 1)"),
+], ids=["id-fractional", "id-past-heads", "id-negative", "label-at-classes", "label-negative",
+        "ids-nested", "ids-and-labels-nested"])
+def test_save_refuses_a_replay_store_no_head_takes(tmp_path, task_ids, labels, error):
+    """A replay store whose task id is not an integer or names no head,
+    whose task ids are not one per label, or whose label is out of its
+    head's range, is refused where the checkpoint is made, so no save writes
+    it."""
+    store = ReplayBuffer()
+    store.features, store.labels, store.task_ids = np.ones((2, 4)), np.array(labels), np.array(task_ids)
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        Checkpoint(seed=1, variant="seq", model=random_mlp(46, classes=(3, 2)), replay_buffer=store)
+
+
+def test_load_casts_integer_valued_replay_task_ids(tmp_path):
+    """A re-signed task id that the int64 cast keeps, such as 1.0, loads as
+    the integer, as an integer-valued label does."""
+    store = ReplayBuffer()
+    store.add_task(np.ones((8, 4)), np.arange(8) % 2, 1, 0.5, seed=1)
+    path = tmp_path / "float_ids.bin"
+    save_checkpoint(path, Checkpoint(seed=1, variant="seq", model=random_mlp(47, classes=(3, 2)),
+                                     replay_buffer=store))
+    resign_checkpoint(path, lambda m, _: m["replay"].update(
+        task_ids=[float(t) for t in m["replay"]["task_ids"]]))
+    loaded = load_checkpoint(path).replay_buffer.task_ids
+    assert loaded.dtype == np.int64 and loaded.tobytes() == store.task_ids.tobytes()
 
 
 @pytest.mark.parametrize("edit", [

@@ -320,8 +320,8 @@ def test_hvp_bind_writes_the_loss_gradient_bitwise(activation, hidden):
         op = m._hvp_operator(*rows, task_id, grads)
         assert grads.tobytes() == m.loss_gradient(batch)[1].flat.tobytes()
         outside = np.ones(m.theta.size, dtype=bool)
-        for sl in m.layer_slices(task_id):
-            outside[sl] = False
+        for name in [f"enc{i}" for i in range(len(hidden))] + [f"head{task_id}"]:
+            outside[m.parameters().slice_of(name)] = False
         assert not grads[outside].any() and grads[~outside].any()
         assert op(v).tobytes() == m._hvp_operator(*rows, task_id)(v).tobytes()
 
@@ -427,23 +427,38 @@ def test_stacked_class_max_keeps_the_loss_bits_on_signed_zeros(classes):
 
 @pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
 def test_plan_has_one_form_for_a_vector_and_a_stack(hidden):
-    """Each head's plan over a flat vector and over the stack of that one
-    vector gives folded blocks with the same bytes; the flat blocks are the
-    stack's without its leading axis; each is the layer's (W, b) pair in
-    `layer_slices`, its last row the bias; and a write through a flat block
-    lands in the vector, in the layer's slice."""
-    m = random_mlp(73, hidden=hidden, classes=(3, 2))
-    params = m.parameters()
-    v = np.random.default_rng(74).normal(size=m.theta.size)
-    for task_id in range(2):
-        flat, stacked = m._plan(v, task_id), m._plan(v[None], task_id)
-        slices = m.layer_slices(task_id)
-        assert len(flat) == len(stacked) == len(slices) == len(hidden) + 1
+    """Each head's plan, over a flat vector, over the stack of that one
+    vector and over a (3, d) stack, is the layout's `block` of each layer's
+    name, enc0, ..., head{t}: each block shares memory with it and has its
+    shape, led by the stack's k; over the flat vector it is the name's view
+    in `unflatten`.  The flat blocks have the one-vector stack's bytes
+    without its leading axis; each is the layer's (W, b) pair, its last row
+    the bias; and a write through a flat block lands in the vector, in the
+    `slice_of` the layer's name."""
+    m = random_mlp(73, hidden=hidden, classes=(3, 2, 4))
+    params, lay = m.parameters(), m.parameters()._layout
+    rng = np.random.default_rng(74)
+    v, three = rng.normal(size=m.theta.size), rng.normal(size=(3, m.theta.size))
+    for task_id in range(3):
         names = [f"enc{i}" for i in range(len(hidden))] + [f"head{task_id}"]
-        for wb, stack_wb, sl, name in zip(flat, stacked, slices, names):
+        for vec in (v, three):
+            plan = m._plan(vec, task_id)
+            assert len(plan) == len(names)
+            for wb, i in zip(plan, map(lay.index.get, names)):
+                block = lay.block(vec, i)
+                assert wb.shape == block.shape == vec.shape[:-1] + lay.shapes[i]
+                assert np.shares_memory(wb, block)
+                assert wb.__array_interface__ == block.__array_interface__
+                if vec.ndim == 1:
+                    assert wb.tobytes() == params.unflatten(vec)[lay.names[i]].tobytes()
+        flat, stacked = m._plan(v, task_id), m._plan(v[None], task_id)
+        assert len(flat) == len(stacked) == len(hidden) + 1
+        for wb, stack_wb, name in zip(flat, stacked, names):
             w = params.unflatten(v)[name][:-1]
+            sl = params.slice_of(name)
             assert wb.shape == (w.shape[0] + 1, w.shape[1])
-            assert sl == params.slice_of(name)
+            start = wb.__array_interface__["data"][0] - v.__array_interface__["data"][0]
+            assert (start, wb.size) == (8 * sl.start, sl.stop - sl.start)
             assert wb[..., :-1, :].tobytes() == w.tobytes()
             assert stack_wb.shape == (1, *wb.shape)
             assert wb.tobytes() == stack_wb[0].tobytes()
@@ -459,8 +474,8 @@ def test_each_layer_is_one_named_block():
     """The layout names each layer once: a rot5 model grown to its 5 heads
     is enc0 then the heads in task order.  On models with 0-2 hidden
     layers, each block of every head's plan over `theta` is that layer's
-    named view, with its shape and start, and `layer_slices` gives the
-    names' slices."""
+    named view, with its shape and start, and lies at the `slice_of` its
+    name."""
     with resources.as_file(resources.files("flatcl") / "configs" / "rot5.json") as path:
         cfg = load_config(path)
     stream = build_stream(cfg, 1)
@@ -478,7 +493,10 @@ def test_each_layer_is_one_named_block():
             for wb, view in zip(plan, map(params.__getitem__, names)):
                 assert wb.shape == view.shape and np.shares_memory(wb, view)
                 assert wb.__array_interface__["data"] == view.__array_interface__["data"]
-            assert m.layer_slices(task_id) == [params.slice_of(n) for n in names]
+            base = m.theta.__array_interface__["data"][0]
+            starts = [(wb.__array_interface__["data"][0] - base) // 8 for wb in plan]
+            assert ([slice(start, start + wb.size) for start, wb in zip(starts, plan)]
+                    == [params.slice_of(n) for n in names])
 
 
 def test_one_layout_model_equals_head_by_head():
@@ -501,7 +519,7 @@ def test_one_layout_model_equals_head_by_head():
 def test_loaded_model_has_the_constructed_layout(tmp_path, depth, heads):
     """A checkpoint load, `from_weights` and a model grown head by head lay
     out the names, shapes and offsets of the model built whole, and the
-    same layers per head."""
+    same layers per head: one shared layout."""
     hidden, classes = [5, 4][:depth], [2, 3, 4, 1, 3][:heads]
     built = MultiHeadClassifier(111, 6, hidden, classes)
     save_checkpoint(tmp_path / "m.bin", Checkpoint(seed=1, variant="seq", model=built))
@@ -515,18 +533,20 @@ def test_loaded_model_has_the_constructed_layout(tmp_path, depth, heads):
         assert got.names() == want.names()
         assert [got[n].shape for n in got] == [want[n].shape for n in want]
         assert [got.slice_of(n) for n in got] == [want.slice_of(n) for n in want]
-        assert model._layers == built._layers
+        assert got._layout is want._layout
+        for t in range(heads):
+            assert ([wb.__array_interface__ for wb in model._plan(built.theta, t)]
+                    == [wb.__array_interface__ for wb in built._plan(built.theta, t)])
         assert model.theta.tobytes() == built.theta.tobytes()
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2])
 def test_models_of_one_description_share_its_layout(depth):
     """Every model of one description (input dim, hidden dims, head class
-    counts) shares one layout, held in tuples, and one layer table, whatever
-    its seed or activation, but never its weights or row buffers.
-    `from_weights`, `clone` and a model grown head by head take the layout
-    of a fresh build with as many heads: names, shapes, offsets and layer
-    slices."""
+    counts) shares one layout, held in tuples, whatever its seed or
+    activation, but never its weights or row buffers.  `from_weights`,
+    `clone` and a model grown head by head take the layout of a fresh build
+    with as many heads: names, shapes, offsets and each head's plan."""
     hidden, classes = [5, 4][:depth], [3, 2, 4]
     fresh = MultiHeadClassifier(70, 6, hidden, classes)
     grown = MultiHeadClassifier(71, 6, hidden, classes[:1], activation="relu")
@@ -539,12 +559,13 @@ def test_models_of_one_description_share_its_layout(depth):
     x = np.random.default_rng(73).normal(size=(5, 6))
     for model in models:
         got = model.parameters()
-        assert got._layout is want._layout and model._layers is fresh._layers
+        assert got._layout is want._layout
         assert got.names() == want.names()
         assert [got[n].shape for n in got] == [want[n].shape for n in want]
         assert [got.slice_of(n) for n in got] == [want.slice_of(n) for n in want]
         for t in range(len(classes)):
-            assert model.layer_slices(t) == fresh.layer_slices(t)
+            assert ([wb.__array_interface__ for wb in model._plan(fresh.theta, t)]
+                    == [wb.__array_interface__ for wb in fresh._plan(fresh.theta, t)])
         assert not np.shares_memory(model.theta, fresh.theta)
         assert model._rows is not fresh._rows
         for m in (model, fresh):

@@ -722,6 +722,13 @@ def _layer_slices(params, names):
     return [params.slice_of(n) for n in names]
 
 
+def _plan_slices(model, task_id):
+    """Where each block of head `task_id`'s plan over `theta` lies in it."""
+    base = model.theta.__array_interface__["data"][0]
+    return [slice(start := (wb.__array_interface__["data"][0] - base) // 8, start + wb.size)
+            for wb in model._plan(model.theta, task_id)]
+
+
 def _sparse_mask_by_names(values: ParameterSet, ratio, layer_partition):
     """build_sparse_mask as it was over a partition of a set's names into
     layers: the reference the slice form is held to, bit for bit."""
@@ -753,7 +760,7 @@ def test_sparse_mask_over_plan_slices_equals_name_partition_bitwise(activation, 
             model = MultiHeadClassifier(95, 4, list(hidden), list(heads),
                                         activation=activation)
             params = model.parameters()
-            plans = [model.layer_slices(t) for t in range(len(heads))]
+            plans = [_plan_slices(model, t) for t in range(len(heads))]
             n = model.theta.size
             for values in (rng.uniform(0.0, 1.0, n), rng.integers(0, 3, n) * 0.5,
                            np.full(n, 0.25)):

@@ -477,6 +477,29 @@ def test_resume_refuses_a_state_no_run_hands_on(tmp_path, cf_task0, key, value, 
     assert not resumed.exists()
 
 
+@pytest.mark.parametrize("field, value, error", [
+    ("task_ids", 0.9, "replay task ids must be integers, got 0.9"),
+    ("task_ids", 7, "replay task id 7 names no head (have 1)"),
+    ("task_ids", -1, "replay task id -1 names no head (have 1)"),
+    ("labels", 3, "replay label 3 is out of range [0, 3) for task 0"),
+    ("labels", -1, "replay label -1 is out of range [0, 3) for task 0"),
+], ids=["id-fractional", "id-past-heads", "id-negative", "label-at-classes", "label-negative"])
+def test_resume_refuses_a_replay_store_no_head_takes(tmp_path, cf_task0, field, value, error):
+    """A re-signed ckpt_task0.bin whose replay store holds a task id that is
+    not an integer (0.9 is not read as 0) or names no head, or a label out
+    of its head's range, is refused on load by one line naming the file,
+    before the seed directory is made."""
+    cfg, data = cf_task0
+    path = tmp_path / "ckpt_task0.bin"
+    path.write_bytes(data)
+    resign_checkpoint(path, lambda m, _: m["replay"][field].__setitem__(0, value))
+    resumed = tmp_path / "resumed"
+    with pytest.raises(ValueError) as info:
+        run_single_seed(cfg, "cf", 1, str(resumed), resume_from=str(path))
+    assert str(info.value) == f"{path}: {error}"
+    assert not resumed.exists()
+
+
 def test_each_task_starts_from_the_weights_the_last_one_ended_with(tmp_path):
     """Nothing between two tasks moves the weights: not the Fisher pass, the
     exemplar selection, the accuracy pass, the probe or the checkpoint. So

@@ -179,7 +179,11 @@ def _json_parts(value, path=""):
 
 def _checkpoint_parts(data: bytes):
     """A checkpoint's header, manifest keys, data blocks and the digest
-    that ends it: the 32-byte SHA-256 trailer."""
+    that ends it: the 32-byte SHA-256 trailer.  It parses the framing
+    itself, not through `checkpoint.unframe`: the files it reads were
+    written by other trees, whose framing or format may not be the one the
+    imported flatcl reads, and a part-by-part diff of such a file is what
+    it is for."""
     head = 16
     mlen = int.from_bytes(data[8:head], "little")
     manifest = json.loads(data[head:head + mlen])
